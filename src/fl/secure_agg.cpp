@@ -3,24 +3,56 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/primitives.hpp"
 #include "util/rng.hpp"
 
 namespace baffle {
 
+namespace {
+
+/// 2^63: encode's domain is |x * 2^frac_bits| < 2^63 (NaN fails the
+/// comparison, so it is outside too).
+constexpr double kEncodeLimit = 9223372036854775808.0;
+
+bool in_encode_domain(double scaled) {
+  return std::fabs(scaled) < kEncodeLimit;
+}
+
+/// std::round's half-away-from-zero result without the libm call.
+/// `scaled` is a float times a power of two, so it carries at most 24
+/// significant bits. For 0.5 <= |scaled| < 2^52 the sum scaled ± 0.5 is
+/// exact; below 0.5 it stays strictly inside (-1, 1); from 2^52 up,
+/// `scaled` is an even integer and the sum rounds back to it. Truncation
+/// toward zero therefore yields round(scaled). Callers check
+/// in_encode_domain first.
+std::uint64_t round_to_word(double scaled) {
+  return static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(scaled + std::copysign(0.5, scaled)));
+}
+
+/// 2^frac_bits, the fixed-point unit.
+double fixed_point_unit(unsigned frac_bits) {
+  return static_cast<double>(std::uint64_t{1} << frac_bits);
+}
+
+}  // namespace
+
 std::uint64_t SecureAggregation::encode(float x) const {
   const double scaled =
-      std::round(static_cast<double>(x) *
-                 static_cast<double>(std::uint64_t{1} << config_.frac_bits));
-  return static_cast<std::uint64_t>(static_cast<std::int64_t>(scaled));
+      static_cast<double>(x) * fixed_point_unit(config_.frac_bits);
+  if (!in_encode_domain(scaled)) {
+    throw std::invalid_argument(
+        "encode: value is non-finite or outside the fixed-point range");
+  }
+  return round_to_word(scaled);
 }
 
 float SecureAggregation::decode_sum(std::uint64_t total) const {
   const auto as_signed = static_cast<std::int64_t>(total);
-  return static_cast<float>(
-      static_cast<double>(as_signed) /
-      static_cast<double>(std::uint64_t{1} << config_.frac_bits));
+  return static_cast<float>(static_cast<double>(as_signed) /
+                            fixed_point_unit(config_.frac_bits));
 }
 
 std::uint64_t SecureAggregation::pair_seed(std::size_t a,
@@ -32,33 +64,31 @@ std::uint64_t SecureAggregation::pair_seed(std::size_t a,
   return s;
 }
 
-void SecureAggregation::add_pair_mask(MaskedVec& vec, std::size_t self_id,
-                                      std::size_t other_id,
-                                      bool subtract) const {
-  Rng prg(pair_seed(self_id, other_id));
-  for (auto& slot : vec) {
-    const std::uint64_t m = prg.next_u64();
-    slot = subtract ? slot - m : slot + m;  // wrap-around group Z_2^64
-  }
-}
-
 MaskedVec SecureAggregation::mask_update(
     const ParamVec& update, std::size_t self_id,
     const std::vector<std::size_t>& participants) const {
+  if (std::find(participants.begin(), participants.end(), self_id) ==
+      participants.end()) {
+    throw std::invalid_argument("mask_update: self not in participants");
+  }
   MaskedVec out(update.size());
-  for (std::size_t i = 0; i < update.size(); ++i) out[i] = encode(update[i]);
-  bool self_seen = false;
-  for (std::size_t other : participants) {
-    if (other == self_id) {
-      self_seen = true;
-      continue;
+  const double unit = fixed_point_unit(config_.frac_bits);
+  for (std::size_t i = 0; i < update.size(); ++i) {
+    const double scaled = static_cast<double>(update[i]) * unit;
+    if (!in_encode_domain(scaled)) {
+      throw std::invalid_argument(
+          "mask_update: update of client " + std::to_string(self_id) +
+          " holds a non-finite or out-of-range value at index " +
+          std::to_string(i));
     }
+    out[i] = round_to_word(scaled);
+  }
+  for (std::size_t other : participants) {
+    if (other == self_id) continue;
     // The lower id adds, the higher id subtracts — so each pair's mask
     // cancels in the sum.
-    add_pair_mask(out, self_id, other, /*subtract=*/self_id > other);
-  }
-  if (!self_seen) {
-    throw std::invalid_argument("mask_update: self not in participants");
+    add_keystream_u64(out, pair_seed(self_id, other),
+                      /*subtract=*/self_id > other);
   }
   return out;
 }
@@ -90,8 +120,8 @@ ParamVec SecureAggregation::unmask_sum(
     for (std::size_t survivor : senders) {
       // The survivor applied +mask if survivor < dropped else -mask;
       // undo it.
-      add_pair_mask(total, survivor, dropped,
-                    /*subtract=*/survivor < dropped);
+      add_keystream_u64(total, pair_seed(survivor, dropped),
+                        /*subtract=*/survivor < dropped);
     }
   }
   ParamVec out(vec_len);

@@ -8,6 +8,23 @@
 // aggregate. Working in uint64 arithmetic (wrap-around group Z_2^64)
 // makes the cancellation exact — a property the tests assert bit-for-bit.
 //
+// Keystream: the PRG is SplitMix64 in counter mode. Word k of pair
+// (a, b)'s mask is Rng::split_mix(pair_seed(a, b) + k * kGoldenGamma),
+// applied through the dispatched add_keystream_u64 primitive
+// (tensor/primitives.hpp), whose two arms are bit-identical.
+//
+// Exact-cancellation invariant: for any participant set and any subset
+// of surviving senders, unmask_sum returns decode_sum(Σ encode(u_i) mod
+// 2^64) over the survivors' updates u_i, element by element — the masks
+// contribute exactly zero. Mask values therefore never reach an output:
+// candidate models, RoundRecords and wire bytes are independent of the
+// PRG, which is why its choice is free to be the fastest one.
+//
+// Encoding domain: encode(x) = round(x * 2^frac_bits), rounding halves
+// away from zero, for |x| * 2^frac_bits < 2^63. NaN, ±Inf and anything
+// larger have no fixed-point word; encode and mask_update throw
+// std::invalid_argument on them (mask_update names the client).
+//
 // Simulated vs. real protocol: key agreement and Shamir-shared seed
 // recovery are replaced by deterministic per-pair seeds derived from a
 // per-round key; dropout handling reconstructs the dropped clients'
@@ -37,7 +54,9 @@ class SecureAggregation {
   explicit SecureAggregation(SecureAggConfig config) : config_(config) {}
 
   /// Client-side: quantize `update` and add the pairwise masks of
-  /// `self_id` against every other id in `participants`.
+  /// `self_id` against every other id in `participants`. Throws
+  /// std::invalid_argument when `self_id` is not a participant or an
+  /// update value lies outside encode's domain.
   MaskedVec mask_update(const ParamVec& update, std::size_t self_id,
                         const std::vector<std::size_t>& participants) const;
 
@@ -51,15 +70,15 @@ class SecureAggregation {
                       const std::vector<std::size_t>& participants,
                       std::size_t vec_len) const;
 
-  /// Exact quantization helpers (exposed for tests). decode_sum
-  /// interprets the wrapped uint64 as a signed fixed-point sum.
+  /// Exact quantization helpers (exposed for tests). encode throws
+  /// std::invalid_argument outside its domain (see the file comment);
+  /// decode_sum interprets the wrapped uint64 as a signed fixed-point
+  /// sum.
   std::uint64_t encode(float x) const;
   float decode_sum(std::uint64_t total) const;
 
  private:
   std::uint64_t pair_seed(std::size_t a, std::size_t b) const;
-  void add_pair_mask(MaskedVec& vec, std::size_t self_id,
-                     std::size_t other_id, bool subtract) const;
 
   SecureAggConfig config_;
 };

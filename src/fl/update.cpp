@@ -19,7 +19,9 @@ ParamVec sum_updates(const std::vector<ParamVec>& updates) {
   if (updates.empty()) throw std::invalid_argument("sum_updates: empty");
   ParamVec out(updates.front().size(), 0.0f);
   for (const auto& u : updates) {
-    check_update_sizes({u}, out.size());
+    if (u.size() != out.size()) {
+      throw std::invalid_argument("update size mismatch");
+    }
     axpy(1.0f, u, out);
   }
   return out;

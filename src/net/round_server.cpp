@@ -1,5 +1,7 @@
 #include "net/round_server.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 
@@ -109,6 +111,14 @@ std::optional<WireMessage> RoundServer::poll_admissible(
     msg_client = update->client_id;
     if (update->update.size() != expected_params_) {
       ++stats_.bad_update_size;
+      return std::nullopt;
+    }
+    // Wire decode keeps NaN/Inf bit-exact. Secure aggregation has no
+    // fixed-point word for them, and a plain FedAvg sum would carry
+    // them into the candidate.
+    if (!std::all_of(update->update.begin(), update->update.end(),
+                     [](float x) { return std::isfinite(x); })) {
+      ++stats_.bad_update_value;
       return std::nullopt;
     }
   } else if (const auto* vote = std::get_if<Vote>(&msg)) {

@@ -14,12 +14,14 @@
 //
 // Collection enforces per-round admission on every inbound frame
 // (decodes, type, round number, session identity, duplicates, update
-// size); a frame that fails any check is dropped and counted in
-// ProtocolStats, never trusted. Stragglers are handled by deadline: a
-// client that has not answered when the timeout expires is reported in
-// `dropped` and the round proceeds without it — aggregation over the
-// responders, and per the paper's footnote 1 an undersized voter set
-// simply tallies the votes that did arrive (accept by default).
+// size, finite update values); a frame that fails any check is dropped
+// and counted in ProtocolStats, never trusted. Stragglers are handled
+// by deadline: a client that has not answered when the timeout expires
+// is reported in `dropped` and the round proceeds without it —
+// aggregation over the responders, and per the paper's footnote 1 an
+// undersized voter set simply tallies the votes that did arrive (accept
+// by default). A sender whose only update was inadmissible is dropped
+// the same way.
 //
 // While waiting, the server helps drain the global thread pool instead
 // of blocking, because the simulated clients run as pool tasks (and
@@ -57,10 +59,11 @@ struct ProtocolStats {
   std::uint64_t wrong_client = 0;      // id does not match the session
   std::uint64_t duplicates = 0;        // second update/vote this round
   std::uint64_t bad_update_size = 0;   // update length != model params
+  std::uint64_t bad_update_value = 0;  // update holds a NaN or ±Inf
   std::uint64_t timeouts = 0;          // expected peers that never answered
   std::uint64_t total_rejected() const {
     return decode_errors + unexpected_type + wrong_round + wrong_client +
-           duplicates + bad_update_size;
+           duplicates + bad_update_size + bad_update_value;
   }
 };
 

@@ -174,6 +174,10 @@ struct KernelTable {
   void (*relu_forward)(float*, std::size_t);
   void (*relu_backward)(const float* activated, float* grad, std::size_t);
   void (*add_u64)(std::uint64_t* acc, const std::uint64_t*, std::size_t);
+  // acc[k] ±= Rng::split_mix(seed + k * Rng::kGoldenGamma) in Z_2^64:
+  // the counter-mode keystream of the secure-aggregation masks.
+  void (*add_keystream_u64)(std::uint64_t* acc, std::uint64_t seed,
+                            bool subtract, std::size_t);
   double (*sum_d)(const double*, std::size_t);
   double (*sum_sq_diff_d)(const double*, double center, std::size_t);
 

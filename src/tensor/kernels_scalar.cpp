@@ -9,6 +9,7 @@
 
 #include "tensor/kernels.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace baffle::kernels {
 namespace {
@@ -257,6 +258,15 @@ void add_u64(std::uint64_t* acc, const std::uint64_t* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
 }
 
+void add_keystream_u64(std::uint64_t* acc, std::uint64_t seed, bool subtract,
+                       std::size_t n) {
+  std::uint64_t counter = seed;
+  for (std::size_t k = 0; k < n; ++k, counter += Rng::kGoldenGamma) {
+    const std::uint64_t m = Rng::split_mix(counter);
+    acc[k] = subtract ? acc[k] - m : acc[k] + m;
+  }
+}
+
 double sum_d(const double* x, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += x[i];
@@ -443,6 +453,7 @@ constexpr KernelTable kTable = {
     relu_forward,
     relu_backward,
     add_u64,
+    add_keystream_u64,
     sum_d,
     sum_sq_diff_d,
     eval_layer_f32,

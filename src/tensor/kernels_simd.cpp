@@ -8,8 +8,8 @@
 // Numeric contract: the dot/norm/distance family keeps the scalar
 // arm's double-precision accumulation (via 4-wide double lanes), so the
 // two arms differ only by reassociation and FMA rounding — within the
-// parity-test tolerance — while relu/abs/max and the u64 adds are
-// bit-exact.
+// parity-test tolerance — while relu/abs/max, the u64 adds and the
+// mask keystream are bit-exact.
 
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
@@ -373,6 +373,47 @@ void add_u64(std::uint64_t* acc, const std::uint64_t* x, std::size_t n) {
   for (; i < n; ++i) acc[i] += x[i];
 }
 
+// Rng::split_mix on four lanes. util/rng.hpp is deliberately not
+// included: its inline functions must not be emitted with AVX2 codegen
+// into a COMDAT the linker may pick for every caller. SimdParity pins
+// the lanes to the scalar arm, which calls Rng::split_mix itself.
+constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+
+BAFFLE_ALWAYS_INLINE u64x4 split_mix4(u64x4 x) {
+  x += kGoldenGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+template <bool kSubtract>
+void keystream_lanes(std::uint64_t* acc, std::uint64_t seed, std::size_t n) {
+  u64x4 counter = {seed, seed + kGoldenGamma, seed + 2 * kGoldenGamma,
+                   seed + 3 * kGoldenGamma};
+  std::size_t i = 0;
+  for (; i + simd::kDoubleLanes <= n;
+       i += simd::kDoubleLanes, counter += 4 * kGoldenGamma) {
+    const u64x4 m = split_mix4(counter);
+    const u64x4 a = loadu4u(acc + i);
+    storeu4u(acc + i, kSubtract ? a - m : a + m);
+  }
+  if (i == n) return;
+  // Tail: one more vector of keystream, applied to the live lanes only.
+  const u64x4 m = split_mix4(counter);
+  for (std::size_t l = 0; i + l < n; ++l) {
+    acc[i + l] = kSubtract ? acc[i + l] - m[l] : acc[i + l] + m[l];
+  }
+}
+
+void add_keystream_u64(std::uint64_t* acc, std::uint64_t seed, bool subtract,
+                       std::size_t n) {
+  if (subtract) {
+    keystream_lanes<true>(acc, seed, n);
+  } else {
+    keystream_lanes<false>(acc, seed, n);
+  }
+}
+
 double sum_d(const double* x, std::size_t n) {
   f64x4 acc{};
   std::size_t i = 0;
@@ -576,6 +617,7 @@ KernelTable make_table() {
   t.relu_forward = relu_forward;
   t.relu_backward = relu_backward;
   t.add_u64 = add_u64;
+  t.add_keystream_u64 = add_keystream_u64;
   t.sum_d = sum_d;
   t.sum_sq_diff_d = sum_sq_diff_d;
   t.eval_layer_f32 = eval_layer_f32;

@@ -87,6 +87,12 @@ void add_u64(std::span<std::uint64_t> acc, std::span<const std::uint64_t> x) {
   kernels::active_table().add_u64(acc.data(), x.data(), x.size());
 }
 
+void add_keystream_u64(std::span<std::uint64_t> acc, std::uint64_t seed,
+                       bool subtract) {
+  kernels::active_table().add_keystream_u64(acc.data(), seed, subtract,
+                                            acc.size());
+}
+
 double sum(std::span<const double> xs) {
   return kernels::active_table().sum_d(xs.data(), xs.size());
 }

@@ -49,6 +49,13 @@ void relu_backward(std::span<const float> activated, std::span<float> grad);
 /// acc += x elementwise in Z_2^64 (secure-aggregation mask sums).
 void add_u64(std::span<std::uint64_t> acc, std::span<const std::uint64_t> x);
 
+/// acc[k] += m_k (or -= m_k when `subtract`) in Z_2^64, where
+/// m_k = Rng::split_mix(seed + k * Rng::kGoldenGamma) is word k of the
+/// counter-mode SplitMix64 keystream of `seed` (secure-aggregation pair
+/// masks). Exact integer arithmetic: bit-identical on both arms.
+void add_keystream_u64(std::span<std::uint64_t> acc, std::uint64_t seed,
+                       bool subtract);
+
 double sum(std::span<const double> xs);
 /// Sum of (x - center)^2 — the stddev inner loop.
 double sum_sq_diff(std::span<const double> xs, double center);

@@ -78,11 +78,4 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
 
 Rng Rng::fork() { return Rng(engine_()); }
 
-std::uint64_t Rng::split_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace baffle

@@ -57,11 +57,22 @@ class Rng {
   /// child.
   Rng fork();
 
-  /// Raw 64-bit draw (used by the secure-aggregation mask PRG).
+  /// Raw 64-bit draw. No longer the secure-aggregation mask PRG: masks
+  /// are a counter-mode split_mix keystream (fl/secure_agg.hpp).
   std::uint64_t next_u64() { return engine_(); }
 
-  /// SplitMix64 hash step; used for seed derivation.
-  static std::uint64_t split_mix(std::uint64_t x);
+  /// SplitMix64's Weyl-sequence increment (2^64 / golden ratio).
+  static constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+
+  /// SplitMix64 hash step; used for seed derivation, and in counter mode
+  /// (split_mix(seed + k * kGoldenGamma) for word k) as the
+  /// secure-aggregation mask keystream.
+  static constexpr std::uint64_t split_mix(std::uint64_t x) {
+    x += kGoldenGamma;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
 
  private:
   std::mt19937_64 engine_;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 
-#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace baffle {
@@ -18,6 +20,19 @@ SecureAggConfig config(std::uint64_t key = 99) {
 
 std::vector<std::size_t> ids(std::initializer_list<std::size_t> v) {
   return {v};
+}
+
+/// What the exact-cancellation invariant says unmask_sum must return:
+/// decode_sum(Σ encode(u_i) mod 2^64), element by element.
+ParamVec fixed_point_sum(const SecureAggregation& sa,
+                         const std::vector<ParamVec>& updates) {
+  ParamVec out(updates.front().size());
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    std::uint64_t total = 0;
+    for (const auto& u : updates) total += sa.encode(u[k]);
+    out[k] = sa.decode_sum(total);
+  }
+  return out;
 }
 
 TEST(SecureAgg, QuantizationRoundTrip) {
@@ -60,19 +75,15 @@ TEST(SecureAgg, TenClientSumMatchesPlainSum) {
   std::vector<std::size_t> participants(n);
   for (std::size_t i = 0; i < n; ++i) participants[i] = 10 + i;
   std::vector<ParamVec> updates(n, ParamVec(dim));
-  ParamVec expected(dim, 0.0f);
   for (auto& u : updates) {
     for (float& x : u) x = static_cast<float>(rng.normal());
-    axpy(1.0f, u, expected);
   }
   std::vector<MaskedVec> masked;
   for (std::size_t i = 0; i < n; ++i) {
     masked.push_back(sa.mask_update(updates[i], participants[i], participants));
   }
   const ParamVec total = sa.unmask_sum(masked, participants, participants, dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    EXPECT_NEAR(total[i], expected[i], 1e-4f);
-  }
+  EXPECT_EQ(total, fixed_point_sum(sa, updates));
 }
 
 TEST(SecureAgg, DropoutRecovery) {
@@ -91,8 +102,8 @@ TEST(SecureAgg, DropoutRecovery) {
     senders.push_back(i);
   }
   const ParamVec total = sa.unmask_sum(masked, senders, participants, 2);
-  EXPECT_NEAR(total[0], 1.0f + 2.0f + 4.0f, 1e-5f);
-  EXPECT_NEAR(total[1], 1.0f - 1.0f + 9.0f, 1e-5f);
+  EXPECT_EQ(total, fixed_point_sum(sa, {updates[0], updates[1], updates[3]}));
+  EXPECT_EQ(total, (ParamVec{1.0f + 2.0f + 4.0f, 1.0f - 1.0f + 9.0f}));
 }
 
 TEST(SecureAgg, MultipleDropouts) {
@@ -100,16 +111,15 @@ TEST(SecureAgg, MultipleDropouts) {
   const auto participants = ids({0, 1, 2, 3, 4});
   std::vector<MaskedVec> masked;
   std::vector<std::size_t> senders;
-  float expected = 0.0f;
+  std::vector<ParamVec> sent;
   for (std::size_t i = 0; i < 5; ++i) {
     if (i == 1 || i == 3) continue;
-    const ParamVec u{static_cast<float>(i)};
-    masked.push_back(sa.mask_update(u, i, participants));
+    sent.push_back({static_cast<float>(i) + 0.1f});
+    masked.push_back(sa.mask_update(sent.back(), i, participants));
     senders.push_back(i);
-    expected += static_cast<float>(i);
   }
   const ParamVec total = sa.unmask_sum(masked, senders, participants, 1);
-  EXPECT_NEAR(total[0], expected, 1e-5f);
+  EXPECT_EQ(total, fixed_point_sum(sa, sent));
 }
 
 TEST(SecureAgg, DifferentRoundKeysGiveDifferentMasks) {
@@ -145,6 +155,113 @@ TEST(SecureAgg, SingleParticipantDegenerate) {
   EXPECT_NEAR(total[0], 2.5f, 1e-6f);
 }
 
+TEST(SecureAgg, PairMaskKeystreamGolden) {
+  // Pins the mask definition: word k of pair (a, b)'s mask is
+  // Rng::split_mix(pair_seed(a, b) + k * Rng::kGoldenGamma). A zero
+  // update masked by the lower id is exactly the pair's mask; the higher
+  // id carries its negation. Changing the keystream must be deliberate.
+  const SecureAggregation sa(config(99));
+  const auto p = ids({0, 1});
+  const MaskedVec expected{0x953884b0e5678fb6ULL, 0x818765b2bf270f6eULL,
+                           0x866b1a9537473232ULL, 0x09368d23b640cb2fULL,
+                           0x2a186ac0ab0c7933ULL, 0x1324b84556f2b43eULL};
+  const ParamVec zero(expected.size(), 0.0f);
+  EXPECT_EQ(sa.mask_update(zero, 0, p), expected);
+  const MaskedVec negated = sa.mask_update(zero, 1, p);
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(negated[k], std::uint64_t{0} - expected[k]) << "word " << k;
+  }
+}
+
+TEST(SecureAgg, MaskUpdateRejectsValuesOutsideEncodeDomain) {
+  // No fixed-point word exists for NaN, ±Inf or |x| * 2^24 >= 2^63: the
+  // cast would be undefined, so masking throws and names the client.
+  const SecureAggregation sa(config());
+  const auto p = ids({2, 5});
+  const float two_pow_40 = std::ldexp(1.0f, 40);
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity(), two_pow_40,
+                    -two_pow_40}) {
+    SCOPED_TRACE(::testing::Message() << "value " << bad);
+    const ParamVec u{0.5f, bad, -0.25f};
+    try {
+      (void)sa.mask_update(u, 5, p);
+      ADD_FAILURE() << "mask_update accepted an unencodable value";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("client 5"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(sa.encode(bad), std::invalid_argument);
+  }
+}
+
+/// encode's contract at `frac_bits`: std::round (halves away from zero)
+/// of x * 2^frac_bits inside |x * 2^frac_bits| < 2^63, a throw outside.
+void expect_encode_matches_round(const SecureAggregation& sa,
+                                 unsigned frac_bits, float x) {
+  const double scaled =
+      static_cast<double>(x) * std::ldexp(1.0, static_cast<int>(frac_bits));
+  if (!(std::fabs(scaled) < std::ldexp(1.0, 63))) {
+    EXPECT_THROW(sa.encode(x), std::invalid_argument)
+        << "x=" << x << " bits=" << std::bit_cast<std::uint32_t>(x);
+    return;
+  }
+  const auto reference = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(std::round(scaled)));
+  ASSERT_EQ(sa.encode(x), reference)
+      << "x=" << x << " bits=" << std::bit_cast<std::uint32_t>(x);
+}
+
+TEST(SecureAgg, EncodeMatchesStdRoundReference) {
+  for (unsigned frac_bits : {1u, 24u, 40u}) {
+    SCOPED_TRACE(::testing::Message() << "frac_bits=" << frac_bits);
+    SecureAggConfig c = config();
+    c.frac_bits = frac_bits;
+    const SecureAggregation sa(c);
+    // Strided sweep of every float bit pattern (both signs, denormals,
+    // every exponent, NaN/Inf payloads). Only in-domain values are
+    // encoded here; the out-of-domain throw is checked at the edges
+    // below (an exception per pattern would cost seconds).
+    const double unit = std::ldexp(1.0, static_cast<int>(frac_bits));
+    constexpr std::uint64_t kStride = 4099;
+    for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32);
+         bits += kStride) {
+      const float x = std::bit_cast<float>(static_cast<std::uint32_t>(bits));
+      if (std::fabs(static_cast<double>(x) * unit) < std::ldexp(1.0, 63)) {
+        expect_encode_matches_round(sa, frac_bits, x);
+      }
+    }
+    // Ties round away from zero: (k + 0.5) / 2^frac_bits is exact.
+    for (double k : {0.0, 1.0, 2.0, 3.0, 1000.0, 8388607.0}) {
+      for (double sign : {1.0, -1.0}) {
+        const auto x = static_cast<float>(sign * (k + 0.5) / unit);
+        expect_encode_matches_round(sa, frac_bits, x);
+        EXPECT_EQ(static_cast<std::int64_t>(sa.encode(x)),
+                  static_cast<std::int64_t>(sign * (k + 1.0)));
+      }
+    }
+    // Denormals, signed zeros and the largest value below 0.5.
+    for (float x : {std::numeric_limits<float>::denorm_min(),
+                    -std::numeric_limits<float>::denorm_min(),
+                    std::nextafter(std::numeric_limits<float>::min(), 0.0f),
+                    0.0f, -0.0f, std::nextafter(0.5f, 0.0f)}) {
+      expect_encode_matches_round(sa, frac_bits, x);
+    }
+    // The 2^63 edge: 2^(63 - frac_bits) is the first value outside.
+    const float edge = std::ldexp(1.0f, 63 - static_cast<int>(frac_bits));
+    for (float x : {edge, -edge, std::nextafter(edge, 0.0f),
+                    -std::nextafter(edge, 0.0f),
+                    std::numeric_limits<float>::max(),
+                    std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN()}) {
+      expect_encode_matches_round(sa, frac_bits, x);
+    }
+    EXPECT_THROW(sa.encode(edge), std::invalid_argument);
+    EXPECT_NO_THROW(sa.encode(std::nextafter(edge, 0.0f)));
+  }
+}
+
 /// Property sweep: exact cancellation for many (n, dim, key) combos.
 class SecureAggProperty
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
@@ -156,10 +273,8 @@ TEST_P(SecureAggProperty, MaskedSumEqualsPlainSum) {
   std::vector<std::size_t> participants(n);
   for (std::size_t i = 0; i < n; ++i) participants[i] = i * 3 + 1;
   std::vector<ParamVec> updates(n, ParamVec(dim));
-  ParamVec expected(dim, 0.0f);
   for (auto& u : updates) {
     for (float& x : u) x = static_cast<float>(rng.uniform(-5.0, 5.0));
-    axpy(1.0f, u, expected);
   }
   std::vector<MaskedVec> masked;
   for (std::size_t i = 0; i < n; ++i) {
@@ -168,9 +283,7 @@ TEST_P(SecureAggProperty, MaskedSumEqualsPlainSum) {
   }
   const ParamVec total =
       sa.unmask_sum(masked, participants, participants, dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    EXPECT_NEAR(total[i], expected[i], 1e-4f) << "dim " << i;
-  }
+  EXPECT_EQ(total, fixed_point_sum(sa, updates));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "metrics/confusion.hpp"
 #include "tensor/ops.hpp"
 
@@ -87,6 +89,42 @@ TEST(FlServer, SecureAndPlainAggregationAgree) {
   for (std::size_t i = 0; i < prop_plain.candidate_params.size(); ++i) {
     EXPECT_NEAR(prop_plain.candidate_params[i],
                 prop_secure.candidate_params[i], 1e-4f);
+  }
+}
+
+TEST(FlServer, SecureAggregateEqualsFixedPointSumBitForBit) {
+  // Under secure aggregation the candidate is global + scale(decode(Σ
+  // encode(U_i))): the pairwise masks contribute exactly nothing, so the
+  // candidate can be recomputed here, bit for bit, without them.
+  FlServer server(arch(), fl_config(true), 4);
+  const std::vector<std::size_t> contributors{3, 7, 11, 19};
+  const std::size_t p = server.global_model().num_params();
+  Rng rng(9);
+  std::vector<ParamVec> updates(contributors.size(), ParamVec(p));
+  for (auto& u : updates) {
+    for (float& x : u) x = static_cast<float>(rng.normal(0.0, 0.3));
+  }
+
+  SecureAggConfig sa_config;  // encode/decode do not depend on the key
+  sa_config.frac_bits = server.config().secure_agg_frac_bits;
+  const SecureAggregation codec(sa_config);
+  ParamVec delta(p);
+  for (std::size_t k = 0; k < p; ++k) {
+    std::uint64_t total = 0;
+    for (const auto& u : updates) total += codec.encode(u[k]);
+    delta[k] = codec.decode_sum(total);
+  }
+  const FlConfig& cfg = server.config();
+  scale(delta, static_cast<float>(
+                   cfg.global_lr / static_cast<double>(cfg.total_clients)));
+  const ParamVec expected = add(server.global_model().parameters(), delta);
+
+  const auto proposal = server.aggregate_updates(updates, contributors);
+  ASSERT_EQ(proposal.candidate_params.size(), expected.size());
+  for (std::size_t k = 0; k < p; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(proposal.candidate_params[k]),
+              std::bit_cast<std::uint32_t>(expected[k]))
+        << "param " << k;
   }
 }
 

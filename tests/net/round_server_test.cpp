@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -119,15 +120,22 @@ TEST(RoundServer, AdmissionRejectsByReason) {
   }
   rig.send(1, rig.vote_from(1, 1, 0));        // vote during update phase
   rig.clients[0]->send(WireBytes{0xDE, 0xAD});  // garbage frame
+  {
+    ClientUpdate u = rig.update_from(1, 1);
+    u.update[kParams / 2] = std::numeric_limits<float>::quiet_NaN();
+    u.update[kParams - 1] = -std::numeric_limits<float>::infinity();
+    rig.send(1, u);  // non-finite values: no fixed-point encoding
+  }
   const auto got = rig.server.collect_updates(1, {0, 1});
   EXPECT_TRUE(got.responders.empty());
   const auto& stats = rig.server.protocol_stats();
   EXPECT_EQ(stats.wrong_round, 1u);
   EXPECT_EQ(stats.wrong_client, 1u);
   EXPECT_EQ(stats.bad_update_size, 1u);
+  EXPECT_EQ(stats.bad_update_value, 1u);
   EXPECT_EQ(stats.unexpected_type, 1u);
   EXPECT_EQ(stats.decode_errors, 1u);
-  EXPECT_EQ(stats.total_rejected(), 5u);
+  EXPECT_EQ(stats.total_rejected(), 6u);
   EXPECT_EQ(stats.timeouts, 2u);  // neither produced an admissible update
 }
 

@@ -16,6 +16,10 @@ struct GradCheckCase {
   const char* name;
 };
 
+// Without this, gtest prints the case as its raw bytes, heap pointers
+// included, and the listed test names change from one build to the next.
+void PrintTo(const GradCheckCase& c, std::ostream* os) { *os << c.name; }
+
 class GradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 double loss_at(Mlp& model, const std::vector<float>& params, const Matrix& x,

@@ -352,6 +352,33 @@ TEST_F(SimdParity, AddU64MatchesScalarWithWraparound) {
   }
 }
 
+TEST_F(SimdParity, AddKeystreamU64MatchesScalarBothDirections) {
+  // The mask keystream is exact integer arithmetic: the vector arm's
+  // lanes (and its partial last vector) must equal the scalar arm word
+  // for word, adding and subtracting, and the scalar arm must equal the
+  // definition acc[k] ± Rng::split_mix(seed + k * kGoldenGamma).
+  Rng rng(25);
+  for (std::size_t n : kLens) {
+    for (bool subtract : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " sub=" << subtract);
+      const std::uint64_t seed = rng.next_u64();
+      std::vector<std::uint64_t> acc0(n);
+      for (auto& v : acc0) v = rng.next_u64();
+      std::vector<std::uint64_t> ref = acc0, got = acc0;
+      ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
+      add_keystream_u64(ref, seed, subtract);
+      ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
+      add_keystream_u64(got, seed, subtract);
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::uint64_t m = Rng::split_mix(seed + k * Rng::kGoldenGamma);
+        ASSERT_EQ(ref[k], subtract ? acc0[k] - m : acc0[k] + m)
+            << "index " << k;
+        ASSERT_EQ(got[k], ref[k]) << "index " << k;
+      }
+    }
+  }
+}
+
 TEST_F(SimdParity, DoubleSumsMatchScalar) {
   Rng rng(24);
   for (std::size_t n : kLens) {

@@ -10,8 +10,9 @@
 #                             # and run the full suite on both arms
 #   tools/check.sh --tsan     # also build with -fsanitize=thread and run
 #                             # the concurrent suites under TSan
-#   tools/check.sh --ubsan    # also build with -fsanitize=undefined and
-#                             # run the numeric suites on both arms
+#   tools/check.sh --ubsan    # also build with -fsanitize=undefined
+#                             # (+float-cast-overflow) and run the
+#                             # numeric, FL and net suites on both arms
 #   tools/check.sh --tidy     # also run clang-tidy (skips if absent)
 #   tools/check.sh --thread-safety
 #                             # also build everything with clang under
@@ -216,19 +217,24 @@ if [[ "$RUN_TSAN" -eq 1 ]]; then
   stage "concurrent suites under TSan" run_tsan_suites
 fi
 
+UBSAN_SUITES=(test_tensor test_nn test_fl test_net)
+
 run_ubsan_suites() {
   # Both dispatch arms: the packed SIMD microkernels and the legacy
-  # scalar loops each get a pass over the numeric suites.
-  ./build-ubsan/tests/test_tensor --gtest_brief=1 &&
-    ./build-ubsan/tests/test_nn --gtest_brief=1 &&
-    BAFFLE_FORCE_SCALAR=1 ./build-ubsan/tests/test_tensor \
-      --gtest_brief=1 &&
-    BAFFLE_FORCE_SCALAR=1 ./build-ubsan/tests/test_nn --gtest_brief=1
+  # scalar loops each get a pass over the numeric suites, plus the
+  # secure-aggregation encoder (test_fl) and the wire/admission path
+  # (test_net) that feeds it.
+  local suite
+  for suite in "${UBSAN_SUITES[@]}"; do
+    "./build-ubsan/tests/${suite}" --gtest_brief=1 &&
+      BAFFLE_FORCE_SCALAR=1 "./build-ubsan/tests/${suite}" --gtest_brief=1 ||
+      return 1
+  done
 }
 
 if [[ "$RUN_UBSAN" -eq 1 ]]; then
   stage "UBSan build (BAFFLE_UBSAN=ON)" \
-    build_targets build-ubsan -DBAFFLE_UBSAN=ON test_tensor test_nn
+    build_targets build-ubsan -DBAFFLE_UBSAN=ON "${UBSAN_SUITES[@]}"
   stage "numeric suites under UBSan (both arms)" run_ubsan_suites
 fi
 
