@@ -359,6 +359,8 @@ SimdBenchEntry bench_inplace(const char* name, double flops_per_elem,
 }
 
 int write_simd_bench_json() {
+  std::printf("GEMM tile: %s (dispatched arm: %s)\n", simd::gemm_width(),
+              simd::isa_name(simd::active_isa()));
   constexpr std::size_t kGemmDim = 256;
   constexpr std::size_t kVecLen = 1 << 16;
   Rng rng(43);
@@ -412,9 +414,10 @@ int write_simd_bench_json() {
                "{\n"
                "  \"name\": \"BENCH_simd\",\n"
                "  \"dispatched_isa\": \"%s\",\n"
+               "  \"gemm_width\": \"%s\",\n"
                "  \"vector_arm_available\": %s,\n"
                "  \"entries\": [\n",
-               simd::isa_name(simd::active_isa()),
+               simd::isa_name(simd::active_isa()), simd::gemm_width(),
                simd::isa_available(simd::Isa::kVector) ? "true" : "false");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& e = entries[i];

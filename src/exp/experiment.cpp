@@ -158,9 +158,18 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     validate_feedback_config(config.feedback,
                              config.scenario.clients_per_round);
   }
+  // Set-up timers: each lap() records the time since the previous one.
+  auto lap_start = std::chrono::steady_clock::now();
+  const auto lap = [&lap_start](const char* timer) {
+    const auto now = std::chrono::steady_clock::now();
+    MetricsRegistry::global().add_timer(
+        timer, std::chrono::duration<double>(now - lap_start).count());
+    lap_start = now;
+  };
   Rng rng(seed);
   Scenario scenario = build_scenario(config.scenario, rng);
   FlServer server(scenario.arch, scenario.fl, rng.next_u64());
+  lap("experiment.build_scenario");
 
   // Stable-model scenario: centralized pre-training stands in for the
   // paper's 10,000 clean FL rounds (DESIGN.md §2).
@@ -173,10 +182,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     train_sgd(server.global_model(), scenario.task.train.features(),
               scenario.task.train.labels(), pre, pre_rng);
   }
+  lap("experiment.pretrain");
 
   BaffleDefense defense(scenario.arch, config.feedback,
                         scenario.server_holdout);
   defense.on_commit(server.version(), server.global_model().parameters());
+  lap("experiment.defense_init");
 
   // Attacker wiring. The attacker's clean pool is its shard plus the
   // configured auxiliary samples (see ExperimentConfig).

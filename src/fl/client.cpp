@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
-
 namespace baffle {
 
 ParamVec FlClient::compute_update(const Mlp& global, const TrainConfig& config,
@@ -19,7 +17,9 @@ ParamVec FlClient::compute_update(const Mlp& global, const TrainConfig& config,
   }
   Mlp local = global;
   train_sgd(local, data_.features(), data_.labels(), config, rng, ws);
-  return subtract(local.parameters(), global.parameters());
+  ParamVec update(global.num_params());
+  local.parameter_delta_into(global, update);
+  return update;
 }
 
 ParamVec HonestUpdateProvider::update_for(std::size_t client_id,

@@ -4,7 +4,6 @@
 
 #include "tensor/ops.hpp"
 #include "util/contracts.hpp"
-#include "util/sync.hpp"
 
 namespace baffle {
 
@@ -26,54 +25,24 @@ void Dense::init_weights(Rng& rng) {
   const double scale = act_ == Activation::kRelu
                            ? std::sqrt(2.0 / fan_in)
                            : std::sqrt(1.0 / fan_in);
-  ++param_version_;
   for (float& w : weights_.flat()) {
     w = static_cast<float>(rng.normal(0.0, scale));
   }
   std::fill(bias_.begin(), bias_.end(), 0.0f);
 }
 
-void Dense::ensure_packed() {
-  if (!gemm_uses_packed()) return;
-  if (packed_.valid_for(in_dim_, out_dim_, param_version_)) return;
-  pack_b_panels(weights_, packed_, param_version_);
-  BAFFLE_DCHECK(packed_cache_valid(),
-                "a freshly built pack must match the current parameters");
-}
-
 void Dense::forward(const Matrix& x, Matrix& out) {
-  BAFFLE_CHECK(x.cols() == in_dim_, "input width must match the layer");
+  forward_eval(x, out);
   cached_input_ = x;
-  out = Matrix(x.rows(), out_dim_);
-  ensure_packed();
-  if (packed_cache_valid()) {
-    gemm_ab_packed(x, packed_, out);
-  } else {
-    gemm_ab(x, weights_, out);
-  }
-  add_row_bias(out, bias_);
-  activation_forward(act_, out);
   cached_output_ = out;
 }
 
-// Sanctioned lock-free escape: concurrent const evaluation reads the
-// member pack only when its version stamp already matches the current
-// parameters, and every mutation of the pack happens in the exclusive
-// training phase — monotone publish, no capability to annotate.
-void Dense::forward_eval(ConstMatrixView x,
-                         Matrix& out) const BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
+void Dense::forward_eval(ConstMatrixView x, Matrix& out) const {
   BAFFLE_CHECK(x.cols() == in_dim_, "input width must match the layer");
   out.resize(x.rows(), out_dim_);
-  // const + concurrent-safe: use the member pack only when it already
-  // matches the current parameters; otherwise take the plain gemm path
-  // (which repacks into thread_local scratch on the SIMD arm).
-  if (gemm_uses_packed() && packed_cache_valid()) {
-    gemm_ab_packed(x, packed_, out);
-  } else {
-    gemm_ab(x, weights_, out);
-  }
-  add_row_bias(out, bias_);
-  activation_forward(act_, out);
+  const bool fuse_relu = act_ == Activation::kRelu;
+  gemm_ab_bias(x, weights_, bias_, fuse_relu, out);
+  if (!fuse_relu) activation_forward(act_, out);
 }
 
 void Dense::backward(Matrix& dout, Matrix* dx) {

@@ -1,8 +1,6 @@
 #pragma once
 // Fully-connected layer with cached activations for manual backprop.
 
-#include <cstdint>
-
 #include "nn/activation.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
@@ -23,7 +21,8 @@ class Dense {
 
   /// Inference-only forward: same math as forward() but caches nothing,
   /// takes a view, and reuses out's storage. Safe to call concurrently
-  /// on a const layer.
+  /// on a const layer: it reads the weights in place (or packs them
+  /// into per-call scratch) and writes only `out`.
   void forward_eval(ConstMatrixView x, Matrix& out) const;
 
   /// Given dL/d(out), accumulates dL/dW and dL/db into the layer's grad
@@ -47,25 +46,8 @@ class Dense {
   Activation activation() const { return act_; }
   std::size_t num_params() const { return weights_.size() + bias_.size(); }
 
-  /// Mutable access conservatively bumps the parameter version: any
-  /// caller that might write (Sgd::step via Mlp::add_to_parameters,
-  /// deserialization, tests poking entries) invalidates the packed
-  /// weight panel, which the next forward() rebuilds.
-  Matrix& weights() {
-    ++param_version_;
-    return weights_;
-  }
+  Matrix& weights() { return weights_; }
   const Matrix& weights() const { return weights_; }
-  std::uint64_t param_version() const { return param_version_; }
-
-  /// Rebuilds the packed weight panel if stale. Called by forward();
-  /// exposed so tests can exercise the cache directly.
-  void ensure_packed();
-  /// True when the packed panel matches the current parameters (i.e.
-  /// the next forward on the SIMD arm will not repack).
-  bool packed_cache_valid() const {
-    return packed_.valid_for(in_dim_, out_dim_, param_version_);
-  }
   std::vector<float>& bias() { return bias_; }
   const std::vector<float>& bias() const { return bias_; }
   Matrix& weight_grad() { return weight_grad_; }
@@ -82,13 +64,6 @@ class Dense {
   std::vector<float> bias_;   // (out)
   Matrix weight_grad_;        // (in, out)
   std::vector<float> bias_grad_;
-
-  // Weight panel cache for the packed GEMM path. Starts at version 1
-  // with an empty pack (version 0 marks "never packed"), so the first
-  // forward() packs. const paths (forward_eval) only read it when it
-  // matches param_version_; they never pack, keeping them thread-safe.
-  std::uint64_t param_version_ = 1;
-  PackedB packed_;
 
   Matrix cached_input_;   // x from the last forward
   Matrix cached_output_;  // act(xW + b) from the last forward

@@ -1,6 +1,7 @@
 #include "nn/mlp.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -166,6 +167,25 @@ void Mlp::gradients_into(std::span<float> out) const {
     std::copy(layer.bias_grad().begin(), layer.bias_grad().end(),
               out.begin() + static_cast<std::ptrdiff_t>(pos));
     pos += layer.bias_grad().size();
+  }
+}
+
+void Mlp::parameter_delta_into(const Mlp& base, std::span<float> out) const {
+  if (base.config_.layer_dims != config_.layer_dims) {
+    throw std::invalid_argument("Mlp::parameter_delta_into: layer dims differ");
+  }
+  if (out.size() != num_params_) {
+    throw std::invalid_argument("Mlp::parameter_delta_into: size mismatch");
+  }
+  auto pos = out.begin();
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Dense& layer = layers_[i];
+    const Dense& from = base.layers_[i];
+    const auto w = layer.weights().flat();
+    pos = std::transform(w.begin(), w.end(), from.weights().flat().begin(),
+                         pos, std::minus<>());
+    pos = std::transform(layer.bias().begin(), layer.bias().end(),
+                         from.bias().begin(), pos, std::minus<>());
   }
 }
 

@@ -119,6 +119,9 @@ class Mlp {
   /// buffer (out.size() == num_params()).
   void parameters_into(std::span<float> out) const;
   void gradients_into(std::span<float> out) const;
+  /// out = parameters() − base.parameters() in one pass (a client's
+  /// update L − G). `base` must have the same layer dims.
+  void parameter_delta_into(const Mlp& base, std::span<float> out) const;
 
   /// parameters += delta (used by the server when applying aggregated
   /// updates, and by SGD).

@@ -7,13 +7,14 @@
 namespace baffle {
 
 Sgd::Sgd(std::size_t num_params, SgdConfig config)
-    : config_(config), velocity_(num_params, 0.0f) {
+    : config_(config), num_params_(num_params) {
   if (config.learning_rate <= 0.0f) {
     throw std::invalid_argument("Sgd: learning rate must be positive");
   }
   if (config.momentum < 0.0f || config.momentum >= 1.0f) {
     throw std::invalid_argument("Sgd: momentum out of [0,1)");
   }
+  if (config.momentum > 0.0f) velocity_.assign(num_params, 0.0f);
 }
 
 void Sgd::step(Mlp& model) {
@@ -22,14 +23,14 @@ void Sgd::step(Mlp& model) {
 }
 
 void Sgd::step(Mlp& model, TrainWorkspace& ws) {
-  if (model.num_params() != velocity_.size()) {
+  if (model.num_params() != num_params_) {
     throw std::invalid_argument("Sgd::step: model size mismatch");
   }
-  ws.grad.resize(velocity_.size());
+  ws.grad.resize(num_params_);
   model.gradients_into(ws.grad);
   std::span<float> grad(ws.grad);
   if (config_.weight_decay > 0.0f) {
-    ws.params.resize(velocity_.size());
+    ws.params.resize(num_params_);
     model.parameters_into(ws.params);
     axpy(config_.weight_decay, ws.params, grad);
   }
@@ -45,8 +46,6 @@ void Sgd::step(Mlp& model, TrainWorkspace& ws) {
   } else {
     scale_into(ws.delta, -config_.learning_rate, grad);
   }
-  // add_to_parameters goes through Dense::weights(), whose version bump
-  // invalidates each layer's packed GEMM panel.
   model.add_to_parameters(ws.delta);
 }
 

@@ -36,7 +36,8 @@ class Sgd {
 
  private:
   SgdConfig config_;
-  std::vector<float> velocity_;
+  std::size_t num_params_;
+  std::vector<float> velocity_;  // momentum > 0 only
 };
 
 }  // namespace baffle

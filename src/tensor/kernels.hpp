@@ -4,10 +4,10 @@
 // Everything here operates on raw pointers + strides so the same entry
 // points can be implemented twice: tensor/kernels_scalar.cpp keeps the
 // pre-SIMD loops (and is the ground truth the parity tests compare
-// against), tensor/kernels_simd.cpp provides the packed AVX2/FMA
-// microkernels and vectorized primitives. tensor/ops.cpp and
-// tensor/primitives.cpp do the shape checking, packing and thread-pool
-// splitting, then call through active_table().
+// against), tensor/kernels_simd.cpp provides the AVX2/FMA (and,
+// chosen by CPUID, AVX-512F) microkernels and vectorized primitives.
+// tensor/ops.cpp and tensor/primitives.cpp do the shape checking,
+// packing and thread-pool splitting, then call through active_table().
 
 #include <cstddef>
 #include <cstdint>
@@ -33,15 +33,30 @@ struct GemmRowArgs {
   std::size_t n = 0;         // output columns
 };
 
-/// Row-range GEMM against a packed-B panel buffer. A is addressed as
-/// a[i * a_row_stride + p * a_p_stride] for output row i and inner
-/// index p, which expresses both the normal (ab/abt) and transposed
-/// (atb) A operand without a separate kernel.
-struct PackedGemmArgs {
+/// Row-range GEMM against B in 16-column panels, with an optional
+/// bias(+ReLU) epilogue. A is addressed as a[i * a_row_stride + p *
+/// a_p_stride] for output row i and inner index p, which expresses both
+/// the normal (ab/abt) and transposed (atb) A operand without a separate
+/// kernel. Row p of panel jp (columns [16·jp, 16·jp + 16)) starts at
+/// b + jp * b_panel_stride + p * b_p_stride, which covers two layouts:
+///  - packed panels (pack_b_panels / pack_bt_panels): b_p_stride =
+///    kPanelCols, b_panel_stride = k * kPanelCols, 64-byte aligned,
+///    zero-padded tail. Every arm reads these.
+///  - B in place, row-major with row stride ldb: b_p_stride = ldb,
+///    b_panel_stride = kPanelCols. Only arms whose table sets
+///    gemm_reads_b_in_place read it.
+/// Every output element is the fold over p in order from +0, one
+/// multiply-add per step, then — when `bias` is set — one bias add, then
+/// — when `relu` is set — keep-unless-negative.
+struct PanelGemmArgs {
   const float* a = nullptr;
   std::size_t a_row_stride = 0;
   std::size_t a_p_stride = 0;
-  const float* bp = nullptr;  // packed panels, 64-byte aligned
+  const float* b = nullptr;
+  std::size_t b_p_stride = 0;
+  std::size_t b_panel_stride = 0;
+  const float* bias = nullptr;  // nullable; n entries, one add post-sum
+  bool relu = false;
   float* c = nullptr;
   std::size_t ldc = 0;
   std::size_t k = 0;
@@ -62,7 +77,7 @@ struct PackedGemmArgs {
 // default validator path stay fp32.
 
 /// Fused transposed layer over one packed fp32 panel. A = Wᵀ is
-/// addressed a[i * a_row_stride + p * a_p_stride] like PackedGemmArgs
+/// addressed a[i * a_row_stride + p * a_p_stride] like PanelGemmArgs
 /// (a_row_stride=1, a_p_stride=n_out reads a row-major W in place).
 struct EvalLayerArgs {
   const float* a = nullptr;
@@ -143,16 +158,23 @@ struct ArgmaxMarginArgs {
 
 struct KernelTable {
   const char* name;
-  /// True when gemm_* entry points should pack B and use
-  /// gemm_packed_rows (the vector arm); false to use the legacy row
-  /// kernels on the natural layout (the scalar arm).
+  /// Register width of gemm_panel_rows: "scalar", "avx2" (ymm 6x16
+  /// tile) or "avx512f" (zmm tiles). micro_core and tools/check.sh print
+  /// it, so a log shows which GEMM tile ran.
+  const char* gemm_width;
+  /// True when gemm_* entry points should run gemm_panel_rows (the
+  /// vector arm); false to use the legacy row kernels on the natural
+  /// layout (the scalar arm).
   bool prefer_packed;
+  /// True when gemm_panel_rows reads a row-major B in place (gemm_ab,
+  /// gemm_atb); false when it reads packed panels only.
+  bool gemm_reads_b_in_place;
 
   void (*gemm_ab_rows)(const GemmRowArgs&, std::size_t r0, std::size_t r1);
   void (*gemm_atb_rows)(const GemmRowArgs&, std::size_t r0, std::size_t r1);
   void (*gemm_abt_rows)(const GemmRowArgs&, std::size_t r0, std::size_t r1);
-  void (*gemm_packed_rows)(const PackedGemmArgs&, std::size_t r0,
-                           std::size_t r1);
+  void (*gemm_panel_rows)(const PanelGemmArgs&, std::size_t r0,
+                          std::size_t r1);
 
   // Flat-vector primitives. All length arguments are element counts.
   // The reductions return their raw double accumulator so the public
@@ -197,11 +219,21 @@ struct KernelTable {
 
 /// Always available; arithmetic identical to the pre-SIMD code.
 const KernelTable& scalar_table();
-/// AVX2/FMA arm, or nullptr when not compiled in / not supported by
-/// the running CPU.
+/// AVX2/FMA arm — with its AVX-512F entries where the CPU has
+/// AVX-512F — or nullptr when not compiled in / not supported by the
+/// running CPU.
 const KernelTable* vector_table();
 /// The arm selected by simd::active_isa() (env + CPUID + force_isa).
 const KernelTable& active_table();
+
+/// Test-only: the vector arm as a CPU without AVX-512F builds it (every
+/// AVX-512F entry replaced by its AVX2 twin), or nullptr when the vector
+/// arm is unavailable. SimdParity pins it to compare the two register
+/// widths byte for byte on one machine.
+const KernelTable* avx2_table_for_testing();
+/// Test-only: makes `t` the active table until simd::force_isa() or
+/// simd::reset_isa().
+void pin_table_for_testing(const KernelTable& t);
 
 namespace detail {
 /// Overwrites the reduced-precision entries of `t` with the AVX2

@@ -153,18 +153,18 @@ void gemm_abt_rows(const GemmRowArgs& g, std::size_t r0, std::size_t r1) {
   }
 }
 
-// Packed-panel kernel for the scalar arm: only reached through the
-// explicit gemm_*_packed entry points (e.g. a Dense packed-weight
-// cache evaluated under BAFFLE_FORCE_SCALAR), so clarity beats
-// throughput here.
-void gemm_packed_rows(const PackedGemmArgs& g, std::size_t r0,
-                      std::size_t r1) {
+// Panel kernel for the scalar arm. ops.cpp never calls it on this arm
+// (prefer_packed is false); SimdParity checks that it reads B packed and
+// in place alike and equals this arm's gemm_ab, add_row_bias and
+// relu_forward passes. Clarity beats throughput here.
+void gemm_panel_rows(const PanelGemmArgs& g, std::size_t r0,
+                     std::size_t r1) {
   BAFFLE_DCHECK(r0 <= r1, "kernel row range must be ordered");
   BAFFLE_DCHECK(r0 == r1 || g.c != nullptr,
                 "kernel output pointer must be set for a non-empty range");
   const std::size_t panels = (g.n + kPanelCols - 1) / kPanelCols;
   for (std::size_t jp = 0; jp < panels; ++jp) {
-    const float* panel = g.bp + jp * g.k * kPanelCols;
+    const float* panel = g.b + jp * g.b_panel_stride;
     const std::size_t j0 = jp * kPanelCols;
     const std::size_t cols = std::min(kPanelCols, g.n - j0);
     for (std::size_t i = r0; i < r1; ++i) {
@@ -172,11 +172,16 @@ void gemm_packed_rows(const PackedGemmArgs& g, std::size_t r0,
       float acc[kPanelCols] = {};
       for (std::size_t p = 0; p < g.k; ++p) {
         const float av = a_row[p * g.a_p_stride];
-        const float* b_row = panel + p * kPanelCols;
-        for (std::size_t c = 0; c < kPanelCols; ++c) acc[c] += av * b_row[c];
+        const float* b_row = panel + p * g.b_p_stride;
+        for (std::size_t c = 0; c < cols; ++c) acc[c] += av * b_row[c];
       }
       float* out_row = g.c + i * g.ldc + j0;
-      for (std::size_t c = 0; c < cols; ++c) out_row[c] = acc[c];
+      for (std::size_t c = 0; c < cols; ++c) {
+        float v = acc[c];
+        if (g.bias != nullptr) v += g.bias[j0 + c];
+        if (g.relu && v < 0.0f) v = 0.0f;
+        out_row[c] = v;
+      }
     }
   }
 }
@@ -435,11 +440,13 @@ void argmax_margin_panel(const ArgmaxMarginArgs& g) {
 
 constexpr KernelTable kTable = {
     "scalar",
+    /*gemm_width=*/"scalar",
     /*prefer_packed=*/false,
+    /*gemm_reads_b_in_place=*/false,
     gemm_ab_rows,
     gemm_atb_rows,
     gemm_abt_rows,
-    gemm_packed_rows,
+    gemm_panel_rows,
     dot,
     squared_l2,
     squared_l2_distance,

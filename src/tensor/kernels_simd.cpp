@@ -1,5 +1,6 @@
-// Vector kernel arm: packed-panel GEMM microkernels and 8-wide
-// primitives written against tensor/simd.hpp. This translation unit is
+// Vector kernel arm: panel GEMM microkernels (ymm, plus zmm tiles
+// chosen by CPUID) and 8-wide primitives written against
+// tensor/simd.hpp. This translation unit is
 // the only one compiled with -mavx2 -mfma -ffp-contract=fast (see
 // src/CMakeLists.txt), which is why the kernels live behind the
 // function-pointer table instead of in a header: nothing here may be
@@ -9,7 +10,8 @@
 // arm's double-precision accumulation (via 4-wide double lanes), so the
 // two arms differ only by reassociation and FMA rounding — within the
 // parity-test tolerance — while relu/abs/max, the u64 adds and the
-// mask keystream are bit-exact.
+// mask keystream are bit-exact. The ymm and zmm GEMM and eval-layer
+// tiles are bit-identical to each other.
 
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
@@ -23,7 +25,7 @@
 #include <limits>
 
 #if defined(BAFFLE_HAVE_AVX512F_TARGET)
-#include <immintrin.h>  // zmm fp32 layer kernel (vector-ext types elsewhere)
+#include <immintrin.h>  // zmm fp32 kernels (vector-ext types elsewhere)
 #endif
 
 namespace baffle::kernels {
@@ -48,12 +50,30 @@ using simd::vrelu8;
 using simd::widen_hi;
 using simd::widen_lo;
 
+/// One panel's bias as two vectors; the tail panel stages its live
+/// columns so no load reads past the n-entry bias.
+BAFFLE_ALWAYS_INLINE void load_panel_bias(const float* bias, std::size_t j0,
+                                          std::size_t cols, f32x8& lo,
+                                          f32x8& hi) {
+  if (cols == kPanelCols) {
+    lo = loadu8(bias + j0);
+    hi = loadu8(bias + j0 + kFloatLanes);
+    return;
+  }
+  alignas(32) float tmp[kPanelCols] = {};
+  for (std::size_t c = 0; c < cols; ++c) tmp[c] = bias[j0 + c];
+  lo = loada8(tmp);
+  hi = loada8(tmp + kFloatLanes);
+}
+
 /// One MR x 16 register tile: MR rows of C against one packed B panel.
 /// MR <= 6 keeps 2*MR accumulators + 2 panel loads + 1 broadcast within
 /// the 16 ymm registers. A is addressed through the stride pair so the
 /// same tile serves gemm_ab (a_p_stride=1) and gemm_atb (a_row_stride=1).
+/// The epilogue adds the bias (one rounding, as add_row_bias's axpy with
+/// alpha=1) and applies vrelu8 (relu_forward's lanes).
 template <int MR>
-BAFFLE_ALWAYS_INLINE void micro_tile(const PackedGemmArgs& g,
+BAFFLE_ALWAYS_INLINE void micro_tile(const PanelGemmArgs& g,
                                      const float* panel, std::size_t i0,
                                      std::size_t j0, std::size_t cols) {
   f32x8 acc0[MR], acc1[MR];
@@ -70,6 +90,20 @@ BAFFLE_ALWAYS_INLINE void micro_tile(const PackedGemmArgs& g,
       const f32x8 av = splat8(ap[r * g.a_row_stride]);
       acc0[r] += av * b0;  // contracts to FMA under -ffp-contract=fast
       acc1[r] += av * b1;
+    }
+  }
+  if (g.bias != nullptr) {
+    f32x8 bias0, bias1;
+    load_panel_bias(g.bias, j0, cols, bias0, bias1);
+    for (int r = 0; r < MR; ++r) {
+      acc0[r] += bias0;
+      acc1[r] += bias1;
+    }
+  }
+  if (g.relu) {
+    for (int r = 0; r < MR; ++r) {
+      acc0[r] = vrelu8(acc0[r]);
+      acc1[r] = vrelu8(acc1[r]);
     }
   }
   if (cols == kPanelCols) {
@@ -91,19 +125,21 @@ BAFFLE_ALWAYS_INLINE void micro_tile(const PackedGemmArgs& g,
   }
 }
 
-void gemm_packed_rows(const PackedGemmArgs& g, std::size_t r0,
-                      std::size_t r1) {
+/// AVX2 arm: packed panels only (gemm_reads_b_in_place is false).
+void gemm_panel_rows(const PanelGemmArgs& g, std::size_t r0,
+                     std::size_t r1) {
   BAFFLE_DCHECK(r0 <= r1, "kernel row range must be ordered");
   BAFFLE_DCHECK(r0 == r1 || g.c != nullptr,
                 "kernel output pointer must be set for a non-empty range");
   BAFFLE_DCHECK(
-      reinterpret_cast<std::uintptr_t>(g.bp) % simd::kAlignment == 0,
-      "packed panels must be cache-line aligned");
+      reinterpret_cast<std::uintptr_t>(g.b) % simd::kAlignment == 0 &&
+          g.b_p_stride == kPanelCols && g.b_panel_stride == g.k * kPanelCols,
+      "the ymm tile reads cache-line-aligned packed panels");
   const std::size_t panels = (g.n + kPanelCols - 1) / kPanelCols;
   // Panel-outer: one k x 16 panel (16 KiB at k=256) stays L1-resident
   // while every row tile in [r0, r1) streams over it.
   for (std::size_t jp = 0; jp < panels; ++jp) {
-    const float* panel = g.bp + jp * g.k * kPanelCols;
+    const float* panel = g.b + jp * g.b_panel_stride;
     const std::size_t j0 = jp * kPanelCols;
     const std::size_t cols = std::min(kPanelCols, g.n - j0);
     std::size_t i = r0;
@@ -447,7 +483,7 @@ BAFFLE_ALWAYS_INLINE f32x8 vmin8(f32x8 a, f32x8 b) {
 }
 
 /// Fused-layer variant of micro_tile: same accumulation (per-p FMA into
-/// zero-initialized registers, so bit-identical to gemm_packed_rows),
+/// zero-initialized registers, so bit-identical to gemm_panel_rows),
 /// but with the bias add and optional ReLU applied while the tile is
 /// still in registers, and the output written panel-packed. The bias
 /// add matches the sequential path's add_row_bias (axpy alpha=1: a
@@ -549,6 +585,124 @@ BAFFLE_TARGET_AVX512F void eval_layer_f32_zmm(const EvalLayerArgs& g) {
   }
 }
 
+// AVX-512 GEMM tile: one zmm accumulator per (row, 16-column panel),
+// NP panels x MR rows per tile — 4 x 6 (24 accumulators, 4 panel-row
+// loads and one broadcast per k step, within the 32 zmm registers), and
+// 2 x 8 or 1 x 8 where fewer panels remain. Masked loads let it read B
+// in place (the tail panel's masked-off lanes never touch memory) as
+// well as from packed panels, and a masked store writes only live
+// columns. BIT-IDENTICAL to the ymm tile by the same per-lane argument
+// as eval_layer_f32_zmm: each output element is one lane computing
+// fma(a_p, b[p][c], acc) in p order from +0, then one bias add and the
+// NLT-mask ReLU — which lanes share a register cannot change any
+// element's result.
+
+// The tile's loops over rows and panels must unroll completely so the
+// accumulators live in registers; GCC's own heuristics stop short of
+// 4 x 6 and spill them to the stack.
+#define BAFFLE_UNROLL _Pragma("GCC unroll 8")
+
+template <int NP, int MR>
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE void zmm_tile(
+    const PanelGemmArgs& g, const float* b, std::size_t i0, std::size_t j0,
+    __mmask16 last_mask) {
+  __m512 acc[MR][NP];
+  BAFFLE_UNROLL for (int r = 0; r < MR; ++r) {
+    BAFFLE_UNROLL for (int q = 0; q < NP; ++q) {
+      acc[r][q] = _mm512_setzero_ps();
+    }
+  }
+  const std::size_t a_row = g.a_row_stride, a_step = g.a_p_stride;
+  const std::size_t b_panel = g.b_panel_stride, b_step = g.b_p_stride;
+  const float* ap = g.a + i0 * a_row;
+  const float* b_row = b;
+  for (std::size_t p = 0; p < g.k; ++p, ap += a_step, b_row += b_step) {
+    __m512 bv[NP];
+    BAFFLE_UNROLL for (int q = 0; q < NP; ++q) {
+      bv[q] = _mm512_maskz_loadu_ps(q + 1 == NP ? last_mask : 0xFFFF,
+                                    b_row + q * b_panel);
+    }
+    BAFFLE_UNROLL for (int r = 0; r < MR; ++r) {
+      const __m512 av = _mm512_set1_ps(ap[r * a_row]);
+      BAFFLE_UNROLL for (int q = 0; q < NP; ++q) {
+        acc[r][q] = _mm512_fmadd_ps(av, bv[q], acc[r][q]);
+      }
+    }
+  }
+  __m512 bias[NP];
+  BAFFLE_UNROLL for (int q = 0; q < NP; ++q) {
+    bias[q] = g.bias != nullptr
+                  ? _mm512_maskz_loadu_ps(q + 1 == NP ? last_mask : 0xFFFF,
+                                          g.bias + j0 + q * kPanelCols)
+                  : _mm512_setzero_ps();
+  }
+  BAFFLE_UNROLL for (int r = 0; r < MR; ++r) {
+    float* out = g.c + (i0 + r) * g.ldc + j0;
+    BAFFLE_UNROLL for (int q = 0; q < NP; ++q) {
+      __m512 v = acc[r][q];
+      if (g.bias != nullptr) v = _mm512_add_ps(v, bias[q]);
+      if (g.relu) {
+        const __mmask16 keep =
+            _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_NLT_US);
+        v = _mm512_maskz_mov_ps(keep, v);
+      }
+      _mm512_mask_storeu_ps(out + q * kPanelCols,
+                            q + 1 == NP ? last_mask : 0xFFFF, v);
+    }
+  }
+}
+
+/// Rows [i, i + rows) for rows <= MR: the tile of exactly that height
+/// (none for rows == 0).
+template <int NP, int MR>
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE void zmm_row_tail(
+    const PanelGemmArgs& g, const float* b, std::size_t i, std::size_t j0,
+    __mmask16 last_mask, std::size_t rows) {
+  if constexpr (MR > 0) {
+    if (rows == MR) {
+      zmm_tile<NP, MR>(g, b, i, j0, last_mask);
+    } else {
+      zmm_row_tail<NP, MR - 1>(g, b, i, j0, last_mask, rows);
+    }
+  }
+}
+
+/// Panels [jp, jp + NP) for rows [r0, r1).
+template <int NP, int MR>
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE void zmm_panel_group(
+    const PanelGemmArgs& g, std::size_t jp, std::size_t r0, std::size_t r1,
+    __mmask16 last_mask) {
+  const float* b = g.b + jp * g.b_panel_stride;
+  const std::size_t j0 = jp * kPanelCols;
+  std::size_t i = r0;
+  for (; i + MR <= r1; i += MR) zmm_tile<NP, MR>(g, b, i, j0, last_mask);
+  zmm_row_tail<NP, MR - 1>(g, b, i, j0, last_mask, r1 - i);
+}
+
+BAFFLE_TARGET_AVX512F void gemm_panel_rows_zmm(const PanelGemmArgs& g,
+                                               std::size_t r0,
+                                               std::size_t r1) {
+  BAFFLE_DCHECK(r0 <= r1, "kernel row range must be ordered");
+  BAFFLE_DCHECK(r0 == r1 || g.c != nullptr,
+                "kernel output pointer must be set for a non-empty range");
+  const std::size_t panels = (g.n + kPanelCols - 1) / kPanelCols;
+  if (panels == 0) return;
+  const std::size_t tail_cols = g.n - (panels - 1) * kPanelCols;
+  const auto tail_mask = static_cast<__mmask16>((1u << tail_cols) - 1u);
+  const auto mask_for = [&](std::size_t end) {
+    return end == panels ? tail_mask : static_cast<__mmask16>(0xFFFF);
+  };
+  std::size_t jp = 0;
+  for (; jp + 4 <= panels; jp += 4) {
+    zmm_panel_group<4, 6>(g, jp, r0, r1, mask_for(jp + 4));
+  }
+  if (jp + 2 <= panels) {
+    zmm_panel_group<2, 8>(g, jp, r0, r1, mask_for(jp + 2));
+    jp += 2;
+  }
+  if (jp < panels) zmm_panel_group<1, 8>(g, jp, r0, r1, tail_mask);
+}
+
 #endif  // BAFFLE_HAVE_AVX512F_TARGET
 
 /// Column argmax + top-2 margin over a packed panel, 16 lanes at once.
@@ -595,15 +749,19 @@ void argmax_margin_panel(const ArgmaxMarginArgs& g) {
   }
 }
 
-KernelTable make_table() {
+/// The vector table; `avx512f` swaps in the zmm fp32 kernels (the GEMM
+/// tile and the fused eval layer), which leave every result unchanged.
+KernelTable make_table(bool avx512f) {
   KernelTable t = scalar_table();
   t.name = "avx2";
+  t.gemm_width = "avx2";
   t.prefer_packed = true;
+  t.gemm_reads_b_in_place = false;
   // The natural-layout row kernels stay on the scalar implementations:
   // with prefer_packed set, ops.cpp routes every gemm through the
-  // packed path, so those entries only serve as a safety net.
+  // panel path, so those entries only serve as a safety net.
   // scalar-inherited: gemm_ab_rows, gemm_atb_rows, gemm_abt_rows
-  t.gemm_packed_rows = gemm_packed_rows;
+  t.gemm_panel_rows = gemm_panel_rows;
   t.dot = dot;
   t.squared_l2 = squared_l2;
   t.squared_l2_distance = squared_l2_distance;
@@ -622,9 +780,14 @@ KernelTable make_table() {
   t.sum_sq_diff_d = sum_sq_diff_d;
   t.eval_layer_f32 = eval_layer_f32;
 #if defined(BAFFLE_HAVE_AVX512F_TARGET)
-  if (__builtin_cpu_supports("avx512f")) {
+  if (avx512f) {
+    t.gemm_width = "avx512f";
+    t.gemm_reads_b_in_place = true;
+    t.gemm_panel_rows = gemm_panel_rows_zmm;
     t.eval_layer_f32 = eval_layer_f32_zmm;
   }
+#else
+  (void)avx512f;
 #endif
   t.argmax_margin_panel = argmax_margin_panel;
   // eval_layer_bf16 / eval_layer_u8 / quantize_panel_u8 / convert_*
@@ -633,14 +796,25 @@ KernelTable make_table() {
   return t;
 }
 
+// CPUID checks once; the answers cannot change while the process runs.
+bool vector_supported() {
+  static const bool supported =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return supported;
+}
+
 }  // namespace
 
 const KernelTable* vector_table() {
-  // CPUID check once; the answer cannot change while the process runs.
-  static const bool supported =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  if (!supported) return nullptr;
-  static const KernelTable table = make_table();
+  if (!vector_supported()) return nullptr;
+  static const KernelTable table =
+      make_table(__builtin_cpu_supports("avx512f"));
+  return &table;
+}
+
+const KernelTable* avx2_table_for_testing() {
+  if (!vector_supported()) return nullptr;
+  static const KernelTable table = make_table(/*avx512f=*/false);
   return &table;
 }
 
@@ -650,6 +824,7 @@ const KernelTable* vector_table() {
 
 namespace baffle::kernels {
 const KernelTable* vector_table() { return nullptr; }
+const KernelTable* avx2_table_for_testing() { return nullptr; }
 }  // namespace baffle::kernels
 
 #endif

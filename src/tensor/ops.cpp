@@ -117,26 +117,60 @@ class PackScratchLease {
   PackedB* buffer_;
 };
 
-/// Packed-path executor shared by the three transpose configurations.
-void run_packed(const kernels::KernelTable& kt, const float* a,
-                std::size_t a_row_stride, std::size_t a_p_stride,
-                const PackedB& bp, Matrix& out, std::size_t m,
-                std::size_t macs) {
-  BAFFLE_DCHECK(
-      reinterpret_cast<std::uintptr_t>(bp.data()) % simd::kAlignment == 0,
-      "packed panels must be cache-line aligned");
-  kernels::PackedGemmArgs args;
+/// Panel-kernel arguments for out = A·B with A addressed through the
+/// stride pair; B and the epilogue are bound by the caller.
+kernels::PanelGemmArgs panel_args(const float* a, std::size_t a_row_stride,
+                                  std::size_t a_p_stride, Matrix& out,
+                                  std::size_t k) {
+  kernels::PanelGemmArgs args;
   args.a = a;
   args.a_row_stride = a_row_stride;
   args.a_p_stride = a_p_stride;
-  args.bp = bp.data();
   args.c = out.flat().data();
   args.ldc = out.cols();
-  args.k = bp.k();
-  args.n = bp.n();
+  args.k = k;
+  args.n = out.cols();
+  return args;
+}
+
+/// Vector-arm executor shared by the three transpose configurations:
+/// `args` is complete, B included.
+void run_panels(const kernels::KernelTable& kt,
+                const kernels::PanelGemmArgs& args, std::size_t m,
+                std::size_t macs) {
   for_each_row_block(m, macs, [&](std::size_t r0, std::size_t r1) {
-    kt.gemm_packed_rows(args, r0, r1);
+    kt.gemm_panel_rows(args, r0, r1);
   });
+}
+
+/// Points `args` at B packed into panels.
+void use_panels(kernels::PanelGemmArgs& args, const PackedB& bp) {
+  BAFFLE_DCHECK(
+      reinterpret_cast<std::uintptr_t>(bp.data()) % simd::kAlignment == 0,
+      "packed panels must be cache-line aligned");
+  args.b = bp.data();
+  args.b_p_stride = kernels::kPanelCols;
+  args.b_panel_stride = bp.k() * kernels::kPanelCols;
+}
+
+/// Vector-arm GEMM against a row-major B (args.k x args.n): read in
+/// place when the kernel can, else packed first.
+void run_panels_on(const kernels::KernelTable& kt,
+                   kernels::PanelGemmArgs args, ConstMatrixView b,
+                   std::size_t m, std::size_t macs) {
+  if (kt.gemm_reads_b_in_place) {
+    args.b = b.data();
+    args.b_p_stride = b.cols();
+    args.b_panel_stride = kernels::kPanelCols;
+    run_panels(kt, args, m, macs);
+    return;
+  }
+  // Packing happens on the caller thread before any row-block fan-out;
+  // the per-depth scratch is reused (and regrown monotonically).
+  const PackScratchLease scratch;
+  pack_b_panels(b, *scratch);
+  use_panels(args, *scratch);
+  run_panels(kt, args, m, macs);
 }
 
 void run_rows(void (*kernel)(const kernels::GemmRowArgs&, std::size_t,
@@ -147,11 +181,49 @@ void run_rows(void (*kernel)(const kernels::GemmRowArgs&, std::size_t,
     kernel(args, r0, r1);
   });
 }
+
+/// gemm_ab, with the bias(+ReLU) epilogue when `bias` is non-null.
+void gemm_ab_impl(ConstMatrixView a, const Matrix& b, const float* bias,
+                  bool relu, Matrix& out) {
+  BAFFLE_CHECK(a.cols() == b.rows(), "gemm_ab: inner dimension mismatch");
+  BAFFLE_CHECK(out.rows() == a.rows() && out.cols() == b.cols(),
+        "gemm_ab: output shape mismatch");
+  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  if (m == 0 || n == 0) return;
+  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), a.data(), m * k),
+                "GEMM output must not alias an input");
+  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), b.flat().data(), b.size()),
+                "GEMM output must not alias an input");
+  const std::size_t macs = m * k * n;
+  const GemmReport report(macs, macs >= kParallelMacs);
+  const kernels::KernelTable& kt = kernels::active_table();
+  if (kt.prefer_packed) {
+    kernels::PanelGemmArgs args =
+        panel_args(a.data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);
+    args.bias = bias;
+    args.relu = relu;
+    run_panels_on(kt, args, b, m, macs);
+    return;
+  }
+  kernels::GemmRowArgs args;
+  args.a = a.data();
+  args.lda = k;
+  args.b = b.flat().data();
+  args.ldb = n;
+  args.c = out.flat().data();
+  args.ldc = n;
+  args.k = k;
+  args.n = n;
+  run_rows(kt.gemm_ab_rows, args, m, macs);
+  if (bias != nullptr) {
+    add_row_bias(out, {bias, n});
+    if (relu) relu_forward(out.flat());
+  }
+}
+
 }  // namespace
 
-bool gemm_uses_packed() { return kernels::active_table().prefer_packed; }
-
-void pack_b_panels(ConstMatrixView b, PackedB& out, std::uint64_t version) {
+void pack_b_panels(ConstMatrixView b, PackedB& out) {
   constexpr std::size_t pc = kernels::kPanelCols;
   const std::size_t k = b.rows(), n = b.cols();
   const std::size_t panels = (n + pc - 1) / pc;
@@ -169,7 +241,6 @@ void pack_b_panels(ConstMatrixView b, PackedB& out, std::uint64_t version) {
   }
   out.k_ = k;
   out.n_ = n;
-  out.version_ = version;
 }
 
 void pack_bt_panels(const Matrix& b, PackedB& out) {
@@ -207,55 +278,16 @@ void pack_bt_panels(const Matrix& b, PackedB& out) {
   }
   out.k_ = k;
   out.n_ = n;
-  out.version_ = 0;
-}
-
-void gemm_ab_packed(ConstMatrixView a, const PackedB& bp, Matrix& out) {
-  BAFFLE_CHECK(a.cols() == bp.k(), "gemm_ab: inner dimension mismatch");
-  BAFFLE_CHECK(out.rows() == a.rows() && out.cols() == bp.n(),
-        "gemm_ab: output shape mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = bp.n();
-  if (m == 0 || n == 0) return;
-  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), a.data(), m * k),
-                "GEMM output must not alias an input");
-  const std::size_t macs = m * k * n;
-  const GemmReport report(macs, macs >= kParallelMacs);
-  run_packed(kernels::active_table(), a.data(), /*a_row_stride=*/k,
-             /*a_p_stride=*/1, bp, out, m, macs);
 }
 
 void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out) {
-  BAFFLE_CHECK(a.cols() == b.rows(), "gemm_ab: inner dimension mismatch");
-  BAFFLE_CHECK(out.rows() == a.rows() && out.cols() == b.cols(),
-        "gemm_ab: output shape mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  if (m == 0 || n == 0) return;
-  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), a.data(), m * k),
-                "GEMM output must not alias an input");
-  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), b.flat().data(), b.size()),
-                "GEMM output must not alias an input");
-  const std::size_t macs = m * k * n;
-  const GemmReport report(macs, macs >= kParallelMacs);
-  const kernels::KernelTable& kt = kernels::active_table();
-  if (kt.prefer_packed) {
-    // Packing happens on the caller thread before any row-block fan-out;
-    // the per-depth scratch is reused (and regrown monotonically).
-    const PackScratchLease scratch;
-    pack_b_panels(b, *scratch, /*version=*/0);
-    run_packed(kt, a.data(), /*a_row_stride=*/k, /*a_p_stride=*/1, *scratch,
-               out, m, macs);
-    return;
-  }
-  kernels::GemmRowArgs args;
-  args.a = a.data();
-  args.lda = k;
-  args.b = b.flat().data();
-  args.ldb = n;
-  args.c = out.flat().data();
-  args.ldc = n;
-  args.k = k;
-  args.n = n;
-  run_rows(kt.gemm_ab_rows, args, m, macs);
+  gemm_ab_impl(a, b, /*bias=*/nullptr, /*relu=*/false, out);
+}
+
+void gemm_ab_bias(ConstMatrixView a, const Matrix& b,
+                  std::span<const float> bias, bool relu, Matrix& out) {
+  BAFFLE_CHECK(bias.size() == b.cols(), "gemm_ab_bias: bias length mismatch");
+  gemm_ab_impl(a, b, bias.data(), relu, out);
 }
 
 void gemm_atb(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -272,11 +304,11 @@ void gemm_atb(const Matrix& a, const Matrix& b, Matrix& out) {
   const GemmReport report(macs, macs >= kParallelMacs);
   const kernels::KernelTable& kt = kernels::active_table();
   if (kt.prefer_packed) {
-    const PackScratchLease scratch;
-    pack_b_panels(b, *scratch, /*version=*/0);
     // A enters transposed: output row i reads column i of a.
-    run_packed(kt, a.flat().data(), /*a_row_stride=*/1, /*a_p_stride=*/m,
-               *scratch, out, m, macs);
+    run_panels_on(kt,
+                  panel_args(a.flat().data(), /*a_row_stride=*/1,
+                             /*a_p_stride=*/m, out, k),
+                  b, m, macs);
     return;
   }
   kernels::GemmRowArgs args;
@@ -307,8 +339,10 @@ void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out) {
     const GemmReport report(macs, macs >= kParallelMacs);
     const PackScratchLease scratch;
     pack_bt_panels(b, *scratch);
-    run_packed(kt, a.flat().data(), /*a_row_stride=*/k, /*a_p_stride=*/1,
-               *scratch, out, m, macs);
+    kernels::PanelGemmArgs args = panel_args(
+        a.flat().data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);
+    use_panels(args, *scratch);
+    run_panels(kt, args, m, macs);
     return;
   }
   if (macs >= kParallelMacs) {

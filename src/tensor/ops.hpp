@@ -7,10 +7,12 @@
 //   dX:        dX = dY Wᵀ     -> gemm_abt
 // Each entry point dispatches between two kernel arms (see
 // tensor/simd.hpp): the scalar arm runs the cache-blocked row kernels
-// on the operands in place, the SIMD arm first packs B into
-// 64-byte-aligned column panels (thread_local scratch, reused across
-// calls) and runs FMA register-tile microkernels over them. Either way
-// the multiply is split over row blocks on the global thread pool once
+// on the operands in place, the SIMD arm runs FMA register-tile
+// microkernels over B in 16-column panels: the AVX-512 tile reads B in
+// place (KernelTable::gemm_reads_b_in_place), the AVX2 tile reads it
+// packed into 64-byte-aligned panels (thread_local scratch, reused
+// across calls), and gemm_abt always packs its transpose. Either
+// way the multiply is split over row blocks on the global thread pool once
 // it is large enough to amortize the dispatch; small multiplies (the
 // per-batch training shapes) run inline on the caller. NaN/Inf inputs
 // propagate to the output — a diverged model must not be masked by a
@@ -21,7 +23,6 @@
 // tensor/primitives.hpp, included here so existing callers keep
 // compiling unchanged.
 
-#include <cstdint>
 #include <span>
 
 #include "tensor/aligned.hpp"
@@ -31,68 +32,39 @@
 namespace baffle {
 
 /// B operand packed into contiguous 16-column panels for the SIMD GEMM
-/// microkernels (layout described in tensor/kernels.hpp). Carries the
-/// owner's parameter version so a cached pack can be validated against
-/// the weights it was built from. Copying yields an empty pack — model
-/// clones repack on first use rather than paying the copy.
+/// microkernels (layout described in tensor/kernels.hpp).
 class PackedB {
  public:
-  PackedB() = default;
-  PackedB(const PackedB&) {}
-  PackedB& operator=(const PackedB&) {
-    clear();
-    return *this;
-  }
-  PackedB(PackedB&&) = default;
-  PackedB& operator=(PackedB&&) = default;
-
   bool empty() const { return data_.empty(); }
   std::size_t k() const { return k_; }
   std::size_t n() const { return n_; }
   const float* data() const { return data_.data(); }
-  std::uint64_t version() const { return version_; }
-
-  /// True when this pack was built from B of shape (k, n) at parameter
-  /// version `version` (0 never matches: it marks "never packed").
-  bool valid_for(std::size_t k, std::size_t n, std::uint64_t version) const {
-    return version != 0 && version_ == version && k_ == k && n_ == n &&
-           !data_.empty();
-  }
-
-  void clear() {
-    data_.clear();
-    k_ = n_ = 0;
-    version_ = 0;
-  }
 
  private:
-  friend void pack_b_panels(ConstMatrixView b, PackedB& out,
-                            std::uint64_t version);
+  friend void pack_b_panels(ConstMatrixView b, PackedB& out);
   friend void pack_bt_panels(const Matrix& b, PackedB& out);
 
   AlignedFloatVec data_;
   std::size_t k_ = 0;
   std::size_t n_ = 0;
-  std::uint64_t version_ = 0;
 };
 
-/// True when the active kernel arm wants packed-B GEMM (the SIMD arm).
-/// Dense uses this to decide whether maintaining its weight pack is
-/// worth anything.
-bool gemm_uses_packed();
-
-/// Packs B (k x n, natural layout) into panels; tag with `version` so
-/// valid_for() can match it later (pass 0 for throwaway packs).
-void pack_b_panels(ConstMatrixView b, PackedB& out, std::uint64_t version);
+/// Packs B (k x n, natural layout) into panels.
+void pack_b_panels(ConstMatrixView b, PackedB& out);
 
 /// Packs Bᵀ for gemm_abt: b is (n, k) and the panels hold its columns.
 void pack_bt_panels(const Matrix& b, PackedB& out);
 
-/// out = a * bp where bp packs B (k,n). Shapes: (m,k) x (k,n) -> (m,n).
-void gemm_ab_packed(ConstMatrixView a, const PackedB& bp, Matrix& out);
-
 /// out = a * b. Shapes: (m,k) x (k,n) -> (m,n).
 void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out);
+
+/// out = a * b + bias on every row, then ReLU (negatives to 0) when
+/// `relu` — a dense layer's forward pass. Bias length = b.cols(). On the
+/// vector arm the bias add and ReLU run in the GEMM tile's register
+/// epilogue; every element equals gemm_ab, add_row_bias, relu_forward
+/// in sequence.
+void gemm_ab_bias(ConstMatrixView a, const Matrix& b,
+                  std::span<const float> bias, bool relu, Matrix& out);
 
 /// out = aᵀ * b. Shapes: (k,m) x (k,n) -> (m,n).
 void gemm_atb(const Matrix& a, const Matrix& b, Matrix& out);

@@ -69,11 +69,17 @@ const char* isa_name(Isa isa) {
   return isa == Isa::kScalar ? "scalar" : "avx2";
 }
 
+const char* gemm_width() { return table()->gemm_width; }
+
 }  // namespace simd
 
 namespace kernels {
 
 const KernelTable& active_table() { return *simd::table(); }
+
+void pin_table_for_testing(const KernelTable& t) {
+  simd::g_table.store(&t, std::memory_order_release);
+}
 
 }  // namespace kernels
 }  // namespace baffle

@@ -144,5 +144,9 @@ void reset_isa();
 /// scalar arm (parity tests skip their vector side under it).
 bool scalar_forced_by_env();
 const char* isa_name(Isa isa);
+/// Register width of the GEMM tile the active arm runs: "scalar",
+/// "avx2" (ymm) or "avx512f" (zmm, chosen by CPUID within the vector
+/// arm). micro_core and tools/check.sh print it.
+const char* gemm_width();
 
 }  // namespace baffle::simd

@@ -63,6 +63,12 @@ TEST(FlClient, EmptyShardYieldsZeroUpdate) {
 TEST(FlClient, ApplyingUpdateReproducesLocalModel) {
   const FlClient client(0, blob_data(0, 60));
   Mlp global = fresh_model();
+  // Non-zero biases, so the bias half of U = L - G is checked too.
+  for (Dense& layer : global.layers()) {
+    for (std::size_t j = 0; j < layer.bias().size(); ++j) {
+      layer.bias()[j] = 0.25f * static_cast<float>(j + 1);
+    }
+  }
   Rng rng_a(5), rng_b(5);
   const ParamVec u = client.compute_update(global, TrainConfig{}, rng_a);
 

@@ -105,54 +105,6 @@ TEST(Dense, ZeroGradResets) {
   for (float g : layer.bias_grad()) EXPECT_EQ(g, 0.0f);
 }
 
-TEST(Dense, WeightMutationBumpsParamVersion) {
-  Dense layer(4, 3, Activation::kIdentity);
-  const auto v0 = layer.param_version();
-  layer.weights().at(0, 0) = 1.0f;  // non-const accessor bumps
-  EXPECT_GT(layer.param_version(), v0);
-  const Dense& cl = layer;
-  (void)cl.weights();  // const accessor must not
-  EXPECT_EQ(layer.param_version(), v0 + 1);
-  Rng rng(9);
-  layer.init_weights(rng);
-  EXPECT_GT(layer.param_version(), v0 + 1);
-}
-
-TEST(Dense, PackedCacheInvalidatedByWeightMutation) {
-  Dense layer(8, 6, Activation::kIdentity);
-  Rng rng(9);
-  layer.init_weights(rng);
-  EXPECT_FALSE(layer.packed_cache_valid());  // nothing packed yet
-
-  layer.ensure_packed();
-  // On the SIMD arm the pack now matches the weights; on the scalar arm
-  // ensure_packed() is a no-op and the cache stays invalid.
-  EXPECT_EQ(layer.packed_cache_valid(), gemm_uses_packed());
-
-  Matrix x = Matrix::from_rows(2, 8, std::vector<float>(16, 0.5f));
-  Matrix out1;
-  layer.forward(x, out1);
-  EXPECT_EQ(layer.packed_cache_valid(), gemm_uses_packed());
-
-  // Mutating weights through the accessor invalidates the pack...
-  layer.weights().at(0, 0) += 2.0f;
-  EXPECT_FALSE(layer.packed_cache_valid());
-
-  // ...and the next forward repacks and sees the new weights.
-  Matrix out2;
-  layer.forward(x, out2);
-  EXPECT_EQ(layer.packed_cache_valid(), gemm_uses_packed());
-  EXPECT_NEAR(out2.at(0, 0), out1.at(0, 0) + 0.5f * 2.0f, 1e-5f);
-
-  // forward_eval on a const layer reuses a valid pack but never packs.
-  const Dense& cl = layer;
-  Matrix out3;
-  cl.forward_eval(x, out3);
-  for (std::size_t j = 0; j < out2.cols(); ++j) {
-    EXPECT_NEAR(out3.at(0, j), out2.at(0, j), 1e-6f) << "col " << j;
-  }
-}
-
 TEST(Dense, BackwardShapeMismatchThrows) {
   Dense layer(2, 2, Activation::kIdentity);
   Matrix x = Matrix::from_rows(1, 2, {1.0f, 1.0f});

@@ -126,6 +126,26 @@ TEST(Mlp, AddToParametersSizeMismatchThrows) {
                std::invalid_argument);
 }
 
+TEST(Mlp, ParameterDeltaIntoIsFlatDifference) {
+  Mlp model(small_config()), base(small_config());
+  Rng rng(5);
+  model.init(rng);
+  base.init(rng);
+  std::vector<float> delta(model.num_params());
+  model.parameter_delta_into(base, delta);
+  EXPECT_EQ(delta, subtract(model.parameters(), base.parameters()));
+}
+
+TEST(Mlp, ParameterDeltaIntoRejectsMismatches) {
+  Mlp model(small_config());
+  std::vector<float> delta(model.num_params());
+  EXPECT_THROW(model.parameter_delta_into(Mlp(MlpConfig{{4, 3, 6}}), delta),
+               std::invalid_argument);
+  delta.pop_back();
+  EXPECT_THROW(model.parameter_delta_into(model, delta),
+               std::invalid_argument);
+}
+
 TEST(Mlp, PredictReturnsArgmaxClass) {
   // Construct a linear model that always prefers class 2.
   Mlp model(MlpConfig{{2, 3}, Activation::kRelu});

@@ -7,12 +7,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exp/scenario.hpp"
+#include "nn/train.hpp"
 #include "tensor/aligned.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -176,29 +179,11 @@ TEST_F(SimdParity, GemmPropagatesNanAndInf) {
   }
 }
 
-TEST_F(SimdParity, PackedGemmAgreesWithPlainOnBothArms) {
-  Rng rng(5);
-  const Matrix a = random_matrix(9, 31, rng);
-  const Matrix b = random_matrix(31, 17, rng);
-  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kVector}) {
-    SCOPED_TRACE(simd::isa_name(isa));
-    ASSERT_TRUE(simd::force_isa(isa));
-    Matrix ref(9, 17);
-    gemm_ab(a, b, ref);
-    PackedB bp;
-    pack_b_panels(b, bp, /*version=*/1);
-    ASSERT_TRUE(bp.valid_for(31, 17, 1));
-    Matrix got(9, 17);
-    gemm_ab_packed(a, bp, got);
-    expect_matrices_near(ref, got, 1e-4f);
-  }
-}
-
 TEST_F(SimdParity, PackedPanelsAlignedAndZeroPadded) {
   Rng rng(6);
   const Matrix b = random_matrix(3, 5, rng);
   PackedB bp;
-  pack_b_panels(b, bp, /*version=*/7);
+  pack_b_panels(b, bp);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bp.data()) % simd::kAlignment,
             0u);
   // One 16-column panel, k rows: live columns match B, the tail is
@@ -212,10 +197,6 @@ TEST_F(SimdParity, PackedPanelsAlignedAndZeroPadded) {
           << "p=" << p << " c=" << c;
     }
   }
-  // Copying a pack drops it (model clones repack lazily).
-  PackedB copy(bp);
-  EXPECT_TRUE(copy.empty());
-  EXPECT_FALSE(copy.valid_for(3, 5, 7));
 }
 
 TEST_F(SimdParity, MatrixStorageIsCacheLineAligned) {
@@ -664,6 +645,271 @@ TEST_F(SimdParity, ArgmaxMarginPanelMatchesScalarExactly) {
         ASSERT_EQ(got_p[c], ref_p[c]) << "pred(no margin) col " << c;
       }
     }
+  }
+}
+
+// ---- GEMM tiles: fused epilogue, in-place B, AVX-512 vs AVX2 ----
+//
+// These compare bytes, not tolerances: the fused bias(+ReLU) epilogue,
+// the in-place B reads and the zmm tiles all keep each output
+// element's fold (FMA over p in order from +0, one bias add, then
+// keep-unless-negative), so any difference is a bug. The one freedom is
+// a NaN's payload where two NaNs meet in one instruction: x86
+// propagates the NaN in its first source operand, and which operand
+// comes first is the compiler's register allocation, pinned by neither
+// width (IEEE 754 leaves the choice open too). So two NaNs match;
+// every other bit — zero signs, denormals, infinities — must agree.
+
+// kDims plus the shapes either side of a 16-column panel and of the
+// AVX-512 tile's 4-panel group (64, 65) and 6- and 8-row tiles.
+const std::size_t kWidthDims[] = {1, 3, 7, 8, 9, 31, 129, 10, 16, 17, 64, 65};
+
+/// A few NaN/±Inf entries (each poisons one output row or column) and
+/// a dozen −0 and denormal entries (which must poison nothing; more
+/// would only slow the test down with denormal microcode assists).
+void add_specials(std::span<float> v, Rng& rng) {
+  if (v.empty()) return;
+  const auto at = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1));
+  };
+  const float quiet[] = {-0.0f, std::numeric_limits<float>::denorm_min(),
+                         -std::numeric_limits<float>::min() / 4.0f, 1e-39f};
+  for (int i = 0; i < 12; ++i) v[at()] = quiet[i % 4];
+  for (float x : {kNan, kInf, -kInf}) v[at()] = x;
+}
+
+Matrix special_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix m = random_matrix(rows, cols, rng);
+  add_specials(m.flat(), rng);
+  return m;
+}
+
+void expect_same_bytes(std::span<const float> ref, std::span<const float> got) {
+  ASSERT_EQ(ref.size(), got.size());
+  if (std::memcmp(ref.data(), got.data(), ref.size_bytes()) == 0) return;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (std::isnan(ref[i]) && std::isnan(got[i])) continue;
+    std::uint32_t rb, gb;
+    std::memcpy(&rb, &ref[i], sizeof(rb));
+    std::memcpy(&gb, &got[i], sizeof(gb));
+    ASSERT_EQ(gb, rb) << "first differing float at index " << i;
+  }
+}
+
+/// The tables whose GEMM is compared byte for byte: the dispatched
+/// vector table (zmm tiles) and the AVX2-only table. Null `zmm` when
+/// this CPU or build has no AVX-512F tile.
+struct GemmWidths {
+  const kernels::KernelTable* zmm = nullptr;
+  const kernels::KernelTable* ymm = nullptr;
+};
+
+GemmWidths gemm_widths() {
+  GemmWidths w;
+  w.ymm = kernels::avx2_table_for_testing();
+  const kernels::KernelTable* vec = kernels::vector_table();
+  if (vec != nullptr && std::strcmp(vec->gemm_width, "avx512f") == 0) {
+    w.zmm = vec;
+  }
+  return w;
+}
+
+#define SKIP_WITHOUT_AVX512F(w)                                       \
+  if ((w).zmm == nullptr) {                                           \
+    GTEST_SKIP() << "no AVX-512F GEMM tile on this CPU/build: the "   \
+                    "AVX2 tile is the only vector GEMM here";         \
+  }
+
+/// Every GEMM entry point on one width, outputs in a fixed order:
+/// gemm_ab, gemm_ab_bias without and with ReLU on (a, b); gemm_atb on
+/// (at, b); gemm_abt on (a, bt).
+std::vector<Matrix> run_gemms(const kernels::KernelTable& t, const Matrix& a,
+                              const Matrix& at, const Matrix& b,
+                              const Matrix& bt, std::span<const float> bias) {
+  kernels::pin_table_for_testing(t);
+  const std::size_t m = a.rows(), n = b.cols();
+  std::vector<Matrix> out(5, Matrix(m, n));
+  gemm_ab(a, b, out[0]);
+  gemm_ab_bias(a, b, bias, /*relu=*/false, out[1]);
+  gemm_ab_bias(a, b, bias, /*relu=*/true, out[2]);
+  gemm_atb(at, b, out[3]);
+  gemm_abt(a, bt, out[4]);
+  return out;
+}
+
+TEST_F(SimdParity, GemmWidthsAgreeBitForBit) {
+  const GemmWidths w = gemm_widths();
+  SKIP_WITHOUT_AVX512F(w);
+  Rng rng(41);
+  for (std::size_t m : kWidthDims) {
+    for (std::size_t n : kWidthDims) {
+      for (std::size_t k : kWidthDims) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " n=" << n << " k=" << k);
+        const Matrix a = special_matrix(m, k, rng);
+        const Matrix at = special_matrix(k, m, rng);
+        const Matrix b = special_matrix(k, n, rng);
+        const Matrix bt = special_matrix(n, k, rng);
+        std::vector<float> bias = random_vec(n, rng);
+        add_specials(bias, rng);
+        const std::vector<Matrix> ref = run_gemms(*w.ymm, a, at, b, bt, bias);
+        const std::vector<Matrix> got = run_gemms(*w.zmm, a, at, b, bt, bias);
+        for (std::size_t op = 0; op < ref.size(); ++op) {
+          SCOPED_TRACE(::testing::Message() << "entry point " << op);
+          expect_same_bytes(ref[op].flat(), got[op].flat());
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST_F(SimdParity, FusedBiasReluEqualsSequentialPassesOnEveryArm) {
+  // Dense::forward_eval used to run gemm_ab, add_row_bias and
+  // relu_forward as three passes; the fused call must reproduce them
+  // byte for byte on every table, or records would change.
+  const GemmWidths w = gemm_widths();
+  std::vector<const kernels::KernelTable*> tables = {&kernels::scalar_table(),
+                                                     w.ymm};
+  if (w.zmm != nullptr) tables.push_back(w.zmm);
+  Rng rng(42);
+  for (const kernels::KernelTable* t : tables) {
+    SCOPED_TRACE(t->gemm_width);
+    kernels::pin_table_for_testing(*t);
+    for (std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{32},
+                          std::size_t{64}}) {
+      for (std::size_t n : kWidthDims) {
+        for (std::size_t k : {std::size_t{3}, std::size_t{32},
+                              std::size_t{48}, std::size_t{129}}) {
+          for (bool relu : {false, true}) {
+            SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n
+                                              << " k=" << k
+                                              << " relu=" << relu);
+            const Matrix a = special_matrix(m, k, rng);
+            const Matrix b = special_matrix(k, n, rng);
+            std::vector<float> bias = random_vec(n, rng);
+            add_specials(bias, rng);
+            Matrix ref(m, n), got(m, n);
+            gemm_ab(a, b, ref);
+            add_row_bias(ref, bias);
+            if (relu) relu_forward(ref.flat());
+            gemm_ab_bias(a, b, bias, relu, got);
+            expect_same_bytes(ref.flat(), got.flat());
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdParity, GemmPanelRowsReadsInPlaceLikePacked) {
+  // gemm_panel_rows straight from each table that reads B in place (the
+  // scalar table and the zmm tile): row-major B, masked at the tail
+  // panel, must give the bytes the packed panels give. The scalar
+  // table's packed result must also equal its own gemm_ab, add_row_bias
+  // and relu_forward passes, which fold over p in the same order.
+  const GemmWidths w = gemm_widths();
+  std::vector<const kernels::KernelTable*> tables = {&kernels::scalar_table()};
+  if (w.zmm != nullptr) tables.push_back(w.zmm);
+  Rng rng(43);
+  for (const kernels::KernelTable* t : tables) {
+    for (std::size_t n : kWidthDims) {
+      for (std::size_t k : {std::size_t{1}, std::size_t{17}, std::size_t{64}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << t->gemm_width << " n=" << n << " k=" << k);
+        const std::size_t m = 13;
+        const Matrix a = special_matrix(m, k, rng);
+        const Matrix b = special_matrix(k, n, rng);
+        const std::vector<float> bias = random_vec(n, rng);
+        PackedB bp;
+        pack_b_panels(b, bp);
+        Matrix ref(m, n), got(m, n);
+        kernels::PanelGemmArgs args;
+        args.a = a.flat().data();
+        args.a_row_stride = k;
+        args.a_p_stride = 1;
+        args.bias = bias.data();
+        args.relu = true;
+        args.c = ref.flat().data();
+        args.ldc = n;
+        args.k = k;
+        args.n = n;
+        args.b = bp.data();
+        args.b_p_stride = kernels::kPanelCols;
+        args.b_panel_stride = k * kernels::kPanelCols;
+        t->gemm_panel_rows(args, 0, m);
+        if (t == &kernels::scalar_table()) {
+          kernels::pin_table_for_testing(*t);
+          Matrix seq(m, n);
+          gemm_ab(a, b, seq);
+          add_row_bias(seq, bias);
+          relu_forward(seq.flat());
+          expect_same_bytes(seq.flat(), ref.flat());
+        }
+        args.c = got.flat().data();
+        args.b = b.flat().data();
+        args.b_p_stride = n;
+        args.b_panel_stride = kernels::kPanelCols;
+        t->gemm_panel_rows(args, 0, m);
+        expect_same_bytes(ref.flat(), got.flat());
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST_F(SimdParity, TrainSgdWidthsAgreeBitForBit) {
+  // End to end through train_sgd: one client's local update on each
+  // task and the vision pretraining must leave byte-equal parameters
+  // whichever register width ran the GEMMs.
+  const GemmWidths w = gemm_widths();
+  SKIP_WITHOUT_AVX512F(w);
+  const auto params_after = [&](const kernels::KernelTable& t, const Mlp& init,
+                                const Dataset& data,
+                                const TrainConfig& config) {
+    kernels::pin_table_for_testing(t);
+    Mlp model = init;
+    Rng rng(9);
+    train_sgd(model, data.features(), data.labels(), config, rng);
+    return model.parameters();
+  };
+  for (TaskKind task : {TaskKind::kVision10, TaskKind::kFemnist62}) {
+    SCOPED_TRACE(task_kind_name(task));
+    Rng rng(71);
+    const Scenario sc = build_scenario(
+        task == TaskKind::kVision10 ? vision_scenario() : femnist_scenario(),
+        rng);
+    Mlp init(sc.arch);
+    init.init(rng);
+    const Dataset& shard = sc.clients[sc.attacker_id].data();
+    ASSERT_FALSE(shard.empty());
+    expect_same_bytes(params_after(*w.ymm, init, shard, sc.fl.local_train),
+                      params_after(*w.zmm, init, shard, sc.fl.local_train));
+    if (task == TaskKind::kVision10) {
+      TrainConfig pre;  // run_experiment's pretraining, 2 epochs
+      pre.epochs = 2;
+      pre.batch_size = 64;
+      pre.sgd.learning_rate = 0.05f;
+      expect_same_bytes(params_after(*w.ymm, init, sc.task.train, pre),
+                        params_after(*w.zmm, init, sc.task.train, pre));
+    }
+  }
+}
+
+TEST(SimdDispatch, GemmWidthNamesTheActiveTile) {
+  // tools/check.sh prints this line, so a CI log shows which GEMM tile
+  // the dispatched arm ran.
+  const char* width = simd::gemm_width();
+  std::printf("GEMM tile: %s (dispatched arm: %s)\n", width,
+              simd::isa_name(simd::active_isa()));
+  if (simd::active_isa() == simd::Isa::kScalar) {
+    EXPECT_STREQ(width, "scalar");
+  } else {
+    EXPECT_TRUE(std::strcmp(width, "avx2") == 0 ||
+                std::strcmp(width, "avx512f") == 0)
+        << width;
   }
 }
 

@@ -144,7 +144,6 @@ class Linter:
         "gemm_ab_rows": ["gemm_ab"],
         "gemm_atb_rows": ["gemm_atb"],
         "gemm_abt_rows": ["gemm_abt"],
-        "gemm_packed_rows": ["gemm_ab_packed"],
         "squared_l2": ["l2_norm", "squared_l2"],
         "sum_d": ["sum(", "sum ("],
         "sum_sq_diff_d": ["sum_sq_diff"],

@@ -244,6 +244,13 @@ int main(int argc, char** argv) {
   }
 
   const auto& registry = MetricsRegistry::global();
+  if (registry.timer_count("experiment.build_scenario") > 0) {
+    std::printf("set-up: %.2f ms scenario, %.2f ms pretraining, "
+                "%.2f ms defense init\n",
+                registry.timer_mean_ms("experiment.build_scenario"),
+                registry.timer_mean_ms("experiment.pretrain"),
+                registry.timer_mean_ms("experiment.defense_init"));
+  }
   const std::uint64_t trains = registry.timer_count("experiment.round_train");
   if (trains > 0) {
     std::printf("round training: %.2f ms/round over %llu rounds\n",

@@ -3,7 +3,8 @@
 # both kernel-dispatch arms), repo lint, and optional sanitizer stages.
 #
 # Usage:
-#   tools/check.sh            # strict build + ctest (both arms) + lint
+#   tools/check.sh            # strict build + ctest (both arms) + GEMM
+#                             # tile report + lint
 #   tools/check.sh --checks   # also build with BAFFLE_CHECKS=ON (live
 #                             # DCHECK contracts) and run the full suite
 #   tools/check.sh --asan     # also build with -fsanitize=address,leak
@@ -115,6 +116,15 @@ stage "strict build (BAFFLE_STRICT=ON)" \
   build_cfg build-strict -DBAFFLE_STRICT=ON
 stage "tests (dispatched + forced-scalar)" \
   run_suite_both_arms build-strict
+
+gemm_width() {
+  # Names the GEMM tile the dispatched arm runs, "avx512f" or "avx2":
+  # CI runners may lack AVX-512F, and then the width tests skip.
+  ./build-strict/tests/test_tensor \
+    --gtest_filter=SimdDispatch.GemmWidthNamesTheActiveTile |
+    grep 'GEMM tile:'
+}
+stage "GEMM tile width" gemm_width
 stage "repo lint (tools/baffle_lint.py)" \
   python3 tools/baffle_lint.py --root .
 
