@@ -33,11 +33,9 @@ Validator::Validator(Dataset data, MlpConfig arch, ValidatorConfig config)
                "abstention threshold must require at least one variation");
   BAFFLE_CHECK(!data_.empty(), "validator needs a non-empty dataset");
   engine_.bind(data_.features());
-  eval_ws_.precision = config_.eval_precision;
   // The serial workspace backs evaluate_params, which runs under mu_:
   // it must never wait on the pool (see the lock-scope header comment).
   eval_ws_.parallel = false;
-  batch_ws_.precision = config_.eval_precision;
   batch_ws_.parallel = config_.parallel_eval;
 }
 
@@ -175,6 +173,8 @@ ValidationOutcome Validator::validate(const ParamVec& candidate,
 
 ValidationOutcome Validator::validate_refs(
     const ParamVec& candidate, std::span<const HistoryRef> history) {
+  BAFFLE_CHECK(history.size() <= config_.lookback + 1,
+               "validate: history window holds more than l+1 models");
   // Runtime enforcement of the external-serialization contract on the
   // unguarded engine-phase state: a second validate() overlapping this
   // one would share batch_preds_/batch_models_, which no lock protects

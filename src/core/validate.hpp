@@ -89,12 +89,6 @@ struct ValidatorConfig {
   /// either way; `false` recomputes everything per round — the pre-PR
   /// baseline the benchmarks and parity tests compare against.
   bool incremental = true;
-  /// Numeric arm for model evaluation (DESIGN.md §14). kFp32 (default)
-  /// is bit-identical to the sequential inference path; kBf16/kInt8 run
-  /// the guarded reduced-precision engine arms — evaluation only, and
-  /// calibrated so votes and confusion matrices stay unchanged on the
-  /// bench scenarios.
-  EvalPrecision eval_precision = EvalPrecision::kFp32;
   /// Fan the batched evaluation engine's tiles out across the global
   /// thread pool (DESIGN.md §17). Predictions — hence votes, φ and τ —
   /// are byte-identical either way; `false` pins the serial engine
@@ -125,8 +119,9 @@ class Validator {
   Validator& operator=(const Validator&) = delete;
 
   /// Runs Algorithm 2. `history` is oldest→newest (up to ℓ+1 models,
-  /// from ModelHistory::window). Confusion matrices for history models
-  /// are cached across rounds by version.
+  /// from ModelHistory::window; a longer window throws
+  /// ContractViolation). Confusion matrices for history models are
+  /// cached across rounds by version.
   ValidationOutcome validate(const ParamVec& candidate,
                              std::span<const GlobalModel> history);
 

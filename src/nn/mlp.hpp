@@ -5,7 +5,6 @@
 // secure aggregation), so the Mlp exposes get/set of a contiguous
 // std::vector<float> of all weights and biases, in a fixed layer order.
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -13,14 +12,6 @@
 #include "nn/dense.hpp"
 
 namespace baffle {
-
-/// Numeric arm for whole-set model evaluation (MultiModelEval,
-/// DESIGN.md §14). kFp32 is the default and bit-identical to
-/// Mlp::predict_into; kBf16/kInt8 are evaluation-only reduced-precision
-/// arms whose argmaxes are protected by a top-2 margin guard. Carried in
-/// the eval workspace so call sites that loop over models inherit one
-/// knob.
-enum class EvalPrecision : std::uint8_t { kFp32, kBf16, kInt8 };
 
 /// Architecture spec: layer widths [in, h1, ..., out] plus the hidden
 /// activation (output layer is always linear; softmax lives in the loss).
@@ -36,7 +27,6 @@ struct MlpEvalWorkspace {
   Matrix a;
   Matrix b;
   std::vector<std::size_t> predictions;  // scratch for whole-set evals
-  EvalPrecision precision = EvalPrecision::kFp32;
   /// MultiModelEval only (ignored by Mlp::predict_into): fan the
   /// engine's (model-chunk × panel-block) tiles out across the global
   /// pool. Results are byte-identical either way (DESIGN.md §17);

@@ -312,111 +312,6 @@ void eval_layer_f32(const EvalLayerArgs& g) {
   }
 }
 
-std::uint16_t f32_to_bf16_rne(float x) {
-  std::uint32_t u;
-  static_assert(sizeof(u) == sizeof(x));
-  __builtin_memcpy(&u, &x, sizeof(u));
-  if ((u & 0x7fffffffu) > 0x7f800000u) {
-    // NaN: truncate and force a mantissa bit so it stays a (quiet) NaN.
-    return static_cast<std::uint16_t>((u >> 16) | 0x0040u);
-  }
-  u += 0x7fffu + ((u >> 16) & 1u);  // round to nearest, ties to even
-  return static_cast<std::uint16_t>(u >> 16);
-}
-
-float bf16_to_f32(std::uint16_t h) {
-  const std::uint32_t u = static_cast<std::uint32_t>(h) << 16;
-  float x;
-  __builtin_memcpy(&x, &u, sizeof(x));
-  return x;
-}
-
-void eval_layer_bf16(const EvalLayerBf16Args& g) {
-  for (std::size_t i = 0; i < g.n_out; ++i) {
-    const std::uint16_t* a_row = g.a + i * g.a_row_stride;
-    float acc[kPanelCols] = {};
-    for (std::size_t p = 0; p < g.k; ++p) {
-      const float av = bf16_to_f32(a_row[p * g.a_p_stride]);
-      const std::uint16_t* in_row = g.in + p * kPanelCols;
-      for (std::size_t c = 0; c < kPanelCols; ++c) {
-        acc[c] += av * bf16_to_f32(in_row[c]);
-      }
-    }
-    float* out_row = g.out + i * kPanelCols;
-    const float b = g.bias[i];
-    for (std::size_t c = 0; c < kPanelCols; ++c) {
-      float v = acc[c] + b;
-      if (g.relu && v < 0.0f) v = 0.0f;
-      out_row[c] = v;
-    }
-  }
-}
-
-void eval_layer_u8(const EvalLayerU8Args& g) {
-  for (std::size_t i = 0; i < g.n_out; ++i) {
-    const std::int8_t* w_row = g.wq + i * g.k_pad;
-    std::int32_t acc[kPanelCols] = {};
-    for (std::size_t p4 = 0; p4 < g.k_pad / 4; ++p4) {
-      const std::uint8_t* in_blk = g.in + p4 * 4 * kPanelCols;
-      const std::int32_t w0 = w_row[4 * p4];
-      const std::int32_t w1 = w_row[4 * p4 + 1];
-      const std::int32_t w2 = w_row[4 * p4 + 2];
-      const std::int32_t w3 = w_row[4 * p4 + 3];
-      for (std::size_t c = 0; c < kPanelCols; ++c) {
-        const std::uint8_t* q = in_blk + c * 4;
-        acc[c] += w0 * q[0] + w1 * q[1] + w2 * q[2] + w3 * q[3];
-      }
-    }
-    float* out_row = g.out + i * kPanelCols;
-    const float ws = g.w_scale[i];
-    const float wsr = ws * static_cast<float>(g.w_rowsum[i]);
-    const float b = g.bias[i];
-    for (std::size_t c = 0; c < kPanelCols; ++c) {
-      const float base = g.in_offset[c] * wsr + b;
-      float v = static_cast<float>(acc[c]) * (ws * g.in_scale[c]) + base;
-      if (g.relu && v < 0.0f) v = 0.0f;
-      out_row[c] = v;
-    }
-  }
-}
-
-void quantize_panel_u8(const QuantizePanelU8Args& g) {
-  for (std::size_t c = 0; c < kPanelCols; ++c) {
-    float mn = g.in[c];
-    float mx = g.in[c];
-    for (std::size_t p = 1; p < g.k; ++p) {
-      const float v = g.in[p * kPanelCols + c];
-      mn = v < mn ? v : mn;
-      mx = v > mx ? v : mx;
-    }
-    const float span = mx - mn;
-    const float s = span > 0.0f ? span / 127.0f : 1.0f;
-    const float inv = 1.0f / s;
-    g.scale[c] = s;
-    g.offset[c] = mn;
-    for (std::size_t p = 0; p < g.k_pad; ++p) {
-      std::int32_t q = 0;
-      if (p < g.k) {
-        // nearbyint == round-to-nearest-even in the default FP
-        // environment, matching the vector arm's cvtps2dq exactly.
-        const float v = g.in[p * kPanelCols + c];
-        q = static_cast<std::int32_t>(std::nearbyint((v - mn) * inv));
-        q = q < 0 ? 0 : (q > 127 ? 127 : q);
-      }
-      g.out[(p / 4) * 4 * kPanelCols + c * 4 + (p % 4)] =
-          static_cast<std::uint8_t>(q);
-    }
-  }
-}
-
-void convert_f32_bf16(const float* in, std::uint16_t* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = f32_to_bf16_rne(in[i]);
-}
-
-void convert_bf16_f32(const std::uint16_t* in, float* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = bf16_to_f32(in[i]);
-}
-
 void argmax_margin_panel(const ArgmaxMarginArgs& g) {
   for (std::size_t c = 0; c < g.cols; ++c) {
     // Strict > keeps the first maximum, matching argmax_rows_into.
@@ -464,11 +359,6 @@ constexpr KernelTable kTable = {
     sum_d,
     sum_sq_diff_d,
     eval_layer_f32,
-    eval_layer_bf16,
-    eval_layer_u8,
-    quantize_panel_u8,
-    convert_f32_bf16,
-    convert_bf16_f32,
     argmax_margin_panel,
 };
 

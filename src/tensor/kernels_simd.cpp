@@ -790,9 +790,6 @@ KernelTable make_table(bool avx512f) {
   (void)avx512f;
 #endif
   t.argmax_margin_panel = argmax_margin_panel;
-  // eval_layer_bf16 / eval_layer_u8 / quantize_panel_u8 / convert_*
-  // overrides live in kernels_bf16.cpp (intrinsics TU).
-  detail::install_reduced_precision_avx2(t);
   return t;
 }
 

@@ -13,6 +13,7 @@
 #include <deque>
 
 #include "data/synth.hpp"
+#include "util/contracts.hpp"
 
 namespace baffle {
 namespace {
@@ -119,13 +120,20 @@ TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
   // round against the same window; only the last one may be promoted.
   Validator incremental = make_validator(true);
   Validator fresh = make_validator(false);
+  const std::size_t lookback = 8;
 
-  std::vector<GlobalModel> history;
+  // The window holds at most ℓ+1 models, so each push drops the oldest.
+  std::deque<GlobalModel> window;
+  const auto push = [&](std::uint64_t version, const ParamVec& params) {
+    window.push_back({version, params});
+    while (window.size() > lookback + 1) window.pop_front();
+  };
   Rng rng(55);
-  for (std::uint64_t v = 0; v <= 8; ++v) {
-    history.push_back({v, params_});
+  for (std::uint64_t v = 0; v <= lookback; ++v) {
+    push(v, params_);
     params_ = next_params(rng);
   }
+  std::vector<GlobalModel> history(window.begin(), window.end());
   ParamVec last;
   for (int trial = 0; trial < 5; ++trial) {
     last = next_params(rng, 0.01f * static_cast<float>(trial + 1));
@@ -138,20 +146,38 @@ TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
   incremental.notify_commit(9, other);
   EXPECT_EQ(incremental.cache().promotions(), 0u);
 
-  history.push_back({9, other});
+  push(9, other);
+  history.assign(window.begin(), window.end());
   expect_same(incremental.validate(last, history),
               fresh.validate(last, history));
 
   // Committing exactly the last validated candidate does promote.
   incremental.notify_commit(10, last);
   EXPECT_EQ(incremental.cache().promotions(), 1u);
-  history.push_back({10, last});
+  push(10, last);
+  history.assign(window.begin(), window.end());
   const ParamVec candidate = next_params(rng);
   const auto misses_before = incremental.cache().misses();
   expect_same(incremental.validate(candidate, history),
               fresh.validate(candidate, history));
   // The promoted version was needed as history.back() and hit.
   EXPECT_EQ(incremental.cache().misses(), misses_before);
+}
+
+TEST_F(ParityFixture, OverlongWindowThrowsContractViolation) {
+  // validate() takes at most ℓ+1 models; a longer window is a caller
+  // bug, rejected in every build rather than scored on the wrong ℓ.
+  const std::size_t lookback = 8;
+  Validator v = make_validator(true, lookback);
+  std::vector<GlobalModel> history;
+  Rng rng(56);
+  for (std::uint64_t ver = 0; ver <= lookback + 1; ++ver) {
+    history.push_back({ver, params_});
+    params_ = next_params(rng);
+  }
+  EXPECT_THROW(v.validate(next_params(rng), history), ContractViolation);
+  history.erase(history.begin());
+  EXPECT_FALSE(v.validate(next_params(rng), history).abstained);
 }
 
 TEST_F(ParityFixture, ZScoreAblationsSingleDeltaStayFinite) {

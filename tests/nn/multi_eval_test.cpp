@@ -7,7 +7,6 @@
 
 #include "data/synth.hpp"
 #include "nn/mlp.hpp"
-#include "util/metrics.hpp"
 
 namespace baffle {
 namespace {
@@ -150,61 +149,6 @@ TEST(MultiModelEval, RebindReplacesDataset) {
   EXPECT_EQ(preds2, sequential_preds(arch, chain[0], x2));
 }
 
-// The reduced-precision arms must keep the argmaxes (and therefore
-// confusion matrices and votes) identical to fp32 on the bench-style
-// scenarios: any sample whose reduced-precision margin is below the
-// guard threshold is re-decided by the fp32 path, and the guard margins
-// are calibrated with >2x headroom over the worst observed flip.
-class MultiModelEvalReducedPrecision
-    : public ::testing::TestWithParam<EvalPrecision> {};
-
-TEST_P(MultiModelEvalReducedPrecision, ArgmaxStableOnSeededScenario) {
-  const MlpConfig arch{{32, 64, 10}, Activation::kRelu};
-  Rng rng(404);
-  const auto chain = model_chain(arch, rng, 8);
-  const Matrix x = features_matrix(60, 32, 404);
-
-  MultiModelEval engine(arch);
-  engine.bind(x);
-  MlpEvalWorkspace ws;
-  std::vector<std::size_t> fp32(x.rows()), reduced(x.rows());
-  for (const auto& params : chain) {
-    ws.precision = EvalPrecision::kFp32;
-    engine.predict_into(params, fp32, ws);
-    ws.precision = GetParam();
-    engine.predict_into(params, reduced, ws);
-    EXPECT_EQ(reduced, fp32);
-  }
-}
-
-TEST_P(MultiModelEvalReducedPrecision, ArgmaxStableMultiLayerTanh) {
-  const MlpConfig arch{{16, 24, 20, 8}, Activation::kTanh};
-  Rng rng(77);
-  const auto chain = model_chain(arch, rng, 4);
-  const Matrix x = features_matrix(40, 16, 78);
-
-  MultiModelEval engine(arch);
-  engine.bind(x);
-  MlpEvalWorkspace ws;
-  std::vector<std::size_t> fp32(x.rows()), reduced(x.rows());
-  for (const auto& params : chain) {
-    ws.precision = EvalPrecision::kFp32;
-    engine.predict_into(params, fp32, ws);
-    ws.precision = GetParam();
-    engine.predict_into(params, reduced, ws);
-    EXPECT_EQ(reduced, fp32);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Arms, MultiModelEvalReducedPrecision,
-                         ::testing::Values(EvalPrecision::kBf16,
-                                           EvalPrecision::kInt8),
-                         [](const auto& info) {
-                           return info.param == EvalPrecision::kBf16
-                                      ? "bf16"
-                                      : "int8";
-                         });
-
 // Thread-count invariance (DESIGN.md §17): the pool-parallel tile sweep
 // must produce BYTE-identical predictions and margins to the serial
 // tile loop — same tile function, disjoint output slices, no reordered
@@ -213,15 +157,13 @@ INSTANTIATE_TEST_SUITE_P(Arms, MultiModelEvalReducedPrecision,
 // BAFFLE_THREADS pinned to 1 and 4, so the identity is checked across
 // pool sizes, not just within one.
 struct ParallelRun {
-  std::vector<std::size_t> preds;    // model-major, models × samples
-  std::vector<float> margins;        // model-major, models × samples
-  std::uint64_t guard_samples = 0;   // flagged re-evals this run
+  std::vector<std::size_t> preds;  // model-major, models × samples
+  std::vector<float> margins;      // model-major, models × samples
 };
 
 ParallelRun run_engine(MultiModelEval& engine,
                        const std::vector<std::vector<float>>& chain,
-                       std::size_t samples, EvalPrecision prec,
-                       bool parallel) {
+                       std::size_t samples, bool parallel) {
   ParallelRun run;
   run.preds.assign(chain.size() * samples, 0);
   run.margins.assign(chain.size() * samples, 0.0f);
@@ -233,13 +175,8 @@ ParallelRun run_engine(MultiModelEval& engine,
          std::span<float>(run.margins).subspan(v * samples, samples)});
   }
   MlpEvalWorkspace ws;
-  ws.precision = prec;
   ws.parallel = parallel;
-  const std::uint64_t before =
-      MetricsRegistry::global().counter("multi_eval.guard_samples");
   engine.predict_many(models, ws);
-  run.guard_samples =
-      MetricsRegistry::global().counter("multi_eval.guard_samples") - before;
   return run;
 }
 
@@ -254,10 +191,8 @@ TEST(MultiModelEvalParallelParity, Fp32BytesEqualSerialAndSequential) {
   MultiModelEval engine(arch);
   engine.bind(x);
 
-  const ParallelRun serial =
-      run_engine(engine, chain, x.rows(), EvalPrecision::kFp32, false);
-  const ParallelRun parallel =
-      run_engine(engine, chain, x.rows(), EvalPrecision::kFp32, true);
+  const ParallelRun serial = run_engine(engine, chain, x.rows(), false);
+  const ParallelRun parallel = run_engine(engine, chain, x.rows(), true);
   EXPECT_EQ(parallel.preds, serial.preds);
   // Margins are floats: require bit equality, not approximate equality.
   ASSERT_EQ(parallel.margins.size(), serial.margins.size());
@@ -271,28 +206,6 @@ TEST(MultiModelEvalParallelParity, Fp32BytesEqualSerialAndSequential) {
                   serial.preds.begin() + static_cast<std::ptrdiff_t>(
                                              (v + 1) * x.rows())),
               sequential_preds(arch, chain[v], x));
-  }
-}
-
-TEST(MultiModelEvalParallelParity, ReducedArmsMatchSerialIncludingGuard) {
-  const MlpConfig arch{{32, 64, 10}, Activation::kRelu};
-  Rng rng(404);
-  const auto chain = model_chain(arch, rng, MultiModelEval::kModelChunk + 3);
-  const Matrix x = features_matrix(60, 32, 404);
-  MultiModelEval engine(arch);
-  engine.bind(x);
-
-  for (const EvalPrecision prec :
-       {EvalPrecision::kBf16, EvalPrecision::kInt8}) {
-    SCOPED_TRACE(prec == EvalPrecision::kBf16 ? "bf16" : "int8");
-    const ParallelRun serial =
-        run_engine(engine, chain, x.rows(), prec, false);
-    const ParallelRun parallel =
-        run_engine(engine, chain, x.rows(), prec, true);
-    // The flagged set is derived from bit-identical margins, so the
-    // guard must re-evaluate exactly the same samples either way.
-    EXPECT_EQ(parallel.preds, serial.preds);
-    EXPECT_EQ(parallel.guard_samples, serial.guard_samples);
   }
 }
 

@@ -410,12 +410,11 @@ TEST_F(SimdParity, SoftmaxXentRowsMatchesScalar) {
   expect_matrices_near(ref, got, 1e-6f);
 }
 
-// ---- batched-eval + reduced-precision kernels (DESIGN.md §14) ----
+// ---- batched-eval kernels (DESIGN.md §14) ----
 //
 // The fused eval kernels are compared table-entry against table-entry:
-// the scalar arm is ground truth; the fp32/bf16 vector tiles may differ
-// only by FMA contraction, everything else (integer accumulation,
-// quantization, conversions, argmax) must match bit-for-bit.
+// the scalar arm is ground truth; the fp32 vector tiles may differ only
+// by FMA contraction, and the argmax must match bit-for-bit.
 
 AlignedFloatVec random_panel(std::size_t k, Rng& rng) {
   AlignedFloatVec p(k * kernels::kPanelCols);
@@ -444,163 +443,6 @@ TEST_F(SimdParity, EvalLayerF32MatchesScalarWithinFma) {
         vec->eval_layer_f32(args);
         expect_spans_near(ref, got, 1e-4f);
         if (::testing::Test::HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
-TEST_F(SimdParity, ConvertBf16MatchesScalarBitForBit) {
-  const kernels::KernelTable* vec = kernels::vector_table();
-  ASSERT_NE(vec, nullptr);
-  Rng rng(32);
-  for (std::size_t n : kLens) {
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    std::vector<float> x = random_vec(n, rng);
-    if (n >= 6) {
-      x[0] = kNan;
-      x[1] = kInf;
-      x[2] = -kInf;
-      x[3] = -0.0f;
-      x[4] = std::numeric_limits<float>::denorm_min();
-      x[5] = 1.0f + std::numeric_limits<float>::epsilon();  // RNE tie
-    }
-    std::vector<std::uint16_t> ref16(n), got16(n);
-    kernels::scalar_table().convert_f32_bf16(x.data(), ref16.data(), n);
-    vec->convert_f32_bf16(x.data(), got16.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(got16[i], ref16[i]) << "f32->bf16 index " << i;
-    }
-    std::vector<float> ref32(n), got32(n);
-    kernels::scalar_table().convert_bf16_f32(ref16.data(), ref32.data(), n);
-    vec->convert_bf16_f32(ref16.data(), got32.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t rb, gb;
-      std::memcpy(&rb, &ref32[i], sizeof(rb));
-      std::memcpy(&gb, &got32[i], sizeof(gb));
-      ASSERT_EQ(gb, rb) << "bf16->f32 index " << i;
-    }
-  }
-}
-
-TEST_F(SimdParity, EvalLayerBf16MatchesScalarWithinFma) {
-  const kernels::KernelTable* vec = kernels::vector_table();
-  ASSERT_NE(vec, nullptr);
-  Rng rng(33);
-  for (std::size_t k : kDims) {
-    for (std::size_t n_out : kDims) {
-      SCOPED_TRACE(::testing::Message() << "k=" << k << " n_out=" << n_out);
-      const std::vector<float> w = random_vec(k * n_out, rng);
-      const std::vector<float> bias = random_vec(n_out, rng);
-      const AlignedFloatVec in = random_panel(k, rng);
-      std::vector<std::uint16_t> w16(w.size());
-      std::vector<std::uint16_t> in16(in.size());
-      kernels::scalar_table().convert_f32_bf16(w.data(), w16.data(),
-                                               w.size());
-      kernels::scalar_table().convert_f32_bf16(in.data(), in16.data(),
-                                               in.size());
-      AlignedFloatVec ref(n_out * kernels::kPanelCols);
-      AlignedFloatVec got(n_out * kernels::kPanelCols);
-      kernels::EvalLayerBf16Args args{w16.data(), 1, n_out, bias.data(),
-                                      in16.data(), ref.data(), k, n_out,
-                                      true};
-      kernels::scalar_table().eval_layer_bf16(args);
-      args.out = got.data();
-      vec->eval_layer_bf16(args);
-      expect_spans_near(ref, got, 1e-4f);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-TEST_F(SimdParity, QuantizePanelU8MatchesScalarExactly) {
-  const kernels::KernelTable* vec = kernels::vector_table();
-  ASSERT_NE(vec, nullptr);
-  Rng rng(34);
-  for (std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                        std::size_t{7}, std::size_t{8}, std::size_t{31}}) {
-    SCOPED_TRACE(::testing::Message() << "k=" << k);
-    AlignedFloatVec in = random_panel(k, rng);
-    // Constant column (span 0 -> scale 1) exercises the degenerate arm.
-    for (std::size_t p = 0; p < k; ++p) in[p * kernels::kPanelCols + 2] = 0.5f;
-    const std::size_t k_pad = (k + 3) & ~std::size_t{3};
-    std::vector<std::uint8_t> ref_q(k_pad * kernels::kPanelCols, 0xEE);
-    std::vector<std::uint8_t> got_q(k_pad * kernels::kPanelCols, 0xEE);
-    AlignedFloatVec ref_s(kernels::kPanelCols), got_s(kernels::kPanelCols);
-    AlignedFloatVec ref_o(kernels::kPanelCols), got_o(kernels::kPanelCols);
-    kernels::QuantizePanelU8Args args{in.data(), ref_q.data(), ref_s.data(),
-                                      ref_o.data(), k, k_pad};
-    kernels::scalar_table().quantize_panel_u8(args);
-    args.out = got_q.data();
-    args.scale = got_s.data();
-    args.offset = got_o.data();
-    vec->quantize_panel_u8(args);
-    for (std::size_t i = 0; i < ref_q.size(); ++i) {
-      ASSERT_EQ(got_q[i], ref_q[i]) << "u8 byte " << i;
-    }
-    for (std::size_t c = 0; c < kernels::kPanelCols; ++c) {
-      ASSERT_EQ(got_s[c], ref_s[c]) << "scale col " << c;
-      ASSERT_EQ(got_o[c], ref_o[c]) << "offset col " << c;
-    }
-  }
-}
-
-TEST_F(SimdParity, EvalLayerU8MatchesScalarExactly) {
-  // The integer accumulators are exact on both arms (and on both the
-  // maddubs and VNNI vector variants), and the dequantization epilogues
-  // execute the same rounding sequence, so the fp32 outputs must be
-  // bit-identical — no tolerance.
-  const kernels::KernelTable* vec = kernels::vector_table();
-  ASSERT_NE(vec, nullptr);
-  Rng rng(35);
-  for (std::size_t k : {std::size_t{1}, std::size_t{4}, std::size_t{9},
-                        std::size_t{32}, std::size_t{129}}) {
-    for (std::size_t n_out : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                              std::size_t{13}}) {
-      SCOPED_TRACE(::testing::Message() << "k=" << k << " n_out=" << n_out);
-      const std::size_t k_pad = (k + 3) & ~std::size_t{3};
-      const AlignedFloatVec in = random_panel(k, rng);
-      std::vector<std::uint8_t> in_q(k_pad * kernels::kPanelCols);
-      AlignedFloatVec in_s(kernels::kPanelCols), in_o(kernels::kPanelCols);
-      kernels::QuantizePanelU8Args q{in.data(), in_q.data(), in_s.data(),
-                                     in_o.data(), k, k_pad};
-      kernels::scalar_table().quantize_panel_u8(q);
-
-      // Per-output-row symmetric weight quantization (the engine's
-      // shared encoding).
-      const std::vector<float> w = random_vec(k * n_out, rng);
-      const std::vector<float> bias = random_vec(n_out, rng);
-      std::vector<std::int8_t> wq(n_out * k_pad, 0);
-      std::vector<float> ws(n_out);
-      std::vector<std::int32_t> wr(n_out, 0);
-      for (std::size_t i = 0; i < n_out; ++i) {
-        float amax = 0.0f;
-        for (std::size_t p = 0; p < k; ++p) {
-          amax = std::max(amax, std::abs(w[p * n_out + i]));
-        }
-        const float s = amax > 0.0f ? amax / 127.0f : 1.0f;
-        ws[i] = s;
-        for (std::size_t p = 0; p < k; ++p) {
-          const int qv = std::clamp<int>(
-              static_cast<int>(std::nearbyint(w[p * n_out + i] / s)), -127,
-              127);
-          wq[i * k_pad + p] = static_cast<std::int8_t>(qv);
-          wr[i] += qv;
-        }
-      }
-      AlignedFloatVec ref(n_out * kernels::kPanelCols);
-      AlignedFloatVec got(n_out * kernels::kPanelCols);
-      kernels::EvalLayerU8Args args{wq.data(),   ws.data(), wr.data(),
-                                    bias.data(), in_q.data(), in_s.data(),
-                                    in_o.data(), ref.data(), k_pad, n_out,
-                                    true};
-      kernels::scalar_table().eval_layer_u8(args);
-      args.out = got.data();
-      vec->eval_layer_u8(args);
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        std::uint32_t rb, gb;
-        std::memcpy(&rb, &ref[i], sizeof(rb));
-        std::memcpy(&gb, &got[i], sizeof(gb));
-        ASSERT_EQ(gb, rb) << "out index " << i;
       }
     }
   }

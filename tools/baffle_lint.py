@@ -149,29 +149,15 @@ class Linter:
         "sum_sq_diff_d": ["sum_sq_diff"],
     }
 
-    # The reduced-precision evaluation arm (DESIGN.md §14) lives in its
-    # own TU (kernels_bf16.cpp, spliced into the vector table at install
-    # time), so its vector implementations are checked there instead of
-    # in kernels_simd.cpp.
-    REDUCED_PRECISION_MEMBERS = {
-        "eval_layer_bf16",
-        "eval_layer_u8",
-        "quantize_panel_u8",
-        "convert_f32_bf16",
-        "convert_bf16_f32",
-    }
-
     def lint_dispatch_table(self) -> None:
         table_path = os.path.join(self.root, "src", "tensor", "kernels.hpp")
         scalar_path = os.path.join(self.root, "src", "tensor",
                                    "kernels_scalar.cpp")
         simd_path = os.path.join(self.root, "src", "tensor",
                                  "kernels_simd.cpp")
-        bf16_path = os.path.join(self.root, "src", "tensor",
-                                 "kernels_bf16.cpp")
         parity_path = os.path.join(self.root, "tests", "tensor",
                                    "simd_parity_test.cpp")
-        for p in (table_path, scalar_path, simd_path, bf16_path, parity_path):
+        for p in (table_path, scalar_path, simd_path, parity_path):
             if not os.path.exists(p):
                 self.fail("dispatch-table", p, None, "file missing")
                 return
@@ -191,19 +177,13 @@ class Linter:
 
         scalar = open(scalar_path, encoding="utf-8").read()
         simd = open(simd_path, encoding="utf-8").read()
-        bf16 = open(bf16_path, encoding="utf-8").read()
         parity = open(parity_path, encoding="utf-8").read()
         for name in members:
             if name not in scalar:
                 self.fail("dispatch-table", scalar_path, None,
                           f"table entry '{name}' has no scalar "
                           "implementation")
-            if name in self.REDUCED_PRECISION_MEMBERS:
-                if name not in bf16:
-                    self.fail("dispatch-table", bf16_path, None,
-                              f"table entry '{name}' has no "
-                              "reduced-precision implementation")
-            elif name not in simd:
+            if name not in simd:
                 self.fail("dispatch-table", simd_path, None,
                           f"table entry '{name}' has no SIMD "
                           "implementation")

@@ -13,10 +13,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "exp/experiment.hpp"
 #include "util/metrics.hpp"
 
@@ -24,70 +23,38 @@ namespace {
 
 using namespace baffle;
 
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  bool has(const std::string& key) const { return values.count(key) > 0; }
-
-  std::string str(const std::string& key, const std::string& fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  double num(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : std::strtod(it->second.c_str(),
-                                                       nullptr);
-  }
-  long integer(const std::string& key, long fallback) const {
-    const auto it = values.find(key);
-    return it == values.end()
-               ? fallback
-               : std::strtol(it->second.c_str(), nullptr, 10);
-  }
-  bool flag(const std::string& key, bool fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    return it->second != "0" && it->second != "false";
-  }
-};
-
-void print_help() {
-  std::puts(
-      "baffle_sim — defended federated-learning simulation\n"
-      "\n"
-      "scenario:\n"
-      "  --task=vision|femnist      dataset surrogate (default vision)\n"
-      "  --clients=N                population size (default: preset)\n"
-      "  --server-frac=F            server holdout share (default 0.10/0.01)\n"
-      "  --alpha=A                  Dirichlet non-IID parameter (0.9)\n"
-      "  --iid=0|1                  IID split instead of Dirichlet\n"
-      "  --secure-agg=0|1           pairwise-masked aggregation (1)\n"
-      "defense:\n"
-      "  --mode=C|S|C+S             validating entities (C+S)\n"
-      "  --q=N                      quorum threshold (5)\n"
-      "  --lookback=N               history window l (20)\n"
-      "  --defense-start=N          first enforced round (20)\n"
-      "  --no-defense=1             disable the feedback loop\n"
-      "  --separate-validators=0|1  independent validating set (0)\n"
-      "  --validator-dropout=F      non-response probability (0)\n"
-      "  --eval-precision=fp32|bf16|int8  validator evaluation arm\n"
-      "                             (fp32; reduced arms are guarded,\n"
-      "                             CM-identical — DESIGN.md \u00a714)\n"
-      "attack:\n"
-      "  --attack=replacement|dba|none   (replacement)\n"
-      "  --adaptive=0|1             defense-aware attacker (0)\n"
-      "  --colluders=N              DBA colluder count (4)\n"
-      "  --poison-rounds=a,b,c      injection rounds (30,35,40)\n"
-      "  --vote=honest|accept|reject  malicious validators' votes (accept)\n"
-      "run:\n"
-      "  --rounds=N                 total rounds (50)\n"
-      "  --transport=0|1            run rounds over the wire protocol\n"
-      "                             (src/net; prints exact byte counts)\n"
-      "  --seed=N                   RNG seed (1)\n"
-      "  --from-scratch=1           skip stable-model pre-training\n"
-      "  --quiet=1                  summary only\n"
-      "  --metrics=PATH             dump runtime metrics CSV on exit\n");
-}
+constexpr const char* kHelp =
+    "baffle_sim — defended federated-learning simulation\n"
+    "\n"
+    "scenario:\n"
+    "  --task=vision|femnist      dataset surrogate (default vision)\n"
+    "  --clients=N                population size (default: preset)\n"
+    "  --server-frac=F            server holdout share (default 0.10/0.01)\n"
+    "  --alpha=A                  Dirichlet non-IID parameter (0.9)\n"
+    "  --iid=0|1                  IID split instead of Dirichlet\n"
+    "  --secure-agg=0|1           pairwise-masked aggregation (1)\n"
+    "defense:\n"
+    "  --mode=C|S|C+S             validating entities (C+S)\n"
+    "  --q=N                      quorum threshold (5)\n"
+    "  --lookback=N               history window l (20)\n"
+    "  --defense-start=N          first enforced round (20)\n"
+    "  --no-defense=1             disable the feedback loop\n"
+    "  --separate-validators=0|1  independent validating set (0)\n"
+    "  --validator-dropout=F      non-response probability (0)\n"
+    "attack:\n"
+    "  --attack=replacement|dba|none   (replacement)\n"
+    "  --adaptive=0|1             defense-aware attacker (0)\n"
+    "  --colluders=N              DBA colluder count (4)\n"
+    "  --poison-rounds=a,b,c      injection rounds (30,35,40)\n"
+    "  --vote=honest|accept|reject  malicious validators' votes (accept)\n"
+    "run:\n"
+    "  --rounds=N                 total rounds (50)\n"
+    "  --transport=0|1            run rounds over the wire protocol\n"
+    "                             (src/net; prints exact byte counts)\n"
+    "  --seed=N                   RNG seed (1)\n"
+    "  --from-scratch=1           skip stable-model pre-training\n"
+    "  --quiet=1                  summary only\n"
+    "  --metrics=PATH             dump runtime metrics CSV on exit";
 
 std::vector<std::size_t> parse_rounds(const std::string& csv) {
   std::vector<std::size_t> out;
@@ -108,31 +75,10 @@ std::vector<std::size_t> parse_rounds(const std::string& csv) {
 
 }  // namespace
 
-// GCC 12 emits a spurious -Wrestrict from the inlined std::string copy of
-// the "1" literal below (GCC PR105329); suppress it for the parse loop.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-
 int main(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_help();
-      return 0;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unknown argument: %s (try --help)\n",
-                   arg.c_str());
-      return 2;
-    }
-    const std::string body = arg.substr(2);
-    const std::size_t eq = body.find('=');
-    if (eq == std::string::npos) {
-      flags.values.insert_or_assign(body, "1");
-    } else {
-      flags.values.insert_or_assign(body.substr(0, eq), body.substr(eq + 1));
-    }
+  cli::Flags flags;
+  if (const auto exit_code = cli::parse_flags(argc, argv, kHelp, flags)) {
+    return *exit_code;
   }
 
   ExperimentConfig cfg;
@@ -161,15 +107,6 @@ int main(int argc, char** argv) {
   cfg.defense_enabled = !flags.flag("no-defense", false);
   cfg.separate_validators = flags.flag("separate-validators", false);
   cfg.validator_dropout = flags.num("validator-dropout", 0.0);
-  const std::string prec = flags.str("eval-precision", "fp32");
-  if (prec == "bf16") {
-    cfg.feedback.validator.eval_precision = EvalPrecision::kBf16;
-  } else if (prec == "int8") {
-    cfg.feedback.validator.eval_precision = EvalPrecision::kInt8;
-  } else if (prec != "fp32") {
-    std::fprintf(stderr, "unknown --eval-precision: %s\n", prec.c_str());
-    return 2;
-  }
 
   const std::string attack = flags.str("attack", "replacement");
   cfg.schedule = AttackSchedule::stable_scenario();
@@ -296,14 +233,12 @@ int main(int argc, char** argv) {
   const std::uint64_t engine_runs = registry.timer_count("multi_eval.run");
   if (engine_runs > 0) {
     std::printf("eval engine: %llu batched passes over %llu tiles — "
-                "bind %.2f ms, run %.2f ms, %llu guard re-evals\n",
+                "bind %.2f ms, run %.2f ms\n",
                 static_cast<unsigned long long>(engine_runs),
                 static_cast<unsigned long long>(
                     registry.counter("multi_eval.tiles")),
                 registry.timer_mean_ms("multi_eval.bind"),
-                registry.timer_mean_ms("multi_eval.run"),
-                static_cast<unsigned long long>(
-                    registry.counter("multi_eval.guard_samples")));
+                registry.timer_mean_ms("multi_eval.run"));
   }
   if (flags.has("metrics")) {
     const std::string path = flags.str("metrics", "metrics.csv");
@@ -317,5 +252,3 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
-
-#pragma GCC diagnostic pop

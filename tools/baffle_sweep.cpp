@@ -15,10 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "exp/sweep.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -27,57 +27,29 @@ namespace {
 
 using namespace baffle;
 
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  bool has(const std::string& key) const { return values.count(key) > 0; }
-
-  std::string str(const std::string& key, const std::string& fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  double num(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : std::strtod(it->second.c_str(),
-                                                       nullptr);
-  }
-  long integer(const std::string& key, long fallback) const {
-    const auto it = values.find(key);
-    return it == values.end()
-               ? fallback
-               : std::strtol(it->second.c_str(), nullptr, 10);
-  }
-  bool flag(const std::string& key, bool fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    return it->second != "0" && it->second != "false";
-  }
-};
-
-void print_help() {
-  std::puts(
-      "baffle_sweep — scenario grid sweep on the task-graph executor\n"
-      "\n"
-      "axes (comma-separated value lists; each flag adds one axis):\n"
-      "  --lookback=a,b,...         history window l values\n"
-      "  --q=a,b,...                quorum threshold values\n"
-      "  --alpha=a,b,...            Dirichlet non-IID parameter values\n"
-      "  --dropout=a,b,...          validator non-response probabilities\n"
-      "  (no axis flags: default grid lookback=12,20 x q=3,5)\n"
-      "base config:\n"
-      "  --task=vision|femnist      dataset surrogate (vision)\n"
-      "  --clients=N                population size (preset)\n"
-      "  --rounds=N                 total rounds (50)\n"
-      "  --defense-start=N          first enforced round (20)\n"
-      "  --train-per-class=N        shrink the train split (speed knob)\n"
-      "  --poison-rounds=a,b,c      injection rounds (preset)\n"
-      "run:\n"
-      "  --reps=N                   repetitions per cell (5)\n"
-      "  --seed=N                   sweep base seed (1)\n"
-      "  --serial=1                 serial cell loop (parallel default)\n"
-      "  --out-dir=PATH             CSV output directory (.)\n"
-      "  --quiet=1                  suppress the per-cell table\n");
-}
+constexpr const char* kHelp =
+    "baffle_sweep — scenario grid sweep on the task-graph executor\n"
+    "\n"
+    "axes (comma-separated value lists; each flag adds one axis):\n"
+    "  --lookback=a,b,...         history window l values\n"
+    "  --q=a,b,...                quorum threshold values\n"
+    "  --alpha=a,b,...            Dirichlet non-IID parameter values\n"
+    "  --dropout=a,b,...          validator non-response probabilities\n"
+    "  (no axis flags: default grid lookback=12,20 x q=3,5)\n"
+    "base config:\n"
+    "  --task=vision|femnist      dataset surrogate (vision)\n"
+    "  --clients=N                population size (preset)\n"
+    "  --rounds=N                 total rounds (50)\n"
+    "  --defense-start=N          first enforced round (20)\n"
+    "  --train-per-class=N        shrink the train split (speed knob)\n"
+    "  --poison-rounds=a,b,c      injection rounds (preset)\n"
+    "run:\n"
+    "  --reps=N                   repetitions per cell (5)\n"
+    "  --seed=N                   sweep base seed (1)\n"
+    "  --serial=1                 serial cell loop (parallel default)\n"
+    "  --out-dir=PATH             CSV output directory (.)\n"
+    "  --quiet=1                  suppress the per-cell table\n"
+    "  --metrics=PATH             dump runtime metrics CSV on exit";
 
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -115,31 +87,10 @@ SweepAxis real_axis(const std::string& name, const std::string& csv,
 
 }  // namespace
 
-// GCC 12 emits a spurious -Wrestrict from the inlined std::string copy of
-// the "1" literal below (GCC PR105329); suppress it for the parse loop.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-
 int main(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_help();
-      return 0;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unknown argument: %s (try --help)\n",
-                   arg.c_str());
-      return 2;
-    }
-    const std::string body = arg.substr(2);
-    const std::size_t eq = body.find('=');
-    if (eq == std::string::npos) {
-      flags.values.insert_or_assign(body, "1");
-    } else {
-      flags.values.insert_or_assign(body.substr(0, eq), body.substr(eq + 1));
-    }
+  cli::Flags flags;
+  if (const auto exit_code = cli::parse_flags(argc, argv, kHelp, flags)) {
+    return *exit_code;
   }
 
   SweepSpec spec;
@@ -256,5 +207,3 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
-
-#pragma GCC diagnostic pop

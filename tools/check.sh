@@ -138,12 +138,11 @@ run_bench_smoke() {
 }
 
 run_multieval_smoke() {
-  # Exits nonzero when the batched engine's fp32 predictions are not
-  # byte-identical to sequential Mlp::predict_into, when a
-  # reduced-precision arm's confusion matrices diverge from fp32, or
-  # when the pool-parallel arms are not byte-identical to the serial
-  # tile loop. Smoke mode skips the ≥2x speed gates (timing on shared
-  # CI hosts is too noisy to assert).
+  # Exits nonzero when the batched engine's predictions are not
+  # byte-identical to sequential Mlp::predict_into, or when the
+  # pool-parallel arm is not byte-identical to the serial tile loop.
+  # Smoke mode skips the ≥2x speed gate (timing on shared CI hosts is
+  # too noisy to assert).
   cmake --build build-strict -j "$JOBS" --target multieval_bench &&
     (cd build-strict && ./bench/multieval_bench --smoke)
 }
@@ -160,7 +159,7 @@ run_bench_gate() {
 
 if [[ "$RUN_BENCH_SMOKE" -eq 1 ]]; then
   stage "defense bench smoke (incremental parity)" run_bench_smoke
-  stage "multieval bench smoke (batched/reduced-precision parity)" \
+  stage "multieval bench smoke (batched/parallel parity)" \
     run_multieval_smoke
   stage "bench gate (fresh JSON vs committed baselines)" run_bench_gate
 fi
