@@ -4,12 +4,13 @@
 //
 // Arms:
 //   sequential   per-model Mlp::predict_into (the pre-engine path);
-//   fp32         MultiModelEval::predict_many, serial tile loop — one
-//                shared packed input, fused layer GEMMs per model
-//                chunk (bit-identical predictions to sequential, by
-//                construction);
-//   fp32_par     the same engine with the tile sweep fanned out across
-//                the global thread pool.
+//   fp32         MultiModelEval::predict_many on a one-worker global
+//                pool (ScopedGlobalPool), which runs the tile loop
+//                inline — one shared packed input, fused layer GEMMs
+//                per model chunk (bit-identical predictions to
+//                sequential, by construction);
+//   fp32_par     the same engine on the process pool (BAFFLE_THREADS),
+//                the tile sweep fanned out across its workers.
 //
 // Parity is the gate: fp32 predictions must equal sequential ones
 // exactly, and the parallel arm's predictions must be BYTE-EQUAL to the
@@ -109,10 +110,6 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
   MlpEvalWorkspace seq_ws;
   MultiModelEval engine(s.arch);
   engine.bind(s.holdout.features());
-  MlpEvalWorkspace ser_ws;
-  ser_ws.parallel = false;
-  MlpEvalWorkspace par_ws;
-  par_ws.parallel = true;
   std::vector<MultiEvalModel> bfp(models), pfp(models);
   for (std::size_t v = 0; v < models; ++v) {
     bfp[v] = MultiEvalModel{s.chain[v], fp32[v]};
@@ -133,8 +130,8 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
     return d / static_cast<double>(iters);
   };
   const auto engine_arm = [&](std::vector<MultiEvalModel>& batch,
-                              MlpEvalWorkspace& ws, clock::time_point& t) {
-    for (std::size_t it = 0; it < iters; ++it) engine.predict_many(batch, ws);
+                              clock::time_point& t) {
+    for (std::size_t it = 0; it < iters; ++it) engine.predict_many(batch);
     return lap(t);
   };
   for (std::size_t rep = 0; rep < s.warmup + s.timed; ++rep) {
@@ -146,8 +143,16 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
       }
     }
     const double d_seq = lap(t);
-    const double d_fp32 = engine_arm(bfp, ser_ws, t);
-    const double d_fp32p = engine_arm(pfp, par_ws, t);
+    double d_fp32 = 0.0;
+    {
+      // The serial arm: a one-worker pool runs the tile loop inline.
+      // Built and torn down outside the timed laps.
+      const ScopedGlobalPool one_worker(1);
+      t = clock::now();
+      d_fp32 = engine_arm(bfp, t);
+    }
+    t = clock::now();
+    const double d_fp32p = engine_arm(pfp, t);
     if (rep >= s.warmup) {
       ms_seq.push_back(d_seq);
       ms_fp32.push_back(d_fp32);

@@ -3,9 +3,12 @@
 // bit-identity check that makes the speedup admissible: the parallel
 // round must reproduce the serial candidate parameters exactly.
 //
-// Prints both timings and writes BENCH_round.json to the working
-// directory. Thread count follows BAFFLE_THREADS (default: hardware
+// The serial arm runs on a one-worker global pool (ScopedGlobalPool),
+// where every parallel_for runs inline; the parallel arm runs on the
+// process pool, whose size follows BAFFLE_THREADS (default: hardware
 // concurrency); run with BAFFLE_THREADS=8 for the acceptance number.
+// Prints both timings and writes BENCH_round.json to the working
+// directory.
 
 #include <chrono>
 #include <cstdio>
@@ -32,7 +35,7 @@ struct Setup {
   MlpConfig arch;
   FlConfig fl;
 
-  explicit Setup(bool parallel) : task(make_task()) {
+  Setup() : task(make_task()) {
     Rng rng(42);
     for (std::size_t i = 0; i < 30; ++i) {
       Rng crng = rng.fork();
@@ -44,7 +47,6 @@ struct Setup {
     fl.clients_per_round = kClientsPerRound;
     fl.local_train.epochs = kLocalEpochs;
     fl.secure_aggregation = true;
-    fl.parallel_updates = parallel;
   }
 
   static SynthTask make_task() {
@@ -62,8 +64,8 @@ struct RunResult {
   std::vector<ParamVec> candidates;
 };
 
-RunResult run_rounds(bool parallel) {
-  Setup s(parallel);
+RunResult run_rounds() {
+  Setup s;
   FlServer server(s.arch, s.fl, 7);
   HonestUpdateProvider provider(&s.clients, s.fl.local_train);
   Rng round_rng(13);
@@ -92,8 +94,12 @@ int main() {
               "%zu threads (%zu hardware cores)\n",
               kClientsPerRound, kLocalEpochs, threads, cores);
 
-  const RunResult serial = run_rounds(false);
-  const RunResult parallel = run_rounds(true);
+  RunResult serial;
+  {
+    const ScopedGlobalPool one_worker(1);
+    serial = run_rounds();
+  }
+  const RunResult parallel = run_rounds();
 
   bool bit_identical = serial.candidates.size() == parallel.candidates.size();
   for (std::size_t r = 0; bit_identical && r < serial.candidates.size(); ++r) {

@@ -33,10 +33,6 @@ Validator::Validator(Dataset data, MlpConfig arch, ValidatorConfig config)
                "abstention threshold must require at least one variation");
   BAFFLE_CHECK(!data_.empty(), "validator needs a non-empty dataset");
   engine_.bind(data_.features());
-  // The serial workspace backs evaluate_params, which runs under mu_:
-  // it must never wait on the pool (see the lock-scope header comment).
-  eval_ws_.parallel = false;
-  batch_ws_.parallel = config_.parallel_eval;
 }
 
 // Move transfers the state wholesale without touching either lock:
@@ -51,9 +47,7 @@ Validator::Validator(Validator&& other) noexcept
       pending_(std::move(other.pending_)),
       prev_candidate_(std::move(other.prev_candidate_)),
       preds_scratch_(std::move(other.preds_scratch_)),
-      eval_ws_(std::move(other.eval_ws_)),
       engine_(std::move(other.engine_)),
-      batch_ws_(std::move(other.batch_ws_)),
       batch_preds_(std::move(other.batch_preds_)),
       batch_models_(std::move(other.batch_models_)),
       window_keys_(std::move(other.window_keys_)),
@@ -69,12 +63,10 @@ Validator& Validator::operator=(Validator&& other) noexcept
   data_ = std::move(other.data_);
   config_ = other.config_;
   engine_ = std::move(other.engine_);
-  eval_ws_ = std::move(other.eval_ws_);
   cache_ = std::move(other.cache_);
   pending_ = std::move(other.pending_);
   prev_candidate_ = std::move(other.prev_candidate_);
   preds_scratch_ = std::move(other.preds_scratch_);
-  batch_ws_ = std::move(other.batch_ws_);
   batch_preds_ = std::move(other.batch_preds_);
   batch_models_ = std::move(other.batch_models_);
   window_keys_ = std::move(other.window_keys_);
@@ -99,7 +91,7 @@ ConfusionMatrix Validator::confusion_from_preds(
 ConfusionMatrix Validator::evaluate_params(const ParamVec& params) {
   MetricsRegistry::global().add_counter("validator.model_materializations");
   preds_scratch_.resize(data_.size());
-  engine_.predict_into(params, preds_scratch_, eval_ws_);
+  engine_.predict_into(params, preds_scratch_);
   return confusion_from_preds(preds_scratch_);
 }
 
@@ -271,7 +263,7 @@ void Validator::run_plan(const ParamVec& candidate,
         {candidate, std::span<std::size_t>(batch_preds_)
                         .subspan(plan.missed.size() * n, n)});
   }
-  engine_.predict_many(batch_models_, batch_ws_);
+  engine_.predict_many(batch_models_);
   MetricsRegistry::global().add_counter("validator.model_materializations",
                                         evals);
   // "Batched" means the engine amortized packing across several history

@@ -89,11 +89,6 @@ struct ValidatorConfig {
   /// either way; `false` recomputes everything per round — the pre-PR
   /// baseline the benchmarks and parity tests compare against.
   bool incremental = true;
-  /// Fan the batched evaluation engine's tiles out across the global
-  /// thread pool (DESIGN.md §17). Predictions — hence votes, φ and τ —
-  /// are byte-identical either way; `false` pins the serial engine
-  /// (parity tests, single-core baselines).
-  bool parallel_eval = true;
 };
 
 struct ValidationOutcome {
@@ -202,10 +197,11 @@ class Validator {
   /// order identical to evaluate_confusion's).
   ConfusionMatrix confusion_from_preds(
       std::span<const std::size_t> preds) const;
-  /// One SERIAL fused-engine evaluation (counts a model
-  /// materialization). Under-lock fallback only — it must not wait on
-  /// the pool — and after plan/run deposits, only reachable through a
-  /// cache eviction race that the window size rules out in practice.
+  /// One fused-engine evaluation through MultiModelEval::predict_into,
+  /// which never touches the pool (counts a model materialization).
+  /// Under-lock fallback only — it must not wait on the pool — and
+  /// after plan/run deposits, only reachable through a cache eviction
+  /// race that the window size rules out in practice.
   ConfusionMatrix evaluate_params(const ParamVec& params)
       BAFFLE_REQUIRES(mu_);
   const ConfusionMatrix& evaluate_history(const HistoryRef& snapshot)
@@ -225,7 +221,6 @@ class Validator {
   std::optional<PendingCandidate> prev_candidate_
       BAFFLE_GUARDED_BY(mu_);  // repeat-candidate memo
   std::vector<std::size_t> preds_scratch_ BAFFLE_GUARDED_BY(mu_);
-  MlpEvalWorkspace eval_ws_ BAFFLE_GUARDED_BY(mu_);  // serial fallback
 
   // Engine-phase state, deliberately NOT guarded by mu_. The engine is
   // immutable after its setup-time bind() apart from an internally
@@ -235,7 +230,6 @@ class Validator {
   // each validator once per round; rounds are chained by the task
   // graph), a contract enforced at runtime by `validating_`.
   MultiModelEval engine_;
-  MlpEvalWorkspace batch_ws_;
   std::vector<std::size_t> batch_preds_;  // plan evals x samples
   std::vector<MultiEvalModel> batch_models_;
   std::atomic<bool> validating_{false};

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "attack/backdoor.hpp"
@@ -153,10 +154,22 @@ void ensure_members(std::vector<std::size_t>& ids,
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 std::uint64_t seed) {
   // Fail on impossible defender configs (q unreachable, degenerate
-  // window) before any training happens.
+  // window) and colluder counts before any training happens.
   if (config.defense_enabled) {
     validate_feedback_config(config.feedback,
                              config.scenario.clients_per_round);
+  }
+  // Every colluder must fit in one round's contributor set
+  // (ensure_members), which also keeps the colluder list inside the
+  // client population.
+  if (config.use_dba && (config.dba_colluders < 1 ||
+                         config.dba_colluders >
+                             config.scenario.clients_per_round)) {
+    throw std::invalid_argument(
+        "run_experiment: dba_colluders = " +
+        std::to_string(config.dba_colluders) +
+        " must be in [1, clients_per_round = " +
+        std::to_string(config.scenario.clients_per_round) + "]");
   }
   // Set-up timers: each lap() records the time since the previous one.
   auto lap_start = std::chrono::steady_clock::now();

@@ -109,7 +109,6 @@ Scenario build_scenario(const ScenarioConfig& config, Rng& rng) {
   s.fl.local_train.batch_size = 32;
   s.fl.local_train.sgd.learning_rate = 0.1f;  // paper: lr 0.1
   s.fl.secure_aggregation = config.secure_aggregation;
-  s.fl.parallel_updates = config.parallel_rounds;
   return s;
 }
 

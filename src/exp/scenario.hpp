@@ -30,9 +30,6 @@ struct ScenarioConfig {
   double dirichlet_alpha = 0.9;
   bool iid = false;  // IID ablation switch
   bool secure_aggregation = true;
-  /// Round-loop parallelism (FlConfig::parallel_updates). Off gives the
-  /// serial baseline; results are bit-identical either way.
-  bool parallel_rounds = true;
   /// Overlap each round's test-set accuracy tracking with the next
   /// round's client-update phase (run_experiment pipelining). Records
   /// are bit-identical to the serial path — the evaluation reads an

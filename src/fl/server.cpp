@@ -49,8 +49,9 @@ FlServer::Proposal FlServer::propose_round_with(
     throw std::invalid_argument("propose_round: no contributors");
   }
   // Pre-fork one Rng per contributor serially, in contributor order —
-  // the per-client streams are then identical to the serial loop's, so
-  // scheduling order cannot change the result (bit-for-bit).
+  // the per-client streams are then identical at every pool size
+  // (one worker runs the loop inline), so scheduling order cannot
+  // change the result (bit-for-bit).
   std::vector<Rng> client_rngs;
   client_rngs.reserve(contributors.size());
   for (std::size_t i = 0; i < contributors.size(); ++i) {
@@ -65,11 +66,7 @@ FlServer::Proposal FlServer::propose_round_with(
     updates[i] =
         provider.update_for(contributors[i], global_, client_rngs[i], ws);
   };
-  if (config_.parallel_updates && contributors.size() > 1) {
-    ThreadPool::global().parallel_for(contributors.size(), compute_one);
-  } else {
-    for (std::size_t i = 0; i < contributors.size(); ++i) compute_one(i);
-  }
+  ThreadPool::global().parallel_for(contributors.size(), compute_one);
   return aggregate_updates(std::move(updates), contributors);
 }
 
@@ -119,11 +116,7 @@ ParamVec FlServer::aggregate_secure(
   const auto mask_one = [&](std::size_t i) {
     masked[i] = secure.mask_update(updates[i], contributors[i], contributors);
   };
-  if (config_.parallel_updates && updates.size() > 1) {
-    ThreadPool::global().parallel_for(updates.size(), mask_one);
-  } else {
-    for (std::size_t i = 0; i < updates.size(); ++i) mask_one(i);
-  }
+  ThreadPool::global().parallel_for(updates.size(), mask_one);
   return secure.unmask_sum(masked, contributors, contributors,
                            global_.num_params());
 }

@@ -22,11 +22,6 @@ struct FlConfig {
   TrainConfig local_train;           // 2 epochs, lr 0.1 by default
   bool secure_aggregation = true;
   unsigned secure_agg_frac_bits = 24;
-  /// Run the round's client updates (and secure-agg masking) across the
-  /// global thread pool. Per-client Rngs are pre-forked serially, so the
-  /// result is bit-identical to the serial loop — the switch exists for
-  /// serial baselines (benchmarks) and debugging.
-  bool parallel_updates = true;
 };
 
 /// Validates an FlConfig (contributor counts, learning rate, secure-agg
@@ -62,6 +57,9 @@ class FlServer {
   /// Samples n contributors, collects their updates through `provider`,
   /// aggregates (through secure aggregation when enabled) and returns
   /// the candidate model parameters. Does not modify the global model.
+  /// The updates (and secure-agg masks) fan out on ThreadPool::global();
+  /// per-client Rngs are pre-forked in contributor order, so the result
+  /// is bit-identical at every pool size.
   Proposal propose_round(UpdateProvider& provider, Rng& round_rng);
 
   /// As propose_round but with caller-chosen contributors (tests,

@@ -105,17 +105,4 @@ DuplexChannel InProcTransport::connect() {
   return duplex;
 }
 
-SocketTransport::SocketTransport(std::string address)
-    : address_(std::move(address)) {
-  if (address_.empty()) {
-    throw std::invalid_argument("SocketTransport: empty address");
-  }
-}
-
-DuplexChannel SocketTransport::connect() {
-  throw std::runtime_error(
-      "SocketTransport: not available in this build (stub); use "
-      "InProcTransport");
-}
-
 }  // namespace baffle

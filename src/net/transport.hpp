@@ -3,11 +3,8 @@
 //
 // A Channel is one endpoint of a bidirectional, ordered, reliable frame
 // stream; a Transport mints connected channel pairs. The round server
-// and the simulated client actors only ever talk through this interface,
-// so the in-process queue transport used by the simulation and a real
-// socket transport are interchangeable (the latter ships as an explicit
-// stub in this build — constructing it works, connecting reports
-// "not available" instead of pretending).
+// and the simulated client actors only ever talk through this interface;
+// the in-process queue transport below is the one implementation.
 //
 // Channels count the raw frame bytes that crossed them in each
 // direction; the communication-accounting layer (fl/comm) reconciles its
@@ -66,22 +63,6 @@ class InProcTransport final : public Transport {
  public:
   DuplexChannel connect() override;
   const char* name() const override { return "inproc"; }
-};
-
-/// TCP transport placeholder keeping the interface honest: everything a
-/// deployment needs beyond frame exchange (framing over a byte stream,
-/// accept loop, reconnect) lands behind this type without touching the
-/// round server. connect() throws std::runtime_error("SocketTransport:
-/// …") until a build provides it.
-class SocketTransport final : public Transport {
- public:
-  explicit SocketTransport(std::string address);
-  DuplexChannel connect() override;
-  const char* name() const override { return "socket"; }
-  const std::string& address() const { return address_; }
-
- private:
-  std::string address_;
 };
 
 }  // namespace baffle

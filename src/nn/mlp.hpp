@@ -27,12 +27,6 @@ struct MlpEvalWorkspace {
   Matrix a;
   Matrix b;
   std::vector<std::size_t> predictions;  // scratch for whole-set evals
-  /// MultiModelEval only (ignored by Mlp::predict_into): fan the
-  /// engine's (model-chunk × panel-block) tiles out across the global
-  /// pool. Results are byte-identical either way (DESIGN.md §17);
-  /// `false` pins the serial loop — parity baselines, and call sites
-  /// that must not wait on the pool (e.g. under a held lock).
-  bool parallel = true;
 };
 
 /// Scratch buffers for the training path. One SGD step gathers a batch,

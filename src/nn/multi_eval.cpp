@@ -154,14 +154,17 @@ void MultiModelEval::run_tile(std::span<const MultiEvalModel> models,
 }
 
 void MultiModelEval::predict_into(std::span<const float> params,
-                                  std::span<std::size_t> out,
-                                  MlpEvalWorkspace& ws) {
+                                  std::span<std::size_t> out) {
   const MultiEvalModel model{params, out, {}};
-  predict_many({&model, 1}, ws);
+  run({&model, 1}, /*use_pool=*/false);
 }
 
-void MultiModelEval::predict_many(std::span<const MultiEvalModel> models,
-                                  MlpEvalWorkspace& ws) {
+void MultiModelEval::predict_many(std::span<const MultiEvalModel> models) {
+  run(models, /*use_pool=*/true);
+}
+
+void MultiModelEval::run(std::span<const MultiEvalModel> models,
+                         bool use_pool) {
   BAFFLE_CHECK(!xpack_.empty() || samples_ == 0,
                "MultiModelEval: bind() before predict");
   for (const MultiEvalModel& m : models) {
@@ -173,7 +176,6 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models,
   if (samples_ == 0 || models.empty()) return;
   const ScopedTimer run_timer("multi_eval.run");
 
-  const bool par = ws.parallel && ThreadPool::global().size() > 1;
   const std::size_t nmodels = models.size();
 
   CallLease call;
@@ -186,10 +188,10 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models,
   // The tile sweep. Every (model-chunk × panel-block) tile writes the
   // disjoint prediction/margin slice of its (model, sample) rectangle
   // with the serial loop's per-element arithmetic, so any schedule —
-  // including the inline loop — produces the same bytes. On the pool
-  // the caller participates and help-drains, so nesting inside
-  // pipelined rounds, task-graph nodes or sweep cells cannot deadlock a
-  // saturated pool.
+  // including the inline loop a one-worker pool runs — produces the
+  // same bytes. On the pool the caller participates and help-drains,
+  // so nesting inside pipelined rounds, task-graph nodes or sweep cells
+  // cannot deadlock a saturated pool.
   const std::size_t nchunks = (nmodels + kModelChunk - 1) / kModelChunk;
   const std::size_t nblocks = (panels_ + kPanelBlock - 1) / kPanelBlock;
   const std::size_t ntiles = nchunks * nblocks;
@@ -200,7 +202,9 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models,
     run_tile(models, m0, std::min(nmodels, m0 + kModelChunk), jb,
              std::min(panels_, jb + kPanelBlock), cs, *lease);
   };
-  if (par && ntiles > 1) {
+  // A one-worker pool would run parallel_for inline anyway; testing the
+  // size first keeps that path free of parallel_for's task bookkeeping.
+  if (use_pool && ntiles > 1 && ThreadPool::global().size() > 1) {
     ThreadPool::global().parallel_for(ntiles, tile_fn);
   } else {
     for (std::size_t tile = 0; tile < ntiles; ++tile) tile_fn(tile);

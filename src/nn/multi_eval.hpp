@@ -21,8 +21,8 @@
 // weights in place and writes a DISJOINT slice of predictions/margins
 // with the exact per-element arithmetic of the serial loop — no
 // reductions are reordered — so the output is byte-identical for any
-// thread count, including the serial fallback (MlpEvalWorkspace::
-// parallel = false). All mutable per-call state lives in per-(thread,
+// pool size, including one worker (the inline loop). predict_into never
+// touches the pool. All mutable per-call state lives in per-(thread,
 // nesting-depth) leased scratch; the engine itself is immutable after
 // bind().
 //
@@ -81,18 +81,18 @@ class MultiModelEval {
   std::size_t bound_samples() const { return samples_; }
 
   /// Evaluates one model against the bound features. `out.size()` must
-  /// equal bound_samples(). ws.parallel selects pool-tiled vs serial
-  /// execution (byte-identical results).
+  /// equal bound_samples(). Runs the tile loop inline on the calling
+  /// thread by construction — it never submits to or waits on the pool,
+  /// so it is safe under a held lock (the Validator's fallback).
   void predict_into(std::span<const float> params,
-                    std::span<std::size_t> out, MlpEvalWorkspace& ws);
+                    std::span<std::size_t> out);
 
   /// Evaluates a batch of models over (model-chunk × panel-block)
   /// tiles: each tile streams a block of packed X panels through a
   /// chunk of models, so the shared operand's memory traffic is paid
   /// once per block instead of once per model, and the tiles fan out
-  /// across the global pool when ws.parallel is set.
-  void predict_many(std::span<const MultiEvalModel> models,
-                    MlpEvalWorkspace& ws);
+  /// across ThreadPool::global() whenever it has more than one worker.
+  void predict_many(std::span<const MultiEvalModel> models);
 
   /// Models per tile: bounds the model count one tile streams over its
   /// panel block.
@@ -130,6 +130,10 @@ class MultiModelEval {
   /// leased scratch buffer it returns.
   const float* eval_panel(std::span<const LayerView> layers,
                           const float* xpanel, PanelScratch& ps) const;
+
+  /// Shared body of predict_into / predict_many: validates the spans
+  /// and sweeps every tile, across the global pool when `use_pool`.
+  void run(std::span<const MultiEvalModel> models, bool use_pool);
 
   /// One (model-chunk × panel-block) tile: models [m0, mend) over
   /// packed panels [jb, jend), writing the disjoint prediction/margin

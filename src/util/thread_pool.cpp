@@ -5,8 +5,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
+#include "util/contracts.hpp"
 #include "util/metrics.hpp"
 
 namespace baffle {
@@ -104,22 +106,60 @@ void ThreadPool::wait_progress(std::uint64_t seen) const {
   while (!stop_ && progress_ == seen) progress_cv_.wait(mutex_);
 }
 
+namespace {
+
+/// The innermost live ScopedGlobalPool's pool, or null. Atomic because
+/// global() is read on every thread while a scope installs or restores.
+std::atomic<ThreadPool*> g_installed{nullptr};
+
+constexpr std::size_t kMaxPoolThreads = 1024;
+
+}  // namespace
+
+std::size_t parse_thread_count(const std::string& text) {
+  const auto reject = [&text](const std::string& why) {
+    return std::invalid_argument("BAFFLE_THREADS=" + text + ": " + why);
+  };
+  if (text.empty() || text.find_first_not_of("0123456789") != text.npos) {
+    throw reject("not a whole decimal number");
+  }
+  std::size_t n = 0;
+  for (const char c : text) {
+    n = n * 10 + static_cast<std::size_t>(c - '0');
+    if (n > kMaxPoolThreads) break;  // stop before the value can overflow
+  }
+  if (n < 1 || n > kMaxPoolThreads) {
+    throw reject("worker count must be in [1, " +
+                 std::to_string(kMaxPoolThreads) + "]");
+  }
+  return n;
+}
+
 ThreadPool& ThreadPool::global() {
-  // BAFFLE_THREADS overrides hardware_concurrency for the shared pool —
-  // lets single-core CI hosts still exercise the concurrent code paths
-  // (e.g. under TSan) and lets benchmarks pin the worker count.
+  if (ThreadPool* installed = g_installed.load()) {
+    return *installed;
+  }
+  // BAFFLE_THREADS sizes the shared pool — lets single-core CI hosts
+  // still exercise the concurrent code paths (e.g. under TSan) and lets
+  // benchmarks pin the worker count. A rejected value throws here, and
+  // the next call retries the initialization.
   static ThreadPool pool([] {
-    std::size_t n = 0;
-    if (const char* env = std::getenv("BAFFLE_THREADS")) {
-      try {
-        n = static_cast<std::size_t>(std::stoul(env));
-      } catch (...) {
-        n = 0;
-      }
-    }
-    return n;
+    const char* env = std::getenv("BAFFLE_THREADS");
+    return env == nullptr ? std::size_t{0} : parse_thread_count(env);
   }());
   return pool;
+}
+
+ScopedGlobalPool::ScopedGlobalPool(std::size_t num_threads)
+    : pool_([num_threads] {
+        BAFFLE_CHECK(num_threads >= 1,
+                     "ScopedGlobalPool needs at least one worker");
+        return num_threads;
+      }()),
+      previous_(g_installed.exchange(&pool_)) {}
+
+ScopedGlobalPool::~ScopedGlobalPool() {
+  g_installed.store(previous_);
 }
 
 bool ThreadPool::try_run_one() {

@@ -5,12 +5,19 @@
 // round's local-training jobs (and experiment repetitions) run
 // concurrently. Determinism is preserved by handing each job a
 // pre-forked Rng rather than sharing one.
+//
+// The global pool's size is the only concurrency setting: a one-worker
+// pool runs every parallel_for inline, which is the serial baseline.
+// BAFFLE_THREADS sizes it per process; ScopedGlobalPool resizes it for
+// a scope, so parity tests and benches compare 1 vs N workers in one
+// process.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <queue>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -54,7 +61,10 @@ class ThreadPool {
   /// on another worker wakes them exactly once — no timed backoff.
   void wait_progress(std::uint64_t seen) const;
 
-  /// Process-wide shared pool (lazily constructed).
+  /// Process-wide shared pool: the innermost live ScopedGlobalPool's,
+  /// else a lazily constructed one sized by BAFFLE_THREADS (unset:
+  /// hardware concurrency). Throws std::invalid_argument when
+  /// BAFFLE_THREADS is set but not accepted by parse_thread_count.
   static ThreadPool& global();
 
  private:
@@ -71,6 +81,32 @@ class ThreadPool {
   // stamp they read before their readiness check (no lost wakeups).
   std::uint64_t progress_ BAFFLE_GUARDED_BY(mutex_) = 0;
   bool stop_ BAFFLE_GUARDED_BY(mutex_) = false;
+};
+
+/// Parses a BAFFLE_THREADS value: a whole decimal token in [1, 1024].
+/// Anything else (empty, signed, trailing characters, out of range)
+/// throws std::invalid_argument naming the variable and the value.
+std::size_t parse_thread_count(const std::string& text);
+
+/// Installs an owned pool of `num_threads` (≥ 1) workers as
+/// ThreadPool::global() for its lifetime and restores the previous
+/// global pool on destruction, so scopes nest. A seam for tests and
+/// benches: it sets the same value BAFFLE_THREADS sets, the pool size.
+///
+/// Precondition: no pool work is in flight when the override is
+/// created or destroyed — code that captured the previous pool (a
+/// TaskGraph, a pending parallel_for) must have finished.
+class ScopedGlobalPool {
+ public:
+  explicit ScopedGlobalPool(std::size_t num_threads);
+  ~ScopedGlobalPool();
+
+  ScopedGlobalPool(const ScopedGlobalPool&) = delete;
+  ScopedGlobalPool& operator=(const ScopedGlobalPool&) = delete;
+
+ private:
+  ThreadPool pool_;
+  ThreadPool* previous_;
 };
 
 }  // namespace baffle

@@ -17,6 +17,7 @@
 #include "data/synth.hpp"
 #include "metrics/confusion.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 namespace {
@@ -43,12 +44,14 @@ class BatchedValidate : public ::testing::Test {
     return out;
   }
 
-  Validator make_validator(std::size_t lookback, bool parallel_eval = true) {
+  Validator make_validator(std::size_t lookback) {
+    return make_validator(lookback, data_);
+  }
+  Validator make_validator(std::size_t lookback, const Dataset& data) {
     ValidatorConfig cfg;
     cfg.lookback = lookback;
     cfg.min_variations = 2;
-    cfg.parallel_eval = parallel_eval;
-    return Validator(data_, arch_, cfg);
+    return Validator(data, arch_, cfg);
   }
 
   static void expect_same(const ValidationOutcome& a,
@@ -183,34 +186,51 @@ TEST_F(BatchedValidate, RepeatCandidateShortCircuitsMaterialization) {
 }
 
 TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
-  // ValidatorConfig::parallel_eval only changes which threads execute
-  // the engine's tiles (DESIGN.md §17): votes, φ, τ, abstentions and
-  // every cached confusion matrix must be bit-identical with the flag
-  // on and off, on either kernel dispatch arm. The ctest entries
-  // validator_parallel_parity_t{1,4} re-run this test under pinned
-  // pool sizes, extending the identity across thread counts.
+  // The global pool's size only changes which threads execute the
+  // engine's tiles (DESIGN.md §17): votes, φ, τ, abstentions and every
+  // cached confusion matrix must be bit-identical on one worker (the
+  // inline tile loop) and on four, on either kernel dispatch arm. The
+  // validator holds both splits (450 samples, two panel blocks), so
+  // every engine pass has more than one tile to spread.
   const std::size_t ell = 10;
-  Validator par = make_validator(ell, /*parallel_eval=*/true);
-  Validator ser = make_validator(ell, /*parallel_eval=*/false);
-
+  Dataset data = task_.test;
+  data.merge(task_.train);
+  ASSERT_GT(data.size(), 256u);  // one panel block: 16 panels x 16 samples
+  const ParamVec start = params_;
   std::deque<GlobalModel> window;
-  std::uint64_t version = 0;
-  window.push_back({version, params_});
-  Rng rng(88);
+  // Drives `v` through the same committed-round sequence on a
+  // `workers`-thread pool; returns its outcomes and leaves the final
+  // history window in `window`.
+  const auto run_arm = [&](Validator& v, std::size_t workers) {
+    const ScopedGlobalPool pool(workers);
+    params_ = start;
+    window.assign(1, GlobalModel{0, params_});
+    std::uint64_t version = 0;
+    Rng rng(88);
+    std::vector<ValidationOutcome> outcomes;
+    for (std::size_t round = 0; round < ell + 5; ++round) {
+      const std::vector<GlobalModel> history(window.begin(), window.end());
+      const ParamVec candidate = next_params(rng);
+      outcomes.push_back(v.validate(candidate, history));
+      ++version;
+      window.push_back({version, candidate});
+      while (window.size() > ell + 1) window.pop_front();
+      v.notify_commit(version, candidate);
+      params_ = candidate;
+    }
+    return outcomes;
+  };
+  Validator ser = make_validator(ell, data);
+  Validator par = make_validator(ell, data);
+  const auto ref = run_arm(ser, 1);
+  const auto got = run_arm(par, 4);
+
+  ASSERT_EQ(ref.size(), got.size());
   std::size_t non_abstained = 0;
-  for (std::size_t round = 0; round < ell + 5; ++round) {
-    const std::vector<GlobalModel> history(window.begin(), window.end());
-    const ParamVec candidate = next_params(rng);
-    const auto ref = ser.validate(candidate, history);
-    const auto got = par.validate(candidate, history);
-    expect_same(ref, got);
-    if (!ref.abstained) ++non_abstained;
-    ++version;
-    window.push_back({version, candidate});
-    while (window.size() > ell + 1) window.pop_front();
-    ser.notify_commit(version, candidate);
-    par.notify_commit(version, candidate);
-    params_ = candidate;
+  for (std::size_t round = 0; round < ref.size(); ++round) {
+    SCOPED_TRACE(round);
+    expect_same(ref[round], got[round]);
+    if (!ref[round].abstained) ++non_abstained;
   }
   ASSERT_GT(non_abstained, 4u);
   for (const auto& entry : window) {

@@ -1,15 +1,18 @@
-// Experiment-level determinism under round parallelism.
+// Experiment-level determinism across pool sizes.
 //
 // The adaptive provider lives inside experiment.cpp, so its concurrency
 // safety (atomic submitted_/alpha_, single attacker task per round) is
-// exercised through run_experiment: a run with parallel rounds must be
-// bit-identical to the serial baseline. run_repeated additionally nests
-// whole runs inside the pool, so its results double as a smoke test for
-// nested fork-join scheduling.
+// exercised through run_experiment: a run on a 4-worker global pool
+// must be bit-identical to the same run on one worker, where every
+// fork-join runs inline. run_repeated additionally nests whole runs
+// inside the pool, so its results double as a smoke test for nested
+// fork-join scheduling. Both arms run in this process
+// (ScopedGlobalPool), whatever BAFFLE_THREADS says.
 
 #include <gtest/gtest.h>
 
 #include "exp/experiment.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 namespace {
@@ -29,8 +32,20 @@ ExperimentConfig small_config() {
   return cfg;
 }
 
+ExperimentResult run_on(std::size_t workers, const ExperimentConfig& cfg,
+                        std::uint64_t seed) {
+  const ScopedGlobalPool pool(workers);
+  return run_experiment(cfg, seed);
+}
+
+RepeatedResult repeated_on(std::size_t workers, const ExperimentConfig& cfg,
+                           std::size_t reps, std::uint64_t base_seed) {
+  const ScopedGlobalPool pool(workers);
+  return run_repeated(cfg, reps, base_seed);
+}
+
 /// Everything in a RoundRecord except the wall-clock timings, which are
-/// the only fields allowed to differ between serial and parallel runs.
+/// the only fields allowed to differ between pool sizes.
 void expect_rounds_identical(const std::vector<RoundRecord>& a,
                              const std::vector<RoundRecord>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -66,22 +81,14 @@ void expect_results_identical(const ExperimentResult& a,
 }
 
 TEST(ParallelExperiment, ReplacementRunMatchesSerialBitExact) {
-  ExperimentConfig cfg = small_config();
-  cfg.scenario.parallel_rounds = true;
-  const auto parallel = run_experiment(cfg, 21);
-  cfg.scenario.parallel_rounds = false;
-  const auto serial = run_experiment(cfg, 21);
-  expect_results_identical(parallel, serial);
+  const ExperimentConfig cfg = small_config();
+  expect_results_identical(run_on(4, cfg, 21), run_on(1, cfg, 21));
 }
 
 TEST(ParallelExperiment, AdaptiveRunMatchesSerialBitExact) {
   ExperimentConfig cfg = small_config();
   cfg.schedule.adaptive = true;
-  cfg.scenario.parallel_rounds = true;
-  const auto parallel = run_experiment(cfg, 23);
-  cfg.scenario.parallel_rounds = false;
-  const auto serial = run_experiment(cfg, 23);
-  expect_results_identical(parallel, serial);
+  expect_results_identical(run_on(4, cfg, 23), run_on(1, cfg, 23));
 }
 
 TEST(ParallelExperiment, ParallelEngineNestsInPipelinedRepeatedRuns) {
@@ -90,22 +97,19 @@ TEST(ParallelExperiment, ParallelEngineNestsInPipelinedRepeatedRuns) {
   // task-graph round, itself a repetition task of run_repeated — three
   // levels of fork-join on one pool, safe because validate() never
   // holds its lock across a pool wait and waiters help-drain. The
-  // engine's thread placement must not leak into results: runs with
-  // parallel_eval on and off are bit-identical.
+  // engine's thread placement must not leak into results: the 4-worker
+  // runs equal the 1-worker runs bit for bit.
   ExperimentConfig cfg = small_config();
   cfg.rounds = 14;
   cfg.track_accuracy = false;
-  cfg.scenario.parallel_rounds = true;
   cfg.scenario.pipeline_rounds = true;
-  cfg.feedback.validator.parallel_eval = true;
-  const auto nested = run_repeated(cfg, 2, 131);
-  cfg.feedback.validator.parallel_eval = false;
-  const auto serial_engine = run_repeated(cfg, 2, 131);
+  const auto nested = repeated_on(4, cfg, 2, 131);
+  const auto inline_runs = repeated_on(1, cfg, 2, 131);
   ASSERT_EQ(nested.runs.size(), 2u);
-  ASSERT_EQ(serial_engine.runs.size(), 2u);
+  ASSERT_EQ(inline_runs.runs.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     SCOPED_TRACE(i);
-    expect_results_identical(nested.runs[i], serial_engine.runs[i]);
+    expect_results_identical(nested.runs[i], inline_runs.runs[i]);
   }
 }
 
@@ -113,16 +117,16 @@ TEST(ParallelExperiment, RunRepeatedNestsInsidePool) {
   // Repetitions run as pool tasks; each repetition's rounds then issue
   // their own parallel_for. The help-drain pool makes that safe, and
   // pre-forked Rngs make each repetition's result independent of
-  // scheduling — so the nested runs must equal standalone ones.
+  // scheduling — so the nested 4-worker runs must equal standalone
+  // 1-worker ones.
   ExperimentConfig cfg = small_config();
   cfg.rounds = 14;
   cfg.track_accuracy = false;
-  const auto repeated = run_repeated(cfg, 3, 90);
+  const auto repeated = repeated_on(4, cfg, 3, 90);
   ASSERT_EQ(repeated.runs.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE(i);
-    const auto standalone = run_experiment(cfg, 90 + i);
-    expect_results_identical(repeated.runs[i], standalone);
+    expect_results_identical(repeated.runs[i], run_on(1, cfg, 90 + i));
   }
 }
 

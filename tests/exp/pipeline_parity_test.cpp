@@ -2,11 +2,13 @@
 // (ScenarioConfig::pipeline_rounds) evaluates an immutable snapshot of
 // the committed parameters on a pool task, so every RoundRecord must be
 // bit-identical to the serial path — timings are the only fields
-// allowed to differ.
+// allowed to differ. Both arms run on a 4-worker global pool
+// (ScopedGlobalPool), so the overlap is real on any host.
 
 #include <gtest/gtest.h>
 
 #include "exp/experiment.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 namespace {
@@ -59,6 +61,7 @@ void expect_results_identical(const ExperimentResult& a,
 }
 
 TEST(PipelineParity, PipelinedRunMatchesSerialBitExact) {
+  const ScopedGlobalPool pool(4);
   ExperimentConfig cfg = small_config();
   cfg.scenario.pipeline_rounds = true;
   const auto pipelined = run_experiment(cfg, 31);
@@ -70,6 +73,7 @@ TEST(PipelineParity, PipelinedRunMatchesSerialBitExact) {
 TEST(PipelineParity, PipelinedAdaptiveRunMatchesSerialBitExact) {
   // The adaptive attacker pulls the defense window mid-round; the
   // overlapped accuracy task must not perturb any of its decisions.
+  const ScopedGlobalPool pool(4);
   ExperimentConfig cfg = small_config();
   cfg.schedule.adaptive = true;
   cfg.scenario.pipeline_rounds = true;
@@ -83,6 +87,7 @@ TEST(PipelineParity, PipelinedRejectionRoundsKeepOldSnapshot) {
   // Force rejections (quorum 1 + strict margin) so rejected rounds'
   // records are produced from the *previous* committed snapshot, and
   // check those against the serial path too.
+  const ScopedGlobalPool pool(4);
   ExperimentConfig cfg = small_config();
   cfg.feedback.quorum = 1;
   cfg.feedback.validator.tau_margin = 0.5;
@@ -98,8 +103,11 @@ TEST(PipelineParity, PipelinedRejectionRoundsKeepOldSnapshot) {
 
 TEST(PipelineParity, RunRepeatedNestsPipelinedRunsInsidePool) {
   // Each repetition is itself a pool task that submits pipelined
-  // accuracy tasks; the help-drain join must not deadlock even on a
-  // single-worker pool, and results must equal standalone runs.
+  // accuracy tasks; the help-drain join must not deadlock a saturated
+  // pool, and results must equal standalone runs. (The single-worker
+  // case runs in ParallelExperiment.ParallelEngineNestsInPipelined-
+  // RepeatedRuns.)
+  const ScopedGlobalPool pool(4);
   ExperimentConfig cfg = small_config();
   cfg.rounds = 14;
   cfg.scenario.pipeline_rounds = true;
@@ -116,6 +124,7 @@ TEST(PipelineParity, TransportModePipelinedMatchesSerialBitExact) {
   // Transport mode routes proposals and votes through the wire-protocol
   // round driver; the graph-scheduled eval nodes must not perturb any
   // of its decisions or byte accounting.
+  const ScopedGlobalPool pool(4);
   ExperimentConfig cfg = small_config();
   cfg.rounds = 16;
   cfg.transport = true;

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "exp/sweep.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 namespace {
@@ -95,6 +96,8 @@ TEST(Sweep, EmptyAxisAndZeroRepsThrow) {
 }
 
 TEST(Sweep, ParallelDriverMatchesSerialBitExact) {
+  // Four workers, so the task-graph driver's cells really overlap.
+  const ScopedGlobalPool pool(4);
   const SweepSpec spec = tiny_spec();
   const SweepResult parallel = run_sweep(spec, /*parallel=*/true);
   const SweepResult serial = run_sweep(spec, /*parallel=*/false);

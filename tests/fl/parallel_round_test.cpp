@@ -1,10 +1,12 @@
-// Serial-vs-parallel parity of the round's client-update phase.
+// Pool-size parity of the round's client-update phase.
 //
-// FlConfig::parallel_updates must not change results: per-client Rngs
-// are pre-forked serially in contributor order, updates land in
-// pre-sized slots, and the aggregation order is unchanged — so the
-// parallel round is bit-identical to the serial loop, for honest and
-// attacking providers alike, with and without secure aggregation.
+// The global pool's size must not change results: per-client Rngs are
+// pre-forked serially in contributor order, updates land in pre-sized
+// slots, and the aggregation order is unchanged — so a round on four
+// workers is bit-identical to the inline loop a one-worker pool runs,
+// for honest and attacking providers alike, with and without secure
+// aggregation. Both arms run in this process (ScopedGlobalPool), so
+// the check sees real concurrency whatever BAFFLE_THREADS says.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "data/synth.hpp"
 #include "fl/server.hpp"
 #include "nn/train.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 namespace {
@@ -44,39 +47,46 @@ struct ParityFixture {
                      Activation::kRelu};
   }
 
-  FlConfig fl_config(bool parallel, bool secure = false) const {
+  FlConfig fl_config(bool secure = false) const {
     FlConfig cfg;
     cfg.total_clients = clients.size();
     cfg.clients_per_round = 4;
     cfg.secure_aggregation = secure;
-    cfg.parallel_updates = parallel;
     return cfg;
   }
 };
 
-/// Runs `rounds` committed rounds on two same-seeded servers — one
-/// serial, one parallel — with independently constructed but identically
-/// seeded providers, and requires bit-identical proposals throughout.
+/// Runs `rounds` committed rounds on a fresh same-seeded server and
+/// provider with a `workers`-thread global pool; returns each round's
+/// candidate parameters.
+template <typename ProviderFactory>
+std::vector<ParamVec> run_rounds(std::size_t workers, const ParityFixture& f,
+                                 ProviderFactory make, bool secure,
+                                 std::size_t rounds = 3) {
+  const ScopedGlobalPool pool(workers);
+  FlServer server(f.arch(), f.fl_config(secure), 55);
+  auto provider = make();
+  Rng rng(77);
+  const std::vector<std::size_t> contributors{0, 2, 5, 7};
+  std::vector<ParamVec> candidates;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const auto proposal =
+        server.propose_round_with(contributors, *provider, rng);
+    candidates.push_back(proposal.candidate_params);
+    server.commit(proposal);
+  }
+  return candidates;
+}
+
+/// The 4-worker rounds must reproduce the 1-worker rounds bit for bit.
 template <typename ProviderFactory>
 void expect_bit_exact_rounds(const ParityFixture& f, ProviderFactory make,
-                             bool secure, std::size_t rounds = 3) {
-  FlServer serial(f.arch(), f.fl_config(false, secure), 55);
-  FlServer parallel(f.arch(), f.fl_config(true, secure), 55);
-  ASSERT_EQ(serial.global_model().parameters(),
-            parallel.global_model().parameters());
-  auto p_serial = make();
-  auto p_parallel = make();
-  Rng rng_serial(77), rng_parallel(77);
-  const std::vector<std::size_t> contributors{0, 2, 5, 7};
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const auto prop_s =
-        serial.propose_round_with(contributors, *p_serial, rng_serial);
-    const auto prop_p =
-        parallel.propose_round_with(contributors, *p_parallel, rng_parallel);
-    ASSERT_EQ(prop_s.candidate_params, prop_p.candidate_params)
-        << "round " << r << " diverged";
-    serial.commit(prop_s);
-    parallel.commit(prop_p);
+                             bool secure) {
+  const auto reference = run_rounds(1, f, make, secure);
+  const auto parallel = run_rounds(4, f, make, secure);
+  ASSERT_EQ(reference.size(), parallel.size());
+  for (std::size_t r = 0; r < reference.size(); ++r) {
+    ASSERT_EQ(reference[r], parallel[r]) << "round " << r << " diverged";
   }
 }
 
@@ -150,18 +160,24 @@ TEST(ParallelRound, SampledContributorsMatchSerial) {
   // propose_round consumes round_rng for sampling before forking the
   // per-client streams, so sampled rounds must also agree bit-for-bit.
   ParityFixture f;
-  FlServer serial(f.arch(), f.fl_config(false), 56);
-  FlServer parallel(f.arch(), f.fl_config(true), 56);
-  HonestUpdateProvider p1(&f.clients, TrainConfig{});
-  HonestUpdateProvider p2(&f.clients, TrainConfig{});
-  Rng rng1(9), rng2(9);
-  for (int r = 0; r < 2; ++r) {
-    const auto prop_s = serial.propose_round(p1, rng1);
-    const auto prop_p = parallel.propose_round(p2, rng2);
-    ASSERT_EQ(prop_s.contributors, prop_p.contributors);
-    ASSERT_EQ(prop_s.candidate_params, prop_p.candidate_params);
-    serial.commit(prop_s);
-    parallel.commit(prop_p);
+  const auto run = [&f](std::size_t workers) {
+    const ScopedGlobalPool pool(workers);
+    FlServer server(f.arch(), f.fl_config(), 56);
+    HonestUpdateProvider provider(&f.clients, TrainConfig{});
+    Rng rng(9);
+    std::vector<FlServer::Proposal> proposals;
+    for (int r = 0; r < 2; ++r) {
+      proposals.push_back(server.propose_round(provider, rng));
+      server.commit(proposals.back());
+    }
+    return proposals;
+  };
+  const auto reference = run(1);
+  const auto parallel = run(4);
+  ASSERT_EQ(reference.size(), parallel.size());
+  for (std::size_t r = 0; r < reference.size(); ++r) {
+    ASSERT_EQ(reference[r].contributors, parallel[r].contributors);
+    ASSERT_EQ(reference[r].candidate_params, parallel[r].candidate_params);
   }
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "exp/experiment.hpp"
 
 namespace baffle {
@@ -56,6 +59,29 @@ TEST(TriggerBackdoor, DbaCannotBeAdaptive) {
   cfg.scenario.backdoor_override = BackdoorKind::kTrigger;
   cfg.schedule.adaptive = true;
   EXPECT_THROW(run_experiment(cfg, 14), std::invalid_argument);
+}
+
+TEST(TriggerBackdoor, DbaColluderCountMustFitOneRound) {
+  // Colluders are forced into one round's contributor set, so the count
+  // must lie in [1, clients_per_round]; anything else is rejected up
+  // front, naming the field, instead of reading past the client list.
+  ExperimentConfig cfg = base();
+  cfg.use_dba = true;
+  cfg.scenario.backdoor_override = BackdoorKind::kTrigger;
+  for (const std::size_t colluders :
+       {std::size_t{0}, cfg.scenario.clients_per_round + 1,
+        std::size_t{1000}}) {
+    SCOPED_TRACE(colluders);
+    cfg.dba_colluders = colluders;
+    try {
+      run_experiment(cfg, 15);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("dba_colluders"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SeparateValidators, DetectionStillWorks) {

@@ -7,6 +7,7 @@
 
 #include "data/synth.hpp"
 #include "nn/mlp.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 namespace {
@@ -58,10 +59,9 @@ TEST(MultiModelEval, Fp32BitParityWithSequentialPath) {
   engine.bind(x);
   ASSERT_EQ(engine.bound_samples(), x.rows());
 
-  MlpEvalWorkspace ws;
   std::vector<std::size_t> batched(x.rows());
   for (const auto& params : chain) {
-    engine.predict_into(params, batched, ws);
+    engine.predict_into(params, batched);
     EXPECT_EQ(batched, sequential_preds(arch, params, x));
   }
 }
@@ -74,10 +74,9 @@ TEST(MultiModelEval, Fp32ParityMultiLayerTanh) {
   MultiModelEval engine(arch);
   engine.bind(x);
 
-  MlpEvalWorkspace ws;
   std::vector<std::size_t> batched(x.rows());
   for (const auto& params : chain) {
-    engine.predict_into(params, batched, ws);
+    engine.predict_into(params, batched);
     EXPECT_EQ(batched, sequential_preds(arch, params, x));
   }
 }
@@ -92,10 +91,9 @@ TEST(MultiModelEval, SingleSampleAndSingleRowPanels) {
 
   MultiModelEval engine(arch);
   engine.bind(x);
-  MlpEvalWorkspace ws;
   std::vector<std::size_t> batched(1);
   for (const auto& params : chain) {
-    engine.predict_into(params, batched, ws);
+    engine.predict_into(params, batched);
     EXPECT_EQ(batched, sequential_preds(arch, params, x));
   }
 }
@@ -119,8 +117,7 @@ TEST(MultiModelEval, PredictManySpansModelChunks) {
   for (std::size_t v = 0; v < count; ++v) {
     models.push_back({chain[v], preds[v]});
   }
-  MlpEvalWorkspace ws;
-  engine.predict_many(models, ws);
+  engine.predict_many(models);
   for (std::size_t v = 0; v < count; ++v) {
     EXPECT_EQ(preds[v], sequential_preds(arch, chain[v], x));
   }
@@ -136,26 +133,23 @@ TEST(MultiModelEval, RebindReplacesDataset) {
   for (float& v : x2.flat()) v = static_cast<float>(data_rng.normal(0.0, 1.0));
 
   MultiModelEval engine(arch);
-  MlpEvalWorkspace ws;
   engine.bind(x1);
   std::vector<std::size_t> preds1(x1.rows());
-  engine.predict_into(chain[0], preds1, ws);
+  engine.predict_into(chain[0], preds1);
   EXPECT_EQ(preds1, sequential_preds(arch, chain[0], x1));
 
   engine.bind(x2);
   EXPECT_EQ(engine.bound_samples(), 17u);
   std::vector<std::size_t> preds2(x2.rows());
-  engine.predict_into(chain[0], preds2, ws);
+  engine.predict_into(chain[0], preds2);
   EXPECT_EQ(preds2, sequential_preds(arch, chain[0], x2));
 }
 
-// Thread-count invariance (DESIGN.md §17): the pool-parallel tile sweep
-// must produce BYTE-identical predictions and margins to the serial
-// tile loop — same tile function, disjoint output slices, no reordered
-// reductions — at whatever pool size this process runs with. The ctest
-// entries multi_eval_parallel_parity_t{1,4} re-run this suite with
-// BAFFLE_THREADS pinned to 1 and 4, so the identity is checked across
-// pool sizes, not just within one.
+// Pool-size invariance (DESIGN.md §17): the tile sweep on a 4-worker
+// global pool must produce BYTE-identical predictions and margins to
+// the inline tile loop a one-worker pool runs — same tile function,
+// disjoint output slices, no reordered reductions. Both arms run in
+// this process (ScopedGlobalPool), whatever BAFFLE_THREADS says.
 struct ParallelRun {
   std::vector<std::size_t> preds;  // model-major, models × samples
   std::vector<float> margins;      // model-major, models × samples
@@ -163,7 +157,7 @@ struct ParallelRun {
 
 ParallelRun run_engine(MultiModelEval& engine,
                        const std::vector<std::vector<float>>& chain,
-                       std::size_t samples, bool parallel) {
+                       std::size_t samples, std::size_t workers) {
   ParallelRun run;
   run.preds.assign(chain.size() * samples, 0);
   run.margins.assign(chain.size() * samples, 0.0f);
@@ -174,9 +168,8 @@ ParallelRun run_engine(MultiModelEval& engine,
          std::span<std::size_t>(run.preds).subspan(v * samples, samples),
          std::span<float>(run.margins).subspan(v * samples, samples)});
   }
-  MlpEvalWorkspace ws;
-  ws.parallel = parallel;
-  engine.predict_many(models, ws);
+  const ScopedGlobalPool pool(workers);
+  engine.predict_many(models);
   return run;
 }
 
@@ -191,8 +184,8 @@ TEST(MultiModelEvalParallelParity, Fp32BytesEqualSerialAndSequential) {
   MultiModelEval engine(arch);
   engine.bind(x);
 
-  const ParallelRun serial = run_engine(engine, chain, x.rows(), false);
-  const ParallelRun parallel = run_engine(engine, chain, x.rows(), true);
+  const ParallelRun serial = run_engine(engine, chain, x.rows(), 1);
+  const ParallelRun parallel = run_engine(engine, chain, x.rows(), 4);
   EXPECT_EQ(parallel.preds, serial.preds);
   // Margins are floats: require bit equality, not approximate equality.
   ASSERT_EQ(parallel.margins.size(), serial.margins.size());

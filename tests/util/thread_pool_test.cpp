@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace baffle {
 namespace {
@@ -115,6 +117,48 @@ TEST(ThreadPool, TryRunOneEmptyQueue) {
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
   EXPECT_GE(ThreadPool::global().size(), 1u);
+}
+
+TEST(ThreadPool, ScopedGlobalPoolInstallsNestsAndRestores) {
+  ThreadPool* const outer = &ThreadPool::global();
+  {
+    const ScopedGlobalPool four_workers(4);
+    ThreadPool* const four = &ThreadPool::global();
+    EXPECT_NE(four, outer);
+    EXPECT_EQ(four->size(), 4u);
+    {
+      const ScopedGlobalPool one_worker(1);
+      EXPECT_NE(&ThreadPool::global(), four);
+      EXPECT_EQ(ThreadPool::global().size(), 1u);
+      std::atomic<int> total{0};
+      ThreadPool::global().parallel_for(
+          9, [&](std::size_t) { total.fetch_add(1); });
+      EXPECT_EQ(total.load(), 9);
+    }
+    EXPECT_EQ(&ThreadPool::global(), four);
+  }
+  EXPECT_EQ(&ThreadPool::global(), outer);
+  EXPECT_THROW(ScopedGlobalPool(0), std::invalid_argument);
+  EXPECT_EQ(&ThreadPool::global(), outer);
+}
+
+TEST(ThreadPool, ParseThreadCountAcceptsOnlyWholeTokensInRange) {
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("1024"), 1024u);
+  for (const char* bad :
+       {"-1", "0", "abc", "4x", "1025", "", " 4", "+4", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    try {
+      parse_thread_count(bad);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("BAFFLE_THREADS=" +
+                                           std::string(bad)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 // Run with --help for the full flag list.
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "cli_flags.hpp"
@@ -56,22 +56,7 @@ constexpr const char* kHelp =
     "  --quiet=1                  summary only\n"
     "  --metrics=PATH             dump runtime metrics CSV on exit";
 
-std::vector<std::size_t> parse_rounds(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string token =
-        csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!token.empty()) {
-      out.push_back(static_cast<std::size_t>(
-          std::strtoul(token.c_str(), nullptr, 10)));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
+enum class Attack { kReplacement, kDba, kNone };
 
 }  // namespace
 
@@ -82,11 +67,13 @@ int main(int argc, char** argv) {
   }
 
   ExperimentConfig cfg;
-  const std::string task = flags.str("task", "vision");
-  const double default_sfrac = task == "femnist" ? 0.01 : 0.10;
+  const TaskKind task = flags.choice(
+      "task", TaskKind::kVision10,
+      {{"vision", TaskKind::kVision10}, {"femnist", TaskKind::kFemnist62}});
+  const double default_sfrac = task == TaskKind::kFemnist62 ? 0.01 : 0.10;
   const double sfrac = flags.num("server-frac", default_sfrac);
-  cfg.scenario = task == "femnist" ? femnist_scenario(sfrac)
-                                   : vision_scenario(sfrac);
+  cfg.scenario = task == TaskKind::kFemnist62 ? femnist_scenario(sfrac)
+                                              : vision_scenario(sfrac);
   if (flags.has("clients")) {
     cfg.scenario.num_clients =
         static_cast<std::size_t>(flags.integer("clients", 50));
@@ -95,10 +82,11 @@ int main(int argc, char** argv) {
   cfg.scenario.iid = flags.flag("iid", false);
   cfg.scenario.secure_aggregation = flags.flag("secure-agg", true);
 
-  const std::string mode = flags.str("mode", "C+S");
-  cfg.feedback.mode = mode == "C"   ? DefenseMode::kClientsOnly
-                      : mode == "S" ? DefenseMode::kServerOnly
-                                    : DefenseMode::kClientsAndServer;
+  cfg.feedback.mode =
+      flags.choice("mode", DefenseMode::kClientsAndServer,
+                   {{"C", DefenseMode::kClientsOnly},
+                    {"S", DefenseMode::kServerOnly},
+                    {"C+S", DefenseMode::kClientsAndServer}});
   cfg.feedback.quorum = static_cast<std::size_t>(flags.integer("q", 5));
   cfg.feedback.validator.lookback =
       static_cast<std::size_t>(flags.integer("lookback", 20));
@@ -108,24 +96,30 @@ int main(int argc, char** argv) {
   cfg.separate_validators = flags.flag("separate-validators", false);
   cfg.validator_dropout = flags.num("validator-dropout", 0.0);
 
-  const std::string attack = flags.str("attack", "replacement");
+  const Attack attack = flags.choice("attack", Attack::kReplacement,
+                                     {{"replacement", Attack::kReplacement},
+                                      {"dba", Attack::kDba},
+                                      {"none", Attack::kNone}});
   cfg.schedule = AttackSchedule::stable_scenario();
   if (flags.has("poison-rounds")) {
-    cfg.schedule.poison_rounds =
-        parse_rounds(flags.str("poison-rounds", ""));
+    cfg.schedule.poison_rounds.clear();
+    for (const long r : flags.integers("poison-rounds")) {
+      cfg.schedule.poison_rounds.push_back(static_cast<std::size_t>(r));
+    }
   }
-  if (attack == "none") cfg.schedule.poison_rounds.clear();
+  if (attack == Attack::kNone) cfg.schedule.poison_rounds.clear();
   cfg.schedule.adaptive = flags.flag("adaptive", false);
-  if (attack == "dba") {
+  if (attack == Attack::kDba) {
     cfg.use_dba = true;
     cfg.scenario.backdoor_override = BackdoorKind::kTrigger;
     cfg.dba_colluders =
         static_cast<std::size_t>(flags.integer("colluders", 4));
   }
-  const std::string vote = flags.str("vote", "accept");
-  cfg.malicious_vote = vote == "honest" ? VoteStrategy::kHonest
-                       : vote == "reject" ? VoteStrategy::kAlwaysReject
-                                          : VoteStrategy::kAlwaysAccept;
+  cfg.malicious_vote =
+      flags.choice("vote", VoteStrategy::kAlwaysAccept,
+                   {{"honest", VoteStrategy::kHonest},
+                    {"accept", VoteStrategy::kAlwaysAccept},
+                    {"reject", VoteStrategy::kAlwaysReject}});
 
   cfg.rounds = static_cast<std::size_t>(flags.integer("rounds", 50));
   cfg.stable_start = !flags.flag("from-scratch", false);
@@ -134,14 +128,23 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 1));
   const bool quiet = flags.flag("quiet", false);
 
+  // The names were validated by the choice() calls above.
   std::printf("baffle_sim: task=%s mode=%s q=%zu l=%zu rounds=%zu seed=%llu"
               " attack=%s%s\n\n",
-              task.c_str(), mode.c_str(), cfg.feedback.quorum,
+              flags.str("task", "vision").c_str(),
+              flags.str("mode", "C+S").c_str(), cfg.feedback.quorum,
               cfg.feedback.validator.lookback, cfg.rounds,
-              static_cast<unsigned long long>(seed), attack.c_str(),
+              static_cast<unsigned long long>(seed),
+              flags.str("attack", "replacement").c_str(),
               cfg.schedule.adaptive ? " (adaptive)" : "");
 
-  const ExperimentResult result = run_experiment(cfg, seed);
+  ExperimentResult result;
+  try {
+    result = run_experiment(cfg, seed);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "baffle_sim: %s\n", e.what());
+    return 1;
+  }
 
   if (!quiet) {
     std::printf("%-7s %-8s %-9s %-9s %-9s %s\n", "round", "poison",

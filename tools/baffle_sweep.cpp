@@ -3,8 +3,8 @@
 // Expands the cross-product of the requested axes, runs every cell for
 // --reps repetitions on the task-graph executor, and writes one CSV per
 // cell plus an aggregate sweep_results.csv. Per-cell results are
-// bit-identical across thread counts and between --serial=1 and the
-// default parallel driver (seeds are a pure function of cell index).
+// bit-identical across pool sizes (seeds are a pure function of cell
+// index); BAFFLE_THREADS=1 runs every cell on one worker.
 //
 //   baffle_sweep                                     # default tiny grid
 //   baffle_sweep --lookback=8,12,20 --q=3,5 --reps=5
@@ -13,7 +13,6 @@
 // Run with --help for the full flag list.
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -46,40 +45,26 @@ constexpr const char* kHelp =
     "run:\n"
     "  --reps=N                   repetitions per cell (5)\n"
     "  --seed=N                   sweep base seed (1)\n"
-    "  --serial=1                 serial cell loop (parallel default)\n"
     "  --out-dir=PATH             CSV output directory (.)\n"
     "  --quiet=1                  suppress the per-cell table\n"
     "  --metrics=PATH             dump runtime metrics CSV on exit";
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > pos) out.push_back(csv.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-SweepAxis size_axis(const std::string& name, const std::string& csv,
+SweepAxis size_axis(const cli::Flags& flags, const std::string& name,
+                    const std::string& fallback,
                     void (*set)(ExperimentConfig&, std::size_t)) {
   SweepAxis axis{name, {}};
-  for (const auto& token : split_csv(csv)) {
-    const auto v =
-        static_cast<std::size_t>(std::strtoul(token.c_str(), nullptr, 10));
+  for (const auto& token : flags.list(name, fallback)) {
+    const auto v = static_cast<std::size_t>(flags.to_integer(name, token));
     axis.values.push_back({token, [set, v](ExperimentConfig& c) { set(c, v); }});
   }
   return axis;
 }
 
-SweepAxis real_axis(const std::string& name, const std::string& csv,
+SweepAxis real_axis(const cli::Flags& flags, const std::string& name,
                     void (*set)(ExperimentConfig&, double)) {
   SweepAxis axis{name, {}};
-  for (const auto& token : split_csv(csv)) {
-    const double v = std::strtod(token.c_str(), nullptr);
+  for (const auto& token : flags.list(name)) {
+    const double v = flags.to_real(name, token);
     axis.values.push_back({token, [set, v](ExperimentConfig& c) { set(c, v); }});
   }
   return axis;
@@ -94,10 +79,11 @@ int main(int argc, char** argv) {
   }
 
   SweepSpec spec;
-  const std::string task = flags.str("task", "vision");
-  const double sfrac = task == "femnist" ? 0.01 : 0.10;
-  spec.base.scenario =
-      task == "femnist" ? femnist_scenario(sfrac) : vision_scenario(sfrac);
+  const TaskKind task = flags.choice(
+      "task", TaskKind::kVision10,
+      {{"vision", TaskKind::kVision10}, {"femnist", TaskKind::kFemnist62}});
+  spec.base.scenario = task == TaskKind::kFemnist62 ? femnist_scenario(0.01)
+                                                    : vision_scenario(0.10);
   if (flags.has("clients")) {
     spec.base.scenario.num_clients =
         static_cast<std::size_t>(flags.integer("clients", 50));
@@ -112,9 +98,8 @@ int main(int argc, char** argv) {
   spec.base.schedule = AttackSchedule::stable_scenario();
   if (flags.has("poison-rounds")) {
     spec.base.schedule.poison_rounds.clear();
-    for (const auto& token : split_csv(flags.str("poison-rounds", ""))) {
-      spec.base.schedule.poison_rounds.push_back(
-          static_cast<std::size_t>(std::strtoul(token.c_str(), nullptr, 10)));
+    for (const long r : flags.integers("poison-rounds")) {
+      spec.base.schedule.poison_rounds.push_back(static_cast<std::size_t>(r));
     }
   }
   spec.reps = static_cast<std::size_t>(flags.integer("reps", 5));
@@ -124,44 +109,43 @@ int main(int argc, char** argv) {
                             !flags.has("alpha") && !flags.has("dropout");
   if (flags.has("lookback") || default_grid) {
     spec.axes.push_back(size_axis(
-        "lookback", flags.str("lookback", "12,20"),
-        [](ExperimentConfig& c, std::size_t v) {
+        flags, "lookback", "12,20", [](ExperimentConfig& c, std::size_t v) {
           c.feedback.validator.lookback = v;
         }));
   }
   if (flags.has("q") || default_grid) {
     spec.axes.push_back(size_axis(
-        "q", flags.str("q", "3,5"),
+        flags, "q", "3,5",
         [](ExperimentConfig& c, std::size_t v) { c.feedback.quorum = v; }));
   }
   if (flags.has("alpha")) {
-    spec.axes.push_back(real_axis(
-        "alpha", flags.str("alpha", ""), [](ExperimentConfig& c, double v) {
+    spec.axes.push_back(
+        real_axis(flags, "alpha", [](ExperimentConfig& c, double v) {
           c.scenario.dirichlet_alpha = v;
         }));
   }
   if (flags.has("dropout")) {
     spec.axes.push_back(real_axis(
-        "dropout", flags.str("dropout", ""),
+        flags, "dropout",
         [](ExperimentConfig& c, double v) { c.validator_dropout = v; }));
   }
 
-  const bool serial = flags.flag("serial", false);
   const bool quiet = flags.flag("quiet", false);
   const std::string out_dir = flags.str("out-dir", ".");
 
   std::size_t grid = 1;
   for (const auto& axis : spec.axes) grid *= axis.values.size();
-  std::printf("baffle_sweep: task=%s grid=%zu cells x %zu reps, seed=%llu, "
-              "%s driver, %zu threads\n",
-              task.c_str(), grid, spec.reps,
-              static_cast<unsigned long long>(spec.base_seed),
-              serial ? "serial" : "task-graph",
-              ThreadPool::global().size());
 
   try {
+    // Inside the try: the first global() call builds the pool, and a
+    // rejected BAFFLE_THREADS throws there.
+    std::printf("baffle_sweep: task=%s grid=%zu cells x %zu reps, "
+                "seed=%llu, task-graph driver, %zu threads\n",
+                flags.str("task", "vision").c_str(), grid, spec.reps,
+                static_cast<unsigned long long>(spec.base_seed),
+                ThreadPool::global().size());
     std::filesystem::create_directories(out_dir);
-    const SweepResult result = run_sweep(spec, !serial);
+    const SweepResult result = run_sweep(spec);
 
     for (const auto& cell : result.cells) {
       if (!quiet) {

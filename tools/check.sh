@@ -140,7 +140,7 @@ run_bench_smoke() {
 run_multieval_smoke() {
   # Exits nonzero when the batched engine's predictions are not
   # byte-identical to sequential Mlp::predict_into, or when the
-  # pool-parallel arm is not byte-identical to the serial tile loop.
+  # pool-parallel arm is not byte-identical to the one-worker-pool arm.
   # Smoke mode skips the ≥2x speed gate (timing on shared CI hosts is
   # too noisy to assert).
   cmake --build build-strict -j "$JOBS" --target multieval_bench &&
@@ -167,8 +167,9 @@ fi
 run_sweep_smoke() {
   # Exits nonzero when the task-graph sweep driver's per-cell rows are
   # not bit-identical to the serial cell loop (speedup gates only on
-  # multi-core hosts), then asserts CSV byte-parity across thread
-  # counts via the out-of-process python check.
+  # multi-core hosts), then asserts CSV byte-parity between
+  # BAFFLE_THREADS=1 and 4 at the CLI surface (in-process, Sweep.*
+  # already compares pool sizes through ScopedGlobalPool).
   cmake --build build-strict -j "$JOBS" --target sweep_bench \
     baffle_sweep &&
     (cd build-strict && ./bench/sweep_bench --smoke) &&
@@ -209,7 +210,9 @@ fi
 run_tsan_suites() {
   # Force a multi-worker pool even on single-core hosts so the parallel
   # GEMM, round-training, secure-agg masking and defense.evaluate paths
-  # actually interleave under TSan.
+  # actually interleave under TSan (the parity suites install their own
+  # 1- and 4-worker pools with ScopedGlobalPool; every other test runs
+  # on this one).
   local bin
   for bin in test_tensor test_nn test_core test_util test_data test_fl \
       test_net test_exp; do

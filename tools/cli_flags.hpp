@@ -5,13 +5,24 @@
 // accepts are exactly the `--name` tokens of that text: the help list and
 // the parser cannot drift apart, and a misspelled flag exits 2 instead of
 // silently running with the default.
+//
+// Values parse as whole tokens: an integer, real, boolean (0|1|true|
+// false) or enum name with anything left over — `abc`, `4x`, an unknown
+// name — exits 2 with one line, `invalid --NAME=VALUE: reason`, instead
+// of running with a prefix or a default. Range and cross-field checks
+// belong to the library's config validation, not to this parser.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace baffle::cli {
 
@@ -25,20 +36,95 @@ struct Flags {
     return it == values.end() ? fallback : it->second;
   }
   double num(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : std::strtod(it->second.c_str(),
-                                                       nullptr);
+    return has(key) ? to_real(key, values.at(key)) : fallback;
   }
   long integer(const std::string& key, long fallback) const {
-    const auto it = values.find(key);
-    return it == values.end()
-               ? fallback
-               : std::strtol(it->second.c_str(), nullptr, 10);
+    return has(key) ? to_integer(key, values.at(key)) : fallback;
   }
   bool flag(const std::string& key, bool fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    return it->second != "0" && it->second != "false";
+    if (!has(key)) return fallback;
+    const std::string& token = values.at(key);
+    if (token == "1" || token == "true") return true;
+    if (token == "0" || token == "false") return false;
+    fail(key, "expected 0|1|true|false");
+  }
+
+  /// The value `names` maps flag `key` to (`fallback` when the flag is
+  /// absent); a name outside the list exits 2.
+  template <typename T>
+  T choice(const std::string& key, T fallback,
+           std::initializer_list<std::pair<const char*, T>> names) const {
+    if (!has(key)) return fallback;
+    const std::string& token = values.at(key);
+    std::string accepted;
+    for (const auto& [name, value] : names) {
+      if (token == name) return value;
+      accepted += (accepted.empty() ? "" : "|") + std::string(name);
+    }
+    fail(key, "expected " + accepted);
+  }
+
+  /// The comma-separated elements of flag `key` (of `fallback` when the
+  /// flag is absent; none when the value is empty); an empty element
+  /// exits 2.
+  std::vector<std::string> list(const std::string& key,
+                                const std::string& fallback = "") const {
+    std::vector<std::string> out;
+    const std::string csv = str(key, fallback);
+    if (csv.empty()) return out;
+    std::size_t pos = 0;
+    for (;;) {
+      const std::size_t comma = csv.find(',', pos);
+      const std::size_t end = comma == std::string::npos ? csv.size() : comma;
+      if (end == pos) fail(key, "empty list element");
+      out.push_back(csv.substr(pos, end - pos));
+      if (comma == std::string::npos) return out;
+      pos = comma + 1;
+    }
+  }
+  std::vector<long> integers(const std::string& key) const {
+    std::vector<long> out;
+    for (const std::string& token : list(key)) {
+      out.push_back(to_integer(key, token));
+    }
+    return out;
+  }
+
+  /// Parse one token of flag `key` (its whole value, or one element of
+  /// its list); a token with anything left over exits 2.
+  long to_integer(const std::string& key, const std::string& token) const {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(token.c_str(), &end, 10);
+    if (!starts_number(token) || *end != '\0') {
+      fail(key, "'" + token + "' is not an integer");
+    }
+    if (errno == ERANGE) fail(key, "'" + token + "' is out of range");
+    return v;
+  }
+  double to_real(const std::string& key, const std::string& token) const {
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (!starts_number(token) || *end != '\0' || !std::isfinite(v)) {
+      fail(key, "'" + token + "' is not a finite number");
+    }
+    return v;
+  }
+
+  /// Prints `invalid --KEY=VALUE: reason` and exits 2.
+  [[noreturn]] void fail(const std::string& key,
+                         const std::string& reason) const {
+    std::fprintf(stderr, "invalid --%s=%s: %s\n", key.c_str(),
+                 str(key, "").c_str(), reason.c_str());
+    std::exit(2);
+  }
+
+ private:
+  // strtol/strtod skip leading whitespace; a whole token may not.
+  static bool starts_number(const std::string& token) {
+    return !token.empty() &&
+           (token[0] == '-' || token[0] == '+' || token[0] == '.' ||
+            (token[0] >= '0' && token[0] <= '9'));
   }
 };
 
