@@ -393,10 +393,6 @@ int write_simd_bench_json() {
     axpy(0.25f, va, y);
   }));
   entries.push_back(
-      bench_inplace("scale_add", 3.0, vb, [&](std::vector<float>& y) {
-        scale_add(y, 0.9f, va, 1.0f);
-      }));
-  entries.push_back(
       bench_inplace("relu_forward", 1.0, va, [&](std::vector<float>& x) {
         relu_forward(x);
       }));

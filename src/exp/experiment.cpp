@@ -154,7 +154,8 @@ void ensure_members(std::vector<std::size_t>& ids,
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 std::uint64_t seed) {
   // Fail on impossible defender configs (q unreachable, degenerate
-  // window) and colluder counts before any training happens.
+  // window), colluder counts and dropout probabilities before any
+  // training happens.
   if (config.defense_enabled) {
     validate_feedback_config(config.feedback,
                              config.scenario.clients_per_round);
@@ -170,6 +171,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         std::to_string(config.dba_colluders) +
         " must be in [1, clients_per_round = " +
         std::to_string(config.scenario.clients_per_round) + "]");
+  }
+  // A probability: outside [0, 1] every validator would drop (FN 1.000),
+  // and NaN would silently mean no dropout.
+  if (!(config.validator_dropout >= 0.0 && config.validator_dropout <= 1.0)) {
+    throw std::invalid_argument("run_experiment: validator_dropout = " +
+                                std::to_string(config.validator_dropout) +
+                                " must be in [0, 1]");
   }
   // Set-up timers: each lap() records the time since the previous one.
   auto lap_start = std::chrono::steady_clock::now();

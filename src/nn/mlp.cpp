@@ -140,36 +140,6 @@ std::vector<float> Mlp::gradients() const {
   return flat;
 }
 
-void Mlp::parameters_into(std::span<float> out) const {
-  if (out.size() != num_params_) {
-    throw std::invalid_argument("Mlp::parameters_into: size mismatch");
-  }
-  std::size_t pos = 0;
-  for (const auto& layer : layers_) {
-    const auto w = layer.weights().flat();
-    std::copy(w.begin(), w.end(), out.begin() + static_cast<std::ptrdiff_t>(pos));
-    pos += w.size();
-    std::copy(layer.bias().begin(), layer.bias().end(),
-              out.begin() + static_cast<std::ptrdiff_t>(pos));
-    pos += layer.bias().size();
-  }
-}
-
-void Mlp::gradients_into(std::span<float> out) const {
-  if (out.size() != num_params_) {
-    throw std::invalid_argument("Mlp::gradients_into: size mismatch");
-  }
-  std::size_t pos = 0;
-  for (const auto& layer : layers_) {
-    const auto g = layer.weight_grad().flat();
-    std::copy(g.begin(), g.end(), out.begin() + static_cast<std::ptrdiff_t>(pos));
-    pos += g.size();
-    std::copy(layer.bias_grad().begin(), layer.bias_grad().end(),
-              out.begin() + static_cast<std::ptrdiff_t>(pos));
-    pos += layer.bias_grad().size();
-  }
-}
-
 void Mlp::parameter_delta_into(const Mlp& base, std::span<float> out) const {
   if (base.config_.layer_dims != config_.layer_dims) {
     throw std::invalid_argument("Mlp::parameter_delta_into: layer dims differ");

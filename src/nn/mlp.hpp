@@ -29,21 +29,18 @@ struct MlpEvalWorkspace {
   std::vector<std::size_t> predictions;  // scratch for whole-set evals
 };
 
-/// Scratch buffers for the training path. One SGD step gathers a batch,
-/// runs forward, loss, backward and the optimizer step entirely inside
-/// these buffers, so a workspace reused across steps (and across
-/// clients) makes the steady-state training loop allocation-free after
-/// warm-up — the per-round client-side cost BaFFLe argues must stay
-/// cheap.
+/// Scratch buffers for the training path. One SGD step gathers a batch
+/// and runs forward, loss and backward entirely inside these buffers
+/// (the optimizer then updates the layers in place), so a workspace
+/// reused across steps (and across clients) makes the steady-state
+/// training loop allocation-free after warm-up — the per-round
+/// client-side cost BaFFLe argues must stay cheap.
 struct TrainWorkspace {
   Matrix batch;                    // gathered minibatch (rows = samples)
   std::vector<int> batch_labels;
   std::vector<Matrix> acts;        // per-layer outputs; back() = logits
   Matrix dlogits;                  // loss gradient w.r.t. logits
   Matrix dx;                       // backward ping-pong buffer
-  std::vector<float> grad;         // flat gradient (optimizer scratch)
-  std::vector<float> delta;        // flat update (optimizer scratch)
-  std::vector<float> params;       // flat params (weight-decay scratch)
   std::vector<std::size_t> order;  // epoch shuffle order
 };
 
@@ -99,16 +96,12 @@ class Mlp {
   void set_parameters(std::span<const float> flat);
   std::vector<float> gradients() const;
 
-  /// Allocation-free variants: write the flat vector into a caller-owned
-  /// buffer (out.size() == num_params()).
-  void parameters_into(std::span<float> out) const;
-  void gradients_into(std::span<float> out) const;
   /// out = parameters() − base.parameters() in one pass (a client's
-  /// update L − G). `base` must have the same layer dims.
+  /// update L − G), written into a caller-owned buffer
+  /// (out.size() == num_params()). `base` must have the same layer dims.
   void parameter_delta_into(const Mlp& base, std::span<float> out) const;
 
-  /// parameters += delta (used by the server when applying aggregated
-  /// updates, and by SGD).
+  /// parameters += delta (applying an aggregated or crafted update).
   void add_to_parameters(std::span<const float> delta);
 
   std::vector<Dense>& layers() { return layers_; }

@@ -1,5 +1,6 @@
 #include "nn/sgd.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -17,36 +18,46 @@ Sgd::Sgd(std::size_t num_params, SgdConfig config)
   if (config.momentum > 0.0f) velocity_.assign(num_params, 0.0f);
 }
 
-void Sgd::step(Mlp& model) {
-  TrainWorkspace ws;
-  step(model, ws);
+float Sgd::clip_scale(const Mlp& model) const {
+  if (config_.grad_clip <= 0.0f) return 1.0f;
+  // One double accumulator over the layers' gradient buffers in flat
+  // parameter order, each entry decayed exactly as sgd_update decays it
+  // (this TU has no FMA codegen, so the product is rounded first). Not
+  // a dispatched reduction, so every arm clips by the same factor.
+  const float decay = config_.weight_decay;
+  double sq = 0.0;
+  const auto accumulate = [&](std::span<const float> w,
+                              std::span<const float> g) {
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      float gi = g[i];
+      if (decay > 0.0f) gi += decay * w[i];
+      sq += static_cast<double>(gi) * static_cast<double>(gi);
+    }
+  };
+  for (const Dense& layer : model.layers()) {
+    accumulate(layer.weights().flat(), layer.weight_grad().flat());
+    accumulate(layer.bias(), layer.bias_grad());
+  }
+  const auto norm = static_cast<float>(std::sqrt(sq));
+  return norm > config_.grad_clip ? config_.grad_clip / norm : 1.0f;
 }
 
-void Sgd::step(Mlp& model, TrainWorkspace& ws) {
+void Sgd::step(Mlp& model) {
   if (model.num_params() != num_params_) {
     throw std::invalid_argument("Sgd::step: model size mismatch");
   }
-  ws.grad.resize(num_params_);
-  model.gradients_into(ws.grad);
-  std::span<float> grad(ws.grad);
-  if (config_.weight_decay > 0.0f) {
-    ws.params.resize(num_params_);
-    model.parameters_into(ws.params);
-    axpy(config_.weight_decay, ws.params, grad);
+  const float grad_scale = clip_scale(model);
+  std::span<float> velocity(velocity_);
+  const auto update = [&](std::span<float> w, std::span<const float> g) {
+    sgd_update(w, g, velocity.empty() ? velocity : velocity.first(w.size()),
+               config_.learning_rate, config_.momentum,
+               config_.weight_decay, grad_scale);
+    if (!velocity.empty()) velocity = velocity.subspan(w.size());
+  };
+  for (Dense& layer : model.layers()) {
+    update(layer.weights().flat(), layer.weight_grad().flat());
+    update(layer.bias(), layer.bias_grad());
   }
-  if (config_.grad_clip > 0.0f) {
-    const float norm = l2_norm(grad);
-    if (norm > config_.grad_clip) scale(grad, config_.grad_clip / norm);
-  }
-  ws.delta.resize(grad.size());
-  if (config_.momentum > 0.0f) {
-    // v = momentum * v + g, then delta = -lr * v.
-    scale_add(velocity_, config_.momentum, grad, 1.0f);
-    scale_into(ws.delta, -config_.learning_rate, velocity_);
-  } else {
-    scale_into(ws.delta, -config_.learning_rate, grad);
-  }
-  model.add_to_parameters(ws.delta);
 }
 
 }  // namespace baffle

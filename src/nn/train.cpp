@@ -48,7 +48,7 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
       const double loss =
           softmax_cross_entropy_into(logits, ws.batch_labels, ws.dlogits);
       model.backward_train(ws.batch, ws);
-      optimizer.step(model, ws);
+      optimizer.step(model);
       epoch_loss += loss;
       ++epoch_batches;
       ++stats.steps;

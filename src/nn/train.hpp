@@ -28,10 +28,10 @@ struct TrainStats {
 TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
                      const TrainConfig& config, Rng& rng);
 
-/// As above but with caller-owned scratch: batch gather, activations,
-/// loss gradient and optimizer buffers all live in `ws`, so the per-step
-/// loop performs zero heap allocations once the workspace is warm.
-/// Bit-identical to the allocating overload.
+/// As above but with caller-owned scratch: batch gather, activations
+/// and loss gradient all live in `ws` and the optimizer updates the
+/// layers in place, so the per-step loop performs zero heap allocations
+/// once the workspace is warm. Bit-identical to the allocating overload.
 TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
                      const TrainConfig& config, Rng& rng, TrainWorkspace& ws);
 

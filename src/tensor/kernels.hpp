@@ -112,6 +112,11 @@ struct KernelTable {
   /// True when gemm_panel_rows reads a row-major B in place (gemm_ab,
   /// gemm_atb); false when it reads packed panels only.
   bool gemm_reads_b_in_place;
+  /// True when exp_f32 and softmax_xent_rows run the AVX-512 copy of
+  /// libm's expf. Set only after a dispatch-time probe found the copy
+  /// bit-identical to the std::exp the process runs; otherwise every
+  /// exp is a std::exp call.
+  bool libm_exp_copy;
 
   void (*gemm_ab_rows)(const GemmRowArgs&, std::size_t r0, std::size_t r1);
   void (*gemm_atb_rows)(const GemmRowArgs&, std::size_t r0, std::size_t r1);
@@ -129,11 +134,6 @@ struct KernelTable {
   float (*cosine_similarity)(const float*, const float*, std::size_t);
   void (*axpy)(float alpha, const float*, float*, std::size_t);
   void (*scale)(float*, float alpha, std::size_t);
-  // y = beta * y + alpha * x
-  void (*scale_add)(float* y, float beta, const float* x, float alpha,
-                    std::size_t);
-  // out = alpha * x
-  void (*scale_into)(float* out, float alpha, const float* x, std::size_t);
   void (*abs_into)(float* out, const float* x, std::size_t);
   float (*max_value)(const float*, std::size_t);  // n > 0
   void (*relu_forward)(float*, std::size_t);
@@ -150,7 +150,29 @@ struct KernelTable {
   // panel argmax.
   void (*eval_layer_f32)(const EvalLayerArgs&);
   void (*argmax_margin_panel)(const ArgmaxMarginArgs&);
+
+  // SGD step (DESIGN.md §10). out[i] = std::exp(x[i]), bit for bit.
+  void (*exp_f32)(float* out, const float* x, std::size_t n);
+  // Fused row softmax + mean cross-entropy + gradient over a row-major
+  // rows x cols block: x holds the logits on entry and dL/dlogits for
+  // the mean loss on exit; returns that loss. labels[r] is in [0, cols).
+  double (*softmax_xent_rows)(float* x, const int* labels, std::size_t rows,
+                              std::size_t cols);
+  // out[c] = sum of column c of the row-major rows x cols block m, folded
+  // over the rows in order from +0. out must not overlap m.
+  void (*col_sum)(const float* m, std::size_t rows, std::size_t cols,
+                  float* out);
 };
+
+/// softmax_xent_rows as one loop over the rows, with the row max taken
+/// by `max_value`: the scalar arm's entry, and the vector arm's with its
+/// own max_value (the zmm entry falls back to it for a batch holding a
+/// NaN). Per row: max, then exp and sum in column order, divide by the
+/// sum, the row's loss term, divide by the batch, subtract 1/batch at
+/// the label.
+double softmax_xent_row_loop(float* x, const int* labels, std::size_t rows,
+                             std::size_t cols,
+                             float (*max_value)(const float*, std::size_t));
 
 /// Always available; arithmetic identical to the pre-SIMD code.
 const KernelTable& scalar_table();

@@ -230,15 +230,6 @@ void scale(float* x, float alpha, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
 }
 
-void scale_add(float* y, float beta, const float* x, float alpha,
-               std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = beta * y[i] + alpha * x[i];
-}
-
-void scale_into(float* out, float alpha, const float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = alpha * x[i];
-}
-
 void abs_into(float* out, const float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::fabs(x[i]);
 }
@@ -312,6 +303,29 @@ void eval_layer_f32(const EvalLayerArgs& g) {
   }
 }
 
+// ---- SGD step (DESIGN.md §10) ----
+
+void exp_f32(float* out, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(x[i]);
+}
+
+double softmax_xent_rows(float* x, const int* labels, std::size_t rows,
+                         std::size_t cols) {
+  return softmax_xent_row_loop(x, labels, rows, cols, max_value);
+}
+
+// Every arm runs this loop. __restrict lets the compiler keep `out` in
+// registers across rows; without it the loop is slower than the
+// per-row vector axpy it replaced.
+void col_sum(const float* __restrict m, std::size_t rows, std::size_t cols,
+             float* __restrict out) {
+  std::fill_n(out, cols, 0.0f);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = m + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) out[c] += row[c];
+  }
+}
+
 void argmax_margin_panel(const ArgmaxMarginArgs& g) {
   for (std::size_t c = 0; c < g.cols; ++c) {
     // Strict > keeps the first maximum, matching argmax_rows_into.
@@ -338,6 +352,7 @@ constexpr KernelTable kTable = {
     /*gemm_width=*/"scalar",
     /*prefer_packed=*/false,
     /*gemm_reads_b_in_place=*/false,
+    /*libm_exp_copy=*/false,
     gemm_ab_rows,
     gemm_atb_rows,
     gemm_abt_rows,
@@ -348,8 +363,6 @@ constexpr KernelTable kTable = {
     cosine_similarity,
     axpy,
     scale,
-    scale_add,
-    scale_into,
     abs_into,
     max_value,
     relu_forward,
@@ -360,10 +373,34 @@ constexpr KernelTable kTable = {
     sum_sq_diff_d,
     eval_layer_f32,
     argmax_margin_panel,
+    exp_f32,
+    softmax_xent_rows,
+    col_sum,
 };
 
 }  // namespace
 
 const KernelTable& scalar_table() { return kTable; }
+
+double softmax_xent_row_loop(float* x, const int* labels, std::size_t rows,
+                             std::size_t cols,
+                             float (*max_value)(const float*, std::size_t)) {
+  const auto batch = static_cast<float>(rows);
+  double loss = 0.0;
+  for (std::size_t r = 0; r < rows; ++r, x += cols) {
+    const float mx = max_value(x, cols);
+    float total = 0.0f;
+    for (std::size_t c = 0; c < cols; ++c) {
+      x[c] = std::exp(x[c] - mx);
+      total += x[c];
+    }
+    for (std::size_t c = 0; c < cols; ++c) x[c] /= total;
+    const auto y = static_cast<std::size_t>(labels[r]);
+    loss -= std::log(std::max(x[y], 1e-12f));
+    for (std::size_t c = 0; c < cols; ++c) x[c] /= batch;
+    x[y] -= 1.0f / batch;
+  }
+  return loss / batch;
+}
 
 }  // namespace baffle::kernels

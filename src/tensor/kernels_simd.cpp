@@ -9,9 +9,9 @@
 // Numeric contract: the dot/norm/distance family keeps the scalar
 // arm's double-precision accumulation (via 4-wide double lanes), so the
 // two arms differ only by reassociation and FMA rounding — within the
-// parity-test tolerance — while relu/abs/max, the u64 adds and the
-// mask keystream are bit-exact. The ymm and zmm GEMM and eval-layer
-// tiles are bit-identical to each other.
+// parity-test tolerance — while relu/abs/max, the u64 adds, the mask
+// keystream and the SGD step's softmax are bit-exact. The ymm and zmm
+// GEMM and eval-layer tiles are bit-identical to each other.
 
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #if defined(BAFFLE_HAVE_AVX512F_TARGET)
@@ -326,26 +327,6 @@ void scale(float* x, float alpha, std::size_t n) {
     storeu8(x + i, loadu8(x + i) * av);
   }
   for (; i < n; ++i) x[i] *= alpha;
-}
-
-void scale_add(float* y, float beta, const float* x, float alpha,
-               std::size_t n) {
-  const f32x8 bv = splat8(beta);
-  const f32x8 av = splat8(alpha);
-  std::size_t i = 0;
-  for (; i + kFloatLanes <= n; i += kFloatLanes) {
-    storeu8(y + i, bv * loadu8(y + i) + av * loadu8(x + i));
-  }
-  for (; i < n; ++i) y[i] = beta * y[i] + alpha * x[i];
-}
-
-void scale_into(float* out, float alpha, const float* x, std::size_t n) {
-  const f32x8 av = splat8(alpha);
-  std::size_t i = 0;
-  for (; i + kFloatLanes <= n; i += kFloatLanes) {
-    storeu8(out + i, av * loadu8(x + i));
-  }
-  for (; i < n; ++i) out[i] = alpha * x[i];
 }
 
 void abs_into(float* out, const float* x, std::size_t n) {
@@ -749,8 +730,243 @@ void argmax_margin_panel(const ArgmaxMarginArgs& g) {
   }
 }
 
+// ---- SGD step (DESIGN.md §10) ----
+
+/// The row loop with this arm's max_value, whose NaN handling differs
+/// from the scalar arm's std::max_element (a row holding a NaN comes
+/// out all NaN either way).
+double softmax_xent_rows(float* x, const int* labels, std::size_t rows,
+                         std::size_t cols) {
+  return softmax_xent_row_loop(x, labels, rows, cols, max_value);
+}
+
+#if defined(BAFFLE_HAVE_AVX512F_TARGET)
+
+// ---- libm-exact expf on 16 lanes ----
+//
+// A lane-for-lane copy of glibc 2.36's x86-64 expf as its IFUNC picks
+// it on every CPU with AVX-512F: __expf_fma, sysdeps/ieee754/flt-32/
+// e_expf.c built with FMA. With N = 32 it writes x·N/ln2 = k + r, looks
+// up 2^(k/N) in a 32-entry table and evaluates a cubic in r, all in
+// double, with the FMAs that build's disassembly shows:
+//   kd = fma(InvLn2N, x, Shift)   ki = bits(kd)   kd -= Shift
+//   r  = fma(InvLn2N, x, −kd)     s  = double(T[ki % N] + (ki << 47))
+//   y  = fma(fma(r, C0, C1), r·r, fma(r, C2, 1)) · s, rounded to float.
+// libm's special-case branch (|x| >= 88, ±Inf, NaN) is not copied:
+// those lanes call std::exp. The copy is enabled only after
+// libm_exp_copy_matches() finds it bit-identical to std::exp here.
+
+constexpr double kExpInvLn2N = 0x1.71547652b82fep+5;
+constexpr double kExpShift = 0x1.8p+52;
+constexpr double kExpC0 = 0x1.c6af84b912394p-20;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+/// |x| bit patterns at and above 88.0f take libm's special-case branch.
+constexpr std::uint32_t kExpSlowAbsBits = 0x42b00000;
+/// T[i] = bits(2^(i/32)) − (i << 47).
+alignas(64) constexpr std::uint64_t kExpTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+/// expf's fast path on eight lanes widened to double.
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE __m512d expf_fast_lanes(
+    __m512d x) {
+  const __m512d inv_ln2n = _mm512_set1_pd(kExpInvLn2N);
+  const __m512d shift = _mm512_set1_pd(kExpShift);
+  const __m512d kd_shifted = _mm512_fmadd_pd(inv_ln2n, x, shift);
+  const __m512i ki = _mm512_castpd_si512(kd_shifted);
+  const __m512d kd = _mm512_sub_pd(kd_shifted, shift);
+  const __m512d r = _mm512_fmsub_pd(inv_ln2n, x, kd);
+  // T[ki % 32]: one two-table permute per half, picked by bit 4 of ki.
+  const __m512i t_lo = _mm512_permutex2var_epi64(
+      _mm512_load_si512(kExpTable), ki, _mm512_load_si512(kExpTable + 8));
+  const __m512i t_hi =
+      _mm512_permutex2var_epi64(_mm512_load_si512(kExpTable + 16), ki,
+                                _mm512_load_si512(kExpTable + 24));
+  const __mmask8 upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+  const __m512d s = _mm512_castsi512_pd(
+      _mm512_add_epi64(_mm512_mask_blend_epi64(upper, t_lo, t_hi),
+                       _mm512_maskz_slli_epi64(0xFF, ki, 47)));
+  const __m512d z =
+      _mm512_fmadd_pd(r, _mm512_set1_pd(kExpC0), _mm512_set1_pd(kExpC1));
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  __m512d y = _mm512_fmadd_pd(r, _mm512_set1_pd(kExpC2), _mm512_set1_pd(1.0));
+  y = _mm512_fmadd_pd(z, r2, y);
+  return _mm512_mul_pd(y, s);
+}
+
+/// std::exp on the `slow` lanes of x, the copy's results elsewhere.
+[[gnu::noinline, gnu::cold]] BAFFLE_TARGET_AVX512F __m512 expf_slow_lanes(
+    __m512 x, __m512 fast, __mmask16 slow) {
+  alignas(64) float in[16], out[16];
+  _mm512_store_ps(in, x);
+  _mm512_store_ps(out, fast);
+  for (int l = 0; l < 16; ++l) {
+    if ((slow >> l) & 1u) out[l] = std::exp(in[l]);
+  }
+  return _mm512_load_ps(out);
+}
+
+/// Eight float lanes of x widened to double: the low half, or the high.
+template <int kHalf>
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE __m512d widen_half(__m512 x) {
+  return _mm512_maskz_cvtps_pd(
+      0xFF, _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(
+                0xF, _mm512_castps_pd(x), kHalf)));
+}
+
+/// std::exp on 16 lanes, bit for bit. (The masked forms of the
+/// conversions, shift and insert avoid GCC 12's unmasked intrinsics,
+/// whose self-initialized pass-through operand trips
+/// -Wmaybe-uninitialized.)
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE __m512 expf_lanes(__m512 x) {
+  const __m256 y_lo =
+      _mm512_maskz_cvtpd_ps(0xFF, expf_fast_lanes(widen_half<0>(x)));
+  const __m256 y_hi =
+      _mm512_maskz_cvtpd_ps(0xFF, expf_fast_lanes(widen_half<1>(x)));
+  const __m512 y = _mm512_castpd_ps(_mm512_maskz_insertf64x4(
+      0xFF, _mm512_castpd256_pd512(_mm256_castps_pd(y_lo)),
+      _mm256_castps_pd(y_hi), 1));
+  const __mmask16 slow = _mm512_cmpge_epu32_mask(
+      _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(0x7fffffff)),
+      _mm512_set1_epi32(static_cast<int>(kExpSlowAbsBits)));
+  return slow == 0 ? y : expf_slow_lanes(x, y, slow);
+}
+
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE __mmask16 lanes_below(
+    std::size_t n) {
+  return n >= 16 ? static_cast<__mmask16>(0xFFFF)
+                 : static_cast<__mmask16>((1u << n) - 1u);
+}
+
+BAFFLE_TARGET_AVX512F void exp_f32_zmm(float* out, const float* x,
+                                       std::size_t n) {
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 live = lanes_below(n - i);
+    _mm512_mask_storeu_ps(out + i, live,
+                          expf_lanes(_mm512_maskz_loadu_ps(live, x + i)));
+  }
+}
+
+/// Dispatch-time probe: a strided sample of the copy's fast path (every
+/// 131071st of the 2,237,661,184 patterns with |x| < 88; the stride is
+/// prime, so the sample walks all low-mantissa residues) must give
+/// std::exp's bits. tools/exp_sweep checks all 2^32 patterns.
+BAFFLE_TARGET_AVX512F bool libm_exp_copy_matches() {
+  constexpr std::uint64_t kFastPatterns = 2ull * kExpSlowAbsBits;
+  constexpr std::uint64_t kStride = 131071;
+  float in[16] = {};
+  float got[16];
+  for (std::uint64_t i = 0; i < kFastPatterns;) {
+    std::size_t lanes = 0;
+    for (; lanes < 16 && i < kFastPatterns; ++lanes, i += kStride) {
+      // The positive magnitudes, then the same ones negated.
+      const auto bits = static_cast<std::uint32_t>(
+          i < kExpSlowAbsBits ? i : (i - kExpSlowAbsBits) | 0x80000000u);
+      std::memcpy(&in[lanes], &bits, sizeof(bits));
+    }
+    exp_f32_zmm(got, in, lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const float want = std::exp(in[l]);
+      if (std::memcmp(&want, &got[l], sizeof(want)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+/// NaN anywhere in x[0, n).
+BAFFLE_TARGET_AVX512F bool any_nan(const float* x, std::size_t n) {
+  __mmask16 nan = 0;
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __m512 v = _mm512_maskz_loadu_ps(lanes_below(n - i), x + i);
+    nan |= _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
+  }
+  return nan != 0;
+}
+
+/// Columns the whole-batch softmax stages on the stack, 16 rows each
+/// (16 KiB); wider batches run the row loop.
+constexpr std::size_t kSoftmaxMaxCols = 256;
+
+/// The whole batch with rows in lanes, 16 rows at a time: each block's
+/// columns are gathered once into a stack buffer, where each lane runs
+/// the row loop's arithmetic over its row's columns in the same order —
+/// max, exp and sum, divide by the sum, divide by the batch, subtract
+/// 1/batch at the label — before one scatter per column writes the
+/// gradient back. The per-row loss terms are then summed in row order.
+/// Without NaN the max does not depend on how it is folded (signed zeros
+/// leave x − max unchanged for exp), so every byte matches the row loop;
+/// a batch holding a NaN runs the row loop.
+BAFFLE_TARGET_AVX512F double softmax_xent_rows_zmm(float* x,
+                                                   const int* labels,
+                                                   std::size_t rows,
+                                                   std::size_t cols) {
+  if (cols > kSoftmaxMaxCols || any_nan(x, rows * cols)) {
+    return softmax_xent_row_loop(x, labels, rows, cols, max_value);
+  }
+  const auto batch = static_cast<float>(rows);
+  const __m512 batch_v = _mm512_set1_ps(batch);
+  const __m512 inv_batch = _mm512_set1_ps(1.0f / batch);
+  const __m512i row_offsets = _mm512_mullo_epi32(
+      _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+      _mm512_set1_epi32(static_cast<int>(cols)));
+  alignas(64) float column[kSoftmaxMaxCols][16];
+  alignas(64) float p_label[16];
+  double loss = 0.0;
+  for (std::size_t r0 = 0; r0 < rows; r0 += 16) {
+    const __mmask16 live = lanes_below(rows - r0);
+    float* block = x + r0 * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      _mm512_store_ps(column[c], _mm512_mask_i32gather_ps(
+                                     _mm512_setzero_ps(), live, row_offsets,
+                                     block + c, 4));
+    }
+    __m512 mx = _mm512_load_ps(column[0]);
+    for (std::size_t c = 1; c < cols; ++c) {
+      mx = _mm512_mask_max_ps(mx, live, mx, _mm512_load_ps(column[c]));
+    }
+    __m512 total = _mm512_setzero_ps();
+    for (std::size_t c = 0; c < cols; ++c) {
+      const __m512 e =
+          expf_lanes(_mm512_sub_ps(_mm512_load_ps(column[c]), mx));
+      total = _mm512_add_ps(total, e);
+      _mm512_store_ps(column[c], e);
+    }
+    const __m512i label = _mm512_maskz_loadu_epi32(live, labels + r0);
+    __m512 p_y = _mm512_setzero_ps();
+    for (std::size_t c = 0; c < cols; ++c) {
+      const __m512 p = _mm512_div_ps(_mm512_load_ps(column[c]), total);
+      const __mmask16 at_label = _mm512_mask_cmpeq_epi32_mask(
+          live, label, _mm512_set1_epi32(static_cast<int>(c)));
+      p_y = _mm512_mask_mov_ps(p_y, at_label, p);
+      __m512 g = _mm512_div_ps(p, batch_v);
+      g = _mm512_mask_sub_ps(g, at_label, g, inv_batch);
+      _mm512_mask_i32scatter_ps(block + c, live, row_offsets, g, 4);
+    }
+    _mm512_store_ps(p_label, p_y);
+    for (std::size_t l = 0; l < 16 && r0 + l < rows; ++l) {
+      loss -= std::log(std::max(p_label[l], 1e-12f));
+    }
+  }
+  return loss / batch;
+}
+
+#endif  // BAFFLE_HAVE_AVX512F_TARGET
+
 /// The vector table; `avx512f` swaps in the zmm fp32 kernels (the GEMM
-/// tile and the fused eval layer), which leave every result unchanged.
+/// tile and the fused eval layer), which leave every result unchanged,
+/// and — once its probe passes — the libm-exact exp with the
+/// whole-batch softmax built on it.
 KernelTable make_table(bool avx512f) {
   KernelTable t = scalar_table();
   t.name = "avx2";
@@ -760,7 +976,9 @@ KernelTable make_table(bool avx512f) {
   // The natural-layout row kernels stay on the scalar implementations:
   // with prefer_packed set, ops.cpp routes every gemm through the
   // panel path, so those entries only serve as a safety net.
-  // scalar-inherited: gemm_ab_rows, gemm_atb_rows, gemm_abt_rows
+  // scalar-inherited: gemm_ab_rows, gemm_atb_rows, gemm_abt_rows,
+  // exp_f32 (unless the zmm copy replaces it) and col_sum, whose -O3
+  // loop vectorizes in the scalar TU.
   t.gemm_panel_rows = gemm_panel_rows;
   t.dot = dot;
   t.squared_l2 = squared_l2;
@@ -768,8 +986,6 @@ KernelTable make_table(bool avx512f) {
   t.cosine_similarity = cosine_similarity;
   t.axpy = axpy;
   t.scale = scale;
-  t.scale_add = scale_add;
-  t.scale_into = scale_into;
   t.abs_into = abs_into;
   t.max_value = max_value;
   t.relu_forward = relu_forward;
@@ -779,12 +995,18 @@ KernelTable make_table(bool avx512f) {
   t.sum_d = sum_d;
   t.sum_sq_diff_d = sum_sq_diff_d;
   t.eval_layer_f32 = eval_layer_f32;
+  t.softmax_xent_rows = softmax_xent_rows;
 #if defined(BAFFLE_HAVE_AVX512F_TARGET)
   if (avx512f) {
     t.gemm_width = "avx512f";
     t.gemm_reads_b_in_place = true;
     t.gemm_panel_rows = gemm_panel_rows_zmm;
     t.eval_layer_f32 = eval_layer_f32_zmm;
+    if (libm_exp_copy_matches()) {
+      t.libm_exp_copy = true;
+      t.exp_f32 = exp_f32_zmm;
+      t.softmax_xent_rows = softmax_xent_rows_zmm;
+    }
   }
 #else
   (void)avx512f;

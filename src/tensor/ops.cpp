@@ -380,11 +380,8 @@ void add_row_bias(Matrix& m, std::span<const float> bias) {
 
 void col_sum(const Matrix& m, std::span<float> out) {
   BAFFLE_CHECK(out.size() == m.cols(), "col_sum: output length mismatch");
-  std::fill(out.begin(), out.end(), 0.0f);
-  const kernels::KernelTable& kt = kernels::active_table();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    kt.axpy(1.0f, m.row(r).data(), out.data(), m.cols());
-  }
+  kernels::active_table().col_sum(m.flat().data(), m.rows(), m.cols(),
+                                  out.data());
 }
 
 void softmax_rows(Matrix& m) {

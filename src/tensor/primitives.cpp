@@ -23,18 +23,6 @@ void scale(std::span<float> x, float alpha) {
   kernels::active_table().scale(x.data(), alpha, x.size());
 }
 
-void scale_add(std::span<float> y, float beta, std::span<const float> x,
-               float alpha) {
-  check(x.size() == y.size(), "scale_add: length mismatch");
-  kernels::active_table().scale_add(y.data(), beta, x.data(), alpha,
-                                    x.size());
-}
-
-void scale_into(std::span<float> out, float alpha, std::span<const float> x) {
-  check(out.size() == x.size(), "scale_into: length mismatch");
-  kernels::active_table().scale_into(out.data(), alpha, x.data(), x.size());
-}
-
 void abs_into(std::span<float> out, std::span<const float> x) {
   check(out.size() == x.size(), "abs_into: length mismatch");
   kernels::active_table().abs_into(out.data(), x.data(), x.size());
@@ -102,29 +90,32 @@ double sum_sq_diff(std::span<const double> xs, double center) {
 }
 
 double softmax_xent_rows(Matrix& probs_grad, std::span<const int> labels) {
-  // Arithmetic is kept operation-for-operation identical to the old
-  // copy -> softmax_rows -> loss/grad pipeline (stabilized exp, the
-  // same two division passes), so loss trajectories don't shift when
-  // this fused form took over.
-  const kernels::KernelTable& kt = kernels::active_table();
-  const auto batch = static_cast<float>(probs_grad.rows());
-  const std::size_t n = probs_grad.cols();
-  double loss = 0.0;
-  for (std::size_t r = 0; r < probs_grad.rows(); ++r) {
-    float* x = probs_grad.row(r).data();
-    const float mx = kt.max_value(x, n);
-    float total = 0.0f;
-    for (std::size_t c = 0; c < n; ++c) {
-      x[c] = std::exp(x[c] - mx);
-      total += x[c];
+  return kernels::active_table().softmax_xent_rows(
+      probs_grad.flat().data(), labels.data(), probs_grad.rows(),
+      probs_grad.cols());
+}
+
+void sgd_update(std::span<float> w, std::span<const float> g,
+                std::span<float> velocity, float lr, float momentum,
+                float weight_decay, float grad_scale) {
+  check(g.size() == w.size(), "sgd_update: length mismatch");
+  check(velocity.empty() || velocity.size() == w.size(),
+        "sgd_update: velocity length mismatch");
+  // Not dispatched: this TU has no FMA codegen, so every product below
+  // is rounded before its add on every arm, and the loop still
+  // vectorizes at -O3.
+  const float neg_lr = -lr;
+  const bool with_velocity = !velocity.empty();
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    float gi = g[i];
+    if (weight_decay > 0.0f) gi += weight_decay * w[i];
+    if (grad_scale != 1.0f) gi *= grad_scale;
+    if (with_velocity) {
+      velocity[i] = momentum * velocity[i] + gi;
+      gi = velocity[i];
     }
-    for (std::size_t c = 0; c < n; ++c) x[c] /= total;
-    const auto y = static_cast<std::size_t>(labels[r]);
-    loss -= std::log(std::max(x[y], 1e-12f));
-    for (std::size_t c = 0; c < n; ++c) x[c] /= batch;
-    x[y] -= 1.0f / batch;
+    w[i] += neg_lr * gi;
   }
-  return loss / batch;
 }
 
 std::vector<float> subtract(std::span<const float> a,

@@ -23,14 +23,6 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y);
 /// x *= alpha
 void scale(std::span<float> x, float alpha);
 
-/// y = beta * y + alpha * x  (the SGD momentum update with beta =
-/// momentum, alpha = 1).
-void scale_add(std::span<float> y, float beta, std::span<const float> x,
-               float alpha);
-
-/// out = alpha * x
-void scale_into(std::span<float> out, float alpha, std::span<const float> x);
-
 /// out = |x| elementwise.
 void abs_into(std::span<float> out, std::span<const float> x);
 
@@ -63,8 +55,20 @@ double sum_sq_diff(std::span<const double> xs, double center);
 /// Fused row-softmax + mean cross-entropy + gradient. On entry
 /// `probs_grad` holds the logits; on exit it holds dL/dlogits for the
 /// mean loss, which is returned. Labels must be pre-validated by the
-/// caller (nn/loss.cpp keeps the error messages).
+/// caller (nn/loss.cpp keeps the error messages). Byte-identical on
+/// every arm for logits without NaN: the AVX-512 arm runs the whole
+/// batch with rows in lanes and a bit-exact copy of libm's expf.
 double softmax_xent_rows(Matrix& probs_grad, std::span<const int> labels);
+
+/// One in-place SGD step on a parameter block: per element,
+/// g += round(weight_decay · w) when weight_decay > 0, g *= grad_scale
+/// when grad_scale != 1, v = round(momentum · v) + g and g = v when
+/// `velocity` is non-empty, then w += round(−lr · g). No product is
+/// contracted into an FMA, so every arm gives the same bytes; g is
+/// only read.
+void sgd_update(std::span<float> w, std::span<const float> g,
+                std::span<float> velocity, float lr, float momentum,
+                float weight_decay, float grad_scale);
 
 /// out = a - b (allocating).
 std::vector<float> subtract(std::span<const float> a, std::span<const float> b);

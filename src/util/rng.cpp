@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace baffle {
 
@@ -23,6 +24,11 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 bool Rng::bernoulli(double p) {
+  // std::bernoulli_distribution requires p in [0, 1]; NaN fails too.
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("bernoulli: p = " + std::to_string(p) +
+                                " is not in [0, 1]");
+  }
   std::bernoulli_distribution dist(p);
   return dist(engine_);
 }

@@ -29,7 +29,8 @@ class Rng {
   /// Uniform integer in [lo, hi] (inclusive).
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Bernoulli trial with success probability p.
+  /// Bernoulli trial with success probability p; throws
+  /// std::invalid_argument unless p is in [0, 1] (NaN included).
   bool bernoulli(double p);
 
   /// Index sampled from an (unnormalized) weight vector.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -78,6 +79,24 @@ TEST(TriggerBackdoor, DbaColluderCountMustFitOneRound) {
       ADD_FAILURE() << "accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("dba_colluders"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ValidatorDropout, OutOfRangeProbabilityIsRejectedNamingTheField) {
+  // Outside [0, 1] every validator used to drop (FN 1.000) and NaN
+  // meant no dropout; both are rejected before any training.
+  ExperimentConfig cfg = base();
+  for (const double p : {1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(p);
+    cfg.validator_dropout = p;
+    try {
+      run_experiment(cfg, 15);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("validator_dropout"),
                 std::string::npos)
           << e.what();
     }

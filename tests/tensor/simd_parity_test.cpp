@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/model_replacement.hpp"
+#include "exp/experiment.hpp"
 #include "exp/scenario.hpp"
 #include "nn/train.hpp"
 #include "tensor/aligned.hpp"
@@ -240,31 +242,23 @@ TEST_F(SimdParity, ElementwisePrimitivesMatchScalar) {
     const std::vector<float> x = random_vec(n, rng);
     const std::vector<float> y0 = random_vec(n, rng);
 
-    std::vector<float> ref_axpy = y0, ref_sadd = y0, ref_scale = x;
-    std::vector<float> ref_sinto(n), ref_abs(n);
+    std::vector<float> ref_axpy = y0, ref_scale = x, ref_abs(n);
     ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
     axpy(0.75f, x, ref_axpy);
-    scale_add(ref_sadd, 0.9f, x, 1.0f);
     scale(ref_scale, -1.25f);
-    scale_into(ref_sinto, 0.5f, x);
     abs_into(ref_abs, x);
 
-    std::vector<float> got_axpy = y0, got_sadd = y0, got_scale = x;
-    std::vector<float> got_sinto(n), got_abs(n);
+    std::vector<float> got_axpy = y0, got_scale = x, got_abs(n);
     ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
     axpy(0.75f, x, got_axpy);
-    scale_add(got_sadd, 0.9f, x, 1.0f);
     scale(got_scale, -1.25f);
-    scale_into(got_sinto, 0.5f, x);
     abs_into(got_abs, x);
 
-    // FMA contraction may shave one rounding off axpy/scale_add.
+    // FMA contraction may shave one rounding off axpy.
     expect_spans_near(ref_axpy, got_axpy, 1e-6f);
-    expect_spans_near(ref_sadd, got_sadd, 1e-6f);
     // Pure products round identically: exact.
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got_scale[i], ref_scale[i]) << "scale index " << i;
-      ASSERT_EQ(got_sinto[i], ref_sinto[i]) << "scale_into index " << i;
       ASSERT_EQ(got_abs[i], ref_abs[i]) << "abs_into index " << i;
     }
   }
@@ -529,7 +523,10 @@ Matrix special_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
 
 void expect_same_bytes(std::span<const float> ref, std::span<const float> got) {
   ASSERT_EQ(ref.size(), got.size());
-  if (std::memcmp(ref.data(), got.data(), ref.size_bytes()) == 0) return;
+  if (ref.empty() ||
+      std::memcmp(ref.data(), got.data(), ref.size_bytes()) == 0) {
+    return;
+  }
   for (std::size_t i = 0; i < ref.size(); ++i) {
     if (std::isnan(ref[i]) && std::isnan(got[i])) continue;
     std::uint32_t rb, gb;
@@ -736,6 +733,212 @@ TEST_F(SimdParity, TrainSgdWidthsAgreeBitForBit) {
       pre.sgd.learning_rate = 0.05f;
       expect_same_bytes(params_after(*w.ymm, init, sc.task.train, pre),
                         params_after(*w.zmm, init, sc.task.train, pre));
+      // The attacker's injection as run_experiment crafts it: 8 epochs
+      // at lr 0.05 on its shard blended with relabelled backdoor samples.
+      const ExperimentConfig defaults;
+      ModelReplacementConfig attack;
+      attack.task = sc.backdoor;
+      attack.poison_fraction = defaults.attack_poison_fraction;
+      attack.train = sc.fl.local_train;
+      attack.train.epochs = defaults.attack_epochs;
+      attack.train.sgd.learning_rate = defaults.attack_learning_rate;
+      const auto injection = [&](const kernels::KernelTable& t) {
+        kernels::pin_table_for_testing(t);
+        Rng attack_rng(13);
+        return craft_replacement_update(init, shard, sc.task.backdoor_train,
+                                        attack, attack_rng);
+      };
+      expect_same_bytes(injection(*w.ymm), injection(*w.zmm));
+    }
+  }
+}
+
+// ---- SGD step kernels (DESIGN.md §10) ----
+//
+// The softmax, column sums and in-place update are byte-identical on
+// the scalar arm, the ymm width and the zmm width: each compares all
+// three tables (two without AVX-512F).
+
+std::vector<const kernels::KernelTable*> every_width() {
+  const GemmWidths w = gemm_widths();
+  std::vector<const kernels::KernelTable*> tables = {&kernels::scalar_table(),
+                                                     w.ymm, w.zmm};
+  if (w.zmm == nullptr) tables.pop_back();
+  return tables;
+}
+
+std::uint32_t float_bits(float x) {
+  std::uint32_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+float bits_float(std::uint32_t b) {
+  float x;
+  std::memcpy(&x, &b, sizeof(x));
+  return x;
+}
+
+TEST_F(SimdParity, ExpMatchesLibmBitForBit) {
+  // The dispatched exp_f32 against std::exp: a strided sweep of all 2^32
+  // patterns, every pattern in the bands either side of the copy's
+  // |x| = 88 cutoff, every input with a subnormal result, and ±0, ±Inf
+  // and NaN payloads. tools/exp_sweep checks every pattern.
+  const kernels::KernelTable& t = kernels::active_table();
+  if (!t.libm_exp_copy) {
+    if (gemm_widths().zmm == nullptr) {
+      GTEST_SKIP() << "no AVX-512F on this CPU/build: exp_f32 is std::exp";
+    }
+    GTEST_SKIP() << "the dispatch probe found this libm's expf differs "
+                    "from the AVX-512 copy, which is therefore off";
+  }
+  std::size_t checked = 0, mismatches = 0;
+  std::vector<float> x, got;
+  const auto check = [&](std::uint64_t first, std::uint64_t last,
+                         std::uint64_t stride) {  // [first, last]
+    for (std::uint64_t b0 = first; b0 <= last; b0 += 4096 * stride) {
+      x.clear();
+      for (std::uint64_t b = b0; b <= last && x.size() < 4096; b += stride) {
+        x.push_back(bits_float(static_cast<std::uint32_t>(b)));
+      }
+      got.resize(x.size());
+      t.exp_f32(got.data(), x.data(), x.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const std::uint32_t want = float_bits(std::exp(x[i]));
+        if (float_bits(got[i]) != want && ++mismatches <= 5) {
+          ADD_FAILURE() << std::hex << "exp(0x" << float_bits(x[i])
+                        << ") = 0x" << float_bits(got[i])
+                        << ", std::exp gives 0x" << want;
+        }
+      }
+      checked += x.size();
+    }
+  };
+  check(0, 0xFFFFFFFFull, 1021);
+  for (std::uint64_t sign : {0ull, 0x80000000ull}) {
+    check(sign | (0x42b00000 - (1u << 16)), sign | (0x42b00000 + (1u << 16)),
+          1);
+  }
+  // exp(x) is subnormal for x in (-103.28, -87.34): sweep [-104, -87].
+  check(float_bits(-87.0f), float_bits(-104.0f), 1);
+  ASSERT_EQ(std::fpclassify(std::exp(-100.0f)), FP_SUBNORMAL);
+  for (std::uint32_t b : {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u,
+                          0x7fc00000u, 0xffc00000u, 0x7f800001u, 0xff800001u,
+                          0x7fa00000u, 0x7fffffffu, 0xffffffffu, 0x00000001u,
+                          0x807fffffu}) {
+    check(b, b, 1);
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked << " patterns";
+}
+
+/// Logits of one softmax test batch; `kind` picks what rides along.
+enum class LogitRows { kPlain, kWideSpread, kInfinite, kNan };
+
+Matrix softmax_logits(std::size_t rows, std::size_t cols, LogitRows kind,
+                      Rng& rng) {
+  Matrix x(rows, cols);
+  for (float& v : x.flat()) v = static_cast<float>(rng.normal(0.0, 3.0));
+  const auto row = [&](std::size_t i) { return x.row(i % rows); };
+  switch (kind) {
+    case LogitRows::kPlain:
+      break;
+    case LogitRows::kWideSpread:
+      // Spreads past 88 send lanes to std::exp; 87.5 gives subnormals;
+      // -0 next to +0 checks that the max's sign does not matter.
+      row(0)[0] = 60.0f;
+      row(0)[cols - 1] = -45.0f;
+      row(1)[cols / 2] = -87.5f;
+      row(2)[0] = -0.0f;
+      row(2)[cols - 1] = 0.0f;
+      row(3)[1 % cols] = 200.0f;
+      break;
+    case LogitRows::kInfinite:
+      row(0)[cols - 1] = kInf;
+      row(1)[0] = -kInf;
+      for (float& v : row(2)) v = -kInf;
+      break;
+    case LogitRows::kNan:
+      // Two payloads in one row, so the order NaNs meet in shows.
+      row(rows / 2)[cols / 3] = kNan;
+      row(rows / 2)[cols - 1] = bits_float(0xffc00123u);
+      break;
+  }
+  return x;
+}
+
+TEST_F(SimdParity, SoftmaxXentRowsWidthsAgreeBitForBit) {
+  const std::vector<const kernels::KernelTable*> tables = every_width();
+  Rng rng(51);
+  for (std::size_t rows : {1, 15, 16, 17, 33, 64}) {
+    for (std::size_t cols : {10, 62}) {
+      for (LogitRows kind : {LogitRows::kPlain, LogitRows::kWideSpread,
+                             LogitRows::kInfinite, LogitRows::kNan}) {
+        SCOPED_TRACE(::testing::Message() << "rows=" << rows << " cols="
+                                          << cols << " kind="
+                                          << static_cast<int>(kind));
+        const Matrix logits = softmax_logits(rows, cols, kind, rng);
+        std::vector<int> labels(rows);
+        for (auto& y : labels) {
+          y = static_cast<int>(
+              rng.uniform_int(0, static_cast<std::int64_t>(cols) - 1));
+        }
+        Matrix ref;
+        double ref_loss = 0.0;
+        Matrix ymm;
+        for (const kernels::KernelTable* t : tables) {
+          SCOPED_TRACE(t->gemm_width);
+          kernels::pin_table_for_testing(*t);
+          Matrix got = logits;
+          const double loss = softmax_xent_rows(got, labels);
+          if (t == &kernels::scalar_table()) {
+            ref = got;
+            ref_loss = loss;
+            continue;
+          }
+          expect_same_bytes(ref.flat(), got.flat());
+          if (t == tables[1]) {
+            ymm = got;
+          } else if (kind == LogitRows::kNan) {
+            // A batch holding a NaN runs the ymm width's row loop on the
+            // zmm width too, so even the NaN payloads agree.
+            EXPECT_EQ(std::memcmp(ymm.flat().data(), got.flat().data(),
+                                  got.flat().size_bytes()),
+                      0);
+          }
+          if (!(std::isnan(ref_loss) && std::isnan(loss))) {
+            EXPECT_EQ(std::memcmp(&loss, &ref_loss, sizeof(loss)), 0)
+                << loss << " vs " << ref_loss;
+          }
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        EXPECT_EQ(std::isnan(ref_loss), kind == LogitRows::kInfinite ||
+                                            kind == LogitRows::kNan);
+      }
+    }
+  }
+}
+
+TEST_F(SimdParity, ColSumMatchesPerRowAxpyOnEveryWidth) {
+  // col_sum replaced one axpy(1, row, out) per row from +0; on every
+  // width the one call must give that loop's bytes, −0/NaN/±Inf too.
+  Rng rng(52);
+  for (std::size_t rows : {0, 1, 2, 7, 32, 33, 65}) {
+    for (std::size_t cols : {1, 7, 8, 9, 10, 31, 32, 33, 64, 65, 70}) {
+      SCOPED_TRACE(::testing::Message() << "rows=" << rows
+                                        << " cols=" << cols);
+      const Matrix m = special_matrix(rows, cols, rng);
+      for (const kernels::KernelTable* t : every_width()) {
+        SCOPED_TRACE(t->gemm_width);
+        kernels::pin_table_for_testing(*t);
+        std::vector<float> ref(cols, 0.0f);
+        for (std::size_t r = 0; r < rows; ++r) {
+          t->axpy(1.0f, m.row(r).data(), ref.data(), cols);
+        }
+        std::vector<float> got(cols, 7.0f);  // col_sum overwrites
+        col_sum(m, got);
+        expect_same_bytes(ref, got);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
 }

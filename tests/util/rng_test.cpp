@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -75,6 +76,14 @@ TEST(Rng, BernoulliExtremes) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
+  }
+}
+
+TEST(Rng, BernoulliRejectsProbabilitiesOutsideUnitInterval) {
+  Rng rng(6);
+  for (const double p : {1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(p);
+    EXPECT_THROW(rng.bernoulli(p), std::invalid_argument);
   }
 }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Strict local CI gate: warnings-as-errors build + full test suite (on
-# both kernel-dispatch arms), repo lint, and optional sanitizer stages.
+# both kernel-dispatch arms), the full libm expf-copy sweep, repo lint,
+# and optional sanitizer stages.
 #
 # Usage:
 #   tools/check.sh            # strict build + ctest (both arms) + GEMM
-#                             # tile report + lint
+#                             # tile report + expf sweep + lint
 #   tools/check.sh --checks   # also build with BAFFLE_CHECKS=ON (live
 #                             # DCHECK contracts) and run the full suite
 #   tools/check.sh --asan     # also build with -fsanitize=address,leak
@@ -125,6 +126,22 @@ gemm_width() {
     grep 'GEMM tile:'
 }
 stage "GEMM tile width" gemm_width
+
+# All 2^32 floats through the dispatched exp_f32 against std::exp, split
+# across the pool (about 30 s on one core); tools/exp_sweep prints the
+# mismatch count. Exit 77 means this host's table has no AVX-512 expf
+# copy to check (the tool prints why), which is a SKIP.
+echo "== libm expf copy: full sweep (tools/exp_sweep) =="
+exp_sweep_rc=0
+./build-strict/tools/exp_sweep || exp_sweep_rc=$?
+case "$exp_sweep_rc" in
+  0) SUMMARY+=("PASS  libm expf copy: full sweep") ;;
+  77) skip "libm expf copy: full sweep" "no AVX-512 expf copy on this host" ;;
+  *) SUMMARY+=("FAIL  libm expf copy: full sweep")
+     print_summary
+     exit 1 ;;
+esac
+
 stage "repo lint (tools/baffle_lint.py)" \
   python3 tools/baffle_lint.py --root .
 
