@@ -31,12 +31,6 @@ void Dense::init_weights(Rng& rng) {
   std::fill(bias_.begin(), bias_.end(), 0.0f);
 }
 
-void Dense::forward(const Matrix& x, Matrix& out) {
-  forward_eval(x, out);
-  cached_input_ = x;
-  cached_output_ = out;
-}
-
 void Dense::forward_eval(ConstMatrixView x, Matrix& out) const {
   BAFFLE_CHECK(x.cols() == in_dim_, "input width must match the layer");
   out.resize(x.rows(), out_dim_);
@@ -45,44 +39,20 @@ void Dense::forward_eval(ConstMatrixView x, Matrix& out) const {
   if (!fuse_relu) activation_forward(act_, out);
 }
 
-void Dense::backward(Matrix& dout, Matrix* dx) {
-  BAFFLE_CHECK(dout.rows() == cached_input_.rows() &&
-                   dout.cols() == out_dim_,
-               "gradient shape must match the cached forward batch");
-  activation_backward(act_, cached_output_, dout);
-  // dW += xᵀ dout; db += colsum(dout); dx = dout Wᵀ
-  Matrix dw(in_dim_, out_dim_);
-  gemm_atb(cached_input_, dout, dw);
-  axpy(1.0f, dw.flat(), weight_grad_.flat());
-  std::vector<float> db(out_dim_, 0.0f);
-  col_sum(dout, db);
-  axpy(1.0f, db, bias_grad_);
-  if (dx != nullptr) {
-    *dx = Matrix(dout.rows(), in_dim_);
-    gemm_abt(dout, weights_, *dx);
-  }
-}
-
 void Dense::backward_at(const Matrix& input, const Matrix& output,
                         Matrix& dout, Matrix* dx) {
   BAFFLE_CHECK(dout.rows() == input.rows() && dout.cols() == out_dim_ &&
                    input.cols() == in_dim_,
                "gradient/input shapes must match the layer and batch");
   activation_backward(act_, output, dout);
-  // dW = xᵀ dout; db = colsum(dout); dx = dout Wᵀ. The GEMM kernels and
-  // col_sum zero-fill their outputs, so writing straight into the grad
-  // buffers is bit-identical to zero_grad-then-accumulate.
+  // dW = xᵀ dout; db = colsum(dout); dx = dout Wᵀ. The GEMMs and
+  // col_sum fold from +0, so they overwrite the grad buffers.
   gemm_atb(input, dout, weight_grad_);
   col_sum(dout, bias_grad_);
   if (dx != nullptr) {
     dx->resize(dout.rows(), in_dim_);
     gemm_abt(dout, weights_, *dx);
   }
-}
-
-void Dense::zero_grad() {
-  weight_grad_.fill(0.0f);
-  std::fill(bias_grad_.begin(), bias_grad_.end(), 0.0f);
 }
 
 }  // namespace baffle

@@ -1,7 +1,6 @@
 #include "nn/loss.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -21,13 +20,6 @@ void check_labels(const Matrix& logits, std::span<const int> labels) {
 }
 }  // namespace
 
-LossResult softmax_cross_entropy(const Matrix& logits,
-                                 std::span<const int> labels) {
-  LossResult result;
-  result.loss = softmax_cross_entropy_into(logits, labels, result.dlogits);
-  return result;
-}
-
 double softmax_cross_entropy_into(const Matrix& logits,
                                   std::span<const int> labels,
                                   Matrix& dlogits) {
@@ -36,19 +28,6 @@ double softmax_cross_entropy_into(const Matrix& logits,
   std::copy(logits.flat().begin(), logits.flat().end(),
             dlogits.flat().begin());
   return softmax_xent_rows(dlogits, labels);
-}
-
-double softmax_cross_entropy_loss(const Matrix& logits,
-                                  std::span<const int> labels) {
-  check_labels(logits, labels);
-  Matrix probs = logits;
-  softmax_rows(probs);
-  double loss = 0.0;
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    const auto y = static_cast<std::size_t>(labels[r]);
-    loss -= std::log(std::max(probs.at(r, y), 1e-12f));
-  }
-  return loss / static_cast<double>(logits.rows());
 }
 
 }  // namespace baffle

@@ -27,29 +27,6 @@ void Mlp::init(Rng& rng) {
   for (auto& layer : layers_) layer.init_weights(rng);
 }
 
-Matrix Mlp::forward(const Matrix& x) {
-  Matrix cur = x;
-  Matrix next;
-  for (auto& layer : layers_) {
-    layer.forward(cur, next);
-    cur = std::move(next);
-  }
-  return cur;
-}
-
-void Mlp::backward(Matrix dlogits) {
-  Matrix dx;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    const bool first = (i == 0);
-    layers_[i].backward(dlogits, first ? nullptr : &dx);
-    if (!first) dlogits = std::move(dx);
-  }
-}
-
-void Mlp::zero_grad() {
-  for (auto& layer : layers_) layer.zero_grad();
-}
-
 const Matrix& Mlp::forward_train(const Matrix& x, TrainWorkspace& ws) const {
   ws.acts.resize(layers_.size());
   layers_.front().forward_eval(x, ws.acts.front());
@@ -127,17 +104,6 @@ void Mlp::set_parameters(std::span<const float> flat) {
                 layer.bias().size(), layer.bias().begin());
     pos += layer.bias().size();
   }
-}
-
-std::vector<float> Mlp::gradients() const {
-  std::vector<float> flat;
-  flat.reserve(num_params_);
-  for (const auto& layer : layers_) {
-    const auto g = layer.weight_grad().flat();
-    flat.insert(flat.end(), g.begin(), g.end());
-    flat.insert(flat.end(), layer.bias_grad().begin(), layer.bias_grad().end());
-  }
-  return flat;
 }
 
 void Mlp::parameter_delta_into(const Mlp& base, std::span<float> out) const {

@@ -31,7 +31,7 @@ struct MlpEvalWorkspace {
 
 /// Scratch buffers for the training path. One SGD step gathers a batch
 /// and runs forward, loss and backward entirely inside these buffers
-/// (the optimizer then updates the layers in place), so a workspace
+/// (the step then updates the layers in place), so a workspace
 /// reused across steps (and across clients) makes the steady-state
 /// training loop allocation-free after warm-up — the per-round
 /// client-side cost BaFFLe argues must stay cheap.
@@ -51,31 +51,21 @@ class Mlp {
   /// Re-randomize all parameters.
   void init(Rng& rng);
 
-  /// Forward pass: logits for a batch (rows = samples).
-  Matrix forward(const Matrix& x);
-
-  /// Backward pass from dL/dlogits; accumulates parameter gradients.
-  void backward(Matrix dlogits);
-
-  void zero_grad();
-
   /// Training forward pass through workspace buffers: ws.acts[i] holds
-  /// layer i's activated output, so nothing is cached in the layers and
-  /// nothing is allocated once the workspace is warm. Returns the logits
-  /// (= ws.acts.back()).
+  /// layer i's activated output, so nothing is allocated once the
+  /// workspace is warm. Returns the logits (= ws.acts.back()).
   const Matrix& forward_train(const Matrix& x, TrainWorkspace& ws) const;
 
   /// Backward pass from ws.dlogits using the activations left in `ws` by
   /// forward_train on the same `x`. OVERWRITES the layers' gradient
-  /// buffers (exactly one backward per step — no zero_grad needed).
+  /// buffers (exactly one backward per step).
   void backward_train(const Matrix& x, TrainWorkspace& ws);
 
   /// Rows per inference chunk: large enough to keep GEMM efficient,
   /// small enough that a chunk's activations stay cache-resident.
   static constexpr std::size_t kPredictChunkRows = 512;
 
-  /// Predicted class per row of x. Runs the inference-only forward pass
-  /// (no activation caching), so it is const and thread-safe.
+  /// Predicted class per row of x. Const and thread-safe.
   std::vector<std::size_t> predict(const Matrix& x) const;
 
   /// Predicted class per row of x, written into out (out.size() ==
@@ -90,11 +80,10 @@ class Mlp {
   std::size_t output_dim() const { return config_.layer_dims.back(); }
   const MlpConfig& config() const { return config_; }
 
-  /// Flat parameter (or gradient) access, layer-major: for each layer,
-  /// weights row-major then bias.
+  /// Flat parameter access, layer-major: for each layer, weights
+  /// row-major then bias.
   std::vector<float> parameters() const;
   void set_parameters(std::span<const float> flat);
-  std::vector<float> gradients() const;
 
   /// out = parameters() − base.parameters() in one pass (a client's
   /// update L − G), written into a caller-owned buffer

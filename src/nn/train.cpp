@@ -1,5 +1,6 @@
 #include "nn/train.hpp"
 
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -22,7 +23,11 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
     throw std::invalid_argument("train_sgd: batch_size == 0");
   }
 
-  Sgd optimizer(model.num_params(), config.sgd);
+  const float lr = config.sgd.learning_rate;
+  if (!(std::isfinite(lr) && lr > 0.0f)) {
+    throw std::invalid_argument(
+        "train_sgd: learning_rate must be finite and positive");
+  }
   ws.order.resize(x.rows());
   std::iota(ws.order.begin(), ws.order.end(), std::size_t{0});
 
@@ -48,7 +53,7 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
       const double loss =
           softmax_cross_entropy_into(logits, ws.batch_labels, ws.dlogits);
       model.backward_train(ws.batch, ws);
-      optimizer.step(model);
+      sgd_step(model, lr);
       epoch_loss += loss;
       ++epoch_batches;
       ++stats.steps;

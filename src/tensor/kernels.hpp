@@ -2,8 +2,8 @@
 // Internal dispatch table between the scalar and vector kernel arms.
 //
 // Everything here operates on raw pointers + strides so the same entry
-// points can be implemented twice: tensor/kernels_scalar.cpp keeps the
-// pre-SIMD loops (and is the ground truth the parity tests compare
+// points can be implemented twice: tensor/kernels_scalar.cpp keeps
+// plain loops without FMA (the ground truth the parity tests compare
 // against), tensor/kernels_simd.cpp provides the AVX2/FMA (and,
 // chosen by CPUID, AVX-512F) microkernels and vectorized primitives.
 // tensor/ops.cpp and tensor/primitives.cpp do the shape checking,
@@ -18,20 +18,6 @@ namespace baffle::kernels {
 /// contiguously (k rows x 16 floats each, 64-byte aligned, tail panel
 /// zero-padded), so one panel row is exactly one cache line.
 inline constexpr std::size_t kPanelCols = 16;
-
-/// Row-range GEMM over the operands in their natural layout (the
-/// scalar arm's form; also used by the vector arm's fallback-free
-/// callers via ops.cpp orchestration).
-struct GemmRowArgs {
-  const float* a = nullptr;  // A base; meaning of strides depends on kernel
-  std::size_t lda = 0;       // row stride of the A matrix as stored
-  const float* b = nullptr;  // B base (natural layout)
-  std::size_t ldb = 0;       // row stride of B as stored
-  float* c = nullptr;        // output base
-  std::size_t ldc = 0;       // row stride of C
-  std::size_t k = 0;         // inner dimension
-  std::size_t n = 0;         // output columns
-};
 
 /// Row-range GEMM against B in 16-column panels, with an optional
 /// bias(+ReLU) epilogue. A is addressed as a[i * a_row_stride + p *
@@ -105,10 +91,6 @@ struct KernelTable {
   /// tile) or "avx512f" (zmm tiles). micro_core and tools/check.sh print
   /// it, so a log shows which GEMM tile ran.
   const char* gemm_width;
-  /// True when gemm_* entry points should run gemm_panel_rows (the
-  /// vector arm); false to use the legacy row kernels on the natural
-  /// layout (the scalar arm).
-  bool prefer_packed;
   /// True when gemm_panel_rows reads a row-major B in place (gemm_ab,
   /// gemm_atb); false when it reads packed panels only.
   bool gemm_reads_b_in_place;
@@ -118,9 +100,8 @@ struct KernelTable {
   /// exp is a std::exp call.
   bool libm_exp_copy;
 
-  void (*gemm_ab_rows)(const GemmRowArgs&, std::size_t r0, std::size_t r1);
-  void (*gemm_atb_rows)(const GemmRowArgs&, std::size_t r0, std::size_t r1);
-  void (*gemm_abt_rows)(const GemmRowArgs&, std::size_t r0, std::size_t r1);
+  // Every GEMM entry point (gemm_ab, gemm_ab_bias, gemm_atb, gemm_abt)
+  // runs this kernel over row blocks of the output.
   void (*gemm_panel_rows)(const PanelGemmArgs&, std::size_t r0,
                           std::size_t r1);
 
@@ -174,7 +155,8 @@ double softmax_xent_row_loop(float* x, const int* labels, std::size_t rows,
                              std::size_t cols,
                              float (*max_value)(const float*, std::size_t));
 
-/// Always available; arithmetic identical to the pre-SIMD code.
+/// Always available; no FMA anywhere, so each product rounds before its
+/// add.
 const KernelTable& scalar_table();
 /// AVX2/FMA arm — with its AVX-512F entries where the CPU has
 /// AVX-512F — or nullptr when not compiled in / not supported by the

@@ -1,5 +1,5 @@
-// Scalar kernel arm: the pre-SIMD loops, verbatim. This arm is the
-// ground truth for the parity tests and the fallback selected by
+// Scalar kernel arm: plain loops without FMA. This arm is the ground
+// truth for the parity tests and the fallback selected by
 // BAFFLE_FORCE_SCALAR or on CPUs without AVX2+FMA, so its arithmetic
 // (accumulation order, double-precision reductions) must not change.
 
@@ -14,149 +14,10 @@
 namespace baffle::kernels {
 namespace {
 
-// Inner-dimension panel: a kKBlock-row slice of B (kKBlock * n floats)
-// stays hot in L1/L2 while a block of output rows streams over it.
-constexpr std::size_t kKBlock = 128;
-
-// Column panel for the abt kernel: bounds the slice of B rows reused
-// across an output-row block.
-constexpr std::size_t kJBlock = 128;
-
-void gemm_ab_rows(const GemmRowArgs& g, std::size_t r0, std::size_t r1) {
-  BAFFLE_DCHECK(r0 <= r1, "kernel row range must be ordered");
-  BAFFLE_DCHECK(r0 == r1 || g.c != nullptr,
-                "kernel output pointer must be set for a non-empty range");
-  const std::size_t k = g.k, n = g.n;
-  for (std::size_t i = r0; i < r1; ++i) {
-    std::fill_n(g.c + i * g.ldc, n, 0.0f);
-  }
-  for (std::size_t p0 = 0; p0 < k; p0 += kKBlock) {
-    const std::size_t p1 = std::min(k, p0 + kKBlock);
-    // Four output rows at a time: each B row loaded from cache is
-    // reused across four independent accumulation chains.
-    std::size_t i = r0;
-    for (; i + 4 <= r1; i += 4) {
-      const float* a0 = g.a + i * g.lda;
-      const float* a1 = g.a + (i + 1) * g.lda;
-      const float* a2 = g.a + (i + 2) * g.lda;
-      const float* a3 = g.a + (i + 3) * g.lda;
-      float* o0 = g.c + i * g.ldc;
-      float* o1 = g.c + (i + 1) * g.ldc;
-      float* o2 = g.c + (i + 2) * g.ldc;
-      float* o3 = g.c + (i + 3) * g.ldc;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const float* b_row = g.b + p * g.ldb;
-        const float av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
-        for (std::size_t j = 0; j < n; ++j) {
-          const float bv = b_row[j];
-          o0[j] += av0 * bv;
-          o1[j] += av1 * bv;
-          o2[j] += av2 * bv;
-          o3[j] += av3 * bv;
-        }
-      }
-    }
-    for (; i < r1; ++i) {
-      const float* a_row = g.a + i * g.lda;
-      float* out_row = g.c + i * g.ldc;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const float av = a_row[p];
-        const float* b_row = g.b + p * g.ldb;
-        for (std::size_t j = 0; j < n; ++j) out_row[j] += av * b_row[j];
-      }
-    }
-  }
-}
-
-void gemm_atb_rows(const GemmRowArgs& g, std::size_t r0, std::size_t r1) {
-  BAFFLE_DCHECK(r0 <= r1, "kernel row range must be ordered");
-  BAFFLE_DCHECK(r0 == r1 || g.c != nullptr,
-                "kernel output pointer must be set for a non-empty range");
-  const std::size_t k = g.k, n = g.n;
-  for (std::size_t i = r0; i < r1; ++i) {
-    std::fill_n(g.c + i * g.ldc, n, 0.0f);
-  }
-  for (std::size_t p0 = 0; p0 < k; p0 += kKBlock) {
-    const std::size_t p1 = std::min(k, p0 + kKBlock);
-    // Same four-row micro-kernel as gemm_ab; the A element for output
-    // row i sits at a[p * lda + i] because A enters transposed.
-    std::size_t i = r0;
-    for (; i + 4 <= r1; i += 4) {
-      float* o0 = g.c + i * g.ldc;
-      float* o1 = g.c + (i + 1) * g.ldc;
-      float* o2 = g.c + (i + 2) * g.ldc;
-      float* o3 = g.c + (i + 3) * g.ldc;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const float* a_row = g.a + p * g.lda;
-        const float* b_row = g.b + p * g.ldb;
-        const float av0 = a_row[i], av1 = a_row[i + 1];
-        const float av2 = a_row[i + 2], av3 = a_row[i + 3];
-        for (std::size_t j = 0; j < n; ++j) {
-          const float bv = b_row[j];
-          o0[j] += av0 * bv;
-          o1[j] += av1 * bv;
-          o2[j] += av2 * bv;
-          o3[j] += av3 * bv;
-        }
-      }
-    }
-    for (; i < r1; ++i) {
-      float* out_row = g.c + i * g.ldc;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const float av = g.a[p * g.lda + i];
-        const float* b_row = g.b + p * g.ldb;
-        for (std::size_t j = 0; j < n; ++j) out_row[j] += av * b_row[j];
-      }
-    }
-  }
-}
-
-void gemm_abt_rows(const GemmRowArgs& g, std::size_t r0, std::size_t r1) {
-  BAFFLE_DCHECK(r0 <= r1, "kernel row range must be ordered");
-  BAFFLE_DCHECK(r0 == r1 || g.c != nullptr,
-                "kernel output pointer must be set for a non-empty range");
-  const std::size_t k = g.k, n = g.n;
-  for (std::size_t j0 = 0; j0 < n; j0 += kJBlock) {
-    const std::size_t j1 = std::min(n, j0 + kJBlock);
-    for (std::size_t i = r0; i < r1; ++i) {
-      const float* a_row = g.a + i * g.lda;
-      float* out_row = g.c + i * g.ldc;
-      // Four dot products at a time: each A element loaded is reused
-      // across four independent reduction chains, which also breaks
-      // the serial-accumulation latency bound of a lone dot product.
-      std::size_t j = j0;
-      for (; j + 4 <= j1; j += 4) {
-        const float* b0 = g.b + j * g.ldb;
-        const float* b1 = g.b + (j + 1) * g.ldb;
-        const float* b2 = g.b + (j + 2) * g.ldb;
-        const float* b3 = g.b + (j + 3) * g.ldb;
-        float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-        for (std::size_t p = 0; p < k; ++p) {
-          const float av = a_row[p];
-          acc0 += av * b0[p];
-          acc1 += av * b1[p];
-          acc2 += av * b2[p];
-          acc3 += av * b3[p];
-        }
-        out_row[j] = acc0;
-        out_row[j + 1] = acc1;
-        out_row[j + 2] = acc2;
-        out_row[j + 3] = acc3;
-      }
-      for (; j < j1; ++j) {
-        const float* b_row = g.b + j * g.ldb;
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-        out_row[j] = acc;
-      }
-    }
-  }
-}
-
-// Panel kernel for the scalar arm. ops.cpp never calls it on this arm
-// (prefer_packed is false); SimdParity checks that it reads B packed and
-// in place alike and equals this arm's gemm_ab, add_row_bias and
-// relu_forward passes. Clarity beats throughput here.
+// Every GEMM on this arm, reading B in place or packed: per output
+// element, the fold over p in order from +0 with each product rounded
+// before its add, then one bias add, then keep-unless-negative.
+// Gemm.ScalarArmMatchesTextbookFoldBitForBit pins it to that loop.
 void gemm_panel_rows(const PanelGemmArgs& g, std::size_t r0,
                      std::size_t r1) {
   BAFFLE_DCHECK(r0 <= r1, "kernel row range must be ordered");
@@ -281,7 +142,7 @@ double sum_sq_diff_d(const double* x, double center, std::size_t n) {
 
 // Fold-left over p from a zero accumulator with one multiply-add per
 // step and a single bias add afterwards: the exact accumulation pattern
-// of gemm_ab_rows + add_row_bias above, so a fused evaluation produces
+// of gemm_panel_rows above, so a fused evaluation produces
 // bit-identical activations to the sequential per-model forward pass on
 // this arm.
 void eval_layer_f32(const EvalLayerArgs& g) {
@@ -350,12 +211,8 @@ void argmax_margin_panel(const ArgmaxMarginArgs& g) {
 constexpr KernelTable kTable = {
     "scalar",
     /*gemm_width=*/"scalar",
-    /*prefer_packed=*/false,
-    /*gemm_reads_b_in_place=*/false,
+    /*gemm_reads_b_in_place=*/true,
     /*libm_exp_copy=*/false,
-    gemm_ab_rows,
-    gemm_atb_rows,
-    gemm_abt_rows,
     gemm_panel_rows,
     dot,
     squared_l2,

@@ -971,14 +971,9 @@ KernelTable make_table(bool avx512f) {
   KernelTable t = scalar_table();
   t.name = "avx2";
   t.gemm_width = "avx2";
-  t.prefer_packed = true;
   t.gemm_reads_b_in_place = false;
-  // The natural-layout row kernels stay on the scalar implementations:
-  // with prefer_packed set, ops.cpp routes every gemm through the
-  // panel path, so those entries only serve as a safety net.
-  // scalar-inherited: gemm_ab_rows, gemm_atb_rows, gemm_abt_rows,
-  // exp_f32 (unless the zmm copy replaces it) and col_sum, whose -O3
-  // loop vectorizes in the scalar TU.
+  // scalar-inherited: exp_f32 (unless the zmm copy replaces it) and
+  // col_sum, whose -O3 loop vectorizes in the scalar TU.
   t.gemm_panel_rows = gemm_panel_rows;
   t.dot = dot;
   t.squared_l2 = squared_l2;

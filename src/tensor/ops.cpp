@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
@@ -133,8 +132,8 @@ kernels::PanelGemmArgs panel_args(const float* a, std::size_t a_row_stride,
   return args;
 }
 
-/// Vector-arm executor shared by the three transpose configurations:
-/// `args` is complete, B included.
+/// Executor shared by the three transpose configurations: `args` is
+/// complete, B included.
 void run_panels(const kernels::KernelTable& kt,
                 const kernels::PanelGemmArgs& args, std::size_t m,
                 std::size_t macs) {
@@ -153,8 +152,8 @@ void use_panels(kernels::PanelGemmArgs& args, const PackedB& bp) {
   args.b_panel_stride = bp.k() * kernels::kPanelCols;
 }
 
-/// Vector-arm GEMM against a row-major B (args.k x args.n): read in
-/// place when the kernel can, else packed first.
+/// GEMM against a row-major B (args.k x args.n): read in place when the
+/// kernel can, else packed first.
 void run_panels_on(const kernels::KernelTable& kt,
                    kernels::PanelGemmArgs args, ConstMatrixView b,
                    std::size_t m, std::size_t macs) {
@@ -173,15 +172,6 @@ void run_panels_on(const kernels::KernelTable& kt,
   run_panels(kt, args, m, macs);
 }
 
-void run_rows(void (*kernel)(const kernels::GemmRowArgs&, std::size_t,
-                             std::size_t),
-              const kernels::GemmRowArgs& args, std::size_t m,
-              std::size_t macs) {
-  for_each_row_block(m, macs, [&](std::size_t r0, std::size_t r1) {
-    kernel(args, r0, r1);
-  });
-}
-
 /// gemm_ab, with the bias(+ReLU) epilogue when `bias` is non-null.
 void gemm_ab_impl(ConstMatrixView a, const Matrix& b, const float* bias,
                   bool relu, Matrix& out) {
@@ -196,29 +186,11 @@ void gemm_ab_impl(ConstMatrixView a, const Matrix& b, const float* bias,
                 "GEMM output must not alias an input");
   const std::size_t macs = m * k * n;
   const GemmReport report(macs, macs >= kParallelMacs);
-  const kernels::KernelTable& kt = kernels::active_table();
-  if (kt.prefer_packed) {
-    kernels::PanelGemmArgs args =
-        panel_args(a.data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);
-    args.bias = bias;
-    args.relu = relu;
-    run_panels_on(kt, args, b, m, macs);
-    return;
-  }
-  kernels::GemmRowArgs args;
-  args.a = a.data();
-  args.lda = k;
-  args.b = b.flat().data();
-  args.ldb = n;
-  args.c = out.flat().data();
-  args.ldc = n;
-  args.k = k;
-  args.n = n;
-  run_rows(kt.gemm_ab_rows, args, m, macs);
-  if (bias != nullptr) {
-    add_row_bias(out, {bias, n});
-    if (relu) relu_forward(out.flat());
-  }
+  kernels::PanelGemmArgs args =
+      panel_args(a.data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);
+  args.bias = bias;
+  args.relu = relu;
+  run_panels_on(kernels::active_table(), args, b, m, macs);
 }
 
 }  // namespace
@@ -302,25 +274,11 @@ void gemm_atb(const Matrix& a, const Matrix& b, Matrix& out) {
                 "GEMM output must not alias an input");
   const std::size_t macs = m * k * n;
   const GemmReport report(macs, macs >= kParallelMacs);
-  const kernels::KernelTable& kt = kernels::active_table();
-  if (kt.prefer_packed) {
-    // A enters transposed: output row i reads column i of a.
-    run_panels_on(kt,
-                  panel_args(a.flat().data(), /*a_row_stride=*/1,
-                             /*a_p_stride=*/m, out, k),
-                  b, m, macs);
-    return;
-  }
-  kernels::GemmRowArgs args;
-  args.a = a.flat().data();
-  args.lda = m;
-  args.b = b.flat().data();
-  args.ldb = n;
-  args.c = out.flat().data();
-  args.ldc = n;
-  args.k = k;
-  args.n = n;
-  run_rows(kt.gemm_atb_rows, args, m, macs);
+  // A enters transposed: output row i reads column i of a.
+  run_panels_on(kernels::active_table(),
+                panel_args(a.flat().data(), /*a_row_stride=*/1,
+                           /*a_p_stride=*/m, out, k),
+                b, m, macs);
 }
 
 void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -334,40 +292,14 @@ void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out) {
   BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), b.flat().data(), b.size()),
                 "GEMM output must not alias an input");
   const std::size_t macs = m * k * n;
-  const kernels::KernelTable& kt = kernels::active_table();
-  if (kt.prefer_packed) {
-    const GemmReport report(macs, macs >= kParallelMacs);
-    const PackScratchLease scratch;
-    pack_bt_panels(b, *scratch);
-    kernels::PanelGemmArgs args = panel_args(
-        a.flat().data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);
-    use_panels(args, *scratch);
-    run_panels(kt, args, m, macs);
-    return;
-  }
-  if (macs >= kParallelMacs) {
-    // Large multiplies: pack Bᵀ once — O(n·k) against O(m·n·k) compute —
-    // so the inner loop walks contiguous memory and runs through the
-    // blocked ab kernel instead of n serial dot-product reductions.
-    Matrix bt(k, n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* b_row = b.row(j).data();
-      for (std::size_t p = 0; p < k; ++p) bt.at(p, j) = b_row[p];
-    }
-    gemm_ab(a, bt, out);
-    return;
-  }
   const GemmReport report(macs, macs >= kParallelMacs);
-  kernels::GemmRowArgs args;
-  args.a = a.flat().data();
-  args.lda = k;
-  args.b = b.flat().data();
-  args.ldb = k;
-  args.c = out.flat().data();
-  args.ldc = n;
-  args.k = k;
-  args.n = n;
-  run_rows(kt.gemm_abt_rows, args, m, macs);
+  // Every arm reads Bᵀ packed: no tile reads a transposed B in place.
+  const PackScratchLease scratch;
+  pack_bt_panels(b, *scratch);
+  kernels::PanelGemmArgs args = panel_args(
+      a.flat().data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);
+  use_panels(args, *scratch);
+  run_panels(kernels::active_table(), args, m, macs);
 }
 
 void add_row_bias(Matrix& m, std::span<const float> bias) {
@@ -382,19 +314,6 @@ void col_sum(const Matrix& m, std::span<float> out) {
   BAFFLE_CHECK(out.size() == m.cols(), "col_sum: output length mismatch");
   kernels::active_table().col_sum(m.flat().data(), m.rows(), m.cols(),
                                   out.data());
-}
-
-void softmax_rows(Matrix& m) {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    auto row = m.row(r);
-    const float mx = *std::max_element(row.begin(), row.end());
-    float total = 0.0f;
-    for (float& x : row) {
-      x = std::exp(x - mx);
-      total += x;
-    }
-    for (float& x : row) x /= total;
-  }
 }
 
 std::vector<std::size_t> argmax_rows(const Matrix& m) {

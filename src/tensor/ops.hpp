@@ -5,16 +5,15 @@
 //   forward:   Y  = X  W      -> gemm_ab
 //   dW:        dW = Xᵀ dY     -> gemm_atb
 //   dX:        dX = dY Wᵀ     -> gemm_abt
-// Each entry point dispatches between two kernel arms (see
-// tensor/simd.hpp): the scalar arm runs the cache-blocked row kernels
-// on the operands in place, the SIMD arm runs FMA register-tile
-// microkernels over B in 16-column panels: the AVX-512 tile reads B in
-// place (KernelTable::gemm_reads_b_in_place), the AVX2 tile reads it
-// packed into 64-byte-aligned panels (thread_local scratch, reused
-// across calls), and gemm_abt always packs its transpose. Either
-// way the multiply is split over row blocks on the global thread pool once
-// it is large enough to amortize the dispatch; small multiplies (the
-// per-batch training shapes) run inline on the caller. NaN/Inf inputs
+// Each entry point runs the dispatched arm's panel kernel (see
+// tensor/simd.hpp) over B in 16-column panels: the scalar loop and the
+// AVX-512 FMA tile read B in place (KernelTable::gemm_reads_b_in_place),
+// the AVX2 FMA tile reads it packed into 64-byte-aligned panels
+// (thread_local scratch, reused across calls), and gemm_abt always
+// packs its transpose. The multiply is split over row blocks on the
+// global thread pool once it is large enough to amortize the dispatch;
+// small multiplies (the per-batch training shapes) run inline on the
+// caller. NaN/Inf inputs
 // propagate to the output — a diverged model must not be masked by a
 // sparsity shortcut. The A operand is taken as a view so callers can
 // feed row-chunks of a cached feature matrix without copying.
@@ -31,8 +30,8 @@
 
 namespace baffle {
 
-/// B operand packed into contiguous 16-column panels for the SIMD GEMM
-/// microkernels (layout described in tensor/kernels.hpp).
+/// B operand packed into contiguous 16-column panels for the GEMM
+/// kernels (layout described in tensor/kernels.hpp).
 class PackedB {
  public:
   bool empty() const { return data_.empty(); }
@@ -59,10 +58,9 @@ void pack_bt_panels(const Matrix& b, PackedB& out);
 void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out);
 
 /// out = a * b + bias on every row, then ReLU (negatives to 0) when
-/// `relu` — a dense layer's forward pass. Bias length = b.cols(). On the
-/// vector arm the bias add and ReLU run in the GEMM tile's register
-/// epilogue; every element equals gemm_ab, add_row_bias, relu_forward
-/// in sequence.
+/// `relu` — a dense layer's forward pass. Bias length = b.cols(). The
+/// bias add and ReLU run in the GEMM kernel's epilogue; every element
+/// equals gemm_ab, add_row_bias, relu_forward in sequence.
 void gemm_ab_bias(ConstMatrixView a, const Matrix& b,
                   std::span<const float> bias, bool relu, Matrix& out);
 
@@ -72,14 +70,12 @@ void gemm_atb(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a * bᵀ. Shapes: (m,k) x (n,k) -> (m,n).
 void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// Adds bias (length = m.cols()) to every row of m.
+/// Adds bias (length = m.cols()) to every row of m: gemm_ab_bias's
+/// sequential oracle in the tests.
 void add_row_bias(Matrix& m, std::span<const float> bias);
 
 /// Column-wise sum of m into out (length = m.cols()).
 void col_sum(const Matrix& m, std::span<float> out);
-
-/// In-place row-wise softmax (numerically stabilized).
-void softmax_rows(Matrix& m);
 
 /// Index of the max entry of each row.
 std::vector<std::size_t> argmax_rows(const Matrix& m);

@@ -95,27 +95,13 @@ double softmax_xent_rows(Matrix& probs_grad, std::span<const int> labels) {
       probs_grad.cols());
 }
 
-void sgd_update(std::span<float> w, std::span<const float> g,
-                std::span<float> velocity, float lr, float momentum,
-                float weight_decay, float grad_scale) {
+void sgd_update(std::span<float> w, std::span<const float> g, float lr) {
   check(g.size() == w.size(), "sgd_update: length mismatch");
-  check(velocity.empty() || velocity.size() == w.size(),
-        "sgd_update: velocity length mismatch");
-  // Not dispatched: this TU has no FMA codegen, so every product below
-  // is rounded before its add on every arm, and the loop still
+  // Not dispatched, and not axpy: this TU has no FMA codegen, so the
+  // product is rounded before its add on every arm, and the loop still
   // vectorizes at -O3.
   const float neg_lr = -lr;
-  const bool with_velocity = !velocity.empty();
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    float gi = g[i];
-    if (weight_decay > 0.0f) gi += weight_decay * w[i];
-    if (grad_scale != 1.0f) gi *= grad_scale;
-    if (with_velocity) {
-      velocity[i] = momentum * velocity[i] + gi;
-      gi = velocity[i];
-    }
-    w[i] += neg_lr * gi;
-  }
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] += neg_lr * g[i];
 }
 
 std::vector<float> subtract(std::span<const float> a,

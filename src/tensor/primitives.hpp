@@ -60,15 +60,10 @@ double sum_sq_diff(std::span<const double> xs, double center);
 /// batch with rows in lanes and a bit-exact copy of libm's expf.
 double softmax_xent_rows(Matrix& probs_grad, std::span<const int> labels);
 
-/// One in-place SGD step on a parameter block: per element,
-/// g += round(weight_decay · w) when weight_decay > 0, g *= grad_scale
-/// when grad_scale != 1, v = round(momentum · v) + g and g = v when
-/// `velocity` is non-empty, then w += round(−lr · g). No product is
-/// contracted into an FMA, so every arm gives the same bytes; g is
-/// only read.
-void sgd_update(std::span<float> w, std::span<const float> g,
-                std::span<float> velocity, float lr, float momentum,
-                float weight_decay, float grad_scale);
+/// One in-place SGD step on a parameter block: w += round(−lr · g) per
+/// element. The product is never contracted into an FMA, so every arm
+/// gives the same bytes; g is only read.
+void sgd_update(std::span<float> w, std::span<const float> g, float lr);
 
 /// out = a - b (allocating).
 std::vector<float> subtract(std::span<const float> a, std::span<const float> b);

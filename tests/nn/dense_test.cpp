@@ -35,7 +35,7 @@ TEST(Dense, ForwardLinearIdentity) {
   layer.bias() = {0.5f, -0.5f};
   Matrix x = Matrix::from_rows(1, 2, {2.0f, 3.0f});
   Matrix out;
-  layer.forward(x, out);
+  layer.forward_eval(x, out);
   EXPECT_EQ(out.at(0, 0), 2.5f);
   EXPECT_EQ(out.at(0, 1), 2.5f);
 }
@@ -46,7 +46,7 @@ TEST(Dense, ForwardReluClampsNegatives) {
   layer.bias() = {-5.0f};
   Matrix x = Matrix::from_rows(1, 1, {2.0f});
   Matrix out;
-  layer.forward(x, out);
+  layer.forward_eval(x, out);
   EXPECT_EQ(out.at(0, 0), 0.0f);
 }
 
@@ -54,28 +54,29 @@ TEST(Dense, ForwardRejectsWrongInputDim) {
   Dense layer(3, 2, Activation::kRelu);
   Matrix x(1, 4);
   Matrix out;
-  EXPECT_THROW(layer.forward(x, out), std::invalid_argument);
+  EXPECT_THROW(layer.forward_eval(x, out), std::invalid_argument);
 }
 
-TEST(Dense, BackwardAccumulatesGradients) {
+TEST(Dense, BackwardAtWritesGradients) {
   Dense layer(2, 1, Activation::kIdentity);
   layer.weights().at(0, 0) = 1.0f;
   layer.weights().at(1, 0) = 1.0f;
   Matrix x = Matrix::from_rows(1, 2, {3.0f, 4.0f});
   Matrix out;
-  layer.forward(x, out);
+  layer.forward_eval(x, out);
   Matrix dout = Matrix::from_rows(1, 1, {1.0f});
-  layer.backward(dout, nullptr);
+  layer.backward_at(x, out, dout, nullptr);
   // dW = xᵀ dout
   EXPECT_EQ(layer.weight_grad().at(0, 0), 3.0f);
   EXPECT_EQ(layer.weight_grad().at(1, 0), 4.0f);
   EXPECT_EQ(layer.bias_grad()[0], 1.0f);
 
-  // Accumulation: a second backward adds.
-  layer.forward(x, out);
-  Matrix dout2 = Matrix::from_rows(1, 1, {1.0f});
-  layer.backward(dout2, nullptr);
+  // One backward per step: a second call overwrites, it does not add.
+  Matrix dout2 = Matrix::from_rows(1, 1, {2.0f});
+  layer.backward_at(x, out, dout2, nullptr);
   EXPECT_EQ(layer.weight_grad().at(0, 0), 6.0f);
+  EXPECT_EQ(layer.weight_grad().at(1, 0), 8.0f);
+  EXPECT_EQ(layer.bias_grad()[0], 2.0f);
 }
 
 TEST(Dense, BackwardComputesInputGradient) {
@@ -84,34 +85,23 @@ TEST(Dense, BackwardComputesInputGradient) {
   layer.weights().at(1, 1) = 3.0f;
   Matrix x = Matrix::from_rows(1, 2, {1.0f, 1.0f});
   Matrix out;
-  layer.forward(x, out);
+  layer.forward_eval(x, out);
   Matrix dout = Matrix::from_rows(1, 2, {1.0f, 1.0f});
   Matrix dx;
-  layer.backward(dout, &dx);
+  layer.backward_at(x, out, dout, &dx);
   // dx = dout Wᵀ
   EXPECT_EQ(dx.at(0, 0), 2.0f);
   EXPECT_EQ(dx.at(0, 1), 3.0f);
-}
-
-TEST(Dense, ZeroGradResets) {
-  Dense layer(2, 1, Activation::kIdentity);
-  Matrix x = Matrix::from_rows(1, 2, {1.0f, 1.0f});
-  Matrix out;
-  layer.forward(x, out);
-  Matrix dout = Matrix::from_rows(1, 1, {1.0f});
-  layer.backward(dout, nullptr);
-  layer.zero_grad();
-  for (float g : layer.weight_grad().flat()) EXPECT_EQ(g, 0.0f);
-  for (float g : layer.bias_grad()) EXPECT_EQ(g, 0.0f);
 }
 
 TEST(Dense, BackwardShapeMismatchThrows) {
   Dense layer(2, 2, Activation::kIdentity);
   Matrix x = Matrix::from_rows(1, 2, {1.0f, 1.0f});
   Matrix out;
-  layer.forward(x, out);
+  layer.forward_eval(x, out);
   Matrix bad = Matrix::from_rows(1, 3, {1, 1, 1});
-  EXPECT_THROW(layer.backward(bad, nullptr), std::invalid_argument);
+  EXPECT_THROW(layer.backward_at(x, out, bad, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace

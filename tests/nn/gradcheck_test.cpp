@@ -1,6 +1,8 @@
 // Numerical gradient check: the single most load-bearing property of the
-// NN substrate. Backprop gradients must match central finite differences
-// of the loss for every parameter, across architectures and activations.
+// NN substrate. The gradients train_sgd steps on (forward_train,
+// softmax_cross_entropy_into, backward_train) must match central finite
+// differences of the loss for every parameter, across architectures and
+// activations.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +25,22 @@ void PrintTo(const GradCheckCase& c, std::ostream* os) { *os << c.name; }
 class GradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 double loss_at(Mlp& model, const std::vector<float>& params, const Matrix& x,
-               const std::vector<int>& labels) {
+               const std::vector<int>& labels, TrainWorkspace& ws) {
   model.set_parameters(params);
-  return softmax_cross_entropy_loss(model.forward(x), labels);
+  return softmax_cross_entropy_into(model.forward_train(x, ws), labels,
+                                    ws.dlogits);
+}
+
+/// The layers' gradient buffers in flat parameter order.
+std::vector<float> flat_gradients(const Mlp& model) {
+  std::vector<float> flat;
+  for (const Dense& layer : model.layers()) {
+    const auto g = layer.weight_grad().flat();
+    flat.insert(flat.end(), g.begin(), g.end());
+    flat.insert(flat.end(), layer.bias_grad().begin(),
+                layer.bias_grad().end());
+  }
+  return flat;
 }
 
 TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
@@ -43,12 +58,11 @@ TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
         0, static_cast<std::int64_t>(model.output_dim()) - 1));
   }
 
-  // Analytic gradient.
-  model.zero_grad();
-  const Matrix logits = model.forward(x);
-  LossResult loss = softmax_cross_entropy(logits, labels);
-  model.backward(std::move(loss.dlogits));
-  const std::vector<float> analytic = model.gradients();
+  // Analytic gradient: one training step's backward pass.
+  TrainWorkspace ws;
+  softmax_cross_entropy_into(model.forward_train(x, ws), labels, ws.dlogits);
+  model.backward_train(x, ws);
+  const std::vector<float> analytic = flat_gradients(model);
   std::vector<float> params = model.parameters();
 
   // Central differences on a random subset of parameters (full sweep on
@@ -59,9 +73,9 @@ TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
   for (std::size_t i = 0; i < params.size(); i += stride) {
     const float orig = params[i];
     params[i] = orig + static_cast<float>(eps);
-    const double up = loss_at(model, params, x, labels);
+    const double up = loss_at(model, params, x, labels, ws);
     params[i] = orig - static_cast<float>(eps);
-    const double down = loss_at(model, params, x, labels);
+    const double down = loss_at(model, params, x, labels, ws);
     params[i] = orig;
     const double numeric = (up - down) / (2.0 * eps);
     EXPECT_NEAR(analytic[i], numeric, 5e-3)
@@ -79,7 +93,10 @@ INSTANTIATE_TEST_SUITE_P(
         GradCheckCase{{{4, 8, 3}, Activation::kTanh}, "tanh_1hidden"},
         GradCheckCase{{{5, 8, 6, 4}, Activation::kRelu}, "relu_2hidden"},
         GradCheckCase{{{5, 8, 6, 4}, Activation::kTanh}, "tanh_2hidden"},
-        GradCheckCase{{{2, 16, 16, 2}, Activation::kTanh}, "wide_tanh"}),
+        GradCheckCase{{{2, 16, 16, 2}, Activation::kTanh}, "wide_tanh"},
+        // The two architectures the experiments train.
+        GradCheckCase{{{32, 64, 10}, Activation::kRelu}, "vision_relu"},
+        GradCheckCase{{{48, 96, 62}, Activation::kRelu}, "femnist_relu"}),
     [](const auto& info) { return info.param.name; });
 
 }  // namespace

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
+#include "tensor/kernels.hpp"
+#include "tensor/simd.hpp"
 #include "util/rng.hpp"
 
 namespace baffle {
@@ -159,6 +165,122 @@ TEST(Gemm, ViewRowRangeMultipliesChunk) {
   }
 }
 
+/// Replaces a few entries with −0, ±Inf and NaN. The −0s matter where
+/// k == 1: a fold that started from the first product instead of +0
+/// would leave −0 in the output.
+void add_specials(std::span<float> v, Rng& rng) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {-0.0f, -0.0f, kInf, -kInf,
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (float& x : v) {
+    if (rng.uniform_int(0, 39) == 0) {
+      x = specials[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(std::size(specials)) - 1))];
+    }
+  }
+}
+
+Matrix special_matrix(std::size_t r, std::size_t c, Rng& rng) {
+  Matrix m = random_matrix(r, c, rng);
+  add_specials(m.flat(), rng);
+  return m;
+}
+
+/// The textbook GEMM the scalar arm must equal bit for bit: per output
+/// element, the fold over p in order from +0 with each product rounded
+/// before its add (this file is built without FMA codegen), then one
+/// bias add, then keep-unless-negative. a(i, p) and b(p, j) read the
+/// operands in whatever layout the entry point takes them.
+template <typename A, typename B>
+Matrix textbook_gemm(std::size_t m, std::size_t n, std::size_t k, A a, B b,
+                     const float* bias, bool relu) {
+  Matrix out(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < k; ++p) {
+        const float prod = a(i, p) * b(p, j);
+        acc += prod;
+      }
+      if (bias != nullptr) acc += bias[j];
+      if (relu && acc < 0.0f) acc = 0.0f;
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+/// Equal bytes, except that a NaN matches any NaN (payloads are free).
+void expect_same_floats(const Matrix& want, const Matrix& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const float w = want.flat()[i], g = got.flat()[i];
+    if (std::isnan(w)) {
+      ASSERT_TRUE(std::isnan(g)) << "flat index " << i << ": " << g;
+      continue;
+    }
+    std::uint32_t wb, gb;
+    std::memcpy(&wb, &w, sizeof(wb));
+    std::memcpy(&gb, &g, sizeof(gb));
+    ASSERT_EQ(gb, wb) << "flat index " << i << ": " << g << " vs " << w;
+  }
+}
+
+TEST(Gemm, ScalarArmMatchesTextbookFoldBitForBit) {
+  // Pins the scalar table, so this runs on every CPU and under
+  // BAFFLE_FORCE_SCALAR alike.
+  struct ResetIsa {
+    ~ResetIsa() { simd::reset_isa(); }
+  } reset;
+  kernels::pin_table_for_testing(kernels::scalar_table());
+  const std::size_t dims[] = {1, 15, 16, 17, 33, 64};
+  Rng rng(17);
+  for (std::size_t m : dims) {
+    for (std::size_t n : dims) {
+      for (std::size_t k : dims) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " n=" << n << " k=" << k);
+        const Matrix a = special_matrix(m, k, rng);
+        const Matrix at = special_matrix(k, m, rng);
+        const Matrix b = special_matrix(k, n, rng);
+        const Matrix bt = special_matrix(n, k, rng);
+        std::vector<float> bias(n);
+        for (float& x : bias) x = static_cast<float>(rng.normal());
+        add_specials(bias, rng);
+        const auto a_ik = [&](std::size_t i, std::size_t p) {
+          return a.at(i, p);
+        };
+        const auto at_ik = [&](std::size_t i, std::size_t p) {
+          return at.at(p, i);
+        };
+        const auto b_kj = [&](std::size_t p, std::size_t j) {
+          return b.at(p, j);
+        };
+        const auto bt_kj = [&](std::size_t p, std::size_t j) {
+          return bt.at(j, p);
+        };
+        Matrix got(m, n);
+        gemm_ab(a, b, got);
+        expect_same_floats(
+            textbook_gemm(m, n, k, a_ik, b_kj, nullptr, false), got);
+        for (bool relu : {false, true}) {
+          SCOPED_TRACE(::testing::Message() << "gemm_ab_bias relu=" << relu);
+          gemm_ab_bias(a, b, bias, relu, got);
+          expect_same_floats(
+              textbook_gemm(m, n, k, a_ik, b_kj, bias.data(), relu), got);
+        }
+        gemm_atb(at, b, got);
+        expect_same_floats(
+            textbook_gemm(m, n, k, at_ik, b_kj, nullptr, false), got);
+        gemm_abt(a, bt, got);
+        expect_same_floats(
+            textbook_gemm(m, n, k, a_ik, bt_kj, nullptr, false), got);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(RowOps, ArgmaxRowsIntoMatchesAllocating) {
   const Matrix m = Matrix::from_rows(3, 3, {1, 5, 2, 9, 0, 1, 2, 2, 7});
   std::vector<std::size_t> out(3);
@@ -189,33 +311,6 @@ TEST(RowOps, ColSum) {
   col_sum(m, out);
   EXPECT_EQ(out[0], 4.0f);
   EXPECT_EQ(out[1], 6.0f);
-}
-
-TEST(Softmax, RowsSumToOne) {
-  Matrix m = Matrix::from_rows(2, 3, {1, 2, 3, -1, 0, 1});
-  softmax_rows(m);
-  for (std::size_t r = 0; r < 2; ++r) {
-    float total = 0.0f;
-    for (float x : m.row(r)) {
-      EXPECT_GT(x, 0.0f);
-      total += x;
-    }
-    EXPECT_NEAR(total, 1.0f, 1e-5f);
-  }
-}
-
-TEST(Softmax, StableUnderLargeLogits) {
-  Matrix m = Matrix::from_rows(1, 2, {1000.0f, 1001.0f});
-  softmax_rows(m);
-  EXPECT_FALSE(std::isnan(m.at(0, 0)));
-  EXPECT_NEAR(m.at(0, 1), 1.0f / (1.0f + std::exp(-1.0f)), 1e-4f);
-}
-
-TEST(Softmax, PreservesOrdering) {
-  Matrix m = Matrix::from_rows(1, 3, {0.5f, 2.0f, -1.0f});
-  softmax_rows(m);
-  EXPECT_GT(m.at(0, 1), m.at(0, 0));
-  EXPECT_GT(m.at(0, 0), m.at(0, 2));
 }
 
 TEST(Argmax, PerRow) {

@@ -647,8 +647,9 @@ TEST_F(SimdParity, GemmPanelRowsReadsInPlaceLikePacked) {
   // gemm_panel_rows straight from each table that reads B in place (the
   // scalar table and the zmm tile): row-major B, masked at the tail
   // panel, must give the bytes the packed panels give. The scalar
-  // table's packed result must also equal its own gemm_ab, add_row_bias
-  // and relu_forward passes, which fold over p in the same order.
+  // table's packed result must also equal the textbook loop: the fold
+  // over p from +0 with each product rounded before its add (this file
+  // has no FMA codegen), one bias add, then keep-unless-negative.
   const GemmWidths w = gemm_widths();
   std::vector<const kernels::KernelTable*> tables = {&kernels::scalar_table()};
   if (w.zmm != nullptr) tables.push_back(w.zmm);
@@ -680,11 +681,18 @@ TEST_F(SimdParity, GemmPanelRowsReadsInPlaceLikePacked) {
         args.b_panel_stride = k * kernels::kPanelCols;
         t->gemm_panel_rows(args, 0, m);
         if (t == &kernels::scalar_table()) {
-          kernels::pin_table_for_testing(*t);
           Matrix seq(m, n);
-          gemm_ab(a, b, seq);
-          add_row_bias(seq, bias);
-          relu_forward(seq.flat());
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              float acc = 0.0f;
+              for (std::size_t p = 0; p < k; ++p) {
+                const float prod = a.at(i, p) * b.at(p, j);
+                acc += prod;
+              }
+              acc += bias[j];
+              seq.at(i, j) = acc < 0.0f ? 0.0f : acc;
+            }
+          }
           expect_same_bytes(seq.flat(), ref.flat());
         }
         args.c = got.flat().data();

@@ -141,9 +141,6 @@ class Linter:
     # Table members are wrappers around differently-named public entry
     # points in a few places; the parity test exercises those.
     PARITY_ALIASES = {
-        "gemm_ab_rows": ["gemm_ab"],
-        "gemm_atb_rows": ["gemm_atb"],
-        "gemm_abt_rows": ["gemm_abt"],
         "squared_l2": ["l2_norm", "squared_l2"],
         "sum_d": ["sum(", "sum ("],
         "sum_sq_diff_d": ["sum_sq_diff"],
