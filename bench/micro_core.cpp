@@ -110,13 +110,17 @@ void BM_LofScore(benchmark::State& state) {
 BENCHMARK(BM_LofScore)->Arg(10)->Arg(20)->Arg(30);
 
 void BM_ErrorVariation(benchmark::State& state) {
-  ConfusionMatrix a(62), b(62);
+  std::vector<int> labels;
+  std::vector<std::size_t> preds_a, preds_b;
   Rng rng(3);
   for (int i = 0; i < 2000; ++i) {
     const int t = static_cast<int>(rng.uniform_int(0, 61));
-    a.record(t, static_cast<int>(rng.uniform_int(0, 61)));
-    b.record(t, t);
+    labels.push_back(t);
+    preds_a.push_back(static_cast<std::size_t>(rng.uniform_int(0, 61)));
+    preds_b.push_back(static_cast<std::size_t>(t));
   }
+  const ErrorProfile a = error_profile(labels, preds_a, 62);
+  const ErrorProfile b = error_profile(labels, preds_b, 62);
   for (auto _ : state) {
     benchmark::DoNotOptimize(error_variation(a, b));
   }

@@ -14,9 +14,9 @@
 //          defense.on_commit(server.version(),
 //                            proposal.candidate_params); }
 //
-// Client validators persist across rounds so their per-model confusion
-// matrices are cached; validation of the n validators runs on the global
-// thread pool (each validator is an independent object).
+// Client validators persist across rounds so the error profiles of their
+// history windows are cached; validation of the n validators runs on the
+// global thread pool (each validator is an independent object).
 
 #include <map>
 #include <optional>

@@ -6,24 +6,47 @@
 
 namespace baffle {
 
-VariationPoint error_variation(const ConfusionMatrix& older,
-                               const ConfusionMatrix& newer) {
-  BAFFLE_CHECK(older.num_classes() == newer.num_classes(),
+ErrorProfile error_profile(std::span<const int> labels,
+                           std::span<const std::size_t> preds,
+                           std::size_t num_classes) {
+  BAFFLE_CHECK(num_classes > 0, "error_profile needs at least one class");
+  BAFFLE_CHECK(labels.size() == preds.size(),
+               "error_profile needs one prediction per label");
+  std::vector<std::size_t> source_wrong(num_classes, 0);
+  std::vector<std::size_t> target_wrong(num_classes, 0);
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const auto y = static_cast<std::size_t>(labels[i]);
+    const std::size_t p = preds[i];
+    BAFFLE_CHECK(labels[i] >= 0 && y < num_classes,
+                 "true label out of class range");
+    BAFFLE_CHECK(p < num_classes, "predicted label out of class range");
+    if (p == y) {
+      ++correct;
+    } else {
+      ++source_wrong[y];
+      ++target_wrong[p];
+    }
+  }
+  ErrorProfile out{std::vector<double>(2 * num_classes, 0.0), 0.0};
+  if (labels.empty()) return out;
+  const auto total = static_cast<double>(labels.size());
+  for (std::size_t y = 0; y < num_classes; ++y) {
+    out.errors[y] = static_cast<double>(source_wrong[y]) / total;
+    out.errors[num_classes + y] = static_cast<double>(target_wrong[y]) / total;
+  }
+  out.accuracy = static_cast<double>(correct) / total;
+  return out;
+}
+
+VariationPoint error_variation(const ErrorProfile& older,
+                               const ErrorProfile& newer) {
+  BAFFLE_CHECK(older.errors.size() == newer.errors.size(),
                "error_variation operands must share the class set");
-  const auto src_old = older.source_focused_errors();
-  const auto src_new = newer.source_focused_errors();
-  const auto tgt_old = older.target_focused_errors();
-  const auto tgt_new = newer.target_focused_errors();
-  VariationPoint v;
-  v.reserve(2 * older.num_classes());
-  for (std::size_t y = 0; y < older.num_classes(); ++y) {
-    v.push_back(src_old[y] - src_new[y]);
+  VariationPoint v(older.errors.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = older.errors[i] - newer.errors[i];
   }
-  for (std::size_t y = 0; y < older.num_classes(); ++y) {
-    v.push_back(tgt_old[y] - tgt_new[y]);
-  }
-  BAFFLE_DCHECK(v.size() == 2 * older.num_classes(),
-                "variation point must have 2|Y| components");
   return v;
 }
 

@@ -10,18 +10,36 @@
 // gradually); a freshly injected backdoor shifts one or a few classes'
 // rates and lands the point far from the cluster.
 
+#include <cstddef>
 #include <span>
 #include <vector>
-
-#include "metrics/confusion.hpp"
 
 namespace baffle {
 
 using VariationPoint = std::vector<double>;
 
-/// Builds v(f, f', D) from the two models' confusion matrices on D.
-VariationPoint error_variation(const ConfusionMatrix& older,
-                               const ConfusionMatrix& newer);
+/// What Algorithm 2 reads of one model on D: its per-class source- and
+/// target-focused error rates and, for the z-score ablation A1, its
+/// accuracy. `errors` is laid out like a VariationPoint — err_D^{y→*}
+/// for every class y, then err_D^{*→y} for every class y (2|Y| entries)
+/// — so v(f, f', D) is the elementwise difference of two profiles.
+struct ErrorProfile {
+  std::vector<double> errors;
+  double accuracy = 0.0;
+};
+
+/// Tallies a model's profile from its per-sample predictions on D. Each
+/// entry is an integer count divided once by |D| — the counts a
+/// ConfusionMatrix keeps — so the profile is bit-identical to
+/// ConfusionMatrix::source_focused_errors, target_focused_errors and
+/// accuracy of the same predictions (all zero on an empty D).
+ErrorProfile error_profile(std::span<const int> labels,
+                           std::span<const std::size_t> preds,
+                           std::size_t num_classes);
+
+/// Builds v(f, f', D) from the two models' profiles on D.
+VariationPoint error_variation(const ErrorProfile& older,
+                               const ErrorProfile& newer);
 
 /// Euclidean distance between variation points (LOF metric).
 double variation_distance(const VariationPoint& a, const VariationPoint& b);

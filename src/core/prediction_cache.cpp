@@ -1,33 +1,39 @@
 #include "core/prediction_cache.hpp"
 
+#include "util/contracts.hpp"
+#include "util/metrics.hpp"
+
 namespace baffle {
 
-const ConfusionMatrix* PredictionCache::find(std::uint64_t version) const {
+const ErrorProfile* PredictionCache::find(std::uint64_t version) const {
   const auto it = entries_.find(version);
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-void PredictionCache::insert(std::uint64_t version, ConfusionMatrix cm) {
-  if (entries_.size() >= max_entries_ && !entries_.contains(version)) {
-    // entries_ is version-ordered, so begin() is the smallest version —
-    // an exact LRU eviction (the window only ever looks back ℓ+1
-    // monotonically growing versions) without the old O(n) min-scan.
-    entries_.erase(entries_.begin());
-  }
-  entries_.insert_or_assign(version, std::move(cm));
+const ErrorProfile& PredictionCache::hit(std::uint64_t version) {
+  const ErrorProfile* found = find(version);
+  BAFFLE_CHECK(found != nullptr,
+               "prediction cache: window model was never deposited");
+  ++hits_;
+  MetricsRegistry::global().add_counter("prediction_cache.hits");
+  return *found;
 }
 
 void PredictionCache::insert_missed(std::uint64_t version,
-                                    ConfusionMatrix cm) {
+                                    ErrorProfile profile) {
   ++misses_;
   MetricsRegistry::global().add_counter("prediction_cache.misses");
-  insert(version, std::move(cm));
+  entries_.insert_or_assign(version, std::move(profile));
 }
 
-void PredictionCache::promote(std::uint64_t version, ConfusionMatrix cm) {
+void PredictionCache::promote(std::uint64_t version, ErrorProfile profile) {
   ++promotions_;
   MetricsRegistry::global().add_counter("prediction_cache.promotions");
-  insert(version, std::move(cm));
+  entries_.insert_or_assign(version, std::move(profile));
+}
+
+void PredictionCache::evict_before(std::uint64_t version) {
+  entries_.erase(entries_.begin(), entries_.lower_bound(version));
 }
 
 }  // namespace baffle

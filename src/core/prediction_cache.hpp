@@ -1,70 +1,53 @@
 #pragma once
 // Per-validator memoization of model evaluations.
 //
-// Validating a round requires error-variation points between ℓ+1
-// history models on the validator's fixed dataset. History models are
-// immutable and identified by version, so each (version → confusion
-// matrix) pair is computed once per validator and reused across rounds;
-// the fresh candidate's evaluation is *promoted* into the cache when the
+// Validating a round reads the error profiles (core/error_variation.hpp)
+// of the ℓ+1 history models on the validator's fixed dataset. History
+// models are immutable and identified by version, so each (version →
+// profile) pair is computed once per validator and reused across rounds;
+// the fresh candidate's profile is *promoted* into the cache when the
 // round commits (Validator::notify_commit), so in steady state no model
-// is ever evaluated twice.
+// is ever evaluated twice. Versions only grow, so an entry older than
+// the window's front can never be read again: the validator evicts those
+// when it plans a round (evict_before), and the cache holds at most the
+// window plus the promoted candidate.
 
 #include <cstdint>
 #include <map>
-#include <optional>
 
-#include "metrics/confusion.hpp"
-#include "util/metrics.hpp"
+#include "core/error_variation.hpp"
 
 namespace baffle {
 
 class PredictionCache {
  public:
-  explicit PredictionCache(std::size_t max_entries = 256)
-      : max_entries_(max_entries) {}
+  const ErrorProfile* find(std::uint64_t version) const;
 
-  const ConfusionMatrix* find(std::uint64_t version) const;
-  void insert(std::uint64_t version, ConfusionMatrix cm);
+  /// Checked lookup of an entry the round has already deposited; counts
+  /// a hit (per cache and in the global `prediction_cache.hits`). A
+  /// missing entry is a caller bug and throws ContractViolation.
+  const ErrorProfile& hit(std::uint64_t version);
 
-  /// Binds a candidate's already-computed confusion matrix to the
-  /// version it was committed under, so next round's history pass hits
-  /// instead of redoing the forward pass. Counted separately from
-  /// get_or_eval traffic (`prediction_cache.promotions`).
-  void promote(std::uint64_t version, ConfusionMatrix cm);
+  /// Deposits an evaluation the cache could not serve: counts a miss
+  /// (`prediction_cache.misses`). The validator's engine pass computes
+  /// every uncached window model in one batch and deposits them here.
+  void insert_missed(std::uint64_t version, ErrorProfile profile);
 
-  /// Records an out-of-band evaluation: the entry was not served by the
-  /// cache, so it counts as a miss exactly like get_or_eval's slow
-  /// path, but the evaluation happened elsewhere (the validator's
-  /// batched cold-window prefetch computes many uncached models in one
-  /// fused pass and deposits the results here).
-  void insert_missed(std::uint64_t version, ConfusionMatrix cm);
+  /// Binds a candidate's already-computed profile to the version it was
+  /// committed under, so next round's history pass hits instead of
+  /// redoing the forward pass (`prediction_cache.promotions`).
+  void promote(std::uint64_t version, ErrorProfile profile);
+
+  /// Drops every entry whose version is below `version`.
+  void evict_before(std::uint64_t version);
 
   std::size_t size() const { return entries_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t promotions() const { return promotions_; }
 
-  /// Lookup-or-evaluate helper; counts hit/miss statistics (per cache
-  /// and aggregated into the global metrics registry).
-  template <typename EvalFn>
-  const ConfusionMatrix& get_or_eval(std::uint64_t version, EvalFn&& eval) {
-    if (const auto* found = find(version)) {
-      ++hits_;
-      MetricsRegistry::global().add_counter("prediction_cache.hits");
-      return *found;
-    }
-    ++misses_;
-    MetricsRegistry::global().add_counter("prediction_cache.misses");
-    insert(version, eval());
-    return *find(version);
-  }
-
  private:
-  std::size_t max_entries_;
-  // Ordered by version: eviction pops begin() — the smallest version —
-  // in O(1) instead of scanning for the minimum (versions are assigned
-  // monotonically by the server, so smallest == least recently useful).
-  std::map<std::uint64_t, ConfusionMatrix> entries_;
+  std::map<std::uint64_t, ErrorProfile> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t promotions_ = 0;

@@ -45,8 +45,6 @@ Validator::Validator(Validator&& other) noexcept
       config_(other.config_),
       cache_(std::move(other.cache_)),
       pending_(std::move(other.pending_)),
-      prev_candidate_(std::move(other.prev_candidate_)),
-      preds_scratch_(std::move(other.preds_scratch_)),
       engine_(std::move(other.engine_)),
       batch_preds_(std::move(other.batch_preds_)),
       batch_models_(std::move(other.batch_models_)),
@@ -65,8 +63,6 @@ Validator& Validator::operator=(Validator&& other) noexcept
   engine_ = std::move(other.engine_);
   cache_ = std::move(other.cache_);
   pending_ = std::move(other.pending_);
-  prev_candidate_ = std::move(other.prev_candidate_);
-  preds_scratch_ = std::move(other.preds_scratch_);
   batch_preds_ = std::move(other.batch_preds_);
   batch_models_ = std::move(other.batch_models_);
   window_keys_ = std::move(other.window_keys_);
@@ -78,45 +74,15 @@ Validator& Validator::operator=(Validator&& other) noexcept
   return *this;
 }
 
-ConfusionMatrix Validator::confusion_from_preds(
-    std::span<const std::size_t> preds) const {
-  ConfusionMatrix cm(data_.num_classes());
-  const auto& labels = data_.labels();
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    cm.record(labels[i], static_cast<int>(preds[i]));
-  }
-  return cm;
-}
-
-ConfusionMatrix Validator::evaluate_params(const ParamVec& params) {
-  MetricsRegistry::global().add_counter("validator.model_materializations");
-  preds_scratch_.resize(data_.size());
-  engine_.predict_into(params, preds_scratch_);
-  return confusion_from_preds(preds_scratch_);
-}
-
-const ConfusionMatrix& Validator::evaluate_history(
-    const HistoryRef& snapshot) {
-  return cache_.get_or_eval(snapshot.version, [&] {
-    return evaluate_params(*snapshot.params);
-  });
-}
-
-void Validator::stash_pending(const ParamVec& candidate,
-                              const ConfusionMatrix& cm) {
-  if (!config_.incremental) return;
-  pending_.emplace(PendingCandidate{candidate, cm});
-}
-
 void Validator::notify_commit(std::uint64_t version,
                               const ParamVec& committed) {
   MutexLock lock(mu_);
   // Promotion must be exact: only when the committed parameters are
-  // bit-equal to the candidate scored last is its confusion matrix
-  // valid under the new version (deterministic inference ⇒ identical
-  // predictions ⇒ identical matrix).
+  // bit-equal to the candidate scored last is its profile valid under
+  // the new version (deterministic inference ⇒ identical predictions ⇒
+  // identical profile).
   if (pending_ && pending_->params == committed) {
-    cache_.promote(version, std::move(pending_->cm));
+    cache_.promote(version, std::move(pending_->profile));
     MetricsRegistry::global().add_counter("validator.candidate_reuse");
   }
   pending_.reset();
@@ -124,10 +90,6 @@ void Validator::notify_commit(std::uint64_t version,
 
 void Validator::notify_reject() {
   MutexLock lock(mu_);
-  // The pending confusion matrix is no longer promotable, but it is
-  // still the exact evaluation of those parameters: keep it as the
-  // repeat-candidate memo for a replayed submission.
-  if (pending_) prev_candidate_ = std::move(pending_);
   pending_.reset();
 }
 
@@ -186,35 +148,37 @@ ValidationOutcome Validator::validate_refs(
   EvalPlan plan;
   {
     MutexLock lock(mu_);
-    plan = plan_round(candidate, history);
+    plan = plan_round(history);
   }
 
   // Phase 2 (UNLOCKED): the only expensive step — one batched engine
   // pass, free to fan out across the pool without holding mu_.
-  std::vector<ConfusionMatrix> missed_cms;
-  run_plan(candidate, history, plan, missed_cms);
+  std::vector<ErrorProfile> missed_profiles;
+  run_plan(candidate, history, plan, missed_profiles);
 
   // Phase 3 (locked): deposit and score against a fully-cached window.
   MutexLock lock(mu_);
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {
     cache_.insert_missed(history[plan.missed[i]].version,
-                         std::move(missed_cms[i]));
+                         std::move(missed_profiles[i]));
   }
   return score_round(candidate, history, plan);
 }
 
 Validator::EvalPlan Validator::plan_round(
-    const ParamVec& candidate, std::span<const HistoryRef> history) {
-  // A new round supersedes the previous candidate: whatever was pending
-  // becomes the repeat-candidate memo (the commit/reject notification
-  // evidently never arrived — e.g. pure-evaluation callers).
-  if (pending_) prev_candidate_ = std::move(pending_);
+    std::span<const HistoryRef> history) {
+  // A new round supersedes the previous candidate: its commit/reject
+  // notification evidently never arrived (e.g. pure-evaluation callers),
+  // and it can no longer be promoted.
   pending_.reset();
+  // Versions only grow, so nothing older than the window's front is
+  // ever read again: the cache holds at most this window plus the
+  // candidate promoted after it.
+  if (!history.empty()) cache_.evict_before(history.front().version);
 
   EvalPlan plan;
   // A lone history model yields no variation points, so nothing reads
-  // its confusion matrix this round — don't evaluate it (matches the
-  // sequential implementation's laziness and its counter trail).
+  // its profile this round — don't evaluate it.
   if (history.size() >= 2) {
     plan.missed.reserve(history.size());
     for (std::size_t i = 0; i < history.size(); ++i) {
@@ -226,28 +190,16 @@ Validator::EvalPlan Validator::plan_round(
   // it. This predicate mirrors the abstention check in score_round
   // (m history models ⇒ m−1 variation points, for every method): on an
   // abstaining round the history still gets evaluated — it feeds the
-  // incremental window — but the candidate pass is skipped, exactly as
-  // the sequential implementation skipped it.
+  // incremental window — but the candidate pass is skipped.
   const std::size_t variations = history.size() < 2 ? 0 : history.size() - 1;
   plan.eval_candidate = variations >= config_.min_variations;
-
-  // Repeat submissions (an adaptive attacker's self-check loop, or a
-  // round replayed after a rejection) re-validate bit-identical
-  // parameters; deterministic inference makes the previous confusion
-  // matrix exact, so the forward pass is skipped entirely.
-  if (plan.eval_candidate && prev_candidate_ &&
-      prev_candidate_->params == candidate) {
-    MetricsRegistry::global().add_counter("validator.candidate_cm_reuse");
-    plan.candidate_cm = prev_candidate_->cm;
-  }
   return plan;
 }
 
 void Validator::run_plan(const ParamVec& candidate,
                          std::span<const HistoryRef> history, EvalPlan& plan,
-                         std::vector<ConfusionMatrix>& missed_cms) {
-  const bool need_candidate = plan.eval_candidate && !plan.candidate_cm;
-  const std::size_t evals = plan.missed.size() + (need_candidate ? 1 : 0);
+                         std::vector<ErrorProfile>& missed_profiles) {
+  const std::size_t evals = plan.missed.size() + (plan.eval_candidate ? 1 : 0);
   if (evals == 0) return;
   const std::size_t n = data_.size();
   batch_preds_.resize(evals * n);
@@ -258,7 +210,7 @@ void Validator::run_plan(const ParamVec& candidate,
         {*history[plan.missed[i]].params,
          std::span<std::size_t>(batch_preds_).subspan(i * n, n)});
   }
-  if (need_candidate) {
+  if (plan.eval_candidate) {
     batch_models_.push_back(
         {candidate, std::span<std::size_t>(batch_preds_)
                         .subspan(plan.missed.size() * n, n)});
@@ -274,16 +226,18 @@ void Validator::run_plan(const ParamVec& candidate,
     MetricsRegistry::global().add_counter("validator.batched_evals",
                                           plan.missed.size());
   }
-  missed_cms.reserve(plan.missed.size());
+  // Profile of the model whose predictions fill batch slot `slot`.
+  const auto profile = [&](std::size_t slot) {
+    return error_profile(
+        data_.labels(),
+        std::span<const std::size_t>(batch_preds_).subspan(slot * n, n),
+        data_.num_classes());
+  };
+  missed_profiles.reserve(plan.missed.size());
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {
-    missed_cms.push_back(confusion_from_preds(
-        std::span<const std::size_t>(batch_preds_).subspan(i * n, n)));
+    missed_profiles.push_back(profile(i));
   }
-  if (need_candidate) {
-    plan.candidate_cm = confusion_from_preds(
-        std::span<const std::size_t>(batch_preds_)
-            .subspan(plan.missed.size() * n, n));
-  }
+  if (plan.eval_candidate) plan.candidate = profile(plan.missed.size());
 }
 
 void Validator::sync_window(std::span<const HistoryRef> history) {
@@ -326,8 +280,8 @@ void Validator::sync_window(std::span<const HistoryRef> history) {
     if (old_index[i] != npos) {
       points[i] = std::move(window_points_[old_index[i]]);
     } else {
-      points[i] = error_variation(evaluate_history(history[i]),
-                                  evaluate_history(history[i + 1]));
+      points[i] = error_variation(cache_.hit(history[i].version),
+                                  cache_.hit(history[i + 1].version));
     }
   }
 
@@ -351,9 +305,14 @@ void Validator::sync_window(std::span<const HistoryRef> history) {
   window_points_ = std::move(points);
   lof_window_.assign(std::move(dists), m);
 
-  // τ = mean leave-one-out LOF of the last ⌊ℓ/4⌋ trusted points. It
-  // depends only on the window, so it is computed once per window here
-  // and reused for every candidate scored against it.
+  // τ = mean leave-one-out LOF of the last ⌊ℓ/4⌋ trusted points. Each
+  // is scored against the remaining ℓ−1 points so its reference set
+  // matches the candidate's (scored against all ℓ): the paper's listing
+  // scores trusted points only against their predecessors, but that
+  // shrinks their reference sets relative to the candidate's and biases
+  // τ low (inflating false positives). τ depends only on the window, so
+  // it is computed once per window here and reused for every candidate
+  // scored against it.
   window_tau_ = 0.0;
   window_tau_count_ = 0;
   if (m >= config_.min_variations && m >= 1) {
@@ -372,12 +331,14 @@ void Validator::sync_window(std::span<const HistoryRef> history) {
   }
 }
 
-ValidationOutcome Validator::validate_lof_incremental(
+ValidationOutcome Validator::score_round(
     const ParamVec& candidate, std::span<const HistoryRef> history,
     EvalPlan& plan) {
   ValidationOutcome outcome;
   sync_window(history);
 
+  // A history of m models yields m−1 variation points; with the full
+  // ℓ+1 window that is ℓ.
   const std::size_t ell = window_points_.size();  // effective look-back
   if (ell < config_.min_variations) {
     outcome.abstained = true;
@@ -386,19 +347,53 @@ ValidationOutcome Validator::validate_lof_incremental(
   }
   BAFFLE_DCHECK(ell <= config_.lookback,
                 "a window of m models yields at most l variation points");
-  const std::size_t k = lof_k_for_lookback(ell);
-  BAFFLE_DCHECK(k == (ell + 1) / 2, "Algorithm 2 fixes k = ceil(l/2)");
 
-  // Candidate's variation point v_{ℓ+1} = v(𝒢^ℓ, G, D); its confusion
-  // matrix was produced by the plan's engine pass (or the repeat memo).
-  BAFFLE_CHECK(plan.candidate_cm.has_value(),
+  // The candidate's profile was produced by the plan's engine pass; it
+  // stays pending until the round's commit/reject feedback.
+  BAFFLE_CHECK(plan.candidate.has_value(),
                "scored round requires a planned candidate evaluation");
-  const ConfusionMatrix& candidate_cm = *plan.candidate_cm;
+  const ErrorProfile& latest = cache_.hit(history.back().version);
+  pending_.emplace(PendingCandidate{candidate, std::move(*plan.candidate)});
+  const ErrorProfile& candidate_profile = pending_->profile;
+
+  if (config_.method == ValidationMethod::kGlobalAccuracyZScore) {
+    // Ablation A1: ignore class structure entirely; look only at the
+    // round-to-round change in overall accuracy. An anomalous accuracy
+    // *drop* is the poisoning signal.
+    std::vector<double> deltas;
+    deltas.reserve(ell);
+    for (std::size_t i = 1; i < history.size(); ++i) {
+      deltas.push_back(cache_.hit(history[i].version).accuracy -
+                       cache_.hit(history[i - 1].version).accuracy);
+    }
+    outcome.phi =
+        -guarded_zscore(candidate_profile.accuracy - latest.accuracy, deltas);
+    outcome.tau = config_.zscore_threshold;
+    outcome.vote = outcome.phi > outcome.tau ? 1 : 0;
+    return outcome;
+  }
+
+  // Candidate's variation point v_{ℓ+1} = v(𝒢^ℓ, G, D).
   const VariationPoint candidate_point =
-      error_variation(evaluate_history(history.back()), candidate_cm);
+      error_variation(latest, candidate_profile);
   BAFFLE_DCHECK(candidate_point.size() == window_points_.front().size(),
                 "candidate and history variation points must share a dim");
-  stash_pending(candidate, candidate_cm);
+
+  if (config_.method == ValidationMethod::kVariationNormZScore) {
+    // Ablation A2: per-class variation points, but a global z-score on
+    // the point's norm instead of the local-density LOF test.
+    const VariationPoint origin(candidate_point.size(), 0.0);
+    std::vector<double> norms;
+    norms.reserve(ell);
+    for (const auto& v : window_points_) {
+      norms.push_back(variation_distance(v, origin));
+    }
+    outcome.phi =
+        guarded_zscore(variation_distance(candidate_point, origin), norms);
+    outcome.tau = config_.zscore_threshold;
+    outcome.vote = outcome.phi > outcome.tau ? 1 : 0;
+    return outcome;
+  }
 
   if (window_tau_count_ == 0) {
     outcome.abstained = true;
@@ -407,130 +402,13 @@ ValidationOutcome Validator::validate_lof_incremental(
   }
   outcome.tau = window_tau_;
 
+  const std::size_t k = lof_k_for_lookback(ell);
+  BAFFLE_DCHECK(k == (ell + 1) / 2, "Algorithm 2 fixes k = ceil(l/2)");
   candidate_row_.resize(ell);
   variation_distances(candidate_point, window_points_, candidate_row_);
   outcome.phi =
       lof_score_windowed(lof_window_, candidate_row_,
                          /*leave_out=*/static_cast<std::size_t>(-1), k);
-  outcome.vote =
-      outcome.phi > config_.tau_margin * outcome.tau ? 1 : 0;
-  return outcome;
-}
-
-ValidationOutcome Validator::score_round(
-    const ParamVec& candidate, std::span<const HistoryRef> history,
-    EvalPlan& plan) {
-  if (config_.incremental &&
-      config_.method == ValidationMethod::kErrorVariationLof) {
-    return validate_lof_incremental(candidate, history, plan);
-  }
-
-  ValidationOutcome outcome;
-
-  // Variation points between consecutive accepted models. A history of
-  // m models yields m-1 points; with the full ℓ+1 window that is ℓ.
-  // The evaluate_history calls below are cache hits by construction:
-  // every miss was listed by plan_round and deposited before scoring.
-  std::vector<VariationPoint> variations;
-  if (history.size() >= 2) {
-    variations.reserve(history.size() - 1);
-    for (std::size_t i = 1; i < history.size(); ++i) {
-      variations.push_back(error_variation(evaluate_history(history[i - 1]),
-                                           evaluate_history(history[i])));
-    }
-  }
-
-  if (variations.size() < config_.min_variations) {
-    outcome.abstained = true;
-    outcome.vote = 0;
-    return outcome;
-  }
-  BAFFLE_CHECK(plan.candidate_cm.has_value(),
-               "scored round requires a planned candidate evaluation");
-  const ConfusionMatrix& candidate_cm = *plan.candidate_cm;
-
-  if (config_.method == ValidationMethod::kGlobalAccuracyZScore) {
-    // Ablation A1: ignore class structure entirely; look only at the
-    // round-to-round change in overall accuracy.
-    std::vector<double> deltas;
-    deltas.reserve(history.size() - 1);
-    for (std::size_t i = 1; i < history.size(); ++i) {
-      deltas.push_back(evaluate_history(history[i]).accuracy() -
-                       evaluate_history(history[i - 1]).accuracy());
-    }
-    const double candidate_delta =
-        candidate_cm.accuracy() - evaluate_history(history.back()).accuracy();
-    stash_pending(candidate, candidate_cm);
-    // An anomalous accuracy *drop* is the poisoning signal.
-    outcome.phi = -guarded_zscore(candidate_delta, deltas);
-    outcome.tau = config_.zscore_threshold;
-    outcome.vote = outcome.phi > outcome.tau ? 1 : 0;
-    return outcome;
-  }
-
-  if (config_.method == ValidationMethod::kVariationNormZScore) {
-    // Ablation A2: per-class variation points, but a global z-score on
-    // the point's norm instead of the local-density LOF test.
-    const VariationPoint origin(variations.front().size(), 0.0);
-    std::vector<double> norms;
-    norms.reserve(variations.size());
-    for (const auto& v : variations) {
-      norms.push_back(variation_distance(v, origin));
-    }
-    const VariationPoint candidate_point =
-        error_variation(evaluate_history(history.back()), candidate_cm);
-    stash_pending(candidate, candidate_cm);
-    outcome.phi =
-        guarded_zscore(variation_distance(candidate_point, origin), norms);
-    outcome.tau = config_.zscore_threshold;
-    outcome.vote = outcome.phi > outcome.tau ? 1 : 0;
-    return outcome;
-  }
-
-  const std::size_t ell = variations.size();  // effective look-back
-  BAFFLE_DCHECK(ell <= config_.lookback,
-                "a window of m models yields at most l variation points");
-  const std::size_t k = lof_k_for_lookback(ell);
-  BAFFLE_DCHECK(k == (ell + 1) / 2, "Algorithm 2 fixes k = ceil(l/2)");
-  const std::size_t tau_window =
-      std::max<std::size_t>(1, tau_window_for_lookback(ell));
-  BAFFLE_DCHECK(tau_window <= ell,
-                "tau is calibrated on trusted points inside the window");
-
-  // Candidate's variation point v_{ℓ+1} = v(𝒢^ℓ, G, D).
-  const VariationPoint candidate_point =
-      error_variation(evaluate_history(history.back()), candidate_cm);
-  BAFFLE_DCHECK(candidate_point.size() == variations.front().size(),
-                "candidate and history variation points must share a dim");
-  stash_pending(candidate, candidate_cm);
-
-  // τ = mean LOF of the last ⌊ℓ/4⌋ trusted points. Each is scored
-  // leave-one-out against the remaining ℓ−1 variations so its reference
-  // set matches the candidate's (scored against all ℓ): the paper's
-  // listing scores trusted points only against their predecessors, but
-  // that shrinks their reference sets relative to the candidate's and
-  // biases τ low (inflating false positives).
-  double tau_sum = 0.0;
-  std::size_t tau_count = 0;
-  std::vector<VariationPoint> rest;
-  rest.reserve(ell - 1);
-  for (std::size_t i = ell - tau_window; i < ell; ++i) {
-    rest.clear();
-    for (std::size_t j = 0; j < ell; ++j) {
-      if (j != i) rest.push_back(variations[j]);
-    }
-    if (rest.size() < 2) continue;
-    tau_sum += lof_score(variations[i], rest, k);
-    ++tau_count;
-  }
-  if (tau_count == 0) {
-    outcome.abstained = true;
-    outcome.vote = 0;
-    return outcome;
-  }
-  outcome.tau = tau_sum / static_cast<double>(tau_count);
-
-  outcome.phi = lof_score(candidate_point, variations, k);
   outcome.vote =
       outcome.phi > config_.tau_margin * outcome.tau ? 1 : 0;
   return outcome;

@@ -16,25 +16,26 @@
 // (BAFFLE) — and the adaptive attacker reuses it verbatim as its
 // self-check (src/attack/adaptive.hpp).
 //
-// The validator is incremental across rounds (DESIGN.md §12): variation
-// points are cached per (prev_version, next_version) pair, the pairwise
-// distance matrix behind the LOF tests shifts by one row/column per
-// round, and a committed candidate's confusion matrix is promoted into
-// the prediction cache (notify_commit) so it is never recomputed as
-// next round's history.back(). All of it is bit-identical to fresh
-// recomputation; `ValidatorConfig::incremental = false` selects the
-// recompute-everything path (benchmarks, parity tests).
+// The validator is incremental across rounds (DESIGN.md §12): it caches
+// only what Algorithm 2 reads — each window model's error profile — and
+// only for the window it is about to score. Variation points are kept
+// per (prev_version, next_version) pair, the pairwise distance matrix
+// behind the LOF tests shifts by one row/column per round, and a
+// committed candidate's profile is promoted into the prediction cache
+// (notify_commit) so it is never recomputed as next round's
+// history.back(). All of it is bit-identical to recomputing Algorithm 2
+// from scratch, which the parity tests do as their oracle.
 //
 // Lock scope (DESIGN.md §17): a validate() call runs in three phases —
-// plan (under mu_: shift the pending memo, list uncached history
-// versions, check the repeat-candidate memo), evaluate (OUTSIDE mu_:
-// one batched MultiModelEval pass over every uncached model plus the
-// candidate, fanned out across the pool), and score (under mu_ again:
-// deposit the confusion matrices, then LOF/τ/φ). The engine therefore
-// never waits on the thread pool while mu_ is held — a help-draining
-// waiter can steal ANOTHER validator's validate task, and two
-// validators stealing each other's work while holding their own locks
-// would deadlock.
+// plan (under mu_: drop the stale pending candidate, evict versions
+// older than the window, list uncached history versions), evaluate
+// (OUTSIDE mu_: one batched MultiModelEval pass over every uncached
+// model plus the candidate, fanned out across the pool), and score
+// (under mu_ again: deposit the profiles, then φ/τ). No model is ever
+// evaluated under mu_, so it is never held across a pool wait — a
+// help-draining waiter can steal ANOTHER validator's validate task, and
+// two validators stealing each other's work while holding their own
+// locks would deadlock.
 
 #include <atomic>
 #include <cstdint>
@@ -84,11 +85,6 @@ struct ValidatorConfig {
   /// paper's benign false-vote rate while leaving the order-of-magnitude
   /// LOF spikes of poisoned updates detectable.
   double tau_margin = 1.3;
-  /// Reuse cross-round state (cached variation points, incremental
-  /// distance matrix, candidate-CM promotion). Scores are bit-identical
-  /// either way; `false` recomputes everything per round — the pre-PR
-  /// baseline the benchmarks and parity tests compare against.
-  bool incremental = true;
 };
 
 struct ValidationOutcome {
@@ -115,7 +111,7 @@ class Validator {
 
   /// Runs Algorithm 2. `history` is oldest→newest (up to ℓ+1 models,
   /// from ModelHistory::window; a longer window throws
-  /// ContractViolation). Confusion matrices for history models are
+  /// ContractViolation). Error profiles of the window's models are
   /// cached across rounds by version.
   ValidationOutcome validate(const ParamVec& candidate,
                              std::span<const GlobalModel> history);
@@ -126,13 +122,13 @@ class Validator {
 
   /// Round feedback: the candidate last scored by validate() was
   /// committed as `version`. When its parameters match `committed`
-  /// bit-for-bit, the confusion matrix computed during validation is
-  /// promoted into the cache under `version` — next round's history
-  /// pass then hits instead of redoing the forward pass.
+  /// bit-for-bit, the profile computed during validation is promoted
+  /// into the cache under `version` — next round's history pass then
+  /// hits instead of redoing the forward pass.
   void notify_commit(std::uint64_t version, const ParamVec& committed);
 
   /// Round feedback: the candidate was rejected (rolled back); its
-  /// pending confusion matrix is discarded.
+  /// pending profile is discarded.
   void notify_reject();
 
   const Dataset& data() const { return data_; }
@@ -157,7 +153,7 @@ class Validator {
   /// commit/reject feedback.
   struct PendingCandidate {
     ParamVec params;
-    ConfusionMatrix cm;
+    ErrorProfile profile;
   };
 
   /// What the round's single engine pass must evaluate, decided under
@@ -165,62 +161,39 @@ class Validator {
   struct EvalPlan {
     std::vector<std::size_t> missed;  // indices into the history span
     bool eval_candidate = false;
-    /// Filled by the memo hit in phase 1 or by the engine in phase 2;
-    /// empty only when the round will abstain before scoring the
-    /// candidate (too little history — same predicate in plan & score).
-    std::optional<ConfusionMatrix> candidate_cm;
+    /// Filled by the engine in phase 2; empty only when the round will
+    /// abstain before scoring the candidate (too little history — same
+    /// predicate in plan & score).
+    std::optional<ErrorProfile> candidate;
   };
 
   ValidationOutcome validate_refs(const ParamVec& candidate,
                                   std::span<const HistoryRef> history);
-  /// Phase 1 (locked): memo shift + repeat-candidate check + the list
-  /// of uncached history versions.
-  EvalPlan plan_round(const ParamVec& candidate,
-                      std::span<const HistoryRef> history)
+  /// Phase 1 (locked): drop the stale pending candidate, evict versions
+  /// older than the window, list the uncached history versions.
+  EvalPlan plan_round(std::span<const HistoryRef> history)
       BAFFLE_REQUIRES(mu_);
   /// Phase 2 (UNLOCKED): one batched predict_many over the plan.
   void run_plan(const ParamVec& candidate,
                 std::span<const HistoryRef> history, EvalPlan& plan,
-                std::vector<ConfusionMatrix>& missed_cms);
+                std::vector<ErrorProfile>& missed_profiles);
   /// Phase 3 (locked): scoring on a fully-cached window.
   ValidationOutcome score_round(const ParamVec& candidate,
                                 std::span<const HistoryRef> history,
                                 EvalPlan& plan) BAFFLE_REQUIRES(mu_);
-  ValidationOutcome validate_lof_incremental(
-      const ParamVec& candidate, std::span<const HistoryRef> history,
-      EvalPlan& plan) BAFFLE_REQUIRES(mu_);
   void sync_window(std::span<const HistoryRef> history) BAFFLE_REQUIRES(mu_);
-  void stash_pending(const ParamVec& candidate, const ConfusionMatrix& cm)
-      BAFFLE_REQUIRES(mu_);
-
-  /// Tallies a confusion matrix from per-sample predictions (sample
-  /// order identical to evaluate_confusion's).
-  ConfusionMatrix confusion_from_preds(
-      std::span<const std::size_t> preds) const;
-  /// One fused-engine evaluation through MultiModelEval::predict_into,
-  /// which never touches the pool (counts a model materialization).
-  /// Under-lock fallback only — it must not wait on the pool — and
-  /// after plan/run deposits, only reachable through a cache eviction
-  /// race that the window size rules out in practice.
-  ConfusionMatrix evaluate_params(const ParamVec& params)
-      BAFFLE_REQUIRES(mu_);
-  const ConfusionMatrix& evaluate_history(const HistoryRef& snapshot)
-      BAFFLE_REQUIRES(mu_);
 
   Dataset data_;
   ValidatorConfig config_;
 
-  // One lock serializes a validator's incremental state: the prediction
-  // cache, the pending/repeat-candidate memos and the incremental LOF
-  // window mutate together, and the commit/reject feedback must be
-  // ordered against scoring. The ENGINE deliberately runs outside it
-  // (see header comment): mu_ is never held across a pool wait.
+  // One lock serializes a validator's cross-round state: the prediction
+  // cache, the pending candidate and the incremental LOF window mutate
+  // together, and the commit/reject feedback must be ordered against
+  // scoring. The ENGINE deliberately runs outside it (see header
+  // comment): no model is evaluated while mu_ is held.
   mutable Mutex mu_;
   PredictionCache cache_ BAFFLE_GUARDED_BY(mu_);
   std::optional<PendingCandidate> pending_ BAFFLE_GUARDED_BY(mu_);
-  std::optional<PendingCandidate> prev_candidate_
-      BAFFLE_GUARDED_BY(mu_);  // repeat-candidate memo
-  std::vector<std::size_t> preds_scratch_ BAFFLE_GUARDED_BY(mu_);
 
   // Engine-phase state, deliberately NOT guarded by mu_. The engine is
   // immutable after its setup-time bind() apart from an internally

@@ -153,18 +153,7 @@ void MultiModelEval::run_tile(std::span<const MultiEvalModel> models,
   }
 }
 
-void MultiModelEval::predict_into(std::span<const float> params,
-                                  std::span<std::size_t> out) {
-  const MultiEvalModel model{params, out, {}};
-  run({&model, 1}, /*use_pool=*/false);
-}
-
 void MultiModelEval::predict_many(std::span<const MultiEvalModel> models) {
-  run(models, /*use_pool=*/true);
-}
-
-void MultiModelEval::run(std::span<const MultiEvalModel> models,
-                         bool use_pool) {
   BAFFLE_CHECK(!xpack_.empty() || samples_ == 0,
                "MultiModelEval: bind() before predict");
   for (const MultiEvalModel& m : models) {
@@ -204,7 +193,7 @@ void MultiModelEval::run(std::span<const MultiEvalModel> models,
   };
   // A one-worker pool would run parallel_for inline anyway; testing the
   // size first keeps that path free of parallel_for's task bookkeeping.
-  if (use_pool && ntiles > 1 && ThreadPool::global().size() > 1) {
+  if (ntiles > 1 && ThreadPool::global().size() > 1) {
     ThreadPool::global().parallel_for(ntiles, tile_fn);
   } else {
     for (std::size_t tile = 0; tile < ntiles; ++tile) tile_fn(tile);

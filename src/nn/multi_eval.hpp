@@ -21,16 +21,15 @@
 // weights in place and writes a DISJOINT slice of predictions/margins
 // with the exact per-element arithmetic of the serial loop — no
 // reductions are reordered — so the output is byte-identical for any
-// pool size, including one worker (the inline loop). predict_into never
-// touches the pool. All mutable per-call state lives in per-(thread,
-// nesting-depth) leased scratch; the engine itself is immutable after
-// bind().
+// pool size, including one worker (the inline loop). All mutable
+// per-call state lives in per-(thread, nesting-depth) leased scratch;
+// the engine itself is immutable after bind().
 //
 // Predictions are BIT-IDENTICAL to Mlp::predict_into on the same kernel
 // arm. The fused kernels keep the sequential path's accumulation order
 // (fold-left over the inner dimension from a zero accumulator, one
-// post-sum bias add, same ReLU and first-max argmax), so confusion
-// matrices, votes, φ and τ are unchanged byte-for-byte.
+// post-sum bias add, same ReLU and first-max argmax), so error
+// profiles, votes, φ and τ are unchanged byte-for-byte.
 
 #include <span>
 #include <vector>
@@ -80,13 +79,6 @@ class MultiModelEval {
   bool bound() const { return samples_ > 0; }
   std::size_t bound_samples() const { return samples_; }
 
-  /// Evaluates one model against the bound features. `out.size()` must
-  /// equal bound_samples(). Runs the tile loop inline on the calling
-  /// thread by construction — it never submits to or waits on the pool,
-  /// so it is safe under a held lock (the Validator's fallback).
-  void predict_into(std::span<const float> params,
-                    std::span<std::size_t> out);
-
   /// Evaluates a batch of models over (model-chunk × panel-block)
   /// tiles: each tile streams a block of packed X panels through a
   /// chunk of models, so the shared operand's memory traffic is paid
@@ -130,10 +122,6 @@ class MultiModelEval {
   /// leased scratch buffer it returns.
   const float* eval_panel(std::span<const LayerView> layers,
                           const float* xpanel, PanelScratch& ps) const;
-
-  /// Shared body of predict_into / predict_many: validates the spans
-  /// and sweeps every tile, across the global pool when `use_pool`.
-  void run(std::span<const MultiEvalModel> models, bool use_pool);
 
   /// One (model-chunk × panel-block) tile: models [m0, mend) over
   /// packed panels [jb, jend), writing the disjoint prediction/margin

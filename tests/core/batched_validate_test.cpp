@@ -62,17 +62,10 @@ class BatchedValidate : public ::testing::Test {
     EXPECT_EQ(a.abstained, b.abstained);
   }
 
-  static void expect_same_cm(const ConfusionMatrix& a,
-                             const ConfusionMatrix& b) {
-    ASSERT_EQ(a.num_classes(), b.num_classes());
-    ASSERT_EQ(a.total(), b.total());
-    for (std::size_t t = 0; t < a.num_classes(); ++t) {
-      for (std::size_t p = 0; p < a.num_classes(); ++p) {
-        ASSERT_EQ(a.count(static_cast<int>(t), static_cast<int>(p)),
-                  b.count(static_cast<int>(t), static_cast<int>(p)))
-            << "cm[" << t << "][" << p << "]";
-      }
-    }
+  static void expect_same_profile(const ErrorProfile& a,
+                                  const ErrorProfile& b) {
+    EXPECT_EQ(a.errors, b.errors);  // bit-exact: counts divided once
+    EXPECT_EQ(a.accuracy, b.accuracy);
   }
 
   SynthTask task_;
@@ -83,9 +76,9 @@ class BatchedValidate : public ::testing::Test {
 
 TEST_F(BatchedValidate, ColdWindowBatchedMatchesWarmSequential) {
   // The warm validator sees the window grow one model per round, so its
-  // prefetch never finds ≥2 uncached models and every evaluation takes
-  // the sequential get_or_eval path. The cold validator receives the
-  // full window at once and batches it. Same inputs, same bits out.
+  // engine pass never finds ≥2 uncached models and evaluates one model
+  // at a time. The cold validator receives the full window at once and
+  // batches it. Same inputs, same bits out.
   for (std::size_t ell : {std::size_t{2}, std::size_t{10}, std::size_t{40}}) {
     SCOPED_TRACE(ell);
     Validator warm = make_validator(ell);
@@ -115,10 +108,9 @@ TEST_F(BatchedValidate, ColdWindowBatchedMatchesWarmSequential) {
     if (ell >= 10) {
       EXPECT_FALSE(cold_out.abstained);
     }
-    // The cold window really went through predict_many, and the
-    // out-of-band deposits kept miss accounting identical to the
-    // sequential path: one miss per window model (the candidate eval is
-    // not a cache miss, and re-lookups of deposited entries are hits).
+    // The cold window really went through one batched pass, with one
+    // miss per window model (the candidate eval is not a cache miss, and
+    // re-lookups of deposited entries are hits).
     EXPECT_GT(MetricsRegistry::global().counter("validator.batched_evals"),
               batched_before);
     EXPECT_EQ(cold.cache().misses(), history.size());
@@ -126,7 +118,7 @@ TEST_F(BatchedValidate, ColdWindowBatchedMatchesWarmSequential) {
 }
 
 TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
-  // Every confusion matrix the batched prefetch deposited must equal a
+  // Every profile the batched pass deposited must carry the bits of a
   // plain per-model evaluate_confusion on the same dataset.
   const std::size_t ell = 10;
   Validator v = make_validator(ell);
@@ -143,52 +135,21 @@ TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
   Mlp model(arch_);
   MlpEvalWorkspace ws;
   for (const auto& entry : history) {
-    const ConfusionMatrix* cached = v.cache().find(entry.version);
+    const ErrorProfile* cached = v.cache().find(entry.version);
     ASSERT_NE(cached, nullptr) << "version " << entry.version;
     model.set_parameters(entry.params);
-    expect_same_cm(evaluate_confusion(model, data_, ws), *cached);
-    if (::testing::Test::HasFatalFailure()) return;
+    const ConfusionMatrix cm = evaluate_confusion(model, data_, ws);
+    std::vector<double> errors = cm.source_focused_errors();
+    const std::vector<double> target = cm.target_focused_errors();
+    errors.insert(errors.end(), target.begin(), target.end());
+    expect_same_profile({errors, cm.accuracy()}, *cached);
   }
-}
-
-TEST_F(BatchedValidate, RepeatCandidateShortCircuitsMaterialization) {
-  // The adaptive attacker's self-check re-validates the same candidate;
-  // a bit-equal repeat must reuse the previous confusion matrix instead
-  // of re-running inference — with identical outcomes.
-  const std::size_t ell = 8;
-  Validator v = make_validator(ell);
-  std::vector<GlobalModel> history;
-  Rng rng(66);
-  for (std::uint64_t ver = 0; ver <= ell; ++ver) {
-    history.push_back({ver, params_});
-    params_ = next_params(rng);
-  }
-  const ParamVec candidate = next_params(rng);
-  const auto first = v.validate(candidate, history);
-  const auto materialized =
-      MetricsRegistry::global().counter("validator.model_materializations");
-  const auto reused_before =
-      MetricsRegistry::global().counter("validator.candidate_cm_reuse");
-  const auto second = v.validate(candidate, history);
-  expect_same(first, second);
-  EXPECT_EQ(
-      MetricsRegistry::global().counter("validator.model_materializations"),
-      materialized);
-  EXPECT_GT(MetricsRegistry::global().counter("validator.candidate_cm_reuse"),
-            reused_before);
-
-  // A different candidate must NOT be served from the memo.
-  const ParamVec other = next_params(rng);
-  v.validate(other, history);
-  EXPECT_GT(
-      MetricsRegistry::global().counter("validator.model_materializations"),
-      materialized);
 }
 
 TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
   // The global pool's size only changes which threads execute the
   // engine's tiles (DESIGN.md §17): votes, φ, τ, abstentions and every
-  // cached confusion matrix must be bit-identical on one worker (the
+  // cached error profile must be bit-identical on one worker (the
   // inline tile loop) and on four, on either kernel dispatch arm. The
   // validator holds both splits (450 samples, two panel blocks), so
   // every engine pass has more than one tile to spread.
@@ -234,11 +195,10 @@ TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
   }
   ASSERT_GT(non_abstained, 4u);
   for (const auto& entry : window) {
-    const ConfusionMatrix* a = ser.cache().find(entry.version);
-    const ConfusionMatrix* b = par.cache().find(entry.version);
+    const ErrorProfile* a = ser.cache().find(entry.version);
+    const ErrorProfile* b = par.cache().find(entry.version);
     EXPECT_EQ(a == nullptr, b == nullptr) << "version " << entry.version;
-    if (a != nullptr && b != nullptr) expect_same_cm(*a, *b);
-    if (::testing::Test::HasFatalFailure()) return;
+    if (a != nullptr && b != nullptr) expect_same_profile(*a, *b);
   }
 }
 

@@ -1,9 +1,11 @@
 // Property-style parity of the incremental validation engine
-// (DESIGN.md §12): a validator with cross-round caching (candidate-CM
-// promotion, per-pair variation points, incremental distance matrix)
-// must produce bit-identical votes/φ/τ to a fresh-recompute validator
-// through arbitrary accept/reject/rollback sequences — while doing
-// strictly fewer model evaluations.
+// (DESIGN.md §12): a validator with cross-round state (candidate-profile
+// promotion, per-pair variation points, incremental distance matrix,
+// window-bounded cache) must produce bit-identical votes/φ/τ to
+// Algorithm 2 recomputed from scratch through arbitrary
+// accept/reject/rollback sequences — while doing strictly fewer model
+// evaluations. The from-scratch oracle lives here, in the test: it
+// shares no state or cache with the Validator.
 
 #include "core/validate.hpp"
 
@@ -13,14 +15,120 @@
 #include <deque>
 
 #include "data/synth.hpp"
+#include "metrics/confusion.hpp"
 #include "util/contracts.hpp"
+#include "util/stats.hpp"
 
 namespace baffle {
 namespace {
 
+/// v(f, f', D) straight from two confusion matrices (Eq. 2–3).
+VariationPoint variation_from(const ConfusionMatrix& older,
+                              const ConfusionMatrix& newer) {
+  const auto src_old = older.source_focused_errors();
+  const auto src_new = newer.source_focused_errors();
+  const auto tgt_old = older.target_focused_errors();
+  const auto tgt_new = newer.target_focused_errors();
+  VariationPoint v;
+  for (std::size_t y = 0; y < older.num_classes(); ++y) {
+    v.push_back(src_old[y] - src_new[y]);
+  }
+  for (std::size_t y = 0; y < older.num_classes(); ++y) {
+    v.push_back(tgt_old[y] - tgt_new[y]);
+  }
+  return v;
+}
+
+double guarded_zscore(double value, std::span<const double> history_values) {
+  const double s = stddev(history_values);
+  const double spread = std::isfinite(s) ? std::max(s, 1e-4) : 1e-4;
+  return (value - mean(history_values)) / spread;
+}
+
+/// Algorithm 2 from scratch: evaluate every history model and the
+/// candidate, build the variation list, then score it — τ as the mean
+/// leave-one-out LOF of the last ⌊ℓ/4⌋ points and φ as the candidate's
+/// LOF against all ℓ, or the z-score ablations over the same list.
+/// `evaluations` counts the forward passes over the history.
+ValidationOutcome fresh_validate(const ValidatorConfig& cfg,
+                                 const Dataset& data, const MlpConfig& arch,
+                                 const ParamVec& candidate,
+                                 std::span<const GlobalModel> history,
+                                 std::size_t& evaluations) {
+  ValidationOutcome outcome;
+  if (history.size() < 2 || history.size() - 1 < cfg.min_variations) {
+    outcome.abstained = true;
+    return outcome;
+  }
+  Mlp model(arch);
+  std::vector<ConfusionMatrix> cms;
+  for (const GlobalModel& g : history) {
+    model.set_parameters(g.params);
+    cms.push_back(evaluate_confusion(model, data));
+    ++evaluations;
+  }
+  model.set_parameters(candidate);
+  const ConfusionMatrix candidate_cm = evaluate_confusion(model, data);
+
+  std::vector<VariationPoint> variations;
+  for (std::size_t i = 1; i < cms.size(); ++i) {
+    variations.push_back(variation_from(cms[i - 1], cms[i]));
+  }
+  const VariationPoint candidate_point =
+      variation_from(cms.back(), candidate_cm);
+  const std::size_t ell = variations.size();
+
+  if (cfg.method == ValidationMethod::kGlobalAccuracyZScore) {
+    std::vector<double> deltas;
+    for (std::size_t i = 1; i < cms.size(); ++i) {
+      deltas.push_back(cms[i].accuracy() - cms[i - 1].accuracy());
+    }
+    outcome.phi = -guarded_zscore(
+        candidate_cm.accuracy() - cms.back().accuracy(), deltas);
+    outcome.tau = cfg.zscore_threshold;
+    outcome.vote = outcome.phi > outcome.tau ? 1 : 0;
+    return outcome;
+  }
+  if (cfg.method == ValidationMethod::kVariationNormZScore) {
+    const VariationPoint origin(candidate_point.size(), 0.0);
+    std::vector<double> norms;
+    for (const auto& v : variations) {
+      norms.push_back(variation_distance(v, origin));
+    }
+    outcome.phi =
+        guarded_zscore(variation_distance(candidate_point, origin), norms);
+    outcome.tau = cfg.zscore_threshold;
+    outcome.vote = outcome.phi > outcome.tau ? 1 : 0;
+    return outcome;
+  }
+
+  const std::size_t k = lof_k_for_lookback(ell);
+  const std::size_t tau_window =
+      std::max<std::size_t>(1, tau_window_for_lookback(ell));
+  double tau_sum = 0.0;
+  std::size_t tau_count = 0;
+  for (std::size_t i = ell - tau_window; i < ell; ++i) {
+    std::vector<VariationPoint> rest;
+    for (std::size_t j = 0; j < ell; ++j) {
+      if (j != i) rest.push_back(variations[j]);
+    }
+    if (rest.size() < 2) continue;
+    tau_sum += lof_score(variations[i], rest, k);
+    ++tau_count;
+  }
+  if (tau_count == 0) {
+    outcome.abstained = true;
+    return outcome;
+  }
+  outcome.tau = tau_sum / static_cast<double>(tau_count);
+  outcome.phi = lof_score(candidate_point, variations, k);
+  outcome.vote = outcome.phi > cfg.tau_margin * outcome.tau ? 1 : 0;
+  return outcome;
+}
+
 /// Cheap non-degenerate model chain: random-walk parameter vectors.
-/// Parity does not need trained models, only distinct confusion
-/// matrices per version.
+/// Parity does not need trained models, only distinct profiles per
+/// version.
 class ParityFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -42,85 +150,120 @@ class ParityFixture : public ::testing::Test {
     return out;
   }
 
-  Validator make_validator(bool incremental, std::size_t lookback = 8,
-                           std::size_t min_variations = 4) {
-    Rng rng(9);
+  static ValidatorConfig config(
+      std::size_t lookback = 8, std::size_t min_variations = 4,
+      ValidationMethod method = ValidationMethod::kErrorVariationLof) {
     ValidatorConfig cfg;
     cfg.lookback = lookback;
     cfg.min_variations = min_variations;
-    cfg.incremental = incremental;
-    return Validator(task_.test.sample(120, rng), arch_, cfg);
+    cfg.method = method;
+    return cfg;
   }
 
-  static void expect_same(const ValidationOutcome& a,
-                          const ValidationOutcome& b) {
-    EXPECT_EQ(a.vote, b.vote);
-    EXPECT_EQ(a.phi, b.phi);  // bit-exact, not just approximately equal
-    EXPECT_EQ(a.tau, b.tau);
-    EXPECT_EQ(a.abstained, b.abstained);
+  /// The validator's private data: the same 120-sample draw every time.
+  Dataset validator_data() const {
+    Rng rng(9);
+    return task_.test.sample(120, rng);
+  }
+
+  Validator make_validator(const ValidatorConfig& cfg) const {
+    return Validator(validator_data(), arch_, cfg);
+  }
+
+  /// Scores `candidate` with `v` and with the from-scratch oracle and
+  /// expects the same bits; returns the validator's outcome.
+  ValidationOutcome expect_parity(Validator& v, const ParamVec& candidate,
+                                  std::span<const GlobalModel> history) {
+    const ValidationOutcome got = v.validate(candidate, history);
+    const ValidationOutcome want =
+        fresh_validate(v.config(), v.data(), arch_, candidate, history,
+                       oracle_evaluations_);
+    EXPECT_EQ(got.vote, want.vote);
+    EXPECT_EQ(got.phi, want.phi);  // bit-exact, not just approximately equal
+    EXPECT_EQ(got.tau, want.tau);
+    EXPECT_EQ(got.abstained, want.abstained);
+    return got;
+  }
+
+  /// Drives `v` through scripted rounds against the oracle: validate,
+  /// then commit (true) or roll back (false). Returns how many rounds
+  /// were scored rather than abstained.
+  std::size_t run_script(Validator& v, const std::vector<bool>& accept_script,
+                         std::size_t lookback, std::uint64_t seed) {
+    std::deque<GlobalModel> window;
+    std::uint64_t version = 0;
+    window.push_back({version, params_});
+    Rng rng(seed);
+    std::size_t non_abstained = 0;
+    for (const bool accept : accept_script) {
+      const std::vector<GlobalModel> history(window.begin(), window.end());
+      const ParamVec candidate = next_params(rng);
+      if (!expect_parity(v, candidate, history).abstained) ++non_abstained;
+      if (accept) {
+        ++version;
+        window.push_back({version, candidate});
+        while (window.size() > lookback + 1) window.pop_front();
+        v.notify_commit(version, candidate);
+        params_ = candidate;
+      } else {
+        // Rolled back: the window must behave as if the candidate never
+        // existed (its pending evaluation is discarded).
+        v.notify_reject();
+      }
+    }
+    return non_abstained;
   }
 
   SynthTask task_;
   MlpConfig arch_;
   ParamVec params_;  // current committed chain head
+  std::size_t oracle_evaluations_ = 0;
 };
 
+// Warmup accepts (through the abstention regime), then rejects —
+// including consecutive ones — interleaved with accepts so the window
+// both shifts and stalls.
+const std::vector<bool> kAcceptScript = {
+    true, true,  true, true,  true, true, true, false, true,
+    false, false, true, true, false, true, true, true,  true};
+
 TEST_F(ParityFixture, AcceptRejectRollbackSequenceBitIdentical) {
-  Validator incremental = make_validator(true);
-  Validator fresh = make_validator(false);
   const std::size_t lookback = 8;
+  Validator v = make_validator(config(lookback));
+  const std::size_t non_abstained =
+      run_script(v, kAcceptScript, lookback, /*seed=*/77);
+  ASSERT_GT(non_abstained, 6u);  // the LOF path actually ran
 
-  std::deque<GlobalModel> window;
-  std::uint64_t version = 0;
-  window.push_back({version, params_});
+  // The validator promoted committed candidates instead of re-evaluating
+  // them as next round's history.back().
+  EXPECT_GT(v.cache().promotions(), 0u);
+  EXPECT_LT(v.cache().misses(), oracle_evaluations_);
+}
 
-  Rng rng(77);
-  // Scripted round outcomes: warmup accepts (through the abstention
-  // regime), then rejects — including consecutive ones — interleaved
-  // with accepts so the window both shifts and stalls.
-  const bool accept_script[] = {true, true,  true, true,  true,  true,
-                                true, false, true, false, false, true,
-                                true, false, true, true,  true,  true};
-  std::size_t accepts = 0;
-  std::size_t non_abstained = 0;
-  for (bool accept : accept_script) {
-    const std::vector<GlobalModel> history(window.begin(), window.end());
-    const ParamVec candidate = next_params(rng);
-    const auto inc = incremental.validate(candidate, history);
-    const auto ref = fresh.validate(candidate, history);
-    expect_same(inc, ref);
-    if (!inc.abstained) ++non_abstained;
-    if (accept) {
-      ++version;
-      window.push_back({version, candidate});
-      while (window.size() > lookback + 1) window.pop_front();
-      incremental.notify_commit(version, candidate);
-      fresh.notify_commit(version, candidate);
-      params_ = candidate;
-      ++accepts;
-    } else {
-      // Rolled back: the window must behave as if the candidate never
-      // existed (its pending evaluation is discarded).
-      incremental.notify_reject();
-      fresh.notify_reject();
-    }
+TEST_F(ParityFixture, ZScoreAblationsMatchFreshRecompute) {
+  // The ablations score off the same window state as LOF: A2 reads the
+  // cached variation points, A1 the cached profiles' accuracies.
+  const std::size_t lookback = 8;
+  for (ValidationMethod method : {ValidationMethod::kGlobalAccuracyZScore,
+                                  ValidationMethod::kVariationNormZScore}) {
+    SCOPED_TRACE(validation_method_name(method));
+    const ParamVec start = params_;
+    oracle_evaluations_ = 0;
+    Validator v = make_validator(config(lookback, 4, method));
+    const std::size_t non_abstained =
+        run_script(v, kAcceptScript, lookback, /*seed=*/78);
+    ASSERT_GT(non_abstained, 6u);
+    EXPECT_GT(v.cache().promotions(), 0u);
+    EXPECT_LT(v.cache().misses(), oracle_evaluations_);
+    params_ = start;
   }
-  ASSERT_GT(accepts, lookback);     // window rotated through capacity
-  ASSERT_GT(non_abstained, 6u);     // the LOF path actually ran
-
-  // The incremental validator promoted committed candidates instead of
-  // re-evaluating them as next round's history.back().
-  EXPECT_GT(incremental.cache().promotions(), 0u);
-  EXPECT_EQ(fresh.cache().promotions(), 0u);
-  EXPECT_LT(incremental.cache().misses(), fresh.cache().misses());
 }
 
 TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
   // The adaptive attacker's self-check validates many candidates per
   // round against the same window; only the last one may be promoted.
-  Validator incremental = make_validator(true);
-  Validator fresh = make_validator(false);
   const std::size_t lookback = 8;
+  Validator v = make_validator(config(lookback));
 
   // The window holds at most ℓ+1 models, so each push drops the oldest.
   std::deque<GlobalModel> window;
@@ -129,46 +272,46 @@ TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
     while (window.size() > lookback + 1) window.pop_front();
   };
   Rng rng(55);
-  for (std::uint64_t v = 0; v <= lookback; ++v) {
-    push(v, params_);
+  for (std::uint64_t ver = 0; ver <= lookback; ++ver) {
+    push(ver, params_);
     params_ = next_params(rng);
   }
   std::vector<GlobalModel> history(window.begin(), window.end());
   ParamVec last;
   for (int trial = 0; trial < 5; ++trial) {
     last = next_params(rng, 0.01f * static_cast<float>(trial + 1));
-    expect_same(incremental.validate(last, history),
-                fresh.validate(last, history));
+    expect_parity(v, last, history);
   }
+  // A bit-identical repeat scores the same (and is evaluated again).
+  expect_parity(v, last, history);
+
   // Committing a model that is NOT the last validated candidate must
   // not promote (parameters differ bit-wise from the pending ones).
   const ParamVec other = next_params(rng);
-  incremental.notify_commit(9, other);
-  EXPECT_EQ(incremental.cache().promotions(), 0u);
+  v.notify_commit(9, other);
+  EXPECT_EQ(v.cache().promotions(), 0u);
 
   push(9, other);
   history.assign(window.begin(), window.end());
-  expect_same(incremental.validate(last, history),
-              fresh.validate(last, history));
+  expect_parity(v, last, history);
 
   // Committing exactly the last validated candidate does promote.
-  incremental.notify_commit(10, last);
-  EXPECT_EQ(incremental.cache().promotions(), 1u);
+  v.notify_commit(10, last);
+  EXPECT_EQ(v.cache().promotions(), 1u);
   push(10, last);
   history.assign(window.begin(), window.end());
   const ParamVec candidate = next_params(rng);
-  const auto misses_before = incremental.cache().misses();
-  expect_same(incremental.validate(candidate, history),
-              fresh.validate(candidate, history));
+  const auto misses_before = v.cache().misses();
+  expect_parity(v, candidate, history);
   // The promoted version was needed as history.back() and hit.
-  EXPECT_EQ(incremental.cache().misses(), misses_before);
+  EXPECT_EQ(v.cache().misses(), misses_before);
 }
 
 TEST_F(ParityFixture, OverlongWindowThrowsContractViolation) {
   // validate() takes at most ℓ+1 models; a longer window is a caller
   // bug, rejected in every build rather than scored on the wrong ℓ.
   const std::size_t lookback = 8;
-  Validator v = make_validator(true, lookback);
+  Validator v = make_validator(config(lookback));
   std::vector<GlobalModel> history;
   Rng rng(56);
   for (std::uint64_t ver = 0; ver <= lookback + 1; ++ver) {
@@ -186,12 +329,7 @@ TEST_F(ParityFixture, ZScoreAblationsSingleDeltaStayFinite) {
   Rng rng(66);
   for (ValidationMethod method : {ValidationMethod::kGlobalAccuracyZScore,
                                   ValidationMethod::kVariationNormZScore}) {
-    ValidatorConfig cfg;
-    cfg.lookback = 2;
-    cfg.min_variations = 1;
-    cfg.method = method;
-    Rng data_rng(9);
-    Validator v(task_.test.sample(120, data_rng), arch_, cfg);
+    Validator v = make_validator(config(2, 1, method));
     std::vector<GlobalModel> history;
     history.push_back({0, params_});
     history.push_back({1, next_params(rng)});
@@ -208,25 +346,59 @@ TEST_F(ParityFixture, LookbackSweepSizesBitIdentical) {
   // through growth, saturation and rotation at every ℓ.
   for (std::size_t ell : {4u, 8u, 16u}) {
     SCOPED_TRACE(ell);
-    Validator incremental = make_validator(true, ell);
-    Validator fresh = make_validator(false, ell);
-    std::deque<GlobalModel> window;
-    std::uint64_t version = 0;
-    window.push_back({version, params_});
-    Rng rng(100 + ell);
-    for (int round = 0; round < static_cast<int>(ell) + 6; ++round) {
-      const std::vector<GlobalModel> history(window.begin(), window.end());
-      const ParamVec candidate = next_params(rng);
-      expect_same(incremental.validate(candidate, history),
-                  fresh.validate(candidate, history));
+    Validator v = make_validator(config(ell));
+    run_script(v, std::vector<bool>(ell + 6, true), ell, 100 + ell);
+  }
+}
+
+TEST(ValidatorCacheBound, HoldsOnlyTheWindowOn62Classes) {
+  // FEMNIST-sized class set: a validator's cache must hold the window
+  // plus at most the promoted candidate — never a growing tail of
+  // versions it can no longer read.
+  Rng rng(62);
+  SynthTaskConfig task_cfg = synth_femnist62_config();
+  task_cfg.train_per_class = 1;
+  task_cfg.test_per_class = 4;
+  const SynthTask task = make_synth_task(task_cfg, rng);
+  const MlpConfig arch{{task_cfg.dim, 16, task_cfg.num_classes},
+                       Activation::kRelu};
+  Mlp model(arch);
+  model.init(rng);
+  ParamVec params = model.parameters();
+
+  const std::size_t lookback = 6;
+  ValidatorConfig cfg;
+  cfg.lookback = lookback;
+  cfg.min_variations = 3;
+  Validator v(task.test, arch, cfg);
+
+  std::deque<GlobalModel> window;
+  std::uint64_t version = 0;
+  window.push_back({version, params});
+  std::size_t commits = 0;
+  for (std::size_t round = 0; commits < 3 * (lookback + 1); ++round) {
+    SCOPED_TRACE(round);
+    const std::vector<GlobalModel> history(window.begin(), window.end());
+    ParamVec candidate = params;
+    for (float& p : candidate) p += static_cast<float>(rng.normal(0.0, 0.05));
+    v.validate(candidate, history);
+    if (round % 3 == 2) {
+      v.notify_reject();
+    } else {
       ++version;
+      ++commits;
+      v.notify_commit(version, candidate);
       window.push_back({version, candidate});
-      while (window.size() > ell + 1) window.pop_front();
-      incremental.notify_commit(version, candidate);
-      fresh.notify_commit(version, candidate);
-      params_ = candidate;
+      while (window.size() > lookback + 1) window.pop_front();
+      params = candidate;
+    }
+    EXPECT_LE(v.cache().size(), lookback + 2);
+    for (std::uint64_t old = 0; old < history.front().version; ++old) {
+      EXPECT_EQ(v.cache().find(old), nullptr) << "version " << old;
     }
   }
+  EXPECT_GT(version, 3 * lookback);
+  EXPECT_GT(v.cache().promotions(), 0u);
 }
 
 }  // namespace

@@ -2,135 +2,101 @@
 
 #include <gtest/gtest.h>
 
+#include "util/contracts.hpp"
+
 namespace baffle {
 namespace {
 
-ConfusionMatrix cm_with(int t, int p) {
-  ConfusionMatrix cm(3);
-  cm.record(t, p);
-  return cm;
+/// A distinguishable 3-class profile: `tag` lands in its accuracy.
+ErrorProfile profile_with(double tag) {
+  return ErrorProfile{std::vector<double>(6, 0.0), tag};
 }
 
 TEST(PredictionCache, MissThenHit) {
   PredictionCache cache;
-  int evals = 0;
-  const auto eval = [&] {
-    ++evals;
-    return cm_with(0, 0);
-  };
-  cache.get_or_eval(7, eval);
-  cache.get_or_eval(7, eval);
-  EXPECT_EQ(evals, 1);
+  cache.insert_missed(7, profile_with(0.5));
+  EXPECT_EQ(cache.hit(7).accuracy, 0.5);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(PredictionCache, DistinctVersionsEvaluatedSeparately) {
   PredictionCache cache;
-  int evals = 0;
   for (std::uint64_t v : {1u, 2u, 3u}) {
-    cache.get_or_eval(v, [&] {
-      ++evals;
-      return cm_with(0, 0);
-    });
+    cache.insert_missed(v, profile_with(static_cast<double>(v)));
   }
-  EXPECT_EQ(evals, 3);
+  EXPECT_EQ(cache.misses(), 3u);
   EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.hit(2).accuracy, 2.0);
 }
 
 TEST(PredictionCache, FindReturnsStoredMatrix) {
   PredictionCache cache;
-  cache.insert(5, cm_with(1, 2));
-  const ConfusionMatrix* found = cache.find(5);
+  cache.insert_missed(5, ErrorProfile{{0.25, 0.0, 0.0, 0.25}, 0.75});
+  const ErrorProfile* found = cache.find(5);
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->count(1, 2), 1u);
+  EXPECT_EQ(found->errors, (std::vector<double>{0.25, 0.0, 0.0, 0.25}));
+  EXPECT_EQ(found->accuracy, 0.75);
   EXPECT_EQ(cache.find(6), nullptr);
-}
-
-TEST(PredictionCache, EvictsSmallestVersionWhenFull) {
-  PredictionCache cache(3);
-  cache.insert(10, cm_with(0, 0));
-  cache.insert(11, cm_with(0, 0));
-  cache.insert(12, cm_with(0, 0));
-  cache.insert(13, cm_with(0, 0));  // evicts 10
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.find(10), nullptr);
-  EXPECT_NE(cache.find(13), nullptr);
-}
-
-TEST(PredictionCache, EvictedVersionCountsAsMissAgain) {
-  PredictionCache cache(2);
-  int evals = 0;
-  const auto eval = [&] {
-    ++evals;
-    return cm_with(0, 0);
-  };
-  cache.get_or_eval(1, eval);
-  cache.get_or_eval(2, eval);
-  cache.get_or_eval(3, eval);  // evicts version 1
-  EXPECT_EQ(cache.find(1), nullptr);
-  cache.get_or_eval(1, eval);  // must re-evaluate
-  EXPECT_EQ(evals, 4);
+  // find is not a counted lookup.
   EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 4u);
-  cache.get_or_eval(1, eval);
-  EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(PredictionCache, CapacityOneKeepsOnlyNewest) {
-  PredictionCache cache(1);
-  cache.insert(5, cm_with(0, 0));
-  cache.insert(6, cm_with(1, 1));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(5), nullptr);
-  ASSERT_NE(cache.find(6), nullptr);
-  EXPECT_EQ(cache.find(6)->count(1, 1), 1u);
 }
 
 TEST(PredictionCache, InsertOverwritesSameVersion) {
   PredictionCache cache;
-  cache.insert(1, cm_with(0, 0));
-  cache.insert(1, cm_with(2, 2));
+  cache.insert_missed(1, profile_with(0.1));
+  cache.insert_missed(1, profile_with(0.2));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(1)->count(2, 2), 1u);
+  EXPECT_EQ(cache.find(1)->accuracy, 0.2);
 }
 
 TEST(PredictionCache, PromoteBindsMatrixAndCounts) {
   PredictionCache cache;
-  cache.promote(4, cm_with(1, 1));
+  cache.promote(4, profile_with(0.9));
   EXPECT_EQ(cache.promotions(), 1u);
-  ASSERT_NE(cache.find(4), nullptr);
-  EXPECT_EQ(cache.find(4)->count(1, 1), 1u);
-  // A promoted entry is a plain cache entry afterwards: get_or_eval
-  // hits it without re-evaluating.
-  int evals = 0;
-  cache.get_or_eval(4, [&] {
-    ++evals;
-    return cm_with(0, 0);
-  });
-  EXPECT_EQ(evals, 0);
+  EXPECT_EQ(cache.misses(), 0u);
+  // A promoted entry is a plain cache entry afterwards: the lookup hits.
+  EXPECT_EQ(cache.hit(4).accuracy, 0.9);
   EXPECT_EQ(cache.hits(), 1u);
 }
 
-TEST(PredictionCache, PromoteEvictsLikeInsertWhenFull) {
-  PredictionCache cache(2);
-  cache.insert(1, cm_with(0, 0));
-  cache.insert(2, cm_with(0, 0));
-  cache.promote(3, cm_with(2, 2));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find(1), nullptr);  // smallest version evicted
-  ASSERT_NE(cache.find(3), nullptr);
-  EXPECT_EQ(cache.find(3)->count(2, 2), 1u);
+TEST(PredictionCache, HitOnMissingEntryThrows) {
+  // Every window model is deposited before scoring; a lookup that finds
+  // nothing is a validator bug, never a silent evaluation.
+  PredictionCache cache;
+  cache.insert_missed(1, profile_with(0.0));
+  EXPECT_THROW(cache.hit(2), ContractViolation);
+  EXPECT_EQ(cache.hits(), 0u);
 }
 
-TEST(PredictionCache, OverwriteAtCapacityDoesNotEvict) {
-  PredictionCache cache(2);
-  cache.insert(1, cm_with(0, 0));
-  cache.insert(2, cm_with(0, 0));
-  cache.insert(2, cm_with(2, 2));  // overwrite, not a new entry
+TEST(PredictionCache, EvictBeforeDropsOnlyOlderVersions) {
+  PredictionCache cache;
+  for (std::uint64_t v : {10u, 11u, 12u, 13u}) {
+    cache.insert_missed(v, profile_with(0.0));
+  }
+  cache.evict_before(12);
   EXPECT_EQ(cache.size(), 2u);
-  ASSERT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(cache.find(2)->count(2, 2), 1u);
+  EXPECT_EQ(cache.find(10), nullptr);
+  EXPECT_EQ(cache.find(11), nullptr);
+  EXPECT_NE(cache.find(12), nullptr);
+  EXPECT_NE(cache.find(13), nullptr);
+  cache.evict_before(0);  // nothing older than the oldest entry
+  EXPECT_EQ(cache.size(), 2u);
+  cache.evict_before(100);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(PredictionCache, EvictedVersionCountsAsMissAgain) {
+  PredictionCache cache;
+  cache.insert_missed(1, profile_with(0.0));
+  cache.insert_missed(2, profile_with(0.0));
+  cache.evict_before(2);  // drops version 1
+  EXPECT_EQ(cache.find(1), nullptr);
+  cache.insert_missed(1, profile_with(0.0));  // must be re-deposited
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 3u);
+  cache.hit(1);
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 }  // namespace

@@ -49,6 +49,13 @@ std::vector<std::size_t> sequential_preds(const MlpConfig& arch,
   return preds;
 }
 
+// One model through the batched entry point.
+void predict_one(MultiModelEval& engine, std::span<const float> params,
+                 std::span<std::size_t> out) {
+  const MultiEvalModel model{params, out};
+  engine.predict_many({&model, 1});
+}
+
 TEST(MultiModelEval, Fp32BitParityWithSequentialPath) {
   const MlpConfig arch{{32, 24, 10}, Activation::kRelu};
   Rng rng(7);
@@ -61,7 +68,7 @@ TEST(MultiModelEval, Fp32BitParityWithSequentialPath) {
 
   std::vector<std::size_t> batched(x.rows());
   for (const auto& params : chain) {
-    engine.predict_into(params, batched);
+    predict_one(engine, params, batched);
     EXPECT_EQ(batched, sequential_preds(arch, params, x));
   }
 }
@@ -76,7 +83,7 @@ TEST(MultiModelEval, Fp32ParityMultiLayerTanh) {
 
   std::vector<std::size_t> batched(x.rows());
   for (const auto& params : chain) {
-    engine.predict_into(params, batched);
+    predict_one(engine, params, batched);
     EXPECT_EQ(batched, sequential_preds(arch, params, x));
   }
 }
@@ -93,7 +100,7 @@ TEST(MultiModelEval, SingleSampleAndSingleRowPanels) {
   engine.bind(x);
   std::vector<std::size_t> batched(1);
   for (const auto& params : chain) {
-    engine.predict_into(params, batched);
+    predict_one(engine, params, batched);
     EXPECT_EQ(batched, sequential_preds(arch, params, x));
   }
 }
@@ -135,13 +142,13 @@ TEST(MultiModelEval, RebindReplacesDataset) {
   MultiModelEval engine(arch);
   engine.bind(x1);
   std::vector<std::size_t> preds1(x1.rows());
-  engine.predict_into(chain[0], preds1);
+  predict_one(engine, chain[0], preds1);
   EXPECT_EQ(preds1, sequential_preds(arch, chain[0], x1));
 
   engine.bind(x2);
   EXPECT_EQ(engine.bound_samples(), 17u);
   std::vector<std::size_t> preds2(x2.rows());
-  engine.predict_into(chain[0], preds2);
+  predict_one(engine, chain[0], preds2);
   EXPECT_EQ(preds2, sequential_preds(arch, chain[0], x2));
 }
 

@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
   cfg.scenario = task == TaskKind::kFemnist62 ? femnist_scenario(sfrac)
                                               : vision_scenario(sfrac);
   if (flags.has("clients")) {
-    cfg.scenario.num_clients =
-        static_cast<std::size_t>(flags.integer("clients", 50));
+    cfg.scenario.num_clients = flags.count("clients", 50);
   }
   cfg.scenario.dirichlet_alpha = flags.num("alpha", 0.9);
   cfg.scenario.iid = flags.flag("iid", false);
@@ -87,11 +86,9 @@ int main(int argc, char** argv) {
                    {{"C", DefenseMode::kClientsOnly},
                     {"S", DefenseMode::kServerOnly},
                     {"C+S", DefenseMode::kClientsAndServer}});
-  cfg.feedback.quorum = static_cast<std::size_t>(flags.integer("q", 5));
-  cfg.feedback.validator.lookback =
-      static_cast<std::size_t>(flags.integer("lookback", 20));
-  cfg.defense_start =
-      static_cast<std::size_t>(flags.integer("defense-start", 20));
+  cfg.feedback.quorum = flags.count("q", 5);
+  cfg.feedback.validator.lookback = flags.count("lookback", 20);
+  cfg.defense_start = flags.count("defense-start", 20);
   cfg.defense_enabled = !flags.flag("no-defense", false);
   cfg.separate_validators = flags.flag("separate-validators", false);
   cfg.validator_dropout = flags.num("validator-dropout", 0.0);
@@ -102,18 +99,14 @@ int main(int argc, char** argv) {
                                       {"none", Attack::kNone}});
   cfg.schedule = AttackSchedule::stable_scenario();
   if (flags.has("poison-rounds")) {
-    cfg.schedule.poison_rounds.clear();
-    for (const long r : flags.integers("poison-rounds")) {
-      cfg.schedule.poison_rounds.push_back(static_cast<std::size_t>(r));
-    }
+    cfg.schedule.poison_rounds = flags.counts("poison-rounds");
   }
   if (attack == Attack::kNone) cfg.schedule.poison_rounds.clear();
   cfg.schedule.adaptive = flags.flag("adaptive", false);
   if (attack == Attack::kDba) {
     cfg.use_dba = true;
     cfg.scenario.backdoor_override = BackdoorKind::kTrigger;
-    cfg.dba_colluders =
-        static_cast<std::size_t>(flags.integer("colluders", 4));
+    cfg.dba_colluders = flags.count("colluders", 4);
   }
   cfg.malicious_vote =
       flags.choice("vote", VoteStrategy::kAlwaysAccept,
@@ -121,7 +114,7 @@ int main(int argc, char** argv) {
                     {"accept", VoteStrategy::kAlwaysAccept},
                     {"reject", VoteStrategy::kAlwaysReject}});
 
-  cfg.rounds = static_cast<std::size_t>(flags.integer("rounds", 50));
+  cfg.rounds = flags.count("rounds", 50);
   cfg.stable_start = !flags.flag("from-scratch", false);
   cfg.transport = flags.flag("transport", false);
 

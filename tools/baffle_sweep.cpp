@@ -54,7 +54,7 @@ SweepAxis size_axis(const cli::Flags& flags, const std::string& name,
                     void (*set)(ExperimentConfig&, std::size_t)) {
   SweepAxis axis{name, {}};
   for (const auto& token : flags.list(name, fallback)) {
-    const auto v = static_cast<std::size_t>(flags.to_integer(name, token));
+    const std::size_t v = flags.to_count(name, token);
     axis.values.push_back({token, [set, v](ExperimentConfig& c) { set(c, v); }});
   }
   return axis;
@@ -85,24 +85,19 @@ int main(int argc, char** argv) {
   spec.base.scenario = task == TaskKind::kFemnist62 ? femnist_scenario(0.01)
                                                     : vision_scenario(0.10);
   if (flags.has("clients")) {
-    spec.base.scenario.num_clients =
-        static_cast<std::size_t>(flags.integer("clients", 50));
+    spec.base.scenario.num_clients = flags.count("clients", 50);
   }
   if (flags.has("train-per-class")) {
     spec.base.scenario.train_per_class_override =
-        static_cast<std::size_t>(flags.integer("train-per-class", 0));
+        flags.count("train-per-class", 0);
   }
-  spec.base.rounds = static_cast<std::size_t>(flags.integer("rounds", 50));
-  spec.base.defense_start =
-      static_cast<std::size_t>(flags.integer("defense-start", 20));
+  spec.base.rounds = flags.count("rounds", 50);
+  spec.base.defense_start = flags.count("defense-start", 20);
   spec.base.schedule = AttackSchedule::stable_scenario();
   if (flags.has("poison-rounds")) {
-    spec.base.schedule.poison_rounds.clear();
-    for (const long r : flags.integers("poison-rounds")) {
-      spec.base.schedule.poison_rounds.push_back(static_cast<std::size_t>(r));
-    }
+    spec.base.schedule.poison_rounds = flags.counts("poison-rounds");
   }
-  spec.reps = static_cast<std::size_t>(flags.integer("reps", 5));
+  spec.reps = flags.count("reps", 5);
   spec.base_seed = static_cast<std::uint64_t>(flags.integer("seed", 1));
 
   const bool default_grid = !flags.has("lookback") && !flags.has("q") &&

@@ -5,7 +5,7 @@ Two layers of checking, applied per file:
 
   1. Correctness flags are UNCONDITIONAL: every ``parity_ok`` and
      ``bit_identical`` anywhere in the FRESH file must be true. These
-     record bit-exactness properties (incremental == fresh recompute,
+     record bit-exactness properties (warm validator == cold validator,
      batched == sequential, parallel == serial), which hold on any host
      at any load — a false value is a bug, never noise.
 

@@ -23,7 +23,7 @@
 #                             # clang is absent)
 #   tools/check.sh --bench-smoke
 #                             # also run defense_bench --smoke and fail
-#                             # on an incremental/baseline parity break
+#                             # on a cold/warm validator parity break
 #   tools/check.sh --fuzz     # also run the deterministic wire-protocol
 #                             # fuzzer under the ASan build (truncation /
 #                             # bit-flip / garbage corpus must never
@@ -146,8 +146,9 @@ stage "repo lint (tools/baffle_lint.py)" \
   python3 tools/baffle_lint.py --root .
 
 run_bench_smoke() {
-  # One rep per sweep cell; exits nonzero when the incremental engine's
-  # (vote, φ, τ) triples diverge from fresh recomputation. Runs inside
+  # One rep per sweep cell; exits nonzero when a warm validator's
+  # (vote, φ, τ, abstained) outcomes diverge from a cold one's (a new
+  # Validator every round, no cross-round state). Runs inside
   # build-strict so the smoke JSON does not clobber the committed
   # full-run BENCH_defense.json.
   cmake --build build-strict -j "$JOBS" --target defense_bench &&
@@ -175,7 +176,7 @@ run_bench_gate() {
 }
 
 if [[ "$RUN_BENCH_SMOKE" -eq 1 ]]; then
-  stage "defense bench smoke (incremental parity)" run_bench_smoke
+  stage "defense bench smoke (cold/warm parity)" run_bench_smoke
   stage "multieval bench smoke (batched/parallel parity)" \
     run_multieval_smoke
   stage "bench gate (fresh JSON vs committed baselines)" run_bench_gate

@@ -9,8 +9,10 @@
 // Values parse as whole tokens: an integer, real, boolean (0|1|true|
 // false) or enum name with anything left over — `abc`, `4x`, an unknown
 // name — exits 2 with one line, `invalid --NAME=VALUE: reason`, instead
-// of running with a prefix or a default. Range and cross-field checks
-// belong to the library's config validation, not to this parser.
+// of running with a prefix or a default. So does a negative count, which
+// would otherwise wrap around when cast to std::size_t. Range and
+// cross-field checks belong to the library's config validation, not to
+// this parser.
 
 #include <cerrno>
 #include <cmath>
@@ -40,6 +42,11 @@ struct Flags {
   }
   long integer(const std::string& key, long fallback) const {
     return has(key) ? to_integer(key, values.at(key)) : fallback;
+  }
+  /// A count (rounds, clients, ℓ, …): an integer that may not be
+  /// negative, so `-1` exits 2 instead of wrapping to a huge size_t.
+  std::size_t count(const std::string& key, std::size_t fallback) const {
+    return has(key) ? to_count(key, values.at(key)) : fallback;
   }
   bool flag(const std::string& key, bool fallback) const {
     if (!has(key)) return fallback;
@@ -82,10 +89,10 @@ struct Flags {
       pos = comma + 1;
     }
   }
-  std::vector<long> integers(const std::string& key) const {
-    std::vector<long> out;
+  std::vector<std::size_t> counts(const std::string& key) const {
+    std::vector<std::size_t> out;
     for (const std::string& token : list(key)) {
-      out.push_back(to_integer(key, token));
+      out.push_back(to_count(key, token));
     }
     return out;
   }
@@ -101,6 +108,12 @@ struct Flags {
     }
     if (errno == ERANGE) fail(key, "'" + token + "' is out of range");
     return v;
+  }
+  std::size_t to_count(const std::string& key,
+                       const std::string& token) const {
+    const long v = to_integer(key, token);
+    if (v < 0) fail(key, "'" + token + "' is negative");
+    return static_cast<std::size_t>(v);
   }
   double to_real(const std::string& key, const std::string& token) const {
     char* end = nullptr;
