@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -88,16 +87,16 @@ ArmResult run_arm(const BenchSetup& s, std::size_t lookback, bool warm) {
   std::optional<Validator> validator;
   validator.emplace(s.holdout, s.arch, cfg);
 
-  std::deque<GlobalModel> window;
+  ModelHistory window(lookback + 1);
   std::uint64_t version = 0;
   for (; version <= lookback; ++version) {
-    window.push_back({version, s.chain[version]});
+    window.push(version, s.chain[version]);
   }
 
   ArmResult out;
   double total_ms = 0.0;
   for (std::size_t r = 0; r < s.warmup + s.timed; ++r, ++version) {
-    const std::vector<GlobalModel> history(window.begin(), window.end());
+    const ModelWindow history = window.window_shared(lookback + 1);
     const ParamVec& candidate = s.chain[version];
     if (!warm) {  // set-up (copying D, packing it) is not timed
       out.promotions += validator->cache().promotions();
@@ -112,8 +111,7 @@ ArmResult run_arm(const BenchSetup& s, std::size_t lookback, bool warm) {
       total_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
       out.outcomes.push_back(outcome);
     }
-    window.push_back({version, candidate});
-    while (window.size() > lookback + 1) window.pop_front();
+    window.push(version, candidate);
   }
   out.ms_per_round = total_ms / static_cast<double>(s.timed);
   out.promotions += validator->cache().promotions();

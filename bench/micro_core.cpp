@@ -175,21 +175,22 @@ void BM_ValidateCall(benchmark::State& state) {
   warm.epochs = 8;
   warm.sgd.learning_rate = 0.05f;
   train_sgd(model, task.train.features(), task.train.labels(), warm, rng);
-  std::vector<GlobalModel> history;
+  ModelHistory history(21);
   TrainConfig slice;
   slice.epochs = 1;
   slice.sgd.learning_rate = 0.01f;
   for (std::uint64_t v = 0; v <= 20; ++v) {
-    history.push_back({v, model.parameters()});
+    history.push(v, model.parameters());
     train_sgd(model, task.train.features(), task.train.labels(), slice, rng);
   }
   ValidatorConfig vcfg;
   vcfg.lookback = 20;
   Validator validator(task.test.sample(100, rng), arch, vcfg);
   const ParamVec candidate = model.parameters();
-  validator.validate(candidate, history);  // warm the cache
+  const ModelWindow window = history.window_shared(21);
+  validator.validate(candidate, window);  // warm the cache
   for (auto _ : state) {
-    benchmark::DoNotOptimize(validator.validate(candidate, history));
+    benchmark::DoNotOptimize(validator.validate(candidate, window));
   }
 }
 BENCHMARK(BM_ValidateCall);

@@ -5,6 +5,15 @@
 
 namespace baffle {
 
+int cast_vote(int honest_vote, VoteStrategy strategy) {
+  switch (strategy) {
+    case VoteStrategy::kHonest: return honest_vote;
+    case VoteStrategy::kAlwaysAccept: return 0;
+    case VoteStrategy::kAlwaysReject: return 1;
+  }
+  return honest_vote;
+}
+
 std::vector<int> apply_vote_strategy(
     const std::vector<int>& votes, const std::vector<std::size_t>& voter_ids,
     const std::unordered_set<std::size_t>& malicious_ids,
@@ -13,10 +22,9 @@ std::vector<int> apply_vote_strategy(
     throw std::invalid_argument("apply_vote_strategy: size mismatch");
   }
   std::vector<int> out = votes;
-  if (strategy == VoteStrategy::kHonest) return out;
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (malicious_ids.contains(voter_ids[i])) {
-      out[i] = strategy == VoteStrategy::kAlwaysReject ? 1 : 0;
+      out[i] = cast_vote(out[i], strategy);
     }
   }
   return out;

@@ -16,6 +16,12 @@ enum class VoteStrategy {
   kAlwaysReject,  // DoS: vote "poisoned" always
 };
 
+/// The vote a validator following `strategy` casts when its honest
+/// verdict is `honest_vote` (1 = poisoned): the one place a strategy is
+/// applied, by apply_vote_strategy in process and by a malicious client
+/// actor on the wire (src/net).
+int cast_vote(int honest_vote, VoteStrategy strategy);
+
 /// Applies the strategy of malicious voters to the honest verdicts.
 /// `votes[i]` is the verdict (1 = poisoned) of `voter_ids[i]`.
 std::vector<int> apply_vote_strategy(

@@ -88,12 +88,12 @@ FeedbackDecision BaffleDefense::evaluate(
     }
   }
 
-  std::vector<int> votes(validators.size(), 0);
-  std::vector<ValidationOutcome> outcomes(validators.size());
+  // An empty shard has nothing to judge by: that validator abstains.
+  std::vector<ValidationOutcome> outcomes(validators.size(),
+                                          ValidationOutcome{.abstained = true});
   ValidationOutcome server_outcome;
   const bool use_server =
       config_.mode != DefenseMode::kClientsOnly && server_validator_;
-  std::size_t abstentions = 0;
 
   ThreadPool::global().parallel_for(
       validators.size() + 1, [&](std::size_t i) {
@@ -103,30 +103,26 @@ FeedbackDecision BaffleDefense::evaluate(
           }
           return;
         }
-        if (validators[i] == nullptr) return;  // empty shard: abstain
-        outcomes[i] = validators[i]->validate(candidate, window);
-        votes[i] = outcomes[i].vote;
+        if (validators[i] != nullptr) {
+          outcomes[i] = validators[i]->validate(candidate, window);
+        }
       });
 
-  for (std::size_t i = 0; i < validators.size(); ++i) {
-    if (validators[i] == nullptr || outcomes[i].abstained) ++abstentions;
+  std::vector<int> votes;
+  std::vector<bool> abstained;
+  votes.reserve(outcomes.size());
+  abstained.reserve(outcomes.size());
+  for (const ValidationOutcome& outcome : outcomes) {
+    votes.push_back(outcome.vote);
+    abstained.push_back(outcome.abstained);
   }
-  // An abstaining server must not be tallied as an accept vote: it is
-  // excluded from the voter count like an abstaining client.
-  const bool server_abstained = use_server && server_outcome.abstained;
-  if (server_abstained) ++abstentions;
-
-  const std::vector<int> manipulated =
-      use_clients ? apply_vote_strategy(votes, validating_ids, malicious_ids,
-                                        strategy)
-                  : votes;
-  FeedbackDecision decision =
-      decide_quorum(config_.mode, config_.quorum, manipulated,
-                    use_clients ? validating_ids
-                                : std::vector<std::size_t>{},
-                    server_outcome.vote, server_abstained);
-  decision.abstentions = abstentions;
-  return decision;
+  const std::vector<std::size_t> voter_ids =
+      use_clients ? validating_ids : std::vector<std::size_t>{};
+  return decide_quorum(
+      config_.mode, config_.quorum,
+      apply_vote_strategy(votes, voter_ids, malicious_ids, strategy),
+      voter_ids, server_outcome.vote, use_server && server_outcome.abstained,
+      abstained);
 }
 
 }  // namespace baffle

@@ -1,7 +1,8 @@
 #include "core/feedback_loop.hpp"
 
-#include <numeric>
+#include <algorithm>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "util/contracts.hpp"
 
@@ -19,17 +20,31 @@ const char* defense_mode_name(DefenseMode mode) {
 FeedbackDecision decide_quorum(DefenseMode mode, std::size_t quorum,
                                const std::vector<int>& votes,
                                const std::vector<std::size_t>& voter_ids,
-                               int server_vote, bool server_abstained) {
-  BAFFLE_CHECK(votes.size() == voter_ids.size(),
-               "every vote needs a voter id and vice versa");
-#if defined(BAFFLE_CHECKS) && BAFFLE_CHECKS
-  for (int v : votes) {
-    BAFFLE_DCHECK(v == 0 || v == 1, "votes are binary: 0 clean, 1 poisoned");
+                               int server_vote, bool server_abstained,
+                               const std::vector<bool>& abstained) {
+  if (votes.size() != voter_ids.size() ||
+      (!abstained.empty() && abstained.size() != votes.size())) {
+    throw std::invalid_argument(
+        "decide_quorum: votes, voter ids and abstentions do not align");
   }
-#endif
+  for (int v : votes) {
+    if (v != 0 && v != 1) {
+      throw std::invalid_argument("decide_quorum: vote outside {0,1}");
+    }
+  }
+  std::unordered_set<std::size_t> seen;
+  seen.reserve(voter_ids.size());
+  for (std::size_t id : voter_ids) {
+    if (!seen.insert(id).second) {
+      throw std::invalid_argument("decide_quorum: duplicate voter id");
+    }
+  }
+
   FeedbackDecision decision;
   decision.client_votes = votes;
   decision.client_ids = voter_ids;
+  const bool server_votes = mode != DefenseMode::kClientsOnly;
+  if (server_votes && server_abstained) ++decision.abstentions;
 
   if (mode == DefenseMode::kServerOnly) {
     if (server_abstained) {
@@ -44,40 +59,19 @@ FeedbackDecision decide_quorum(DefenseMode mode, std::size_t quorum,
     return decision;
   }
 
-  std::size_t reject_votes = 0;
-  for (int v : votes) {
-    if (v != 0) ++reject_votes;
-  }
+  decision.abstentions += static_cast<std::size_t>(
+      std::count(abstained.begin(), abstained.end(), true));
+  decision.reject_votes =
+      static_cast<std::size_t>(std::count(votes.begin(), votes.end(), 1));
   decision.total_voters = votes.size();
-  if (mode == DefenseMode::kClientsAndServer && !server_abstained) {
+  if (server_votes && !server_abstained) {
     decision.server_vote = server_vote;
     decision.server_voted = true;
     decision.total_voters += 1;
-    if (server_vote != 0) ++reject_votes;
+    if (server_vote != 0) ++decision.reject_votes;
   }
-  decision.reject_votes = reject_votes;
-  decision.reject = reject_votes >= quorum;
+  decision.reject = decision.reject_votes >= quorum;
   return decision;
-}
-
-void validate_decoded_votes(const std::vector<int>& votes,
-                            const std::vector<std::size_t>& voter_ids) {
-  if (votes.size() != voter_ids.size()) {
-    throw std::invalid_argument(
-        "decoded votes: votes/voter_ids length mismatch");
-  }
-  for (int v : votes) {
-    if (v != 0 && v != 1) {
-      throw std::invalid_argument("decoded votes: vote outside {0,1}");
-    }
-  }
-  std::unordered_set<std::size_t> seen;
-  seen.reserve(voter_ids.size());
-  for (std::size_t id : voter_ids) {
-    if (!seen.insert(id).second) {
-      throw std::invalid_argument("decoded votes: duplicate voter id");
-    }
-  }
 }
 
 void validate_feedback_config(const FeedbackConfig& config,

@@ -46,29 +46,31 @@ struct FeedbackDecision {
   std::vector<std::size_t> client_ids;    // who voted
   int server_vote = 0;
   bool server_voted = false;
-  std::size_t abstentions = 0;  // validators whose history was too short
+  /// Validators with nothing to judge by: an empty shard, a history too
+  /// short to score, or an abstaining server.
+  std::size_t abstentions = 0;
 };
 
-/// Tallies votes and applies the quorum rule. `votes`/`voter_ids` are the
-/// clients' verdicts (already subjected to any malicious strategy);
-/// `server_vote` is ignored unless the mode includes the server. An
-/// abstaining server (history too short to judge) is excluded from the
-/// voter count instead of being tallied as an accept — in BAFFLE-S that
-/// means no voters at all, and the round passes by default.
+/// Algorithm 1's tally: the one place the quorum rule is applied, for
+/// the direct round path (BaffleDefense::evaluate) and the session
+/// protocol (TransportRoundDriver::evaluate) alike. `votes[i]` is the
+/// vote client `voter_ids[i]` cast (after any malicious strategy: 1
+/// poisoned, 0 clean) and `abstained[i]` (empty: nobody) whether it had
+/// nothing to judge by. An abstaining client still counts as a voter
+/// that accepts; an abstaining server is excluded from the voter count
+/// instead — in BAFFLE-S that means no voters at all, and the round
+/// passes by default. `server_vote` is ignored unless the mode includes
+/// the server.
+///
+/// Votes may have come off the wire, so before counting anything the
+/// tally throws std::invalid_argument on a votes/voter_ids/abstained
+/// length mismatch, a vote outside {0,1} or a voter id that appears
+/// twice.
 FeedbackDecision decide_quorum(DefenseMode mode, std::size_t quorum,
                                const std::vector<int>& votes,
                                const std::vector<std::size_t>& voter_ids,
-                               int server_vote,
-                               bool server_abstained = false);
-
-/// Protocol-boundary guard for votes that arrived off the wire (the
-/// transport-backed round loop, src/net): rejects a votes/voter_ids
-/// length mismatch, votes outside {0,1}, and duplicate voter ids with
-/// std::invalid_argument BEFORE they can reach the tally. decide_quorum
-/// itself only debug-checks vote values — in-process callers construct
-/// them — so decoded input must pass through here first.
-void validate_decoded_votes(const std::vector<int>& votes,
-                            const std::vector<std::size_t>& voter_ids);
+                               int server_vote, bool server_abstained = false,
+                               const std::vector<bool>& abstained = {});
 
 /// Validates a defender configuration against the round size n it will
 /// run with (Algorithm 1's q <= n, plus the window/threshold sanity the

@@ -22,16 +22,6 @@ void ModelHistory::push(std::uint64_t version, ParamVec params) {
                 "history retention must stay within capacity");
 }
 
-std::vector<GlobalModel> ModelHistory::window(std::size_t count) const {
-  const std::size_t n = std::min(count, entries_.size());
-  std::vector<GlobalModel> out;
-  out.reserve(n);
-  for (std::size_t i = entries_.size() - n; i < entries_.size(); ++i) {
-    out.push_back(*entries_[i]);
-  }
-  return out;
-}
-
 ModelWindow ModelHistory::window_shared(std::size_t count) const {
   const std::size_t n = std::min(count, entries_.size());
   ModelWindow out;

@@ -33,11 +33,9 @@ class ModelHistory {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// The most recent `count` accepted models, oldest first, as value
-  /// copies. Returns fewer when the history is still short.
-  std::vector<GlobalModel> window(std::size_t count) const;
-
-  /// As window(), but aliasing the stored snapshots (no param copies).
+  /// The most recent `count` accepted models, oldest first, aliasing
+  /// the stored snapshots (no param copies). Returns fewer when the
+  /// history is still short.
   ModelWindow window_shared(std::size_t count) const;
 
   const GlobalModel& latest() const;

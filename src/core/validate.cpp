@@ -110,23 +110,7 @@ double guarded_zscore(double value, std::span<const double> history_values) {
 }  // namespace
 
 ValidationOutcome Validator::validate(const ParamVec& candidate,
-                                      std::span<const GlobalModel> history) {
-  std::vector<HistoryRef> refs;
-  refs.reserve(history.size());
-  for (const auto& h : history) refs.push_back({h.version, &h.params});
-  return validate_refs(candidate, refs);
-}
-
-ValidationOutcome Validator::validate(const ParamVec& candidate,
                                       const ModelWindow& history) {
-  std::vector<HistoryRef> refs;
-  refs.reserve(history.size());
-  for (const auto& h : history) refs.push_back({h->version, &h->params});
-  return validate_refs(candidate, refs);
-}
-
-ValidationOutcome Validator::validate_refs(
-    const ParamVec& candidate, std::span<const HistoryRef> history) {
   BAFFLE_CHECK(history.size() <= config_.lookback + 1,
                "validate: history window holds more than l+1 models");
   // Runtime enforcement of the external-serialization contract on the
@@ -159,14 +143,14 @@ ValidationOutcome Validator::validate_refs(
   // Phase 3 (locked): deposit and score against a fully-cached window.
   MutexLock lock(mu_);
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {
-    cache_.insert_missed(history[plan.missed[i]].version,
+    cache_.insert_missed(history[plan.missed[i]]->version,
                          std::move(missed_profiles[i]));
   }
   return score_round(candidate, history, plan);
 }
 
 Validator::EvalPlan Validator::plan_round(
-    std::span<const HistoryRef> history) {
+    const ModelWindow& history) {
   // A new round supersedes the previous candidate: its commit/reject
   // notification evidently never arrived (e.g. pure-evaluation callers),
   // and it can no longer be promoted.
@@ -174,7 +158,7 @@ Validator::EvalPlan Validator::plan_round(
   // Versions only grow, so nothing older than the window's front is
   // ever read again: the cache holds at most this window plus the
   // candidate promoted after it.
-  if (!history.empty()) cache_.evict_before(history.front().version);
+  if (!history.empty()) cache_.evict_before(history.front()->version);
 
   EvalPlan plan;
   // A lone history model yields no variation points, so nothing reads
@@ -182,7 +166,7 @@ Validator::EvalPlan Validator::plan_round(
   if (history.size() >= 2) {
     plan.missed.reserve(history.size());
     for (std::size_t i = 0; i < history.size(); ++i) {
-      if (cache_.find(history[i].version) == nullptr) plan.missed.push_back(i);
+      if (cache_.find(history[i]->version) == nullptr) plan.missed.push_back(i);
     }
   }
 
@@ -197,7 +181,7 @@ Validator::EvalPlan Validator::plan_round(
 }
 
 void Validator::run_plan(const ParamVec& candidate,
-                         std::span<const HistoryRef> history, EvalPlan& plan,
+                         const ModelWindow& history, EvalPlan& plan,
                          std::vector<ErrorProfile>& missed_profiles) {
   const std::size_t evals = plan.missed.size() + (plan.eval_candidate ? 1 : 0);
   if (evals == 0) return;
@@ -207,7 +191,7 @@ void Validator::run_plan(const ParamVec& candidate,
   batch_models_.reserve(evals);
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {
     batch_models_.push_back(
-        {*history[plan.missed[i]].params,
+        {history[plan.missed[i]]->params,
          std::span<std::size_t>(batch_preds_).subspan(i * n, n)});
   }
   if (plan.eval_candidate) {
@@ -240,12 +224,12 @@ void Validator::run_plan(const ParamVec& candidate,
   if (plan.eval_candidate) plan.candidate = profile(plan.missed.size());
 }
 
-void Validator::sync_window(std::span<const HistoryRef> history) {
+void Validator::sync_window(const ModelWindow& history) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
   if (history.size() >= 2) {
     keys.reserve(history.size() - 1);
     for (std::size_t i = 1; i < history.size(); ++i) {
-      keys.emplace_back(history[i - 1].version, history[i].version);
+      keys.emplace_back(history[i - 1]->version, history[i]->version);
     }
   }
   // Unchanged window (repeat validation, or the previous round was
@@ -280,8 +264,8 @@ void Validator::sync_window(std::span<const HistoryRef> history) {
     if (old_index[i] != npos) {
       points[i] = std::move(window_points_[old_index[i]]);
     } else {
-      points[i] = error_variation(cache_.hit(history[i].version),
-                                  cache_.hit(history[i + 1].version));
+      points[i] = error_variation(cache_.hit(history[i]->version),
+                                  cache_.hit(history[i + 1]->version));
     }
   }
 
@@ -332,7 +316,7 @@ void Validator::sync_window(std::span<const HistoryRef> history) {
 }
 
 ValidationOutcome Validator::score_round(
-    const ParamVec& candidate, std::span<const HistoryRef> history,
+    const ParamVec& candidate, const ModelWindow& history,
     EvalPlan& plan) {
   ValidationOutcome outcome;
   sync_window(history);
@@ -352,7 +336,7 @@ ValidationOutcome Validator::score_round(
   // stays pending until the round's commit/reject feedback.
   BAFFLE_CHECK(plan.candidate.has_value(),
                "scored round requires a planned candidate evaluation");
-  const ErrorProfile& latest = cache_.hit(history.back().version);
+  const ErrorProfile& latest = cache_.hit(history.back()->version);
   pending_.emplace(PendingCandidate{candidate, std::move(*plan.candidate)});
   const ErrorProfile& candidate_profile = pending_->profile;
 
@@ -363,8 +347,8 @@ ValidationOutcome Validator::score_round(
     std::vector<double> deltas;
     deltas.reserve(ell);
     for (std::size_t i = 1; i < history.size(); ++i) {
-      deltas.push_back(cache_.hit(history[i].version).accuracy -
-                       cache_.hit(history[i - 1].version).accuracy);
+      deltas.push_back(cache_.hit(history[i]->version).accuracy -
+                       cache_.hit(history[i - 1]->version).accuracy);
     }
     outcome.phi =
         -guarded_zscore(candidate_profile.accuracy - latest.accuracy, deltas);

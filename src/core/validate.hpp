@@ -40,7 +40,6 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -109,14 +108,10 @@ class Validator {
   Validator(const Validator&) = delete;
   Validator& operator=(const Validator&) = delete;
 
-  /// Runs Algorithm 2. `history` is oldest→newest (up to ℓ+1 models,
-  /// from ModelHistory::window; a longer window throws
-  /// ContractViolation). Error profiles of the window's models are
-  /// cached across rounds by version.
-  ValidationOutcome validate(const ParamVec& candidate,
-                             std::span<const GlobalModel> history);
-
-  /// As above, over the zero-copy window (ModelHistory::window_shared).
+  /// Runs Algorithm 2. `history` is the zero-copy window oldest→newest
+  /// (up to ℓ+1 models, from ModelHistory::window_shared; a longer
+  /// window throws ContractViolation). Error profiles of the window's
+  /// models are cached across rounds by version.
   ValidationOutcome validate(const ParamVec& candidate,
                              const ModelWindow& history);
 
@@ -142,13 +137,6 @@ class Validator {
   const ValidatorConfig& config() const { return config_; }
 
  private:
-  /// (version, params) view of one history entry; lets both validate
-  /// overloads share the implementation without materializing models.
-  struct HistoryRef {
-    std::uint64_t version = 0;
-    const ParamVec* params = nullptr;
-  };
-
   /// Candidate evaluation retained between validate() and the round's
   /// commit/reject feedback.
   struct PendingCandidate {
@@ -159,7 +147,7 @@ class Validator {
   /// What the round's single engine pass must evaluate, decided under
   /// mu_ in phase 1 and carried across the unlocked phase 2.
   struct EvalPlan {
-    std::vector<std::size_t> missed;  // indices into the history span
+    std::vector<std::size_t> missed;  // indices into the history window
     bool eval_candidate = false;
     /// Filled by the engine in phase 2; empty only when the round will
     /// abstain before scoring the candidate (too little history — same
@@ -167,21 +155,19 @@ class Validator {
     std::optional<ErrorProfile> candidate;
   };
 
-  ValidationOutcome validate_refs(const ParamVec& candidate,
-                                  std::span<const HistoryRef> history);
   /// Phase 1 (locked): drop the stale pending candidate, evict versions
   /// older than the window, list the uncached history versions.
-  EvalPlan plan_round(std::span<const HistoryRef> history)
+  EvalPlan plan_round(const ModelWindow& history)
       BAFFLE_REQUIRES(mu_);
   /// Phase 2 (UNLOCKED): one batched predict_many over the plan.
   void run_plan(const ParamVec& candidate,
-                std::span<const HistoryRef> history, EvalPlan& plan,
+                const ModelWindow& history, EvalPlan& plan,
                 std::vector<ErrorProfile>& missed_profiles);
   /// Phase 3 (locked): scoring on a fully-cached window.
   ValidationOutcome score_round(const ParamVec& candidate,
-                                std::span<const HistoryRef> history,
+                                const ModelWindow& history,
                                 EvalPlan& plan) BAFFLE_REQUIRES(mu_);
-  void sync_window(std::span<const HistoryRef> history) BAFFLE_REQUIRES(mu_);
+  void sync_window(const ModelWindow& history) BAFFLE_REQUIRES(mu_);
 
   Dataset data_;
   ValidatorConfig config_;

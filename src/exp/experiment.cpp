@@ -155,8 +155,8 @@ void ensure_members(std::vector<std::size_t>& ids,
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 std::uint64_t seed) {
   // Fail on impossible defender configs (q unreachable, degenerate
-  // window), colluder counts and dropout probabilities before any
-  // training happens.
+  // window), colluder counts, dropout probabilities and rounds the run
+  // never reaches before any training happens.
   if (config.defense_enabled) {
     validate_feedback_config(config.feedback,
                              config.scenario.clients_per_round);
@@ -179,6 +179,23 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     throw std::invalid_argument("run_experiment: validator_dropout = " +
                                 std::to_string(config.validator_dropout) +
                                 " must be in [0, 1]");
+  }
+  // A round the run never reaches injects nothing and reports a clean
+  // FN rate; a defense that starts after the last round never runs.
+  // Both would exit with results that look valid.
+  for (const std::size_t round : config.schedule.poison_rounds) {
+    if (round < 1 || round > config.rounds) {
+      throw std::invalid_argument(
+          "run_experiment: schedule.poison_rounds holds round " +
+          std::to_string(round) + ", outside [1, rounds = " +
+          std::to_string(config.rounds) + "]");
+    }
+  }
+  if (config.defense_enabled && config.defense_start > config.rounds) {
+    throw std::invalid_argument(
+        "run_experiment: defense_start = " +
+        std::to_string(config.defense_start) + " is past rounds = " +
+        std::to_string(config.rounds));
   }
   // Set-up timers: each lap() records the time since the previous one.
   auto lap_start = std::chrono::steady_clock::now();

@@ -12,7 +12,8 @@ ClientActor::ClientActor(ClientActorConfig config, MlpConfig arch,
     : config_(config),
       provider_(provider),
       channel_(std::move(channel)),
-      model_(arch) {
+      model_(arch),
+      history_(config.lookback + 1) {
   if (provider_ == nullptr) {
     throw std::invalid_argument("ClientActor: null update provider");
   }
@@ -25,7 +26,7 @@ ClientActor::ClientActor(ClientActorConfig config, MlpConfig arch,
 }
 
 WireMessage ClientActor::recv_expect(MsgType expected) {
-  auto frame = channel_->recv_for(config_.recv_timeout);
+  auto frame = channel_->recv_for(kRecvTimeout);
   if (!frame) {
     throw std::runtime_error(std::string("ClientActor: timed out waiting "
                                          "for ") +
@@ -40,6 +41,14 @@ WireMessage ClientActor::recv_expect(MsgType expected) {
                     msg_type_name(actual));
   }
   return msg;
+}
+
+void ClientActor::accept(std::uint64_t version, ParamVec params) {
+  if (!history_.empty() && version <= history_.latest().version) {
+    throw WireError(
+        "ClientActor: accepted version does not advance the local window");
+  }
+  history_.push(version, std::move(params));
 }
 
 void ClientActor::handle_training(Rng rng) {
@@ -58,63 +67,39 @@ void ClientActor::handle_training(Rng rng) {
   channel_->send(encode_frame(reply));
 }
 
-void ClientActor::merge_history(HistoryDelta delta) {
-  for (auto& entry : delta.entries) {
-    if (!window_.empty() && entry.version <= window_.back().version) {
-      throw WireError(
-          "ClientActor: history delta regresses behind local window");
-    }
-    window_.push_back(
-        GlobalModel{entry.version, std::move(entry.params)});
-  }
-  trim_window();
-}
-
-void ClientActor::trim_window() {
-  const std::size_t cap = config_.lookback + 1;
-  if (window_.size() > cap) {
-    window_.erase(window_.begin(),
-                  window_.begin() +
-                      static_cast<std::ptrdiff_t>(window_.size() - cap));
-  }
-}
-
 void ClientActor::handle_validation() {
   auto delta = std::get<HistoryDelta>(recv_expect(MsgType::kHistoryDelta));
-  const std::uint64_t round = delta.round;
-  merge_history(std::move(delta));
+  for (auto& entry : delta.entries) {
+    accept(entry.version, std::move(entry.params));
+  }
 
   auto candidate =
       std::get<ModelBroadcast>(recv_expect(MsgType::kModelBroadcast));
   if (candidate.purpose != ModelPurpose::kCandidate) {
     throw WireError("ClientActor: validation phase got a training model");
   }
-  if (candidate.round != round) {
+  if (candidate.round != delta.round) {
     throw WireError("ClientActor: candidate round mismatches history delta");
   }
 
   // Honest verdict first; a malicious actor then lies on the wire. The
-  // abstained flag always reports the honest state — the server counts
+  // abstained flag always reports the honest state — the tally counts
   // abstentions independently of vote manipulation, exactly like the
   // in-process path.
-  ValidationOutcome outcome;  // vote 0 / no abstention by default
-  bool abstained = true;      // no data at all: nothing to judge
+  ValidationOutcome outcome{.abstained = true};  // no data: nothing to judge
   if (validator_) {
-    outcome = validator_->validate(candidate.params, window_);
-    abstained = outcome.abstained;
-  }
-  int wire_vote = outcome.vote;
-  if (config_.malicious && config_.strategy != VoteStrategy::kHonest) {
-    wire_vote = config_.strategy == VoteStrategy::kAlwaysReject ? 1 : 0;
+    outcome = validator_->validate(
+        candidate.params, history_.window_shared(config_.lookback + 1));
   }
 
-  pending_ = PendingCandidate{round, std::move(candidate.params)};
+  pending_ = PendingCandidate{delta.round, std::move(candidate.params)};
 
   Vote vote;
-  vote.round = round;
+  vote.round = delta.round;
   vote.client_id = config_.client_id;
-  vote.vote = static_cast<std::uint8_t>(wire_vote);
-  vote.abstained = abstained ? 1 : 0;
+  vote.vote = static_cast<std::uint8_t>(cast_vote(outcome.vote,
+                                                  config_.strategy));
+  vote.abstained = outcome.abstained ? 1 : 0;
   vote.phi = outcome.phi;
   vote.tau = outcome.tau;
   channel_->send(encode_frame(vote));
@@ -125,15 +110,10 @@ void ClientActor::handle_round_result() {
       std::get<RoundResult>(recv_expect(MsgType::kRoundResult));
   const bool judged_this_round =
       pending_ && pending_->round == result.round;
-  if (result.committed != 0) {
-    if (judged_this_round) {
-      window_.push_back(GlobalModel{result.version,
-                                    std::move(pending_->params)});
-      trim_window();
-      if (validator_) {
-        validator_->notify_commit(result.version,
-                                  window_.back().params);
-      }
+  if (judged_this_round && result.committed != 0) {
+    accept(result.version, std::move(pending_->params));
+    if (validator_) {
+      validator_->notify_commit(result.version, history_.latest().params);
     }
   } else if (judged_this_round && validator_) {
     validator_->notify_reject();

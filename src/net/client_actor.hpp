@@ -3,23 +3,25 @@
 // to. One actor persists across rounds and owns everything a real
 // client process would — its data shard, its Validator (with the
 // cross-round prediction/LOF caches of DESIGN.md §12), and its local
-// copy of the accepted-model window, kept in sync through HistoryDelta
+// ModelHistory of accepted models, kept in sync through HistoryDelta
 // messages (§VI-D: a recently-selected validator receives only the
 // models it is missing).
 //
 // The actor's verdicts are bit-identical to the in-process
 // BaffleDefense path: VALIDATE depends only on (candidate, window,
-// shard, config), all of which this side reconstructs exactly, and the
-// incremental validator is bit-identical to fresh recomputation. That
+// shard, config), all of which this side reconstructs exactly, and it
+// runs the same Validator over the same kind of window. That
 // equivalence is what lets run_experiment swap the transport in without
 // perturbing a single RoundRecord (tests/exp/transport_parity_test).
 //
 // Handlers are blocking: each receives the message(s) of its phase from
-// the channel (the server sends before the actor task is scheduled, so
-// in-process runs never actually wait) and replies. A malicious actor
-// lies on the wire — it applies its VoteStrategy to the vote it sends,
-// which is where vote manipulation happens in a deployment; the server
-// never rewrites votes.
+// the channel (the server sends before the actor runs, so in-process
+// runs never actually wait) and replies. A malicious actor lies on the
+// wire — it casts its vote through its VoteStrategy (cast_vote, the
+// same function the in-process path applies), which is where vote
+// manipulation happens in a deployment; the server never rewrites
+// votes. Every version the wire supplies must advance the local window,
+// or the handler throws WireError.
 
 #include <optional>
 
@@ -31,18 +33,19 @@ namespace baffle {
 
 struct ClientActorConfig {
   std::size_t client_id = 0;
-  /// Window retention ℓ+1 is lookback + 1 (mirrors ModelHistory).
+  /// Window retention ℓ+1 is lookback + 1 (as in BaffleDefense).
   std::size_t lookback = 20;
-  /// Adversary-controlled actor: applies `strategy` to outgoing votes.
-  bool malicious = false;
+  /// How this client votes: kHonest reports its verdict; an
+  /// adversary-controlled client casts through its strategy instead.
   VoteStrategy strategy = VoteStrategy::kHonest;
-  /// How long a handler waits for its expected message before giving up
-  /// (a deployment's defense against a silent server).
-  std::chrono::milliseconds recv_timeout{30'000};
 };
 
 class ClientActor {
  public:
+  /// How long a handler waits for its expected message before giving up
+  /// (a deployment's defense against a silent server).
+  static constexpr std::chrono::milliseconds kRecvTimeout{30'000};
+
   /// `shard` may be empty — the actor then abstains from every vote
   /// (matching BaffleDefense::client_validator returning nullptr).
   /// `provider` outlives the actor and is shared with other actors; its
@@ -57,27 +60,29 @@ class ClientActor {
   void handle_training(Rng rng);
 
   /// Validation phase: receives HistoryDelta then
-  /// ModelBroadcast(kCandidate), merges the delta into the local
-  /// window, runs VALIDATE (or abstains without data/history), applies
-  /// the malicious strategy if configured, sends Vote, and retains the
+  /// ModelBroadcast(kCandidate), appends the delta to the local
+  /// history, runs VALIDATE (or abstains without data/history), casts
+  /// its vote through its strategy, sends Vote, and retains the
   /// candidate pending the round result.
   void handle_validation();
 
   /// Round epilogue: receives RoundResult. On commit the retained
-  /// candidate is promoted into the local window (and the validator's
+  /// candidate is promoted into the local history (and the validator's
   /// prediction cache); on reject it is dropped.
   void handle_round_result();
 
   std::size_t id() const { return config_.client_id; }
   bool has_validator() const { return validator_.has_value(); }
-  /// Local copy of the accepted-model window, oldest first (tests).
-  const std::vector<GlobalModel>& window() const { return window_; }
+  /// Local accepted-model history, the last ℓ+1 models (tests).
+  const ModelHistory& history() const { return history_; }
 
  private:
   /// Receives one frame and decodes it, insisting on `expected` type.
   WireMessage recv_expect(MsgType expected);
-  void merge_history(HistoryDelta delta);
-  void trim_window();
+  /// Appends a wire-supplied accepted model. ModelHistory::push only
+  /// debug-checks that versions grow, so a version that does not
+  /// advance the window is rejected here as a protocol violation.
+  void accept(std::uint64_t version, ParamVec params);
 
   ClientActorConfig config_;
   UpdateProvider* provider_;
@@ -85,7 +90,7 @@ class ClientActor {
   Mlp model_;  // scratch: decoded broadcasts materialize here
   TrainWorkspace train_ws_;
   std::optional<Validator> validator_;  // nullopt: empty shard
-  std::vector<GlobalModel> window_;     // oldest first, ≤ lookback+1
+  ModelHistory history_;                // capacity lookback + 1
 
   /// Candidate judged this round, awaiting the server's verdict.
   struct PendingCandidate {

@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "util/thread_pool.hpp"
 
 namespace baffle {
 
 TransportRoundDriver::TransportRoundDriver(
-    Transport& transport, FlServer& server, BaffleDefense& defense,
+    InProcTransport& transport, FlServer& server, BaffleDefense& defense,
     const std::vector<FlClient>& clients, UpdateProvider& provider,
     const std::unordered_set<std::size_t>& malicious_ids,
-    VoteStrategy strategy, TransportRoundConfig config)
+    VoteStrategy strategy)
     : transport_(transport),
       server_(server),
       defense_(defense),
@@ -20,12 +19,12 @@ TransportRoundDriver::TransportRoundDriver(
       provider_(provider),
       malicious_ids_(malicious_ids),
       strategy_(strategy),
-      config_(config),
       tracker_(clients.size(),
                server.global_model().num_params() * sizeof(float),
                defense.config().validator.lookback + 1,
                /*compression=*/1.0),
-      round_server_(config.server, server.global_model().num_params()) {
+      round_server_(RoundServerConfig{},
+                    server.global_model().num_params()) {
   round_server_.set_tracker(&tracker_);
 }
 
@@ -41,9 +40,7 @@ ClientActor& TransportRoundDriver::actor_for(std::size_t id) {
   ClientActorConfig actor_config;
   actor_config.client_id = id;
   actor_config.lookback = defense_.config().validator.lookback;
-  actor_config.malicious = malicious_ids_.contains(id);
-  actor_config.strategy = strategy_;
-  actor_config.recv_timeout = config_.actor_recv_timeout;
+  if (malicious_ids_.contains(id)) actor_config.strategy = strategy_;
   auto [it, inserted] = actors_.try_emplace(
       id, std::make_unique<ClientActor>(
               actor_config, server_.arch(), clients_[id].data(),
@@ -52,15 +49,12 @@ ClientActor& TransportRoundDriver::actor_for(std::size_t id) {
   return *it->second;
 }
 
-void TransportRoundDriver::join_tasks(std::vector<std::future<void>>& tasks) {
-  for (auto& task : tasks) {
-    while (task.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!ThreadPool::global().try_run_one()) std::this_thread::yield();
-    }
-    task.get();
-  }
-  tasks.clear();
+std::vector<ClientActor*> TransportRoundDriver::actors_for(
+    const std::vector<std::size_t>& ids) {
+  std::vector<ClientActor*> actors;
+  actors.reserve(ids.size());
+  for (std::size_t id : ids) actors.push_back(&actor_for(id));
+  return actors;
 }
 
 FlServer::Proposal TransportRoundDriver::propose_round(
@@ -81,82 +75,73 @@ FlServer::Proposal TransportRoundDriver::propose_round(
     client_rngs.push_back(round_rng.fork());
   }
 
-  for (std::size_t id : contributors) actor_for(id);  // sessions ready
+  const std::vector<ClientActor*> actors = actors_for(contributors);
   round_server_.broadcast_training(round, server_.version(),
                                    server_.global_model().parameters(),
                                    contributors);
+  ThreadPool::global().parallel_for(actors.size(), [&](std::size_t i) {
+    actors[i]->handle_training(client_rngs[i]);
+  });
 
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(contributors.size());
-  for (std::size_t i = 0; i < contributors.size(); ++i) {
-    ClientActor& actor = actor_for(contributors[i]);
-    tasks.push_back(ThreadPool::global().submit(
-        [&actor, rng = client_rngs[i]]() mutable {
-          actor.handle_training(std::move(rng));
-        }));
+  auto collected =
+      round_server_.collect(round, MsgType::kClientUpdate, contributors);
+  std::vector<ParamVec> updates;
+  updates.reserve(collected.messages.size());
+  for (auto& msg : collected.messages) {
+    updates.push_back(std::move(std::get<ClientUpdate>(msg).update));
   }
-  auto collected = round_server_.collect_updates(round, contributors);
-  join_tasks(tasks);
-
-  return server_.aggregate_updates(std::move(collected.updates),
-                                   collected.responders);
+  return server_.aggregate_updates(std::move(updates), collected.responders);
 }
 
 FeedbackDecision TransportRoundDriver::evaluate(
     const FlServer::Proposal& proposal,
     const std::vector<std::size_t>& validating_ids) {
   const FeedbackConfig& feedback = defense_.config();
-  const bool use_clients = feedback.mode != DefenseMode::kServerOnly;
   const ModelWindow window = defense_.current_window();
 
-  RoundServer::VoteCollection collected;
-  if (use_clients && !validating_ids.empty()) {
+  std::vector<ClientActor*> actors;
+  if (feedback.mode != DefenseMode::kServerOnly && !validating_ids.empty()) {
     round_validators_ = validating_ids;
-    for (std::size_t id : validating_ids) actor_for(id);
+    actors = actors_for(validating_ids);
     // The candidate's version-on-commit, so validators can promote it
     // into their windows without a second download.
     round_server_.send_validation(proposal.round, server_.version() + 1,
                                   proposal.candidate_params, window,
                                   validating_ids);
-    std::vector<std::future<void>> tasks;
-    tasks.reserve(validating_ids.size());
-    for (std::size_t id : validating_ids) {
-      ClientActor& actor = actor_for(id);
-      tasks.push_back(ThreadPool::global().submit(
-          [&actor] { actor.handle_validation(); }));
-    }
-    collected = round_server_.collect_votes(proposal.round, validating_ids);
-    join_tasks(tasks);
   }
-
+  // The server validates locally (its vote never crosses a wire), as
+  // one more task beside the client actors, like BaffleDefense::evaluate.
   ValidationOutcome server_outcome;
   const bool use_server = feedback.mode != DefenseMode::kClientsOnly &&
                           defense_.server_validator() != nullptr;
-  if (use_server) {
-    server_outcome = defense_.server_validator()->validate(
-        proposal.candidate_params, window);
-  }
+  ThreadPool::global().parallel_for(actors.size() + 1, [&](std::size_t i) {
+    if (i < actors.size()) {
+      actors[i]->handle_validation();
+    } else if (use_server) {
+      server_outcome = defense_.server_validator()->validate(
+          proposal.candidate_params, window);
+    }
+  });
 
-  // Wire votes → tally, through the protocol-boundary guard. Missing
-  // voters (deadline) are simply absent — footnote 1's accept-by-
-  // default behavior falls out of tallying the votes that arrived.
+  // The votes that arrived, in validator order. Missing voters
+  // (deadline) are simply absent — footnote 1's accept-by-default falls
+  // out of tallying the votes that arrived.
   std::vector<int> votes;
-  votes.reserve(collected.votes.size());
-  std::size_t abstentions = 0;
-  for (const Vote& vote : collected.votes) {
-    votes.push_back(static_cast<int>(vote.vote));
-    if (vote.abstained != 0) ++abstentions;
+  std::vector<std::size_t> voters;
+  std::vector<bool> abstained;
+  if (!actors.empty()) {
+    auto collected =
+        round_server_.collect(proposal.round, MsgType::kVote, validating_ids);
+    for (const WireMessage& msg : collected.messages) {
+      const Vote& vote = std::get<Vote>(msg);
+      votes.push_back(vote.vote);
+      abstained.push_back(vote.abstained != 0);
+    }
+    voters = std::move(collected.responders);
   }
-  validate_decoded_votes(votes, collected.responders);
-  const bool server_abstained = use_server && server_outcome.abstained;
-  if (server_abstained) ++abstentions;
-
-  FeedbackDecision decision =
-      decide_quorum(feedback.mode, feedback.quorum, votes,
-                    collected.responders, server_outcome.vote,
-                    server_abstained);
-  decision.abstentions = abstentions;
-  return decision;
+  return decide_quorum(feedback.mode, feedback.quorum, votes, voters,
+                       server_outcome.vote,
+                       use_server && server_outcome.abstained, abstained);
 }
 
 void TransportRoundDriver::finish_round(const FlServer::Proposal& proposal,

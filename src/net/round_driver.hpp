@@ -5,16 +5,23 @@
 // exchanges through the RoundServer:
 //
 //   propose_round  — broadcast the global model to the contributors,
-//                    run their training as thread-pool tasks, collect
-//                    and admission-check their ClientUpdates, aggregate
-//                    the responders through FlServer::aggregate_updates.
+//                    run their training as one pool fork-join
+//                    (parallel_for), collect and admission-check their
+//                    ClientUpdates, aggregate the responders through
+//                    FlServer::aggregate_updates.
 //   evaluate       — ship each validator its history delta plus the
-//                    candidate, collect Votes, validate them at the
-//                    protocol boundary, and apply Algorithm 1's quorum
-//                    (the server-side validator votes locally; it never
-//                    crosses a wire).
+//                    candidate, run the validating actors and the
+//                    server's own validator (whose vote never crosses a
+//                    wire) as one fork-join, collect the Votes, and hand
+//                    them to core's tally (decide_quorum), which checks
+//                    them and applies Algorithm 1's quorum.
 //   finish_round   — deliver the RoundResult to every participant so
 //                    actors promote or drop the judged candidate.
+//
+// Every round rule — vote strategies, abstention, the quorum, the
+// accepted-model window — is core's (attack/malicious_voter,
+// core/feedback_loop, core/history); this layer only moves their inputs
+// and outputs through frames.
 //
 // Determinism contract: with no stragglers, a transport-driven round is
 // bit-identical to the in-process FlServer/BaffleDefense path. The
@@ -29,7 +36,6 @@
 // per the paper's footnote 1 — a short voter set is tallied as-is, so
 // missing votes mean accept-by-default.
 
-#include <future>
 #include <memory>
 #include <unordered_set>
 
@@ -39,24 +45,18 @@
 
 namespace baffle {
 
-struct TransportRoundConfig {
-  RoundServerConfig server;
-  std::chrono::milliseconds actor_recv_timeout{30'000};
-};
-
 class TransportRoundDriver {
  public:
   /// All references must outlive the driver. `provider` is shared by
   /// every actor (its update_for is thread-safe per the UpdateProvider
-  /// contract); ids in `malicious_ids` get actors that apply `strategy`
-  /// to their outgoing votes.
-  TransportRoundDriver(Transport& transport, FlServer& server,
+  /// contract); ids in `malicious_ids` get actors that cast their votes
+  /// through `strategy`.
+  TransportRoundDriver(InProcTransport& transport, FlServer& server,
                        BaffleDefense& defense,
                        const std::vector<FlClient>& clients,
                        UpdateProvider& provider,
                        const std::unordered_set<std::size_t>& malicious_ids,
-                       VoteStrategy strategy,
-                       TransportRoundConfig config = {});
+                       VoteStrategy strategy);
 
   /// Training phase over the wire; the drop-in replacement for
   /// FlServer::propose_round_with. `round_rng` advances exactly as in
@@ -84,19 +84,17 @@ class TransportRoundDriver {
 
  private:
   ClientActor& actor_for(std::size_t id);
-  /// Joins actor tasks by helping drain the pool (never parks a worker
-  /// slot — experiments themselves run as pool tasks under
-  /// run_repeated), rethrowing the first actor exception.
-  static void join_tasks(std::vector<std::future<void>>& tasks);
+  /// The actors of `ids`, in order, creating any that are missing (map
+  /// mutation stays on the calling thread, before any fork-join).
+  std::vector<ClientActor*> actors_for(const std::vector<std::size_t>& ids);
 
-  Transport& transport_;
+  InProcTransport& transport_;
   FlServer& server_;
   BaffleDefense& defense_;
   const std::vector<FlClient>& clients_;
   UpdateProvider& provider_;
   std::unordered_set<std::size_t> malicious_ids_;
   VoteStrategy strategy_;
-  TransportRoundConfig config_;
   CommTracker tracker_;
   RoundServer round_server_;
   std::unordered_map<std::size_t, std::unique_ptr<ClientActor>> actors_;

@@ -5,20 +5,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "util/thread_pool.hpp"
-
 namespace baffle {
-
-namespace {
-
-/// Waiting posture for collection loops: run one queued pool task if
-/// any (the simulated clients are pool tasks — blocking a worker slot
-/// on them could deadlock a small pool), otherwise yield.
-void assist_or_yield() {
-  if (!ThreadPool::global().try_run_one()) std::this_thread::yield();
-}
-
-}  // namespace
 
 RoundServer::RoundServer(RoundServerConfig config,
                          std::size_t expected_params)
@@ -80,19 +67,18 @@ void RoundServer::broadcast_training(
   }
 }
 
-std::optional<WireMessage> RoundServer::poll_admissible(
-    std::size_t client_id, std::uint64_t round, MsgType expected) {
-  Session& session = session_for(client_id);
-  auto frame = session.channel->try_recv();
-  if (!frame) return std::nullopt;
+std::optional<WireMessage> RoundServer::admit(const WireBytes& frame,
+                                              std::size_t client_id,
+                                              std::uint64_t round,
+                                              MsgType expected) {
   const CommCategory category = expected == MsgType::kClientUpdate
                                     ? CommCategory::kUpdateUpload
                                     : CommCategory::kControl;
-  if (tracker_) tracker_->add_bytes(category, frame->size());
+  if (tracker_) tracker_->add_bytes(category, frame.size());
 
   WireMessage msg;
   try {
-    msg = decode_frame(*frame);
+    msg = decode_frame(frame);
   } catch (const std::exception&) {
     ++stats_.decode_errors;
     return std::nullopt;
@@ -121,12 +107,10 @@ std::optional<WireMessage> RoundServer::poll_admissible(
       ++stats_.bad_update_value;
       return std::nullopt;
     }
-  } else if (const auto* vote = std::get_if<Vote>(&msg)) {
-    msg_round = vote->round;
-    msg_client = vote->client_id;
-  } else {
-    ++stats_.unexpected_type;  // clients never send other types
-    return std::nullopt;
+  } else {  // collect() admits only updates and votes
+    const Vote& vote = std::get<Vote>(msg);
+    msg_round = vote.round;
+    msg_client = vote.client_id;
   }
   if (msg_round != round) {
     ++stats_.wrong_round;
@@ -137,61 +121,6 @@ std::optional<WireMessage> RoundServer::poll_admissible(
     return std::nullopt;
   }
   return msg;
-}
-
-RoundServer::UpdateCollection RoundServer::collect_updates(
-    std::uint64_t round, const std::vector<std::size_t>& expected) {
-  std::vector<std::optional<ParamVec>> slots(expected.size());
-  std::vector<bool> pending(expected.size(), true);
-  std::size_t remaining = expected.size();
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.update_timeout;
-
-  while (remaining > 0) {
-    bool progressed = false;
-    {
-      // Hold the server lock only for the poll sweep; it is released
-      // before helping the pool below, so an assisted task (a nested
-      // experiment driving its own server) can never deadlock on mu_.
-      MutexLock lock(mu_);
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        if (!pending[i]) continue;
-        // Drain everything queued on this session before marking it
-        // answered, so a duplicate sent in the same burst is seen (and
-        // rejected) rather than left to poison the next round's phase.
-        while (auto msg = poll_admissible(expected[i], round,
-                                          MsgType::kClientUpdate)) {
-          progressed = true;
-          auto& update = std::get<ClientUpdate>(*msg);
-          if (slots[i]) {
-            ++stats_.duplicates;
-            continue;
-          }
-          slots[i] = std::move(update.update);
-        }
-        if (slots[i]) {
-          pending[i] = false;
-          --remaining;
-        }
-      }
-    }
-    if (remaining == 0) break;
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    if (!progressed) assist_or_yield();
-  }
-
-  UpdateCollection out;
-  MutexLock lock(mu_);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    if (slots[i]) {
-      out.updates.push_back(std::move(*slots[i]));
-      out.responders.push_back(expected[i]);
-    } else {
-      out.dropped.push_back(expected[i]);
-      ++stats_.timeouts;
-    }
-  }
-  return out;
 }
 
 void RoundServer::send_validation(std::uint64_t round,
@@ -226,45 +155,55 @@ void RoundServer::send_validation(std::uint64_t round,
   }
 }
 
-RoundServer::VoteCollection RoundServer::collect_votes(
-    std::uint64_t round, const std::vector<std::size_t>& expected) {
-  std::vector<std::optional<Vote>> slots(expected.size());
-  std::vector<bool> pending(expected.size(), true);
+RoundServer::Collection RoundServer::collect(
+    std::uint64_t round, MsgType type,
+    const std::vector<std::size_t>& expected) {
+  if (type != MsgType::kClientUpdate && type != MsgType::kVote) {
+    throw std::invalid_argument(
+        "RoundServer: clients send only updates and votes");
+  }
+  std::vector<std::optional<WireMessage>> slots(expected.size());
   std::size_t remaining = expected.size();
   const auto deadline =
-      std::chrono::steady_clock::now() + config_.vote_timeout;
-
-  while (remaining > 0) {
+      std::chrono::steady_clock::now() + (type == MsgType::kClientUpdate
+                                              ? config_.update_timeout
+                                              : config_.vote_timeout);
+  for (;;) {
     bool progressed = false;
     {
       MutexLock lock(mu_);
       for (std::size_t i = 0; i < expected.size(); ++i) {
-        if (!pending[i]) continue;
-        while (auto msg =
-                   poll_admissible(expected[i], round, MsgType::kVote)) {
+        if (slots[i]) continue;
+        // Drain everything queued on this session, past rejected frames
+        // too, before marking it answered: a duplicate sent in the same
+        // burst is seen (and rejected) rather than left to poison the
+        // next round's phase, and every frame read is either kept or
+        // counted.
+        Channel& channel = *session_for(expected[i]).channel;
+        while (auto frame = channel.try_recv()) {
           progressed = true;
+          auto msg = admit(*frame, expected[i], round, type);
+          if (!msg) continue;
           if (slots[i]) {
             ++stats_.duplicates;
-            continue;
+          } else {
+            slots[i] = std::move(msg);
+            --remaining;
           }
-          slots[i] = std::get<Vote>(std::move(*msg));
-        }
-        if (slots[i]) {
-          pending[i] = false;
-          --remaining;
         }
       }
     }
-    if (remaining == 0) break;
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    if (!progressed) assist_or_yield();
+    if (remaining == 0 || std::chrono::steady_clock::now() >= deadline) {
+      break;
+    }
+    if (!progressed) std::this_thread::yield();
   }
 
-  VoteCollection out;
+  Collection out;
   MutexLock lock(mu_);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     if (slots[i]) {
-      out.votes.push_back(*slots[i]);
+      out.messages.push_back(std::move(*slots[i]));
       out.responders.push_back(expected[i]);
     } else {
       out.dropped.push_back(expected[i]);

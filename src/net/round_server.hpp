@@ -1,31 +1,32 @@
 #pragma once
 // Session-oriented round server: the server half of the wire protocol.
 //
-// One RoundSession per connected client, persistent across rounds —
+// One session per connected client, persistent across rounds —
 // it remembers the newest accepted-model version the client holds
 // (synced_version), which is what turns §VI-D's history shipping into
 // deltas. The phase methods drive one FL round over those sessions:
 //
-//   broadcast_training   →  ModelBroadcast(kTraining) to contributors
-//   collect_updates      ←  ClientUpdate from each, admission-checked
-//   send_validation      →  HistoryDelta + ModelBroadcast(kCandidate)
-//   collect_votes        ←  Vote from each validator
-//   finish_round         →  RoundResult to every round participant
+//   broadcast_training      →  ModelBroadcast(kTraining) to contributors
+//   collect(kClientUpdate)  ←  ClientUpdate from each, admission-checked
+//   send_validation         →  HistoryDelta + ModelBroadcast(kCandidate)
+//   collect(kVote)          ←  Vote from each validator, admission-checked
+//   finish_round            →  RoundResult to every round participant
 //
-// Collection enforces per-round admission on every inbound frame
-// (decodes, type, round number, session identity, duplicates, update
-// size, finite update values); a frame that fails any check is dropped
-// and counted in ProtocolStats, never trusted. Stragglers are handled
-// by deadline: a client that has not answered when the timeout expires
-// is reported in `dropped` and the round proceeds without it —
-// aggregation over the responders, and per the paper's footnote 1 an
-// undersized voter set simply tallies the votes that did arrive (accept
-// by default). A sender whose only update was inadmissible is dropped
-// the same way.
+// One collection loop serves both inbound phases and enforces per-round
+// admission on every frame (decodes, type, round number, session
+// identity, duplicates, update size, finite update values); a frame that
+// fails any check is dropped and counted in ProtocolStats, never
+// trusted. Stragglers are handled by deadline: a client that has not
+// answered when the phase's timeout expires is reported in `dropped`
+// and the round proceeds without it — aggregation over the responders,
+// and per the paper's footnote 1 an undersized voter set simply tallies
+// the votes that did arrive (accept by default). A sender whose only
+// message was inadmissible is dropped the same way.
 //
-// While waiting, the server helps drain the global thread pool instead
-// of blocking, because the simulated clients run as pool tasks (and
-// whole experiments nest inside pool tasks under run_repeated).
+// The simulation runs a phase's client actors to completion (a pool
+// fork-join in TransportRoundDriver) before it collects, so collection
+// finds every frame already queued; the wait only matters for clients
+// that answer late from threads of their own.
 //
 // Byte accounting is exact: every frame sent or received is reported to
 // the attached CommTracker at its actually-serialized size, attributed
@@ -34,7 +35,6 @@
 // still crossed the wire, so their bytes count toward the phase that
 // received them.
 
-#include <functional>
 #include <unordered_map>
 
 #include "core/history.hpp"
@@ -45,7 +45,8 @@
 namespace baffle {
 
 struct RoundServerConfig {
-  /// Straggler deadlines per collection phase.
+  /// Straggler deadlines per collection phase (tests shorten them; the
+  /// fuzzer sets zero for a single sweep).
   std::chrono::milliseconds update_timeout{30'000};
   std::chrono::milliseconds vote_timeout{30'000};
 };
@@ -84,15 +85,6 @@ class RoundServer {
                           const ParamVec& global,
                           const std::vector<std::size_t>& contributors);
 
-  struct UpdateCollection {
-    /// Responders' updates, in the order the ids appeared in `expected`.
-    std::vector<ParamVec> updates;
-    std::vector<std::size_t> responders;
-    std::vector<std::size_t> dropped;  // deadline missed
-  };
-  UpdateCollection collect_updates(std::uint64_t round,
-                                   const std::vector<std::size_t>& expected);
-
   /// Ships each validator the window entries it is missing (those newer
   /// than its session's synced_version) followed by the candidate, and
   /// advances synced_version to the window head.
@@ -100,14 +92,20 @@ class RoundServer {
                        const ParamVec& candidate, const ModelWindow& window,
                        const std::vector<std::size_t>& validators);
 
-  struct VoteCollection {
-    /// Responders' votes, in the order the ids appeared in `expected`.
-    std::vector<Vote> votes;
+  struct Collection {
+    /// Responders' admissible messages, in the order their ids appear
+    /// in `expected`.
+    std::vector<WireMessage> messages;
     std::vector<std::size_t> responders;
-    std::vector<std::size_t> dropped;
+    std::vector<std::size_t> dropped;  // deadline missed
   };
-  VoteCollection collect_votes(std::uint64_t round,
-                               const std::vector<std::size_t>& expected);
+  /// Collects one admissible `type` message (kClientUpdate or kVote) from
+  /// each id in `expected`, until all have answered or the phase's
+  /// deadline passes. Every frame it reads either lands in the result or
+  /// is counted in ProtocolStats (a second admissible message from one
+  /// sender counts as a duplicate).
+  Collection collect(std::uint64_t round, MsgType type,
+                     const std::vector<std::size_t>& expected);
 
   /// Sends the RoundResult to every id in `participants`; on a commit,
   /// marks each id in `validators` as holding the committed version
@@ -137,20 +135,19 @@ class RoundServer {
   Session& session_for(std::size_t client_id) BAFFLE_REQUIRES(mu_);
   void send_frame(std::size_t client_id, const WireMessage& msg,
                   CommCategory category) BAFFLE_REQUIRES(mu_);
-  /// One admission-checked poll of `client_id`'s channel. Returns the
-  /// decoded message when a frame passed all checks, nullopt when the
-  /// queue is empty or the frame was rejected (stats updated).
-  std::optional<WireMessage> poll_admissible(std::size_t client_id,
-                                             std::uint64_t round,
-                                             MsgType expected)
-      BAFFLE_REQUIRES(mu_);
+  /// Admission check of one frame read from `client_id`'s channel in
+  /// the `expected` (update or vote) phase of `round`: the decoded
+  /// message when it passes every check, else nullopt (stats updated).
+  std::optional<WireMessage> admit(const WireBytes& frame,
+                                   std::size_t client_id, std::uint64_t round,
+                                   MsgType expected) BAFFLE_REQUIRES(mu_);
 
   RoundServerConfig config_;
   std::size_t expected_params_;
   // Lock order: mu_ before any channel's internal link mutex (channel
   // calls happen under mu_; channels never call back into the server).
-  // Collection loops release mu_ before helping the thread pool, so an
-  // assisted task can safely reenter the server.
+  // The collection loop releases mu_ between sweeps, so the accounting
+  // surface stays readable while it waits.
   mutable Mutex mu_;
   std::unordered_map<std::size_t, Session> sessions_ BAFFLE_GUARDED_BY(mu_);
   ProtocolStats stats_ BAFFLE_GUARDED_BY(mu_);

@@ -2,9 +2,11 @@
 // Message transport between the round server and its clients.
 //
 // A Channel is one endpoint of a bidirectional, ordered, reliable frame
-// stream; a Transport mints connected channel pairs. The round server
-// and the simulated client actors only ever talk through this interface;
-// the in-process queue transport below is the one implementation.
+// stream; InProcTransport mints connected channel pairs whose frames
+// move through a mutex-guarded queue in the server's process. It is the
+// one transport: the round server and the simulated client actors talk
+// only through these two classes, so the wire bytes they exchange are
+// the bytes a deployment would send.
 //
 // Channels count the raw frame bytes that crossed them in each
 // direction; the communication-accounting layer (fl/comm) reconciles its
@@ -13,34 +15,60 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 
 #include "net/wire.hpp"
+#include "util/sync.hpp"
 
 namespace baffle {
 
 class Channel {
  public:
-  virtual ~Channel() = default;
+  /// Shared state of one duplex link. Endpoint 0 and endpoint 1 each
+  /// send into their own queue and receive from the peer's. Every field
+  /// is guarded by the link mutex; received bytes are counted at pop
+  /// time, in the critical section that dequeues the frame, so the
+  /// counters can never disagree with the queues.
+  struct Link {
+    Mutex mutex;
+    CondVar cv;
+    std::deque<WireBytes> queue[2] BAFFLE_GUARDED_BY(mutex);
+    std::uint64_t bytes_sent[2] BAFFLE_GUARDED_BY(mutex) = {0, 0};
+    std::uint64_t bytes_received[2] BAFFLE_GUARDED_BY(mutex) = {0, 0};
+    bool closed BAFFLE_GUARDED_BY(mutex) = false;
+  };
+
+  /// Endpoint `end` (0 or 1) of `link`; InProcTransport::connect makes
+  /// both.
+  Channel(std::shared_ptr<Link> link, int end);
 
   /// Enqueues one complete frame. Throws std::runtime_error if the peer
   /// closed the channel.
-  virtual void send(WireBytes frame) = 0;
+  void send(WireBytes frame);
 
   /// Dequeues the next pending frame, if any. Never blocks.
-  virtual std::optional<WireBytes> try_recv() = 0;
+  std::optional<WireBytes> try_recv();
 
-  /// Blocks until a frame arrives or `timeout` elapses.
-  virtual std::optional<WireBytes> recv_for(
-      std::chrono::milliseconds timeout) = 0;
+  /// Blocks until a frame arrives, the link closes, or `timeout`
+  /// elapses.
+  std::optional<WireBytes> recv_for(std::chrono::milliseconds timeout);
 
-  virtual void close() = 0;
-  virtual bool closed() const = 0;
+  void close();
+  bool closed() const;
 
   /// Raw frame bytes sent from / delivered to this endpoint.
-  virtual std::uint64_t bytes_sent() const = 0;
-  virtual std::uint64_t bytes_received() const = 0;
+  std::uint64_t bytes_sent() const;
+  std::uint64_t bytes_received() const;
+
+ private:
+  /// Pops the next frame sent by the peer and counts its bytes as
+  /// received by this endpoint.
+  std::optional<WireBytes> pop_locked() BAFFLE_REQUIRES(link_->mutex);
+
+  std::shared_ptr<Link> link_;
+  int end_;
 };
 
 /// A connected channel pair: the server holds one end, the client the
@@ -50,19 +78,11 @@ struct DuplexChannel {
   std::shared_ptr<Channel> client;
 };
 
-class Transport {
+/// Mints in-process links. Thread-safe: actors run as thread-pool tasks
+/// while the server polls.
+class InProcTransport {
  public:
-  virtual ~Transport() = default;
-  virtual DuplexChannel connect() = 0;
-  virtual const char* name() const = 0;
-};
-
-/// Mutex+deque transport for simulated clients in the server's process.
-/// Thread-safe: actors run as thread-pool tasks while the server polls.
-class InProcTransport final : public Transport {
- public:
-  DuplexChannel connect() override;
-  const char* name() const override { return "inproc"; }
+  DuplexChannel connect();
 };
 
 }  // namespace baffle

@@ -189,18 +189,4 @@ WireMessage decode_frame(std::span<const std::uint8_t> frame) {
   return msg;
 }
 
-MsgType peek_type(std::span<const std::uint8_t> frame) {
-  ByteReader r = open_frame(frame);
-  const std::uint16_t version = r.u16();
-  if (version < kProtocolVersionMin || version > kProtocolVersion) {
-    throw WireError("wire: unsupported protocol version");
-  }
-  const std::uint8_t type = r.u8();
-  if (type < static_cast<std::uint8_t>(MsgType::kModelBroadcast) ||
-      type > static_cast<std::uint8_t>(MsgType::kRoundResult)) {
-    throw WireError("wire: unknown message type");
-  }
-  return static_cast<MsgType>(type);
-}
-
 }  // namespace baffle

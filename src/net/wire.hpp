@@ -130,8 +130,4 @@ WireBytes encode_frame(const WireMessage& msg,
 /// std::out_of_range on truncation; both are protocol errors.
 WireMessage decode_frame(std::span<const std::uint8_t> frame);
 
-/// Message type of an encoded frame without decoding the body (frame
-/// header must be intact; throws like decode_frame otherwise).
-MsgType peek_type(std::span<const std::uint8_t> frame);
-
 }  // namespace baffle

@@ -30,7 +30,6 @@ void ByteWriter::u8(std::uint8_t v) { bytes_.push_back(v); }
 void ByteWriter::u16(std::uint16_t v) { append_le(bytes_, v); }
 void ByteWriter::u32(std::uint32_t v) { append_le(bytes_, v); }
 void ByteWriter::u64(std::uint64_t v) { append_le(bytes_, v); }
-void ByteWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 void ByteWriter::f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
 void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -44,11 +43,6 @@ void ByteWriter::f32_span(std::span<const float> v) {
   } else {
     for (float x : v) f32(x);
   }
-}
-
-void ByteWriter::str(const std::string& s) {
-  u64(s.size());
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
 }
 
 void ByteWriter::raw(std::span<const std::uint8_t> bytes) {
@@ -98,15 +92,8 @@ std::uint64_t ByteReader::u64() {
   return v;
 }
 
-std::int64_t ByteReader::i64() { return static_cast<std::int64_t>(u64()); }
 float ByteReader::f32() { return std::bit_cast<float>(u32()); }
 double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::vector<float> ByteReader::f32_vec() {
-  std::vector<float> out;
-  f32_vec_into(out);
-  return out;
-}
 
 void ByteReader::f32_vec_into(std::vector<float>& out) {
   const std::size_t n =
@@ -119,15 +106,6 @@ void ByteReader::f32_vec_into(std::vector<float>& out) {
   } else {
     for (std::size_t i = 0; i < n; ++i) out[i] = f32();
   }
-}
-
-std::string ByteReader::str() {
-  const std::size_t n =
-      length_prefix(1, "ByteReader: implausible string length");
-  if (n == 0) return std::string();
-  std::string out(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-  pos_ += n;
-  return out;
 }
 
 std::span<const std::uint8_t> ByteReader::raw(std::size_t n) {

@@ -1,6 +1,7 @@
 #pragma once
-// Byte-level serialization used by the model codec, the wire protocol
-// (src/net) and the communication-accounting layer (§VI-D reproduces the
+// Byte-level serialization used by the wire protocol (src/net) and the
+// top-k model compression (nn/compression). The wire frames are what
+// the communication-accounting layer counts (§VI-D reproduces the
 // history-transfer overhead, so model byte sizes must be real, not
 // estimated).
 //
@@ -18,7 +19,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace baffle {
@@ -29,11 +29,9 @@ class ByteWriter {
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void i64(std::int64_t v);
   void f32(float v);
   void f64(double v);
   void f32_span(std::span<const float> v);        // length-prefixed
-  void str(const std::string& s);                 // length-prefixed
   void raw(std::span<const std::uint8_t> bytes);  // no prefix
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
@@ -54,16 +52,13 @@ class ByteReader {
   std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
-  std::int64_t i64();
   float f32();
   double f64();
-  std::vector<float> f32_vec();
   /// Decodes a length-prefixed f32 vector into `out` (resized to fit).
   /// On little-endian hosts the payload is copied in one memcpy straight
   /// from the wire bytes — the zero-copy path the model/update decoding
   /// rides; big-endian hosts fall back to per-element decoding.
   void f32_vec_into(std::vector<float>& out);
-  std::string str();
   /// Consumes exactly `n` bytes and returns a view aliasing the input
   /// span (valid for the span's lifetime).
   std::span<const std::uint8_t> raw(std::size_t n);

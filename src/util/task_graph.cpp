@@ -13,8 +13,6 @@ const char* task_node_kind_name(TaskNodeKind kind) {
   switch (kind) {
     case TaskNodeKind::kTrain:
       return "train";
-    case TaskNodeKind::kAggregate:
-      return "aggregate";
     case TaskNodeKind::kValidate:
       return "validate";
     case TaskNodeKind::kEval:

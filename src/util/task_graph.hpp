@@ -1,7 +1,7 @@
 #pragma once
 // Dependency-graph task executor on top of ThreadPool.
 //
-// A TaskGraph holds typed nodes (train / aggregate / validate / eval /
+// A TaskGraph holds typed nodes (train / validate / eval /
 // checkpoint / experiment units) connected by dependency edges. Edges
 // express *version* dependencies: "this validation reads the model that
 // commit produced", "round r+1 trains on round r's committed params".
@@ -37,7 +37,6 @@ namespace baffle {
 /// (task_graph.node.<kind> timers) and nothing else.
 enum class TaskNodeKind {
   kTrain,       // client sampling + local training + aggregation
-  kAggregate,   // standalone aggregation step
   kValidate,    // defense / feedback-loop evaluation
   kEval,        // accuracy tracking (test + backdoor passes)
   kCheckpoint,  // commit/reject + record emission

@@ -42,6 +42,14 @@ TEST(VoteStrategy, SizeMismatchThrows) {
       std::invalid_argument);
 }
 
+TEST(VoteStrategy, CastVoteMapsEachStrategy) {
+  for (const int honest : {0, 1}) {
+    EXPECT_EQ(cast_vote(honest, VoteStrategy::kHonest), honest);
+    EXPECT_EQ(cast_vote(honest, VoteStrategy::kAlwaysAccept), 0);
+    EXPECT_EQ(cast_vote(honest, VoteStrategy::kAlwaysReject), 1);
+  }
+}
+
 TEST(QuorumSafety, PaperExampleBounds) {
   // n = 10, n_M = 1, ρ = 0.2: safe range is (1 + 0.2*9, 0.8*9] =
   // (2.8, 7.2] -> q in {3..7}.

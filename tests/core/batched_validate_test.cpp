@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <vector>
 
 #include "data/synth.hpp"
@@ -82,20 +81,19 @@ TEST_F(BatchedValidate, ColdWindowBatchedMatchesWarmSequential) {
   for (std::size_t ell : {std::size_t{2}, std::size_t{10}, std::size_t{40}}) {
     SCOPED_TRACE(ell);
     Validator warm = make_validator(ell);
-    std::deque<GlobalModel> window;
+    ModelHistory window(ell + 1);
     std::uint64_t version = 0;
-    window.push_back({version, params_});
+    window.push(version, params_);
     Rng rng(100 + ell);
     ValidationOutcome warm_out;
-    std::vector<GlobalModel> history;
+    ModelWindow history;
     ParamVec candidate;
     for (std::size_t round = 0; round < ell + 4; ++round) {
-      history.assign(window.begin(), window.end());
+      history = window.window_shared(ell + 1);
       candidate = next_params(rng);
       warm_out = warm.validate(candidate, history);
       ++version;
-      window.push_back({version, candidate});
-      while (window.size() > ell + 1) window.pop_front();
+      window.push(version, candidate);
       warm.notify_commit(version, candidate);
       params_ = candidate;
     }
@@ -122,12 +120,13 @@ TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
   // plain per-model evaluate_confusion on the same dataset.
   const std::size_t ell = 10;
   Validator v = make_validator(ell);
-  std::vector<GlobalModel> history;
+  ModelHistory window(ell + 1);
   Rng rng(55);
   for (std::uint64_t ver = 0; ver <= ell; ++ver) {
-    history.push_back({ver, params_});
+    window.push(ver, params_);
     params_ = next_params(rng);
   }
+  const ModelWindow history = window.window_shared(ell + 1);
   const ParamVec candidate = next_params(rng);
   const auto outcome = v.validate(candidate, history);
   EXPECT_FALSE(outcome.abstained);
@@ -135,9 +134,9 @@ TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
   Mlp model(arch_);
   MlpEvalWorkspace ws;
   for (const auto& entry : history) {
-    const ErrorProfile* cached = v.cache().find(entry.version);
-    ASSERT_NE(cached, nullptr) << "version " << entry.version;
-    model.set_parameters(entry.params);
+    const ErrorProfile* cached = v.cache().find(entry->version);
+    ASSERT_NE(cached, nullptr) << "version " << entry->version;
+    model.set_parameters(entry->params);
     const ConfusionMatrix cm = evaluate_confusion(model, data_, ws);
     std::vector<double> errors = cm.source_focused_errors();
     const std::vector<double> target = cm.target_focused_errors();
@@ -158,27 +157,28 @@ TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
   data.merge(task_.train);
   ASSERT_GT(data.size(), 256u);  // one panel block: 16 panels x 16 samples
   const ParamVec start = params_;
-  std::deque<GlobalModel> window;
+  ModelWindow window;
   // Drives `v` through the same committed-round sequence on a
   // `workers`-thread pool; returns its outcomes and leaves the final
   // history window in `window`.
   const auto run_arm = [&](Validator& v, std::size_t workers) {
     const ScopedGlobalPool pool(workers);
     params_ = start;
-    window.assign(1, GlobalModel{0, params_});
+    ModelHistory history(ell + 1);
+    history.push(0, params_);
     std::uint64_t version = 0;
     Rng rng(88);
     std::vector<ValidationOutcome> outcomes;
     for (std::size_t round = 0; round < ell + 5; ++round) {
-      const std::vector<GlobalModel> history(window.begin(), window.end());
       const ParamVec candidate = next_params(rng);
-      outcomes.push_back(v.validate(candidate, history));
+      outcomes.push_back(
+          v.validate(candidate, history.window_shared(ell + 1)));
       ++version;
-      window.push_back({version, candidate});
-      while (window.size() > ell + 1) window.pop_front();
+      history.push(version, candidate);
       v.notify_commit(version, candidate);
       params_ = candidate;
     }
+    window = history.window_shared(ell + 1);
     return outcomes;
   };
   Validator ser = make_validator(ell, data);
@@ -195,9 +195,9 @@ TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
   }
   ASSERT_GT(non_abstained, 4u);
   for (const auto& entry : window) {
-    const ErrorProfile* a = ser.cache().find(entry.version);
-    const ErrorProfile* b = par.cache().find(entry.version);
-    EXPECT_EQ(a == nullptr, b == nullptr) << "version " << entry.version;
+    const ErrorProfile* a = ser.cache().find(entry->version);
+    const ErrorProfile* b = par.cache().find(entry->version);
+    EXPECT_EQ(a == nullptr, b == nullptr) << "version " << entry->version;
     if (a != nullptr && b != nullptr) expect_same_profile(*a, *b);
   }
 }

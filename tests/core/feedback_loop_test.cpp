@@ -105,6 +105,25 @@ TEST(Quorum, DecisionCarriesVoteDetails) {
   EXPECT_EQ(d.client_ids, ids(2));
 }
 
+TEST(Quorum, CountsClientAndServerAbstentions) {
+  // An abstaining client is still a voter that accepts; an abstaining
+  // server leaves the electorate. Both are counted as abstentions.
+  const std::vector<int> votes{1, 0, 0, 1};
+  const std::vector<bool> abstained{false, true, true, false};
+  auto d = decide_quorum(DefenseMode::kClientsAndServer, 2, votes, ids(4), 1,
+                         /*server_abstained=*/true, abstained);
+  EXPECT_TRUE(d.reject);
+  EXPECT_EQ(d.abstentions, 3u);
+  EXPECT_EQ(d.total_voters, 4u);
+  d = decide_quorum(DefenseMode::kClientsOnly, 2, votes, ids(4), 0,
+                    /*server_abstained=*/true, abstained);
+  EXPECT_EQ(d.abstentions, 2u);  // no server in BAFFLE-C
+  d = decide_quorum(DefenseMode::kServerOnly, 2, {}, {}, 0,
+                    /*server_abstained=*/true);
+  EXPECT_EQ(d.abstentions, 1u);
+  EXPECT_EQ(d.total_voters, 0u);
+}
+
 TEST(DefenseModeName, AllNamed) {
   EXPECT_STREQ(defense_mode_name(DefenseMode::kServerOnly), "BAFFLE-S");
   EXPECT_STREQ(defense_mode_name(DefenseMode::kClientsOnly), "BAFFLE-C");

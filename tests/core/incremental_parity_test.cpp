@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
+#include <memory>
 
 #include "data/synth.hpp"
 #include "metrics/confusion.hpp"
@@ -53,7 +53,7 @@ double guarded_zscore(double value, std::span<const double> history_values) {
 ValidationOutcome fresh_validate(const ValidatorConfig& cfg,
                                  const Dataset& data, const MlpConfig& arch,
                                  const ParamVec& candidate,
-                                 std::span<const GlobalModel> history,
+                                 const ModelWindow& history,
                                  std::size_t& evaluations) {
   ValidationOutcome outcome;
   if (history.size() < 2 || history.size() - 1 < cfg.min_variations) {
@@ -62,8 +62,8 @@ ValidationOutcome fresh_validate(const ValidatorConfig& cfg,
   }
   Mlp model(arch);
   std::vector<ConfusionMatrix> cms;
-  for (const GlobalModel& g : history) {
-    model.set_parameters(g.params);
+  for (const auto& g : history) {
+    model.set_parameters(g->params);
     cms.push_back(evaluate_confusion(model, data));
     ++evaluations;
   }
@@ -173,7 +173,7 @@ class ParityFixture : public ::testing::Test {
   /// Scores `candidate` with `v` and with the from-scratch oracle and
   /// expects the same bits; returns the validator's outcome.
   ValidationOutcome expect_parity(Validator& v, const ParamVec& candidate,
-                                  std::span<const GlobalModel> history) {
+                                  const ModelWindow& history) {
     const ValidationOutcome got = v.validate(candidate, history);
     const ValidationOutcome want =
         fresh_validate(v.config(), v.data(), arch_, candidate, history,
@@ -190,19 +190,18 @@ class ParityFixture : public ::testing::Test {
   /// were scored rather than abstained.
   std::size_t run_script(Validator& v, const std::vector<bool>& accept_script,
                          std::size_t lookback, std::uint64_t seed) {
-    std::deque<GlobalModel> window;
+    ModelHistory window(lookback + 1);
     std::uint64_t version = 0;
-    window.push_back({version, params_});
+    window.push(version, params_);
     Rng rng(seed);
     std::size_t non_abstained = 0;
     for (const bool accept : accept_script) {
-      const std::vector<GlobalModel> history(window.begin(), window.end());
+      const ModelWindow history = window.window_shared(lookback + 1);
       const ParamVec candidate = next_params(rng);
       if (!expect_parity(v, candidate, history).abstained) ++non_abstained;
       if (accept) {
         ++version;
-        window.push_back({version, candidate});
-        while (window.size() > lookback + 1) window.pop_front();
+        window.push(version, candidate);
         v.notify_commit(version, candidate);
         params_ = candidate;
       } else {
@@ -266,17 +265,13 @@ TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
   Validator v = make_validator(config(lookback));
 
   // The window holds at most ℓ+1 models, so each push drops the oldest.
-  std::deque<GlobalModel> window;
-  const auto push = [&](std::uint64_t version, const ParamVec& params) {
-    window.push_back({version, params});
-    while (window.size() > lookback + 1) window.pop_front();
-  };
+  ModelHistory window(lookback + 1);
   Rng rng(55);
   for (std::uint64_t ver = 0; ver <= lookback; ++ver) {
-    push(ver, params_);
+    window.push(ver, params_);
     params_ = next_params(rng);
   }
-  std::vector<GlobalModel> history(window.begin(), window.end());
+  ModelWindow history = window.window_shared(lookback + 1);
   ParamVec last;
   for (int trial = 0; trial < 5; ++trial) {
     last = next_params(rng, 0.01f * static_cast<float>(trial + 1));
@@ -291,15 +286,15 @@ TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
   v.notify_commit(9, other);
   EXPECT_EQ(v.cache().promotions(), 0u);
 
-  push(9, other);
-  history.assign(window.begin(), window.end());
+  window.push(9, other);
+  history = window.window_shared(lookback + 1);
   expect_parity(v, last, history);
 
   // Committing exactly the last validated candidate does promote.
   v.notify_commit(10, last);
   EXPECT_EQ(v.cache().promotions(), 1u);
-  push(10, last);
-  history.assign(window.begin(), window.end());
+  window.push(10, last);
+  history = window.window_shared(lookback + 1);
   const ParamVec candidate = next_params(rng);
   const auto misses_before = v.cache().misses();
   expect_parity(v, candidate, history);
@@ -312,10 +307,11 @@ TEST_F(ParityFixture, OverlongWindowThrowsContractViolation) {
   // bug, rejected in every build rather than scored on the wrong ℓ.
   const std::size_t lookback = 8;
   Validator v = make_validator(config(lookback));
-  std::vector<GlobalModel> history;
+  ModelWindow history;
   Rng rng(56);
   for (std::uint64_t ver = 0; ver <= lookback + 1; ++ver) {
-    history.push_back({ver, params_});
+    history.push_back(
+        std::make_shared<const GlobalModel>(GlobalModel{ver, params_}));
     params_ = next_params(rng);
   }
   EXPECT_THROW(v.validate(next_params(rng), history), ContractViolation);
@@ -330,9 +326,10 @@ TEST_F(ParityFixture, ZScoreAblationsSingleDeltaStayFinite) {
   for (ValidationMethod method : {ValidationMethod::kGlobalAccuracyZScore,
                                   ValidationMethod::kVariationNormZScore}) {
     Validator v = make_validator(config(2, 1, method));
-    std::vector<GlobalModel> history;
-    history.push_back({0, params_});
-    history.push_back({1, next_params(rng)});
+    const ModelWindow history = {
+        std::make_shared<const GlobalModel>(GlobalModel{0, params_}),
+        std::make_shared<const GlobalModel>(
+            GlobalModel{1, next_params(rng)})};
     const auto outcome = v.validate(next_params(rng), history);
     EXPECT_FALSE(outcome.abstained);
     EXPECT_TRUE(std::isfinite(outcome.phi))
@@ -372,13 +369,13 @@ TEST(ValidatorCacheBound, HoldsOnlyTheWindowOn62Classes) {
   cfg.min_variations = 3;
   Validator v(task.test, arch, cfg);
 
-  std::deque<GlobalModel> window;
+  ModelHistory window(lookback + 1);
   std::uint64_t version = 0;
-  window.push_back({version, params});
+  window.push(version, params);
   std::size_t commits = 0;
   for (std::size_t round = 0; commits < 3 * (lookback + 1); ++round) {
     SCOPED_TRACE(round);
-    const std::vector<GlobalModel> history(window.begin(), window.end());
+    const ModelWindow history = window.window_shared(lookback + 1);
     ParamVec candidate = params;
     for (float& p : candidate) p += static_cast<float>(rng.normal(0.0, 0.05));
     v.validate(candidate, history);
@@ -388,12 +385,11 @@ TEST(ValidatorCacheBound, HoldsOnlyTheWindowOn62Classes) {
       ++version;
       ++commits;
       v.notify_commit(version, candidate);
-      window.push_back({version, candidate});
-      while (window.size() > lookback + 1) window.pop_front();
+      window.push(version, candidate);
       params = candidate;
     }
     EXPECT_LE(v.cache().size(), lookback + 2);
-    for (std::uint64_t old = 0; old < history.front().version; ++old) {
+    for (std::uint64_t old = 0; old < history.front()->version; ++old) {
       EXPECT_EQ(v.cache().find(old), nullptr) << "version " << old;
     }
   }

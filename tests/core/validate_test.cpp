@@ -48,8 +48,9 @@ class ValidatorFixture : public ::testing::Test {
     train_sgd(model, task_->train.features(), task_->train.labels(), warm,
               rng);
 
-    history_ = new std::vector<GlobalModel>;
-    history_->push_back({0, model.parameters()});
+    history_ = new ModelWindow;
+    history_->push_back(std::make_shared<const GlobalModel>(
+        GlobalModel{0, model.parameters()}));
     TrainConfig slice;
     slice.epochs = 1;
     slice.batch_size = 64;
@@ -57,7 +58,8 @@ class ValidatorFixture : public ::testing::Test {
     for (std::uint64_t v = 1; v <= 20; ++v) {
       train_sgd(model, task_->train.features(), task_->train.labels(),
                 slice, rng);
-      history_->push_back({v, model.parameters()});
+      history_->push_back(std::make_shared<const GlobalModel>(
+          GlobalModel{v, model.parameters()}));
     }
     final_model_ = new Mlp(model);
   }
@@ -110,13 +112,13 @@ class ValidatorFixture : public ::testing::Test {
 
   static SynthTask* task_;
   static MlpConfig* arch_;
-  static std::vector<GlobalModel>* history_;
+  static ModelWindow* history_;
   static Mlp* final_model_;
 };
 
 SynthTask* ValidatorFixture::task_ = nullptr;
 MlpConfig* ValidatorFixture::arch_ = nullptr;
-std::vector<GlobalModel>* ValidatorFixture::history_ = nullptr;
+ModelWindow* ValidatorFixture::history_ = nullptr;
 Mlp* ValidatorFixture::final_model_ = nullptr;
 
 TEST_F(ValidatorFixture, AcceptsGenuineUpdate) {
@@ -144,8 +146,7 @@ TEST_F(ValidatorFixture, PoisonedScoresFarAboveGenuine) {
 
 TEST_F(ValidatorFixture, AbstainsOnShortHistory) {
   Validator v = make_validator();
-  const std::vector<GlobalModel> short_history(history_->begin(),
-                                               history_->begin() + 3);
+  const ModelWindow short_history(history_->begin(), history_->begin() + 3);
   const auto outcome = v.validate(genuine_next(), short_history);
   EXPECT_TRUE(outcome.abstained);
   EXPECT_EQ(outcome.vote, 0);
@@ -154,9 +155,8 @@ TEST_F(ValidatorFixture, AbstainsOnShortHistory) {
 TEST_F(ValidatorFixture, AbstainsOnEmptyAndSingletonHistory) {
   Validator v = make_validator();
   EXPECT_TRUE(
-      v.validate(genuine_next(), std::span<const GlobalModel>{}).abstained);
-  const std::vector<GlobalModel> one(history_->begin(),
-                                     history_->begin() + 1);
+      v.validate(genuine_next(), ModelWindow{}).abstained);
+  const ModelWindow one(history_->begin(), history_->begin() + 1);
   EXPECT_TRUE(v.validate(genuine_next(), one).abstained);
 }
 
@@ -175,7 +175,7 @@ TEST_F(ValidatorFixture, IdenticalCandidateToLatestIsNotFlagged) {
   // which sits inside the benign cluster of small variations.
   Validator v = make_validator();
   const auto outcome =
-      v.validate(history_->back().params, *history_);
+      v.validate(history_->back()->params, *history_);
   EXPECT_EQ(outcome.vote, 0);
 }
 
@@ -191,7 +191,7 @@ TEST_F(ValidatorFixture, WorksAcrossLookbackSizes) {
   for (std::size_t ell : {10u, 15u, 20u}) {
     Validator good = make_validator(200, ell);
     Validator bad = make_validator(200, ell);
-    const std::vector<GlobalModel> window(
+    const ModelWindow window(
         history_->end() - static_cast<std::ptrdiff_t>(ell + 1),
         history_->end());
     EXPECT_EQ(good.validate(genuine_next(), window).vote, 0)
@@ -222,8 +222,7 @@ TEST_F(ValidatorFixture, GlobalAccuracyAblationRunsAndAbstainsCorrectly) {
   EXPECT_EQ(good.vote, 0);
   // Short history still abstains regardless of method.
   Validator v2(task_->test.sample(200, rng), *arch_, cfg);
-  const std::vector<GlobalModel> short_history(history_->begin(),
-                                               history_->begin() + 2);
+  const ModelWindow short_history(history_->begin(), history_->begin() + 2);
   EXPECT_TRUE(v2.validate(genuine_next(), short_history).abstained);
 }
 

@@ -101,6 +101,7 @@ TEST(ParallelExperiment, ParallelEngineNestsInPipelinedRepeatedRuns) {
   // runs equal the 1-worker runs bit for bit.
   ExperimentConfig cfg = small_config();
   cfg.rounds = 14;
+  cfg.schedule.poison_rounds = {14};  // round 18 is never reached
   cfg.track_accuracy = false;
   cfg.scenario.pipeline_rounds = true;
   const auto nested = repeated_on(4, cfg, 2, 131);
@@ -121,6 +122,7 @@ TEST(ParallelExperiment, RunRepeatedNestsInsidePool) {
   // 1-worker ones.
   ExperimentConfig cfg = small_config();
   cfg.rounds = 14;
+  cfg.schedule.poison_rounds = {14};  // round 18 is never reached
   cfg.track_accuracy = false;
   const auto repeated = repeated_on(4, cfg, 3, 90);
   ASSERT_EQ(repeated.runs.size(), 3u);

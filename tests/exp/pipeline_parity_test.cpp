@@ -110,6 +110,7 @@ TEST(PipelineParity, RunRepeatedNestsPipelinedRunsInsidePool) {
   const ScopedGlobalPool pool(4);
   ExperimentConfig cfg = small_config();
   cfg.rounds = 14;
+  cfg.schedule.poison_rounds = {14};  // round 18 is never reached
   cfg.scenario.pipeline_rounds = true;
   const auto repeated = run_repeated(cfg, 3, 70);
   ASSERT_EQ(repeated.runs.size(), 3u);
@@ -127,6 +128,7 @@ TEST(PipelineParity, TransportModePipelinedMatchesSerialBitExact) {
   const ScopedGlobalPool pool(4);
   ExperimentConfig cfg = small_config();
   cfg.rounds = 16;
+  cfg.schedule.poison_rounds = {14};  // round 18 is never reached
   cfg.transport = true;
   cfg.scenario.pipeline_rounds = true;
   const auto pipelined = run_experiment(cfg, 37);

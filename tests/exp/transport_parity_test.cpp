@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "exp/experiment.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 namespace {
@@ -50,7 +54,11 @@ void expect_results_identical(const ExperimentResult& a,
   for (std::size_t i = 0; i < a.injections.size(); ++i) {
     SCOPED_TRACE(i);
     EXPECT_EQ(a.injections[i].round, b.injections[i].round);
+    EXPECT_EQ(a.injections[i].adaptive, b.injections[i].adaptive);
+    EXPECT_EQ(a.injections[i].alpha, b.injections[i].alpha);
     EXPECT_EQ(a.injections[i].rejected, b.injections[i].rejected);
+    EXPECT_EQ(a.injections[i].reject_votes, b.injections[i].reject_votes);
+    EXPECT_EQ(a.injections[i].total_voters, b.injections[i].total_voters);
   }
   EXPECT_EQ(a.rates.false_positives, b.rates.false_positives);
   EXPECT_EQ(a.rates.false_negatives, b.rates.false_negatives);
@@ -108,6 +116,81 @@ TEST(TransportParity, SeparateValidatorsAndDropoutMatchBitExact) {
   expect_results_identical(wired, direct);
   EXPECT_EQ(wired.comm.total_bytes(), wired.wire_bytes);
 }
+
+/// One defender/attacker combination the wire path must reproduce.
+struct WireCase {
+  const char* name;
+  DefenseMode mode;
+  VoteStrategy vote;
+  bool dba = false;
+  bool adaptive = false;
+};
+
+void PrintTo(const WireCase& c, std::ostream* os) { *os << c.name; }
+
+class TransportParityCase : public ::testing::TestWithParam<WireCase> {};
+
+// Every defender mode against every malicious-vote strategy, plus the
+// DBA colluders (several malicious voter ids) and the adaptive attacker
+// (whose self-check reads the defense's window mid-round): the wire
+// path must reproduce the direct path's records and injections, and its
+// tracker must equal the channel byte counts, on a 1- and a 4-worker
+// pool.
+TEST_P(TransportParityCase, WireMatchesDirectOnOneAndFourWorkers) {
+  const WireCase& c = GetParam();
+  ExperimentConfig cfg = small_config();
+  cfg.feedback.mode = c.mode;
+  cfg.malicious_vote = c.vote;
+  if (c.dba) {
+    cfg.use_dba = true;
+    cfg.scenario.backdoor_override = BackdoorKind::kTrigger;
+    cfg.dba_colluders = 3;
+  }
+  cfg.schedule.adaptive = c.adaptive;
+  // At this seed the attacker validates poisoned and clean rounds, so
+  // both lying strategies change some round's tally: an actor that
+  // dropped its strategy fails every C and C+S lying case.
+  constexpr std::uint64_t kSeed = 43;
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    const ScopedGlobalPool pool(workers);
+    cfg.transport = true;
+    const auto wired = run_experiment(cfg, kSeed);
+    cfg.transport = false;
+    const auto direct = run_experiment(cfg, kSeed);
+    expect_results_identical(wired, direct);
+    EXPECT_GT(wired.wire_bytes, 0u);
+    EXPECT_EQ(wired.comm.total_bytes(), wired.wire_bytes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, TransportParityCase,
+    ::testing::Values(
+        WireCase{"C_honest", DefenseMode::kClientsOnly, VoteStrategy::kHonest},
+        WireCase{"C_accept", DefenseMode::kClientsOnly,
+                 VoteStrategy::kAlwaysAccept},
+        WireCase{"C_reject", DefenseMode::kClientsOnly,
+                 VoteStrategy::kAlwaysReject},
+        WireCase{"S_honest", DefenseMode::kServerOnly, VoteStrategy::kHonest},
+        WireCase{"S_accept", DefenseMode::kServerOnly,
+                 VoteStrategy::kAlwaysAccept},
+        WireCase{"S_reject", DefenseMode::kServerOnly,
+                 VoteStrategy::kAlwaysReject},
+        WireCase{"CS_honest", DefenseMode::kClientsAndServer,
+                 VoteStrategy::kHonest},
+        WireCase{"CS_accept", DefenseMode::kClientsAndServer,
+                 VoteStrategy::kAlwaysAccept},
+        WireCase{"CS_reject", DefenseMode::kClientsAndServer,
+                 VoteStrategy::kAlwaysReject},
+        WireCase{"CS_dba", DefenseMode::kClientsAndServer,
+                 VoteStrategy::kAlwaysAccept, /*dba=*/true},
+        WireCase{"CS_adaptive", DefenseMode::kClientsAndServer,
+                 VoteStrategy::kAlwaysAccept, /*dba=*/false,
+                 /*adaptive=*/true}),
+    [](const ::testing::TestParamInfo<WireCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace baffle

@@ -103,6 +103,42 @@ TEST(ValidatorDropout, OutOfRangeProbabilityIsRejectedNamingTheField) {
   }
 }
 
+/// Runs `cfg` expecting std::invalid_argument whose message names
+/// `field`.
+void expect_rejected_naming(const ExperimentConfig& cfg, const char* field) {
+  try {
+    run_experiment(cfg, 15);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ExperimentSchedule, RoundsTheRunNeverReachesAreRejected) {
+  // A poison round outside [1, rounds] used to inject nothing and
+  // report FN rate 0.000; a defense starting after the last round never
+  // ran. Both are rejected before any training.
+  ExperimentConfig cfg = base();
+  for (const std::size_t round : {std::size_t{0}, cfg.rounds + 1,
+                                  std::size_t{999}}) {
+    SCOPED_TRACE(round);
+    cfg.schedule.poison_rounds = {30, round};
+    expect_rejected_naming(cfg, "schedule.poison_rounds");
+  }
+  cfg = base();
+  cfg.defense_start = cfg.rounds + 1;
+  expect_rejected_naming(cfg, "defense_start");
+  // The last round is reachable, and an undefended run has no start to
+  // check.
+  cfg = base();
+  cfg.rounds = 20;
+  cfg.schedule.poison_rounds = {20};
+  cfg.defense_enabled = false;
+  cfg.defense_start = 1000;
+  EXPECT_NO_THROW(run_experiment(cfg, 15));
+}
+
 TEST(SeparateValidators, DetectionStillWorks) {
   ExperimentConfig cfg = base();
   cfg.separate_validators = true;

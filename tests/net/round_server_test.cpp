@@ -87,11 +87,13 @@ TEST(RoundServer, CollectsUpdatesInExpectedOrder) {
   rig.send(2, rig.update_from(2, 1, 3.0f));
   rig.send(0, rig.update_from(0, 1, 1.0f));
   rig.send(1, rig.update_from(1, 1, 2.0f));
-  const auto got = rig.server.collect_updates(1, {0, 1, 2});
+  const auto got = rig.server.collect(1, MsgType::kClientUpdate, {0, 1, 2});
   EXPECT_TRUE(got.dropped.empty());
   ASSERT_EQ(got.responders, (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(got.updates[0], ParamVec(kParams, 1.0f));
-  EXPECT_EQ(got.updates[2], ParamVec(kParams, 3.0f));
+  EXPECT_EQ(std::get<ClientUpdate>(got.messages[0]).update,
+            ParamVec(kParams, 1.0f));
+  EXPECT_EQ(std::get<ClientUpdate>(got.messages[2]).update,
+            ParamVec(kParams, 3.0f));
   EXPECT_EQ(rig.server.protocol_stats().total_rejected(), 0u);
 }
 
@@ -99,7 +101,7 @@ TEST(RoundServer, StragglerIsDroppedAtDeadline) {
   Rig rig(2);
   rig.send(0, rig.update_from(0, 1));
   // Client 1 never answers.
-  const auto got = rig.server.collect_updates(1, {0, 1});
+  const auto got = rig.server.collect(1, MsgType::kClientUpdate, {0, 1});
   EXPECT_EQ(got.responders, (std::vector<std::size_t>{0}));
   EXPECT_EQ(got.dropped, (std::vector<std::size_t>{1}));
   EXPECT_EQ(rig.server.protocol_stats().timeouts, 1u);
@@ -126,7 +128,7 @@ TEST(RoundServer, AdmissionRejectsByReason) {
     u.update[kParams - 1] = -std::numeric_limits<float>::infinity();
     rig.send(1, u);  // non-finite values: no fixed-point encoding
   }
-  const auto got = rig.server.collect_updates(1, {0, 1});
+  const auto got = rig.server.collect(1, MsgType::kClientUpdate, {0, 1});
   EXPECT_TRUE(got.responders.empty());
   const auto& stats = rig.server.protocol_stats();
   EXPECT_EQ(stats.wrong_round, 1u);
@@ -139,13 +141,36 @@ TEST(RoundServer, AdmissionRejectsByReason) {
   EXPECT_EQ(stats.timeouts, 2u);  // neither produced an admissible update
 }
 
+TEST(RoundServer, OneSweepDrainsPastRejectedFrames) {
+  // With a zero deadline the collection makes a single sweep; a rejected
+  // frame must not stop it short of the admissible one queued behind it.
+  InProcTransport transport;
+  RoundServer server(RoundServerConfig{0ms, 0ms}, kParams);
+  auto pair = transport.connect();
+  server.add_session(0, pair.server);
+  pair.client->send(WireBytes{0xDE, 0xAD});  // garbage
+  ClientUpdate update;
+  update.round = 1;
+  update.update = ParamVec(kParams, 2.0f);
+  pair.client->send(encode_frame(update));
+  pair.client->send(encode_frame(update));  // a replay behind it
+  const auto got = server.collect(1, MsgType::kClientUpdate, {0});
+  EXPECT_EQ(got.responders, (std::vector<std::size_t>{0}));
+  const auto stats = server.protocol_stats();
+  EXPECT_EQ(stats.decode_errors, 1u);
+  EXPECT_EQ(stats.duplicates, 1u);
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_FALSE(pair.server->try_recv().has_value());  // nothing left over
+}
+
 TEST(RoundServer, DuplicateUpdateInSameBurstRejected) {
   Rig rig(1);
   rig.send(0, rig.update_from(0, 1, 1.0f));
   rig.send(0, rig.update_from(0, 1, 9.0f));
-  const auto got = rig.server.collect_updates(1, {0});
-  ASSERT_EQ(got.updates.size(), 1u);
-  EXPECT_EQ(got.updates[0], ParamVec(kParams, 1.0f));  // first one wins
+  const auto got = rig.server.collect(1, MsgType::kClientUpdate, {0});
+  ASSERT_EQ(got.messages.size(), 1u);
+  EXPECT_EQ(std::get<ClientUpdate>(got.messages[0]).update,
+            ParamVec(kParams, 1.0f));  // first one wins
   EXPECT_EQ(rig.server.protocol_stats().duplicates, 1u);
 }
 
@@ -154,10 +179,10 @@ TEST(RoundServer, CollectsVotesAndRejectsDuplicates) {
   rig.send(0, rig.vote_from(0, 2, 1));
   rig.send(0, rig.vote_from(0, 2, 0));  // replay: dropped
   rig.send(1, rig.vote_from(1, 2, 0));
-  const auto got = rig.server.collect_votes(2, {0, 1});
+  const auto got = rig.server.collect(2, MsgType::kVote, {0, 1});
   ASSERT_EQ(got.responders, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(got.votes[0].vote, 1);
-  EXPECT_EQ(got.votes[1].vote, 0);
+  EXPECT_EQ(std::get<Vote>(got.messages[0]).vote, 1);
+  EXPECT_EQ(std::get<Vote>(got.messages[1]).vote, 0);
   EXPECT_EQ(rig.server.protocol_stats().duplicates, 1u);
 }
 
@@ -235,12 +260,12 @@ TEST(RoundServer, TrackerTotalsMatchChannelByteCountsExactly) {
   rig.send(0, rig.update_from(0, 1));
   rig.send(1, rig.update_from(1, 1));
   rig.clients[1]->send(WireBytes{1, 2, 3});  // even junk bytes count
-  (void)rig.server.collect_updates(1, {0, 1});
+  (void)rig.server.collect(1, MsgType::kClientUpdate, {0, 1});
   rig.server.send_validation(1, 1, ParamVec(kParams, 1.0f),
                              window_of({0}), {0, 1});
   rig.send(0, rig.vote_from(0, 1, 0));
   rig.send(1, rig.vote_from(1, 1, 1));
-  (void)rig.server.collect_votes(1, {0, 1});
+  (void)rig.server.collect(1, MsgType::kVote, {0, 1});
   RoundResult result;
   result.round = 1;
   result.committed = 1;
@@ -278,7 +303,7 @@ TEST(RoundServer, ConcurrentAccountingReadsDuringCollection) {
     senders.emplace_back(
         [&rig, id] { rig.send(id, rig.update_from(id, 1, 1.0f)); });
   }
-  const auto got = rig.server.collect_updates(1, {0, 1, 2});
+  const auto got = rig.server.collect(1, MsgType::kClientUpdate, {0, 1, 2});
   done.store(true);
   monitor.join();
   for (auto& t : senders) t.join();
@@ -286,6 +311,16 @@ TEST(RoundServer, ConcurrentAccountingReadsDuringCollection) {
   const auto stats = rig.server.protocol_stats();
   EXPECT_EQ(stats.total_rejected(), 0u);
   EXPECT_EQ(stats.timeouts, got.dropped.size());
+}
+
+TEST(RoundServer, CollectsOnlyClientMessageTypes) {
+  // Clients send updates and votes; any other phase type is a caller
+  // bug, not a deadline to wait out.
+  Rig rig(1);
+  EXPECT_THROW(rig.server.collect(1, MsgType::kRoundResult, {0}),
+               std::invalid_argument);
+  EXPECT_THROW(rig.server.collect(1, MsgType::kModelBroadcast, {0}),
+               std::invalid_argument);
 }
 
 TEST(RoundServer, RejectsDegenerateConstruction) {

@@ -16,14 +16,12 @@ TEST(Serialization, RoundTripPrimitives) {
   w.u8(0xAB);
   w.u32(0xDEADBEEF);
   w.u64(0x0123456789ABCDEFULL);
-  w.i64(-42);
   w.f32(3.5f);
   w.f64(-2.25);
   ByteReader r(w.bytes());
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(r.i64(), -42);
   EXPECT_EQ(r.f32(), 3.5f);
   EXPECT_EQ(r.f64(), -2.25);
   EXPECT_TRUE(r.done());
@@ -35,7 +33,9 @@ TEST(Serialization, RoundTripFloatVector) {
                              std::numeric_limits<float>::max()};
   w.f32_span(v);
   ByteReader r(w.bytes());
-  EXPECT_EQ(r.f32_vec(), v);
+  std::vector<float> out;
+  r.f32_vec_into(out);
+  EXPECT_EQ(out, v);
   EXPECT_TRUE(r.done());
 }
 
@@ -43,16 +43,9 @@ TEST(Serialization, RoundTripEmptyVector) {
   ByteWriter w;
   w.f32_span({});
   ByteReader r(w.bytes());
-  EXPECT_TRUE(r.f32_vec().empty());
-}
-
-TEST(Serialization, RoundTripString) {
-  ByteWriter w;
-  w.str("hello, world");
-  w.str("");
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.str(), "hello, world");
-  EXPECT_EQ(r.str(), "");
+  std::vector<float> out{1.0f};
+  r.f32_vec_into(out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Serialization, PreservesFloatBitPatterns) {
@@ -83,14 +76,21 @@ TEST(Serialization, ImplausibleVectorLengthThrows) {
   ByteWriter w;
   w.u64(std::numeric_limits<std::uint64_t>::max());  // absurd length
   ByteReader r(w.bytes());
-  EXPECT_THROW(r.f32_vec(), std::runtime_error);
+  std::vector<float> out;
+  EXPECT_THROW(r.f32_vec_into(out), std::runtime_error);
 }
 
 TEST(Serialization, ImplausibleStringLengthThrows) {
+  // Named for the byte-string reader this check was first written for.
+  // The guard is length_prefix's, which f32_vec_into shares: a prefix
+  // claiming 1 MiB of payload when nothing follows is rejected before
+  // any allocation.
   ByteWriter w;
-  w.u64(1u << 20);  // claims 1MiB follows; nothing does
+  w.u64((std::uint64_t{1} << 20) / sizeof(float));
   ByteReader r(w.bytes());
-  EXPECT_THROW(r.str(), std::runtime_error);
+  std::vector<float> out;
+  EXPECT_THROW(r.f32_vec_into(out), std::runtime_error);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Serialization, RemainingTracksPosition) {
@@ -118,7 +118,7 @@ TEST_P(SerializationFuzz, RandomRoundTrip) {
     std::uint64_t u;
     float f;
     std::vector<float> vec;
-    std::string s;
+    std::vector<std::uint8_t> bytes;
   };
   std::vector<Op> ops;
   const int n = 40;
@@ -143,11 +143,11 @@ TEST_P(SerializationFuzz, RandomRoundTrip) {
       }
       case 3: {
         const auto len = static_cast<std::size_t>(rng.uniform_int(0, 12));
-        op.s.resize(len);
-        for (auto& c : op.s) {
-          c = static_cast<char>(rng.uniform_int(0, 255));
+        op.bytes.resize(len);
+        for (auto& b : op.bytes) {
+          b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
         }
-        w.str(op.s);
+        w.raw(op.bytes);
         break;
       }
     }
@@ -158,8 +158,18 @@ TEST_P(SerializationFuzz, RandomRoundTrip) {
     switch (op.kind) {
       case 0: EXPECT_EQ(r.u64(), op.u); break;
       case 1: EXPECT_EQ(r.f32(), op.f); break;
-      case 2: EXPECT_EQ(r.f32_vec(), op.vec); break;
-      case 3: EXPECT_EQ(r.str(), op.s); break;
+      case 2: {
+        std::vector<float> vec;
+        r.f32_vec_into(vec);
+        EXPECT_EQ(vec, op.vec);
+        break;
+      }
+      case 3: {
+        const auto view = r.raw(op.bytes.size());
+        EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()),
+                  op.bytes);
+        break;
+      }
     }
   }
   EXPECT_TRUE(r.done());
@@ -214,7 +224,8 @@ TEST(Serialization, DenormalsSurviveRoundTrip) {
   const float denorm = std::numeric_limits<float>::denorm_min();
   w.f32_span(std::vector<float>{denorm, -denorm});
   ByteReader r(w.bytes());
-  const auto v = r.f32_vec();
+  std::vector<float> v;
+  r.f32_vec_into(v);
   ASSERT_EQ(v.size(), 2u);
   EXPECT_EQ(std::bit_cast<std::uint32_t>(v[0]),
             std::bit_cast<std::uint32_t>(denorm));
@@ -232,11 +243,9 @@ TEST(Serialization, TruncationSweepCoversEveryReaderMethod) {
   w.u16(2);
   w.u32(3);
   w.u64(4);
-  w.i64(-5);
   w.f32(1.5f);
   w.f64(-2.5);
   w.f32_span(std::vector<float>{1.0f, 2.0f, 3.0f});
-  w.str("abc");
   w.raw(std::vector<std::uint8_t>{0xAA, 0xBB});
   const std::vector<std::uint8_t> full = w.take();
 
@@ -246,12 +255,10 @@ TEST(Serialization, TruncationSweepCoversEveryReaderMethod) {
     r.u16();
     r.u32();
     r.u64();
-    r.i64();
     r.f32();
     r.f64();
     std::vector<float> vec;
     r.f32_vec_into(vec);
-    r.str();
     r.raw(2);
     return r.done();
   };
@@ -288,19 +295,10 @@ TEST(Serialization, OverflowingLengthPrefixCannotWrap) {
     ByteWriter w;
     w.u64(n);
     w.u32(0);  // a few real bytes after the prefix
-    {
-      ByteReader r(w.bytes());
-      EXPECT_THROW(r.f32_vec(), std::runtime_error);
-    }
-    {
-      ByteReader r(w.bytes());
-      std::vector<float> out;
-      EXPECT_THROW(r.f32_vec_into(out), std::runtime_error);
-    }
-    {
-      ByteReader r(w.bytes());
-      EXPECT_THROW(r.str(), std::runtime_error);
-    }
+    ByteReader r(w.bytes());
+    std::vector<float> out;
+    EXPECT_THROW(r.f32_vec_into(out), std::runtime_error);
+    EXPECT_TRUE(out.empty());  // nothing was allocated or written
   }
 }
 

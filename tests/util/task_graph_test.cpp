@@ -151,7 +151,6 @@ TEST(TaskGraph, DestructorQuiescesWithoutWaitAll) {
 
 TEST(TaskGraph, KindNamesCoverEveryKind) {
   EXPECT_STREQ(task_node_kind_name(TaskNodeKind::kTrain), "train");
-  EXPECT_STREQ(task_node_kind_name(TaskNodeKind::kAggregate), "aggregate");
   EXPECT_STREQ(task_node_kind_name(TaskNodeKind::kValidate), "validate");
   EXPECT_STREQ(task_node_kind_name(TaskNodeKind::kEval), "eval");
   EXPECT_STREQ(task_node_kind_name(TaskNodeKind::kCheckpoint), "checkpoint");

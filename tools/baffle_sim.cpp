@@ -18,6 +18,7 @@
 #include "cli_flags.hpp"
 #include "exp/experiment.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -133,6 +134,9 @@ int main(int argc, char** argv) {
 
   ExperimentResult result;
   try {
+    // Inside the try: the first global() call builds the pool, and a
+    // rejected BAFFLE_THREADS throws there, before any config check.
+    (void)ThreadPool::global();
     result = run_experiment(cfg, seed);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "baffle_sim: %s\n", e.what());

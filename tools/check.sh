@@ -26,8 +26,9 @@
 #                             # on a cold/warm validator parity break
 #   tools/check.sh --fuzz     # also run the deterministic wire-protocol
 #                             # fuzzer under the ASan build (truncation /
-#                             # bit-flip / garbage corpus must never
-#                             # crash or over-read)
+#                             # bit-flip / garbage corpus through the
+#                             # decoder and a round-server session must
+#                             # never crash, over-read or lose a frame)
 #   tools/check.sh --sweep-smoke
 #                             # also run sweep_bench --smoke plus a tiny
 #                             # baffle_sweep grid at BAFFLE_THREADS=1 vs

@@ -1,37 +1,61 @@
 // protocol_fuzz — deterministic smoke fuzzer for the wire protocol.
 //
-// Feeds decode_frame/peek_type three hostile corpora derived from valid
-// frames of every message type with a seeded Rng:
+// Derives hostile frames from valid frames of every message type with a
+// seeded Rng and drives them through two lanes:
 //
-//   1. truncation: every proper prefix of every frame
-//   2. bit flips: frames with 1..8 random bits flipped
-//   3. garbage: random byte strings of random lengths
+//   1. decode: every pristine frame must decode, and every proper prefix
+//      of it must be rejected with an exception;
+//   2. session: bursts of frames with 1..8 random bits flipped, and of
+//      random garbage, are sent on the client channel of a RoundServer
+//      session, then collected (RoundServer::collect, the one loop both
+//      inbound phases use) with a zero deadline. Collection must return
+//      without throwing, every frame sent must land either in the
+//      collected set or in ProtocolStats, and the tracker's byte count
+//      must equal the channels' own.
 //
-// The contract under test (src/net/wire.hpp): a malformed frame always
-// surfaces as a thrown std::exception — never a crash, hang, or
-// out-of-bounds read. Run under ASan/UBSan (tools/check.sh --all, CI's
-// protocol-fuzz job) any over-read becomes a hard failure; in a plain
-// build this still catches crashes and accept/reject contract breaks.
+// The contract under test (src/net/wire.hpp, src/net/round_server.hpp):
+// a malformed frame always surfaces as a thrown std::exception or a
+// counted rejection — never a crash, hang, or out-of-bounds read. Run
+// under ASan/UBSan (tools/check.sh --fuzz, CI's protocol-fuzz job) any
+// over-read becomes a hard failure; in a plain build this still catches
+// crashes and accept/reject contract breaks.
 //
-// Exits 0 on success, 1 with a diagnostic on the first violation.
-// Deterministic: same seed, same corpus, same result.
+// Exits 0 on success, 1 with a diagnostic on the first violation or
+// when no case ran, 2 on a bad flag. Deterministic: same seed, same
+// corpus, same result.
 
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
-#include "net/wire.hpp"
+#include "cli_flags.hpp"
+#include "fl/comm.hpp"
+#include "net/round_server.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace baffle;
 
-ParamVec random_params(Rng& rng, std::size_t max_len) {
-  ParamVec params(static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(max_len))));
+constexpr const char* kHelp =
+    "protocol_fuzz — deterministic wire-protocol fuzzer\n"
+    "\n"
+    "  --seed=N     corpus seed (42)\n"
+    "  --rounds=N   corpus rounds (50); 0 runs no case and exits 1";
+
+/// Round and model size of the fuzzed session: the corpus's updates and
+/// votes carry them, so intact or lightly flipped ones are admissible.
+constexpr std::uint64_t kRound = 7;
+constexpr std::size_t kParams = 16;
+
+ParamVec random_params(Rng& rng, std::size_t len) {
+  ParamVec params(len);
   for (auto& p : params) p = static_cast<float>(rng.normal());
   return params;
+}
+
+std::size_t random_len(Rng& rng, std::size_t max_len) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(max_len)));
 }
 
 /// One valid frame of each message type, sizes varied by the rng.
@@ -43,18 +67,18 @@ std::vector<WireBytes> seed_corpus(Rng& rng) {
   broadcast.version = broadcast.round;
   broadcast.purpose =
       rng.bernoulli(0.5) ? ModelPurpose::kTraining : ModelPurpose::kCandidate;
-  broadcast.params = random_params(rng, 64);
+  broadcast.params = random_params(rng, random_len(rng, 64));
   corpus.push_back(encode_frame(broadcast));
 
   ClientUpdate update;
-  update.round = rng.next_u64() % 1000;
-  update.client_id = rng.next_u64() % 100;
-  update.update = random_params(rng, 64);
+  update.round = kRound;
+  update.client_id = 0;
+  update.update = random_params(rng, kParams);
   corpus.push_back(encode_frame(update));
 
   Vote vote;
-  vote.round = rng.next_u64() % 1000;
-  vote.client_id = rng.next_u64() % 100;
+  vote.round = kRound;
+  vote.client_id = 0;
   vote.vote = rng.bernoulli(0.5) ? 1 : 0;
   vote.abstained = rng.bernoulli(0.2) ? 1 : 0;
   vote.phi = rng.normal(0.0, 10.0);
@@ -63,10 +87,10 @@ std::vector<WireBytes> seed_corpus(Rng& rng) {
 
   HistoryDelta delta;
   delta.round = rng.next_u64() % 1000;
-  const auto entries = static_cast<std::size_t>(rng.uniform_int(0, 6));
+  const std::size_t entries = random_len(rng, 6);
   for (std::size_t i = 0; i < entries; ++i) {
-    delta.entries.push_back(
-        HistoryDelta::Entry{delta.round + i, random_params(rng, 16)});
+    delta.entries.push_back(HistoryDelta::Entry{
+        delta.round + i, random_params(rng, random_len(rng, 16))});
   }
   corpus.push_back(encode_frame(delta));
 
@@ -87,25 +111,88 @@ std::vector<WireBytes> seed_corpus(Rng& rng) {
 bool decode_is_clean(std::span<const std::uint8_t> frame) {
   try {
     (void)decode_frame(frame);
-    (void)peek_type(frame);
     return true;
   } catch (const std::exception&) {
     return false;
   }
 }
 
-int run(std::uint64_t seed, int rounds) {
-  Rng rng(seed);
-  std::uint64_t cases = 0;
-  std::uint64_t survivors = 0;  // mutated frames that still decode
+/// A one-client RoundServer session whose collection never waits.
+class FuzzSession {
+ public:
+  FuzzSession()
+      : server_(RoundServerConfig{std::chrono::milliseconds(0),
+                                  std::chrono::milliseconds(0)},
+                kParams),
+        tracker_(1, kParams * sizeof(float), 2) {
+    DuplexChannel duplex = transport_.connect();
+    server_.add_session(0, duplex.server);
+    client_ = duplex.client;
+    server_.set_tracker(&tracker_);
+  }
 
-  for (int iter = 0; iter < rounds; ++iter) {
+  /// Sends `burst` from the client and collects a `type` phase. Returns
+  /// false (after printing why) if collection threw or lost a frame.
+  bool collect_burst(const std::vector<WireBytes>& burst, MsgType type) {
+    for (const auto& frame : burst) client_->send(frame);
+    const std::uint64_t rejected_before =
+        server_.protocol_stats().total_rejected();
+    std::size_t collected = 0;
+    try {
+      collected = server_.collect(kRound, type, {0}).messages.size();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "protocol_fuzz: collect threw: %s\n", e.what());
+      return false;
+    }
+    const std::uint64_t rejected =
+        server_.protocol_stats().total_rejected() - rejected_before;
+    if (rejected + collected != burst.size()) {
+      std::fprintf(stderr,
+                   "protocol_fuzz: %zu frames sent, %llu rejected + %zu "
+                   "collected\n",
+                   burst.size(), static_cast<unsigned long long>(rejected),
+                   collected);
+      return false;
+    }
+    return true;
+  }
+
+  /// Every byte that crossed the channels was attributed by the tracker.
+  bool bytes_reconcile() const {
+    return tracker_.stats().total_bytes() == server_.wire_bytes();
+  }
+
+ private:
+  InProcTransport transport_;
+  RoundServer server_;
+  CommTracker tracker_;
+  std::shared_ptr<Channel> client_;
+};
+
+/// The collection phase a burst derived from `pristine` is sent into:
+/// its own for updates and votes, a random one for the types clients
+/// never send.
+MsgType phase_for(const WireMessage& pristine, Rng& rng) {
+  if (std::holds_alternative<ClientUpdate>(pristine)) {
+    return MsgType::kClientUpdate;
+  }
+  if (std::holds_alternative<Vote>(pristine)) return MsgType::kVote;
+  return rng.bernoulli(0.5) ? MsgType::kClientUpdate : MsgType::kVote;
+}
+
+int run(std::uint64_t seed, std::size_t rounds) {
+  Rng rng(seed);
+  FuzzSession session;
+  std::uint64_t cases = 0;
+  std::uint64_t survivors = 0;  // bit-flipped frames that still decode
+
+  for (std::size_t iter = 0; iter < rounds; ++iter) {
     const auto corpus = seed_corpus(rng);
 
     for (const auto& frame : corpus) {
       if (!decode_is_clean(frame)) {
         std::fprintf(stderr,
-                     "protocol_fuzz: pristine frame rejected (iter %d)\n",
+                     "protocol_fuzz: pristine frame rejected (iter %zu)\n",
                      iter);
         return 1;
       }
@@ -117,15 +204,17 @@ int run(std::uint64_t seed, int rounds) {
         if (decode_is_clean(prefix)) {
           std::fprintf(stderr,
                        "protocol_fuzz: truncated frame accepted "
-                       "(iter %d, %zu of %zu bytes)\n",
+                       "(iter %zu, %zu of %zu bytes)\n",
                        iter, cut, frame.size());
           return 1;
         }
         ++cases;
       }
 
-      // 2. Random bit flips: decode may legitimately still succeed
-      // (e.g. a flipped parameter bit), but must never crash.
+      // 2. Random bit flips: a frame may legitimately still decode and
+      // even be admitted (a flipped parameter bit); the session must
+      // account for every one.
+      std::vector<WireBytes> burst;
       for (int flip = 0; flip < 64; ++flip) {
         WireBytes mutated = frame;
         const auto flips = 1 + rng.uniform_int(0, 7);
@@ -135,22 +224,42 @@ int run(std::uint64_t seed, int rounds) {
           mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
         }
         if (decode_is_clean(mutated)) ++survivors;
+        burst.push_back(std::move(mutated));
         ++cases;
+      }
+      if (!session.collect_burst(burst, phase_for(decode_frame(frame), rng))) {
+        std::fprintf(stderr, "protocol_fuzz: bit-flip burst (iter %zu)\n",
+                     iter);
+        return 1;
       }
     }
 
     // 3. Random garbage of random lengths (including empty).
-    for (int g = 0; g < 64; ++g) {
-      WireBytes garbage(
-          static_cast<std::size_t>(rng.uniform_int(0, 256)));
-      for (auto& byte : garbage) {
+    std::vector<WireBytes> garbage(64);
+    for (auto& bytes : garbage) {
+      bytes.resize(random_len(rng, 256));
+      for (auto& byte : bytes) {
         byte = static_cast<std::uint8_t>(rng.next_u64());
       }
-      (void)decode_is_clean(garbage);
       ++cases;
+    }
+    const MsgType phase =
+        rng.bernoulli(0.5) ? MsgType::kClientUpdate : MsgType::kVote;
+    if (!session.collect_burst(garbage, phase)) {
+      std::fprintf(stderr, "protocol_fuzz: garbage burst (iter %zu)\n", iter);
+      return 1;
     }
   }
 
+  if (!session.bytes_reconcile()) {
+    std::fprintf(stderr,
+                 "protocol_fuzz: tracker bytes differ from channel bytes\n");
+    return 1;
+  }
+  if (cases == 0) {
+    std::fprintf(stderr, "protocol_fuzz: no case ran (--rounds=0)\n");
+    return 1;
+  }
   std::printf(
       "protocol_fuzz: OK (%llu cases, %llu mutated frames still decoded)\n",
       static_cast<unsigned long long>(cases),
@@ -161,18 +270,9 @@ int run(std::uint64_t seed, int rounds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t seed = 42;
-  int rounds = 50;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      rounds = static_cast<int>(std::strtol(argv[i] + 9, nullptr, 10));
-    } else {
-      std::fprintf(stderr,
-                   "usage: protocol_fuzz [--seed=N] [--rounds=N]\n");
-      return 2;
-    }
+  cli::Flags flags;
+  if (const auto exit_code = cli::parse_flags(argc, argv, kHelp, flags)) {
+    return *exit_code;
   }
-  return run(seed, rounds);
+  return run(flags.count("seed", 42), flags.count("rounds", 50));
 }
