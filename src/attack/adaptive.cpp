@@ -22,25 +22,23 @@ std::optional<AdaptiveUpdate> craft_adaptive_update(
   if (!self_check) {
     throw std::invalid_argument("craft_adaptive_update: no self check");
   }
-  if (config.alpha_step <= 0.0 || config.min_alpha <= 0.0) {
+  if (config.alpha_step <= 0.0) {
     throw std::invalid_argument("craft_adaptive_update: bad alpha grid");
   }
 
-  // Stealth training. With behavior cloning the clean blend carries the
-  // GLOBAL MODEL'S predicted labels: the local model then reproduces
-  // G's error profile on the attacker's data (variation point ≈ 0 in
-  // the attacker's own VALIDATE) while the relabelled backdoor samples
+  // Stealth training by behavior cloning: the clean blend carries the
+  // GLOBAL MODEL'S predicted labels, so the local model reproduces G's
+  // error profile on the attacker's data (variation point ≈ 0 in the
+  // attacker's own VALIDATE) while the relabelled backdoor samples
   // teach the adversarial sub-task.
-  Dataset clean_view = attacker_clean;
-  if (config.clone_global_behavior && !attacker_clean.empty()) {
+  Dataset clean_view(attacker_clean.dim(), attacker_clean.num_classes());
+  if (!attacker_clean.empty()) {
     const auto preds = global.predict(attacker_clean.features());
-    Dataset cloned(attacker_clean.dim(), attacker_clean.num_classes());
     for (std::size_t i = 0; i < attacker_clean.size(); ++i) {
       Example ex = attacker_clean[i];
       ex.y = static_cast<int>(preds[i]);
-      cloned.add(std::move(ex));
+      clean_view.add(std::move(ex));
     }
-    clean_view = std::move(cloned);
   }
   const Dataset poisoned = make_poisoned_training_set(
       clean_view, backdoor_pool, config.replacement.task,
@@ -48,9 +46,10 @@ std::optional<AdaptiveUpdate> craft_adaptive_update(
   Mlp local = global;
   train_sgd(local, poisoned.features(), poisoned.labels(),
             config.replacement.train, rng, ws);
-  if (config.cleanup_epochs > 0 && !clean_view.empty()) {
+  if (!clean_view.empty()) {
+    // One clean-only fine-tuning epoch after the poisoned blend.
     TrainConfig cleanup = config.replacement.train;
-    cleanup.epochs = config.cleanup_epochs;
+    cleanup.epochs = 1;
     train_sgd(local, clean_view.features(), clean_view.labels(), cleanup,
               rng, ws);
   }
@@ -58,8 +57,10 @@ std::optional<AdaptiveUpdate> craft_adaptive_update(
       subtract(local.parameters(), global.parameters());
 
   // Scale-back search: largest α whose predicted global model passes the
-  // attacker's own validation.
-  for (double alpha = 1.0; alpha >= config.min_alpha - 1e-9;
+  // attacker's own validation. Below kMinAlpha the injection is not
+  // worth it and the attacker skips the round.
+  constexpr double kMinAlpha = 0.1;
+  for (double alpha = 1.0; alpha >= kMinAlpha - 1e-9;
        alpha -= config.alpha_step) {
     ParamVec predicted = global.parameters();
     axpy(static_cast<float>(alpha), direction, predicted);

@@ -12,9 +12,10 @@
 //      the variation point the attacker's own VALIDATE sees is ~0 —
 //      while still learning the backdoor sub-task;
 //   2. scale-back search: if the cloned model still fails the
-//      attacker-side check, find the largest α ∈ (0, 1] such that the
-//      predicted global model G + α(L − G) passes, and submit
-//      γ·α·(L − G); skip the round if none does.
+//      attacker-side check, find the largest α ∈ [0.1, 1] on the
+//      `alpha_step` grid such that the predicted global model
+//      G + α(L − G) passes, and submit γ·α·(L − G); skip the round if
+//      none does.
 //
 // The attacker-side check arrives as a predicate so this module stays
 // independent of src/core (the experiment harness wires in a Validator
@@ -34,21 +35,10 @@ using AttackerSideCheck = std::function<bool(const ParamVec&)>;
 
 struct AdaptiveAttackConfig {
   ModelReplacementConfig replacement;
-  /// Clean-only fine-tuning epochs after the poisoned blend.
-  std::size_t cleanup_epochs = 1;
-  /// Scale-back grid: α descends from 1 in steps of this size.
+  /// Scale-back grid: α descends from 1 in steps of this size, down to
+  /// the smallest α worth injecting (0.1); below that the attacker
+  /// skips the round.
   double alpha_step = 0.1;
-  /// Smallest α worth injecting; below this the attacker skips the round.
-  double min_alpha = 0.1;
-  /// Risk tolerance of the attacker's self-check: it submits when its
-  /// own outlier score φ stays within `self_check_margin`·τ (1.0 = the
-  /// defense's own strict rule; behavior cloning usually makes even the
-  /// strict rule pass on the attacker's data).
-  double self_check_margin = 1.0;
-  /// Behavior cloning: label the clean blend with G's predictions
-  /// rather than ground truth (see header comment). Disable to get the
-  /// plain scale-back attacker.
-  bool clone_global_behavior = true;
 };
 
 struct AdaptiveUpdate {
@@ -57,7 +47,7 @@ struct AdaptiveUpdate {
   bool self_passed = false;  // the injection passed the attacker's check
 };
 
-/// Crafts the adaptive injection. Returns nullopt when no α ≥ min_alpha
+/// Crafts the adaptive injection. Returns nullopt when no α ≥ 0.1
 /// passes the attacker-side check (the attacker skips this round — such
 /// rounds are not "adaptive injections" in the Table II sense).
 std::optional<AdaptiveUpdate> craft_adaptive_update(

@@ -21,7 +21,7 @@ ParamVec craft_replacement_update(const Mlp& global,
                                   const Dataset& backdoor_pool,
                                   const ModelReplacementConfig& config,
                                   Rng& rng, TrainWorkspace& ws) {
-  if (config.boost <= 0.0 || config.scale <= 0.0) {
+  if (config.boost <= 0.0) {
     throw std::invalid_argument("craft_replacement_update: bad scaling");
   }
   const Dataset poisoned = make_poisoned_training_set(
@@ -31,7 +31,7 @@ ParamVec craft_replacement_update(const Mlp& global,
   train_sgd(local, poisoned.features(), poisoned.labels(), config.train, rng,
             ws);
   ParamVec update = subtract(local.parameters(), global.parameters());
-  scale(update, static_cast<float>(config.boost * config.scale));
+  scale(update, static_cast<float>(config.boost));
   return update;
 }
 

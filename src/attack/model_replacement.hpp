@@ -18,13 +18,12 @@ struct ModelReplacementConfig {
   BackdoorTask task;
   double poison_fraction = 0.3;  // share of backdoor samples in the blend
   double boost = 10.0;           // γ = N/λ (FedAvgAggregator::replacement_boost)
-  double scale = 1.0;            // extra sub-γ scaling (stealth knob; α)
   TrainConfig train;             // attacker-side training (can differ from
                                  // honest clients')
 };
 
 /// Trains the attacker's poisoned local model L and returns the boosted
-/// update γ·α·(L − G).
+/// update γ·(L − G).
 ParamVec craft_replacement_update(const Mlp& global,
                                   const Dataset& attacker_clean,
                                   const Dataset& backdoor_pool,

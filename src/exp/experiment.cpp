@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "attack/backdoor.hpp"
 #include "attack/dba.hpp"
@@ -15,7 +16,7 @@
 #include "net/round_driver.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/task_graph.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 
@@ -56,16 +57,19 @@ class AdaptiveProvider final : public UpdateProvider {
     if (client_id != attacker_id_ || !armed_) {
       return honest_.update_for(client_id, global, rng, ws);
     }
-    // Only the attacker's (unique) round task reaches this branch, so
-    // self_validator_ has a single caller per round; submitted_/alpha_
-    // are atomics only so the concurrent round loop stays race-free by
-    // construction rather than by argument.
+    // Only the attacker's (unique) update task reaches this branch, so
+    // self_validator_ has a single caller per round. The task may run on
+    // a pool worker; submitted_/alpha_ are atomics only so the round
+    // loop's reads after the join stay race-free by construction rather
+    // than by argument.
     const auto window = defense_->current_window();
     const AttackerSideCheck check = [&](const ParamVec& candidate) {
       const ValidationOutcome o =
           self_validator_.validate(candidate, window);
       if (o.abstained) return false;  // no basis to judge: stay silent
-      return o.phi <= config_.self_check_margin * o.tau;
+      // The defense's own strict rule; behavior cloning usually makes it
+      // pass on the attacker's data.
+      return o.phi <= o.tau;
     };
     const auto crafted = craft_adaptive_update(
         global, attacker_clean_, backdoor_pool_, config_, check, rng, ws);
@@ -342,208 +346,121 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   // prediction buffers every round.
   MlpEvalWorkspace accuracy_ws;
 
-  // The round loop as a task graph (DESIGN.md §15). Each round is a
-  // train → validate → checkpoint chain; the model-version edge
-  // checkpoint[r] → train[r+1] serializes the rounds (and every use of
-  // the main `rng`, so the schedule reproduces the serial loop's rng
-  // call sequence exactly). With pipelining, round r's accuracy pass is
-  // an eval node depending on checkpoint[r]: it overlaps round r+1's
-  // work against an immutable snapshot of the committed parameters.
-  // eval[r-1] → eval[r] serializes the single model/workspace pair and
-  // eval[r-2] → train[r] bounds runahead to one outstanding snapshot.
-  // Waiting help-drains the shared pool, so run_repeated / sweep cells
-  // can nest whole experiments inside pool tasks without deadlock.
-  const bool pipeline =
-      config.scenario.pipeline_rounds && config.track_accuracy;
-  std::optional<Mlp> pipeline_model;
-  MlpEvalWorkspace pipeline_ws;
-  std::shared_ptr<const ParamVec> committed_params;
-  std::vector<std::shared_ptr<const ParamVec>> snapshots;
-  if (pipeline) {
-    pipeline_model.emplace(scenario.arch);
-    committed_params =
-        std::make_shared<const ParamVec>(server.global_model().parameters());
-    snapshots.resize(config.rounds);
-  }
-
-  // Round-local state shared by one round's chain nodes; the chain
-  // edges serialize every access. Eval nodes touch none of it — they
-  // read only their per-round snapshot and record slot.
-  struct RoundState {
-    std::vector<std::size_t> contributors;
-    std::optional<FlServer::Proposal> proposal;
-    bool scheduled = false;
-    bool injected = false;
-    bool active = false;
-    FeedbackDecision decision;
-    double train_seconds = 0.0;
-    double eval_seconds = 0.0;
-  } st;
-
-  TaskGraph graph;  // dtor quiesces, so nodes never outlive the locals
-  TaskGraph::TaskId prev_checkpoint = TaskGraph::kNoTask;
-  TaskGraph::TaskId prev_eval = TaskGraph::kNoTask;       // eval[r-1]
-  TaskGraph::TaskId prev_prev_eval = TaskGraph::kNoTask;  // eval[r-2]
-
+  // Algorithm 1, one round after another on the calling thread: sample
+  // and arm, propose, validate, then commit or roll back. The phases
+  // fork-join on the global pool inside (client updates, masking, the
+  // validators' engine tiles); the rounds themselves are strictly
+  // serial, so every use of the main `rng` happens in one fixed order.
   for (std::size_t r = 1; r <= config.rounds; ++r) {
-    const auto train = graph.add(
-        TaskNodeKind::kTrain,
-        [&, r] {
-          st.scheduled = config.schedule.is_poison_round(r);
-          st.contributors = sampler.sample_round(rng);
-          if (st.scheduled) {
-            if (dba) {
-              ensure_members(st.contributors, dba->colluders());
-            } else {
-              ensure_member(st.contributors, attacker, rng);
-            }
-          }
-          if (adaptive) adaptive->arm(st.scheduled);
-          if (malicious) malicious->arm(st.scheduled);
-          if (dba) dba->arm(st.scheduled);
-
-          const auto train_start = std::chrono::steady_clock::now();
-          st.proposal = driver ? driver->propose_round(st.contributors, rng)
-                               : server.propose_round_with(st.contributors,
-                                                           provider, rng);
-          st.train_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            train_start)
-                  .count();
-          MetricsRegistry::global().add_timer("experiment.round_train",
-                                              st.train_seconds);
-        },
-        {prev_checkpoint, prev_prev_eval});
-
-    const auto validate = graph.add(
-        TaskNodeKind::kValidate,
-        [&, r] {
-          st.injected = st.scheduled && (!adaptive || adaptive->submitted());
-          if (st.scheduled && adaptive && !adaptive->submitted()) {
-            ++result.adaptive_skipped;
-          }
-          st.active = config.defense_enabled && r >= config.defense_start &&
-                      defense.ready();
-          st.decision = FeedbackDecision{};
-          st.eval_seconds = 0.0;
-          if (!st.active) return;
-          // Validating set: the contributors (§VI-D optimization) or an
-          // independently sampled set (Algorithm 1's original form).
-          std::vector<std::size_t> validators =
-              config.separate_validators ? sampler.sample_round(rng)
-                                         : st.contributors;
-          if (config.validator_dropout > 0.0) {
-            std::erase_if(validators, [&](std::size_t) {
-              return rng.bernoulli(config.validator_dropout);
-            });
-          }
-          const auto eval_start = std::chrono::steady_clock::now();
-          st.decision =
-              driver ? driver->evaluate(*st.proposal, validators)
-                     : defense.evaluate(st.proposal->candidate_params,
-                                        validators, scenario.clients,
-                                        malicious_ids, config.malicious_vote);
-          st.eval_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            eval_start)
-                  .count();
-          MetricsRegistry::global().add_timer("experiment.round_eval",
-                                              st.eval_seconds);
-        },
-        {train});
-
-    const auto checkpoint = graph.add(
-        TaskNodeKind::kCheckpoint,
-        [&, r] {
-          const bool rejected = st.active && st.decision.reject;
-          if (rejected) {
-            server.discard(*st.proposal);
-            defense.on_reject();
-            if (driver) {
-              driver->finish_round(*st.proposal, /*committed=*/false,
-                                   server.version(), st.decision);
-            }
-          } else {
-            const std::uint64_t committed_version =
-                server.commit(*st.proposal);
-            defense.on_commit(committed_version,
-                              st.proposal->candidate_params);
-            if (driver) {
-              driver->finish_round(*st.proposal, /*committed=*/true,
-                                   committed_version, st.decision);
-            }
-            if (pipeline) {
-              committed_params = std::make_shared<const ParamVec>(
-                  std::move(st.proposal->candidate_params));
-            }
-          }
-
-          RoundRecord record;
-          record.round = r;
-          record.defense_active = st.active;
-          record.poisoned = st.injected;
-          record.rejected = rejected;
-          record.reject_votes = st.decision.reject_votes;
-          record.num_validators = st.decision.total_voters;
-          record.eval_ms = st.eval_seconds * 1e3;
-          record.train_ms = st.train_seconds * 1e3;
-          if (config.track_accuracy && !pipeline) {
-            record.main_accuracy =
-                evaluate_confusion(server.global_model(), scenario.task.test,
-                                   accuracy_ws)
-                    .accuracy();
-            record.backdoor_accuracy = backdoor_accuracy(
-                server.global_model(), scenario.task.backdoor_test,
-                scenario.backdoor.target_class, accuracy_ws);
-          }
-          result.rounds.push_back(record);
-          if (pipeline) snapshots[r - 1] = committed_params;
-
-          if (st.injected) {
-            InjectionRecord inj;
-            inj.round = r;
-            inj.adaptive = config.schedule.adaptive;
-            inj.alpha = adaptive ? adaptive->alpha() : 1.0;
-            inj.rejected = rejected;
-            inj.reject_votes = st.decision.reject_votes;
-            inj.total_voters = st.decision.total_voters;
-            result.injections.push_back(inj);
-          }
-          st.proposal.reset();
-        },
-        {validate});
-
-    if (pipeline) {
-      const auto eval = graph.add(
-          TaskNodeKind::kEval,
-          [&, r] {
-            const ScopedTimer eval_timer("experiment.round_accuracy");
-            MetricsRegistry::global().add_counter(
-                "experiment.pipelined_evals");
-            // data() + index, not operator[]: later checkpoints
-            // push_back concurrently and the reserve above keeps the
-            // buffer stable, but only data() is guaranteed not to read
-            // the (racing) size bookkeeping.
-            RoundRecord* slot = result.rounds.data() + (r - 1);
-            const std::shared_ptr<const ParamVec> snapshot =
-                std::move(snapshots[r - 1]);
-            pipeline_model->set_parameters(*snapshot);
-            slot->main_accuracy =
-                evaluate_confusion(*pipeline_model, scenario.task.test,
-                                   pipeline_ws)
-                    .accuracy();
-            slot->backdoor_accuracy = backdoor_accuracy(
-                *pipeline_model, scenario.task.backdoor_test,
-                scenario.backdoor.target_class, pipeline_ws);
-          },
-          {checkpoint, prev_eval});
-      prev_prev_eval = prev_eval;
-      prev_eval = eval;
+    const bool scheduled = config.schedule.is_poison_round(r);
+    std::vector<std::size_t> contributors = sampler.sample_round(rng);
+    if (scheduled) {
+      if (dba) {
+        ensure_members(contributors, dba->colluders());
+      } else {
+        ensure_member(contributors, attacker, rng);
+      }
     }
-    prev_checkpoint = checkpoint;
+    if (adaptive) adaptive->arm(scheduled);
+    if (malicious) malicious->arm(scheduled);
+    if (dba) dba->arm(scheduled);
+
+    const auto train_start = std::chrono::steady_clock::now();
+    FlServer::Proposal proposal =
+        driver ? driver->propose_round(contributors, rng)
+               : server.propose_round_with(contributors, provider, rng);
+    const double train_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      train_start)
+            .count();
+    MetricsRegistry::global().add_timer("experiment.round_train",
+                                        train_seconds);
+
+    const bool injected = scheduled && (!adaptive || adaptive->submitted());
+    if (scheduled && adaptive && !adaptive->submitted()) {
+      ++result.adaptive_skipped;
+    }
+    const bool active = config.defense_enabled && r >= config.defense_start &&
+                        defense.ready();
+    FeedbackDecision decision;
+    double eval_seconds = 0.0;
+    if (active) {
+      // Validating set: the contributors (§VI-D optimization) or an
+      // independently sampled set (Algorithm 1's original form).
+      std::vector<std::size_t> validators =
+          config.separate_validators ? sampler.sample_round(rng)
+                                     : contributors;
+      if (config.validator_dropout > 0.0) {
+        std::erase_if(validators, [&](std::size_t) {
+          return rng.bernoulli(config.validator_dropout);
+        });
+      }
+      const auto eval_start = std::chrono::steady_clock::now();
+      decision = driver ? driver->evaluate(proposal, validators)
+                        : defense.evaluate(proposal.candidate_params,
+                                           validators, scenario.clients,
+                                           malicious_ids,
+                                           config.malicious_vote);
+      eval_seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        eval_start)
+              .count();
+      MetricsRegistry::global().add_timer("experiment.round_eval",
+                                          eval_seconds);
+    }
+
+    const bool rejected = active && decision.reject;
+    if (rejected) {
+      server.discard(proposal);
+      defense.on_reject();
+      if (driver) {
+        driver->finish_round(proposal, /*committed=*/false, server.version(),
+                             decision);
+      }
+    } else {
+      const std::uint64_t committed_version = server.commit(proposal);
+      defense.on_commit(committed_version, proposal.candidate_params);
+      if (driver) {
+        driver->finish_round(proposal, /*committed=*/true, committed_version,
+                             decision);
+      }
+    }
+
+    RoundRecord record;
+    record.round = r;
+    record.defense_active = active;
+    record.poisoned = injected;
+    record.rejected = rejected;
+    record.reject_votes = decision.reject_votes;
+    record.num_validators = decision.total_voters;
+    record.eval_ms = eval_seconds * 1e3;
+    record.train_ms = train_seconds * 1e3;
+    if (config.track_accuracy) {
+      // The model the round left behind: the candidate if committed,
+      // else the previous global model.
+      const ScopedTimer accuracy_timer("experiment.round_accuracy");
+      record.main_accuracy =
+          evaluate_confusion(server.global_model(), scenario.task.test,
+                             accuracy_ws)
+              .accuracy();
+      record.backdoor_accuracy = backdoor_accuracy(
+          server.global_model(), scenario.task.backdoor_test,
+          scenario.backdoor.target_class, accuracy_ws);
+    }
+    result.rounds.push_back(record);
+
+    if (injected) {
+      InjectionRecord inj;
+      inj.round = r;
+      inj.adaptive = config.schedule.adaptive;
+      inj.alpha = adaptive ? adaptive->alpha() : 1.0;
+      inj.rejected = rejected;
+      inj.reject_votes = decision.reject_votes;
+      inj.total_voters = decision.total_voters;
+      result.injections.push_back(inj);
+    }
   }
 
-  graph.wait_all();
   if (driver) {
     result.comm = driver->tracker().stats();
     result.wire_bytes = driver->wire_bytes();
@@ -561,15 +478,12 @@ RepeatedResult run_repeated(const ExperimentConfig& config, std::size_t reps,
   if (reps == 0) throw std::invalid_argument("run_repeated: reps == 0");
   RepeatedResult out;
   out.runs.resize(reps);
-  // Each repetition is an independent experiment root on the shared
-  // pool; the per-round graphs each experiment builds nest inside these
-  // nodes (waiting help-drains, so nesting cannot deadlock).
-  TaskGraph graph;
-  for (std::size_t i = 0; i < reps; ++i) {
-    graph.add(TaskNodeKind::kExperiment,
-              [&, i] { out.runs[i] = run_experiment(config, base_seed + i); });
-  }
-  graph.wait_all();
+  // Each repetition is an independent iteration on the shared pool;
+  // the fork-joins inside each experiment's rounds nest inside it
+  // (waiting help-drains, so nesting cannot deadlock).
+  ThreadPool::global().parallel_for(reps, [&](std::size_t i) {
+    out.runs[i] = run_experiment(config, base_seed + i);
+  });
   std::vector<double> fps, fns;
   fps.reserve(reps);
   fns.reserve(reps);

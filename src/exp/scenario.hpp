@@ -30,11 +30,6 @@ struct ScenarioConfig {
   double dirichlet_alpha = 0.9;
   bool iid = false;  // IID ablation switch
   bool secure_aggregation = true;
-  /// Overlap each round's test-set accuracy tracking with the next
-  /// round's client-update phase (run_experiment pipelining). Records
-  /// are bit-identical to the serial path — the evaluation reads an
-  /// immutable snapshot of the committed parameters either way.
-  bool pipeline_rounds = true;
   /// Overrides for the synthetic task (0 = keep preset).
   std::size_t train_per_class_override = 0;
   /// Override the preset's backdoor kind (e.g. kTrigger for the

@@ -105,8 +105,8 @@ SweepResult run_sweep(const SweepSpec& spec, bool parallel) {
   MetricsRegistry::global().add_counter("sweep.cells", cells.size());
 
   if (parallel) {
-    // Every cell×rep is an independent root; the per-round graphs each
-    // experiment builds nest inside these nodes on the same pool.
+    // Every cell×rep is an independent root; the fork-joins inside each
+    // experiment's rounds nest inside these roots on the same pool.
     TaskGraph graph;
     for (std::size_t c = 0; c < cells.size(); ++c) {
       for (std::size_t i = 0; i < spec.reps; ++i) {

@@ -5,8 +5,8 @@
 // slowest) times `reps` repetitions per cell. Cells and repetitions are
 // mutually independent experiments, so the parallel mode fans every
 // cell×rep out as an experiment root on one shared TaskGraph — the
-// per-round graphs each experiment builds nest inside those nodes and
-// the whole tree shares ThreadPool::global()'s workers.
+// fork-joins inside each experiment's rounds nest inside those roots
+// and the whole tree shares ThreadPool::global()'s workers.
 //
 // Determinism: every repetition's seed is a pure function of
 // (base_seed, cell_index, rep) — never of scheduling — so per-cell

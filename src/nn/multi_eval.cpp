@@ -2,55 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "tensor/kernels.hpp"
 #include "util/contracts.hpp"
 #include "util/metrics.hpp"
-#include "util/sync.hpp"
+#include "util/scratch_lease.hpp"
 #include "util/thread_pool.hpp"
 
 namespace baffle {
 
 namespace {
 constexpr std::size_t kPC = kernels::kPanelCols;
-
-/// Leased scratch, one slot per (thread, nesting depth) — the
-/// PackScratchLease pattern (tensor/ops.cpp). A plain thread_local
-/// buffer is not safe here: parallel_for waiters HELP-DRAIN the pool
-/// queue, so a thread blocked in one predict_many can steal and run
-/// another validator's predict_many (or one of its tiles) in the middle
-/// of its own — each nesting level must therefore get its own buffer.
-/// Slots live in a deque (stable addresses across growth) and are
-/// reused once their level returns.
-template <typename T>
-class ScratchLease {
- public:
-  // Sanctioned lock-free escape: the slot stack is thread_local, so no
-  // two threads ever touch the same deque; per-thread exclusivity is
-  // the whole invariant and there is no capability to annotate.
-  ScratchLease() BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
-    if (slots().size() <= depth()) slots().emplace_back();
-    buffer_ = &slots()[depth()];
-    ++depth();
-  }
-  ~ScratchLease() BAFFLE_NO_THREAD_SAFETY_ANALYSIS { --depth(); }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-
-  T& operator*() const { return *buffer_; }
-
- private:
-  static std::deque<T>& slots() {
-    thread_local std::deque<T> s;
-    return s;
-  }
-  static std::size_t& depth() {
-    thread_local std::size_t d = 0;
-    return d;
-  }
-  T* buffer_;
-};
 
 using PanelLease = ScratchLease<MultiModelEval::PanelScratch>;
 using CallLease = ScratchLease<MultiModelEval::CallScratch>;
@@ -179,8 +141,9 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models) {
   // with the serial loop's per-element arithmetic, so any schedule —
   // including the inline loop a one-worker pool runs — produces the
   // same bytes. On the pool the caller participates and help-drains,
-  // so nesting inside pipelined rounds, task-graph nodes or sweep cells
-  // cannot deadlock a saturated pool.
+  // so nesting inside other pool tasks (wire actors, the adaptive
+  // attacker's update, repetitions, sweep cells) cannot deadlock a
+  // saturated pool.
   const std::size_t nchunks = (nmodels + kModelChunk - 1) / kModelChunk;
   const std::size_t nblocks = (panels_ + kPanelBlock - 1) / kPanelBlock;
   const std::size_t ntiles = nchunks * nblocks;

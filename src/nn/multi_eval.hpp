@@ -96,9 +96,8 @@ class MultiModelEval {
   static constexpr std::size_t kPanelBlock = 16;
 
   // Internal scratch payloads. Public ONLY so the .cpp's thread-local
-  // lease storage (per-(thread, nesting-depth) slots, the PR 5
-  // PackScratchLease pattern) can default-construct them; they are not
-  // part of the API.
+  // lease storage (util/scratch_lease.hpp: per-(thread, nesting-depth)
+  // slots) can default-construct them; they are not part of the API.
   //
   // PanelScratch is leased per tile by whichever worker runs it: the
   // activation ping-pong panels.

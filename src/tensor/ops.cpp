@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 
 #include "tensor/kernels.hpp"
 #include "util/contracts.hpp"
 #include "tensor/simd.hpp"
 #include "util/metrics.hpp"
-#include "util/sync.hpp"
+#include "util/scratch_lease.hpp"
 #include "util/thread_pool.hpp"
 
 namespace baffle {
@@ -79,43 +78,6 @@ class GemmReport {
          b0 + b_len * sizeof(float) <= a0;
 }
 
-/// Packing scratch, one buffer per (thread, GEMM nesting depth).
-///
-/// A plain thread_local buffer is not safe here: a large GEMM fans its
-/// row blocks out through parallel_for, whose waiter *help-drains* the
-/// pool queue. The stolen task can itself GEMM on this thread — with
-/// remote workers still reading this thread's panels for the outer
-/// call — so each nesting level must pack into its own buffer. Slots
-/// live in a deque (stable addresses across growth) and are reused
-/// once their level's row blocks have joined.
-class PackScratchLease {
- public:
-  // Sanctioned lock-free escape: the slot stack is thread_local, so no
-  // two threads ever touch the same deque; per-thread exclusivity is the
-  // whole invariant and there is no capability to annotate.
-  PackScratchLease() BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
-    if (slots().size() <= depth()) slots().emplace_back();
-    buffer_ = &slots()[depth()];
-    ++depth();
-  }
-  ~PackScratchLease() BAFFLE_NO_THREAD_SAFETY_ANALYSIS { --depth(); }
-  PackScratchLease(const PackScratchLease&) = delete;
-  PackScratchLease& operator=(const PackScratchLease&) = delete;
-
-  PackedB& operator*() const { return *buffer_; }
-
- private:
-  static std::deque<PackedB>& slots() {
-    thread_local std::deque<PackedB> s;
-    return s;
-  }
-  static std::size_t& depth() {
-    thread_local std::size_t d = 0;
-    return d;
-  }
-  PackedB* buffer_;
-};
-
 /// Panel-kernel arguments for out = A·B with A addressed through the
 /// stride pair; B and the epilogue are bound by the caller.
 kernels::PanelGemmArgs panel_args(const float* a, std::size_t a_row_stride,
@@ -166,7 +128,7 @@ void run_panels_on(const kernels::KernelTable& kt,
   }
   // Packing happens on the caller thread before any row-block fan-out;
   // the per-depth scratch is reused (and regrown monotonically).
-  const PackScratchLease scratch;
+  const ScratchLease<PackedB> scratch;
   pack_b_panels(b, *scratch);
   use_panels(args, *scratch);
   run_panels(kt, args, m, macs);
@@ -294,7 +256,7 @@ void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t macs = m * k * n;
   const GemmReport report(macs, macs >= kParallelMacs);
   // Every arm reads Bᵀ packed: no tile reads a transposed B in place.
-  const PackScratchLease scratch;
+  const ScratchLease<PackedB> scratch;
   pack_bt_panels(b, *scratch);
   kernels::PanelGemmArgs args = panel_args(
       a.flat().data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);

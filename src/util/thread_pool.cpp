@@ -74,26 +74,27 @@ void ThreadPool::parallel_for(std::size_t n,
   futures.reserve(fanout);
   for (std::size_t i = 0; i + 1 < fanout; ++i) futures.push_back(submit(body));
   body();  // caller participates, so parallel_for works from pool threads too
-  for (auto& f : futures) {
-    // Help drain the queue instead of blocking: nested parallel_for
-    // calls from pool threads would otherwise deadlock a saturated pool.
-    // When the queue is empty but the future is still unfinished (the
-    // tail task runs on another worker), sleep on the pool's progress
-    // condition variable: the tail task's completion wakes the caller
-    // exactly once, with no timed-backoff polling slices. The stamp is
-    // read before the readiness check, so a completion racing with the
-    // check either flips the future to ready or advances the stamp —
-    // never a lost wakeup.
-    for (;;) {
-      const std::uint64_t seen = progress_stamp();
-      if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-        break;
-      }
-      if (try_run_one()) continue;
-      wait_progress(seen);
-    }
-  }
+  for (auto& f : futures) wait(f);
   if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::wait(const std::future<void>& job) {
+  // Help drain the queue instead of blocking: nested fork-joins from
+  // pool threads would otherwise deadlock a saturated pool. When the
+  // queue is empty but the job is still unfinished (it runs on another
+  // worker), sleep on the pool's progress condition variable: a task's
+  // completion wakes the caller exactly once, with no timed-backoff
+  // polling slices. The stamp is read before the readiness check, so a
+  // completion racing with the check either flips the future to ready
+  // or advances the stamp — never a lost wakeup.
+  for (;;) {
+    const std::uint64_t seen = progress_stamp();
+    if (job.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      return;
+    }
+    if (try_run_one()) continue;
+    wait_progress(seen);
+  }
 }
 
 std::uint64_t ThreadPool::progress_stamp() const {

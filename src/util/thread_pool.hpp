@@ -47,19 +47,14 @@ class ThreadPool {
   /// saturating the pool with outer loops cannot deadlock inner ones.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  /// Blocks until `job` (a future from submit) is ready, running queued
+  /// tasks meanwhile instead of blocking, so a pool task may wait on
+  /// work it submitted without deadlocking a saturated pool. Does not
+  /// consume the future: get() it afterwards for the job's exception.
+  void wait(const std::future<void>& job);
+
   /// Pops and runs one queued task if any; returns whether it did.
   bool try_run_one();
-
-  /// Monotonic stamp bumped whenever the pool makes progress: a task is
-  /// queued or a task finishes. Pair with wait_progress to sleep between
-  /// help-drain attempts instead of polling.
-  std::uint64_t progress_stamp() const;
-
-  /// Blocks until progress_stamp() != seen (a task completed somewhere
-  /// or new work arrived) or the pool is shutting down. Waiters that
-  /// help-drain call this only when the queue is empty, so a completion
-  /// on another worker wakes them exactly once — no timed backoff.
-  void wait_progress(std::uint64_t seen) const;
 
   /// Process-wide shared pool: the innermost live ScopedGlobalPool's,
   /// else a lazily constructed one sized by BAFFLE_THREADS (unset:
@@ -70,6 +65,17 @@ class ThreadPool {
  private:
   void worker_loop();
   void bump_progress();
+
+  /// Monotonic stamp bumped whenever the pool makes progress: a task is
+  /// queued or a task finishes. Pair with wait_progress to sleep between
+  /// help-drain attempts instead of polling.
+  std::uint64_t progress_stamp() const;
+
+  /// Blocks until progress_stamp() != seen (a task completed somewhere
+  /// or new work arrived) or the pool is shutting down. wait() calls
+  /// this only when the queue is empty, so a completion on another
+  /// worker wakes it exactly once — no timed backoff.
+  void wait_progress(std::uint64_t seen) const;
 
   std::vector<std::thread> workers_;
   mutable Mutex mutex_;

@@ -93,17 +93,16 @@ TEST(ParallelExperiment, AdaptiveRunMatchesSerialBitExact) {
 
 TEST(ParallelExperiment, ParallelEngineNestsInPipelinedRepeatedRuns) {
   // Deepest nesting the runtime supports: the pool-parallel evaluation
-  // engine (DESIGN.md §17) runs inside a validator task of a pipelined
-  // task-graph round, itself a repetition task of run_repeated — three
-  // levels of fork-join on one pool, safe because validate() never
-  // holds its lock across a pool wait and waiters help-drain. The
-  // engine's thread placement must not leak into results: the 4-worker
-  // runs equal the 1-worker runs bit for bit.
+  // engine (DESIGN.md §17) fans its tiles out from a validator inside a
+  // round of a repetition task of run_repeated — nested fork-joins on
+  // one pool, safe because validate() never holds its lock across a
+  // pool wait and waiters help-drain. The engine's thread placement
+  // must not leak into results: the 4-worker runs equal the 1-worker
+  // runs bit for bit.
   ExperimentConfig cfg = small_config();
   cfg.rounds = 14;
   cfg.schedule.poison_rounds = {14};  // round 18 is never reached
   cfg.track_accuracy = false;
-  cfg.scenario.pipeline_rounds = true;
   const auto nested = repeated_on(4, cfg, 2, 131);
   const auto inline_runs = repeated_on(1, cfg, 2, 131);
   ASSERT_EQ(nested.runs.size(), 2u);

@@ -1,11 +1,14 @@
-// Round-pipelining determinism: the overlapped accuracy tracking
-// (ScenarioConfig::pipeline_rounds) evaluates an immutable snapshot of
-// the committed parameters on a pool task, so every RoundRecord must be
-// bit-identical to the serial path — timings are the only fields
-// allowed to differ. Both arms run on a 4-worker global pool
-// (ScopedGlobalPool), so the overlap is real on any host.
+// Accuracy tracking in the serial round loop: each round's accuracy is
+// measured on the model the round left behind, so a rejected round
+// must report exactly the accuracy of the round before it (the
+// rollback restored that model). Tracking must also stay bit-exact
+// where experiments nest inside the pool (run_repeated) and where
+// rounds cross the wire protocol.
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "exp/experiment.hpp"
 #include "util/thread_pool.hpp"
@@ -60,58 +63,43 @@ void expect_results_identical(const ExperimentResult& a,
   EXPECT_EQ(a.adaptive_skipped, b.adaptive_skipped);
 }
 
-TEST(PipelineParity, PipelinedRunMatchesSerialBitExact) {
-  const ScopedGlobalPool pool(4);
-  ExperimentConfig cfg = small_config();
-  cfg.scenario.pipeline_rounds = true;
-  const auto pipelined = run_experiment(cfg, 31);
-  cfg.scenario.pipeline_rounds = false;
-  const auto serial = run_experiment(cfg, 31);
-  expect_results_identical(pipelined, serial);
-}
-
-TEST(PipelineParity, PipelinedAdaptiveRunMatchesSerialBitExact) {
-  // The adaptive attacker pulls the defense window mid-round; the
-  // overlapped accuracy task must not perturb any of its decisions.
-  const ScopedGlobalPool pool(4);
-  ExperimentConfig cfg = small_config();
-  cfg.schedule.adaptive = true;
-  cfg.scenario.pipeline_rounds = true;
-  const auto pipelined = run_experiment(cfg, 33);
-  cfg.scenario.pipeline_rounds = false;
-  const auto serial = run_experiment(cfg, 33);
-  expect_results_identical(pipelined, serial);
-}
-
 TEST(PipelineParity, PipelinedRejectionRoundsKeepOldSnapshot) {
-  // Force rejections (quorum 1 + strict margin) so rejected rounds'
-  // records are produced from the *previous* committed snapshot, and
-  // check those against the serial path too.
-  const ScopedGlobalPool pool(4);
+  // Force rejections (quorum 1 + strict margin). A rejected round rolls
+  // the candidate back, so its accuracies must equal the previous
+  // round's bit for bit — on one worker and on four.
   ExperimentConfig cfg = small_config();
   cfg.feedback.quorum = 1;
   cfg.feedback.validator.tau_margin = 0.5;
-  cfg.scenario.pipeline_rounds = true;
-  const auto pipelined = run_experiment(cfg, 35);
-  cfg.scenario.pipeline_rounds = false;
-  const auto serial = run_experiment(cfg, 35);
-  std::size_t rejects = 0;
-  for (const auto& r : serial.rounds) rejects += r.rejected ? 1u : 0u;
-  EXPECT_GT(rejects, 0u);
-  expect_results_identical(pipelined, serial);
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    const ScopedGlobalPool pool(workers);
+    const auto result = run_experiment(cfg, 35);
+    std::size_t rejects = 0;
+    for (std::size_t i = 0; i < result.rounds.size(); ++i) {
+      const RoundRecord& round = result.rounds[i];
+      if (!round.rejected) continue;
+      SCOPED_TRACE(round.round);
+      ++rejects;
+      ASSERT_GT(i, 0u);
+      const RoundRecord& before = result.rounds[i - 1];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(round.main_accuracy),
+                std::bit_cast<std::uint64_t>(before.main_accuracy));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(round.backdoor_accuracy),
+                std::bit_cast<std::uint64_t>(before.backdoor_accuracy));
+    }
+    EXPECT_GT(rejects, 0u);
+  }
 }
 
 TEST(PipelineParity, RunRepeatedNestsPipelinedRunsInsidePool) {
-  // Each repetition is itself a pool task that submits pipelined
-  // accuracy tasks; the help-drain join must not deadlock a saturated
-  // pool, and results must equal standalone runs. (The single-worker
-  // case runs in ParallelExperiment.ParallelEngineNestsInPipelined-
-  // RepeatedRuns.)
+  // Each repetition is a pool task whose rounds track accuracy; the
+  // help-drain join must not deadlock a saturated pool, and results
+  // must equal standalone runs. (The single-worker case runs in
+  // ParallelExperiment.ParallelEngineNestsInPipelinedRepeatedRuns.)
   const ScopedGlobalPool pool(4);
   ExperimentConfig cfg = small_config();
   cfg.rounds = 14;
-  cfg.schedule.poison_rounds = {14};  // round 18 is never reached
-  cfg.scenario.pipeline_rounds = true;
+  cfg.schedule.poison_rounds = {14};
   const auto repeated = run_repeated(cfg, 3, 70);
   ASSERT_EQ(repeated.runs.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -123,20 +111,22 @@ TEST(PipelineParity, RunRepeatedNestsPipelinedRunsInsidePool) {
 
 TEST(PipelineParity, TransportModePipelinedMatchesSerialBitExact) {
   // Transport mode routes proposals and votes through the wire-protocol
-  // round driver; the graph-scheduled eval nodes must not perturb any
-  // of its decisions or byte accounting.
-  const ScopedGlobalPool pool(4);
+  // round driver, with accuracy tracked every round; a 4-worker run must
+  // match the 1-worker (serial) baseline in records and byte accounting.
   ExperimentConfig cfg = small_config();
   cfg.rounds = 16;
-  cfg.schedule.poison_rounds = {14};  // round 18 is never reached
+  cfg.schedule.poison_rounds = {14};
   cfg.transport = true;
-  cfg.scenario.pipeline_rounds = true;
-  const auto pipelined = run_experiment(cfg, 37);
-  cfg.scenario.pipeline_rounds = false;
-  const auto serial = run_experiment(cfg, 37);
-  expect_results_identical(pipelined, serial);
-  EXPECT_EQ(pipelined.wire_bytes, serial.wire_bytes);
-  EXPECT_EQ(pipelined.comm.total_bytes(), serial.comm.total_bytes());
+  const auto run_on = [&cfg](std::size_t workers) {
+    const ScopedGlobalPool pool(workers);
+    return run_experiment(cfg, 37);
+  };
+  const auto parallel = run_on(4);
+  const auto serial = run_on(1);
+  expect_results_identical(parallel, serial);
+  EXPECT_GT(serial.wire_bytes, 0u);
+  EXPECT_EQ(parallel.wire_bytes, serial.wire_bytes);
+  EXPECT_EQ(parallel.comm.total_bytes(), serial.comm.total_bytes());
 }
 
 }  // namespace

@@ -210,25 +210,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     registry.counter("validator.candidate_reuse")));
   }
-  const std::uint64_t overlapped =
-      registry.counter("experiment.pipelined_evals");
-  if (overlapped > 0) {
-    std::printf("accuracy tracking: %llu rounds overlapped with the next "
-                "round's training (%.2f ms/round hidden)\n",
-                static_cast<unsigned long long>(overlapped),
-                registry.timer_mean_ms("experiment.round_accuracy"));
-  }
-  const std::uint64_t graph_tasks = registry.counter("task_graph.tasks");
-  if (graph_tasks > 0) {
-    std::printf("executor: %llu graph tasks (%llu help-drained) — "
-                "train %.2f ms, validate %.2f, checkpoint %.2f, eval %.2f\n",
-                static_cast<unsigned long long>(graph_tasks),
-                static_cast<unsigned long long>(
-                    registry.counter("thread_pool.help_drained")),
-                registry.timer_mean_ms("task_graph.node.train"),
-                registry.timer_mean_ms("task_graph.node.validate"),
-                registry.timer_mean_ms("task_graph.node.checkpoint"),
-                registry.timer_mean_ms("task_graph.node.eval"));
+  const std::uint64_t accuracy_evals =
+      registry.timer_count("experiment.round_accuracy");
+  if (accuracy_evals > 0) {
+    std::printf("accuracy tracking: %.2f ms/round over %llu rounds\n",
+                registry.timer_mean_ms("experiment.round_accuracy"),
+                static_cast<unsigned long long>(accuracy_evals));
   }
   const std::uint64_t engine_runs = registry.timer_count("multi_eval.run");
   if (engine_runs > 0) {

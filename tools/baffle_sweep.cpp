@@ -163,16 +163,11 @@ int main(int argc, char** argv) {
 
   const auto& registry = MetricsRegistry::global();
   std::printf("executor: %llu graph tasks (%llu help-drained) — "
-              "train %.2f ms, validate %.2f, checkpoint %.2f, eval %.2f, "
-              "experiment %.2f\n",
+              "experiment %.2f ms\n",
               static_cast<unsigned long long>(
                   registry.counter("task_graph.tasks")),
               static_cast<unsigned long long>(
                   registry.counter("thread_pool.help_drained")),
-              registry.timer_mean_ms("task_graph.node.train"),
-              registry.timer_mean_ms("task_graph.node.validate"),
-              registry.timer_mean_ms("task_graph.node.checkpoint"),
-              registry.timer_mean_ms("task_graph.node.eval"),
               registry.timer_mean_ms("task_graph.node.experiment"));
   if (flags.has("metrics")) {
     const std::string path = flags.str("metrics", "metrics.csv");
