@@ -12,6 +12,14 @@ double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
 
 double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
                          int target_class, MlpEvalWorkspace& ws) {
+  const Matrix& x = backdoor_test.features();
+  ws.predictions.resize(x.rows());
+  if (!backdoor_test.empty()) model.predict_into(x, ws.predictions, ws);
+  return backdoor_hit_rate(backdoor_test, target_class, ws.predictions);
+}
+
+double backdoor_hit_rate(const Dataset& backdoor_test, int target_class,
+                         std::span<const std::size_t> predictions) {
   if (backdoor_test.empty()) {
     throw std::invalid_argument("backdoor_accuracy: empty test set");
   }
@@ -19,15 +27,14 @@ double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
       static_cast<std::size_t>(target_class) >= backdoor_test.num_classes()) {
     throw std::invalid_argument("backdoor_accuracy: bad target class");
   }
-  const Matrix& x = backdoor_test.features();
-  ws.predictions.resize(x.rows());
-  model.predict_into(x, ws.predictions, ws);
+  if (predictions.size() != backdoor_test.size()) {
+    throw std::invalid_argument("backdoor_accuracy: prediction count mismatch");
+  }
   std::size_t hits = 0;
-  for (std::size_t p : ws.predictions) {
+  for (std::size_t p : predictions) {
     if (p == static_cast<std::size_t>(target_class)) ++hits;
   }
-  return static_cast<double>(hits) /
-         static_cast<double>(ws.predictions.size());
+  return static_cast<double>(hits) / static_cast<double>(predictions.size());
 }
 
 }  // namespace baffle

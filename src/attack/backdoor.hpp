@@ -1,6 +1,8 @@
 #pragma once
 // Attacker-side success metric.
 
+#include <span>
+
 #include "data/backdoor_data.hpp"
 #include "nn/mlp.hpp"
 
@@ -17,5 +19,10 @@ double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
 /// once warm) — used by the per-round accuracy tracking path.
 double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
                          int target_class, MlpEvalWorkspace& ws);
+
+/// Eq. (1) over predictions already made on `backdoor_test`'s features
+/// (one per sample, in order); throws like backdoor_accuracy.
+double backdoor_hit_rate(const Dataset& backdoor_test, int target_class,
+                         std::span<const std::size_t> predictions);
 
 }  // namespace baffle

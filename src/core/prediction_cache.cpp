@@ -1,6 +1,7 @@
 #include "core/prediction_cache.hpp"
 
 #include "util/contracts.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 
 namespace baffle {
@@ -15,20 +16,20 @@ const ErrorProfile& PredictionCache::hit(std::uint64_t version) {
   BAFFLE_CHECK(found != nullptr,
                "prediction cache: window model was never deposited");
   ++hits_;
-  MetricsRegistry::global().add_counter("prediction_cache.hits");
+  MetricsRegistry::global().add_counter(metric::kCacheHits);
   return *found;
 }
 
 void PredictionCache::insert_missed(std::uint64_t version,
                                     ErrorProfile profile) {
   ++misses_;
-  MetricsRegistry::global().add_counter("prediction_cache.misses");
+  MetricsRegistry::global().add_counter(metric::kCacheMisses);
   entries_.insert_or_assign(version, std::move(profile));
 }
 
 void PredictionCache::promote(std::uint64_t version, ErrorProfile profile) {
   ++promotions_;
-  MetricsRegistry::global().add_counter("prediction_cache.promotions");
+  MetricsRegistry::global().add_counter(metric::kCachePromotions);
   entries_.insert_or_assign(version, std::move(profile));
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/contracts.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 #include "util/stats.hpp"
 
@@ -83,7 +84,7 @@ void Validator::notify_commit(std::uint64_t version,
   // identical profile).
   if (pending_ && pending_->params == committed) {
     cache_.promote(version, std::move(pending_->profile));
-    MetricsRegistry::global().add_counter("validator.candidate_reuse");
+    MetricsRegistry::global().add_counter(metric::kCandidateReuse);
   }
   pending_.reset();
 }
@@ -125,8 +126,8 @@ ValidationOutcome Validator::validate(const ParamVec& candidate,
     ~ClearFlag() { flag.store(false, std::memory_order_release); }
   } clear_flag{validating_};
 
-  const ScopedTimer timer("validator.validate");
-  MetricsRegistry::global().add_counter("validator.validations");
+  const ScopedTimer timer(metric::kValidate);
+  MetricsRegistry::global().add_counter(metric::kValidations);
 
   // Phase 1 (locked): decide what this round must evaluate.
   EvalPlan plan;
@@ -200,14 +201,14 @@ void Validator::run_plan(const ParamVec& candidate,
                         .subspan(plan.missed.size() * n, n)});
   }
   engine_.predict_many(batch_models_);
-  MetricsRegistry::global().add_counter("validator.model_materializations",
+  MetricsRegistry::global().add_counter(metric::kModelMaterializations,
                                         evals);
   // "Batched" means the engine amortized packing across several history
   // models; a lone miss (steady-state rounds: at most the
   // candidate-turned-history model, and promotion usually covers even
   // that) is counted as a plain materialization only.
   if (plan.missed.size() >= 2) {
-    MetricsRegistry::global().add_counter("validator.batched_evals",
+    MetricsRegistry::global().add_counter(metric::kBatchedEvals,
                                           plan.missed.size());
   }
   // Profile of the model whose predictions fill batch slot `slot`.

@@ -15,6 +15,7 @@
 #include "metrics/confusion.hpp"
 #include "net/round_driver.hpp"
 #include "util/logging.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -212,7 +213,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   Rng rng(seed);
   Scenario scenario = build_scenario(config.scenario, rng);
   FlServer server(scenario.arch, scenario.fl, rng.next_u64());
-  lap("experiment.build_scenario");
+  lap(metric::kBuildScenario);
 
   // Stable-model scenario: centralized pre-training stands in for the
   // paper's 10,000 clean FL rounds (DESIGN.md §2).
@@ -225,12 +226,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     train_sgd(server.global_model(), scenario.task.train.features(),
               scenario.task.train.labels(), pre, pre_rng);
   }
-  lap("experiment.pretrain");
+  lap(metric::kPretrain);
 
   BaffleDefense defense(scenario.arch, config.feedback,
                         scenario.server_holdout);
   defense.on_commit(server.version(), server.global_model().parameters());
-  lap("experiment.defense_init");
+  lap(metric::kDefenseInit);
 
   // Attacker wiring. The attacker's clean pool is its shard plus the
   // configured auxiliary samples (see ExperimentConfig).
@@ -341,10 +342,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   ExperimentResult result;
   result.rounds.reserve(config.rounds);
 
-  // One inference workspace for the whole run: the per-round accuracy
-  // tracking below streams through it instead of allocating fresh
-  // prediction buffers every round.
-  MlpEvalWorkspace accuracy_ws;
+  std::optional<AccuracyTracker> accuracy;
+  if (config.track_accuracy) {
+    accuracy.emplace(scenario.arch, scenario.task.test,
+                     scenario.task.backdoor_test,
+                     scenario.backdoor.target_class);
+  }
 
   // Algorithm 1, one round after another on the calling thread: sample
   // and arm, propose, validate, then commit or roll back. The phases
@@ -373,7 +376,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       train_start)
             .count();
-    MetricsRegistry::global().add_timer("experiment.round_train",
+    MetricsRegistry::global().add_timer(metric::kRoundTrain,
                                         train_seconds);
 
     const bool injected = scheduled && (!adaptive || adaptive->submitted());
@@ -405,7 +408,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         eval_start)
               .count();
-      MetricsRegistry::global().add_timer("experiment.round_eval",
+      MetricsRegistry::global().add_timer(metric::kRoundEval,
                                           eval_seconds);
     }
 
@@ -435,17 +438,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     record.num_validators = decision.total_voters;
     record.eval_ms = eval_seconds * 1e3;
     record.train_ms = train_seconds * 1e3;
-    if (config.track_accuracy) {
+    if (accuracy) {
       // The model the round left behind: the candidate if committed,
       // else the previous global model.
-      const ScopedTimer accuracy_timer("experiment.round_accuracy");
-      record.main_accuracy =
-          evaluate_confusion(server.global_model(), scenario.task.test,
-                             accuracy_ws)
-              .accuracy();
-      record.backdoor_accuracy = backdoor_accuracy(
-          server.global_model(), scenario.task.backdoor_test,
-          scenario.backdoor.target_class, accuracy_ws);
+      const ScopedTimer accuracy_timer(metric::kRoundAccuracy);
+      const AccuracyTracker::Accuracies acc =
+          accuracy->measure(server.global_model().parameters());
+      record.main_accuracy = acc.main;
+      record.backdoor_accuracy = acc.backdoor;
     }
     result.rounds.push_back(record);
 
@@ -471,6 +471,30 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     result.final_backdoor_accuracy = result.rounds.back().backdoor_accuracy;
   }
   return result;
+}
+
+AccuracyTracker::AccuracyTracker(const MlpConfig& arch, const Dataset& test,
+                                 const Dataset& backdoor_test,
+                                 int target_class)
+    : test_(test),
+      backdoor_test_(backdoor_test),
+      target_class_(target_class),
+      test_engine_(arch),
+      backdoor_engine_(arch),
+      test_preds_(test.size()),
+      backdoor_preds_(backdoor_test.size()) {
+  test_engine_.bind(test.features());
+  backdoor_engine_.bind(backdoor_test.features());
+}
+
+AccuracyTracker::Accuracies AccuracyTracker::measure(
+    std::span<const float> params) {
+  const MultiEvalModel test_model{params, test_preds_};
+  test_engine_.predict_many({&test_model, 1});
+  const MultiEvalModel backdoor_model{params, backdoor_preds_};
+  backdoor_engine_.predict_many({&backdoor_model, 1});
+  return {tally_confusion(test_, test_preds_).accuracy(),
+          backdoor_hit_rate(backdoor_test_, target_class_, backdoor_preds_)};
 }
 
 RepeatedResult run_repeated(const ExperimentConfig& config, std::size_t reps,

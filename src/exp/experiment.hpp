@@ -9,6 +9,7 @@
 #include "exp/schedule.hpp"
 #include "attack/adaptive.hpp"
 #include "metrics/rates.hpp"
+#include "nn/multi_eval.hpp"
 #include "util/stats.hpp"
 
 namespace baffle {
@@ -101,6 +102,34 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 std::uint64_t seed);
+
+/// run_experiment's per-round accuracy tracking: two evaluation engines
+/// (DESIGN.md §14) bound once to the test and backdoor test sets, so a
+/// round evaluates the model without re-packing either set. `main` is
+/// evaluate_confusion(model, test).accuracy() and `backdoor` is
+/// backdoor_accuracy(model, backdoor_test, target_class), bit for bit.
+/// The datasets must outlive the tracker.
+class AccuracyTracker {
+ public:
+  AccuracyTracker(const MlpConfig& arch, const Dataset& test,
+                  const Dataset& backdoor_test, int target_class);
+
+  struct Accuracies {
+    double main = 0.0;
+    double backdoor = 0.0;
+  };
+  /// Accuracies of the model with flat parameters `params` (Mlp layout).
+  Accuracies measure(std::span<const float> params);
+
+ private:
+  const Dataset& test_;
+  const Dataset& backdoor_test_;
+  int target_class_;
+  MultiModelEval test_engine_;
+  MultiModelEval backdoor_engine_;
+  std::vector<std::size_t> test_preds_;
+  std::vector<std::size_t> backdoor_preds_;
+};
 
 /// Repeats the experiment with seeds base_seed, base_seed+1, … and
 /// aggregates FP/FN rates (mean ± population std, the paper's 5-run

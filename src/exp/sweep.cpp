@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/csv.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/task_graph.hpp"
@@ -102,7 +103,7 @@ SweepResult run_sweep(const SweepSpec& spec, bool parallel) {
     }
     out.reps.resize(spec.reps);
   }
-  MetricsRegistry::global().add_counter("sweep.cells", cells.size());
+  MetricsRegistry::global().add_counter(metric::kSweepCells, cells.size());
 
   if (parallel) {
     // Every cell×rep is an independent root; the fork-joins inside each

@@ -77,18 +77,24 @@ std::vector<double> ConfusionMatrix::per_class_error_rates() const {
   return out;
 }
 
-ConfusionMatrix evaluate_confusion(const Mlp& model, const Dataset& data,
-                                   MlpEvalWorkspace& ws) {
+ConfusionMatrix tally_confusion(const Dataset& data,
+                                std::span<const std::size_t> predictions) {
+  BAFFLE_CHECK(predictions.size() == data.size(),
+               "tally_confusion: one prediction per sample");
   ConfusionMatrix cm(data.num_classes());
-  if (data.empty()) return cm;
-  const Matrix& x = data.features();
   const auto& labels = data.labels();
-  ws.predictions.resize(x.rows());
-  model.predict_into(x, ws.predictions, ws);
-  for (std::size_t i = 0; i < ws.predictions.size(); ++i) {
-    cm.record(labels[i], static_cast<int>(ws.predictions[i]));
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    cm.record(labels[i], static_cast<int>(predictions[i]));
   }
   return cm;
+}
+
+ConfusionMatrix evaluate_confusion(const Mlp& model, const Dataset& data,
+                                   MlpEvalWorkspace& ws) {
+  if (data.empty()) return ConfusionMatrix(data.num_classes());
+  ws.predictions.resize(data.size());
+  model.predict_into(data.features(), ws.predictions, ws);
+  return tally_confusion(data, ws.predictions);
 }
 
 ConfusionMatrix evaluate_confusion(const Mlp& model, const Dataset& data) {

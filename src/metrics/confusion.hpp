@@ -47,6 +47,11 @@ class ConfusionMatrix {
   std::vector<std::size_t> counts_;  // row-major [true][pred]
 };
 
+/// Tallies predictions already made on `data`'s features (one per
+/// sample, in order) against its labels.
+ConfusionMatrix tally_confusion(const Dataset& data,
+                                std::span<const std::size_t> predictions);
+
 /// Evaluates `model` on `data` and tallies the confusion matrix.
 /// Inference runs chunked through `ws`, so repeated evaluations (the
 /// validator's ℓ+1 models per round) reuse the same scratch storage.

@@ -5,6 +5,7 @@
 
 #include "tensor/kernels.hpp"
 #include "util/contracts.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 #include "util/scratch_lease.hpp"
 #include "util/thread_pool.hpp"
@@ -52,7 +53,7 @@ void MultiModelEval::fill_layer_views(std::span<const float> params,
 void MultiModelEval::bind(const Matrix& x) {
   BAFFLE_CHECK(x.cols() == config_.layer_dims.front(),
                "MultiModelEval::bind: input dim mismatch");
-  const ScopedTimer bind_timer("multi_eval.bind");
+  const ScopedTimer bind_timer(metric::kEngineBind);
   // pack_bt_panels parallelizes its transposing gather internally for
   // validation-sized inputs (disjoint panels, identical arithmetic).
   pack_bt_panels(x, xpack_);
@@ -60,11 +61,12 @@ void MultiModelEval::bind(const Matrix& x) {
   panels_ = (samples_ + kPC - 1) / kPC;
 }
 
-const float* MultiModelEval::eval_panel(std::span<const LayerView> layers,
-                                        const float* xpanel,
-                                        PanelScratch& ps) const {
+const float* MultiModelEval::eval_panels(std::span<const LayerView> layers,
+                                         const float* xpanels,
+                                         std::size_t panels,
+                                         PanelScratch& ps) const {
   const kernels::KernelTable& t = kernels::active_table();
-  const float* in = xpanel;
+  const float* in = xpanels;
   float* cur = ps.panel_a.data();
   float* nxt = ps.panel_b.data();
   const float* last = nullptr;
@@ -72,14 +74,14 @@ const float* MultiModelEval::eval_panel(std::span<const LayerView> layers,
     const LayerView& lv = layers[l];
     const bool hidden = l + 1 < layers.size();
     const bool relu = hidden && config_.hidden_activation == Activation::kRelu;
-    kernels::EvalLayerArgs a{lv.w,  1,   lv.d_out, lv.bias, in,
-                             cur,   lv.d_in,       lv.d_out, relu};
+    kernels::EvalLayerArgs a{lv.w,     1,        lv.d_out, lv.bias, in,
+                             cur,      lv.d_in,  lv.d_out, relu,    panels};
     t.eval_layer_f32(a);
     if (hidden && config_.hidden_activation == Activation::kTanh) {
       // Same element-wise std::tanh as activation_forward, applied to
       // per-arm-identical inputs: stays bit-identical to the
       // sequential path.
-      for (std::size_t i = 0; i < lv.d_out * kPC; ++i) {
+      for (std::size_t i = 0; i < lv.d_out * kPC * panels; ++i) {
         cur[i] = std::tanh(cur[i]);
       }
     }
@@ -97,20 +99,24 @@ void MultiModelEval::run_tile(std::span<const MultiEvalModel> models,
   const kernels::KernelTable& t = kernels::active_table();
   const std::size_t d = config_.layer_dims.front();
   const std::size_t classes = config_.layer_dims.back();
-  ps.panel_a.resize(max_width_ * kPC);
-  ps.panel_b.resize(max_width_ * kPC);
+  ps.panel_a.resize(max_width_ * kPC * kGroupPanels);
+  ps.panel_b.resize(max_width_ * kPC * kGroupPanels);
   for (std::size_t mi = m0; mi < mend; ++mi) {
     std::span<const LayerView> views{cs.views.data() + mi * num_layers_,
                                      num_layers_};
     const std::span<float> margins = models[mi].margins;
-    for (std::size_t jp = jb; jp < jend; ++jp) {
-      const std::size_t j0 = jp * kPC;
-      const std::size_t cols = std::min(kPC, samples_ - j0);
-      const float* logits = eval_panel(views, xpack_.data() + jp * d * kPC, ps);
-      kernels::ArgmaxMarginArgs am{
-          logits, classes, cols, models[mi].preds.data() + j0,
-          margins.empty() ? nullptr : margins.data() + j0};
-      t.argmax_margin_panel(am);
+    for (std::size_t jg = jb; jg < jend; jg += kGroupPanels) {
+      const std::size_t panels = std::min(kGroupPanels, jend - jg);
+      const float* logits =
+          eval_panels(views, xpack_.data() + jg * d * kPC, panels, ps);
+      for (std::size_t q = 0; q < panels; ++q) {
+        const std::size_t j0 = (jg + q) * kPC;
+        kernels::ArgmaxMarginArgs am{
+            logits + q * classes * kPC, classes, std::min(kPC, samples_ - j0),
+            models[mi].preds.data() + j0,
+            margins.empty() ? nullptr : margins.data() + j0};
+        t.argmax_margin_panel(am);
+      }
     }
   }
 }
@@ -125,7 +131,7 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models) {
                  "MultiModelEval: margin span size mismatch");
   }
   if (samples_ == 0 || models.empty()) return;
-  const ScopedTimer run_timer("multi_eval.run");
+  const ScopedTimer run_timer(metric::kEngineRun);
 
   const std::size_t nmodels = models.size();
 
@@ -161,7 +167,7 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models) {
   } else {
     for (std::size_t tile = 0; tile < ntiles; ++tile) tile_fn(tile);
   }
-  MetricsRegistry::global().add_counter("multi_eval.tiles", ntiles);
+  MetricsRegistry::global().add_counter(metric::kEngineTiles, ntiles);
 }
 
 }  // namespace baffle

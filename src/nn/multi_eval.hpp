@@ -8,11 +8,12 @@
 // the GEMM tile does not read them in place), argmax. This
 // engine inverts the loop: the features are packed ONCE as Xᵀ panels
 // (pack_bt_panels: 16 sample-columns per panel) at bind() time, and
-// every model is evaluated by streaming its layers over the shared
-// panels with fused transposed-layer kernels — out = Wᵀ·in with the
-// bias add and ReLU applied while the tile is still in registers, the
-// weights read in place from the flat parameter vector (no
-// set_parameters, no per-model packing), and each panel's activations
+// every model is evaluated by streaming its layers over groups of
+// kGroupPanels consecutive panels with fused transposed-layer kernels —
+// out = Wᵀ·in with the bias add and ReLU applied while the tile is
+// still in registers, each weight broadcast feeding every panel of the
+// group, the weights read in place from the flat parameter vector (no
+// set_parameters, no per-model packing), and each group's activations
 // chained entirely in cache.
 //
 // Parallel execution (DESIGN.md §17): predict_many decomposes into
@@ -94,13 +95,17 @@ class MultiModelEval {
   /// across the tile's panels, while the X block is re-read per model
   /// as a cheap sequential L2 stream.
   static constexpr std::size_t kPanelBlock = 16;
+  /// Panels one eval_layer_f32 call covers: the AVX-512 tile loads one
+  /// row of each of the group's panels per weight broadcast (DESIGN.md
+  /// §14), and the layers chain group by group through the scratch.
+  static constexpr std::size_t kGroupPanels = 4;
 
   // Internal scratch payloads. Public ONLY so the .cpp's thread-local
   // lease storage (util/scratch_lease.hpp: per-(thread, nesting-depth)
   // slots) can default-construct them; they are not part of the API.
   //
   // PanelScratch is leased per tile by whichever worker runs it: the
-  // activation ping-pong panels.
+  // activation ping-pong buffers, kGroupPanels panels each.
   struct PanelScratch {
     AlignedFloatVec panel_a;
     AlignedFloatVec panel_b;
@@ -117,10 +122,12 @@ class MultiModelEval {
   /// bias).
   void fill_layer_views(std::span<const float> params, LayerView* out) const;
 
-  /// Runs one model over one panel, leaving the logits panel in the
-  /// leased scratch buffer it returns.
-  const float* eval_panel(std::span<const LayerView> layers,
-                          const float* xpanel, PanelScratch& ps) const;
+  /// Runs one model over `panels` (≤ kGroupPanels) consecutive packed
+  /// panels, leaving their logits panels in the leased scratch buffer it
+  /// returns.
+  const float* eval_panels(std::span<const LayerView> layers,
+                           const float* xpanels, std::size_t panels,
+                           PanelScratch& ps) const;
 
   /// One (model-chunk × panel-block) tile: models [m0, mend) over
   /// packed panels [jb, jend), writing the disjoint prediction/margin

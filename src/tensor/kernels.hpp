@@ -53,25 +53,33 @@ struct PanelGemmArgs {
 //
 // The validator's forward passes run over the evaluation set packed
 // ONCE as Xᵀ panels (pack_bt_panels layout: k rows x kPanelCols sample
-// columns, 64-byte aligned, zero-padded tail). Per model and per panel,
-// eval_layer_f32 computes one dense layer transposed — out = Wᵀ·in — with
-// the bias add (and optionally ReLU) fused into the register epilogue
-// and the output written in the same packed layout, so layers chain
-// panel-by-panel without leaving the cache.
+// columns, 64-byte aligned, zero-padded tail). Per model and per group
+// of consecutive panels, eval_layer_f32 computes one dense layer
+// transposed — out = Wᵀ·in — with the bias add (and optionally ReLU)
+// fused into the register epilogue and the output written in the same
+// packed layout, so layers chain group-by-group without leaving the
+// cache.
 
-/// Fused transposed layer over one packed fp32 panel. A = Wᵀ is
-/// addressed a[i * a_row_stride + p * a_p_stride] like PanelGemmArgs
-/// (a_row_stride=1, a_p_stride=n_out reads a row-major W in place).
+/// Fused transposed layer over `panels` consecutive packed fp32 panels.
+/// Input panel q starts at in + q·k·kPanelCols and output panel q at
+/// out + q·n_out·kPanelCols, so one layer's output group is the next
+/// layer's input group. A = Wᵀ is addressed a[i * a_row_stride + p *
+/// a_p_stride] like PanelGemmArgs (a_row_stride=1, a_p_stride=n_out
+/// reads a row-major W in place). Every output lane is the fold over p
+/// from +0, one multiply-add per step, then one bias add, then — with
+/// `relu` — keep-unless-negative; a P-panel call equals P one-panel
+/// calls byte for byte on every arm.
 struct EvalLayerArgs {
   const float* a = nullptr;
   std::size_t a_row_stride = 0;
   std::size_t a_p_stride = 0;
   const float* bias = nullptr;  // n_out entries, one add post-sum
-  const float* in = nullptr;    // packed input panel, k x kPanelCols
-  float* out = nullptr;         // packed output panel, n_out x kPanelCols
+  const float* in = nullptr;    // `panels` packed panels, k x kPanelCols
+  float* out = nullptr;         // `panels` packed panels, n_out x kPanelCols
   std::size_t k = 0;
   std::size_t n_out = 0;
   bool relu = false;
+  std::size_t panels = 1;
 };
 
 /// Column argmax over a packed panel with the same first-max tie-break

@@ -144,22 +144,26 @@ double sum_sq_diff_d(const double* x, double center, std::size_t n) {
 // step and a single bias add afterwards: the exact accumulation pattern
 // of gemm_panel_rows above, so a fused evaluation produces
 // bit-identical activations to the sequential per-model forward pass on
-// this arm.
+// this arm. Panels are independent, so a group is one panel at a time.
 void eval_layer_f32(const EvalLayerArgs& g) {
-  for (std::size_t i = 0; i < g.n_out; ++i) {
-    const float* a_row = g.a + i * g.a_row_stride;
-    float acc[kPanelCols] = {};
-    for (std::size_t p = 0; p < g.k; ++p) {
-      const float av = a_row[p * g.a_p_stride];
-      const float* in_row = g.in + p * kPanelCols;
-      for (std::size_t c = 0; c < kPanelCols; ++c) acc[c] += av * in_row[c];
-    }
-    float* out_row = g.out + i * kPanelCols;
-    const float b = g.bias[i];
-    for (std::size_t c = 0; c < kPanelCols; ++c) {
-      float v = acc[c] + b;
-      if (g.relu && v < 0.0f) v = 0.0f;
-      out_row[c] = v;
+  for (std::size_t q = 0; q < g.panels; ++q) {
+    const float* in = g.in + q * g.k * kPanelCols;
+    float* out = g.out + q * g.n_out * kPanelCols;
+    for (std::size_t i = 0; i < g.n_out; ++i) {
+      const float* a_row = g.a + i * g.a_row_stride;
+      float acc[kPanelCols] = {};
+      for (std::size_t p = 0; p < g.k; ++p) {
+        const float av = a_row[p * g.a_p_stride];
+        const float* in_row = in + p * kPanelCols;
+        for (std::size_t c = 0; c < kPanelCols; ++c) acc[c] += av * in_row[c];
+      }
+      float* out_row = out + i * kPanelCols;
+      const float b = g.bias[i];
+      for (std::size_t c = 0; c < kPanelCols; ++c) {
+        float v = acc[c] + b;
+        if (g.relu && v < 0.0f) v = 0.0f;
+        out_row[c] = v;
+      }
     }
   }
 }

@@ -463,14 +463,16 @@ BAFFLE_ALWAYS_INLINE f32x8 vmin8(f32x8 a, f32x8 b) {
                                        (__builtin_bit_cast(i32x8, b) & ~m));
 }
 
-/// Fused-layer variant of micro_tile: same accumulation (per-p FMA into
-/// zero-initialized registers, so bit-identical to gemm_panel_rows),
-/// but with the bias add and optional ReLU applied while the tile is
-/// still in registers, and the output written panel-packed. The bias
-/// add matches the sequential path's add_row_bias (axpy alpha=1: a
-/// single correctly-rounded add), and vrelu8 matches relu_forward.
+/// Fused-layer variant of micro_tile over one packed panel: same
+/// accumulation (per-p FMA into zero-initialized registers, so
+/// bit-identical to gemm_panel_rows), but with the bias add and
+/// optional ReLU applied while the tile is still in registers, and the
+/// output written panel-packed. The bias add matches the sequential
+/// path's add_row_bias (axpy alpha=1: a single correctly-rounded add),
+/// and vrelu8 matches relu_forward.
 template <int MR>
 BAFFLE_ALWAYS_INLINE void eval_tile_f32(const EvalLayerArgs& g,
+                                        const float* in, float* out,
                                         std::size_t i0) {
   f32x8 acc0[MR], acc1[MR];
   for (int r = 0; r < MR; ++r) {
@@ -479,8 +481,8 @@ BAFFLE_ALWAYS_INLINE void eval_tile_f32(const EvalLayerArgs& g,
   }
   const float* a0 = g.a + i0 * g.a_row_stride;
   for (std::size_t p = 0; p < g.k; ++p) {
-    const f32x8 b0 = loada8(g.in + p * kPanelCols);
-    const f32x8 b1 = loada8(g.in + p * kPanelCols + kFloatLanes);
+    const f32x8 b0 = loada8(in + p * kPanelCols);
+    const f32x8 b1 = loada8(in + p * kPanelCols + kFloatLanes);
     const float* ap = a0 + p * g.a_p_stride;
     for (int r = 0; r < MR; ++r) {
       const f32x8 av = splat8(ap[r * g.a_row_stride]);
@@ -496,72 +498,130 @@ BAFFLE_ALWAYS_INLINE void eval_tile_f32(const EvalLayerArgs& g,
       v0 = vrelu8(v0);
       v1 = vrelu8(v1);
     }
-    float* out = g.out + (i0 + r) * kPanelCols;
-    storeu8(out, v0);
-    storeu8(out + kFloatLanes, v1);
+    float* row = out + (i0 + r) * kPanelCols;
+    storeu8(row, v0);
+    storeu8(row + kFloatLanes, v1);
   }
 }
 
+/// The ymm arm runs a panel group one panel at a time.
 void eval_layer_f32(const EvalLayerArgs& g) {
-  std::size_t i = 0;
-  for (; i + 6 <= g.n_out; i += 6) eval_tile_f32<6>(g, i);
-  switch (g.n_out - i) {
-    case 5: eval_tile_f32<5>(g, i); break;
-    case 4: eval_tile_f32<4>(g, i); break;
-    case 3: eval_tile_f32<3>(g, i); break;
-    case 2: eval_tile_f32<2>(g, i); break;
-    case 1: eval_tile_f32<1>(g, i); break;
-    default: break;
+  for (std::size_t q = 0; q < g.panels; ++q) {
+    const float* in = g.in + q * g.k * kPanelCols;
+    float* out = g.out + q * g.n_out * kPanelCols;
+    std::size_t i = 0;
+    for (; i + 6 <= g.n_out; i += 6) eval_tile_f32<6>(g, in, out, i);
+    switch (g.n_out - i) {
+      case 5: eval_tile_f32<5>(g, in, out, i); break;
+      case 4: eval_tile_f32<4>(g, in, out, i); break;
+      case 3: eval_tile_f32<3>(g, in, out, i); break;
+      case 2: eval_tile_f32<2>(g, in, out, i); break;
+      case 1: eval_tile_f32<1>(g, in, out, i); break;
+      default: break;
+    }
   }
 }
 
 #if defined(BAFFLE_HAVE_AVX512F_TARGET)
 
-// AVX-512 fused-layer variant: one zmm covers the full 16-column panel
-// row, so each output row needs ONE accumulator and ONE panel load per
-// k step instead of two — half the issue slots of the ymm tile.
+#define BAFFLE_TARGET_AVX512F __attribute__((target("avx512f")))
+
+// The tiles' loops over rows and panels must unroll completely so the
+// accumulators live in registers; GCC's own heuristics stop short of
+// 4 x 6 and spill them to the stack.
+#define BAFFLE_UNROLL _Pragma("GCC unroll 8")
+
+// AVX-512 fused-layer tile: MR outputs x NP consecutive panels, one zmm
+// accumulator per (output, panel). One zmm covers a whole 16-column
+// panel row, so each k step loads NP panel rows and broadcasts MR
+// weights for MR·NP FMAs — at 5 x 4, 20 FMAs from 4 loads and 5
+// broadcasts (25 of the 32 zmm registers), where a one-panel tile
+// spends a broadcast on every FMA.
 // BIT-IDENTICAL by construction: every output element is an
 // independent lane computing fma(a_p, in[p][c], acc) in the same p
 // order from a zero accumulator, one post-sum bias add, and vrelu's
 // exact `x < 0 ? 0 : x` semantics (the NLT mask keeps NaN/+0/-0 lanes
-// like the scalar code) — lane width cannot change any per-element
-// result, so runtime selection only changes speed.
-
-#define BAFFLE_TARGET_AVX512F __attribute__((target("avx512f")))
-
-template <int MR>
+// like the scalar code) — neither the lane width nor which outputs and
+// panels share a tile can change any per-element result, so runtime
+// selection and tile shape only change speed.
+template <int NP, int MR>
 BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE void eval_tile_f32_zmm(
-    const EvalLayerArgs& g, std::size_t i0) {
-  __m512 acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = _mm512_setzero_ps();
-  const float* a0 = g.a + i0 * g.a_row_stride;
-  for (std::size_t p = 0; p < g.k; ++p) {
-    const __m512 b = _mm512_loadu_ps(g.in + p * kPanelCols);
-    const float* ap = a0 + p * g.a_p_stride;
-    for (int r = 0; r < MR; ++r) {
-      acc[r] =
-          _mm512_fmadd_ps(_mm512_set1_ps(ap[r * g.a_row_stride]), b, acc[r]);
+    const EvalLayerArgs& g, const float* in, float* out, std::size_t i0) {
+  __m512 acc[MR][NP];
+  BAFFLE_UNROLL for (int r = 0; r < MR; ++r) {
+    BAFFLE_UNROLL for (int q = 0; q < NP; ++q) {
+      acc[r][q] = _mm512_setzero_ps();
     }
   }
-  for (int r = 0; r < MR; ++r) {
-    __m512 v = _mm512_add_ps(acc[r], _mm512_set1_ps(g.bias[i0 + r]));
-    if (g.relu) {
-      const __mmask16 keep =
-          _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_NLT_US);
-      v = _mm512_maskz_mov_ps(keep, v);
+  const std::size_t in_panel = g.k * kPanelCols;
+  const float* ap = g.a + i0 * g.a_row_stride;
+  const float* in_row = in;
+  for (std::size_t p = 0; p < g.k;
+       ++p, ap += g.a_p_stride, in_row += kPanelCols) {
+    __m512 bv[NP];
+    BAFFLE_UNROLL for (int q = 0; q < NP; ++q) {
+      bv[q] = _mm512_loadu_ps(in_row + q * in_panel);
     }
-    _mm512_storeu_ps(g.out + (i0 + r) * kPanelCols, v);
+    BAFFLE_UNROLL for (int r = 0; r < MR; ++r) {
+      const __m512 av = _mm512_set1_ps(ap[r * g.a_row_stride]);
+      BAFFLE_UNROLL for (int q = 0; q < NP; ++q) {
+        acc[r][q] = _mm512_fmadd_ps(av, bv[q], acc[r][q]);
+      }
+    }
+  }
+  const std::size_t out_panel = g.n_out * kPanelCols;
+  BAFFLE_UNROLL for (int r = 0; r < MR; ++r) {
+    const __m512 bias = _mm512_set1_ps(g.bias[i0 + r]);
+    float* row = out + (i0 + r) * kPanelCols;
+    BAFFLE_UNROLL for (int q = 0; q < NP; ++q) {
+      __m512 v = _mm512_add_ps(acc[r][q], bias);
+      if (g.relu) {
+        const __mmask16 keep =
+            _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_NLT_US);
+        v = _mm512_maskz_mov_ps(keep, v);
+      }
+      _mm512_storeu_ps(row + q * out_panel, v);
+    }
   }
 }
 
-BAFFLE_TARGET_AVX512F void eval_layer_f32_zmm(const EvalLayerArgs& g) {
+/// Outputs [i, i + rows) of an NP-panel group for rows <= MR: the tile
+/// of exactly that height (none for rows == 0).
+template <int NP, int MR>
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE void eval_row_tail_zmm(
+    const EvalLayerArgs& g, const float* in, float* out, std::size_t i,
+    std::size_t rows) {
+  if constexpr (MR > 0) {
+    if (rows == MR) {
+      eval_tile_f32_zmm<NP, MR>(g, in, out, i);
+    } else {
+      eval_row_tail_zmm<NP, MR - 1>(g, in, out, i, rows);
+    }
+  }
+}
+
+/// Every output of one NP-panel group, MR at a time.
+template <int NP, int MR>
+BAFFLE_TARGET_AVX512F void eval_group_zmm(const EvalLayerArgs& g,
+                                          const float* in, float* out) {
   std::size_t i = 0;
-  for (; i + 8 <= g.n_out; i += 8) eval_tile_f32_zmm<8>(g, i);
-  for (; i + 4 <= g.n_out; i += 4) eval_tile_f32_zmm<4>(g, i);
-  switch (g.n_out - i) {
-    case 3: eval_tile_f32_zmm<3>(g, i); break;
-    case 2: eval_tile_f32_zmm<2>(g, i); break;
-    case 1: eval_tile_f32_zmm<1>(g, i); break;
+  for (; i + MR <= g.n_out; i += MR) eval_tile_f32_zmm<NP, MR>(g, in, out, i);
+  eval_row_tail_zmm<NP, MR - 1>(g, in, out, i, g.n_out - i);
+}
+
+BAFFLE_TARGET_AVX512F void eval_layer_f32_zmm(const EvalLayerArgs& g) {
+  const std::size_t in_panel = g.k * kPanelCols;
+  const std::size_t out_panel = g.n_out * kPanelCols;
+  std::size_t q = 0;
+  for (; q + 4 <= g.panels; q += 4) {
+    eval_group_zmm<4, 5>(g, g.in + q * in_panel, g.out + q * out_panel);
+  }
+  const float* in = g.in + q * in_panel;
+  float* out = g.out + q * out_panel;
+  switch (g.panels - q) {
+    case 3: eval_group_zmm<3, 7>(g, in, out); break;
+    case 2: eval_group_zmm<2, 8>(g, in, out); break;
+    case 1: eval_group_zmm<1, 8>(g, in, out); break;
     default: break;
   }
 }
@@ -577,11 +637,6 @@ BAFFLE_TARGET_AVX512F void eval_layer_f32_zmm(const EvalLayerArgs& g) {
 // fma(a_p, b[p][c], acc) in p order from +0, then one bias add and the
 // NLT-mask ReLU — which lanes share a register cannot change any
 // element's result.
-
-// The tile's loops over rows and panels must unroll completely so the
-// accumulators live in registers; GCC's own heuristics stop short of
-// 4 x 6 and spill them to the stack.
-#define BAFFLE_UNROLL _Pragma("GCC unroll 8")
 
 template <int NP, int MR>
 BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE void zmm_tile(

@@ -8,6 +8,7 @@
 #include "tensor/kernels.hpp"
 #include "util/contracts.hpp"
 #include "tensor/simd.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 #include "util/scratch_lease.hpp"
 #include "util/thread_pool.hpp"
@@ -57,9 +58,9 @@ class GemmReport {
     if (!enabled_) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     MetricsRegistry& registry = MetricsRegistry::global();
-    registry.add_timer("gemm.large",
+    registry.add_timer(metric::kGemmLarge,
                        std::chrono::duration<double>(elapsed).count());
-    registry.add_counter("gemm.large_flops", flops_);
+    registry.add_counter(metric::kGemmLargeFlops, flops_);
   }
 
  private:

@@ -4,6 +4,23 @@
 
 namespace baffle {
 
+namespace {
+thread_local double t_helped_seconds = 0.0;
+}  // namespace
+
+double helped_seconds_this_thread() { return t_helped_seconds; }
+
+HelpedTaskScope::HelpedTaskScope()
+    : helped_before_(t_helped_seconds),
+      start_(std::chrono::steady_clock::now()) {}
+
+HelpedTaskScope::~HelpedTaskScope() {
+  t_helped_seconds =
+      helped_before_ + std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start_)
+                           .count();
+}
+
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

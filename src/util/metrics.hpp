@@ -73,14 +73,38 @@ class MetricsRegistry {
   std::map<std::string, Timer> timers_ BAFFLE_GUARDED_BY(mutex_);
 };
 
+/// Wall seconds the calling thread has spent running tasks it took
+/// from a pool queue while waiting on a join (ThreadPool::try_run_one),
+/// each counted once however deeply the helping nests.
+double helped_seconds_this_thread();
+
+/// RAII: adds its lifetime to helped_seconds_this_thread(), replacing
+/// whatever the helping nested inside it added, so nested helping is
+/// counted once. ThreadPool::try_run_one wraps each helped task in one.
+class HelpedTaskScope {
+ public:
+  HelpedTaskScope();
+  ~HelpedTaskScope();
+
+  HelpedTaskScope(const HelpedTaskScope&) = delete;
+  HelpedTaskScope& operator=(const HelpedTaskScope&) = delete;
+
+ private:
+  double helped_before_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 /// RAII wall-clock timer: accumulates its lifetime into
-/// `registry.add_timer(name, ...)` on destruction.
+/// `registry.add_timer(name, ...)` on destruction, less the time its
+/// thread spent help-draining other tasks meanwhile — a join that runs
+/// a whole other experiment root must not bill it to this scope.
 class ScopedTimer {
  public:
   explicit ScopedTimer(std::string name,
                        MetricsRegistry& registry = MetricsRegistry::global())
       : name_(std::move(name)),
         registry_(registry),
+        helped_at_start_(helped_seconds_this_thread()),
         start_(std::chrono::steady_clock::now()) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -88,13 +112,15 @@ class ScopedTimer {
 
   ~ScopedTimer() {
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    registry_.add_timer(
-        name_, std::chrono::duration<double>(elapsed).count());
+    registry_.add_timer(name_,
+                        std::chrono::duration<double>(elapsed).count() -
+                            (helped_seconds_this_thread() - helped_at_start_));
   }
 
  private:
   std::string name_;
   MetricsRegistry& registry_;
+  double helped_at_start_;
   std::chrono::steady_clock::time_point start_;
 };
 

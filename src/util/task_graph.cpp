@@ -1,10 +1,10 @@
 #include "util/task_graph.hpp"
 
 #include <exception>
-#include <string>
 #include <utility>
 
 #include "util/contracts.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 
 namespace baffle {
@@ -16,6 +16,17 @@ const char* task_node_kind_name(TaskNodeKind kind) {
   }
   return "unknown";
 }
+
+namespace {
+
+/// The task_graph.node.<kind> timer of each kind.
+const char* node_timer(TaskNodeKind kind) {
+  BAFFLE_CHECK(kind == TaskNodeKind::kExperiment,
+               "TaskGraph::add: unknown node kind");
+  return metric::kExperimentNode;
+}
+
+}  // namespace
 
 TaskGraph::TaskGraph(ThreadPool& pool) : pool_(pool) {}
 
@@ -31,15 +42,15 @@ TaskGraph::~TaskGraph() {
 
 void TaskGraph::add(TaskNodeKind kind, std::function<void()> fn) {
   BAFFLE_CHECK(fn != nullptr, "TaskGraph::add: null task body");
-  roots_.push_back(pool_.submit([kind, fn = std::move(fn)] {
+  roots_.push_back(pool_.submit([timer_name = node_timer(kind),
+                                 fn = std::move(fn)] {
     {
       // Timed whether or not fn throws; a throw lands in the root's
       // future and skips the completion count.
-      const ScopedTimer timer(std::string("task_graph.node.") +
-                              task_node_kind_name(kind));
+      const ScopedTimer timer(timer_name);
       fn();
     }
-    MetricsRegistry::global().add_counter("task_graph.tasks");
+    MetricsRegistry::global().add_counter(metric::kGraphTasks);
   }));
 }
 

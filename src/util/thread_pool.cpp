@@ -9,6 +9,7 @@
 #include <string>
 
 #include "util/contracts.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 
 namespace baffle {
@@ -171,8 +172,11 @@ bool ThreadPool::try_run_one() {
     task = std::move(queue_.front());
     queue_.pop();
   }
-  MetricsRegistry::global().add_counter("thread_pool.help_drained");
-  task();
+  MetricsRegistry::global().add_counter(metric::kHelpDrained);
+  {
+    const HelpedTaskScope helped;
+    task();
+  }
   bump_progress();
   return true;
 }

@@ -53,7 +53,9 @@ class ThreadPool {
   /// consume the future: get() it afterwards for the job's exception.
   void wait(const std::future<void>& job);
 
-  /// Pops and runs one queued task if any; returns whether it did.
+  /// Pops and runs one queued task if any; returns whether it did. The
+  /// task's wall time counts as this thread's helped time
+  /// (helped_seconds_this_thread), which ScopedTimers do not bill.
   bool try_run_one();
 
   /// Process-wide shared pool: the innermost live ScopedGlobalPool's,

@@ -1,16 +1,19 @@
 // Accuracy tracking in the serial round loop: each round's accuracy is
 // measured on the model the round left behind, so a rejected round
 // must report exactly the accuracy of the round before it (the
-// rollback restored that model). Tracking must also stay bit-exact
-// where experiments nest inside the pool (run_repeated) and where
-// rounds cross the wire protocol.
+// rollback restored that model). The tracking engines must equal the
+// predict_into path on every round's model, and tracking must stay
+// bit-exact where experiments nest inside the pool (run_repeated) and
+// where rounds cross the wire protocol.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 
+#include "attack/backdoor.hpp"
 #include "exp/experiment.hpp"
+#include "metrics/confusion.hpp"
 #include "util/thread_pool.hpp"
 
 namespace baffle {
@@ -88,6 +91,41 @@ TEST(PipelineParity, PipelinedRejectionRoundsKeepOldSnapshot) {
                 std::bit_cast<std::uint64_t>(before.backdoor_accuracy));
     }
     EXPECT_GT(rejects, 0u);
+  }
+}
+
+TEST(AccuracyTracking, EnginesMatchEvaluateConfusionEveryRound) {
+  // run_experiment tracks accuracy on AccuracyTracker's bound engines;
+  // on every model a round leaves behind they must equal the
+  // predict_into path (evaluate_confusion, backdoor_accuracy) bit for
+  // bit, on one worker and on four.
+  const ExperimentConfig cfg = small_config();
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    const ScopedGlobalPool pool(workers);
+    Rng rng(81);
+    const Scenario scenario = build_scenario(cfg.scenario, rng);
+    FlServer server(scenario.arch, scenario.fl, rng.next_u64());
+    HonestUpdateProvider provider(&scenario.clients, scenario.fl.local_train);
+    AccuracyTracker tracker(scenario.arch, scenario.task.test,
+                            scenario.task.backdoor_test,
+                            scenario.backdoor.target_class);
+    for (std::size_t round = 0; round <= 6; ++round) {
+      SCOPED_TRACE(round);
+      if (round > 0) server.commit(server.propose_round(provider, rng));
+      const Mlp& model = server.global_model();
+      const AccuracyTracker::Accuracies got =
+          tracker.measure(model.parameters());
+      const double main =
+          evaluate_confusion(model, scenario.task.test).accuracy();
+      const double backdoor =
+          backdoor_accuracy(model, scenario.task.backdoor_test,
+                            scenario.backdoor.target_class);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.main),
+                std::bit_cast<std::uint64_t>(main));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.backdoor),
+                std::bit_cast<std::uint64_t>(backdoor));
+    }
   }
 }
 

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "exp/sweep.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace baffle {
@@ -114,6 +116,33 @@ TEST(Sweep, ParallelDriverMatchesSerialBitExact) {
     EXPECT_EQ(parallel.cells[c].fp.mean, serial.cells[c].fp.mean);
     EXPECT_EQ(parallel.cells[c].fn.mean, serial.cells[c].fn.mean);
   }
+}
+
+TEST(Sweep, ExperimentTimerBillsNoHelpDrainedRoots) {
+  // A root's fork-joins help-drain the queue while they wait, so they
+  // may run whole other roots; the root's experiment timer must not
+  // bill those. Own time on 4 workers plus the joining thread fits in
+  // 5 x wall; counting drained roots did not (8.07 s over a 1.40 s
+  // 8-root baffle_sweep).
+  SweepSpec spec = tiny_spec();
+  spec.axes.push_back(
+      {"dropout",
+       {{"0", [](ExperimentConfig& c) { c.validator_dropout = 0.0; }},
+        {"0.1", [](ExperimentConfig& c) { c.validator_dropout = 0.1; }}}});
+  ScopedGlobalPool pool(4);
+  MetricsRegistry& registry = MetricsRegistry::global();
+  const double booked_before =
+      registry.timer_seconds("task_graph.node.experiment");
+  const auto t0 = std::chrono::steady_clock::now();
+  const SweepResult result = run_sweep(spec, /*parallel=*/true);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ASSERT_EQ(result.cells.size(), 8u);
+  const double booked =
+      registry.timer_seconds("task_graph.node.experiment") - booked_before;
+  EXPECT_GT(booked, 0.0);
+  EXPECT_LE(booked, 5.0 * wall) << "wall " << wall << " s";
 }
 
 TEST(Sweep, SingleCellSweepMatchesRunRepeated) {

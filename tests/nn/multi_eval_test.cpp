@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "data/synth.hpp"
@@ -49,11 +51,70 @@ std::vector<std::size_t> sequential_preds(const MlpConfig& arch,
   return preds;
 }
 
+// The sequential path's logits (forward_train runs predict_into's
+// per-layer forward_eval), reduced to argmax_rows_into's first-max
+// prediction and the top-2 margin.
+void sequential_preds_and_margins(const MlpConfig& arch,
+                                  const std::vector<float>& params,
+                                  const Matrix& x,
+                                  std::vector<std::size_t>& preds,
+                                  std::vector<float>& margins) {
+  Mlp model(arch);
+  model.set_parameters(params);
+  TrainWorkspace ws;
+  const Matrix& logits = model.forward_train(x, ws);
+  preds.assign(x.rows(), 0);
+  margins.assign(x.rows(), 0.0f);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const auto row = logits.row(r);
+    float best = row[0];
+    float second = -std::numeric_limits<float>::infinity();
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      if (row[i] > best) {
+        second = best;
+        best = row[i];
+        preds[r] = i;
+      } else if (row[i] > second) {
+        second = row[i];
+      }
+    }
+    margins[r] = best - second;
+  }
+}
+
 // One model through the batched entry point.
 void predict_one(MultiModelEval& engine, std::span<const float> params,
                  std::span<std::size_t> out) {
   const MultiEvalModel model{params, out};
   engine.predict_many({&model, 1});
+}
+
+// Pool-size invariance (DESIGN.md §17): the tile sweep on a 4-worker
+// global pool must produce BYTE-identical predictions and margins to
+// the inline tile loop a one-worker pool runs — same tile function,
+// disjoint output slices, no reordered reductions. Both arms run in
+// this process (ScopedGlobalPool), whatever BAFFLE_THREADS says.
+struct ParallelRun {
+  std::vector<std::size_t> preds;  // model-major, models × samples
+  std::vector<float> margins;      // model-major, models × samples
+};
+
+ParallelRun run_engine(MultiModelEval& engine,
+                       const std::vector<std::vector<float>>& chain,
+                       std::size_t samples, std::size_t workers) {
+  ParallelRun run;
+  run.preds.assign(chain.size() * samples, 0);
+  run.margins.assign(chain.size() * samples, 0.0f);
+  std::vector<MultiEvalModel> models;
+  for (std::size_t v = 0; v < chain.size(); ++v) {
+    models.push_back(
+        {chain[v],
+         std::span<std::size_t>(run.preds).subspan(v * samples, samples),
+         std::span<float>(run.margins).subspan(v * samples, samples)});
+  }
+  const ScopedGlobalPool pool(workers);
+  engine.predict_many(models);
+  return run;
 }
 
 TEST(MultiModelEval, Fp32BitParityWithSequentialPath) {
@@ -70,6 +131,37 @@ TEST(MultiModelEval, Fp32BitParityWithSequentialPath) {
   for (const auto& params : chain) {
     predict_one(engine, params, batched);
     EXPECT_EQ(batched, sequential_preds(arch, params, x));
+  }
+}
+
+TEST(MultiModelEval, PanelGroupsMatchSequentialPredsAndMarginsOnEveryPool) {
+  // Sample counts around one panel (16), one panel group (64 = 4
+  // panels) and one tile's panel block (256), with tail panels.
+  const MlpConfig arch{{32, 64, 10}, Activation::kRelu};
+  Rng rng(61);
+  const auto chain = model_chain(arch, rng, 3);
+  for (std::size_t samples : {1, 15, 16, 17, 63, 64, 65, 180, 1000}) {
+    Matrix x(samples, 32);
+    for (float& v : x.flat()) v = static_cast<float>(rng.normal(0.0, 1.0));
+    MultiModelEval engine(arch);
+    engine.bind(x);
+    for (std::size_t workers : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "samples=" << samples << " workers=" << workers);
+      const ParallelRun run = run_engine(engine, chain, samples, workers);
+      for (std::size_t v = 0; v < chain.size(); ++v) {
+        std::vector<std::size_t> preds;
+        std::vector<float> margins;
+        sequential_preds_and_margins(arch, chain[v], x, preds, margins);
+        ASSERT_EQ(preds, sequential_preds(arch, chain[v], x));
+        const auto at = static_cast<std::ptrdiff_t>(v * samples);
+        EXPECT_TRUE(std::equal(preds.begin(), preds.end(),
+                               run.preds.begin() + at));
+        EXPECT_EQ(std::memcmp(margins.data(), run.margins.data() + at,
+                              samples * sizeof(float)),
+                  0);
+      }
+    }
   }
 }
 
@@ -150,34 +242,6 @@ TEST(MultiModelEval, RebindReplacesDataset) {
   std::vector<std::size_t> preds2(x2.rows());
   predict_one(engine, chain[0], preds2);
   EXPECT_EQ(preds2, sequential_preds(arch, chain[0], x2));
-}
-
-// Pool-size invariance (DESIGN.md §17): the tile sweep on a 4-worker
-// global pool must produce BYTE-identical predictions and margins to
-// the inline tile loop a one-worker pool runs — same tile function,
-// disjoint output slices, no reordered reductions. Both arms run in
-// this process (ScopedGlobalPool), whatever BAFFLE_THREADS says.
-struct ParallelRun {
-  std::vector<std::size_t> preds;  // model-major, models × samples
-  std::vector<float> margins;      // model-major, models × samples
-};
-
-ParallelRun run_engine(MultiModelEval& engine,
-                       const std::vector<std::vector<float>>& chain,
-                       std::size_t samples, std::size_t workers) {
-  ParallelRun run;
-  run.preds.assign(chain.size() * samples, 0);
-  run.margins.assign(chain.size() * samples, 0.0f);
-  std::vector<MultiEvalModel> models;
-  for (std::size_t v = 0; v < chain.size(); ++v) {
-    models.push_back(
-        {chain[v],
-         std::span<std::size_t>(run.preds).subspan(v * samples, samples),
-         std::span<float>(run.margins).subspan(v * samples, samples)});
-  }
-  const ScopedGlobalPool pool(workers);
-  engine.predict_many(models);
-  return run;
 }
 
 TEST(MultiModelEvalParallelParity, Fp32BytesEqualSerialAndSequential) {

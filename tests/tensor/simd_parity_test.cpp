@@ -577,6 +577,63 @@ std::vector<Matrix> run_gemms(const kernels::KernelTable& t, const Matrix& a,
   return out;
 }
 
+TEST_F(SimdParity, EvalLayerPanelGroupsEqualSinglePanelCallsOnEveryArm) {
+  // One P-panel eval_layer_f32 call must write exactly the bytes of P
+  // one-panel calls on every arm: the zmm arm's multi-panel tiles only
+  // regroup independent lanes. The experiments' widths (64, 10; 96, 62)
+  // sit among every row-tail length and all group remainders up to two
+  // full 4-panel groups plus one.
+  std::vector<const kernels::KernelTable*> arms{&kernels::scalar_table(),
+                                                kernels::vector_table()};
+  if (const kernels::KernelTable* ymm = kernels::avx2_table_for_testing()) {
+    arms.push_back(ymm);
+  }
+  std::vector<std::size_t> n_outs;
+  for (std::size_t n = 1; n <= 13; ++n) n_outs.push_back(n);
+  for (std::size_t n : {62, 64, 96}) n_outs.push_back(n);
+  constexpr std::size_t kPC = kernels::kPanelCols;
+  Rng rng(43);
+  for (const std::size_t k : {1, 10, 32, 48, 64, 96}) {
+    for (const std::size_t n_out : n_outs) {
+      const std::size_t max_panels = 9;
+      std::vector<float> w = random_vec(k * n_out, rng);
+      std::vector<float> bias = random_vec(n_out, rng);
+      AlignedFloatVec in = random_panel(k * max_panels, rng);
+      // NaN, ±0 and ±Inf inputs and weights; ReLU sees negative, −0
+      // and NaN pre-activations.
+      add_specials(in, rng);
+      add_specials(w, rng);
+      bias[0] = -0.0f;
+      for (const kernels::KernelTable* t : arms) {
+        for (std::size_t panels = 1; panels <= max_panels; ++panels) {
+          for (bool relu : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << t->gemm_width << " k=" << k << " n_out=" << n_out
+                         << " panels=" << panels << " relu=" << relu);
+            AlignedFloatVec ref(panels * n_out * kPC);
+            AlignedFloatVec got(panels * n_out * kPC);
+            kernels::EvalLayerArgs args{w.data(),  1,      n_out,
+                                        bias.data(), nullptr, nullptr,
+                                        k,         n_out,  relu,
+                                        1};
+            for (std::size_t q = 0; q < panels; ++q) {
+              args.in = in.data() + q * k * kPC;
+              args.out = ref.data() + q * n_out * kPC;
+              t->eval_layer_f32(args);
+            }
+            args.in = in.data();
+            args.out = got.data();
+            args.panels = panels;
+            t->eval_layer_f32(args);
+            expect_same_bytes(ref, got);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(SimdParity, GemmWidthsAgreeBitForBit) {
   const GemmWidths w = gemm_widths();
   SKIP_WITHOUT_AVX512F(w);

@@ -23,6 +23,8 @@ EXPECTED = [
     ("no-naked-new", "bad_new.cpp"),
     ("no-libc-random", "bad_rand.cpp"),
     ("raw-sync", "bad_mutex.cpp"),
+    ("metric-name", "bad_metric_name.cpp:11"),  # literal on the next line
+    ("metric-name", "bad_metric_cli.cpp"),    # tools/ are linted too
     ("header-hygiene", "bad_header.hpp"),
     ("dispatch-table", "kernels_simd.cpp"),   # zorp: no SIMD impl
     ("dispatch-table", "simd_parity_test.cpp"),  # zorp: no parity test
@@ -35,6 +37,10 @@ CLEAN = [
     # The sanctioned wrapper layer is exempt (matched on the full
     # fixture path: the rule's advice text also mentions sync.hpp).
     ("raw-sync", os.path.join("src", "util", "sync.hpp")),
+    ("metric-name", "good_metric_name.cpp"),
+    # The header that declares the names (the rule's advice text names
+    # it too, so match the finding's "path:line" form).
+    ("metric-name", os.path.join("src", "util", "metric_names.hpp") + ":"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -68,6 +69,33 @@ TEST(MetricsRegistry, ScopedTimerRecordsOnDestruction) {
   }
   EXPECT_EQ(registry.timer_count("scope"), 1u);
   EXPECT_GE(registry.timer_seconds("scope"), 0.0);
+}
+
+TEST(MetricsRegistry, ScopedTimerBillsNoHelpedTimeAndNestingCountsOnce) {
+  using Clock = std::chrono::steady_clock;
+  MetricsRegistry registry;
+  const double helped_before = helped_seconds_this_thread();
+  Clock::time_point t0, t1;
+  {
+    const ScopedTimer timer("waiter", registry);
+    t0 = Clock::now();
+    {
+      // A helped task that itself helps: the outer scope's wall time
+      // already covers the nested one.
+      const HelpedTaskScope helped;
+      {
+        const HelpedTaskScope nested;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    t1 = Clock::now();
+  }
+  const double helped = helped_seconds_this_thread() - helped_before;
+  EXPECT_GE(helped, 0.04);
+  EXPECT_LE(helped, std::chrono::duration<double>(t1 - t0).count());
+  // The waiter's own work was two clock reads, not the 40 ms it helped.
+  EXPECT_LT(registry.timer_seconds("waiter"), 0.02);
 }
 
 TEST(MetricsRegistry, ConcurrentUpdatesDoNotLoseCounts) {

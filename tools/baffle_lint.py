@@ -25,6 +25,12 @@ Rules (each failure names the file and the rule id):
                       Analysis sees every critical section. sync.hpp
                       itself is the one sanctioned user of the raw
                       primitives.
+  metric-name         No string literal passed as a metric name
+                      (add_counter, add_timer, counter, timer_*, or a
+                      ScopedTimer's name) in src/** or tools/**: every
+                      registry name is a constant in
+                      src/util/metric_names.hpp, so a typo cannot
+                      silently start a new metric.
   header-hygiene      Every header under src/ must be self-contained:
                       `#include "x.hpp"` alone must compile (checked
                       with $CXX -fsyntax-only). Skipped with
@@ -63,6 +69,13 @@ RAW_SYNC = re.compile(
 RAW_SYNC_INCLUDE = re.compile(
     r'^\s*#\s*include\s*<(mutex|shared_mutex|condition_variable)>')
 ALLOW = re.compile(r'//\s*baffle-lint:\s*allow\(([a-z-]+)\)')
+# A literal as the first argument of a registry call or a ScopedTimer's
+# name, matched on comment- and string-stripped text (literals survive
+# as ""), across line breaks.
+METRIC_LITERAL = re.compile(
+    r'(?:(?<![\w])(?:add_counter|add_timer|counter|timer_\w+)\s*\(|'
+    r'\bScopedTimer\b[^;(){}]*[({])\s*"')
+METRIC_NAMES_HEADER = os.path.join("src", "util", "metric_names.hpp")
 
 TABLE_MEMBER = re.compile(r'\(\s*\*\s*(\w+)\s*\)\s*\(')
 
@@ -135,6 +148,22 @@ class Linter:
                                   "(use the annotated wrappers in "
                                   "util/sync.hpp so thread-safety "
                                   "analysis sees the critical section)")
+
+    # -- metric names --------------------------------------------------
+
+    def lint_metric_names(self, path: str) -> None:
+        if os.path.relpath(path, self.root) == METRIC_NAMES_HEADER:
+            return
+        with open(path, encoding="utf-8") as f:
+            raw_lines = f.read().splitlines()
+        text = "\n".join(strip_comments_and_strings(ln) for ln in raw_lines)
+        for m in METRIC_LITERAL.finditer(text):
+            line_no = text.count("\n", 0, m.end()) + 1
+            if "metric-name" in ALLOW.findall(raw_lines[line_no - 1]):
+                continue
+            self.fail("metric-name", path, line_no,
+                      "metric name as a string literal (declare it in "
+                      "src/util/metric_names.hpp and pass the constant)")
 
     # -- dispatch-table completeness -----------------------------------
 
@@ -240,6 +269,11 @@ class Linter:
             for f in sorted(files):
                 if f.endswith(".cpp") or f.endswith(".hpp"):
                     self.lint_source_file(os.path.join(dirpath, f))
+                    self.lint_metric_names(os.path.join(dirpath, f))
+        for dirpath, _, files in os.walk(os.path.join(self.root, "tools")):
+            for f in sorted(files):
+                if f.endswith(".cpp") or f.endswith(".hpp"):
+                    self.lint_metric_names(os.path.join(dirpath, f))
         self.lint_dispatch_table()
         if check_headers:
             self.lint_headers(jobs)

@@ -17,6 +17,7 @@
 
 #include "cli_flags.hpp"
 #include "exp/experiment.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -181,51 +182,51 @@ int main(int argc, char** argv) {
   }
 
   const auto& registry = MetricsRegistry::global();
-  if (registry.timer_count("experiment.build_scenario") > 0) {
+  if (registry.timer_count(metric::kBuildScenario) > 0) {
     std::printf("set-up: %.2f ms scenario, %.2f ms pretraining, "
                 "%.2f ms defense init\n",
-                registry.timer_mean_ms("experiment.build_scenario"),
-                registry.timer_mean_ms("experiment.pretrain"),
-                registry.timer_mean_ms("experiment.defense_init"));
+                registry.timer_mean_ms(metric::kBuildScenario),
+                registry.timer_mean_ms(metric::kPretrain),
+                registry.timer_mean_ms(metric::kDefenseInit));
   }
-  const std::uint64_t trains = registry.timer_count("experiment.round_train");
+  const std::uint64_t trains = registry.timer_count(metric::kRoundTrain);
   if (trains > 0) {
     std::printf("round training: %.2f ms/round over %llu rounds\n",
-                registry.timer_mean_ms("experiment.round_train"),
+                registry.timer_mean_ms(metric::kRoundTrain),
                 static_cast<unsigned long long>(trains));
   }
-  const std::uint64_t evals = registry.timer_count("experiment.round_eval");
+  const std::uint64_t evals = registry.timer_count(metric::kRoundEval);
   if (evals > 0) {
     std::printf("defense evaluation: %.2f ms/round over %llu rounds "
                 "(cache: %llu hits / %llu misses, %llu promotions, "
                 "%llu candidate reuses)\n",
-                registry.timer_mean_ms("experiment.round_eval"),
+                registry.timer_mean_ms(metric::kRoundEval),
                 static_cast<unsigned long long>(evals),
                 static_cast<unsigned long long>(
-                    registry.counter("prediction_cache.hits")),
+                    registry.counter(metric::kCacheHits)),
                 static_cast<unsigned long long>(
-                    registry.counter("prediction_cache.misses")),
+                    registry.counter(metric::kCacheMisses)),
                 static_cast<unsigned long long>(
-                    registry.counter("prediction_cache.promotions")),
+                    registry.counter(metric::kCachePromotions)),
                 static_cast<unsigned long long>(
-                    registry.counter("validator.candidate_reuse")));
+                    registry.counter(metric::kCandidateReuse)));
   }
   const std::uint64_t accuracy_evals =
-      registry.timer_count("experiment.round_accuracy");
+      registry.timer_count(metric::kRoundAccuracy);
   if (accuracy_evals > 0) {
     std::printf("accuracy tracking: %.2f ms/round over %llu rounds\n",
-                registry.timer_mean_ms("experiment.round_accuracy"),
+                registry.timer_mean_ms(metric::kRoundAccuracy),
                 static_cast<unsigned long long>(accuracy_evals));
   }
-  const std::uint64_t engine_runs = registry.timer_count("multi_eval.run");
+  const std::uint64_t engine_runs = registry.timer_count(metric::kEngineRun);
   if (engine_runs > 0) {
     std::printf("eval engine: %llu batched passes over %llu tiles — "
                 "bind %.2f ms, run %.2f ms\n",
                 static_cast<unsigned long long>(engine_runs),
                 static_cast<unsigned long long>(
-                    registry.counter("multi_eval.tiles")),
-                registry.timer_mean_ms("multi_eval.bind"),
-                registry.timer_mean_ms("multi_eval.run"));
+                    registry.counter(metric::kEngineTiles)),
+                registry.timer_mean_ms(metric::kEngineBind),
+                registry.timer_mean_ms(metric::kEngineRun));
   }
   if (flags.has("metrics")) {
     const std::string path = flags.str("metrics", "metrics.csv");

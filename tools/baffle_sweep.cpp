@@ -19,6 +19,7 @@
 
 #include "cli_flags.hpp"
 #include "exp/sweep.hpp"
+#include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -165,10 +166,10 @@ int main(int argc, char** argv) {
   std::printf("executor: %llu graph tasks (%llu help-drained) — "
               "experiment %.2f ms\n",
               static_cast<unsigned long long>(
-                  registry.counter("task_graph.tasks")),
+                  registry.counter(metric::kGraphTasks)),
               static_cast<unsigned long long>(
-                  registry.counter("thread_pool.help_drained")),
-              registry.timer_mean_ms("task_graph.node.experiment"));
+                  registry.counter(metric::kHelpDrained)),
+              registry.timer_mean_ms(metric::kExperimentNode));
   if (flags.has("metrics")) {
     const std::string path = flags.str("metrics", "metrics.csv");
     try {
