@@ -1,7 +1,6 @@
 #include "fl/secure_agg.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -12,41 +11,65 @@ namespace baffle {
 
 namespace {
 
-/// 2^63: encode's domain is |x * 2^frac_bits| < 2^63 (NaN fails the
-/// comparison, so it is outside too).
-constexpr double kEncodeLimit = 9223372036854775808.0;
-
-bool in_encode_domain(double scaled) {
-  return std::fabs(scaled) < kEncodeLimit;
-}
-
-/// std::round's half-away-from-zero result without the libm call.
-/// `scaled` is a float times a power of two, so it carries at most 24
-/// significant bits. For 0.5 <= |scaled| < 2^52 the sum scaled ± 0.5 is
-/// exact; below 0.5 it stays strictly inside (-1, 1); from 2^52 up,
-/// `scaled` is an even integer and the sum rounds back to it. Truncation
-/// toward zero therefore yields round(scaled). Callers check
-/// in_encode_domain first.
-std::uint64_t round_to_word(double scaled) {
-  return static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(scaled + std::copysign(0.5, scaled)));
-}
-
 /// 2^frac_bits, the fixed-point unit.
 double fixed_point_unit(unsigned frac_bits) {
   return static_cast<double>(std::uint64_t{1} << frac_bits);
 }
 
+/// A participant without a masked vector in sender_slots.
+constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+/// slot[j] is the index k with senders[k] == participants[j], or kNoSlot
+/// when participant j sent nothing. Throws std::invalid_argument naming
+/// the id when a participant is listed twice (a pair loop would mask it
+/// against itself), or a sender is listed twice or is not a participant
+/// (its masks would not cancel).
+std::vector<std::size_t> sender_slots(
+    const std::string& where, const std::vector<std::size_t>& senders,
+    const std::vector<std::size_t>& participants) {
+  for (auto it = participants.begin(); it != participants.end(); ++it) {
+    if (std::find(participants.begin(), it, *it) != it) {
+      throw std::invalid_argument(where + ": participant " +
+                                  std::to_string(*it) + " is listed twice");
+    }
+  }
+  std::vector<std::size_t> slot(participants.size(), kNoSlot);
+  for (std::size_t k = 0; k < senders.size(); ++k) {
+    const auto it =
+        std::find(participants.begin(), participants.end(), senders[k]);
+    if (it == participants.end()) {
+      throw std::invalid_argument(where + ": sender " +
+                                  std::to_string(senders[k]) +
+                                  " is not a participant");
+    }
+    std::size_t& s = slot[static_cast<std::size_t>(it - participants.begin())];
+    if (s != kNoSlot) {
+      throw std::invalid_argument(where + ": sender " +
+                                  std::to_string(senders[k]) +
+                                  " is listed twice");
+    }
+    s = k;
+  }
+  return slot;
+}
+
 }  // namespace
 
+SecureAggregation::SecureAggregation(SecureAggConfig config)
+    : config_(config) {
+  if (config_.frac_bits >= 64) {
+    throw std::invalid_argument(
+        "SecureAggregation: frac_bits must be below 64");
+  }
+}
+
 std::uint64_t SecureAggregation::encode(float x) const {
-  const double scaled =
-      static_cast<double>(x) * fixed_point_unit(config_.frac_bits);
-  if (!in_encode_domain(scaled)) {
+  std::uint64_t word = 0;
+  if (encode_fixed_u64({&x, 1}, config_.frac_bits, {&word, 1}) == 0) {
     throw std::invalid_argument(
         "encode: value is non-finite or outside the fixed-point range");
   }
-  return round_to_word(scaled);
+  return word;
 }
 
 float SecureAggregation::decode_sum(std::uint64_t total) const {
@@ -64,39 +87,52 @@ std::uint64_t SecureAggregation::pair_seed(std::size_t a,
   return s;
 }
 
-MaskedVec SecureAggregation::mask_update(
-    const ParamVec& update, std::size_t self_id,
-    const std::vector<std::size_t>& participants) const {
-  if (std::find(participants.begin(), participants.end(), self_id) ==
-      participants.end()) {
-    throw std::invalid_argument("mask_update: self not in participants");
+void SecureAggregation::mask(const std::vector<ParamVec>& updates,
+                             const std::vector<std::size_t>& senders,
+                             const std::vector<std::size_t>& participants,
+                             std::vector<MaskedVec>& out) const {
+  if (updates.size() != senders.size()) {
+    throw std::invalid_argument("mask: senders/updates mismatch");
   }
-  MaskedVec out(update.size());
-  const double unit = fixed_point_unit(config_.frac_bits);
-  for (std::size_t i = 0; i < update.size(); ++i) {
-    const double scaled = static_cast<double>(update[i]) * unit;
-    if (!in_encode_domain(scaled)) {
-      throw std::invalid_argument(
-          "mask_update: update of client " + std::to_string(self_id) +
-          " holds a non-finite or out-of-range value at index " +
-          std::to_string(i));
+  const std::vector<std::size_t> slot =
+      sender_slots("mask", senders, participants);
+  const std::size_t n = updates.empty() ? 0 : updates.front().size();
+  out.resize(updates.size());
+  for (std::size_t k = 0; k < updates.size(); ++k) {
+    if (updates[k].size() != n) {
+      throw std::invalid_argument("mask: update length mismatch");
     }
-    out[i] = round_to_word(scaled);
+    out[k].resize(n);
+    const std::size_t bad =
+        encode_fixed_u64(updates[k], config_.frac_bits, out[k]);
+    if (bad != n) {
+      throw std::invalid_argument(
+          "mask: update of client " + std::to_string(senders[k]) +
+          " holds a non-finite or out-of-range value at index " +
+          std::to_string(bad));
+    }
   }
-  for (std::size_t other : participants) {
-    if (other == self_id) continue;
-    // The lower id adds, the higher id subtracts — so each pair's mask
-    // cancels in the sum.
-    add_keystream_u64(out, pair_seed(self_id, other),
-                      /*subtract=*/self_id > other);
+  for (std::size_t a = 0; a < participants.size(); ++a) {
+    for (std::size_t b = a + 1; b < participants.size(); ++b) {
+      // The lower id adds the pair's mask and the higher id subtracts
+      // it, so it cancels in the sum; an endpoint that sent nothing
+      // has no vector to mask.
+      const bool a_lower = participants[a] < participants[b];
+      const std::size_t plus = a_lower ? slot[a] : slot[b];
+      const std::size_t minus = a_lower ? slot[b] : slot[a];
+      if (plus == kNoSlot && minus == kNoSlot) continue;
+      pair_keystream_u64(plus == kNoSlot ? nullptr : out[plus].data(),
+                         minus == kNoSlot ? nullptr : out[minus].data(),
+                         pair_seed(participants[a], participants[b]), n);
+    }
   }
-  return out;
 }
 
 ParamVec SecureAggregation::unmask_sum(
     const std::vector<MaskedVec>& masked,
     const std::vector<std::size_t>& senders,
-    const std::vector<std::size_t>& participants, std::size_t vec_len) const {
+    const std::vector<std::size_t>& participants, std::size_t vec_len,
+    MaskedVec& total) const {
   if (masked.size() != senders.size()) {
     throw std::invalid_argument("unmask_sum: senders/masked mismatch");
   }
@@ -108,20 +144,23 @@ ParamVec SecureAggregation::unmask_sum(
       throw std::invalid_argument("unmask_sum: vector length mismatch");
     }
   }
-  MaskedVec total(vec_len, 0);
-  for (const auto& m : masked) add_u64(total, m);
+  const std::vector<std::size_t> slot =
+      sender_slots("unmask_sum", senders, participants);
+  total.assign(masked.front().begin(), masked.front().end());
+  for (std::size_t k = 1; k < masked.size(); ++k) add_u64(total, masked[k]);
   // Cancel the masks survivors applied against dropped participants: in
   // the real protocol the server recovers these seeds from the Shamir
   // shares held by surviving clients.
-  for (std::size_t dropped : participants) {
-    if (std::find(senders.begin(), senders.end(), dropped) != senders.end()) {
-      continue;
-    }
+  for (std::size_t j = 0; j < participants.size(); ++j) {
+    if (slot[j] != kNoSlot) continue;
+    const std::size_t dropped = participants[j];
     for (std::size_t survivor : senders) {
-      // The survivor applied +mask if survivor < dropped else -mask;
-      // undo it.
-      add_keystream_u64(total, pair_seed(survivor, dropped),
-                        /*subtract=*/survivor < dropped);
+      // The survivor added the pair's mask if survivor < dropped and
+      // subtracted it otherwise; undo that.
+      const bool added = survivor < dropped;
+      pair_keystream_u64(added ? nullptr : total.data(),
+                         added ? total.data() : nullptr,
+                         pair_seed(survivor, dropped), vec_len);
     }
   }
   ParamVec out(vec_len);

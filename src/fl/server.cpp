@@ -110,15 +110,11 @@ ParamVec FlServer::aggregate_secure(
   sa_config.round_key =
       Rng::split_mix(secure_agg_key_base_ ^ (round_ + 1));
   const SecureAggregation secure(sa_config);
-  // Masking is per-update independent (mask_update is const), so the
-  // client-side masking cost parallelizes like the training phase.
-  std::vector<MaskedVec> masked(updates.size());
-  const auto mask_one = [&](std::size_t i) {
-    masked[i] = secure.mask_update(updates[i], contributors[i], contributors);
-  };
-  ThreadPool::global().parallel_for(updates.size(), mask_one);
-  return secure.unmask_sum(masked, contributors, contributors,
-                           global_.num_params());
+  // One serial pass on the calling thread: each contributor pair's
+  // keystream is generated once, into buffers kept across rounds.
+  secure.mask(updates, contributors, contributors, masked_);
+  return secure.unmask_sum(masked_, contributors, contributors,
+                           global_.num_params(), masked_total_);
 }
 
 std::uint64_t FlServer::commit(const Proposal& proposal) {

@@ -57,9 +57,9 @@ class FlServer {
   /// Samples n contributors, collects their updates through `provider`,
   /// aggregates (through secure aggregation when enabled) and returns
   /// the candidate model parameters. Does not modify the global model.
-  /// The updates (and secure-agg masks) fan out on ThreadPool::global();
-  /// per-client Rngs are pre-forked in contributor order, so the result
-  /// is bit-identical at every pool size.
+  /// The updates fan out on ThreadPool::global(); per-client Rngs are
+  /// pre-forked in contributor order, so the result is bit-identical at
+  /// every pool size.
   Proposal propose_round(UpdateProvider& provider, Rng& round_rng);
 
   /// As propose_round but with caller-chosen contributors (tests,
@@ -98,6 +98,10 @@ class FlServer {
   std::uint64_t version_ = 0;
   std::size_t round_ = 0;
   std::uint64_t secure_agg_key_base_;
+  // Secure-aggregation scratch, reused across rounds: the masked
+  // vectors and their fixed-point sum.
+  std::vector<MaskedVec> masked_;
+  MaskedVec masked_total_;
 };
 
 }  // namespace baffle

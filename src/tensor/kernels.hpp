@@ -128,10 +128,18 @@ struct KernelTable {
   void (*relu_forward)(float*, std::size_t);
   void (*relu_backward)(const float* activated, float* grad, std::size_t);
   void (*add_u64)(std::uint64_t* acc, const std::uint64_t*, std::size_t);
-  // acc[k] ±= Rng::split_mix(seed + k * Rng::kGoldenGamma) in Z_2^64:
-  // the counter-mode keystream of the secure-aggregation masks.
-  void (*add_keystream_u64)(std::uint64_t* acc, std::uint64_t seed,
-                            bool subtract, std::size_t);
+  // Secure-aggregation masking (fl/secure_agg.hpp). One pair's mask is
+  // the counter-mode keystream m_k = Rng::split_mix(seed + k *
+  // Rng::kGoldenGamma); this adds it to `plus` and subtracts it from
+  // `minus` in Z_2^64, each side skipped when its pointer is null.
+  void (*pair_keystream_u64)(std::uint64_t* plus, std::uint64_t* minus,
+                             std::uint64_t seed, std::size_t n);
+  // out[i] = round(x[i] * 2^frac_bits), halves away from zero, as a
+  // two's-complement word, for every i below the returned index: the
+  // first i with |x[i] * 2^frac_bits| >= 2^63 or NaN, or n when there
+  // is none. Words from that index on are left as they were.
+  std::size_t (*encode_fixed_u64)(const float* x, unsigned frac_bits,
+                                  std::uint64_t* out, std::size_t n);
   double (*sum_d)(const double*, std::size_t);
   double (*sum_sq_diff_d)(const double*, double center, std::size_t);
 

@@ -115,13 +115,36 @@ void add_u64(std::uint64_t* acc, const std::uint64_t* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
 }
 
-void add_keystream_u64(std::uint64_t* acc, std::uint64_t seed, bool subtract,
-                       std::size_t n) {
+void pair_keystream_u64(std::uint64_t* plus, std::uint64_t* minus,
+                        std::uint64_t seed, std::size_t n) {
   std::uint64_t counter = seed;
   for (std::size_t k = 0; k < n; ++k, counter += Rng::kGoldenGamma) {
     const std::uint64_t m = Rng::split_mix(counter);
-    acc[k] = subtract ? acc[k] - m : acc[k] + m;
+    if (plus != nullptr) plus[k] += m;
+    if (minus != nullptr) minus[k] -= m;
   }
+}
+
+/// 2^63: the encode domain is |x * 2^frac_bits| < 2^63 (NaN fails the
+/// comparison, so it is outside too).
+constexpr double kEncodeLimit = 9223372036854775808.0;
+
+// std::round's half-away-from-zero result without the libm call. The
+// scaled value is a float times a power of two, so it carries at most
+// 24 significant bits. For 0.5 <= |scaled| < 2^52 the sum scaled ± 0.5
+// is exact; below 0.5 it stays strictly inside (-1, 1); from 2^52 up,
+// scaled is an even integer and the sum rounds back to it. Truncation
+// toward zero therefore yields round(scaled).
+std::size_t encode_fixed_u64(const float* x, unsigned frac_bits,
+                             std::uint64_t* out, std::size_t n) {
+  const double unit = std::ldexp(1.0, static_cast<int>(frac_bits));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double scaled = static_cast<double>(x[i]) * unit;
+    if (!(std::fabs(scaled) < kEncodeLimit)) return i;
+    out[i] = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(scaled + std::copysign(0.5, scaled)));
+  }
+  return n;
 }
 
 double sum_d(const double* x, std::size_t n) {
@@ -229,7 +252,8 @@ constexpr KernelTable kTable = {
     relu_forward,
     relu_backward,
     add_u64,
-    add_keystream_u64,
+    pair_keystream_u64,
+    encode_fixed_u64,
     sum_d,
     sum_sq_diff_d,
     eval_layer_f32,

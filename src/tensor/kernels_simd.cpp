@@ -10,8 +10,8 @@
 // arm's double-precision accumulation (via 4-wide double lanes), so the
 // two arms differ only by reassociation and FMA rounding — within the
 // parity-test tolerance — while relu/abs/max, the u64 adds, the mask
-// keystream and the SGD step's softmax are bit-exact. The ymm and zmm
-// GEMM and eval-layer tiles are bit-identical to each other.
+// keystream and encode, and the SGD step's softmax are bit-exact. The
+// ymm and zmm GEMM and eval-layer tiles are bit-identical to each other.
 
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
@@ -403,31 +403,35 @@ BAFFLE_ALWAYS_INLINE u64x4 split_mix4(u64x4 x) {
   return x ^ (x >> 31);
 }
 
-template <bool kSubtract>
-void keystream_lanes(std::uint64_t* acc, std::uint64_t seed, std::size_t n) {
+template <bool kPlus, bool kMinus>
+void pair_keystream_lanes(std::uint64_t* plus, std::uint64_t* minus,
+                          std::uint64_t seed, std::size_t n) {
   u64x4 counter = {seed, seed + kGoldenGamma, seed + 2 * kGoldenGamma,
                    seed + 3 * kGoldenGamma};
   std::size_t i = 0;
   for (; i + simd::kDoubleLanes <= n;
        i += simd::kDoubleLanes, counter += 4 * kGoldenGamma) {
     const u64x4 m = split_mix4(counter);
-    const u64x4 a = loadu4u(acc + i);
-    storeu4u(acc + i, kSubtract ? a - m : a + m);
+    if constexpr (kPlus) storeu4u(plus + i, loadu4u(plus + i) + m);
+    if constexpr (kMinus) storeu4u(minus + i, loadu4u(minus + i) - m);
   }
   if (i == n) return;
   // Tail: one more vector of keystream, applied to the live lanes only.
   const u64x4 m = split_mix4(counter);
   for (std::size_t l = 0; i + l < n; ++l) {
-    acc[i + l] = kSubtract ? acc[i + l] - m[l] : acc[i + l] + m[l];
+    if constexpr (kPlus) plus[i + l] += m[l];
+    if constexpr (kMinus) minus[i + l] -= m[l];
   }
 }
 
-void add_keystream_u64(std::uint64_t* acc, std::uint64_t seed, bool subtract,
-                       std::size_t n) {
-  if (subtract) {
-    keystream_lanes<true>(acc, seed, n);
-  } else {
-    keystream_lanes<false>(acc, seed, n);
+void pair_keystream_u64(std::uint64_t* plus, std::uint64_t* minus,
+                        std::uint64_t seed, std::size_t n) {
+  if (plus != nullptr && minus != nullptr) {
+    pair_keystream_lanes<true, true>(plus, minus, seed, n);
+  } else if (plus != nullptr) {
+    pair_keystream_lanes<true, false>(plus, minus, seed, n);
+  } else if (minus != nullptr) {
+    pair_keystream_lanes<false, true>(plus, minus, seed, n);
   }
 }
 
@@ -1016,19 +1020,140 @@ BAFFLE_TARGET_AVX512F double softmax_xent_rows_zmm(float* x,
   return loss / batch;
 }
 
+// ---- Secure-aggregation masking on eight u64 lanes ----
+//
+// AVX-512DQ multiplies 64-bit lanes in one instruction (vpmullq, where
+// AVX-512F alone builds the product from 32-bit halves) and truncates
+// doubles to int64 (vcvttpd2qq). Integer lanes are exact and the encode
+// runs the scalar arm's double operations in its order, so both entries
+// give the scalar arm's words. The shifts use their masked forms for
+// the reason expf_lanes gives.
+
+#define BAFFLE_TARGET_AVX512DQ __attribute__((target("avx512f,avx512dq")))
+
+BAFFLE_TARGET_AVX512DQ BAFFLE_ALWAYS_INLINE __m512i set1_u64(
+    std::uint64_t x) {
+  return _mm512_set1_epi64(static_cast<long long>(x));
+}
+
+/// Rng::split_mix on eight lanes.
+BAFFLE_TARGET_AVX512DQ BAFFLE_ALWAYS_INLINE __m512i split_mix8(__m512i x) {
+  x = _mm512_add_epi64(x, set1_u64(kGoldenGamma));
+  x = _mm512_mullo_epi64(
+      _mm512_xor_si512(x, _mm512_maskz_srli_epi64(0xFF, x, 30)),
+      set1_u64(0xbf58476d1ce4e5b9ULL));
+  x = _mm512_mullo_epi64(
+      _mm512_xor_si512(x, _mm512_maskz_srli_epi64(0xFF, x, 27)),
+      set1_u64(0x94d049bb133111ebULL));
+  return _mm512_xor_si512(x, _mm512_maskz_srli_epi64(0xFF, x, 31));
+}
+
+BAFFLE_TARGET_AVX512DQ BAFFLE_ALWAYS_INLINE __mmask8 lanes_below8(
+    std::size_t n) {
+  return n >= 8 ? static_cast<__mmask8>(0xFF)
+                : static_cast<__mmask8>((1u << n) - 1u);
+}
+
+template <bool kPlus, bool kMinus>
+BAFFLE_TARGET_AVX512DQ void pair_keystream_zmm_lanes(std::uint64_t* plus,
+                                                     std::uint64_t* minus,
+                                                     std::uint64_t seed,
+                                                     std::size_t n) {
+  __m512i counter = _mm512_add_epi64(
+      set1_u64(seed),
+      _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                         set1_u64(kGoldenGamma)));
+  const __m512i step = set1_u64(8 * kGoldenGamma);
+  std::size_t i = 0;
+  // Plain loads and stores: masked ones cost a third more here.
+  for (; i + 8 <= n; i += 8, counter = _mm512_add_epi64(counter, step)) {
+    const __m512i m = split_mix8(counter);
+    if constexpr (kPlus) {
+      _mm512_storeu_si512(plus + i,
+                          _mm512_add_epi64(_mm512_loadu_si512(plus + i), m));
+    }
+    if constexpr (kMinus) {
+      _mm512_storeu_si512(minus + i,
+                          _mm512_sub_epi64(_mm512_loadu_si512(minus + i), m));
+    }
+  }
+  if (i == n) return;
+  const __mmask8 live = lanes_below8(n - i);
+  const __m512i m = split_mix8(counter);
+  if constexpr (kPlus) {
+    _mm512_mask_storeu_epi64(
+        plus + i, live,
+        _mm512_add_epi64(_mm512_maskz_loadu_epi64(live, plus + i), m));
+  }
+  if constexpr (kMinus) {
+    _mm512_mask_storeu_epi64(
+        minus + i, live,
+        _mm512_sub_epi64(_mm512_maskz_loadu_epi64(live, minus + i), m));
+  }
+}
+
+BAFFLE_TARGET_AVX512DQ void pair_keystream_u64_zmm(std::uint64_t* plus,
+                                                   std::uint64_t* minus,
+                                                   std::uint64_t seed,
+                                                   std::size_t n) {
+  if (plus != nullptr && minus != nullptr) {
+    pair_keystream_zmm_lanes<true, true>(plus, minus, seed, n);
+  } else if (plus != nullptr) {
+    pair_keystream_zmm_lanes<true, false>(plus, minus, seed, n);
+  } else if (minus != nullptr) {
+    pair_keystream_zmm_lanes<false, true>(plus, minus, seed, n);
+  }
+}
+
+/// The scalar encode on eight lanes: scale in double, compare the
+/// magnitude with 2^63 (NaN compares false), add ±0.5 with the value's
+/// sign and truncate. Lanes before the first out-of-domain one are
+/// stored.
+BAFFLE_TARGET_AVX512DQ std::size_t encode_fixed_u64_zmm(const float* x,
+                                                        unsigned frac_bits,
+                                                        std::uint64_t* out,
+                                                        std::size_t n) {
+  const __m512d unit =
+      _mm512_set1_pd(std::ldexp(1.0, static_cast<int>(frac_bits)));
+  const __m512d limit = _mm512_set1_pd(9223372036854775808.0);
+  const __m512d sign = _mm512_castsi512_pd(set1_u64(1ULL << 63));
+  const __m512d half = _mm512_set1_pd(0.5);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 live = lanes_below8(n - i);
+    const __m512d scaled = _mm512_mul_pd(
+        widen_half<0>(_mm512_maskz_loadu_ps(live, x + i)), unit);
+    const __mmask8 in_domain =
+        _mm512_cmp_pd_mask(_mm512_abs_pd(scaled), limit, _CMP_LT_OQ);
+    const __m512d rounded = _mm512_add_pd(
+        scaled, _mm512_or_pd(_mm512_and_pd(scaled, sign), half));
+    const __m512i words = _mm512_maskz_cvttpd_epi64(0xFF, rounded);
+    const auto bad = static_cast<unsigned>(live & ~in_domain);
+    if (bad != 0) {
+      const unsigned first = static_cast<unsigned>(__builtin_ctz(bad));
+      _mm512_mask_storeu_epi64(
+          out + i, static_cast<__mmask8>((1u << first) - 1u), words);
+      return i + first;
+    }
+    _mm512_mask_storeu_epi64(out + i, live, words);
+  }
+  return n;
+}
+
 #endif  // BAFFLE_HAVE_AVX512F_TARGET
 
 /// The vector table; `avx512f` swaps in the zmm fp32 kernels (the GEMM
 /// tile and the fused eval layer), which leave every result unchanged,
 /// and — once its probe passes — the libm-exact exp with the
-/// whole-batch softmax built on it.
-KernelTable make_table(bool avx512f) {
+/// whole-batch softmax built on it; `avx512f` with `avx512dq` swaps in
+/// the zmm masking entries.
+KernelTable make_table(bool avx512f, bool avx512dq) {
   KernelTable t = scalar_table();
   t.name = "avx2";
   t.gemm_width = "avx2";
   t.gemm_reads_b_in_place = false;
-  // scalar-inherited: exp_f32 (unless the zmm copy replaces it) and
-  // col_sum, whose -O3 loop vectorizes in the scalar TU.
+  // scalar-inherited: exp_f32 (unless the zmm copy replaces it),
+  // encode_fixed_u64 (unless the zmm entry replaces it) and col_sum,
+  // whose -O3 loop vectorizes in the scalar TU.
   t.gemm_panel_rows = gemm_panel_rows;
   t.dot = dot;
   t.squared_l2 = squared_l2;
@@ -1041,7 +1166,7 @@ KernelTable make_table(bool avx512f) {
   t.relu_forward = relu_forward;
   t.relu_backward = relu_backward;
   t.add_u64 = add_u64;
-  t.add_keystream_u64 = add_keystream_u64;
+  t.pair_keystream_u64 = pair_keystream_u64;
   t.sum_d = sum_d;
   t.sum_sq_diff_d = sum_sq_diff_d;
   t.eval_layer_f32 = eval_layer_f32;
@@ -1057,9 +1182,14 @@ KernelTable make_table(bool avx512f) {
       t.exp_f32 = exp_f32_zmm;
       t.softmax_xent_rows = softmax_xent_rows_zmm;
     }
+    if (avx512dq) {
+      t.pair_keystream_u64 = pair_keystream_u64_zmm;
+      t.encode_fixed_u64 = encode_fixed_u64_zmm;
+    }
   }
 #else
   (void)avx512f;
+  (void)avx512dq;
 #endif
   t.argmax_margin_panel = argmax_margin_panel;
   return t;
@@ -1077,13 +1207,15 @@ bool vector_supported() {
 const KernelTable* vector_table() {
   if (!vector_supported()) return nullptr;
   static const KernelTable table =
-      make_table(__builtin_cpu_supports("avx512f"));
+      make_table(__builtin_cpu_supports("avx512f"),
+                 __builtin_cpu_supports("avx512dq"));
   return &table;
 }
 
 const KernelTable* avx2_table_for_testing() {
   if (!vector_supported()) return nullptr;
-  static const KernelTable table = make_table(/*avx512f=*/false);
+  static const KernelTable table =
+      make_table(/*avx512f=*/false, /*avx512dq=*/false);
   return &table;
 }
 

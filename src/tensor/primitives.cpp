@@ -75,10 +75,16 @@ void add_u64(std::span<std::uint64_t> acc, std::span<const std::uint64_t> x) {
   kernels::active_table().add_u64(acc.data(), x.data(), x.size());
 }
 
-void add_keystream_u64(std::span<std::uint64_t> acc, std::uint64_t seed,
-                       bool subtract) {
-  kernels::active_table().add_keystream_u64(acc.data(), seed, subtract,
-                                            acc.size());
+void pair_keystream_u64(std::uint64_t* plus, std::uint64_t* minus,
+                        std::uint64_t seed, std::size_t n) {
+  kernels::active_table().pair_keystream_u64(plus, minus, seed, n);
+}
+
+std::size_t encode_fixed_u64(std::span<const float> x, unsigned frac_bits,
+                             std::span<std::uint64_t> out) {
+  check(out.size() == x.size(), "encode_fixed_u64: length mismatch");
+  return kernels::active_table().encode_fixed_u64(x.data(), frac_bits,
+                                                  out.data(), x.size());
 }
 
 double sum(std::span<const double> xs) {

@@ -41,12 +41,22 @@ void relu_backward(std::span<const float> activated, std::span<float> grad);
 /// acc += x elementwise in Z_2^64 (secure-aggregation mask sums).
 void add_u64(std::span<std::uint64_t> acc, std::span<const std::uint64_t> x);
 
-/// acc[k] += m_k (or -= m_k when `subtract`) in Z_2^64, where
+/// plus[k] += m_k and minus[k] -= m_k in Z_2^64 for k < n, where
 /// m_k = Rng::split_mix(seed + k * Rng::kGoldenGamma) is word k of the
-/// counter-mode SplitMix64 keystream of `seed` (secure-aggregation pair
-/// masks). Exact integer arithmetic: bit-identical on both arms.
-void add_keystream_u64(std::span<std::uint64_t> acc, std::uint64_t seed,
-                       bool subtract);
+/// counter-mode SplitMix64 keystream of `seed` (one secure-aggregation
+/// pair mask, generated once for both endpoints). Either pointer may be
+/// null, which skips that side. Exact integer arithmetic: bit-identical
+/// on every arm.
+void pair_keystream_u64(std::uint64_t* plus, std::uint64_t* minus,
+                        std::uint64_t seed, std::size_t n);
+
+/// Fixed-point encode: out[i] = round(x[i] * 2^frac_bits), halves away
+/// from zero, as a two's-complement word. Returns the first index whose
+/// |x[i] * 2^frac_bits| is not below 2^63 (NaN and ±Inf included), or
+/// x.size() when every value encodes; only the words before the
+/// returned index are written. Bit-identical on every arm.
+std::size_t encode_fixed_u64(std::span<const float> x, unsigned frac_bits,
+                             std::span<std::uint64_t> out);
 
 double sum(std::span<const double> xs);
 /// Sum of (x - center)^2 — the stddev inner loop.

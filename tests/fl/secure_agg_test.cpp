@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -20,6 +21,41 @@ SecureAggConfig config(std::uint64_t key = 99) {
 
 std::vector<std::size_t> ids(std::initializer_list<std::size_t> v) {
   return {v};
+}
+
+/// One round's masked vectors through the round call.
+std::vector<MaskedVec> mask_round(
+    const SecureAggregation& sa, const std::vector<ParamVec>& updates,
+    const std::vector<std::size_t>& senders,
+    const std::vector<std::size_t>& participants) {
+  std::vector<MaskedVec> out;
+  sa.mask(updates, senders, participants, out);
+  return out;
+}
+
+ParamVec unmask(const SecureAggregation& sa,
+                const std::vector<MaskedVec>& masked,
+                const std::vector<std::size_t>& senders,
+                const std::vector<std::size_t>& participants,
+                std::size_t vec_len) {
+  MaskedVec total;
+  return sa.unmask_sum(masked, senders, participants, vec_len, total);
+}
+
+/// Expects `call` to throw std::invalid_argument whose message holds
+/// every one of `needles`.
+template <typename Call>
+void expect_rejected(Call&& call, std::initializer_list<std::string> needles) {
+  try {
+    call();
+    ADD_FAILURE() << "accepted; expected a throw naming '" << *needles.begin()
+                  << "'";
+  } catch (const std::invalid_argument& e) {
+    for (const std::string& needle : needles) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 /// What the exact-cancellation invariant says unmask_sum must return:
@@ -47,9 +83,8 @@ TEST(SecureAgg, SumOfTwoMaskedVectorsIsExact) {
   const ParamVec a{1.0f, 2.0f, -3.0f};
   const ParamVec b{0.5f, -1.5f, 4.0f};
   const auto participants = ids({3, 7});
-  const auto ma = sa.mask_update(a, 3, participants);
-  const auto mb = sa.mask_update(b, 7, participants);
-  const ParamVec total = sa.unmask_sum({ma, mb}, participants, participants, 3);
+  const auto masked = mask_round(sa, {a, b}, participants, participants);
+  const ParamVec total = unmask(sa, masked, participants, participants, 3);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(total[i], a[i] + b[i], 1e-5f);
   }
@@ -60,9 +95,9 @@ TEST(SecureAgg, MasksAreLarge) {
   // zero update the mask should dominate.
   const SecureAggregation sa(config());
   const ParamVec zero(8, 0.0f);
-  const auto masked = sa.mask_update(zero, 0, ids({0, 1}));
+  const auto masked = mask_round(sa, {zero}, ids({0}), ids({0, 1}));
   std::size_t nonzero = 0;
-  for (auto v : masked) {
+  for (auto v : masked[0]) {
     if (v != 0) ++nonzero;
   }
   EXPECT_EQ(nonzero, 8u);
@@ -78,11 +113,8 @@ TEST(SecureAgg, TenClientSumMatchesPlainSum) {
   for (auto& u : updates) {
     for (float& x : u) x = static_cast<float>(rng.normal());
   }
-  std::vector<MaskedVec> masked;
-  for (std::size_t i = 0; i < n; ++i) {
-    masked.push_back(sa.mask_update(updates[i], participants[i], participants));
-  }
-  const ParamVec total = sa.unmask_sum(masked, participants, participants, dim);
+  const auto masked = mask_round(sa, updates, participants, participants);
+  const ParamVec total = unmask(sa, masked, participants, participants, dim);
   EXPECT_EQ(total, fixed_point_sum(sa, updates));
 }
 
@@ -94,31 +126,27 @@ TEST(SecureAgg, DropoutRecovery) {
   const auto participants = ids({0, 1, 2, 3});
   const std::vector<ParamVec> updates{
       {1.0f, 1.0f}, {2.0f, -1.0f}, {3.0f, 0.5f}, {4.0f, 9.0f}};
-  std::vector<MaskedVec> masked;
-  std::vector<std::size_t> senders;
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (i == 2) continue;  // client 2 drops after key agreement
-    masked.push_back(sa.mask_update(updates[i], i, participants));
-    senders.push_back(i);
-  }
-  const ParamVec total = sa.unmask_sum(masked, senders, participants, 2);
-  EXPECT_EQ(total, fixed_point_sum(sa, {updates[0], updates[1], updates[3]}));
+  // Client 2 drops after key agreement.
+  const std::vector<ParamVec> sent{updates[0], updates[1], updates[3]};
+  const auto senders = ids({0, 1, 3});
+  const auto masked = mask_round(sa, sent, senders, participants);
+  const ParamVec total = unmask(sa, masked, senders, participants, 2);
+  EXPECT_EQ(total, fixed_point_sum(sa, sent));
   EXPECT_EQ(total, (ParamVec{1.0f + 2.0f + 4.0f, 1.0f - 1.0f + 9.0f}));
 }
 
 TEST(SecureAgg, MultipleDropouts) {
   const SecureAggregation sa(config(42));
   const auto participants = ids({0, 1, 2, 3, 4});
-  std::vector<MaskedVec> masked;
   std::vector<std::size_t> senders;
   std::vector<ParamVec> sent;
   for (std::size_t i = 0; i < 5; ++i) {
     if (i == 1 || i == 3) continue;
     sent.push_back({static_cast<float>(i) + 0.1f});
-    masked.push_back(sa.mask_update(sent.back(), i, participants));
     senders.push_back(i);
   }
-  const ParamVec total = sa.unmask_sum(masked, senders, participants, 1);
+  const auto masked = mask_round(sa, sent, senders, participants);
+  const ParamVec total = unmask(sa, masked, senders, participants, 1);
   EXPECT_EQ(total, fixed_point_sum(sa, sent));
 }
 
@@ -126,22 +154,49 @@ TEST(SecureAgg, DifferentRoundKeysGiveDifferentMasks) {
   const SecureAggregation sa1(config(1)), sa2(config(2));
   const ParamVec u{1.0f, 2.0f};
   const auto p = ids({0, 1});
-  EXPECT_NE(sa1.mask_update(u, 0, p), sa2.mask_update(u, 0, p));
+  EXPECT_NE(mask_round(sa1, {u}, ids({0}), p),
+            mask_round(sa2, {u}, ids({0}), p));
 }
 
 TEST(SecureAgg, SelfMustBeParticipant) {
+  // Every sender must be a participant, once, and no participant may be
+  // listed twice (the pair loop would mask a client against itself).
   const SecureAggregation sa(config());
   const ParamVec u{1.0f};
-  EXPECT_THROW(sa.mask_update(u, 9, ids({0, 1})), std::invalid_argument);
+  std::vector<MaskedVec> out;
+  expect_rejected([&] { sa.mask({u}, ids({9}), ids({0, 1}), out); },
+                  {"sender 9"});
+  expect_rejected([&] { sa.mask({u, u}, ids({3, 3}), ids({3, 5}), out); },
+                  {"sender 3"});
+  expect_rejected(
+      [&] { sa.mask({u, u}, ids({3, 5}), ids({3, 5, 3}), out); },
+      {"participant 3"});
 }
 
 TEST(SecureAgg, UnmaskRejectsMalformedInput) {
   const SecureAggregation sa(config());
   const auto p = ids({0, 1});
-  const auto m = sa.mask_update({1.0f}, 0, p);
-  EXPECT_THROW(sa.unmask_sum({m}, {0, 1}, p, 1), std::invalid_argument);
-  EXPECT_THROW(sa.unmask_sum({}, {}, p, 1), std::invalid_argument);
-  EXPECT_THROW(sa.unmask_sum({m}, {0}, p, 2), std::invalid_argument);
+  const auto m = mask_round(sa, {{1.0f}}, ids({0}), p)[0];
+  MaskedVec total;
+  EXPECT_THROW(sa.unmask_sum({m}, {0, 1}, p, 1, total), std::invalid_argument);
+  EXPECT_THROW(sa.unmask_sum({}, {}, p, 1, total), std::invalid_argument);
+  EXPECT_THROW(sa.unmask_sum({m}, {0}, p, 2, total), std::invalid_argument);
+  // A sender listed twice or outside the participants would leave masks
+  // uncancelled and a garbage sum; a repeated participant, a mask
+  // against itself.
+  const auto p35 = ids({3, 5});
+  const auto masked = mask_round(sa, {{1.0f}, {2.0f}}, p35, p35);
+  expect_rejected(
+      [&] {
+        sa.unmask_sum({masked[0], masked[0], masked[1]}, ids({3, 3, 5}), p35,
+                      1, total);
+      },
+      {"sender 3"});
+  expect_rejected([&] { sa.unmask_sum({masked[0]}, ids({7}), p35, 1, total); },
+                  {"sender 7"});
+  expect_rejected(
+      [&] { sa.unmask_sum(masked, p35, ids({3, 5, 5}), 1, total); },
+      {"participant 5"});
 }
 
 TEST(SecureAgg, SingleParticipantDegenerate) {
@@ -150,8 +205,8 @@ TEST(SecureAgg, SingleParticipantDegenerate) {
   const SecureAggregation sa(config());
   const ParamVec u{2.5f};
   const auto p = ids({4});
-  const auto m = sa.mask_update(u, 4, p);
-  const ParamVec total = sa.unmask_sum({m}, {4}, p, 1);
+  const auto masked = mask_round(sa, {u}, p, p);
+  const ParamVec total = unmask(sa, masked, p, p, 1);
   EXPECT_NEAR(total[0], 2.5f, 1e-6f);
 }
 
@@ -159,23 +214,30 @@ TEST(SecureAgg, PairMaskKeystreamGolden) {
   // Pins the mask definition: word k of pair (a, b)'s mask is
   // Rng::split_mix(pair_seed(a, b) + k * Rng::kGoldenGamma). A zero
   // update masked by the lower id is exactly the pair's mask; the higher
-  // id carries its negation. Changing the keystream must be deliberate.
+  // id carries its negation — whether both endpoints send (one
+  // keystream, two sides) or only one does. Changing the keystream must
+  // be deliberate.
   const SecureAggregation sa(config(99));
   const auto p = ids({0, 1});
   const MaskedVec expected{0x953884b0e5678fb6ULL, 0x818765b2bf270f6eULL,
                            0x866b1a9537473232ULL, 0x09368d23b640cb2fULL,
                            0x2a186ac0ab0c7933ULL, 0x1324b84556f2b43eULL};
   const ParamVec zero(expected.size(), 0.0f);
-  EXPECT_EQ(sa.mask_update(zero, 0, p), expected);
-  const MaskedVec negated = sa.mask_update(zero, 1, p);
+  MaskedVec negated(expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
-    EXPECT_EQ(negated[k], std::uint64_t{0} - expected[k]) << "word " << k;
+    negated[k] = std::uint64_t{0} - expected[k];
   }
+  const auto both = mask_round(sa, {zero, zero}, p, p);
+  EXPECT_EQ(both[0], expected);
+  EXPECT_EQ(both[1], negated);
+  EXPECT_EQ(mask_round(sa, {zero}, ids({0}), p)[0], expected);
+  EXPECT_EQ(mask_round(sa, {zero}, ids({1}), p)[0], negated);
 }
 
 TEST(SecureAgg, MaskUpdateRejectsValuesOutsideEncodeDomain) {
   // No fixed-point word exists for NaN, ±Inf or |x| * 2^24 >= 2^63: the
-  // cast would be undefined, so masking throws and names the client.
+  // cast would be undefined, so masking throws and names the client and
+  // the first bad index, at any lane position of the batched encode.
   const SecureAggregation sa(config());
   const auto p = ids({2, 5});
   const float two_pow_40 = std::ldexp(1.0f, 40);
@@ -183,16 +245,80 @@ TEST(SecureAgg, MaskUpdateRejectsValuesOutsideEncodeDomain) {
                     std::numeric_limits<float>::infinity(),
                     -std::numeric_limits<float>::infinity(), two_pow_40,
                     -two_pow_40}) {
-    SCOPED_TRACE(::testing::Message() << "value " << bad);
-    const ParamVec u{0.5f, bad, -0.25f};
-    try {
-      (void)sa.mask_update(u, 5, p);
-      ADD_FAILURE() << "mask_update accepted an unencodable value";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("client 5"), std::string::npos)
-          << e.what();
+    for (std::size_t at : {0, 1, 7, 8, 18}) {
+      SCOPED_TRACE(::testing::Message() << "value " << bad << " at " << at);
+      ParamVec u(19, -0.25f);
+      u[at] = bad;
+      std::vector<MaskedVec> out;
+      expect_rejected([&] { sa.mask({ParamVec(19, 0.5f), u}, p, p, out); },
+                      {"client 5", "at index " + std::to_string(at)});
     }
     EXPECT_THROW(sa.encode(bad), std::invalid_argument);
+  }
+}
+
+/// The masking definition, one client at a time: encode by std::round
+/// (EncodeMatchesStdRoundReference pins encode to it), then for every
+/// other participant add (lower id) or subtract (higher id) the pair's
+/// keystream Rng::split_mix(seed + k * kGoldenGamma), with the pair seed
+/// derived from the round key as the protocol defines it.
+MaskedVec oracle_mask(const SecureAggConfig& c, const ParamVec& update,
+                      std::size_t self,
+                      const std::vector<std::size_t>& participants) {
+  MaskedVec out(update.size());
+  const double unit = std::ldexp(1.0, static_cast<int>(c.frac_bits));
+  for (std::size_t k = 0; k < update.size(); ++k) {
+    out[k] = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+        std::round(static_cast<double>(update[k]) * unit)));
+  }
+  for (std::size_t other : participants) {
+    if (other == self) continue;
+    const std::uint64_t lo = std::min(self, other), hi = std::max(self, other);
+    std::uint64_t seed = Rng::split_mix(c.round_key ^ (lo + 1));
+    seed = Rng::split_mix(seed ^ ((hi + 1) << 1));
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      const std::uint64_t m = Rng::split_mix(seed + k * Rng::kGoldenGamma);
+      out[k] = self < other ? out[k] + m : out[k] - m;
+    }
+  }
+  return out;
+}
+
+TEST(SecureAgg, MaskEqualsPerClientOracle) {
+  // The round call generates each pair's keystream once and applies it
+  // to both endpoints; every masked vector must still be the bytes the
+  // per-client definition gives, with all participants sending and with
+  // some dropped (whose pairs mask one side only).
+  for (std::size_t n : {1, 2, 3, 10, 17}) {
+    for (bool dropouts : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n
+                                        << " dropouts=" << dropouts);
+      const SecureAggConfig c = config(n * 7919 + dropouts);
+      const SecureAggregation sa(c);
+      Rng rng(n + 100 * dropouts);
+      // Ids out of order, so the lower/higher rule cannot lean on
+      // participant positions.
+      std::vector<std::size_t> participants(n);
+      for (std::size_t i = 0; i < n; ++i) participants[i] = (i * 7 + 3) % 29;
+      std::vector<std::size_t> senders;
+      std::vector<ParamVec> updates;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (dropouts && n > 1 && i % 3 == 1) continue;
+        senders.push_back(participants[i]);
+        ParamVec u(37);
+        for (float& x : u) x = static_cast<float>(rng.normal());
+        updates.push_back(std::move(u));
+      }
+      const auto masked = mask_round(sa, updates, senders, participants);
+      ASSERT_EQ(masked.size(), senders.size());
+      for (std::size_t k = 0; k < senders.size(); ++k) {
+        EXPECT_EQ(masked[k],
+                  oracle_mask(c, updates[k], senders[k], participants))
+            << "sender " << senders[k];
+      }
+      EXPECT_EQ(unmask(sa, masked, senders, participants, 37),
+                fixed_point_sum(sa, updates));
+    }
   }
 }
 
@@ -260,6 +386,13 @@ TEST(SecureAgg, EncodeMatchesStdRoundReference) {
     EXPECT_THROW(sa.encode(edge), std::invalid_argument);
     EXPECT_NO_THROW(sa.encode(std::nextafter(edge, 0.0f)));
   }
+  // A unit of 2^64 or more has no 64-bit word (decode's shift would be
+  // undefined), so such a scale is rejected up front.
+  for (unsigned frac_bits : {64u, 65u}) {
+    SecureAggConfig c = config();
+    c.frac_bits = frac_bits;
+    EXPECT_THROW(SecureAggregation{c}, std::invalid_argument);
+  }
 }
 
 /// Property sweep: exact cancellation for many (n, dim, key) combos.
@@ -276,13 +409,8 @@ TEST_P(SecureAggProperty, MaskedSumEqualsPlainSum) {
   for (auto& u : updates) {
     for (float& x : u) x = static_cast<float>(rng.uniform(-5.0, 5.0));
   }
-  std::vector<MaskedVec> masked;
-  for (std::size_t i = 0; i < n; ++i) {
-    masked.push_back(
-        sa.mask_update(updates[i], participants[i], participants));
-  }
-  const ParamVec total =
-      sa.unmask_sum(masked, participants, participants, dim);
+  const auto masked = mask_round(sa, updates, participants, participants);
+  const ParamVec total = unmask(sa, masked, participants, participants, dim);
   EXPECT_EQ(total, fixed_point_sum(sa, updates));
 }
 

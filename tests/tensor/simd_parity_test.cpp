@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -323,33 +325,6 @@ TEST_F(SimdParity, AddU64MatchesScalarWithWraparound) {
     add_u64(got, x);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], ref[i]) << "index " << i;
-    }
-  }
-}
-
-TEST_F(SimdParity, AddKeystreamU64MatchesScalarBothDirections) {
-  // The mask keystream is exact integer arithmetic: the vector arm's
-  // lanes (and its partial last vector) must equal the scalar arm word
-  // for word, adding and subtracting, and the scalar arm must equal the
-  // definition acc[k] ± Rng::split_mix(seed + k * kGoldenGamma).
-  Rng rng(25);
-  for (std::size_t n : kLens) {
-    for (bool subtract : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " sub=" << subtract);
-      const std::uint64_t seed = rng.next_u64();
-      std::vector<std::uint64_t> acc0(n);
-      for (auto& v : acc0) v = rng.next_u64();
-      std::vector<std::uint64_t> ref = acc0, got = acc0;
-      ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-      add_keystream_u64(ref, seed, subtract);
-      ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
-      add_keystream_u64(got, seed, subtract);
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::uint64_t m = Rng::split_mix(seed + k * Rng::kGoldenGamma);
-        ASSERT_EQ(ref[k], subtract ? acc0[k] - m : acc0[k] + m)
-            << "index " << k;
-        ASSERT_EQ(got[k], ref[k]) << "index " << k;
-      }
     }
   }
 }
@@ -1004,6 +979,176 @@ TEST_F(SimdParity, ColSumMatchesPerRowAxpyOnEveryWidth) {
         expect_same_bytes(ref, got);
         if (::testing::Test::HasFatalFailure()) return;
       }
+    }
+  }
+}
+
+/// Secure-aggregation vector lengths: every tail of the 4- and 8-lane
+/// loops, and the vision and FEMNIST models' parameter counts.
+std::vector<std::size_t> mask_lengths() {
+  std::vector<std::size_t> lens;
+  for (std::size_t n = 0; n <= 17; ++n) lens.push_back(n);
+  lens.push_back(2762);
+  lens.push_back(10718);
+  return lens;
+}
+
+TEST_F(SimdParity, PairKeystreamU64MatchesDefinitionOnEveryArm) {
+  // The mask keystream is exact integer arithmetic: on every arm, one
+  // call must add m_k = Rng::split_mix(seed + k * kGoldenGamma) to
+  // `plus` and subtract it from `minus` word for word — both sides, or
+  // either one alone — and touch nothing past n.
+  Rng rng(25);
+  for (const kernels::KernelTable* t : every_width()) {
+    for (std::size_t n : mask_lengths()) {
+      for (int sides : {0, 1, 2, 3}) {  // bit 0: plus, bit 1: minus
+        SCOPED_TRACE(::testing::Message() << t->name << "/" << t->gemm_width
+                                          << " n=" << n << " sides=" << sides);
+        const std::uint64_t seed = rng.next_u64();
+        // One guard word past the end of each buffer.
+        std::vector<std::uint64_t> plus0(n + 1), minus0(n + 1);
+        for (auto& v : plus0) v = rng.next_u64();
+        for (auto& v : minus0) v = rng.next_u64();
+        std::vector<std::uint64_t> plus = plus0, minus = minus0;
+        t->pair_keystream_u64((sides & 1) ? plus.data() : nullptr,
+                              (sides & 2) ? minus.data() : nullptr, seed, n);
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::uint64_t m = Rng::split_mix(seed + k * Rng::kGoldenGamma);
+          ASSERT_EQ(plus[k], (sides & 1) ? plus0[k] + m : plus0[k])
+              << "plus word " << k;
+          ASSERT_EQ(minus[k], (sides & 2) ? minus0[k] - m : minus0[k])
+              << "minus word " << k;
+        }
+        ASSERT_EQ(plus[n], plus0[n]);
+        ASSERT_EQ(minus[n], minus0[n]);
+      }
+    }
+  }
+}
+
+/// encode_fixed_u64's definition for one value: std::round (halves away
+/// from zero) of x * 2^frac_bits as a two's-complement word, or nothing
+/// outside |x * 2^frac_bits| < 2^63.
+std::optional<std::uint64_t> encode_reference(float x, unsigned frac_bits) {
+  const double scaled =
+      static_cast<double>(x) * std::ldexp(1.0, static_cast<int>(frac_bits));
+  if (!(std::fabs(scaled) < std::ldexp(1.0, 63))) return std::nullopt;
+  return static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(std::round(scaled)));
+}
+
+/// Runs `t`'s encode over `x` and checks it against encode_reference:
+/// every word before the returned index, that index being the first
+/// out-of-domain value (or x.size()), and no word written from it on.
+void expect_encode_matches_reference(const kernels::KernelTable& t,
+                                     std::span<const float> x,
+                                     unsigned frac_bits) {
+  constexpr std::uint64_t kUntouched = 0x5a5a5a5a5a5a5a5aULL;
+  std::vector<std::uint64_t> out(x.size() + 1, kUntouched);
+  const std::size_t bad =
+      t.encode_fixed_u64(x.data(), frac_bits, out.data(), x.size());
+  std::size_t want_bad = x.size();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!encode_reference(x[i], frac_bits)) {
+      want_bad = i;
+      break;
+    }
+  }
+  ASSERT_EQ(bad, want_bad);
+  for (std::size_t i = 0; i < bad; ++i) {
+    ASSERT_EQ(out[i], *encode_reference(x[i], frac_bits))
+        << "word " << i << " x=" << x[i];
+  }
+  for (std::size_t i = bad; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], kUntouched) << "word " << i << " written";
+  }
+}
+
+TEST_F(SimdParity, EncodeFixedU64FindsFirstBadLaneOnEveryArm) {
+  // NaN, ±Inf and ±2^(63 - frac_bits) — the first magnitude outside the
+  // domain — at every lane position, tail included, with the in-domain
+  // edge 2^(63 - frac_bits) rounded down one ulp alongside. The encode
+  // must return that position, write the words before it and nothing
+  // from it on.
+  const float nan = kNan;
+  Rng rng(27);
+  for (const kernels::KernelTable* t : every_width()) {
+    for (unsigned frac_bits : {1u, 24u, 40u}) {
+      const float edge = std::ldexp(1.0f, 63 - static_cast<int>(frac_bits));
+      const float inside = std::nextafter(edge, 0.0f);
+      for (std::size_t n : mask_lengths()) {
+        std::vector<float> x = random_vec(n, rng);
+        if (n > 2) {
+          x[n / 2] = inside;
+          x[n - 1] = -inside;
+        }
+        SCOPED_TRACE(::testing::Message() << t->name << "/" << t->gemm_width
+                                          << " frac_bits=" << frac_bits
+                                          << " n=" << n);
+        expect_encode_matches_reference(*t, x, frac_bits);
+        if (::testing::Test::HasFatalFailure()) return;
+        // Every position of the short lengths; the first, and the last
+        // full vector and tail, of the long ones.
+        std::vector<std::size_t> positions;
+        for (std::size_t at = 0; at < n; ++at) {
+          if (n <= 17 || at == 0 || at + 17 >= n) positions.push_back(at);
+        }
+        for (float bad : {nan, kInf, -kInf, edge, -edge}) {
+          for (std::size_t at : positions) {
+            SCOPED_TRACE(::testing::Message() << "bad=" << bad << " at=" << at);
+            std::vector<float> y = x;
+            y[at] = bad;
+            expect_encode_matches_reference(*t, y, frac_bits);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdParity, EncodeFixedU64SweepMatchesStdRoundOnEveryArm) {
+  // A strided sweep of every float bit pattern (both signs, denormals,
+  // every exponent, NaN/Inf payloads) through each arm's batched encode,
+  // in 4,096-pattern batches; after an out-of-domain pattern the batch
+  // resumes past it, so every pattern is either encoded or reported.
+  constexpr std::uint64_t kStride = 4099;
+  std::vector<float> batch;
+  for (const kernels::KernelTable* t : every_width()) {
+    for (unsigned frac_bits : {1u, 24u, 40u}) {
+      SCOPED_TRACE(::testing::Message() << t->name << "/" << t->gemm_width
+                                        << " frac_bits=" << frac_bits);
+      std::size_t encoded = 0, rejected = 0;
+      std::vector<std::uint64_t> out;
+      for (std::uint64_t b0 = 0; b0 < (std::uint64_t{1} << 32);
+           b0 += 4096 * kStride) {
+        batch.clear();
+        for (std::uint64_t b = b0; b < (std::uint64_t{1} << 32) &&
+                                   batch.size() < 4096;
+             b += kStride) {
+          batch.push_back(bits_float(static_cast<std::uint32_t>(b)));
+        }
+        out.resize(batch.size());
+        for (std::size_t i = 0; i < batch.size();) {
+          const std::size_t n = batch.size() - i;
+          const std::size_t bad = t->encode_fixed_u64(
+              batch.data() + i, frac_bits, out.data() + i, n);
+          for (std::size_t j = i; j < i + bad; ++j) {
+            const std::optional<std::uint64_t> want =
+                encode_reference(batch[j], frac_bits);
+            ASSERT_TRUE(want.has_value()) << "encoded x=" << batch[j];
+            ASSERT_EQ(out[j], *want) << "x=" << batch[j];
+          }
+          encoded += bad;
+          if (bad == n) break;
+          ASSERT_FALSE(encode_reference(batch[i + bad], frac_bits))
+              << "rejected x=" << batch[i + bad];
+          ++rejected;
+          i += bad + 1;
+        }
+      }
+      EXPECT_GT(encoded, 0u);
+      EXPECT_GT(rejected, 0u);
     }
   }
 }
