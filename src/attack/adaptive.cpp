@@ -34,10 +34,9 @@ std::optional<AdaptiveUpdate> craft_adaptive_update(
   Dataset clean_view(attacker_clean.dim(), attacker_clean.num_classes());
   if (!attacker_clean.empty()) {
     const auto preds = global.predict(attacker_clean.features());
+    clean_view.reserve(attacker_clean.size());
     for (std::size_t i = 0; i < attacker_clean.size(); ++i) {
-      Example ex = attacker_clean[i];
-      ex.y = static_cast<int>(preds[i]);
-      clean_view.add(std::move(ex));
+      clean_view.add(attacker_clean.x(i), static_cast<int>(preds[i]));
     }
   }
   const Dataset poisoned = make_poisoned_training_set(

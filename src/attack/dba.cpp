@@ -39,7 +39,7 @@ ParamVec craft_dba_update(const Mlp& global, const Dataset& attacker_clean,
   if (trigger_part.size() != attacker_clean.dim()) {
     throw std::invalid_argument("craft_dba_update: pattern dim mismatch");
   }
-  if (config.poison_fraction <= 0.0 || config.poison_fraction >= 1.0) {
+  if (!(config.poison_fraction > 0.0 && config.poison_fraction < 1.0)) {
     throw std::invalid_argument("craft_dba_update: bad poison fraction");
   }
   // Blend: clean shard + stamped-and-relabelled copies of its own
@@ -49,13 +49,14 @@ ParamVec craft_dba_update(const Mlp& global, const Dataset& attacker_clean,
       1, static_cast<std::size_t>(config.poison_fraction /
                                   (1.0 - config.poison_fraction) *
                                   static_cast<double>(attacker_clean.size())));
+  std::vector<float> stamped(attacker_clean.dim());
   for (std::size_t i = 0; i < poison_count; ++i) {
     const auto j = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(attacker_clean.size()) - 1));
-    Example poisoned = attacker_clean[j];
-    apply_trigger(poisoned, trigger_part);
-    poisoned.y = config.target_class;
-    blend.add(std::move(poisoned));
+    const auto row = attacker_clean.x(j);
+    std::copy(row.begin(), row.end(), stamped.begin());
+    apply_trigger(stamped, trigger_part);
+    blend.add(stamped, config.target_class);
   }
   blend.shuffle(rng);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "util/contracts.hpp"
@@ -92,6 +93,16 @@ void validate_feedback_config(const FeedbackConfig& config,
                "look-back window must cover at least 2 accepted models");
   BAFFLE_CHECK(config.validator.min_variations >= 1,
                "abstention threshold must require at least one variation");
+  // BaffleDefense::ready() waits for min_variations + 1 accepted models,
+  // and the history keeps only lookback + 1 of them: a shorter window
+  // would leave the defense off for the whole run.
+  BAFFLE_CHECK(config.validator.lookback >= config.validator.min_variations,
+               ("look-back window lookback = " +
+                std::to_string(config.validator.lookback) +
+                " is below min_variations = " +
+                std::to_string(config.validator.min_variations) +
+                ", so the defense would never turn on")
+                   .c_str());
   BAFFLE_CHECK(config.validator.tau_margin > 0.0,
                "tau margin must be positive");
   BAFFLE_CHECK(config.server_tau_margin > 0.0,

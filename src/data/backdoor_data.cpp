@@ -8,10 +8,9 @@ namespace baffle {
 Dataset relabel_to_target(const Dataset& backdoor_pool,
                           const BackdoorTask& task) {
   Dataset out(backdoor_pool.dim(), backdoor_pool.num_classes());
-  for (const auto& ex : backdoor_pool.examples()) {
-    Example poisoned = ex;
-    poisoned.y = task.target_class;
-    out.add(std::move(poisoned));
+  out.reserve(backdoor_pool.size());
+  for (std::size_t i = 0; i < backdoor_pool.size(); ++i) {
+    out.add(backdoor_pool.x(i), task.target_class);
   }
   return out;
 }
@@ -20,7 +19,7 @@ Dataset make_poisoned_training_set(const Dataset& attacker_clean,
                                    const Dataset& backdoor_pool,
                                    const BackdoorTask& task,
                                    double poison_fraction, Rng& rng) {
-  if (poison_fraction <= 0.0 || poison_fraction >= 1.0) {
+  if (!(poison_fraction > 0.0 && poison_fraction < 1.0)) {
     throw std::invalid_argument(
         "make_poisoned_training_set: poison_fraction out of (0,1)");
   }
@@ -36,7 +35,7 @@ Dataset make_poisoned_training_set(const Dataset& attacker_clean,
   for (std::size_t i = 0; i < std::max<std::size_t>(poison_n, 1); ++i) {
     const auto j = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(relabelled.size()) - 1));
-    out.add(relabelled[j]);
+    out.add(relabelled.x(j), relabelled.y(j));
   }
   out.shuffle(rng);
   return out;

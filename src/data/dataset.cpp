@@ -1,143 +1,95 @@
 #include "data/dataset.hpp"
 
-#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
 namespace baffle {
 
-Dataset& Dataset::operator=(const Dataset& other) {
-  if (this == &other) return *this;
-  dim_ = other.dim_;
-  num_classes_ = other.num_classes_;
-  examples_ = other.examples_;
-  invalidate_cache();
-  return *this;
-}
-
-Dataset& Dataset::operator=(Dataset&& other) noexcept {
-  if (this == &other) return *this;
-  dim_ = other.dim_;
-  num_classes_ = other.num_classes_;
-  examples_ = std::move(other.examples_);
-  invalidate_cache();
-  return *this;
-}
-
-void Dataset::add(Example ex) {
-  if (ex.x.size() != dim_) {
+void Dataset::add(std::span<const float> x, int y) {
+  if (x.size() != dim_) {
     throw std::invalid_argument("Dataset::add: feature dim mismatch");
   }
-  if (ex.y < 0 || static_cast<std::size_t>(ex.y) >= num_classes_) {
+  if (y < 0 || static_cast<std::size_t>(y) >= num_classes_) {
     throw std::invalid_argument("Dataset::add: label out of range");
   }
-  examples_.push_back(std::move(ex));
-  invalidate_cache();
+  features_.append_row(x);
+  labels_.push_back(y);
 }
 
-const Matrix& Dataset::features() const {
-  // Fast path: a warm cache is served entirely under the shared lock,
-  // so concurrent validators never serialize on a mutex here. The
-  // returned reference deliberately outlives the lock — it stays valid
-  // until the next mutating call, which the caller must order
-  // externally (class contract).
-  {
-    ReaderLock lock(cache_mutex_);
-    if (cache_valid_) return features_cache_;
-  }
-  materialize_cache();
-  ReaderLock lock(cache_mutex_);
-  return features_cache_;
-}
-
-const std::vector<int>& Dataset::labels() const {
-  {
-    ReaderLock lock(cache_mutex_);
-    if (cache_valid_) return labels_cache_;
-  }
-  materialize_cache();
-  ReaderLock lock(cache_mutex_);
-  return labels_cache_;
-}
-
-void Dataset::invalidate_cache() {
-  WriterLock lock(cache_mutex_);
-  cache_valid_ = false;
-}
-
-void Dataset::materialize_cache() const {
-  WriterLock lock(cache_mutex_);
-  if (cache_valid_) return;  // another thread won the fill race
-  features_cache_.resize(examples_.size(), dim_);
-  labels_cache_.resize(examples_.size());
-  for (std::size_t i = 0; i < examples_.size(); ++i) {
-    auto row = features_cache_.row(i);
-    std::copy(examples_[i].x.begin(), examples_[i].x.end(), row.begin());
-    labels_cache_[i] = examples_[i].y;
-  }
-  cache_valid_ = true;
+void Dataset::reserve(std::size_t n) {
+  features_.reserve_rows(n);
+  labels_.reserve(n);
 }
 
 std::vector<std::size_t> Dataset::class_counts() const {
   std::vector<std::size_t> counts(num_classes_, 0);
-  for (const auto& ex : examples_) {
-    counts[static_cast<std::size_t>(ex.y)]++;
-  }
+  for (int y : labels_) counts[static_cast<std::size_t>(y)]++;
   return counts;
 }
 
-Dataset Dataset::subset(std::span<const std::size_t> indices) const {
+Dataset Dataset::gather(std::span<const std::size_t> rows) const {
   Dataset out(dim_, num_classes_);
-  for (std::size_t i : indices) {
-    if (i >= examples_.size()) {
-      throw std::out_of_range("Dataset::subset: index out of range");
-    }
-    out.examples_.push_back(examples_[i]);
+  out.reserve(rows.size());
+  for (std::size_t r : rows) {
+    out.features_.append_row(x(r));
+    out.labels_.push_back(labels_[r]);
   }
   return out;
 }
 
-Dataset Dataset::filter_class(int y) const {
-  Dataset out(dim_, num_classes_);
-  for (const auto& ex : examples_) {
-    if (ex.y == y) out.examples_.push_back(ex);
+Dataset Dataset::subset(std::span<const std::size_t> indices) const {
+  for (std::size_t i : indices) {
+    if (i >= size()) {
+      throw std::out_of_range("Dataset::subset: index out of range");
+    }
   }
-  return out;
+  return gather(indices);
+}
+
+Dataset Dataset::filter_class(int y) const {
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < size(); ++i) {
+    if (labels_[i] == y) rows.push_back(i);
+  }
+  return gather(rows);
 }
 
 void Dataset::merge(const Dataset& other) {
   if (other.dim_ != dim_ || other.num_classes_ != num_classes_) {
     throw std::invalid_argument("Dataset::merge: incompatible datasets");
   }
-  examples_.insert(examples_.end(), other.examples_.begin(),
-                   other.examples_.end());
-  invalidate_cache();
+  reserve(size() + other.size());
+  for (std::size_t i = 0; i < other.size(); ++i) {
+    features_.append_row(other.x(i));
+  }
+  labels_.insert(labels_.end(), other.labels_.begin(), other.labels_.end());
 }
 
 std::pair<Dataset, Dataset> Dataset::split(double fraction, Rng& rng) const {
-  if (fraction < 0.0 || fraction > 1.0) {
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {
     throw std::invalid_argument("Dataset::split: fraction out of range");
   }
-  std::vector<std::size_t> order(examples_.size());
+  std::vector<std::size_t> order(size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   rng.shuffle(order);
   const auto cut = static_cast<std::size_t>(
-      fraction * static_cast<double>(examples_.size()) + 0.5);
-  Dataset first(dim_, num_classes_), second(dim_, num_classes_);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    (i < cut ? first : second).examples_.push_back(examples_[order[i]]);
-  }
-  return {std::move(first), std::move(second)};
+      fraction * static_cast<double>(size()) + 0.5);
+  const std::span<const std::size_t> rows(order);
+  return {gather(rows.first(cut)), gather(rows.subspan(cut))};
 }
 
 Dataset Dataset::sample(std::size_t k, Rng& rng) const {
-  const auto idx = rng.sample_without_replacement(examples_.size(), k);
+  const auto idx = rng.sample_without_replacement(size(), k);
   return subset(idx);
 }
 
 void Dataset::shuffle(Rng& rng) {
-  rng.shuffle(examples_);
-  invalidate_cache();
+  // The same Fisher–Yates draws a shuffle of the rows themselves would
+  // make, applied to their indices.
+  std::vector<std::size_t> order(size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  rng.shuffle(order);
+  *this = gather(order);
 }
 
 }  // namespace baffle

@@ -1,104 +1,78 @@
 #pragma once
-// Labelled dataset container plus the conversions the training loop and
-// the metrics layer need.
-//
-// features()/labels() return references into a lazily materialized
-// cache, built once per mutation epoch — the validation loop evaluates
-// the same held-out set against ℓ+1 models every round, and used to pay
-// a full matrix copy per evaluation. Concurrent const access is safe:
-// readers check the cache under a shared lock (many validators can hit
-// the warm cache in parallel), the one-time fill takes the writer side.
-// Mutation needs external synchronization, like any standard container.
+// Labelled dataset: one dense row-major feature matrix plus a label per
+// row, stored once. features()/labels() hand out references to that
+// store, so the validation loop evaluates the same held-out set against
+// ℓ+1 models every round without copying it. No const method mutates,
+// so concurrent const access needs no lock; mutation needs external
+// synchronization, like any standard container.
 
 #include <span>
 #include <vector>
 
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
-#include "util/sync.hpp"
 
 namespace baffle {
-
-struct Example {
-  std::vector<float> x;
-  int y = 0;
-};
 
 class Dataset {
  public:
   Dataset() = default;
   Dataset(std::size_t dim, std::size_t num_classes)
-      : dim_(dim), num_classes_(num_classes) {}
-
-  // The mutex member deletes the defaults; copies drop the cache (it is
-  // rebuilt on first access), moves would not be cheaper by keeping it.
-  Dataset(const Dataset& other)
-      : dim_(other.dim_),
-        num_classes_(other.num_classes_),
-        examples_(other.examples_) {}
-  Dataset(Dataset&& other) noexcept
-      : dim_(other.dim_),
-        num_classes_(other.num_classes_),
-        examples_(std::move(other.examples_)) {}
-  Dataset& operator=(const Dataset& other);
-  Dataset& operator=(Dataset&& other) noexcept;
+      : dim_(dim), num_classes_(num_classes), features_(0, dim) {}
 
   std::size_t dim() const { return dim_; }
   std::size_t num_classes() const { return num_classes_; }
-  std::size_t size() const { return examples_.size(); }
-  bool empty() const { return examples_.empty(); }
+  std::size_t size() const { return labels_.size(); }
+  bool empty() const { return labels_.empty(); }
 
-  const Example& operator[](std::size_t i) const { return examples_[i]; }
-  const std::vector<Example>& examples() const { return examples_; }
+  /// Features and label of sample i.
+  std::span<const float> x(std::size_t i) const { return features_.row(i); }
+  int y(std::size_t i) const { return labels_[i]; }
 
-  /// Appends an example; validates feature dim and label range.
-  void add(Example ex);
+  /// Appends a sample; validates feature dim and label range.
+  void add(std::span<const float> x, int y);
+
+  /// Room for `n` samples in total, so appending up to them never
+  /// reallocates (and leaves no growth slack behind).
+  void reserve(std::size_t n);
 
   /// Dense feature matrix (one sample per row). The reference stays
   /// valid until the next mutating call.
-  const Matrix& features() const;
+  const Matrix& features() const { return features_; }
 
   /// Integer labels, aligned with features() rows. Same lifetime rules
   /// as features().
-  const std::vector<int>& labels() const;
+  const std::vector<int>& labels() const { return labels_; }
 
   /// Per-class sample counts (length = num_classes).
   std::vector<std::size_t> class_counts() const;
 
-  /// New dataset containing the examples at `indices`.
+  /// New dataset containing the samples at `indices`.
   Dataset subset(std::span<const std::size_t> indices) const;
 
-  /// New dataset with only the examples of class y.
+  /// New dataset with only the samples of class y.
   Dataset filter_class(int y) const;
 
-  /// Appends all examples of `other` (same dim/num_classes required).
+  /// Appends all samples of `other` (same dim/num_classes required).
   void merge(const Dataset& other);
 
-  /// Random split: first part gets `fraction` of the examples.
+  /// Random split: first part gets `fraction` of the samples.
   std::pair<Dataset, Dataset> split(double fraction, Rng& rng) const;
 
-  /// Uniformly sampled subset of k examples (k <= size).
+  /// Uniformly sampled subset of k samples (k <= size).
   Dataset sample(std::size_t k, Rng& rng) const;
 
   void shuffle(Rng& rng);
 
  private:
-  void invalidate_cache();
-  /// One-time cache fill (re-checks validity under the writer lock —
-  /// concurrent readers race only on who fills it).
-  void materialize_cache() const;
+  /// The rows at `rows` (each < size()), in that order, as a new
+  /// dataset sized exactly to them.
+  Dataset gather(std::span<const std::size_t> rows) const;
 
   std::size_t dim_ = 0;
   std::size_t num_classes_ = 0;
-  std::vector<Example> examples_;
-
-  // Lazily built dense views of examples_, shared by every evaluation
-  // against this dataset. Readers take the shared side of the lock;
-  // only the cache fill and invalidation write.
-  mutable SharedMutex cache_mutex_;
-  mutable bool cache_valid_ BAFFLE_GUARDED_BY(cache_mutex_) = false;
-  mutable Matrix features_cache_ BAFFLE_GUARDED_BY(cache_mutex_);
-  mutable std::vector<int> labels_cache_ BAFFLE_GUARDED_BY(cache_mutex_);
+  Matrix features_;  // size() x dim_
+  std::vector<int> labels_;
 };
 
 }  // namespace baffle

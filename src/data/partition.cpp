@@ -12,14 +12,13 @@ std::vector<Dataset> dirichlet_partition(const Dataset& data,
   if (num_clients == 0) {
     throw std::invalid_argument("dirichlet_partition: num_clients == 0");
   }
-  std::vector<Dataset> clients(
-      num_clients, Dataset(data.dim(), data.num_classes()));
+  std::vector<std::vector<std::size_t>> rows(num_clients);
 
-  // Group example indices per class, then deal each class out with its
+  // Group sample indices per class, then deal each class out with its
   // own Dirichlet draw.
   std::vector<std::vector<std::size_t>> by_class(data.num_classes());
   for (std::size_t i = 0; i < data.size(); ++i) {
-    by_class[static_cast<std::size_t>(data[i].y)].push_back(i);
+    by_class[static_cast<std::size_t>(data.y(i))].push_back(i);
   }
   for (auto& indices : by_class) {
     if (indices.empty()) continue;
@@ -45,10 +44,13 @@ std::vector<Dataset> dirichlet_partition(const Dataset& data,
     std::size_t pos = 0;
     for (std::size_t c = 0; c < num_clients; ++c) {
       for (std::size_t k = 0; k < quota[c]; ++k) {
-        clients[c].add(data[indices[pos++]]);
+        rows[c].push_back(indices[pos++]);
       }
     }
   }
+  std::vector<Dataset> clients;
+  clients.reserve(num_clients);
+  for (const auto& r : rows) clients.push_back(data.subset(r));
   return clients;
 }
 
@@ -60,17 +62,19 @@ std::vector<Dataset> iid_partition(const Dataset& data,
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   rng.shuffle(order);
-  std::vector<Dataset> clients(
-      num_clients, Dataset(data.dim(), data.num_classes()));
+  std::vector<std::vector<std::size_t>> rows(num_clients);
   for (std::size_t i = 0; i < order.size(); ++i) {
-    clients[i % num_clients].add(data[order[i]]);
+    rows[i % num_clients].push_back(order[i]);
   }
+  std::vector<Dataset> clients;
+  clients.reserve(num_clients);
+  for (const auto& r : rows) clients.push_back(data.subset(r));
   return clients;
 }
 
 ClientServerSplit split_client_server(const Dataset& data,
                                       double server_fraction, Rng& rng) {
-  if (server_fraction < 0.0 || server_fraction >= 1.0) {
+  if (!(server_fraction >= 0.0 && server_fraction < 1.0)) {
     throw std::invalid_argument(
         "split_client_server: server_fraction out of [0,1)");
   }

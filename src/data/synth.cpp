@@ -60,40 +60,40 @@ MixtureModel build_mixture(const SynthTaskConfig& cfg, Rng& rng) {
   return model;
 }
 
-Example sample_from_mean(const std::vector<float>& mean, int label,
-                         double noise, Rng& rng) {
-  Example ex;
-  ex.x.resize(mean.size());
+/// Draws one sample around `mean` into `x`.
+void sample_from_mean(const std::vector<float>& mean, double noise, Rng& rng,
+                      std::span<float> x) {
   for (std::size_t i = 0; i < mean.size(); ++i) {
-    ex.x[i] = mean[i] + static_cast<float>(rng.normal(0.0, noise));
+    x[i] = mean[i] + static_cast<float>(rng.normal(0.0, noise));
   }
-  ex.y = label;
-  return ex;
 }
 
 /// Clean sample of class c: uniform over its sub-populations.
-Example sample_clean(const MixtureModel& model, const SynthTaskConfig& cfg,
-                     std::size_t c, Rng& rng) {
+void sample_clean(const MixtureModel& model, const SynthTaskConfig& cfg,
+                  std::size_t c, Rng& rng, std::span<float> x) {
   const auto& modes = model.mode_means[c];
   const auto m = static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(modes.size()) - 1));
-  return sample_from_mean(modes[m], static_cast<int>(c), cfg.noise, rng);
+  sample_from_mean(modes[m], cfg.noise, rng, x);
 }
 
 Dataset make_clean_set(const MixtureModel& model, const SynthTaskConfig& cfg,
                        std::size_t per_class, double label_noise, Rng& rng) {
   Dataset out(cfg.dim, cfg.num_classes);
+  out.reserve(cfg.num_classes * per_class);
+  std::vector<float> x(cfg.dim);
   for (std::size_t c = 0; c < cfg.num_classes; ++c) {
     for (std::size_t i = 0; i < per_class; ++i) {
-      Example ex = sample_clean(model, cfg, c, rng);
+      sample_clean(model, cfg, c, rng, x);
+      auto y = static_cast<int>(c);
       if (label_noise > 0.0 && rng.bernoulli(label_noise)) {
         // Mislabel to a uniformly random *other* class.
         const auto shift = rng.uniform_int(
             1, static_cast<std::int64_t>(cfg.num_classes) - 1);
-        ex.y = static_cast<int>(
+        y = static_cast<int>(
             (c + static_cast<std::size_t>(shift)) % cfg.num_classes);
       }
-      out.add(std::move(ex));
+      out.add(x, y);
     }
   }
   out.shuffle(rng);
@@ -104,29 +104,31 @@ Dataset make_backdoor_set(const MixtureModel& model,
                           const SynthTaskConfig& cfg, std::size_t count,
                           Rng& rng) {
   Dataset out(cfg.dim, cfg.num_classes);
+  out.reserve(count);
   const std::vector<float> pattern =
       cfg.backdoor_kind == BackdoorKind::kTrigger ? trigger_pattern(cfg)
                                                   : std::vector<float>{};
+  std::vector<float> x(cfg.dim);
   for (std::size_t i = 0; i < count; ++i) {
     switch (cfg.backdoor_kind) {
       case BackdoorKind::kSemantic:
-        out.add(sample_from_mean(model.backdoor_mean, cfg.backdoor_source,
-                                 cfg.noise, rng));
+        sample_from_mean(model.backdoor_mean, cfg.noise, rng, x);
+        out.add(x, cfg.backdoor_source);
         break;
       case BackdoorKind::kLabelFlip:
         // The backdoor instances are ordinary samples of the source
         // class.
-        out.add(sample_clean(model, cfg,
-                             static_cast<std::size_t>(cfg.backdoor_source),
-                             rng));
+        sample_clean(model, cfg,
+                     static_cast<std::size_t>(cfg.backdoor_source), rng, x);
+        out.add(x, cfg.backdoor_source);
         break;
       case BackdoorKind::kTrigger: {
         // Any input stamped with the patch; true class preserved.
         const auto c = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(cfg.num_classes) - 1));
-        Example ex = sample_clean(model, cfg, c, rng);
-        apply_trigger(ex, pattern);
-        out.add(std::move(ex));
+        sample_clean(model, cfg, c, rng, x);
+        apply_trigger(x, pattern);
+        out.add(x, static_cast<int>(c));
         break;
       }
     }
@@ -154,13 +156,11 @@ std::vector<float> trigger_pattern(const SynthTaskConfig& config) {
   return pattern;
 }
 
-void apply_trigger(Example& example, std::span<const float> pattern) {
-  if (example.x.size() != pattern.size()) {
+void apply_trigger(std::span<float> x, std::span<const float> pattern) {
+  if (x.size() != pattern.size()) {
     throw std::invalid_argument("apply_trigger: pattern size mismatch");
   }
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    example.x[i] += pattern[i];
-  }
+  for (std::size_t i = 0; i < pattern.size(); ++i) x[i] += pattern[i];
 }
 
 SynthTaskConfig synth_vision10_config() {

@@ -86,7 +86,7 @@ std::vector<float> trigger_pattern(const SynthTaskConfig& config);
 /// Number of feature dims the trigger patch occupies.
 constexpr std::size_t kTriggerPatchDims = 6;
 
-/// Stamps (adds) a trigger pattern onto an example's features.
-void apply_trigger(Example& example, std::span<const float> pattern);
+/// Stamps (adds) a trigger pattern onto a sample's features.
+void apply_trigger(std::span<float> x, std::span<const float> pattern);
 
 }  // namespace baffle

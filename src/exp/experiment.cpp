@@ -108,7 +108,7 @@ Dataset biased_sample(const Dataset& pool,
                       Rng& rng) {
   std::vector<std::vector<std::size_t>> by_class(pool.num_classes());
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    by_class[static_cast<std::size_t>(pool[i].y)].push_back(i);
+    by_class[static_cast<std::size_t>(pool.y(i))].push_back(i);
   }
   std::vector<double> w(weights.size(), 0.0);
   for (std::size_t c = 0; c < weights.size(); ++c) {
@@ -117,11 +117,13 @@ Dataset biased_sample(const Dataset& pool,
   Dataset out(pool.dim(), pool.num_classes());
   const double total = std::accumulate(w.begin(), w.end(), 0.0);
   if (total <= 0.0) return out;
+  out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t c = rng.categorical(w);
     const auto& pool_c = by_class[c];
-    out.add(pool[pool_c[static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(pool_c.size()) - 1))]]);
+    const std::size_t row = pool_c[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(pool_c.size()) - 1))];
+    out.add(pool.x(row), pool.y(row));
   }
   return out;
 }

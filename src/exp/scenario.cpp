@@ -65,14 +65,14 @@ Scenario build_scenario(const ScenarioConfig& config, Rng& rng) {
   // C-S% split: the server keeps its holdout, clients share the rest.
   auto split = split_client_server(s.task.train, config.server_fraction, rng);
   s.server_holdout = std::move(split.server_holdout);
-  const auto shards =
+  auto shards =
       config.iid
           ? iid_partition(split.client_pool, config.num_clients, rng)
           : dirichlet_partition(split.client_pool, config.num_clients,
                                 config.dirichlet_alpha, rng);
   s.clients.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    s.clients.emplace_back(i, shards[i]);
+    s.clients.emplace_back(i, std::move(shards[i]));
   }
 
   // Attacker: the client with the most source-class data (paper §VI-A:

@@ -66,6 +66,17 @@ class Matrix {
     data_.resize(rows * cols);
   }
 
+  /// Appends one row of cols() values, growing like a std::vector.
+  void append_row(std::span<const float> values) {
+    BAFFLE_DCHECK(values.size() == cols_, "append_row needs cols() values");
+    data_.insert(data_.end(), values.begin(), values.end());
+    ++rows_;
+  }
+
+  /// Capacity for `rows` rows in total: appending up to them never
+  /// reallocates.
+  void reserve_rows(std::size_t rows) { data_.reserve(rows * cols_); }
+
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -75,7 +86,7 @@ class Matrix {
 };
 
 /// Non-owning read-only view of a row-major float matrix, or of a
-/// contiguous row range of one. Lets the inference path walk a cached
+/// contiguous row range of one. Lets the inference path walk a dataset's
 /// feature matrix chunk-by-chunk without copying rows; implicitly
 /// constructible from Matrix so the GEMM entry points accept either.
 class ConstMatrixView {

@@ -16,7 +16,7 @@
 // caller. NaN/Inf inputs
 // propagate to the output — a diverged model must not be masked by a
 // sparsity shortcut. The A operand is taken as a view so callers can
-// feed row-chunks of a cached feature matrix without copying.
+// feed row-chunks of a dataset's feature matrix without copying.
 //
 // The flat-vector primitives (dot/axpy/norms/...) live in
 // tensor/primitives.hpp, included here so existing callers keep

@@ -2,7 +2,7 @@
 // Annotated synchronization layer: the only sanctioned entry point for
 // locking in src/ (enforced by the `raw-sync` repo lint rule).
 //
-// Mutex / SharedMutex / CondVar wrap their std counterparts and carry
+// Mutex / CondVar wrap their std counterparts and carry
 // Clang Thread Safety Analysis capability attributes, so every
 // guarded-data invariant in the codebase is a *compile-time* property
 // under clang (`cmake -DBAFFLE_THREAD_SAFETY=ON`, which adds
@@ -31,7 +31,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // ---------------------------------------------------------------------
 // Attribute plumbing. Clang implements the analysis; GCC merely warns
@@ -42,33 +41,23 @@
 #define BAFFLE_TS_ATTRIBUTE(x)  // no-op outside clang
 #endif
 
-/// Declares a type as a lockable capability ("mutex", "shared_mutex").
+/// Declares a type as a lockable capability ("mutex").
 #define BAFFLE_CAPABILITY(x) BAFFLE_TS_ATTRIBUTE(capability(x))
 /// Declares an RAII type whose lifetime equals a critical section.
 #define BAFFLE_SCOPED_CAPABILITY BAFFLE_TS_ATTRIBUTE(scoped_lockable)
-/// Data member readable/writable only while holding the named mutex
-/// (shared capability suffices for reads).
+/// Data member readable/writable only while holding the named mutex.
 #define BAFFLE_GUARDED_BY(x) BAFFLE_TS_ATTRIBUTE(guarded_by(x))
 /// Pointer member whose *pointee* is guarded by the named mutex.
 #define BAFFLE_PT_GUARDED_BY(x) BAFFLE_TS_ATTRIBUTE(pt_guarded_by(x))
 /// Function callable only while holding the named mutexes exclusively.
 #define BAFFLE_REQUIRES(...) \
   BAFFLE_TS_ATTRIBUTE(requires_capability(__VA_ARGS__))
-/// Function callable while holding the named mutexes at least shared.
-#define BAFFLE_REQUIRES_SHARED(...) \
-  BAFFLE_TS_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
-/// Function that acquires the named capability (exclusively / shared)
-/// and holds it on return.
+/// Function that acquires the named capability and holds it on return.
 #define BAFFLE_ACQUIRE(...) \
   BAFFLE_TS_ATTRIBUTE(acquire_capability(__VA_ARGS__))
-#define BAFFLE_ACQUIRE_SHARED(...) \
-  BAFFLE_TS_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
-/// Function that releases the named capability (any mode for scoped
-/// guards — the analysis matches the acquisition mode).
+/// Function that releases the named capability.
 #define BAFFLE_RELEASE(...) \
   BAFFLE_TS_ATTRIBUTE(release_capability(__VA_ARGS__))
-#define BAFFLE_RELEASE_SHARED(...) \
-  BAFFLE_TS_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
 /// Function that acquires the capability iff it returns `val`.
 #define BAFFLE_TRY_ACQUIRE(...) \
   BAFFLE_TS_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
@@ -109,22 +98,6 @@ class BAFFLE_CAPABILITY("mutex") Mutex {
   std::mutex m_;
 };
 
-/// Reader/writer mutex (std::shared_mutex) declared as a capability.
-class BAFFLE_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() BAFFLE_ACQUIRE() { m_.lock(); }
-  void unlock() BAFFLE_RELEASE() { m_.unlock(); }
-  void lock_shared() BAFFLE_ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() BAFFLE_RELEASE_SHARED() { m_.unlock_shared(); }
-
- private:
-  std::shared_mutex m_;
-};
-
 /// Scoped exclusive lock on a Mutex (the std::lock_guard replacement).
 class BAFFLE_SCOPED_CAPABILITY MutexLock {
  public:
@@ -136,36 +109,6 @@ class BAFFLE_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Scoped exclusive lock on a SharedMutex (writer side).
-class BAFFLE_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) BAFFLE_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterLock() BAFFLE_RELEASE() { mu_.unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped shared lock on a SharedMutex (reader side).
-class BAFFLE_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) BAFFLE_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() BAFFLE_RELEASE() { mu_.unlock_shared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable paired with Mutex. Waits take the mutex the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace baffle {
 namespace {
 
@@ -16,7 +18,7 @@ Mlp always_predicts(int cls, std::size_t classes) {
 
 Dataset backdoor_set(std::size_t n) {
   Dataset d(2, 4);
-  for (std::size_t i = 0; i < n; ++i) d.add({{0.0f, 0.0f}, 1});
+  for (std::size_t i = 0; i < n; ++i) d.add(std::array{0.0f, 0.0f}, 1);
   return d;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "attack/backdoor.hpp"
 #include "metrics/confusion.hpp"
 #include "nn/train.hpp"
@@ -124,6 +126,12 @@ TEST(Dba, CraftRejectsBadInputs) {
   EXPECT_THROW(craft_dba_update(f.global, f.task.train,
                                 std::vector<float>{1.0f}, f.config(), rng),
                std::invalid_argument);
+  DbaConfig nan_fraction = f.config();
+  nan_fraction.poison_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(
+      craft_dba_update(f.global, f.task.train, trigger_pattern(f.task.config),
+                       nan_fraction, rng),
+      std::invalid_argument);
 }
 
 TEST(DbaProvider, ColludersPoisonOthersHonest) {

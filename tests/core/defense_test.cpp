@@ -54,11 +54,9 @@ class DefenseFixture : public ::testing::Test {
     Mlp poisoned(*arch_);
     poisoned.set_parameters(snapshots_->back());
     Dataset blend = task_->train.sample(250, rng);
-    Dataset bd = task_->backdoor_train;
-    for (const auto& ex : bd.examples()) {
-      Example flipped = ex;
-      flipped.y = task_->config.backdoor_target;
-      blend.add(flipped);
+    const Dataset& bd = task_->backdoor_train;
+    for (std::size_t i = 0; i < bd.size(); ++i) {
+      blend.add(bd.x(i), task_->config.backdoor_target);
     }
     TrainConfig ptc;
     ptc.epochs = 6;

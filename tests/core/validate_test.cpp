@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "data/backdoor_data.hpp"
 #include "data/synth.hpp"
 #include "nn/train.hpp"
@@ -276,7 +278,7 @@ TEST(Validator, RejectsEmptyData) {
 TEST(Validator, RejectsTinyLookback) {
   const MlpConfig arch{{4, 2}, Activation::kRelu};
   Dataset d(4, 2);
-  d.add({{0, 0, 0, 0}, 0});
+  d.add(std::array{0.0f, 0.0f, 0.0f, 0.0f}, 0);
   ValidatorConfig cfg;
   cfg.lookback = 1;
   EXPECT_THROW(Validator(d, arch, cfg), std::invalid_argument);

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+
 namespace baffle {
 namespace {
 
 Dataset pool_of_class(int y, std::size_t n, std::size_t classes = 10) {
   Dataset d(2, classes);
   for (std::size_t i = 0; i < n; ++i) {
-    d.add({{static_cast<float>(i), 0.0f}, y});
+    d.add(std::array{static_cast<float>(i), 0.0f}, y);
   }
   return d;
 }
@@ -18,7 +22,7 @@ TEST(RelabelToTarget, FlipsEveryLabel) {
   const BackdoorTask task{BackdoorKind::kSemantic, 1, 7};
   const Dataset flipped = relabel_to_target(pool, task);
   ASSERT_EQ(flipped.size(), 20u);
-  for (const auto& ex : flipped.examples()) EXPECT_EQ(ex.y, 7);
+  for (int y : flipped.labels()) EXPECT_EQ(y, 7);
 }
 
 TEST(RelabelToTarget, PreservesFeatures) {
@@ -26,7 +30,7 @@ TEST(RelabelToTarget, PreservesFeatures) {
   const BackdoorTask task{BackdoorKind::kSemantic, 1, 2};
   const Dataset flipped = relabel_to_target(pool, task);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(flipped[i].x, pool[i].x);
+    EXPECT_TRUE(std::ranges::equal(flipped.x(i), pool.x(i)));
   }
 }
 
@@ -37,10 +41,8 @@ TEST(PoisonedTrainingSet, FractionApproximatelyRespected) {
   Rng rng(1);
   const Dataset blended =
       make_poisoned_training_set(clean, pool, task, 0.3, rng);
-  std::size_t poisoned = 0;
-  for (const auto& ex : blended.examples()) {
-    if (ex.y == 2) ++poisoned;
-  }
+  const auto poisoned = static_cast<std::size_t>(
+      std::ranges::count(blended.labels(), 2));
   const double frac =
       static_cast<double>(poisoned) / static_cast<double>(blended.size());
   EXPECT_NEAR(frac, 0.3, 0.03);
@@ -53,11 +55,7 @@ TEST(PoisonedTrainingSet, KeepsAllCleanSamples) {
   Rng rng(2);
   const Dataset blended =
       make_poisoned_training_set(clean, pool, task, 0.2, rng);
-  std::size_t clean_count = 0;
-  for (const auto& ex : blended.examples()) {
-    if (ex.y == 0) ++clean_count;
-  }
-  EXPECT_EQ(clean_count, 40u);
+  EXPECT_EQ(std::ranges::count(blended.labels(), 0), 40);
 }
 
 TEST(PoisonedTrainingSet, ResamplesSmallPoolWithReplacement) {
@@ -67,11 +65,8 @@ TEST(PoisonedTrainingSet, ResamplesSmallPoolWithReplacement) {
   Rng rng(3);
   const Dataset blended =
       make_poisoned_training_set(clean, pool, task, 0.3, rng);
-  std::size_t poisoned = 0;
-  for (const auto& ex : blended.examples()) {
-    if (ex.y == 3) ++poisoned;
-  }
-  EXPECT_GT(poisoned, 30u);  // far more than the pool size
+  // Far more than the pool size.
+  EXPECT_GT(std::ranges::count(blended.labels(), 3), 30);
 }
 
 TEST(PoisonedTrainingSet, RejectsBadInputs) {
@@ -84,15 +79,19 @@ TEST(PoisonedTrainingSet, RejectsBadInputs) {
                std::invalid_argument);
   EXPECT_THROW(make_poisoned_training_set(clean, pool, task, 1.0, rng),
                std::invalid_argument);
+  EXPECT_THROW(make_poisoned_training_set(
+                   clean, pool, task,
+                   std::numeric_limits<double>::quiet_NaN(), rng),
+               std::invalid_argument);
   EXPECT_THROW(make_poisoned_training_set(clean, empty, task, 0.3, rng),
                std::invalid_argument);
 }
 
 TEST(PickLabelFlipTask, SourceIsModalClass) {
   Dataset d(1, 5);
-  for (int i = 0; i < 3; ++i) d.add({{0.0f}, 1});
-  for (int i = 0; i < 10; ++i) d.add({{0.0f}, 3});
-  for (int i = 0; i < 2; ++i) d.add({{0.0f}, 4});
+  for (int i = 0; i < 3; ++i) d.add(std::array{0.0f}, 1);
+  for (int i = 0; i < 10; ++i) d.add(std::array{0.0f}, 3);
+  for (int i = 0; i < 2; ++i) d.add(std::array{0.0f}, 4);
   Rng rng(5);
   const BackdoorTask task = pick_label_flip_task(d, rng);
   EXPECT_EQ(task.source_class, 3);
@@ -104,7 +103,7 @@ TEST(PickLabelFlipTask, SourceIsModalClass) {
 
 TEST(PickLabelFlipTask, TargetNeverEqualsSourceOverManyDraws) {
   Dataset d(1, 4);
-  for (int i = 0; i < 5; ++i) d.add({{0.0f}, 2});
+  for (int i = 0; i < 5; ++i) d.add(std::array{0.0f}, 2);
   for (int seed = 0; seed < 50; ++seed) {
     Rng rng(seed);
     const BackdoorTask task = pick_label_flip_task(d, rng);

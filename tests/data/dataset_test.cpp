@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -11,19 +13,19 @@ namespace {
 
 Dataset make_small() {
   Dataset d(2, 3);
-  d.add({{1.0f, 2.0f}, 0});
-  d.add({{3.0f, 4.0f}, 1});
-  d.add({{5.0f, 6.0f}, 2});
-  d.add({{7.0f, 8.0f}, 1});
+  d.add(std::array{1.0f, 2.0f}, 0);
+  d.add(std::array{3.0f, 4.0f}, 1);
+  d.add(std::array{5.0f, 6.0f}, 2);
+  d.add(std::array{7.0f, 8.0f}, 1);
   return d;
 }
 
 TEST(Dataset, AddValidatesDimAndLabel) {
   Dataset d(2, 3);
-  EXPECT_THROW(d.add({{1.0f}, 0}), std::invalid_argument);
-  EXPECT_THROW(d.add({{1.0f, 2.0f}, 3}), std::invalid_argument);
-  EXPECT_THROW(d.add({{1.0f, 2.0f}, -1}), std::invalid_argument);
-  EXPECT_NO_THROW(d.add({{1.0f, 2.0f}, 2}));
+  EXPECT_THROW(d.add(std::array{1.0f}, 0), std::invalid_argument);
+  EXPECT_THROW(d.add(std::array{1.0f, 2.0f}, 3), std::invalid_argument);
+  EXPECT_THROW(d.add(std::array{1.0f, 2.0f}, -1), std::invalid_argument);
+  EXPECT_NO_THROW(d.add(std::array{1.0f, 2.0f}, 2));
 }
 
 TEST(Dataset, FeaturesAndLabelsAligned) {
@@ -38,20 +40,21 @@ TEST(Dataset, FeaturesAndLabelsAligned) {
 
 TEST(Dataset, FeaturesAreCachedAcrossCalls) {
   const Dataset d = make_small();
-  // Same materialized buffers on repeated calls: no per-evaluation copy.
+  // Same buffers on repeated calls: no per-evaluation copy.
   EXPECT_EQ(&d.features(), &d.features());
   EXPECT_EQ(&d.labels(), &d.labels());
   EXPECT_EQ(d.features().flat().data(), d.features().flat().data());
 }
 
 TEST(Dataset, ConcurrentColdReadersShareOneCacheFill) {
-  // Many validators hit the same shard's features()/labels() in
+  // Many validators read the same shard's features()/labels() in
   // parallel (TSan covers the interleaving via test_data in the
-  // sanitizer leg). From a cold cache, exactly one reader wins the
-  // writer-side fill and everyone observes the same materialization.
+  // sanitizer leg): const access takes no lock and writes nothing, and
+  // every reader sees the same rows.
   Dataset d(2, 3);
   for (int i = 0; i < 64; ++i) {
-    d.add({{static_cast<float>(i), static_cast<float>(2 * i)}, i % 3});
+    d.add(std::array{static_cast<float>(i), static_cast<float>(2 * i)},
+          i % 3);
   }
   std::atomic<int> consistent{0};
   std::vector<std::thread> readers;
@@ -67,7 +70,7 @@ TEST(Dataset, ConcurrentColdReadersShareOneCacheFill) {
   }
   for (auto& th : readers) th.join();
   EXPECT_EQ(consistent.load(), 4);
-  // One shared materialization: repeat calls return the same buffers.
+  // One shared store: repeat calls return the same buffers.
   EXPECT_EQ(&d.features(), &d.features());
   EXPECT_EQ(&d.labels(), &d.labels());
 }
@@ -75,7 +78,7 @@ TEST(Dataset, ConcurrentColdReadersShareOneCacheFill) {
 TEST(Dataset, AddInvalidatesCache) {
   Dataset d = make_small();
   EXPECT_EQ(d.features().rows(), 4u);
-  d.add({{9.0f, 10.0f}, 0});
+  d.add(std::array{9.0f, 10.0f}, 0);
   EXPECT_EQ(d.features().rows(), 5u);
   EXPECT_EQ(d.features().at(4, 0), 9.0f);
   EXPECT_EQ(d.labels().size(), 5u);
@@ -92,9 +95,9 @@ TEST(Dataset, MergeInvalidatesCache) {
 TEST(Dataset, ShuffleInvalidatesCache) {
   Dataset d(2, 2);
   for (int i = 0; i < 32; ++i) {
-    d.add({{static_cast<float>(i), 0.0f}, i % 2});
+    d.add(std::array{static_cast<float>(i), 0.0f}, i % 2);
   }
-  const Matrix before = d.features();  // deliberate copy of the cache
+  const Matrix before = d.features();  // deliberate copy
   Rng rng(3);
   d.shuffle(rng);
   const Matrix& after = d.features();
@@ -112,9 +115,8 @@ TEST(Dataset, ShuffleInvalidatesCache) {
 
 TEST(Dataset, CopyIsIndependentOfOriginalCache) {
   Dataset d = make_small();
-  (void)d.features();  // warm the original's cache
   Dataset copy = d;
-  copy.add({{9.0f, 9.0f}, 0});
+  copy.add(std::array{9.0f, 9.0f}, 0);
   EXPECT_EQ(copy.features().rows(), 5u);
   EXPECT_EQ(d.features().rows(), 4u);
   EXPECT_NE(copy.features().flat().data(), d.features().flat().data());
@@ -131,8 +133,8 @@ TEST(Dataset, SubsetSelectsByIndex) {
   const std::vector<std::size_t> idx{3, 0};
   const Dataset s = d.subset(idx);
   ASSERT_EQ(s.size(), 2u);
-  EXPECT_EQ(s[0].y, 1);
-  EXPECT_EQ(s[1].y, 0);
+  EXPECT_EQ(s.y(0), 1);
+  EXPECT_EQ(s.y(1), 0);
 }
 
 TEST(Dataset, SubsetOutOfRangeThrows) {
@@ -145,7 +147,7 @@ TEST(Dataset, FilterClass) {
   const Dataset d = make_small();
   const Dataset ones = d.filter_class(1);
   EXPECT_EQ(ones.size(), 2u);
-  for (const auto& ex : ones.examples()) EXPECT_EQ(ex.y, 1);
+  for (int y : ones.labels()) EXPECT_EQ(y, 1);
 }
 
 TEST(Dataset, MergeRequiresCompatibleShape) {
@@ -153,14 +155,16 @@ TEST(Dataset, MergeRequiresCompatibleShape) {
   Dataset incompatible(3, 3);
   EXPECT_THROW(d.merge(incompatible), std::invalid_argument);
   Dataset other(2, 3);
-  other.add({{0.0f, 0.0f}, 0});
+  other.add(std::array{0.0f, 0.0f}, 0);
   d.merge(other);
   EXPECT_EQ(d.size(), 5u);
 }
 
 TEST(Dataset, SplitPartitionsAll) {
   Dataset d(1, 2);
-  for (int i = 0; i < 100; ++i) d.add({{static_cast<float>(i)}, i % 2});
+  for (int i = 0; i < 100; ++i) {
+    d.add(std::array{static_cast<float>(i)}, i % 2);
+  }
   Rng rng(1);
   const auto [a, b] = d.split(0.3, rng);
   EXPECT_EQ(a.size(), 30u);
@@ -172,28 +176,30 @@ TEST(Dataset, SplitRejectsBadFraction) {
   Rng rng(1);
   EXPECT_THROW(d.split(-0.1, rng), std::invalid_argument);
   EXPECT_THROW(d.split(1.1, rng), std::invalid_argument);
+  EXPECT_THROW(d.split(std::numeric_limits<double>::quiet_NaN(), rng),
+               std::invalid_argument);
 }
 
 TEST(Dataset, SplitIsDisjointCover) {
   Dataset d(1, 2);
-  for (int i = 0; i < 50; ++i) d.add({{static_cast<float>(i)}, 0});
+  for (int i = 0; i < 50; ++i) d.add(std::array{static_cast<float>(i)}, 0);
   Rng rng(2);
   const auto [a, b] = d.split(0.5, rng);
   std::vector<float> seen;
-  for (const auto& ex : a.examples()) seen.push_back(ex.x[0]);
-  for (const auto& ex : b.examples()) seen.push_back(ex.x[0]);
+  for (std::size_t i = 0; i < a.size(); ++i) seen.push_back(a.x(i)[0]);
+  for (std::size_t i = 0; i < b.size(); ++i) seen.push_back(b.x(i)[0]);
   std::sort(seen.begin(), seen.end());
   for (int i = 0; i < 50; ++i) EXPECT_EQ(seen[i], static_cast<float>(i));
 }
 
 TEST(Dataset, SampleDrawsDistinct) {
   Dataset d(1, 2);
-  for (int i = 0; i < 20; ++i) d.add({{static_cast<float>(i)}, 0});
+  for (int i = 0; i < 20; ++i) d.add(std::array{static_cast<float>(i)}, 0);
   Rng rng(3);
   const Dataset s = d.sample(5, rng);
   EXPECT_EQ(s.size(), 5u);
   std::set<float> unique;
-  for (const auto& ex : s.examples()) unique.insert(ex.x[0]);
+  for (std::size_t i = 0; i < s.size(); ++i) unique.insert(s.x(i)[0]);
   EXPECT_EQ(unique.size(), 5u);
 }
 

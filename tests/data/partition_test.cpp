@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
 #include <numeric>
 
 #include "data/synth.hpp"
@@ -13,7 +15,8 @@ Dataset labeled_pool(std::size_t per_class, std::size_t classes) {
   Dataset d(1, classes);
   for (std::size_t c = 0; c < classes; ++c) {
     for (std::size_t i = 0; i < per_class; ++i) {
-      d.add({{static_cast<float>(c * 1000 + i)}, static_cast<int>(c)});
+      d.add(std::array{static_cast<float>(c * 1000 + i)},
+            static_cast<int>(c));
     }
   }
   return d;
@@ -120,6 +123,9 @@ TEST(SplitClientServer, RejectsBadFraction) {
   Rng rng(9);
   EXPECT_THROW(split_client_server(pool, 1.0, rng), std::invalid_argument);
   EXPECT_THROW(split_client_server(pool, -0.01, rng), std::invalid_argument);
+  EXPECT_THROW(split_client_server(
+                   pool, std::numeric_limits<double>::quiet_NaN(), rng),
+               std::invalid_argument);
 }
 
 TEST(SplitClientServer, ZeroFractionGivesEmptyHoldout) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "nn/train.hpp"
@@ -30,11 +31,11 @@ TEST(Synth, FemnistPresetShapes) {
 TEST(Synth, BackdoorInstancesCarryTrueSourceLabel) {
   Rng rng(3);
   const SynthTask task = make_synth_task(synth_vision10_config(), rng);
-  for (const auto& ex : task.backdoor_train.examples()) {
-    EXPECT_EQ(ex.y, task.config.backdoor_source);
+  for (int y : task.backdoor_train.labels()) {
+    EXPECT_EQ(y, task.config.backdoor_source);
   }
-  for (const auto& ex : task.backdoor_test.examples()) {
-    EXPECT_EQ(ex.y, task.config.backdoor_source);
+  for (int y : task.backdoor_test.labels()) {
+    EXPECT_EQ(y, task.config.backdoor_source);
   }
 }
 
@@ -51,10 +52,9 @@ TEST(Synth, DeterministicGivenSeed) {
   const SynthTask ta = make_synth_task(synth_vision10_config(), a);
   const SynthTask tb = make_synth_task(synth_vision10_config(), b);
   ASSERT_EQ(ta.train.size(), tb.train.size());
-  for (std::size_t i = 0; i < ta.train.size(); ++i) {
-    EXPECT_EQ(ta.train[i].x, tb.train[i].x);
-    EXPECT_EQ(ta.train[i].y, tb.train[i].y);
-  }
+  EXPECT_TRUE(std::ranges::equal(ta.train.features().flat(),
+                                 tb.train.features().flat()));
+  EXPECT_EQ(ta.train.labels(), tb.train.labels());
 }
 
 TEST(Synth, TaskIsLearnable) {
@@ -100,9 +100,7 @@ TEST(Synth, LabelFlipBackdoorSamplesComeFromSourceClassDistribution) {
   cfg.backdoor_source = 5;
   cfg.backdoor_target = 11;
   const SynthTask task = make_synth_task(cfg, rng);
-  for (const auto& ex : task.backdoor_train.examples()) {
-    EXPECT_EQ(ex.y, 5);
-  }
+  for (int y : task.backdoor_train.labels()) EXPECT_EQ(y, 5);
 }
 
 TEST(Synth, TriggerPatternShape) {
@@ -121,17 +119,15 @@ TEST(Synth, TriggerPatternShape) {
 TEST(Synth, ApplyTriggerAddsPattern) {
   const SynthTaskConfig cfg = synth_vision10_config();
   const auto pattern = trigger_pattern(cfg);
-  Example ex;
-  ex.x.assign(cfg.dim, 1.0f);
-  apply_trigger(ex, pattern);
-  EXPECT_EQ(ex.x[0], 1.0f + static_cast<float>(cfg.trigger_strength));
-  EXPECT_EQ(ex.x[cfg.dim - 1], 1.0f);
+  std::vector<float> x(cfg.dim, 1.0f);
+  apply_trigger(x, pattern);
+  EXPECT_EQ(x[0], 1.0f + static_cast<float>(cfg.trigger_strength));
+  EXPECT_EQ(x[cfg.dim - 1], 1.0f);
 }
 
 TEST(Synth, ApplyTriggerRejectsDimMismatch) {
-  Example ex;
-  ex.x.assign(4, 0.0f);
-  EXPECT_THROW(apply_trigger(ex, std::vector<float>{1.0f}),
+  std::vector<float> x(4, 0.0f);
+  EXPECT_THROW(apply_trigger(x, std::vector<float>{1.0f}),
                std::invalid_argument);
 }
 
@@ -142,8 +138,8 @@ TEST(Synth, TriggerBackdoorSetIsStampedMultiClass) {
   cfg.backdoor_test_size = 200;
   const SynthTask task = make_synth_task(cfg, rng);
   // True classes of trigger instances span more than one class.
-  std::set<int> classes;
-  for (const auto& ex : task.backdoor_test.examples()) classes.insert(ex.y);
+  const auto& labels = task.backdoor_test.labels();
+  const std::set<int> classes(labels.begin(), labels.end());
   EXPECT_GT(classes.size(), 3u);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace baffle {
 namespace {
 
@@ -96,6 +98,68 @@ TEST(Scenario, RejectsBadClientsPerRound) {
   ScenarioConfig cfg = vision_scenario(0.10);
   cfg.clients_per_round = cfg.num_clients + 1;
   EXPECT_THROW(build_scenario(cfg, rng), std::invalid_argument);
+}
+
+// FNV-1a 64 over every byte a scenario's datasets hold, in a fixed order,
+// so any change to the sample store, the generators or their Rng draws
+// shows as a different digest.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      hash_ = (hash_ ^ p[i]) * 1099511628211ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void dataset(const Dataset& d) {
+    u64(d.size());
+    u64(d.dim());
+    const auto x = d.features().flat();
+    bytes(x.data(), x.size_bytes());
+    bytes(d.labels().data(), d.labels().size() * sizeof(int));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 1469598103934665603ull;
+};
+
+std::uint64_t scenario_digest(const ScenarioConfig& cfg,
+                              std::size_t* attacker = nullptr) {
+  Rng rng(4201);
+  const Scenario s = build_scenario(cfg, rng);
+  Fnv1a h;
+  h.dataset(s.task.train);
+  h.dataset(s.task.test);
+  h.dataset(s.task.backdoor_train);
+  h.dataset(s.task.backdoor_test);
+  h.dataset(s.server_holdout);
+  for (const auto& c : s.clients) h.dataset(c.data());
+  h.u64(s.attacker_id);
+  h.u64(rng.next_u64());
+  if (attacker != nullptr) *attacker = s.attacker_id;
+  return h.value();
+}
+
+TEST(Scenario, BuildIsByteStable) {
+#if !defined(__GLIBCXX__)
+  GTEST_SKIP() << "std::normal_distribution is implementation-defined; "
+                  "the digests are libstdc++'s";
+#endif
+  std::size_t attacker = 0;
+  EXPECT_EQ(scenario_digest(vision_scenario(0.10), &attacker),
+            0xf17d418f104b5801ull);
+  EXPECT_EQ(attacker, 17u);
+  EXPECT_EQ(scenario_digest(femnist_scenario(0.01), &attacker),
+            0x52fa22cf6e0892eeull);
+  EXPECT_EQ(attacker, 16u);
+  ScenarioConfig iid = vision_scenario(0.10);
+  iid.iid = true;
+  EXPECT_EQ(scenario_digest(iid), 0x8f40195e40d6e784ull);
+  ScenarioConfig trigger = vision_scenario(0.10);
+  trigger.backdoor_override = BackdoorKind::kTrigger;
+  EXPECT_EQ(scenario_digest(trigger), 0xd4db82f8dca2b567ull);
 }
 
 TEST(Scenario, TaskKindNames) {

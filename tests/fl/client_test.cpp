@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "tensor/ops.hpp"
 
 namespace baffle {
@@ -12,9 +14,9 @@ Dataset blob_data(int label_offset, std::size_t n) {
   Rng rng(42 + label_offset);
   for (std::size_t i = 0; i < n; ++i) {
     const int y = static_cast<int>(i % 2);
-    d.add({{static_cast<float>(rng.normal(y == 0 ? -2 : 2, 0.4)),
-            static_cast<float>(rng.normal())},
-           y});
+    d.add(std::array{static_cast<float>(rng.normal(y == 0 ? -2 : 2, 0.4)),
+                     static_cast<float>(rng.normal())},
+          y);
   }
   return d;
 }

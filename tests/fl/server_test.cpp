@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 
 #include "metrics/confusion.hpp"
@@ -28,9 +29,9 @@ std::vector<FlClient> make_clients(std::size_t n) {
     Dataset d(2, 2);
     for (int k = 0; k < 20; ++k) {
       const int y = k % 2;
-      d.add({{static_cast<float>(rng.normal(y ? 2 : -2, 0.4)),
-              static_cast<float>(rng.normal())},
-             y});
+      d.add(std::array{static_cast<float>(rng.normal(y ? 2 : -2, 0.4)),
+                       static_cast<float>(rng.normal())},
+            y);
     }
     clients.emplace_back(i, std::move(d));
   }

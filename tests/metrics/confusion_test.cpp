@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace baffle {
 namespace {
 
@@ -95,9 +97,9 @@ TEST(EvaluateConfusion, MatchesModelPredictions) {
   model.set_parameters(params);
 
   Dataset data(2, 2);
-  data.add({{0.0f, 0.0f}, 0});
-  data.add({{0.0f, 0.0f}, 1});
-  data.add({{0.0f, 0.0f}, 1});
+  data.add(std::array{0.0f, 0.0f}, 0);
+  data.add(std::array{0.0f, 0.0f}, 1);
+  data.add(std::array{0.0f, 0.0f}, 1);
   const ConfusionMatrix cm = evaluate_confusion(model, data);
   EXPECT_EQ(cm.count(0, 1), 1u);
   EXPECT_EQ(cm.count(1, 1), 2u);

@@ -1,8 +1,8 @@
 // Positive control for the thread-safety gate: exercises every wrapper
 // in util/sync.hpp the way the codebase does — guarded fields accessed
-// under scoped locks, a REQUIRES helper called with the lock held, a
-// condition-variable wait in the analysis-friendly shape, and shared
-// locking for readers. Must compile clean under
+// under scoped locks, a REQUIRES helper called with the lock held and
+// a condition-variable wait in the analysis-friendly shape. Must
+// compile clean under
 //   -Wthread-safety -Wthread-safety-beta -Werror=thread-safety-analysis
 // or the gate itself is broken (the bad_*.cpp rejections would be
 // meaningless).
@@ -43,29 +43,10 @@ class BoundedQueue {
   std::vector<int> items_ BAFFLE_GUARDED_BY(mu_);
 };
 
-class Snapshot {
- public:
-  void set(int v) {
-    baffle::WriterLock lock(mu_);
-    value_ = v;
-  }
-
-  int get() const {
-    baffle::ReaderLock lock(mu_);
-    return value_;
-  }
-
- private:
-  mutable baffle::SharedMutex mu_;
-  int value_ BAFFLE_GUARDED_BY(mu_) = 0;
-};
-
 int drive() {
   BoundedQueue q;
   q.push(1);
-  Snapshot s;
-  s.set(2);
-  return q.pop_blocking() + s.get() + static_cast<int>(q.empty());
+  return q.pop_blocking() + static_cast<int>(q.empty());
 }
 
 }  // namespace fixture

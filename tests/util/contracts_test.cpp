@@ -141,6 +141,13 @@ TEST(Contracts, FeedbackConfigRejectsDegenerateLookback) {
   config.validator.lookback = 1;
   EXPECT_THROW(validate_feedback_config(config, /*clients_per_round=*/4),
                ContractViolation);
+  // A window shorter than min_variations (6 by default) never holds the
+  // min_variations + 1 models the defense waits for.
+  config.validator.lookback = 5;
+  EXPECT_THROW(validate_feedback_config(config, /*clients_per_round=*/4),
+               ContractViolation);
+  config.validator.lookback = 6;
+  EXPECT_NO_THROW(validate_feedback_config(config, /*clients_per_round=*/4));
 }
 
 TEST(Contracts, FeedbackConfigRejectsNonPositiveTauMargin) {

@@ -2,14 +2,12 @@
 // (util/sync.hpp). The capability annotations themselves are checked at
 // compile time by the clang gate (BAFFLE_THREAD_SAFETY=ON and the
 // tools/thread_safety_fixtures.sh compile-fail tests); these tests pin
-// the wrappers' semantics on every compiler: mutual exclusion, the
-// adopt/release handshake inside CondVar waits, shared-reader
-// concurrency, and writer exclusion.
+// the wrappers' semantics on every compiler: mutual exclusion and the
+// adopt/release handshake inside CondVar waits.
 #include "util/sync.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -88,48 +86,6 @@ TEST(SyncTest, CondVarWaitForTimesOutWithoutANotifier) {
     status = cv.wait_for(mu, 10ms);
   }
   EXPECT_EQ(status, std::cv_status::timeout);
-}
-
-TEST(SyncTest, SharedMutexAdmitsConcurrentReaders) {
-  SharedMutex mu;
-  std::atomic<int> inside{0};
-  std::atomic<bool> overlapped{false};
-  auto reader = [&] {
-    ReaderLock lock(mu);
-    inside.fetch_add(1);
-    // Hold the shared lock until both readers are inside (bounded):
-    // with an exclusive lock the second reader could never enter while
-    // the first waits, and the flag would stay false.
-    const auto deadline = std::chrono::steady_clock::now() + 5s;
-    while (!overlapped.load() &&
-           std::chrono::steady_clock::now() < deadline) {
-      if (inside.load() >= 2) overlapped.store(true);
-      std::this_thread::yield();
-    }
-    inside.fetch_sub(1);
-  };
-  std::thread a(reader);
-  std::thread b(reader);
-  a.join();
-  b.join();
-  EXPECT_TRUE(overlapped.load());
-}
-
-TEST(SyncTest, WriterLockExcludesReaders) {
-  SharedMutex mu;
-  std::atomic<bool> reader_entered{false};
-  std::thread reader;
-  {
-    WriterLock lock(mu);
-    reader = std::thread([&] {
-      ReaderLock rlock(mu);
-      reader_entered.store(true);
-    });
-    std::this_thread::sleep_for(50ms);
-    EXPECT_FALSE(reader_entered.load());
-  }
-  reader.join();
-  EXPECT_TRUE(reader_entered.load());
 }
 
 }  // namespace

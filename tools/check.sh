@@ -14,7 +14,8 @@
 #                             # the concurrent suites under TSan
 #   tools/check.sh --ubsan    # also build with -fsanitize=undefined
 #                             # (+float-cast-overflow) and run the
-#                             # numeric, FL and net suites on both arms
+#                             # numeric, data, FL, attack and net suites
+#                             # on both arms
 #   tools/check.sh --tidy     # also run clang-tidy (skips if absent)
 #   tools/check.sh --thread-safety
 #                             # also build everything with clang under
@@ -33,6 +34,10 @@
 #                             # also run sweep_bench --smoke plus a tiny
 #                             # baffle_sweep grid at BAFFLE_THREADS=1 vs
 #                             # 4 and fail on any CSV byte difference
+#   tools/check.sh --e2e-build
+#                             # also build the end-to-end benchmark
+#                             # binary (e2ebench/, into .bench_build)
+#                             # and run its harness tests
 #   tools/check.sh --all      # every stage above
 #
 # Each stage reports one PASS/FAIL/SKIP line; the script stops at the
@@ -55,6 +60,7 @@ RUN_THREAD_SAFETY=0
 RUN_BENCH_SMOKE=0
 RUN_FUZZ=0
 RUN_SWEEP_SMOKE=0
+RUN_E2E_BUILD=0
 for arg in "$@"; do
   case "$arg" in
     --checks) RUN_CHECKS=1 ;;
@@ -66,9 +72,11 @@ for arg in "$@"; do
     --bench-smoke) RUN_BENCH_SMOKE=1 ;;
     --fuzz) RUN_FUZZ=1 ;;
     --sweep-smoke) RUN_SWEEP_SMOKE=1 ;;
+    --e2e-build) RUN_E2E_BUILD=1 ;;
     --all) RUN_CHECKS=1; RUN_ASAN=1; RUN_TSAN=1; RUN_UBSAN=1; RUN_TIDY=1
            RUN_THREAD_SAFETY=1
-           RUN_BENCH_SMOKE=1; RUN_FUZZ=1; RUN_SWEEP_SMOKE=1 ;;
+           RUN_BENCH_SMOKE=1; RUN_FUZZ=1; RUN_SWEEP_SMOKE=1
+           RUN_E2E_BUILD=1 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
@@ -200,6 +208,19 @@ if [[ "$RUN_SWEEP_SMOKE" -eq 1 ]]; then
     run_sweep_smoke
 fi
 
+run_e2e_build() {
+  # The benchmark links its own binary against the library built from
+  # this tree, so a library change can break its compile while every
+  # suite above passes. Same steps as CI's e2ebench-build job.
+  cmake -S e2ebench -B .bench_build -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build .bench_build --target baffle_e2e -j "$JOBS" &&
+    python3 -m unittest discover -s e2ebench -p 'test_*.py'
+}
+
+if [[ "$RUN_E2E_BUILD" -eq 1 ]]; then
+  stage "e2ebench build + harness tests" run_e2e_build
+fi
+
 if [[ "$RUN_CHECKS" -eq 1 ]]; then
   stage "contracts build (BAFFLE_CHECKS=ON)" \
     build_cfg build-checks -DBAFFLE_CHECKS=ON
@@ -248,13 +269,15 @@ if [[ "$RUN_TSAN" -eq 1 ]]; then
   stage "concurrent suites under TSan" run_tsan_suites
 fi
 
-UBSAN_SUITES=(test_tensor test_nn test_fl test_net)
+UBSAN_SUITES=(test_tensor test_nn test_data test_fl test_attack test_net)
 
 run_ubsan_suites() {
   # Both dispatch arms: the packed SIMD microkernels and the legacy
   # scalar loops each get a pass over the numeric suites, plus the
-  # secure-aggregation encoder (test_fl) and the wire/admission path
-  # (test_net) that feeds it.
+  # secure-aggregation encoder (test_fl), the wire/admission path
+  # (test_net) that feeds it, and the fraction checks of the data and
+  # attack builders (test_data, test_attack), whose NaN inputs must
+  # never reach a float-to-integer cast.
   local suite
   for suite in "${UBSAN_SUITES[@]}"; do
     "./build-ubsan/tests/${suite}" --gtest_brief=1 &&
