@@ -8,7 +8,7 @@
 namespace baffle {
 
 BaffleDefense::BaffleDefense(MlpConfig arch, FeedbackConfig config,
-                             Dataset server_holdout)
+                             const Dataset& server_holdout)
     : arch_(std::move(arch)),
       config_(config),
       history_(config.validator.lookback + 1) {
@@ -18,7 +18,7 @@ BaffleDefense::BaffleDefense(MlpConfig arch, FeedbackConfig config,
   BAFFLE_CHECK(!needs_server || !server_holdout.empty(),
                "server validation modes need a server holdout");
   if (!server_holdout.empty()) {
-    server_validator_.emplace(std::move(server_holdout), arch_,
+    server_validator_.emplace(server_holdout, arch_,
                               config.server_validator());
   }
 }

@@ -28,9 +28,10 @@ namespace baffle {
 class BaffleDefense {
  public:
   /// `server_holdout` may be empty for the BAFFLE-C configuration; it is
-  /// required for BAFFLE-S and BAFFLE.
+  /// required for BAFFLE-S and BAFFLE. Validators keep what they need of
+  /// it and of the clients' shards (labels, packed features), not a copy.
   BaffleDefense(MlpConfig arch, FeedbackConfig config,
-                Dataset server_holdout);
+                const Dataset& server_holdout);
 
   /// Records an accepted global model into the history and notifies
   /// every materialized validator (notify_commit), promoting pending

@@ -13,10 +13,15 @@ ModelHistory::ModelHistory(std::size_t capacity) : capacity_(capacity) {
 }
 
 void ModelHistory::push(std::uint64_t version, ParamVec params) {
-  BAFFLE_DCHECK(entries_.empty() || version > entries_.back()->version,
-                "committed model versions must be strictly increasing");
-  entries_.push_back(std::make_shared<const GlobalModel>(
+  push(std::make_shared<const GlobalModel>(
       GlobalModel{version, std::move(params)}));
+}
+
+void ModelHistory::push(std::shared_ptr<const GlobalModel> snapshot) {
+  BAFFLE_DCHECK(
+      entries_.empty() || snapshot->version > entries_.back()->version,
+      "committed model versions must be strictly increasing");
+  entries_.push_back(std::move(snapshot));
   while (entries_.size() > capacity_) entries_.pop_front();
   BAFFLE_DCHECK(entries_.size() <= capacity_,
                 "history retention must stay within capacity");

@@ -29,6 +29,10 @@ class ModelHistory {
   explicit ModelHistory(std::size_t capacity);
 
   void push(std::uint64_t version, ParamVec params);
+  /// Appends an existing snapshot without copying it, so several
+  /// histories can alias one immutable model (the client actors of a
+  /// transport run share their decoded snapshots this way).
+  void push(std::shared_ptr<const GlobalModel> snapshot);
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }

@@ -26,14 +26,18 @@ std::size_t tau_window_for_lookback(std::size_t lookback) {
   return lookback / 4;  // ⌊ℓ/4⌋
 }
 
-Validator::Validator(Dataset data, MlpConfig arch, ValidatorConfig config)
-    : data_(std::move(data)), config_(config), engine_(std::move(arch)) {
+Validator::Validator(const Dataset& data, MlpConfig arch,
+                     ValidatorConfig config)
+    : labels_(data.labels()),
+      num_classes_(data.num_classes()),
+      config_(config),
+      engine_(std::move(arch)) {
   BAFFLE_CHECK(config.lookback >= 2,
                "look-back window must cover at least 2 accepted models");
   BAFFLE_CHECK(config.min_variations >= 1,
                "abstention threshold must require at least one variation");
-  BAFFLE_CHECK(!data_.empty(), "validator needs a non-empty dataset");
-  engine_.bind(data_.features());
+  BAFFLE_CHECK(!data.empty(), "validator needs a non-empty dataset");
+  engine_.bind(data.features());
 }
 
 // Move transfers the state wholesale without touching either lock:
@@ -42,7 +46,8 @@ Validator::Validator(Dataset data, MlpConfig arch, ValidatorConfig config)
 // `validating_` flag of a moved-from validator is necessarily clear.
 Validator::Validator(Validator&& other) noexcept
     BAFFLE_NO_THREAD_SAFETY_ANALYSIS
-    : data_(std::move(other.data_)),
+    : labels_(std::move(other.labels_)),
+      num_classes_(other.num_classes_),
       config_(other.config_),
       cache_(std::move(other.cache_)),
       pending_(std::move(other.pending_)),
@@ -59,7 +64,8 @@ Validator::Validator(Validator&& other) noexcept
 Validator& Validator::operator=(Validator&& other) noexcept
     BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
   if (this == &other) return *this;
-  data_ = std::move(other.data_);
+  labels_ = std::move(other.labels_);
+  num_classes_ = other.num_classes_;
   config_ = other.config_;
   engine_ = std::move(other.engine_);
   cache_ = std::move(other.cache_);
@@ -186,7 +192,7 @@ void Validator::run_plan(const ParamVec& candidate,
                          std::vector<ErrorProfile>& missed_profiles) {
   const std::size_t evals = plan.missed.size() + (plan.eval_candidate ? 1 : 0);
   if (evals == 0) return;
-  const std::size_t n = data_.size();
+  const std::size_t n = labels_.size();
   batch_preds_.resize(evals * n);
   batch_models_.clear();
   batch_models_.reserve(evals);
@@ -214,9 +220,9 @@ void Validator::run_plan(const ParamVec& candidate,
   // Profile of the model whose predictions fill batch slot `slot`.
   const auto profile = [&](std::size_t slot) {
     return error_profile(
-        data_.labels(),
+        labels_,
         std::span<const std::size_t>(batch_preds_).subspan(slot * n, n),
-        data_.num_classes());
+        num_classes_);
   };
   missed_profiles.reserve(plan.missed.size());
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {

@@ -97,7 +97,9 @@ class Validator {
  public:
   /// `data` is the validator's private labelled dataset D_i; `arch` must
   /// match the global model (needed to materialize parameter vectors).
-  Validator(Dataset data, MlpConfig arch, ValidatorConfig config);
+  /// The validator keeps D_i's labels and its features packed into the
+  /// engine's sample panels, not a copy of `data`.
+  Validator(const Dataset& data, MlpConfig arch, ValidatorConfig config);
 
   // Movable so enclosing defenses can be returned by value during
   // single-threaded setup. The mutex is not moved — each validator owns
@@ -126,7 +128,6 @@ class Validator {
   /// pending profile is discarded.
   void notify_reject();
 
-  const Dataset& data() const { return data_; }
   /// Post-run inspection handle (tests, reports). The reference escapes
   /// the lock deliberately: callers read it only after the rounds that
   /// mutate this validator have finished.
@@ -169,7 +170,8 @@ class Validator {
                                 EvalPlan& plan) BAFFLE_REQUIRES(mu_);
   void sync_window(const ModelWindow& history) BAFFLE_REQUIRES(mu_);
 
-  Dataset data_;
+  std::vector<int> labels_;  // D_i's labels; its features live in engine_
+  std::size_t num_classes_ = 0;
   ValidatorConfig config_;
 
   // One lock serializes a validator's cross-round state: the prediction

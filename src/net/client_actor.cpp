@@ -1,18 +1,65 @@
 #include "net/client_actor.hpp"
 
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
+#include "util/scratch_lease.hpp"
+
 namespace baffle {
 
+namespace {
+
+bool same_bytes(const ParamVec& a, const ParamVec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+}  // namespace
+
+std::shared_ptr<const GlobalModel> SnapshotStore::intern(
+    std::uint64_t version, ParamVec params) {
+  MutexLock lock(mu_);
+  if (const auto it = by_version_.find(version); it != by_version_.end()) {
+    for (const auto& weak : it->second) {
+      if (auto held = weak.lock(); held && same_bytes(held->params, params)) {
+        return held;
+      }
+    }
+  }
+  // A new snapshot: first forget the ones no window holds any more, so
+  // the table stays as small as the live windows.
+  for (auto it = by_version_.begin(); it != by_version_.end();) {
+    std::erase_if(it->second, [](const auto& weak) { return weak.expired(); });
+    it = it->second.empty() ? by_version_.erase(it) : std::next(it);
+  }
+  auto snapshot = std::make_shared<const GlobalModel>(
+      GlobalModel{version, std::move(params)});
+  by_version_[version].push_back(snapshot);
+  return snapshot;
+}
+
+std::size_t SnapshotStore::live() const {
+  MutexLock lock(mu_);
+  std::size_t n = 0;
+  for (const auto& [version, snapshots] : by_version_) {
+    for (const auto& weak : snapshots) n += weak.expired() ? 0 : 1;
+  }
+  return n;
+}
+
 ClientActor::ClientActor(ClientActorConfig config, MlpConfig arch,
-                         Dataset shard, ValidatorConfig validator_config,
+                         const Dataset& shard,
+                         ValidatorConfig validator_config,
                          UpdateProvider* provider,
-                         std::shared_ptr<Channel> channel)
+                         std::shared_ptr<Channel> channel,
+                         SnapshotStore& snapshots)
     : config_(config),
+      arch_(std::move(arch)),
       provider_(provider),
       channel_(std::move(channel)),
-      model_(arch),
+      snapshots_(snapshots),
       history_(config.lookback + 1) {
   if (provider_ == nullptr) {
     throw std::invalid_argument("ClientActor: null update provider");
@@ -21,7 +68,7 @@ ClientActor::ClientActor(ClientActorConfig config, MlpConfig arch,
     throw std::invalid_argument("ClientActor: null channel");
   }
   if (!shard.empty()) {
-    validator_.emplace(std::move(shard), std::move(arch), validator_config);
+    validator_.emplace(shard, arch_, validator_config);
   }
 }
 
@@ -48,7 +95,7 @@ void ClientActor::accept(std::uint64_t version, ParamVec params) {
     throw WireError(
         "ClientActor: accepted version does not advance the local window");
   }
-  history_.push(version, std::move(params));
+  history_.push(snapshots_.intern(version, std::move(params)));
 }
 
 void ClientActor::handle_training(Rng rng) {
@@ -57,13 +104,16 @@ void ClientActor::handle_training(Rng rng) {
   if (broadcast.purpose != ModelPurpose::kTraining) {
     throw WireError("ClientActor: training phase got a candidate model");
   }
-  model_.set_parameters(broadcast.params);
+  Mlp global(arch_);
+  global.set_parameters(broadcast.params);
+  // One training workspace per worker thread (and nesting level), like
+  // FlServer::propose_round_with's: no actor keeps one between rounds.
+  const ScratchLease<TrainWorkspace> ws;
 
   ClientUpdate reply;
   reply.round = broadcast.round;
   reply.client_id = config_.client_id;
-  reply.update =
-      provider_->update_for(config_.client_id, model_, rng, train_ws_);
+  reply.update = provider_->update_for(config_.client_id, global, rng, *ws);
   channel_->send(encode_frame(reply));
 }
 

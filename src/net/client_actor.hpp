@@ -1,11 +1,21 @@
 #pragma once
 // Simulated FL client behind a Channel: the peer the round server talks
-// to. One actor persists across rounds and owns everything a real
-// client process would — its data shard, its Validator (with the
-// cross-round prediction/LOF caches of DESIGN.md §12), and its local
-// ModelHistory of accepted models, kept in sync through HistoryDelta
-// messages (§VI-D: a recently-selected validator receives only the
-// models it is missing).
+// to. One actor persists across rounds and owns what a real client
+// keeps between them: its Validator (the labels of its shard, the
+// shard's packed sample panels, and the cross-round prediction/LOF
+// caches of DESIGN.md §12) and its ModelHistory of accepted models,
+// kept in sync through HistoryDelta messages (§VI-D: a
+// recently-selected validator receives only the models it is missing).
+//
+// What an actor shares: every model it accepts, it decodes from its
+// own frames and then interns through its driver's SnapshotStore, so
+// actors whose decoded bytes are bit-equal hold one immutable
+// GlobalModel between them instead of a copy each. Bytes that differ
+// (a tampered frame, an equivocating server) get a snapshot of their
+// own, so no window ever holds bytes its actor did not decode. Training
+// scratch is not kept between rounds: each training call builds the
+// broadcast model for itself and trains in a workspace leased per
+// worker thread.
 //
 // The actor's verdicts are bit-identical to the in-process
 // BaffleDefense path: VALIDATE depends only on (candidate, window,
@@ -24,12 +34,38 @@
 // or the handler throws WireError.
 
 #include <optional>
+#include <unordered_map>
 
 #include "attack/malicious_voter.hpp"
 #include "core/validate.hpp"
 #include "net/transport.hpp"
+#include "util/sync.hpp"
 
 namespace baffle {
+
+/// The decoded accepted models the client actors of one driver share.
+/// intern() hands back the snapshot an actor already holds for
+/// (version, bytes) when one exists, else a new one built from the
+/// caller's own decoded params. Bytes are compared with memcmp, not
+/// float ==: a NaN matches its own bits, and -0 never matches +0. The
+/// store holds only weak references, so a snapshot dies with the last
+/// window that holds it.
+class SnapshotStore {
+ public:
+  /// Thread-safe: actors intern concurrently inside a phase's fork-join.
+  std::shared_ptr<const GlobalModel> intern(std::uint64_t version,
+                                            ParamVec params);
+
+  /// Snapshots some holder still keeps alive (tests).
+  std::size_t live() const;
+
+ private:
+  mutable Mutex mu_;
+  /// Per version, every distinct byte pattern an actor accepted.
+  std::unordered_map<std::uint64_t,
+                     std::vector<std::weak_ptr<const GlobalModel>>>
+      by_version_ BAFFLE_GUARDED_BY(mu_);
+};
 
 struct ClientActorConfig {
   std::size_t client_id = 0;
@@ -47,12 +83,14 @@ class ClientActor {
   static constexpr std::chrono::milliseconds kRecvTimeout{30'000};
 
   /// `shard` may be empty — the actor then abstains from every vote
-  /// (matching BaffleDefense::client_validator returning nullptr).
-  /// `provider` outlives the actor and is shared with other actors; its
-  /// update_for is thread-safe per the UpdateProvider contract.
-  ClientActor(ClientActorConfig config, MlpConfig arch, Dataset shard,
+  /// (matching BaffleDefense::client_validator returning nullptr); the
+  /// actor keeps only what its Validator extracts from it. `provider`
+  /// and `snapshots` outlive the actor and are shared with other
+  /// actors; both are thread-safe (provider per the UpdateProvider
+  /// contract).
+  ClientActor(ClientActorConfig config, MlpConfig arch, const Dataset& shard,
               ValidatorConfig validator_config, UpdateProvider* provider,
-              std::shared_ptr<Channel> channel);
+              std::shared_ptr<Channel> channel, SnapshotStore& snapshots);
 
   /// Training phase: receives ModelBroadcast(kTraining), trains through
   /// the update provider with the caller-forked `rng`, sends
@@ -79,16 +117,17 @@ class ClientActor {
  private:
   /// Receives one frame and decodes it, insisting on `expected` type.
   WireMessage recv_expect(MsgType expected);
-  /// Appends a wire-supplied accepted model. ModelHistory::push only
-  /// debug-checks that versions grow, so a version that does not
-  /// advance the window is rejected here as a protocol violation.
+  /// Appends a wire-supplied accepted model, interned through the
+  /// shared store. ModelHistory::push only debug-checks that versions
+  /// grow, so a version that does not advance the window is rejected
+  /// here as a protocol violation.
   void accept(std::uint64_t version, ParamVec params);
 
   ClientActorConfig config_;
+  MlpConfig arch_;  // decoded training broadcasts materialize as this
   UpdateProvider* provider_;
   std::shared_ptr<Channel> channel_;
-  Mlp model_;  // scratch: decoded broadcasts materialize here
-  TrainWorkspace train_ws_;
+  SnapshotStore& snapshots_;
   std::optional<Validator> validator_;  // nullopt: empty shard
   ModelHistory history_;                // capacity lookback + 1
 

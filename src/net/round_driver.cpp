@@ -45,8 +45,13 @@ ClientActor& TransportRoundDriver::actor_for(std::size_t id) {
       id, std::make_unique<ClientActor>(
               actor_config, server_.arch(), clients_[id].data(),
               defense_.config().validator, &provider_,
-              std::move(duplex.client)));
+              std::move(duplex.client), snapshots_));
   return *it->second;
+}
+
+const ClientActor* TransportRoundDriver::actor(std::size_t id) const {
+  const auto it = actors_.find(id);
+  return it == actors_.end() ? nullptr : it->second.get();
 }
 
 std::vector<ClientActor*> TransportRoundDriver::actors_for(

@@ -1,8 +1,10 @@
 #pragma once
 // TransportRoundDriver: the experiment loop's bridge onto the wire
 // protocol. It owns one ClientActor (+ connected channel pair) per
-// client that ever participates, and replays each round's three
-// exchanges through the RoundServer:
+// client that ever participates, plus the SnapshotStore through which
+// those actors share the accepted models they decode (one snapshot per
+// distinct (version, bytes), not one per actor), and replays each
+// round's three exchanges through the RoundServer:
 //
 //   propose_round  — broadcast the global model to the contributors,
 //                    run their training as one pool fork-join
@@ -82,6 +84,11 @@ class TransportRoundDriver {
   /// Ground truth the tracker must equal: channel-counted frame bytes.
   std::uint64_t wire_bytes() const { return round_server_.wire_bytes(); }
 
+  /// Inspection handles (tests): the actors' shared snapshots, and
+  /// client `id`'s actor, nullptr until that client first participates.
+  const SnapshotStore& snapshots() const { return snapshots_; }
+  const ClientActor* actor(std::size_t id) const;
+
  private:
   ClientActor& actor_for(std::size_t id);
   /// The actors of `ids`, in order, creating any that are missing (map
@@ -97,6 +104,7 @@ class TransportRoundDriver {
   VoteStrategy strategy_;
   CommTracker tracker_;
   RoundServer round_server_;
+  SnapshotStore snapshots_;  // declared before the actors that use it
   std::unordered_map<std::size_t, std::unique_ptr<ClientActor>> actors_;
   /// Current round's participants (reset by propose_round, consumed by
   /// finish_round).

@@ -176,8 +176,8 @@ class ParityFixture : public ::testing::Test {
                                   const ModelWindow& history) {
     const ValidationOutcome got = v.validate(candidate, history);
     const ValidationOutcome want =
-        fresh_validate(v.config(), v.data(), arch_, candidate, history,
-                       oracle_evaluations_);
+        fresh_validate(v.config(), validator_data(), arch_, candidate,
+                       history, oracle_evaluations_);
     EXPECT_EQ(got.vote, want.vote);
     EXPECT_EQ(got.phi, want.phi);  // bit-exact, not just approximately equal
     EXPECT_EQ(got.tau, want.tau);
@@ -185,20 +185,27 @@ class ParityFixture : public ::testing::Test {
     return got;
   }
 
-  /// Drives `v` through scripted rounds against the oracle: validate,
-  /// then commit (true) or roll back (false). Returns how many rounds
-  /// were scored rather than abstained.
+  /// Drives `v` through scripted rounds against the oracle: validate
+  /// on every `stride`-th round (on the others the chain moves without
+  /// asking `v`, as for a client not sampled that round), then commit
+  /// (true) or roll back (false). Returns how many rounds were scored
+  /// rather than abstained.
   std::size_t run_script(Validator& v, const std::vector<bool>& accept_script,
-                         std::size_t lookback, std::uint64_t seed) {
+                         std::size_t lookback, std::uint64_t seed,
+                         std::size_t stride = 1) {
     ModelHistory window(lookback + 1);
     std::uint64_t version = 0;
     window.push(version, params_);
     Rng rng(seed);
     std::size_t non_abstained = 0;
-    for (const bool accept : accept_script) {
+    for (std::size_t round = 0; round < accept_script.size(); ++round) {
+      const bool accept = accept_script[round];
       const ModelWindow history = window.window_shared(lookback + 1);
       const ParamVec candidate = next_params(rng);
-      if (!expect_parity(v, candidate, history).abstained) ++non_abstained;
+      if ((round + 1) % stride == 0 &&
+          !expect_parity(v, candidate, history).abstained) {
+        ++non_abstained;
+      }
       if (accept) {
         ++version;
         window.push(version, candidate);
@@ -237,6 +244,28 @@ TEST_F(ParityFixture, AcceptRejectRollbackSequenceBitIdentical) {
   // them as next round's history.back().
   EXPECT_GT(v.cache().promotions(), 0u);
   EXPECT_LT(v.cache().misses(), oracle_evaluations_);
+}
+
+TEST_F(ParityFixture, StridedValidationWindowsBitIdentical) {
+  // A client validates only when it is sampled (about one vision round
+  // in five; a FEMNIST client far more rarely), so between two of its
+  // validations the window moves by several models, or by all of them.
+  // Strides up to ℓ+3, with a rejected round every 7th, must keep the
+  // incremental window exact across every such jump.
+  const std::size_t lookback = 8;
+  std::vector<bool> script(8 * (lookback + 3));
+  for (std::size_t i = 0; i < script.size(); ++i) script[i] = i % 7 != 6;
+  const std::size_t strides[] = {2, 3, 5, lookback, lookback + 1,
+                                 lookback + 3};
+  for (const std::size_t stride : strides) {
+    SCOPED_TRACE(stride);
+    const ParamVec start = params_;
+    Validator v = make_validator(config(lookback));
+    const std::size_t non_abstained =
+        run_script(v, script, lookback, /*seed=*/200 + stride, stride);
+    EXPECT_GE(non_abstained, 6u);  // the LOF path ran after each jump
+    params_ = start;
+  }
 }
 
 TEST_F(ParityFixture, ZScoreAblationsMatchFreshRecompute) {

@@ -1,11 +1,16 @@
 // ClientActor on its own: a hand-driven server end of the channel sends
 // the phase frames and reads the replies. The actor's window is a
-// ModelHistory, and every version the wire supplies must advance it.
+// ModelHistory, every version the wire supplies must advance it, and
+// the models in it are interned through a SnapshotStore, which actors
+// share only when their decoded bytes are bit-equal.
 
 #include "net/client_actor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -23,49 +28,65 @@ class NoUpdates final : public UpdateProvider {
   }
 };
 
-/// An actor with an empty shard (it abstains from judging) and the
-/// server end of its channel.
+/// An actor and the server end of its channel. By default the actor
+/// has an empty shard (it abstains from judging), a window of ℓ+1 = 3
+/// and a store of its own; pass `shared` to put actors on one store.
 struct Rig {
   NoUpdates provider;
+  SnapshotStore own_store;
   std::shared_ptr<Channel> server;
   std::unique_ptr<ClientActor> actor;
+  std::size_t lookback;
 
-  explicit Rig(VoteStrategy strategy = VoteStrategy::kHonest) {
+  explicit Rig(VoteStrategy strategy = VoteStrategy::kHonest,
+               SnapshotStore* shared = nullptr,
+               const Dataset& shard = Dataset(4, 2),
+               std::size_t ell = 2)
+      : lookback(ell) {
     InProcTransport transport;
     DuplexChannel duplex = transport.connect();
     server = duplex.server;
     ClientActorConfig config;
     config.client_id = 3;
-    config.lookback = 2;
+    config.lookback = lookback;
     config.strategy = strategy;
     ValidatorConfig validator;
-    validator.lookback = 2;
-    actor = std::make_unique<ClientActor>(config, kArch, Dataset(4, 2),
-                                          validator, &provider,
-                                          std::move(duplex.client));
+    validator.lookback = lookback;
+    actor = std::make_unique<ClientActor>(
+        config, kArch, shard, validator, &provider, std::move(duplex.client),
+        shared != nullptr ? *shared : own_store);
   }
 
-  ParamVec params(float fill) const {
+  static ParamVec params(float fill) {
     return ParamVec(Mlp(kArch).num_params(), fill);
   }
 
-  /// Ships a delta with `versions` plus a candidate, runs the actor's
+  /// Ships a delta of `entries` plus `candidate`, runs the actor's
   /// validation phase and returns its vote.
   Vote validate(std::uint64_t round,
-                std::initializer_list<std::uint64_t> versions) {
+                std::vector<HistoryDelta::Entry> entries,
+                ParamVec candidate) {
     HistoryDelta delta;
     delta.round = round;
-    for (std::uint64_t v : versions) {
-      delta.entries.push_back({v, params(static_cast<float>(v))});
-    }
+    delta.entries = std::move(entries);
     server->send(encode_frame(delta));
-    ModelBroadcast candidate;
-    candidate.round = round;
-    candidate.purpose = ModelPurpose::kCandidate;
-    candidate.params = params(-1.0f);
-    server->send(encode_frame(candidate));
+    ModelBroadcast broadcast;
+    broadcast.round = round;
+    broadcast.purpose = ModelPurpose::kCandidate;
+    broadcast.params = std::move(candidate);
+    server->send(encode_frame(broadcast));
     actor->handle_validation();
     return std::get<Vote>(decode_frame(*server->try_recv()));
+  }
+
+  /// As above, with version v's params all v and a candidate of −1s.
+  Vote validate(std::uint64_t round,
+                std::initializer_list<std::uint64_t> versions) {
+    std::vector<HistoryDelta::Entry> entries;
+    for (std::uint64_t v : versions) {
+      entries.push_back({v, params(static_cast<float>(v))});
+    }
+    return validate(round, std::move(entries), params(-1.0f));
   }
 
   void finish(std::uint64_t round, bool committed, std::uint64_t version) {
@@ -76,7 +97,57 @@ struct Rig {
     server->send(encode_frame(result));
     actor->handle_round_result();
   }
+
+  ModelWindow window() const {
+    return actor->history().window_shared(lookback + 1);
+  }
 };
+
+// A judging actor: ℓ = 6 is the smallest window the default
+// min_variations scores, on a 64-sample shard of a linear 2-class rule.
+constexpr std::size_t kJudgingLookback = 6;
+
+Dataset judging_shard() {
+  Rng rng(5);
+  Dataset shard(4, 2);
+  for (int i = 0; i < 64; ++i) {
+    std::vector<float> x(4);
+    for (float& f : x) f = static_cast<float>(rng.normal(0.0, 1.0));
+    shard.add(x, x[0] + x[1] > 0.0f ? 1 : 0);
+  }
+  return shard;
+}
+
+/// Distinct random models, so each window model predicts differently.
+ParamVec random_model(std::uint64_t seed) {
+  Rng rng(seed);
+  ParamVec out(Mlp(kArch).num_params());
+  for (float& p : out) p = static_cast<float>(rng.normal(0.0, 1.0));
+  return out;
+}
+
+/// A full judging window: versions 1..ℓ+1 of random models.
+std::vector<HistoryDelta::Entry> judging_window() {
+  std::vector<HistoryDelta::Entry> entries;
+  for (std::uint64_t v = 1; v <= kJudgingLookback + 1; ++v) {
+    entries.push_back({v, random_model(v)});
+  }
+  return entries;
+}
+
+void expect_same_vote(const Vote& got, const Vote& want) {
+  EXPECT_EQ(got.vote, want.vote);
+  EXPECT_EQ(got.abstained, want.abstained);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.phi),
+            std::bit_cast<std::uint64_t>(want.phi));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.tau),
+            std::bit_cast<std::uint64_t>(want.tau));
+}
+
+bool same_bytes(const ParamVec& a, const ParamVec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
 TEST(ClientActor, KeepsTheLastWindowOfAcceptedModels) {
   Rig rig;
@@ -127,6 +198,85 @@ TEST(ClientActor, CastsItsVoteThroughItsStrategy) {
     EXPECT_EQ(vote.vote, wire_vote);
     EXPECT_EQ(vote.abstained, 1);
   }
+}
+
+TEST(ClientActor, BitEqualModelsShareOneSnapshot) {
+  const Dataset shard = judging_shard();
+  SnapshotStore store;
+  Rig a(VoteStrategy::kHonest, &store, shard, kJudgingLookback);
+  Rig b(VoteStrategy::kHonest, &store, shard, kJudgingLookback);
+  Rig alone(VoteStrategy::kHonest, nullptr, shard, kJudgingLookback);
+  const ParamVec candidate = random_model(100);
+  const Vote va = a.validate(1, judging_window(), candidate);
+  const Vote vb = b.validate(1, judging_window(), candidate);
+  const Vote want = alone.validate(1, judging_window(), candidate);
+
+  // Each actor decoded its own frames; the store handed the second one
+  // the first one's snapshots, and the lone actor kept its own.
+  {
+    const ModelWindow wa = a.window();
+    const ModelWindow wb = b.window();
+    const ModelWindow wo = alone.window();
+    ASSERT_EQ(wa.size(), kJudgingLookback + 1);
+    ASSERT_EQ(wb.size(), wa.size());
+    for (std::size_t i = 0; i < wa.size(); ++i) {
+      EXPECT_EQ(wa[i].get(), wb[i].get()) << "version " << wa[i]->version;
+      EXPECT_NE(wa[i].get(), wo[i].get());
+    }
+    EXPECT_EQ(store.live(), kJudgingLookback + 1);
+  }
+
+  // Sharing changes no vote: both judge exactly as the lone actor.
+  ASSERT_TRUE(a.actor->has_validator());
+  EXPECT_EQ(want.abstained, 0);
+  expect_same_vote(va, want);
+  expect_same_vote(vb, want);
+
+  // The committed candidate is interned too; the model it pushes out
+  // of both windows dies with them.
+  a.finish(1, /*committed=*/true, kJudgingLookback + 2);
+  b.finish(1, /*committed=*/true, kJudgingLookback + 2);
+  EXPECT_EQ(&a.actor->history().latest(), &b.actor->history().latest());
+  EXPECT_EQ(a.actor->history().latest().params, candidate);
+  EXPECT_EQ(store.live(), kJudgingLookback + 1);
+}
+
+TEST(ClientActor, DifferingBytesKeepTheirOwnSnapshot) {
+  const Dataset shard = judging_shard();
+  SnapshotStore store;
+  Rig a(VoteStrategy::kHonest, &store, shard, kJudgingLookback);
+  Rig b(VoteStrategy::kHonest, &store, shard, kJudgingLookback);
+  Rig c(VoteStrategy::kHonest, &store, shard, kJudgingLookback);
+  const ParamVec candidate = random_model(100);
+
+  // b's entry for version 4 differs from a's only in the sign of a
+  // zero: equal under float ==, not bit-equal.
+  std::vector<HistoryDelta::Entry> original = judging_window();
+  original[3].params[0] = 0.0f;
+  std::vector<HistoryDelta::Entry> tampered = original;
+  tampered[3].params[0] = -0.0f;
+  const ParamVec want_bytes = original[3].params;
+  a.validate(1, original, candidate);
+  b.validate(1, tampered, candidate);
+  c.validate(1, original, candidate);
+
+  const ModelWindow wa = a.window();
+  const ModelWindow wb = b.window();
+  const ModelWindow wc = c.window();
+  for (std::size_t i = 0; i < wa.size(); ++i) {
+    SCOPED_TRACE(wa[i]->version);
+    EXPECT_EQ(wa[i].get(), wc[i].get());  // c matched a's bytes
+    if (i == 3) {
+      EXPECT_NE(wa[i].get(), wb[i].get());
+    } else {
+      EXPECT_EQ(wa[i].get(), wb[i].get());
+    }
+  }
+  // Each window reads the bytes its own actor decoded.
+  EXPECT_TRUE(same_bytes(wa[3]->params, want_bytes));
+  EXPECT_FALSE(std::signbit(wa[3]->params[0]));
+  EXPECT_TRUE(std::signbit(wb[3]->params[0]));
+  EXPECT_EQ(store.live(), kJudgingLookback + 2);
 }
 
 }  // namespace
