@@ -22,6 +22,8 @@
 #include "nn/train.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
+#include "util/metric_names.hpp"
+#include "util/metrics.hpp"
 
 namespace baffle {
 namespace {
@@ -206,6 +208,77 @@ void BM_ValidateCall(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValidateCall);
+
+void BM_ValidateShift(benchmark::State& state) {
+  // One validation whose ℓ = 20 window moved by s commits since the
+  // validator last ran: the first commit is the candidate it scored
+  // (promoted), the other s − 1 are models it never saw. s = 1 is the
+  // server, which validates every round; s = 5 a vision client sampled
+  // about one round in five. BM_ValidateCall is s = 0. Only validate()
+  // is timed; the models cycle through a ring of trained snapshots
+  // under ever-growing versions.
+  const auto shift = static_cast<std::size_t>(state.range(0));
+  Rng rng(5);
+  SynthTaskConfig cfg = synth_vision10_config();
+  cfg.train_per_class = 60;
+  const SynthTask task = make_synth_task(cfg, rng);
+  const MlpConfig arch{{cfg.dim, 32, cfg.num_classes}, Activation::kRelu};
+  Mlp model(arch);
+  model.init(rng);
+  TrainConfig warm;
+  warm.epochs = 8;
+  warm.sgd.learning_rate = 0.05f;
+  train_sgd(model, task.train.features(), task.train.labels(), warm, rng);
+  TrainConfig slice;
+  slice.epochs = 1;
+  slice.sgd.learning_rate = 0.01f;
+  std::vector<ParamVec> ring;
+  for (int i = 0; i < 48; ++i) {
+    ring.push_back(model.parameters());
+    train_sgd(model, task.train.features(), task.train.labels(), slice, rng);
+  }
+  ModelHistory history(21);
+  std::uint64_t version = 0;
+  for (; version <= 20; ++version) history.push(version, ring[version]);
+  --version;
+  ValidatorConfig vcfg;
+  vcfg.lookback = 20;
+  Validator validator(task.test.sample(100, rng), arch, vcfg);
+  const auto next_model = [&] { return ring[(version + 1) % ring.size()]; };
+  ParamVec candidate = next_model();
+  validator.validate(candidate, history.window_shared(21));  // warm
+  const MetricsRegistry& registry = MetricsRegistry::global();
+  const double engine_before = registry.timer_seconds(metric::kEngineRun);
+  double validate_seconds = 0.0;
+  for (auto _ : state) {
+    validator.notify_commit(++version, candidate);
+    history.push(version, candidate);
+    for (std::size_t i = 1; i < shift; ++i) {
+      ++version;
+      history.push(version, ring[version % ring.size()]);
+    }
+    const ModelWindow window = history.window_shared(21);
+    candidate = next_model();
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(validator.validate(candidate, window));
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    state.SetIterationTime(seconds);
+    validate_seconds += seconds;
+  }
+  // The part of a validation outside the engine pass (the score phase).
+  const double engine_seconds =
+      registry.timer_seconds(metric::kEngineRun) - engine_before;
+  const auto per_call = [&](double seconds) {
+    return benchmark::Counter(seconds * 1e6 /
+                              static_cast<double>(state.iterations()));
+  };
+  state.counters["engine_us"] = per_call(engine_seconds);
+  state.counters["outside_engine_us"] =
+      per_call(validate_seconds - engine_seconds);
+}
+BENCHMARK(BM_ValidateShift)->Arg(1)->Arg(5)->UseManualTime();
 
 void BM_ValidationRound(benchmark::State& state) {
   // End-to-end per-round validation cost at l = 10, n = 10: the server

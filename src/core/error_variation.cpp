@@ -9,48 +9,69 @@ namespace baffle {
 ErrorProfile error_profile(std::span<const int> labels,
                            std::span<const std::size_t> preds,
                            std::size_t num_classes) {
+  for (const int y : labels) {
+    BAFFLE_CHECK(y >= 0 && static_cast<std::size_t>(y) < num_classes,
+                 "true label out of class range");
+  }
+  std::vector<std::size_t> counts;
+  ErrorProfile out;
+  error_profile_into(labels, preds, num_classes, counts, out);
+  return out;
+}
+
+void error_profile_into(std::span<const int> labels,
+                        std::span<const std::size_t> preds,
+                        std::size_t num_classes,
+                        std::vector<std::size_t>& counts, ErrorProfile& out) {
   BAFFLE_CHECK(num_classes > 0, "error_profile needs at least one class");
   BAFFLE_CHECK(labels.size() == preds.size(),
                "error_profile needs one prediction per label");
-  std::vector<std::size_t> source_wrong(num_classes, 0);
-  std::vector<std::size_t> target_wrong(num_classes, 0);
+  // counts[y] = samples of class y predicted wrong (source-focused),
+  // counts[C + y] = samples wrongly predicted as y (target-focused).
+  counts.assign(2 * num_classes, 0);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     const auto y = static_cast<std::size_t>(labels[i]);
     const std::size_t p = preds[i];
-    BAFFLE_CHECK(labels[i] >= 0 && y < num_classes,
-                 "true label out of class range");
-    BAFFLE_CHECK(p < num_classes, "predicted label out of class range");
+    BAFFLE_DCHECK_BOUNDS(y, num_classes);
     if (p == y) {
       ++correct;
     } else {
-      ++source_wrong[y];
-      ++target_wrong[p];
+      // Only a wrong prediction can lie outside the class range.
+      BAFFLE_CHECK(p < num_classes, "predicted label out of class range");
+      ++counts[y];
+      ++counts[num_classes + p];
     }
   }
-  ErrorProfile out{std::vector<double>(2 * num_classes, 0.0), 0.0};
-  if (labels.empty()) return out;
+  out.errors.assign(2 * num_classes, 0.0);
+  out.accuracy = 0.0;
+  if (labels.empty()) return;
   const auto total = static_cast<double>(labels.size());
-  for (std::size_t y = 0; y < num_classes; ++y) {
-    out.errors[y] = static_cast<double>(source_wrong[y]) / total;
-    out.errors[num_classes + y] = static_cast<double>(target_wrong[y]) / total;
+  for (std::size_t i = 0; i < 2 * num_classes; ++i) {
+    out.errors[i] = static_cast<double>(counts[i]) / total;
   }
   out.accuracy = static_cast<double>(correct) / total;
-  return out;
 }
 
 VariationPoint error_variation(const ErrorProfile& older,
                                const ErrorProfile& newer) {
-  BAFFLE_CHECK(older.errors.size() == newer.errors.size(),
-               "error_variation operands must share the class set");
   VariationPoint v(older.errors.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = older.errors[i] - newer.errors[i];
-  }
+  error_variation_into(older, newer, v);
   return v;
 }
 
-double variation_distance(const VariationPoint& a, const VariationPoint& b) {
+void error_variation_into(const ErrorProfile& older,
+                          const ErrorProfile& newer, std::span<double> out) {
+  BAFFLE_CHECK(older.errors.size() == newer.errors.size() &&
+                   out.size() == older.errors.size(),
+               "error_variation operands must share the class set");
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = older.errors[i] - newer.errors[i];
+  }
+}
+
+double variation_distance(std::span<const double> a,
+                          std::span<const double> b) {
   BAFFLE_CHECK(a.size() == b.size(),
                "variation_distance operands must share a dimension");
   double acc = 0.0;
@@ -61,13 +82,39 @@ double variation_distance(const VariationPoint& a, const VariationPoint& b) {
   return std::sqrt(acc);
 }
 
-void variation_distances(const VariationPoint& point,
-                         std::span<const VariationPoint> points,
+double variation_distance(const VariationPoint& a, const VariationPoint& b) {
+  return variation_distance(std::span<const double>(a),
+                            std::span<const double>(b));
+}
+
+void variation_distances(std::span<const double> point,
+                         std::span<const double> points,
                          std::span<double> out) {
-  BAFFLE_CHECK(out.size() == points.size(),
-               "variation_distances output must match the point count");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    out[i] = variation_distance(point, points[i]);
+  const std::size_t dim = point.size();
+  BAFFLE_CHECK(points.size() == out.size() * dim,
+               "variation_distances needs one point per output");
+  const double* x = point.data();
+  std::size_t j = 0;
+  for (; j + 4 <= out.size(); j += 4) {
+    const double* q = points.data() + j * dim;
+    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double d0 = x[i] - q[i];
+      const double d1 = x[i] - q[dim + i];
+      const double d2 = x[i] - q[2 * dim + i];
+      const double d3 = x[i] - q[3 * dim + i];
+      acc0 += d0 * d0;
+      acc1 += d1 * d1;
+      acc2 += d2 * d2;
+      acc3 += d3 * d3;
+    }
+    out[j] = std::sqrt(acc0);
+    out[j + 1] = std::sqrt(acc1);
+    out[j + 2] = std::sqrt(acc2);
+    out[j + 3] = std::sqrt(acc3);
+  }
+  for (; j < out.size(); ++j) {
+    out[j] = variation_distance(point, points.subspan(j * dim, dim));
   }
 }
 

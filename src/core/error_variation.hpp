@@ -37,17 +37,37 @@ ErrorProfile error_profile(std::span<const int> labels,
                            std::span<const std::size_t> preds,
                            std::size_t num_classes);
 
+/// error_profile written into `out`, tallying in `counts`; both keep
+/// their storage, so a caller that holds them across calls allocates
+/// nothing once they have held one profile of this class count. The
+/// labels must already lie in [0, num_classes) (a Dataset's do); a
+/// prediction is range-checked only when it is wrong (a right one
+/// equals its label).
+void error_profile_into(std::span<const int> labels,
+                        std::span<const std::size_t> preds,
+                        std::size_t num_classes,
+                        std::vector<std::size_t>& counts, ErrorProfile& out);
+
 /// Builds v(f, f', D) from the two models' profiles on D.
 VariationPoint error_variation(const ErrorProfile& older,
                                const ErrorProfile& newer);
 
-/// Euclidean distance between variation points (LOF metric).
+/// error_variation written into `out` (|out| = 2|Y|).
+void error_variation_into(const ErrorProfile& older,
+                          const ErrorProfile& newer, std::span<double> out);
+
+/// Euclidean distance between variation points (LOF metric). Symmetric
+/// to the bit: (a−b)² and (b−a)² are the same double.
+double variation_distance(std::span<const double> a,
+                          std::span<const double> b);
 double variation_distance(const VariationPoint& a, const VariationPoint& b);
 
-/// Distances from `point` to each entry of `points`, written to `out`
-/// (one row of a pairwise distance matrix; |out| must equal |points|).
-void variation_distances(const VariationPoint& point,
-                         std::span<const VariationPoint> points,
+/// out[j] = variation_distance(point, point j of `points`), for the
+/// |out| points stored row-major in `points` (|point| values each).
+/// Each distance sums in variation_distance's order, so every entry has
+/// its bits; four are summed at a time so their additions overlap.
+void variation_distances(std::span<const double> point,
+                         std::span<const double> points,
                          std::span<double> out);
 
 }  // namespace baffle

@@ -1,6 +1,7 @@
 #include "core/lof.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 #include "util/contracts.hpp"
@@ -83,34 +84,106 @@ double lof_score(const VariationPoint& query,
   return mean_neighbor_lrd / query_lrd;
 }
 
-void LofWindow::assign(std::vector<double> dists, std::size_t m) {
-  BAFFLE_CHECK(dists.size() == m * m,
-               "LofWindow::assign needs a full m x m distance matrix");
+void LofWindow::shift(std::size_t drop, std::span<const double> points,
+                      std::size_t dim) {
+  BAFFLE_CHECK(drop <= m_,
+               "LofWindow::shift drops more points than it holds");
+  BAFFLE_CHECK(dim > 0 && points.size() % dim == 0,
+               "LofWindow::shift needs whole points of the given dimension");
+  const std::size_t old_m = m_;
+  const std::size_t m = points.size() / dim;
+  const std::size_t kept = old_m - drop;
+  BAFFLE_CHECK(kept <= m, "LofWindow::shift must keep every retained point");
+  const auto point = [&](std::size_t i) {
+    return points.subspan(i * dim, dim);
+  };
+
+  // A window larger than every earlier one moves into fresh buffers;
+  // otherwise the retained block slides up-left in place (each row is
+  // read before any later row overwrites it).
+  const std::size_t old_stride = stride_;
+  const bool grown = m > stride_;
+  std::vector<double> old_dists;
+  std::vector<std::size_t> old_orders;
+  if (grown) {
+    old_dists.swap(dists_);
+    old_orders.swap(orders_);
+    stride_ = m;
+    dists_.assign(m * m, 0.0);
+    orders_.assign(m * m, 0);
+    ranks_.assign(m * m, 0);
+  }
+  const double* src_dists = grown ? old_dists.data() : dists_.data();
+  const std::size_t* src_orders = grown ? old_orders.data() : orders_.data();
+
+  // Distances: retained pairs keep their bits; each new point's
+  // distances to the points before it are computed once and mirrored
+  // (the distance is symmetric to the bit).
+  if (grown || drop > 0) {
+    for (std::size_t i = 0; i < kept; ++i) {
+      const double* from = src_dists + (i + drop) * old_stride + drop;
+      std::copy(from, from + kept, dists_.data() + i * stride_);
+    }
+  }
+  for (std::size_t p = kept; p < m; ++p) {
+    double* row = dists_.data() + p * stride_;
+    variation_distances(point(p), points.first(p * dim), {row, p});
+    row[p] = 0.0;
+    for (std::size_t j = 0; j < p; ++j) dists_[j * stride_ + p] = row[j];
+  }
   m_ = m;
-  dists_ = std::move(dists);
-  orders_.clear();
-  if (m_ <= 1) return;
-  orders_.reserve(m_ * (m_ - 1));
-  // Same comparator as the pair-sort in knn(): (distance, index)
-  // lexicographic, so ties between equidistant points break identically.
-  std::vector<std::pair<double, std::size_t>> by_dist;
-  by_dist.reserve(m_ - 1);
-  for (std::size_t j = 0; j < m_; ++j) {
-    by_dist.clear();
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (i != j) by_dist.emplace_back(dist(j, i), i);
+
+  // Orders: the (distance, index) comparator of knn(), so ties between
+  // equidistant points break identically. A retained point's carried
+  // order is already sorted by it: its distances are unchanged and the
+  // renumbering is monotone. Its new neighbors all have higher indices
+  // than the carried ones; a new point carries nothing and merges every
+  // other point.
+  fresh_.resize(m);
+  merged_.resize(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const double* row = dists_.data() + j * stride_;
+    // j's new neighbors, taken in index order and insertion-sorted by
+    // distance; the strict > keeps an equidistant lower index first.
+    std::size_t num_fresh = 0;
+    for (std::size_t i = j < kept ? kept : 0; i < m; ++i) {
+      if (i == j) continue;
+      const double d = row[i];
+      std::size_t pos = num_fresh++;
+      for (; pos > 0 && fresh_[pos - 1].first > d; --pos) {
+        fresh_[pos] = fresh_[pos - 1];
+      }
+      fresh_[pos] = {d, i};
     }
-    std::sort(by_dist.begin(), by_dist.end());
-    for (const auto& [d, i] : by_dist) {
-      (void)d;
-      orders_.push_back(i);
+    // Merge: a new neighbor precedes a carried one only when strictly
+    // nearer, its index being the higher.
+    const auto* next = fresh_.data();
+    const auto* const last = next + num_fresh;
+    std::size_t* out = merged_.data();
+    if (j < kept) {
+      const std::size_t* carried = src_orders + (j + drop) * old_stride;
+      for (std::size_t t = 0; t + 1 < old_m; ++t) {
+        if (carried[t] < drop) continue;  // left the window
+        const std::size_t c = carried[t] - drop;
+        for (; next != last && next->first < row[c]; ++next) {
+          *out++ = next->second;
+        }
+        *out++ = c;
+      }
     }
+    for (; next != last; ++next) *out++ = next->second;
+    BAFFLE_DCHECK(out == merged_.data() + (m - 1),
+                  "a neighbor order holds every other window point");
+    std::size_t* order = orders_.data() + j * stride_;
+    std::copy(merged_.data(), out, order);
+    for (std::size_t t = 0; t + 1 < m; ++t) ranks_[j * stride_ + order[t]] = t;
   }
 }
 
 double lof_score_windowed(const LofWindow& window,
                           std::span<const double> query_row,
-                          std::size_t leave_out, std::size_t k) {
+                          std::size_t leave_out, std::size_t k,
+                          LofScratch& scratch) {
   const std::size_t m = window.size();
   BAFFLE_CHECK(query_row.size() == m,
                "query_row must hold a distance to every window point");
@@ -119,76 +192,73 @@ double lof_score_windowed(const LofWindow& window,
   BAFFLE_CHECK(active >= 2, "lof_score needs at least 2 reference points");
   k = std::max<std::size_t>(1, std::min(k, active - 1));
 
-  // Neighborhoods of every active reference point: the first k active
-  // entries of its precomputed order — exactly the ids (in the same
-  // sequence) that knn() returns over the leave-one-out reference set.
-  std::vector<std::size_t> nb_ids(m * k, 0);
-  std::vector<std::size_t> nb_count(m, 0);
-  std::vector<double> k_distance(m, 0.0);
+  // A reference point's neighborhood is the first k active entries of
+  // its precomputed order — exactly the ids (in the same sequence) that
+  // knn() returns over the leave-one-out reference set. Every order
+  // holds m − 1 ≥ k + 1 entries when one point is left out, so the k-th
+  // active entry is at k − 1, or at k when the left-out point precedes
+  // it.
+  std::vector<double>& k_distance = scratch.k_distance;
+  k_distance.assign(m, 0.0);
   for (std::size_t j = 0; j < m; ++j) {
     if (j == leave_out) continue;
-    std::size_t* ids = nb_ids.data() + j * k;
-    std::size_t count = 0;
-    for (std::size_t i : window.order(j)) {
-      if (i == leave_out) continue;
-      ids[count++] = i;
-      if (count == k) break;
-    }
-    nb_count[j] = count;
-    k_distance[j] = count > 0 ? window.dist(j, ids[count - 1]) : 0.0;
+    const std::size_t kth =
+        leave_one_out && window.rank(j, leave_out) < k ? k : k - 1;
+    k_distance[j] = window.dist(j, window.order(j)[kth]);
   }
 
   auto ref_lrd = [&](std::size_t j) {
-    BAFFLE_DCHECK(nb_count[j] > 0,
-                  "local reachability density needs a non-empty neighborhood");
-    const std::size_t* ids = nb_ids.data() + j * k;
     double total = 0.0;
-    for (std::size_t t = 0; t < nb_count[j]; ++t) {
-      const std::size_t i = ids[t];
+    std::size_t count = 0;
+    for (std::size_t i : window.order(j)) {
+      if (i == leave_out) continue;
       total += std::max(k_distance[i], window.dist(j, i));
+      if (++count == k) break;
     }
-    const double mean_reach =
-        total / static_cast<double>(std::max<std::size_t>(1, nb_count[j]));
+    BAFFLE_DCHECK(count == k,
+                  "local reachability density needs a full neighborhood");
+    const double mean_reach = total / static_cast<double>(count);
     return 1.0 / std::max(mean_reach, kEps);
   };
 
   // Query neighborhood. In the leave-one-out case the query is window
   // point `leave_out`, so its precomputed order (which already excludes
   // the point itself) is the neighbor ranking; an external candidate
-  // sorts its row with the same (distance, index) comparator.
-  std::vector<std::size_t> query_ids;
-  query_ids.reserve(k);
+  // keeps the first k of its row under the same (distance, index)
+  // comparator, inserting in index order so a tie keeps the lower one.
+  std::vector<std::size_t>& query_ids = scratch.query_ids;
+  query_ids.clear();
   if (leave_one_out) {
-    for (std::size_t i : window.order(leave_out)) {
-      query_ids.push_back(i);
-      if (query_ids.size() == k) break;
-    }
+    const auto order = window.order(leave_out);
+    query_ids.assign(order.begin(),
+                     order.begin() + static_cast<std::ptrdiff_t>(k));
   } else {
-    std::vector<std::pair<double, std::size_t>> by_dist;
-    by_dist.reserve(m);
+    auto& nearest = scratch.nearest;
+    nearest.resize(k);
+    std::size_t count = 0;
     for (std::size_t i = 0; i < m; ++i) {
-      by_dist.emplace_back(query_row[i], i);
+      const double d = query_row[i];
+      if (count == k && !(nearest[k - 1].first > d)) continue;
+      std::size_t pos = count < k ? count++ : k - 1;
+      for (; pos > 0 && nearest[pos - 1].first > d; --pos) {
+        nearest[pos] = nearest[pos - 1];
+      }
+      nearest[pos] = {d, i};
     }
-    std::sort(by_dist.begin(), by_dist.end());
-    for (std::size_t t = 0; t < k; ++t) query_ids.push_back(by_dist[t].second);
+    for (const auto& entry : nearest) query_ids.push_back(entry.second);
   }
-  BAFFLE_DCHECK(query_ids.size() == k,
-                "query neighborhood must hold exactly k reference points");
 
   double query_total = 0.0;
   for (std::size_t i : query_ids) {
     query_total += std::max(k_distance[i], query_row[i]);
   }
-  const double query_mean_reach =
-      query_total /
-      static_cast<double>(std::max<std::size_t>(1, query_ids.size()));
-  const double query_lrd = 1.0 / std::max(query_mean_reach, kEps);
+  const double query_lrd =
+      1.0 / std::max(query_total / static_cast<double>(k), kEps);
 
   double neighbor_lrd_sum = 0.0;
   for (std::size_t i : query_ids) neighbor_lrd_sum += ref_lrd(i);
   const double mean_neighbor_lrd =
-      neighbor_lrd_sum /
-      static_cast<double>(std::max<std::size_t>(1, query_ids.size()));
+      neighbor_lrd_sum / static_cast<double>(k);
   return mean_neighbor_lrd / query_lrd;
 }
 

@@ -1,6 +1,9 @@
 #include "core/validate.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <span>
 
 #include "util/contracts.hpp"
 #include "util/metric_names.hpp"
@@ -45,31 +48,32 @@ Validator::Validator(const Dataset& data, MlpConfig arch,
 // (class contract above), so there is no capability to hold and the
 // `validating_` flag of a moved-from validator is necessarily clear.
 Validator::Validator(Validator&& other) noexcept
-    BAFFLE_NO_THREAD_SAFETY_ANALYSIS
-    : labels_(std::move(other.labels_)),
-      num_classes_(other.num_classes_),
-      config_(other.config_),
-      cache_(std::move(other.cache_)),
-      pending_(std::move(other.pending_)),
-      engine_(std::move(other.engine_)),
-      batch_preds_(std::move(other.batch_preds_)),
-      batch_models_(std::move(other.batch_models_)),
-      window_keys_(std::move(other.window_keys_)),
-      window_points_(std::move(other.window_points_)),
-      lof_window_(std::move(other.lof_window_)),
-      window_tau_(other.window_tau_),
-      window_tau_count_(other.window_tau_count_),
-      candidate_row_(std::move(other.candidate_row_)) {}
+    : engine_(std::move(other.engine_)) {
+  move_state_from(other);
+}
 
-Validator& Validator::operator=(Validator&& other) noexcept
-    BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
+Validator& Validator::operator=(Validator&& other) noexcept {
   if (this == &other) return *this;
+  engine_ = std::move(other.engine_);
+  move_state_from(other);
+  return *this;
+}
+
+void Validator::move_state_from(Validator& other) noexcept
+    BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
   labels_ = std::move(other.labels_);
   num_classes_ = other.num_classes_;
   config_ = other.config_;
-  engine_ = std::move(other.engine_);
   cache_ = std::move(other.cache_);
-  pending_ = std::move(other.pending_);
+  pending_ = other.pending_;
+  pending_params_ = std::move(other.pending_params_);
+  pending_profile_ = std::move(other.pending_profile_);
+  counts_ = other.counts_;
+  reported_ = other.reported_;
+  reported_hits_ = other.reported_hits_;
+  reported_misses_ = other.reported_misses_;
+  reported_promotions_ = other.reported_promotions_;
+  plan_ = std::move(other.plan_);
   batch_preds_ = std::move(other.batch_preds_);
   batch_models_ = std::move(other.batch_models_);
   window_keys_ = std::move(other.window_keys_);
@@ -77,8 +81,12 @@ Validator& Validator::operator=(Validator&& other) noexcept
   lof_window_ = std::move(other.lof_window_);
   window_tau_ = other.window_tau_;
   window_tau_count_ = other.window_tau_count_;
+  tally_ = std::move(other.tally_);
+  missed_profile_ = std::move(other.missed_profile_);
+  candidate_point_ = std::move(other.candidate_point_);
   candidate_row_ = std::move(other.candidate_row_);
-  return *this;
+  ablation_values_ = std::move(other.ablation_values_);
+  lof_scratch_ = std::move(other.lof_scratch_);
 }
 
 void Validator::notify_commit(std::uint64_t version,
@@ -88,16 +96,36 @@ void Validator::notify_commit(std::uint64_t version,
   // bit-equal to the candidate scored last is its profile valid under
   // the new version (deterministic inference ⇒ identical predictions ⇒
   // identical profile).
-  if (pending_ && pending_->params == committed) {
-    cache_.promote(version, std::move(pending_->profile));
-    MetricsRegistry::global().add_counter(metric::kCandidateReuse);
+  if (pending_ && pending_params_ == committed) {
+    cache_.promote(version, pending_profile_);
+    ++counts_.candidate_reuse;
+    report_counts();
   }
-  pending_.reset();
+  pending_ = false;
 }
 
 void Validator::notify_reject() {
   MutexLock lock(mu_);
-  pending_.reset();
+  pending_ = false;
+}
+
+void Validator::report_counts() {
+  MetricsRegistry::global().add_counters({
+      {metric::kValidations, counts_.validations - reported_.validations},
+      {metric::kModelMaterializations,
+       counts_.model_materializations - reported_.model_materializations},
+      {metric::kBatchedEvals,
+       counts_.batched_evals - reported_.batched_evals},
+      {metric::kCandidateReuse,
+       counts_.candidate_reuse - reported_.candidate_reuse},
+      {metric::kCacheHits, cache_.hits() - reported_hits_},
+      {metric::kCacheMisses, cache_.misses() - reported_misses_},
+      {metric::kCachePromotions, cache_.promotions() - reported_promotions_},
+  });
+  reported_ = counts_;
+  reported_hits_ = cache_.hits();
+  reported_misses_ = cache_.misses();
+  reported_promotions_ = cache_.promotions();
 }
 
 namespace {
@@ -122,9 +150,9 @@ ValidationOutcome Validator::validate(const ParamVec& candidate,
                "validate: history window holds more than l+1 models");
   // Runtime enforcement of the external-serialization contract on the
   // unguarded engine-phase state: a second validate() overlapping this
-  // one would share batch_preds_/batch_models_, which no lock protects
-  // by design. Every current caller runs one validate per validator at
-  // a time (per-validator fan-out, per-actor ownership).
+  // one would share plan_/batch_preds_/batch_models_, which no lock
+  // protects by design. Every current caller runs one validate per
+  // validator at a time (per-validator fan-out, per-actor ownership).
   BAFFLE_CHECK(!validating_.exchange(true, std::memory_order_acquire),
                "concurrent validate() calls on one Validator");
   struct ClearFlag {
@@ -133,47 +161,45 @@ ValidationOutcome Validator::validate(const ParamVec& candidate,
   } clear_flag{validating_};
 
   const ScopedTimer timer(metric::kValidate);
-  MetricsRegistry::global().add_counter(metric::kValidations);
 
   // Phase 1 (locked): decide what this round must evaluate.
-  EvalPlan plan;
   {
     MutexLock lock(mu_);
-    plan = plan_round(history);
+    ++counts_.validations;
+    plan_round(history);
   }
 
   // Phase 2 (UNLOCKED): the only expensive step — one batched engine
   // pass, free to fan out across the pool without holding mu_.
-  std::vector<ErrorProfile> missed_profiles;
-  run_plan(candidate, history, plan, missed_profiles);
+  run_plan(candidate, history);
 
-  // Phase 3 (locked): deposit and score against a fully-cached window.
+  // Phase 3 (locked): deposit and score against a fully-cached window,
+  // then report the round's counts in one registry call.
   MutexLock lock(mu_);
-  for (std::size_t i = 0; i < plan.missed.size(); ++i) {
-    cache_.insert_missed(history[plan.missed[i]]->version,
-                         std::move(missed_profiles[i]));
-  }
-  return score_round(candidate, history, plan);
+  deposit_round(history);
+  const ValidationOutcome outcome = score_round(candidate, history);
+  report_counts();
+  return outcome;
 }
 
-Validator::EvalPlan Validator::plan_round(
-    const ModelWindow& history) {
+void Validator::plan_round(const ModelWindow& history) {
   // A new round supersedes the previous candidate: its commit/reject
   // notification evidently never arrived (e.g. pure-evaluation callers),
   // and it can no longer be promoted.
-  pending_.reset();
+  pending_ = false;
   // Versions only grow, so nothing older than the window's front is
   // ever read again: the cache holds at most this window plus the
   // candidate promoted after it.
   if (!history.empty()) cache_.evict_before(history.front()->version);
 
-  EvalPlan plan;
+  plan_.missed.clear();
   // A lone history model yields no variation points, so nothing reads
   // its profile this round — don't evaluate it.
   if (history.size() >= 2) {
-    plan.missed.reserve(history.size());
     for (std::size_t i = 0; i < history.size(); ++i) {
-      if (cache_.find(history[i]->version) == nullptr) plan.missed.push_back(i);
+      if (cache_.find(history[i]->version) == nullptr) {
+        plan_.missed.push_back(i);
+      }
     }
   }
 
@@ -183,118 +209,105 @@ Validator::EvalPlan Validator::plan_round(
   // abstaining round the history still gets evaluated — it feeds the
   // incremental window — but the candidate pass is skipped.
   const std::size_t variations = history.size() < 2 ? 0 : history.size() - 1;
-  plan.eval_candidate = variations >= config_.min_variations;
-  return plan;
+  plan_.eval_candidate = variations >= config_.min_variations;
 }
 
 void Validator::run_plan(const ParamVec& candidate,
-                         const ModelWindow& history, EvalPlan& plan,
-                         std::vector<ErrorProfile>& missed_profiles) {
-  const std::size_t evals = plan.missed.size() + (plan.eval_candidate ? 1 : 0);
+                         const ModelWindow& history) {
+  const std::size_t missed = plan_.missed.size();
+  const std::size_t evals = missed + (plan_.eval_candidate ? 1 : 0);
   if (evals == 0) return;
   const std::size_t n = labels_.size();
   batch_preds_.resize(evals * n);
   batch_models_.clear();
-  batch_models_.reserve(evals);
-  for (std::size_t i = 0; i < plan.missed.size(); ++i) {
+  for (std::size_t i = 0; i < missed; ++i) {
     batch_models_.push_back(
-        {history[plan.missed[i]]->params,
+        {history[plan_.missed[i]]->params,
          std::span<std::size_t>(batch_preds_).subspan(i * n, n)});
   }
-  if (plan.eval_candidate) {
+  if (plan_.eval_candidate) {
     batch_models_.push_back(
-        {candidate, std::span<std::size_t>(batch_preds_)
-                        .subspan(plan.missed.size() * n, n)});
+        {candidate,
+         std::span<std::size_t>(batch_preds_).subspan(missed * n, n)});
   }
   engine_.predict_many(batch_models_);
-  MetricsRegistry::global().add_counter(metric::kModelMaterializations,
-                                        evals);
+}
+
+void Validator::deposit_round(const ModelWindow& history) {
+  const std::size_t missed = plan_.missed.size();
+  const std::size_t evals = missed + (plan_.eval_candidate ? 1 : 0);
+  counts_.model_materializations += evals;
   // "Batched" means the engine amortized packing across several history
   // models; a lone miss (steady-state rounds: at most the
   // candidate-turned-history model, and promotion usually covers even
   // that) is counted as a plain materialization only.
-  if (plan.missed.size() >= 2) {
-    MetricsRegistry::global().add_counter(metric::kBatchedEvals,
-                                          plan.missed.size());
-  }
+  if (missed >= 2) counts_.batched_evals += missed;
   // Profile of the model whose predictions fill batch slot `slot`.
-  const auto profile = [&](std::size_t slot) {
-    return error_profile(
-        labels_,
-        std::span<const std::size_t>(batch_preds_).subspan(slot * n, n),
-        num_classes_);
+  const std::size_t n = labels_.size();
+  const auto tally = [&](std::size_t slot, ErrorProfile& out) {
+    const auto preds =
+        std::span<const std::size_t>(batch_preds_).subspan(slot * n, n);
+    error_profile_into(labels_, preds, num_classes_, tally_, out);
   };
-  missed_profiles.reserve(plan.missed.size());
-  for (std::size_t i = 0; i < plan.missed.size(); ++i) {
-    missed_profiles.push_back(profile(i));
+  for (std::size_t i = 0; i < missed; ++i) {
+    tally(i, missed_profile_);
+    cache_.insert_missed(history[plan_.missed[i]]->version, missed_profile_);
   }
-  if (plan.eval_candidate) plan.candidate = profile(plan.missed.size());
+  // The candidate's profile stays pending until the round's
+  // commit/reject feedback (score_round arms it).
+  if (plan_.eval_candidate) tally(missed, pending_profile_);
 }
 
 void Validator::sync_window(const ModelWindow& history) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
-  if (history.size() >= 2) {
-    keys.reserve(history.size() - 1);
-    for (std::size_t i = 1; i < history.size(); ++i) {
-      keys.emplace_back(history[i - 1]->version, history[i]->version);
-    }
-  }
-  // Unchanged window (repeat validation, or the previous round was
-  // rejected and rolled back): every cached structure is still valid.
-  if (keys == window_keys_) return;
-
-  constexpr auto npos = static_cast<std::size_t>(-1);
-  const std::size_t m = keys.size();
-
-  // Index of each new key in the outgoing window. The steady-state
-  // commit shifts the window by one (new i was old i+1); anything else
-  // (warmup growth, lookback change) falls back to a scan.
-  std::vector<std::size_t> old_index(m, npos);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (i + 1 < window_keys_.size() && window_keys_[i + 1] == keys[i]) {
-      old_index[i] = i + 1;
-      continue;
-    }
-    for (std::size_t j = 0; j < window_keys_.size(); ++j) {
-      if (window_keys_[j] == keys[i]) {
-        old_index[i] = j;
+  const std::size_t m = history.size() < 2 ? 0 : history.size() - 1;
+  const auto key = [&](std::size_t i) {
+    return std::pair{history[i]->version, history[i + 1]->version};
+  };
+  // The window moved by `drop` pairs when the old window's keys from
+  // `drop` on open the new one (versions strictly increase, so a key
+  // names one pair). Anything else — a window that shares no pair with
+  // the last — drops every point; the same shift then rebuilds it.
+  const std::size_t old_m = window_keys_.size();
+  std::size_t drop = old_m;
+  if (m > 0) {
+    for (std::size_t d = 0; d < old_m; ++d) {
+      if (window_keys_[d] == key(0)) {
+        drop = d;
         break;
       }
     }
   }
-
-  // Variation points: reuse by key (each key appears at most once,
-  // versions being strictly increasing, so moving out is safe), compute
-  // only the genuinely new pairs — O(1) per round in steady state.
-  std::vector<VariationPoint> points(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (old_index[i] != npos) {
-      points[i] = std::move(window_points_[old_index[i]]);
-    } else {
-      points[i] = error_variation(cache_.hit(history[i]->version),
-                                  cache_.hit(history[i + 1]->version));
+  std::size_t kept = old_m - drop;
+  if (kept > m) kept = 0;
+  for (std::size_t i = 0; i < kept; ++i) {
+    if (window_keys_[drop + i] != key(i)) {
+      kept = 0;
+      break;
     }
   }
+  if (kept == 0) drop = old_m;
+  // Unchanged window (repeat validation, or the previous round was
+  // rejected and rolled back): every cached structure is still valid.
+  if (drop == 0 && kept == m) return;
 
-  // Distance matrix: entries between two retained points carry over
-  // (bit-identical — variation_distance is symmetric in IEEE floats);
-  // only rows touching a new point are recomputed, O(ℓ) distances per
-  // round instead of the O(ℓ²·⌊ℓ/4⌋) the fresh LOF calls redo.
-  std::vector<double> dists(m * m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = i + 1; j < m; ++j) {
-      const double d =
-          (old_index[i] != npos && old_index[j] != npos)
-              ? lof_window_.dist(old_index[i], old_index[j])
-              : variation_distance(points[i], points[j]);
-      dists[i * m + j] = d;
-      dists[j * m + i] = d;
-    }
+  // Keys and variation points slide down by `drop` in place; only the
+  // genuinely new pairs are computed — O(s) points when the window
+  // moved by s models.
+  const std::size_t dim = 2 * num_classes_;
+  window_keys_.erase(window_keys_.begin(),
+                     window_keys_.begin() + static_cast<std::ptrdiff_t>(drop));
+  std::copy(window_points_.begin() + static_cast<std::ptrdiff_t>(drop * dim),
+            window_points_.end(), window_points_.begin());
+  window_points_.resize(m * dim);
+  for (std::size_t i = kept; i < m; ++i) {
+    window_keys_.push_back(key(i));
+    error_variation_into(
+        cache_.hit(history[i]->version), cache_.hit(history[i + 1]->version),
+        std::span<double>(window_points_).subspan(i * dim, dim));
   }
-
-  window_keys_ = std::move(keys);
-  window_points_ = std::move(points);
-  lof_window_.assign(std::move(dists), m);
+  // Distances and neighbor orders: retained entries carry over, only
+  // the new points' rows are computed (DESIGN.md §12).
+  lof_window_.shift(drop, window_points_, dim);
 
   // τ = mean leave-one-out LOF of the last ⌊ℓ/4⌋ trusted points. Each
   // is scored against the remaining ℓ−1 points so its reference set
@@ -313,7 +326,8 @@ void Validator::sync_window(const ModelWindow& history) {
     double tau_sum = 0.0;
     for (std::size_t i = m - tau_window; i < m; ++i) {
       if (m - 1 < 2) continue;  // mirrors lof_score's 2-point minimum
-      tau_sum += lof_score_windowed(lof_window_, lof_window_.row(i), i, k);
+      tau_sum += lof_score_windowed(lof_window_, lof_window_.row(i), i, k,
+                                    lof_scratch_);
       ++window_tau_count_;
     }
     if (window_tau_count_ > 0) {
@@ -322,15 +336,14 @@ void Validator::sync_window(const ModelWindow& history) {
   }
 }
 
-ValidationOutcome Validator::score_round(
-    const ParamVec& candidate, const ModelWindow& history,
-    EvalPlan& plan) {
+ValidationOutcome Validator::score_round(const ParamVec& candidate,
+                                         const ModelWindow& history) {
   ValidationOutcome outcome;
   sync_window(history);
 
   // A history of m models yields m−1 variation points; with the full
   // ℓ+1 window that is ℓ.
-  const std::size_t ell = window_points_.size();  // effective look-back
+  const std::size_t ell = window_keys_.size();  // effective look-back
   if (ell < config_.min_variations) {
     outcome.abstained = true;
     outcome.vote = 0;
@@ -339,48 +352,50 @@ ValidationOutcome Validator::score_round(
   BAFFLE_DCHECK(ell <= config_.lookback,
                 "a window of m models yields at most l variation points");
 
-  // The candidate's profile was produced by the plan's engine pass; it
+  // The candidate's profile was tallied from the plan's engine pass; it
   // stays pending until the round's commit/reject feedback.
-  BAFFLE_CHECK(plan.candidate.has_value(),
+  BAFFLE_CHECK(plan_.eval_candidate,
                "scored round requires a planned candidate evaluation");
   const ErrorProfile& latest = cache_.hit(history.back()->version);
-  pending_.emplace(PendingCandidate{candidate, std::move(*plan.candidate)});
-  const ErrorProfile& candidate_profile = pending_->profile;
+  pending_params_.assign(candidate.begin(), candidate.end());
+  pending_ = true;
+  const ErrorProfile& candidate_profile = pending_profile_;
 
   if (config_.method == ValidationMethod::kGlobalAccuracyZScore) {
     // Ablation A1: ignore class structure entirely; look only at the
     // round-to-round change in overall accuracy. An anomalous accuracy
     // *drop* is the poisoning signal.
-    std::vector<double> deltas;
-    deltas.reserve(ell);
+    ablation_values_.clear();
     for (std::size_t i = 1; i < history.size(); ++i) {
-      deltas.push_back(cache_.hit(history[i]->version).accuracy -
-                       cache_.hit(history[i - 1]->version).accuracy);
+      ablation_values_.push_back(cache_.hit(history[i]->version).accuracy -
+                                 cache_.hit(history[i - 1]->version).accuracy);
     }
-    outcome.phi =
-        -guarded_zscore(candidate_profile.accuracy - latest.accuracy, deltas);
+    outcome.phi = -guarded_zscore(candidate_profile.accuracy - latest.accuracy,
+                                  ablation_values_);
     outcome.tau = config_.zscore_threshold;
     outcome.vote = outcome.phi > outcome.tau ? 1 : 0;
     return outcome;
   }
 
   // Candidate's variation point v_{ℓ+1} = v(𝒢^ℓ, G, D).
-  const VariationPoint candidate_point =
-      error_variation(latest, candidate_profile);
-  BAFFLE_DCHECK(candidate_point.size() == window_points_.front().size(),
+  candidate_point_.resize(latest.errors.size());
+  error_variation_into(latest, candidate_profile, candidate_point_);
+  BAFFLE_DCHECK(candidate_point_.size() == 2 * num_classes_,
                 "candidate and history variation points must share a dim");
 
   if (config_.method == ValidationMethod::kVariationNormZScore) {
     // Ablation A2: per-class variation points, but a global z-score on
     // the point's norm instead of the local-density LOF test.
-    const VariationPoint origin(candidate_point.size(), 0.0);
-    std::vector<double> norms;
-    norms.reserve(ell);
-    for (const auto& v : window_points_) {
-      norms.push_back(variation_distance(v, origin));
+    const std::size_t dim = candidate_point_.size();
+    const VariationPoint origin(dim, 0.0);
+    const std::span<const double> points(window_points_);
+    ablation_values_.clear();
+    for (std::size_t i = 0; i < ell; ++i) {
+      ablation_values_.push_back(
+          variation_distance(points.subspan(i * dim, dim), origin));
     }
-    outcome.phi =
-        guarded_zscore(variation_distance(candidate_point, origin), norms);
+    outcome.phi = guarded_zscore(variation_distance(candidate_point_, origin),
+                                 ablation_values_);
     outcome.tau = config_.zscore_threshold;
     outcome.vote = outcome.phi > outcome.tau ? 1 : 0;
     return outcome;
@@ -396,10 +411,11 @@ ValidationOutcome Validator::score_round(
   const std::size_t k = lof_k_for_lookback(ell);
   BAFFLE_DCHECK(k == (ell + 1) / 2, "Algorithm 2 fixes k = ceil(l/2)");
   candidate_row_.resize(ell);
-  variation_distances(candidate_point, window_points_, candidate_row_);
+  variation_distances(candidate_point_, window_points_, candidate_row_);
   outcome.phi =
       lof_score_windowed(lof_window_, candidate_row_,
-                         /*leave_out=*/static_cast<std::size_t>(-1), k);
+                         /*leave_out=*/static_cast<std::size_t>(-1), k,
+                         lof_scratch_);
   outcome.vote =
       outcome.phi > config_.tau_margin * outcome.tau ? 1 : 0;
   return outcome;

@@ -18,13 +18,20 @@
 //
 // The validator is incremental across rounds (DESIGN.md §12): it caches
 // only what Algorithm 2 reads — each window model's error profile — and
-// only for the window it is about to score. Variation points are kept
-// per (prev_version, next_version) pair, the pairwise distance matrix
-// behind the LOF tests shifts by one row/column per round, and a
-// committed candidate's profile is promoted into the prediction cache
-// (notify_commit) so it is never recomputed as next round's
-// history.back(). All of it is bit-identical to recomputing Algorithm 2
-// from scratch, which the parity tests do as their oracle.
+// only for the window it is about to score, and a committed candidate's
+// profile is promoted into the prediction cache (notify_commit) so it is
+// never recomputed as next round's history.back(). When the window has
+// moved by s models since the validator last ran (s = 1 for the server,
+// about one in five rounds for a sampled vision client), the variation
+// points, the LOF window's distances and its neighbour orders slide
+// down in place and only the s new points are computed: O(ℓ·s)
+// distances, a sort of each new point's order and a merge into each
+// retained one. τ's leave-one-out scores, φ, the profile tallies and the
+// counters run on scratch the validator keeps, so a steady-state
+// validate() allocates nothing outside the engine pass, and its
+// validator.* and prediction_cache.* counts reach MetricsRegistry in one
+// call. All of it is bit-identical to recomputing Algorithm 2 from
+// scratch, which the parity tests do as their oracle.
 //
 // Lock scope (DESIGN.md §17): a validate() call runs in three phases —
 // plan (under mu_: drop the stale pending candidate, evict versions
@@ -39,7 +46,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -84,6 +90,15 @@ struct ValidatorConfig {
   /// paper's benign false-vote rate while leaving the order-of-magnitude
   /// LOF spikes of poisoned updates detectable.
   double tau_margin = 1.3;
+};
+
+/// What a validator has done, as it reports to MetricsRegistry (the
+/// validator.* counters; its cache's tallies are in cache()).
+struct ValidatorCounts {
+  std::uint64_t validations = 0;
+  std::uint64_t model_materializations = 0;
+  std::uint64_t batched_evals = 0;
+  std::uint64_t candidate_reuse = 0;
 };
 
 struct ValidationOutcome {
@@ -136,39 +151,41 @@ class Validator {
     return cache_;
   }
   const ValidatorConfig& config() const { return config_; }
+  ValidatorCounts counts() const {
+    MutexLock lock(mu_);
+    return counts_;
+  }
 
  private:
-  /// Candidate evaluation retained between validate() and the round's
-  /// commit/reject feedback.
-  struct PendingCandidate {
-    ParamVec params;
-    ErrorProfile profile;
-  };
+  /// Moves every member but the engine (which the move operations
+  /// transfer themselves: it has no empty state to start from).
+  void move_state_from(Validator& other) noexcept;
 
   /// What the round's single engine pass must evaluate, decided under
-  /// mu_ in phase 1 and carried across the unlocked phase 2.
+  /// mu_ in phase 1 and read by phases 2 and 3.
   struct EvalPlan {
     std::vector<std::size_t> missed;  // indices into the history window
+    /// The candidate is evaluated only on rounds that will score it
+    /// (enough history — the same predicate in plan & score).
     bool eval_candidate = false;
-    /// Filled by the engine in phase 2; empty only when the round will
-    /// abstain before scoring the candidate (too little history — same
-    /// predicate in plan & score).
-    std::optional<ErrorProfile> candidate;
   };
 
   /// Phase 1 (locked): drop the stale pending candidate, evict versions
   /// older than the window, list the uncached history versions.
-  EvalPlan plan_round(const ModelWindow& history)
-      BAFFLE_REQUIRES(mu_);
+  void plan_round(const ModelWindow& history) BAFFLE_REQUIRES(mu_);
   /// Phase 2 (UNLOCKED): one batched predict_many over the plan.
-  void run_plan(const ParamVec& candidate,
-                const ModelWindow& history, EvalPlan& plan,
-                std::vector<ErrorProfile>& missed_profiles);
+  void run_plan(const ParamVec& candidate, const ModelWindow& history);
+  /// Phase 3 (locked): tallies the plan's profiles into the cache and
+  /// the pending candidate.
+  void deposit_round(const ModelWindow& history) BAFFLE_REQUIRES(mu_);
   /// Phase 3 (locked): scoring on a fully-cached window.
   ValidationOutcome score_round(const ParamVec& candidate,
-                                const ModelWindow& history,
-                                EvalPlan& plan) BAFFLE_REQUIRES(mu_);
+                                const ModelWindow& history)
+      BAFFLE_REQUIRES(mu_);
   void sync_window(const ModelWindow& history) BAFFLE_REQUIRES(mu_);
+  /// Adds what this validator and its cache tallied since the last
+  /// report to MetricsRegistry, in one call.
+  void report_counts() BAFFLE_REQUIRES(mu_);
 
   std::vector<int> labels_;  // D_i's labels; its features live in engine_
   std::size_t num_classes_ = 0;
@@ -181,31 +198,50 @@ class Validator {
   // comment): no model is evaluated while mu_ is held.
   mutable Mutex mu_;
   PredictionCache cache_ BAFFLE_GUARDED_BY(mu_);
-  std::optional<PendingCandidate> pending_ BAFFLE_GUARDED_BY(mu_);
+  // The candidate last scored, kept until the round's commit/reject
+  // feedback; its buffers are reused from round to round.
+  bool pending_ BAFFLE_GUARDED_BY(mu_) = false;
+  ParamVec pending_params_ BAFFLE_GUARDED_BY(mu_);
+  ErrorProfile pending_profile_ BAFFLE_GUARDED_BY(mu_);
+  ValidatorCounts counts_ BAFFLE_GUARDED_BY(mu_);
+  // counts_ and the cache's tallies as last reported to MetricsRegistry.
+  ValidatorCounts reported_ BAFFLE_GUARDED_BY(mu_);
+  std::uint64_t reported_hits_ BAFFLE_GUARDED_BY(mu_) = 0;
+  std::uint64_t reported_misses_ BAFFLE_GUARDED_BY(mu_) = 0;
+  std::uint64_t reported_promotions_ BAFFLE_GUARDED_BY(mu_) = 0;
 
   // Engine-phase state, deliberately NOT guarded by mu_. The engine is
   // immutable after its setup-time bind() apart from an internally
-  // synchronized lazy mirror build, and the batch scratch below is
-  // confined to the single in-flight validate(): validate() calls on
-  // one validator are externally serialized (defense.evaluate invokes
-  // each validator once per round; rounds are chained by the task
-  // graph), a contract enforced at runtime by `validating_`.
+  // synchronized lazy mirror build, and the plan and batch scratch
+  // below are confined to the single in-flight validate(): validate()
+  // calls on one validator are externally serialized (defense.evaluate
+  // invokes each validator once per round; rounds are chained by the
+  // task graph), a contract enforced at runtime by `validating_`.
   MultiModelEval engine_;
+  EvalPlan plan_;
   std::vector<std::size_t> batch_preds_;  // plan evals x samples
   std::vector<MultiEvalModel> batch_models_;
   std::atomic<bool> validating_{false};
 
-  // Incremental LOF state (valid for the window identified by
-  // window_keys_; rebuilt — reusing overlapping entries — when the
-  // history window shifts, and left untouched across rejected rounds).
+  // Incremental LOF state, valid for the window identified by
+  // window_keys_: moved with the history window (DESIGN.md §12) and
+  // left untouched across rejected rounds.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> window_keys_
       BAFFLE_GUARDED_BY(mu_);
-  std::vector<VariationPoint> window_points_ BAFFLE_GUARDED_BY(mu_);
+  // One variation point per key, 2|Y| values each, row-major.
+  std::vector<double> window_points_ BAFFLE_GUARDED_BY(mu_);
   LofWindow lof_window_ BAFFLE_GUARDED_BY(mu_);
   double window_tau_ BAFFLE_GUARDED_BY(mu_) = 0.0;
   std::size_t window_tau_count_ BAFFLE_GUARDED_BY(mu_) = 0;
+
+  // Scoring scratch, kept so a steady-state round allocates nothing.
+  std::vector<std::size_t> tally_ BAFFLE_GUARDED_BY(mu_);
+  ErrorProfile missed_profile_ BAFFLE_GUARDED_BY(mu_);
+  std::vector<double> candidate_point_ BAFFLE_GUARDED_BY(mu_);
   std::vector<double> candidate_row_
-      BAFFLE_GUARDED_BY(mu_);  // scratch: candidate→window dists
+      BAFFLE_GUARDED_BY(mu_);  // candidate→window dists
+  std::vector<double> ablation_values_ BAFFLE_GUARDED_BY(mu_);
+  LofScratch lof_scratch_ BAFFLE_GUARDED_BY(mu_);
 };
 
 /// Parameters of Algorithm 2 as pure functions (unit-tested directly).

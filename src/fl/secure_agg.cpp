@@ -1,6 +1,8 @@
 #include "fl/secure_agg.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -11,9 +13,16 @@ namespace baffle {
 
 namespace {
 
-/// 2^frac_bits, the fixed-point unit.
-double fixed_point_unit(unsigned frac_bits) {
-  return static_cast<double>(std::uint64_t{1} << frac_bits);
+/// 2^−frac_bits, the value of one fixed-point unit. Exact (frac_bits <
+/// 64), so multiplying by it gives the bits dividing by 2^frac_bits does.
+double fixed_point_step(unsigned frac_bits) {
+  return std::ldexp(1.0, -static_cast<int>(frac_bits));
+}
+
+/// Decodes one wrapped fixed-point word.
+float decode_word(std::uint64_t total, double step) {
+  const auto as_signed = static_cast<std::int64_t>(total);
+  return static_cast<float>(static_cast<double>(as_signed) * step);
 }
 
 /// A participant without a masked vector in sender_slots.
@@ -73,9 +82,7 @@ std::uint64_t SecureAggregation::encode(float x) const {
 }
 
 float SecureAggregation::decode_sum(std::uint64_t total) const {
-  const auto as_signed = static_cast<std::int64_t>(total);
-  return static_cast<float>(static_cast<double>(as_signed) /
-                            fixed_point_unit(config_.frac_bits));
+  return decode_word(total, fixed_point_step(config_.frac_bits));
 }
 
 std::uint64_t SecureAggregation::pair_seed(std::size_t a,
@@ -146,8 +153,18 @@ ParamVec SecureAggregation::unmask_sum(
   }
   const std::vector<std::size_t> slot =
       sender_slots("unmask_sum", senders, participants);
-  total.assign(masked.front().begin(), masked.front().end());
-  for (std::size_t k = 1; k < masked.size(); ++k) add_u64(total, masked[k]);
+  // One pass over the words: each block of the total takes every
+  // sender's block while it sits in L1.
+  total.resize(vec_len);
+  constexpr std::size_t kBlock = 512;
+  for (std::size_t i0 = 0; i0 < vec_len; i0 += kBlock) {
+    const std::size_t width = std::min(kBlock, vec_len - i0);
+    const std::span<std::uint64_t> sums(total.data() + i0, width);
+    std::copy_n(masked.front().data() + i0, width, sums.data());
+    for (std::size_t k = 1; k < masked.size(); ++k) {
+      add_u64(sums, {masked[k].data() + i0, width});
+    }
+  }
   // Cancel the masks survivors applied against dropped participants: in
   // the real protocol the server recovers these seeds from the Shamir
   // shares held by surviving clients.
@@ -163,8 +180,11 @@ ParamVec SecureAggregation::unmask_sum(
                          pair_seed(survivor, dropped), vec_len);
     }
   }
+  const double step = fixed_point_step(config_.frac_bits);
   ParamVec out(vec_len);
-  for (std::size_t i = 0; i < vec_len; ++i) out[i] = decode_sum(total[i]);
+  for (std::size_t i = 0; i < vec_len; ++i) {
+    out[i] = decode_word(total[i], step);
+  }
   return out;
 }
 

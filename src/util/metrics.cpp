@@ -26,38 +26,61 @@ MetricsRegistry& MetricsRegistry::global() {
   return registry;
 }
 
-void MetricsRegistry::add_counter(const std::string& name,
-                                  std::uint64_t delta) {
-  MutexLock lock(mutex_);
-  counters_[name] += delta;
+namespace {
+
+/// map[name], building the std::string key only when `name` is new.
+template <class Map>
+typename Map::mapped_type& entry(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), typename Map::mapped_type{}).first;
+  }
+  return it->second;
 }
 
-void MetricsRegistry::add_timer(const std::string& name, double seconds) {
+}  // namespace
+
+void MetricsRegistry::add_counter(std::string_view name,
+                                  std::uint64_t delta) {
   MutexLock lock(mutex_);
-  Timer& t = timers_[name];
+  entry(counters_, name) += delta;
+}
+
+void MetricsRegistry::add_counters(
+    std::initializer_list<std::pair<std::string_view, std::uint64_t>>
+        deltas) {
+  MutexLock lock(mutex_);
+  for (const auto& [name, delta] : deltas) {
+    if (delta != 0) entry(counters_, name) += delta;
+  }
+}
+
+void MetricsRegistry::add_timer(std::string_view name, double seconds) {
+  MutexLock lock(mutex_);
+  Timer& t = entry(timers_, name);
   ++t.count;
   t.total_seconds += seconds;
 }
 
-std::uint64_t MetricsRegistry::counter(const std::string& name) const {
+std::uint64_t MetricsRegistry::counter(std::string_view name) const {
   MutexLock lock(mutex_);
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
-double MetricsRegistry::timer_seconds(const std::string& name) const {
+double MetricsRegistry::timer_seconds(std::string_view name) const {
   MutexLock lock(mutex_);
   const auto it = timers_.find(name);
   return it == timers_.end() ? 0.0 : it->second.total_seconds;
 }
 
-std::uint64_t MetricsRegistry::timer_count(const std::string& name) const {
+std::uint64_t MetricsRegistry::timer_count(std::string_view name) const {
   MutexLock lock(mutex_);
   const auto it = timers_.find(name);
   return it == timers_.end() ? 0 : it->second.count;
 }
 
-double MetricsRegistry::timer_mean_ms(const std::string& name) const {
+double MetricsRegistry::timer_mean_ms(std::string_view name) const {
   MutexLock lock(mutex_);
   const auto it = timers_.find(name);
   if (it == timers_.end() || it->second.count == 0) return 0.0;

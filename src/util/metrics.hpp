@@ -2,17 +2,24 @@
 // Lightweight process-wide metrics registry: named monotonic counters
 // and accumulating wall-clock timers.
 //
-// The evaluation hot path (Validator::validate, PredictionCache, the
-// parallel GEMM kernels, run_experiment's round loop) reports here so
-// throughput claims are measured, not guessed. Recording is mutex-backed
-// and intended for per-call granularity (validations, rounds, large
-// kernels) — not per-element loops. Dump the snapshot to CSV with
-// MetricsRegistry::dump_csv or read single values in tests/benches.
+// The evaluation hot path (Validator::validate, the parallel GEMM
+// kernels, run_experiment's round loop) reports here so throughput
+// claims are measured, not guessed. Recording is mutex-backed and
+// intended for per-call granularity (validations, rounds, large
+// kernels) — not per-element loops: a validator tallies its cache
+// lookups itself and reports them once per validate(). Names are taken
+// as string views, so recording builds no std::string once a metric
+// exists. Dump the snapshot to CSV with MetricsRegistry::dump_csv or
+// read single values in tests/benches.
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/sync.hpp"
@@ -39,19 +46,26 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// counters[name] += delta.
-  void add_counter(const std::string& name, std::uint64_t delta = 1);
+  void add_counter(std::string_view name, std::uint64_t delta = 1);
+
+  /// counters[name] += delta for every pair, under one lock. A zero
+  /// delta is skipped, so it creates no counter that add_counter would
+  /// not have.
+  void add_counters(
+      std::initializer_list<std::pair<std::string_view, std::uint64_t>>
+          deltas);
 
   /// timers[name] += seconds (and one sample).
-  void add_timer(const std::string& name, double seconds);
+  void add_timer(std::string_view name, double seconds);
 
-  std::uint64_t counter(const std::string& name) const;
+  std::uint64_t counter(std::string_view name) const;
   /// Total accumulated seconds for `name` (0 when never recorded).
-  double timer_seconds(const std::string& name) const;
+  double timer_seconds(std::string_view name) const;
   /// Number of samples accumulated into timer `name`.
-  std::uint64_t timer_count(const std::string& name) const;
+  std::uint64_t timer_count(std::string_view name) const;
   /// Mean milliseconds per sample of timer `name` (0 when never
   /// recorded) — the per-round figure the CLI summaries print.
-  double timer_mean_ms(const std::string& name) const;
+  double timer_mean_ms(std::string_view name) const;
 
   /// All metrics, name-sorted (counters first is not guaranteed).
   std::vector<MetricSample> snapshot() const;
@@ -68,9 +82,11 @@ class MetricsRegistry {
     double total_seconds = 0.0;
   };
 
+  // std::less<> looks a string_view up without building a std::string.
   mutable Mutex mutex_;
-  std::map<std::string, std::uint64_t> counters_ BAFFLE_GUARDED_BY(mutex_);
-  std::map<std::string, Timer> timers_ BAFFLE_GUARDED_BY(mutex_);
+  std::map<std::string, std::uint64_t, std::less<>> counters_
+      BAFFLE_GUARDED_BY(mutex_);
+  std::map<std::string, Timer, std::less<>> timers_ BAFFLE_GUARDED_BY(mutex_);
 };
 
 /// Wall seconds the calling thread has spent running tasks it took
@@ -97,12 +113,14 @@ class HelpedTaskScope {
 /// RAII wall-clock timer: accumulates its lifetime into
 /// `registry.add_timer(name, ...)` on destruction, less the time its
 /// thread spent help-draining other tasks meanwhile — a join that runs
-/// a whole other experiment root must not bill it to this scope.
+/// a whole other experiment root must not bill it to this scope. The
+/// timer keeps a view of `name`, which must outlive it (the metric
+/// constants of util/metric_names.hpp do).
 class ScopedTimer {
  public:
-  explicit ScopedTimer(std::string name,
+  explicit ScopedTimer(std::string_view name,
                        MetricsRegistry& registry = MetricsRegistry::global())
-      : name_(std::move(name)),
+      : name_(name),
         registry_(registry),
         helped_at_start_(helped_seconds_this_thread()),
         start_(std::chrono::steady_clock::now()) {}
@@ -118,7 +136,7 @@ class ScopedTimer {
   }
 
  private:
-  std::string name_;
+  std::string_view name_;
   MetricsRegistry& registry_;
   double helped_at_start_;
   std::chrono::steady_clock::time_point start_;

@@ -17,6 +17,8 @@
 #include "data/synth.hpp"
 #include "metrics/confusion.hpp"
 #include "util/contracts.hpp"
+#include "util/metric_names.hpp"
+#include "util/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace baffle {
@@ -375,6 +377,85 @@ TEST_F(ParityFixture, LookbackSweepSizesBitIdentical) {
     Validator v = make_validator(config(ell));
     run_script(v, std::vector<bool>(ell + 6, true), ell, 100 + ell);
   }
+}
+
+TEST_F(ParityFixture, RegistryCounterDeltasEqualValidatorTallies) {
+  // e2ebench's core.cache_* ledger and baffle_sim's summary read these
+  // registry counters; after every validate() and every commit/reject
+  // they must equal what the validators tallied themselves. One
+  // validator scores every round (the server), the other every third
+  // (a sampled client), through accepts and rejects.
+  const std::size_t lookback = 8;
+  const ValidatorConfig cfg = config(lookback);
+  Validator every = make_validator(cfg);
+  Validator third = make_validator(cfg);
+  const char* const names[] = {
+      metric::kCacheHits,    metric::kCacheMisses,
+      metric::kCachePromotions, metric::kValidations,
+      metric::kModelMaterializations, metric::kCandidateReuse};
+  const MetricsRegistry& registry = MetricsRegistry::global();
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(registry.counter(name));
+
+  std::uint64_t validations = 0;
+  std::uint64_t candidate_evals = 0;
+  const auto expect_deltas = [&] {
+    const std::uint64_t promotions =
+        every.cache().promotions() + third.cache().promotions();
+    const std::uint64_t misses =
+        every.cache().misses() + third.cache().misses();
+    const std::uint64_t want[] = {
+        every.cache().hits() + third.cache().hits(), misses, promotions,
+        validations, misses + candidate_evals, promotions};
+    for (std::size_t i = 0; i < std::size(names); ++i) {
+      EXPECT_EQ(registry.counter(names[i]) - before[i], want[i]) << names[i];
+    }
+    // The validators' own validator.* tallies agree with the script.
+    const ValidatorCounts a = every.counts(), b = third.counts();
+    EXPECT_EQ(a.validations + b.validations, validations);
+    EXPECT_EQ(a.model_materializations + b.model_materializations,
+              misses + candidate_evals);
+    EXPECT_EQ(a.candidate_reuse + b.candidate_reuse, promotions);
+  };
+
+  ModelHistory window(lookback + 1);
+  std::uint64_t version = 0;
+  window.push(version, params_);
+  Rng rng(81);
+  std::vector<bool> script = kAcceptScript;
+  script.insert(script.end(), kAcceptScript.begin(), kAcceptScript.end());
+  for (std::size_t round = 0; round < script.size(); ++round) {
+    SCOPED_TRACE(round);
+    const ModelWindow history = window.window_shared(lookback + 1);
+    const ParamVec candidate = next_params(rng);
+    // The candidate is evaluated exactly when the round can be scored.
+    const bool scored =
+        history.size() >= 2 && history.size() - 1 >= cfg.min_variations;
+    std::vector<Validator*> validators{&every};
+    if (round % 3 == 2) validators.push_back(&third);
+    for (Validator* v : validators) {
+      v->validate(candidate, history);
+      ++validations;
+      if (scored) ++candidate_evals;
+      expect_deltas();
+    }
+    for (Validator* v : {&every, &third}) {
+      if (script[round]) {
+        v->notify_commit(version + 1, candidate);
+      } else {
+        v->notify_reject();
+      }
+      expect_deltas();
+    }
+    if (script[round]) {
+      ++version;
+      window.push(version, candidate);
+      params_ = candidate;
+    }
+  }
+  EXPECT_GT(every.cache().promotions(), 0u);
+  EXPECT_GT(third.cache().promotions(), 0u);
+  EXPECT_GT(third.cache().misses(), every.cache().misses());
 }
 
 TEST(ValidatorCacheBound, HoldsOnlyTheWindowOn62Classes) {

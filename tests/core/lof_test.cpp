@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace baffle {
@@ -155,6 +161,163 @@ TEST_P(LofKSweep, OutlierAlwaysScoresAboveInlier) {
 INSTANTIATE_TEST_SUITE_P(Ks, LofKSweep,
                          ::testing::Values<std::size_t>(1, 2, 3, 5, 8, 12,
                                                         20, 24));
+
+// ---------------------------------------------------------------------
+// LofWindow: neighbour orders carried across window shifts.
+
+/// Point streams for the window tests. On the {0,1}² lattice every
+/// pairwise distance is 0, 1 or √2, so most neighbour ranks are decided
+/// by the index tie-break, and repeats make duplicate points.
+enum class PointKind { kLattice, kAllZero, kContinuous };
+
+std::vector<VariationPoint> point_stream(PointKind kind, std::size_t n,
+                                         Rng& rng) {
+  std::vector<VariationPoint> points;
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (kind) {
+      case PointKind::kLattice:
+        points.push_back({static_cast<double>(rng.uniform_int(0, 1)),
+                          static_cast<double>(rng.uniform_int(0, 1))});
+        break;
+      case PointKind::kAllZero:
+        points.push_back({0.0, 0.0});
+        break;
+      case PointKind::kContinuous:
+        points.push_back({rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+        break;
+    }
+  }
+  return points;
+}
+
+/// `points` laid out as LofWindow::shift reads them (row-major).
+std::vector<double> flat(std::span<const VariationPoint> points) {
+  std::vector<double> out;
+  for (const VariationPoint& p : points) {
+    out.insert(out.end(), p.begin(), p.end());
+  }
+  return out;
+}
+
+/// The window over `points`, built from nothing.
+LofWindow fresh_window(std::span<const VariationPoint> points) {
+  LofWindow window;
+  window.shift(0, flat(points), 2);
+  return window;
+}
+
+/// Moves `window` (over the points before `points`' last `added`) onto
+/// `points`, which keep its points from `drop` on and append `added`.
+void shift_window(LofWindow& window, std::size_t drop,
+                  std::span<const VariationPoint> points, std::size_t added) {
+  ASSERT_EQ(window.size() - drop + added, points.size());
+  window.shift(drop, flat(points), 2);
+}
+
+/// Indices ≠ j of `points` sorted by (distance to j, index): the order
+/// lof_score's neighbour search ranks by.
+std::vector<std::size_t> full_sort_order(
+    std::span<const VariationPoint> points, std::size_t j) {
+  std::vector<std::pair<double, std::size_t>> by_dist;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (i == j) continue;
+    by_dist.emplace_back(variation_distance(points[j], points[i]), i);
+  }
+  std::sort(by_dist.begin(), by_dist.end());
+  std::vector<std::size_t> order;
+  for (const auto& entry : by_dist) order.push_back(entry.second);
+  return order;
+}
+
+/// Every distance and neighbour order of `window` equals a fresh build
+/// over `points` and the full sort, and every windowed LOF score equals
+/// lof_score's, bit for bit: each leave-one-out score and one score
+/// for an external query.
+void expect_window_matches(const LofWindow& window,
+                           std::span<const VariationPoint> points,
+                           const VariationPoint& query) {
+  const std::size_t m = points.size();
+  ASSERT_EQ(window.size(), m);
+  const LofWindow fresh = fresh_window(points);
+  for (std::size_t j = 0; j < m; ++j) {
+    SCOPED_TRACE(j);
+    for (std::size_t i = 0; i < m; ++i) {
+      ASSERT_EQ(window.dist(j, i),
+                i == j ? 0.0 : variation_distance(points[std::min(i, j)],
+                                                  points[std::max(i, j)]));
+    }
+    const std::vector<std::size_t> want = full_sort_order(points, j);
+    const auto got = window.order(j);
+    ASSERT_EQ(std::vector<std::size_t>(got.begin(), got.end()), want);
+    const auto rebuilt = fresh.order(j);
+    ASSERT_EQ(std::vector<std::size_t>(rebuilt.begin(), rebuilt.end()), want);
+  }
+  if (m < 3) return;
+  LofScratch scratch;
+  for (const std::size_t k : {std::size_t{1}, (m + 1) / 2, m}) {
+    SCOPED_TRACE(k);
+    for (std::size_t i = 0; i < m; ++i) {
+      std::vector<VariationPoint> rest;
+      for (std::size_t j = 0; j < m; ++j) {
+        if (j != i) rest.push_back(points[j]);
+      }
+      EXPECT_EQ(lof_score_windowed(window, window.row(i), i, k, scratch),
+                lof_score(points[i], rest, k))
+          << "leave-one-out " << i;
+    }
+    std::vector<double> query_row;
+    for (const VariationPoint& p : points) {
+      query_row.push_back(variation_distance(query, p));
+    }
+    EXPECT_EQ(lof_score_windowed(window, query_row,
+                                 static_cast<std::size_t>(-1), k, scratch),
+              lof_score(query, points, k))
+        << "external query";
+  }
+}
+
+class LofWindowShift
+    : public ::testing::TestWithParam<std::tuple<PointKind, std::size_t>> {};
+
+TEST_P(LofWindowShift, CarriedOrdersMatchFullSortAndLofScore) {
+  const auto [kind, m] = GetParam();
+  Rng rng(1000 + m + 7 * static_cast<std::size_t>(kind));
+  const std::vector<VariationPoint> stream = point_stream(kind, 12 * m, rng);
+  const VariationPoint query = point_stream(kind, 1, rng).front();
+  // d = 0 is warm-up growth; d = m moves the window onto points it
+  // shares nothing with.
+  for (const std::size_t drop : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{2}, std::size_t{5}, m - 1, m}) {
+    if (drop > m) continue;
+    SCOPED_TRACE(::testing::Message() << "drop " << drop);
+    // Growth starts two points short of m and appends one at a time;
+    // every other move keeps m points: it drops `drop` and appends as
+    // many. Four moves in a row, so orders carried twice are checked.
+    std::size_t lo = 0;
+    std::size_t size = drop == 0 ? m - 2 : m;
+    LofWindow window = fresh_window(
+        std::span<const VariationPoint>(stream).subspan(lo, size));
+    for (int move = 0; move < 4; ++move) {
+      const std::size_t added = drop == 0 ? 1 : drop;
+      const std::size_t next_size = size - drop + added;
+      lo += drop;
+      const auto points =
+          std::span<const VariationPoint>(stream).subspan(lo, next_size);
+      shift_window(window, drop, points, added);
+      SCOPED_TRACE(::testing::Message() << "move " << move);
+      expect_window_matches(window, points, query);
+      size = next_size;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TiesAndDuplicates, LofWindowShift,
+    ::testing::Combine(::testing::Values(PointKind::kLattice,
+                                         PointKind::kAllZero,
+                                         PointKind::kContinuous),
+                       ::testing::Values<std::size_t>(6, 10, 20)));
 
 }  // namespace
 }  // namespace baffle

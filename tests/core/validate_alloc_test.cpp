@@ -1,0 +1,86 @@
+// A warm validator scores a moved window without touching the heap: the
+// window state, the profile tallies, τ/φ scratch, the cache's entries
+// and the registry counters all reuse storage kept across rounds.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "core/validate.hpp"
+#include "data/synth.hpp"
+#include "util/thread_pool.hpp"
+
+namespace {
+// Global allocation counter. Replacing the scalar operator new makes the
+// default array/nothrow forms route through it as well, so every
+// (non-over-aligned) heap allocation in this binary is counted.
+std::atomic<std::size_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace baffle {
+namespace {
+
+TEST(ValidatorSteadyState, MovedWindowValidatesWithoutAllocating) {
+  // One pool worker: the engine's tiles run on this thread, so the count
+  // covers the whole call and nothing else.
+  const ScopedGlobalPool pool(1);
+  Rng rng(21);
+  SynthTaskConfig cfg = synth_vision10_config();
+  cfg.train_per_class = 10;
+  cfg.test_per_class = 12;
+  const SynthTask task = make_synth_task(cfg, rng);
+  const MlpConfig arch{{cfg.dim, 16, cfg.num_classes}, Activation::kRelu};
+  Mlp model(arch);
+  model.init(rng);
+  std::vector<ParamVec> ring;
+  for (int i = 0; i < 40; ++i) {
+    ParamVec params = model.parameters();
+    for (float& p : params) p += static_cast<float>(rng.normal(0.0, 0.05));
+    ring.push_back(std::move(params));
+  }
+  // s = 1 is the server (every round), s = 5 a client sampled one round
+  // in five: the first commit is the promoted candidate.
+  for (const std::size_t shift : {std::size_t{1}, std::size_t{5}}) {
+    SCOPED_TRACE(shift);
+    const std::size_t lookback = 20;
+    ModelHistory history(lookback + 1);
+    std::uint64_t version = 0;
+    history.push(version, ring[0]);
+    ValidatorConfig vcfg;
+    vcfg.lookback = lookback;
+    Validator validator(task.test, arch, vcfg);
+    for (int round = 0; round < 40; ++round) {
+      const ModelWindow window = history.window_shared(lookback + 1);
+      const ParamVec& candidate = ring[(version + 1) % ring.size()];
+      const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+      const ValidationOutcome outcome = validator.validate(candidate, window);
+      const std::size_t allocations =
+          g_allocs.load(std::memory_order_relaxed) - before;
+      // Warm-up: the window fills over the first ℓ commits.
+      if (round >= 30) {
+        EXPECT_FALSE(outcome.abstained);
+        EXPECT_EQ(allocations, 0u) << "round " << round;
+      }
+      validator.notify_commit(++version, candidate);
+      history.push(version, candidate);
+      for (std::size_t i = 1; i < shift; ++i) {
+        ++version;
+        history.push(version, ring[version % ring.size()]);
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace baffle

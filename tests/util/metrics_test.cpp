@@ -21,6 +21,19 @@ TEST(MetricsRegistry, CountersAccumulate) {
   EXPECT_EQ(registry.counter("y"), 0u);
 }
 
+TEST(MetricsRegistry, AddCountersAddsEachDeltaAndSkipsZeros) {
+  MetricsRegistry registry;
+  registry.add_counter("a", 2);
+  registry.add_counters({{"a", 3}, {"b", 1}, {"zero", 0}});
+  EXPECT_EQ(registry.counter("a"), 5u);
+  EXPECT_EQ(registry.counter("b"), 1u);
+  // A zero delta creates no counter, as no add_counter call would.
+  const auto samples = registry.snapshot();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].name, "a");
+  EXPECT_EQ(samples[1].name, "b");
+}
+
 TEST(MetricsRegistry, TimersAccumulateSamplesAndSeconds) {
   MetricsRegistry registry;
   registry.add_timer("t", 0.25);

@@ -38,6 +38,11 @@
 #                             # also build the end-to-end benchmark
 #                             # binary (e2ebench/, into .bench_build)
 #                             # and run its harness tests
+#   tools/check.sh --paper    # also rerun the twelve paper drivers at
+#                             # BAFFLE_THREADS=4 and fail on any CSV
+#                             # byte that differs from the committed
+#                             # bench_*.csv (skips off the avx512f
+#                             # GEMM tile; tools/paper_csvs.sh)
 #   tools/check.sh --all      # every stage above
 #
 # Each stage reports one PASS/FAIL/SKIP line; the script stops at the
@@ -61,6 +66,7 @@ RUN_BENCH_SMOKE=0
 RUN_FUZZ=0
 RUN_SWEEP_SMOKE=0
 RUN_E2E_BUILD=0
+RUN_PAPER=0
 for arg in "$@"; do
   case "$arg" in
     --checks) RUN_CHECKS=1 ;;
@@ -73,10 +79,11 @@ for arg in "$@"; do
     --fuzz) RUN_FUZZ=1 ;;
     --sweep-smoke) RUN_SWEEP_SMOKE=1 ;;
     --e2e-build) RUN_E2E_BUILD=1 ;;
+    --paper) RUN_PAPER=1 ;;
     --all) RUN_CHECKS=1; RUN_ASAN=1; RUN_TSAN=1; RUN_UBSAN=1; RUN_TIDY=1
            RUN_THREAD_SAFETY=1
            RUN_BENCH_SMOKE=1; RUN_FUZZ=1; RUN_SWEEP_SMOKE=1
-           RUN_E2E_BUILD=1 ;;
+           RUN_E2E_BUILD=1; RUN_PAPER=1 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
@@ -219,6 +226,21 @@ run_e2e_build() {
 
 if [[ "$RUN_E2E_BUILD" -eq 1 ]]; then
   stage "e2ebench build + harness tests" run_e2e_build
+fi
+
+if [[ "$RUN_PAPER" -eq 1 ]]; then
+  # Same steps as CI's paper-csvs job. Exit 77 (another GEMM tile than
+  # the committed CSVs') is a SKIP.
+  echo "== paper CSVs (tools/paper_csvs.sh) =="
+  paper_rc=0
+  tools/paper_csvs.sh build-strict || paper_rc=$?
+  case "$paper_rc" in
+    0) SUMMARY+=("PASS  paper CSVs") ;;
+    77) skip "paper CSVs" "GEMM tile is not the committed CSVs' avx512f" ;;
+    *) SUMMARY+=("FAIL  paper CSVs")
+       print_summary
+       exit 1 ;;
+  esac
 fi
 
 if [[ "$RUN_CHECKS" -eq 1 ]]; then
