@@ -99,8 +99,8 @@ ArmResult run_arm(const BenchSetup& s, std::size_t lookback, bool warm) {
     const ModelWindow history = window.window_shared(lookback + 1);
     const ParamVec& candidate = s.chain[version];
     if (!warm) {  // set-up (copying D, packing it) is not timed
-      out.promotions += validator->cache().promotions();
-      out.misses += validator->cache().misses();
+      out.promotions += validator->counts().candidate_reuse;
+      out.misses += validator->counts().cache_misses;
       validator.emplace(s.holdout, s.arch, cfg);
     }
     const auto t0 = std::chrono::steady_clock::now();
@@ -114,8 +114,8 @@ ArmResult run_arm(const BenchSetup& s, std::size_t lookback, bool warm) {
     window.push(version, candidate);
   }
   out.ms_per_round = total_ms / static_cast<double>(s.timed);
-  out.promotions += validator->cache().promotions();
-  out.misses += validator->cache().misses();
+  out.promotions += validator->counts().candidate_reuse;
+  out.misses += validator->counts().cache_misses;
   return out;
 }
 

@@ -17,11 +17,10 @@
 // serial arm's (thread-count invariance, DESIGN.md §17). Prints the
 // sweep table and writes BENCH_multieval.json; exit is nonzero whenever
 // parity or bit-identity fails, and — on full (non-smoke) runs at
-// ℓ ≥ 10, following the sweep_bench precedent — when the parallel fp32
-// arm misses 2x over serial fp32. The speed gate is enforced only with
-// ≥ 4 hardware cores AND a ≥ 4-thread pool: threading cannot pay on a
-// starved container, so a 1-core CI box must still report
-// bit_identical=true without a spurious gate failure.
+// ℓ ≥ 10 — when the parallel fp32 arm misses 2x over serial fp32. The
+// speed gate is enforced only with ≥ 4 hardware cores AND a ≥ 4-thread
+// pool: threading cannot pay on a starved container, so a 1-core CI box
+// must still report bit_identical=true without a spurious gate failure.
 
 #include <algorithm>
 #include <chrono>
@@ -186,8 +185,7 @@ int main(int argc, char** argv) {
   const std::size_t m = setup.holdout.size();
   const std::size_t threads = ThreadPool::global().size();
   const std::size_t cores = std::thread::hardware_concurrency();
-  // sweep_bench precedent: threading cannot be expected to pay on a
-  // starved container.
+  // Threading cannot be expected to pay on a starved container.
   const bool multi_core = cores >= 4 && threads >= 4;
   std::printf("BM_MultiModelEval: %zu samples, arch {%zu,%zu,%zu}, %zu "
               "timed reps/cell, %zu pool threads / %zu cores%s%s\n",

@@ -34,8 +34,8 @@ class BaffleDefense {
                 const Dataset& server_holdout);
 
   /// Records an accepted global model into the history and notifies
-  /// every materialized validator (notify_commit), promoting pending
-  /// candidate evaluations into the per-validator prediction caches.
+  /// every materialized validator (notify_commit), promoting each
+  /// pending candidate evaluation under the committed version.
   void on_commit(std::uint64_t version, ParamVec params);
 
   /// Records a rejected round: validators drop the candidate state they

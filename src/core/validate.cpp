@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstddef>
 #include <span>
+#include <utility>
 
+#include "fl/update.hpp"
 #include "util/contracts.hpp"
 #include "util/metric_names.hpp"
 #include "util/metrics.hpp"
@@ -64,25 +66,24 @@ void Validator::move_state_from(Validator& other) noexcept
   labels_ = std::move(other.labels_);
   num_classes_ = other.num_classes_;
   config_ = other.config_;
-  cache_ = std::move(other.cache_);
   pending_ = other.pending_;
   pending_params_ = std::move(other.pending_params_);
   pending_profile_ = std::move(other.pending_profile_);
+  promoted_ = other.promoted_;
+  promoted_version_ = other.promoted_version_;
+  promoted_profile_ = std::move(other.promoted_profile_);
   counts_ = other.counts_;
   reported_ = other.reported_;
-  reported_hits_ = other.reported_hits_;
-  reported_misses_ = other.reported_misses_;
-  reported_promotions_ = other.reported_promotions_;
   plan_ = std::move(other.plan_);
   batch_preds_ = std::move(other.batch_preds_);
   batch_models_ = std::move(other.batch_models_);
-  window_keys_ = std::move(other.window_keys_);
+  window_versions_ = std::move(other.window_versions_);
+  window_profiles_ = std::move(other.window_profiles_);
   window_points_ = std::move(other.window_points_);
   lof_window_ = std::move(other.lof_window_);
   window_tau_ = other.window_tau_;
   window_tau_count_ = other.window_tau_count_;
   tally_ = std::move(other.tally_);
-  missed_profile_ = std::move(other.missed_profile_);
   candidate_point_ = std::move(other.candidate_point_);
   candidate_row_ = std::move(other.candidate_row_);
   ablation_values_ = std::move(other.ablation_values_);
@@ -93,11 +94,14 @@ void Validator::notify_commit(std::uint64_t version,
                               const ParamVec& committed) {
   MutexLock lock(mu_);
   // Promotion must be exact: only when the committed parameters are
-  // bit-equal to the candidate scored last is its profile valid under
+  // byte-equal to the candidate scored last is its profile valid under
   // the new version (deterministic inference ⇒ identical predictions ⇒
-  // identical profile).
-  if (pending_ && pending_params_ == committed) {
-    cache_.promote(version, pending_profile_);
+  // identical profile). Float equality would be wrong both ways: it
+  // calls -0 and +0 equal, and a NaN unequal to its own bits.
+  if (pending_ && same_bytes(pending_params_, committed)) {
+    promoted_ = true;
+    promoted_version_ = version;
+    std::swap(promoted_profile_, pending_profile_);
     ++counts_.candidate_reuse;
     report_counts();
   }
@@ -109,6 +113,17 @@ void Validator::notify_reject() {
   pending_ = false;
 }
 
+const ErrorProfile* Validator::held_profile(std::uint64_t version) const {
+  MutexLock lock(mu_);
+  if (promoted_ && promoted_version_ == version) return &promoted_profile_;
+  const auto it =
+      std::find(window_versions_.begin(), window_versions_.end(), version);
+  return it == window_versions_.end()
+             ? nullptr
+             : &window_profiles_[static_cast<std::size_t>(
+                   it - window_versions_.begin())];
+}
+
 void Validator::report_counts() {
   MetricsRegistry::global().add_counters({
       {metric::kValidations, counts_.validations - reported_.validations},
@@ -118,14 +133,13 @@ void Validator::report_counts() {
        counts_.batched_evals - reported_.batched_evals},
       {metric::kCandidateReuse,
        counts_.candidate_reuse - reported_.candidate_reuse},
-      {metric::kCacheHits, cache_.hits() - reported_hits_},
-      {metric::kCacheMisses, cache_.misses() - reported_misses_},
-      {metric::kCachePromotions, cache_.promotions() - reported_promotions_},
+      {metric::kCacheHits, counts_.cache_hits - reported_.cache_hits},
+      {metric::kCacheMisses, counts_.cache_misses - reported_.cache_misses},
+      // A promotion and a candidate reuse are one event.
+      {metric::kCachePromotions,
+       counts_.candidate_reuse - reported_.candidate_reuse},
   });
   reported_ = counts_;
-  reported_hits_ = cache_.hits();
-  reported_misses_ = cache_.misses();
-  reported_promotions_ = cache_.promotions();
 }
 
 namespace {
@@ -173,11 +187,11 @@ ValidationOutcome Validator::validate(const ParamVec& candidate,
   // pass, free to fan out across the pool without holding mu_.
   run_plan(candidate, history);
 
-  // Phase 3 (locked): deposit and score against a fully-cached window,
-  // then report the round's counts in one registry call.
+  // Phase 3 (locked): move the held window onto this one and score
+  // against it, then report the round's counts in one registry call.
   MutexLock lock(mu_);
   deposit_round(history);
-  const ValidationOutcome outcome = score_round(candidate, history);
+  const ValidationOutcome outcome = score_round(candidate);
   report_counts();
   return outcome;
 }
@@ -187,19 +201,34 @@ void Validator::plan_round(const ModelWindow& history) {
   // notification evidently never arrived (e.g. pure-evaluation callers),
   // and it can no longer be promoted.
   pending_ = false;
-  // Versions only grow, so nothing older than the window's front is
-  // ever read again: the cache holds at most this window plus the
-  // candidate promoted after it.
-  if (!history.empty()) cache_.evict_before(history.front()->version);
 
-  plan_.missed.clear();
-  // A lone history model yields no variation points, so nothing reads
-  // its profile this round — don't evaluate it.
-  if (history.size() >= 2) {
-    for (std::size_t i = 0; i < history.size(); ++i) {
-      if (cache_.find(history[i]->version) == nullptr) {
-        plan_.missed.push_back(i);
+  // The new window keeps the held models from `drop` on when they open
+  // it, in order. A ModelHistory window always does (for some drop up
+  // to all of them); any other window keeps nothing and is rebuilt.
+  const std::size_t held = window_versions_.size();
+  const std::size_t models = history.size() < 2 ? 0 : history.size();
+  std::size_t drop = held;
+  if (models > 0) {
+    drop = static_cast<std::size_t>(
+        std::find(window_versions_.begin(), window_versions_.end(),
+                  history.front()->version) -
+        window_versions_.begin());
+    if (held - drop > models) drop = held;
+    for (std::size_t i = 0; drop + i < held; ++i) {
+      if (window_versions_[drop + i] != history[i]->version) {
+        drop = held;
+        break;
       }
+    }
+  }
+  plan_.drop = drop;
+
+  // Of the models after the kept ones, only the promoted candidate —
+  // which need not be the newest — is not evaluated again.
+  plan_.missed.clear();
+  for (std::size_t i = held - drop; i < models; ++i) {
+    if (!promoted_ || history[i]->version != promoted_version_) {
+      plan_.missed.push_back(i);
     }
   }
 
@@ -237,6 +266,7 @@ void Validator::deposit_round(const ModelWindow& history) {
   const std::size_t missed = plan_.missed.size();
   const std::size_t evals = missed + (plan_.eval_candidate ? 1 : 0);
   counts_.model_materializations += evals;
+  counts_.cache_misses += missed;
   // "Batched" means the engine amortized packing across several history
   // models; a lone miss (steady-state rounds: at most the
   // candidate-turned-history model, and promotion usually covers even
@@ -249,65 +279,62 @@ void Validator::deposit_round(const ModelWindow& history) {
         std::span<const std::size_t>(batch_preds_).subspan(slot * n, n);
     error_profile_into(labels_, preds, num_classes_, tally_, out);
   };
-  for (std::size_t i = 0; i < missed; ++i) {
-    tally(i, missed_profile_);
-    cache_.insert_missed(history[plan_.missed[i]]->version, missed_profile_);
-  }
   // The candidate's profile stays pending until the round's
   // commit/reject feedback (score_round arms it).
   if (plan_.eval_candidate) tally(missed, pending_profile_);
-}
 
-void Validator::sync_window(const ModelWindow& history) {
-  const std::size_t m = history.size() < 2 ? 0 : history.size() - 1;
-  const auto key = [&](std::size_t i) {
-    return std::pair{history[i]->version, history[i + 1]->version};
-  };
-  // The window moved by `drop` pairs when the old window's keys from
-  // `drop` on open the new one (versions strictly increase, so a key
-  // names one pair). Anything else — a window that shares no pair with
-  // the last — drops every point; the same shift then rebuilds it.
-  const std::size_t old_m = window_keys_.size();
-  std::size_t drop = old_m;
-  if (m > 0) {
-    for (std::size_t d = 0; d < old_m; ++d) {
-      if (window_keys_[d] == key(0)) {
-        drop = d;
-        break;
-      }
-    }
-  }
-  std::size_t kept = old_m - drop;
-  if (kept > m) kept = 0;
-  for (std::size_t i = 0; i < kept; ++i) {
-    if (window_keys_[drop + i] != key(i)) {
-      kept = 0;
-      break;
-    }
-  }
-  if (kept == 0) drop = old_m;
+  // Whatever the promoted profile was kept for, this window takes it in
+  // below or has moved past it.
+  promoted_ = false;
+  const std::size_t held = window_versions_.size();
+  const std::size_t drop = plan_.drop;
+  const std::size_t kept = held - drop;
+  const std::size_t models = history.size() < 2 ? 0 : history.size();
   // Unchanged window (repeat validation, or the previous round was
-  // rejected and rolled back): every cached structure is still valid.
-  if (drop == 0 && kept == m) return;
+  // rejected and rolled back): every held structure is still valid.
+  if (drop == 0 && kept == models) return;
 
-  // Keys and variation points slide down by `drop` in place; only the
-  // genuinely new pairs are computed — O(s) points when the window
-  // moved by s models.
+  // The kept slots slide to the front in place, and the dropped slots'
+  // storage moves behind them for the new models' tallies.
+  std::rotate(window_profiles_.begin(),
+              window_profiles_.begin() + static_cast<std::ptrdiff_t>(drop),
+              window_profiles_.begin() + static_cast<std::ptrdiff_t>(held));
+  if (window_profiles_.size() < models) window_profiles_.resize(models);
+  window_versions_.erase(
+      window_versions_.begin(),
+      window_versions_.begin() + static_cast<std::ptrdiff_t>(drop));
+  std::size_t slot = 0;
+  for (std::size_t i = kept; i < models; ++i) {
+    window_versions_.push_back(history[i]->version);
+    if (slot < missed && plan_.missed[slot] == i) {
+      tally(slot++, window_profiles_[i]);
+    } else {
+      BAFFLE_DCHECK(history[i]->version == promoted_version_,
+                    "a new window model is either missed or promoted");
+      std::swap(window_profiles_[i], promoted_profile_);
+    }
+  }
+
+  // Variation points slide down with their models; only the points of
+  // the new pairs are computed — O(s) points when the window moved by
+  // s models.
   const std::size_t dim = 2 * num_classes_;
-  window_keys_.erase(window_keys_.begin(),
-                     window_keys_.begin() + static_cast<std::ptrdiff_t>(drop));
-  std::copy(window_points_.begin() + static_cast<std::ptrdiff_t>(drop * dim),
+  const std::size_t m = models < 2 ? 0 : models - 1;
+  const std::size_t old_m = held < 2 ? 0 : held - 1;
+  const std::size_t kept_m = kept < 2 ? 0 : kept - 1;
+  const std::size_t drop_m = old_m - kept_m;
+  std::copy(window_points_.begin() + static_cast<std::ptrdiff_t>(drop_m * dim),
             window_points_.end(), window_points_.begin());
   window_points_.resize(m * dim);
-  for (std::size_t i = kept; i < m; ++i) {
-    window_keys_.push_back(key(i));
+  for (std::size_t i = kept_m; i < m; ++i) {
+    counts_.cache_hits += 2;
     error_variation_into(
-        cache_.hit(history[i]->version), cache_.hit(history[i + 1]->version),
+        window_profiles_[i], window_profiles_[i + 1],
         std::span<double>(window_points_).subspan(i * dim, dim));
   }
   // Distances and neighbor orders: retained entries carry over, only
   // the new points' rows are computed (DESIGN.md §12).
-  lof_window_.shift(drop, window_points_, dim);
+  lof_window_.shift(drop_m, window_points_, dim);
 
   // τ = mean leave-one-out LOF of the last ⌊ℓ/4⌋ trusted points. Each
   // is scored against the remaining ℓ−1 points so its reference set
@@ -336,14 +363,12 @@ void Validator::sync_window(const ModelWindow& history) {
   }
 }
 
-ValidationOutcome Validator::score_round(const ParamVec& candidate,
-                                         const ModelWindow& history) {
+ValidationOutcome Validator::score_round(const ParamVec& candidate) {
   ValidationOutcome outcome;
-  sync_window(history);
 
   // A history of m models yields m−1 variation points; with the full
   // ℓ+1 window that is ℓ.
-  const std::size_t ell = window_keys_.size();  // effective look-back
+  const std::size_t ell = lof_window_.size();  // effective look-back
   if (ell < config_.min_variations) {
     outcome.abstained = true;
     outcome.vote = 0;
@@ -356,7 +381,8 @@ ValidationOutcome Validator::score_round(const ParamVec& candidate,
   // stays pending until the round's commit/reject feedback.
   BAFFLE_CHECK(plan_.eval_candidate,
                "scored round requires a planned candidate evaluation");
-  const ErrorProfile& latest = cache_.hit(history.back()->version);
+  const ErrorProfile& latest = window_profiles_[ell];
+  ++counts_.cache_hits;
   pending_params_.assign(candidate.begin(), candidate.end());
   pending_ = true;
   const ErrorProfile& candidate_profile = pending_profile_;
@@ -366,10 +392,11 @@ ValidationOutcome Validator::score_round(const ParamVec& candidate,
     // round-to-round change in overall accuracy. An anomalous accuracy
     // *drop* is the poisoning signal.
     ablation_values_.clear();
-    for (std::size_t i = 1; i < history.size(); ++i) {
-      ablation_values_.push_back(cache_.hit(history[i]->version).accuracy -
-                                 cache_.hit(history[i - 1]->version).accuracy);
+    for (std::size_t i = 1; i <= ell; ++i) {
+      ablation_values_.push_back(window_profiles_[i].accuracy -
+                                 window_profiles_[i - 1].accuracy);
     }
+    counts_.cache_hits += 2 * ell;
     outcome.phi = -guarded_zscore(candidate_profile.accuracy - latest.accuracy,
                                   ablation_values_);
     outcome.tau = config_.zscore_threshold;

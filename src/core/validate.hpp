@@ -16,42 +16,43 @@
 // (BAFFLE) — and the adaptive attacker reuses it verbatim as its
 // self-check (src/attack/adaptive.hpp).
 //
-// The validator is incremental across rounds (DESIGN.md §12): it caches
-// only what Algorithm 2 reads — each window model's error profile — and
-// only for the window it is about to score, and a committed candidate's
-// profile is promoted into the prediction cache (notify_commit) so it is
-// never recomputed as next round's history.back(). When the window has
-// moved by s models since the validator last ran (s = 1 for the server,
-// about one in five rounds for a sampled vision client), the variation
-// points, the LOF window's distances and its neighbour orders slide
-// down in place and only the s new points are computed: O(ℓ·s)
-// distances, a sort of each new point's order and a merge into each
-// retained one. τ's leave-one-out scores, φ, the profile tallies and the
-// counters run on scratch the validator keeps, so a steady-state
-// validate() allocates nothing outside the engine pass, and its
-// validator.* and prediction_cache.* counts reach MetricsRegistry in one
-// call. All of it is bit-identical to recomputing Algorithm 2 from
-// scratch, which the parity tests do as their oracle.
+// The validator is incremental across rounds (DESIGN.md §12): it keeps
+// one record of the look-back window it last scored — each model's
+// version and error profile (all Algorithm 2 reads of a model), the ℓ
+// variation points, their LOF window and τ — and a committed
+// candidate's profile is promoted (notify_commit) so it is never
+// recomputed when it enters a later window. When the window has moved
+// by s models since the validator last ran (s = 1 for the server, about
+// one in five rounds for a sampled vision client), the record's
+// retained slots, its variation points, the LOF window's distances and
+// its neighbour orders slide down in place; of the s new models only
+// those that are not the promoted candidate are evaluated, and only
+// the s new points are computed: O(ℓ·s) distances, a sort of each new
+// point's order and a merge into each retained one. τ's leave-one-out
+// scores, φ, the profile tallies and the counters run on scratch the
+// validator keeps, so a steady-state validate() allocates nothing
+// outside the engine pass, and its validator.* and prediction_cache.*
+// counts reach MetricsRegistry in one call. All of it is bit-identical
+// to recomputing Algorithm 2 from scratch, which the parity tests do as
+// their oracle.
 //
 // Lock scope (DESIGN.md §17): a validate() call runs in three phases —
-// plan (under mu_: drop the stale pending candidate, evict versions
-// older than the window, list uncached history versions), evaluate
-// (OUTSIDE mu_: one batched MultiModelEval pass over every uncached
-// model plus the candidate, fanned out across the pool), and score
-// (under mu_ again: deposit the profiles, then φ/τ). No model is ever
-// evaluated under mu_, so it is never held across a pool wait — a
-// help-draining waiter can steal ANOTHER validator's validate task, and
-// two validators stealing each other's work while holding their own
-// locks would deadlock.
+// plan (under mu_: drop the stale pending candidate, find the new
+// window's overlap with the record, list the models neither retained
+// nor promoted), evaluate (OUTSIDE mu_: one batched MultiModelEval pass
+// over those models plus the candidate, fanned out across the pool),
+// and score (under mu_ again: slide the record and tally the new
+// profiles into it, then φ/τ). No model is ever evaluated under mu_, so
+// it is never held across a pool wait — a help-draining waiter can
+// steal ANOTHER validator's validate task, and two validators stealing
+// each other's work while holding their own locks would deadlock.
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/history.hpp"
 #include "core/lof.hpp"
-#include "core/prediction_cache.hpp"
 #include "nn/multi_eval.hpp"
 #include "util/sync.hpp"
 
@@ -92,13 +93,23 @@ struct ValidatorConfig {
   double tau_margin = 1.3;
 };
 
-/// What a validator has done, as it reports to MetricsRegistry (the
-/// validator.* counters; its cache's tallies are in cache()).
+/// What a validator has done, as it reports to MetricsRegistry: each
+/// field under its validator.* name, and the profile tallies under the
+/// prediction_cache.* names.
 struct ValidatorCounts {
   std::uint64_t validations = 0;
   std::uint64_t model_materializations = 0;
   std::uint64_t batched_evals = 0;
+  /// Committed candidates whose profile was kept rather than evaluated
+  /// again; also reported as prediction_cache.promotions.
   std::uint64_t candidate_reuse = 0;
+  /// Profile reads (prediction_cache.hits): two per new variation point,
+  /// one for the newest model on a scored round, two per delta for
+  /// ablation A1.
+  std::uint64_t cache_hits = 0;
+  /// Window models evaluated because the validator held no profile for
+  /// them (prediction_cache.misses).
+  std::uint64_t cache_misses = 0;
 };
 
 struct ValidationOutcome {
@@ -127,29 +138,28 @@ class Validator {
 
   /// Runs Algorithm 2. `history` is the zero-copy window oldest→newest
   /// (up to ℓ+1 models, from ModelHistory::window_shared; a longer
-  /// window throws ContractViolation). Error profiles of the window's
-  /// models are cached across rounds by version.
+  /// window throws ContractViolation). A version must name one model:
+  /// the validator keeps the models a window shares with the last one
+  /// it scored, matched by version.
   ValidationOutcome validate(const ParamVec& candidate,
                              const ModelWindow& history);
 
   /// Round feedback: the candidate last scored by validate() was
   /// committed as `version`. When its parameters match `committed`
-  /// bit-for-bit, the profile computed during validation is promoted
-  /// into the cache under `version` — next round's history pass then
-  /// hits instead of redoing the forward pass.
+  /// byte for byte (same_bytes), the profile computed during validation
+  /// is promoted under `version` — the next window that holds it then
+  /// reuses it instead of redoing the forward pass.
   void notify_commit(std::uint64_t version, const ParamVec& committed);
 
   /// Round feedback: the candidate was rejected (rolled back); its
   /// pending profile is discarded.
   void notify_reject();
 
-  /// Post-run inspection handle (tests, reports). The reference escapes
-  /// the lock deliberately: callers read it only after the rounds that
-  /// mutate this validator have finished.
-  const PredictionCache& cache() const {
-    MutexLock lock(mu_);
-    return cache_;
-  }
+  /// The profile this validator holds for `version` — a model of the
+  /// window it last scored, or the promoted candidate — or nullptr.
+  /// Post-run inspection (tests): the pointer escapes the lock
+  /// deliberately, and stays valid until the next validate() or commit.
+  const ErrorProfile* held_profile(std::uint64_t version) const;
   const ValidatorConfig& config() const { return config_; }
   ValidatorCounts counts() const {
     MutexLock lock(mu_);
@@ -164,51 +174,55 @@ class Validator {
   /// What the round's single engine pass must evaluate, decided under
   /// mu_ in phase 1 and read by phases 2 and 3.
   struct EvalPlan {
+    /// The held window's first `drop` models leave; the rest open the
+    /// new window. Of the new window's models after them, the promoted
+    /// candidate is reused and every other one is `missed`.
+    std::size_t drop = 0;
     std::vector<std::size_t> missed;  // indices into the history window
     /// The candidate is evaluated only on rounds that will score it
     /// (enough history — the same predicate in plan & score).
     bool eval_candidate = false;
   };
-
-  /// Phase 1 (locked): drop the stale pending candidate, evict versions
-  /// older than the window, list the uncached history versions.
+  /// Phase 1 (locked): drop the stale pending candidate, find the new
+  /// window's overlap with the held one, list the models it must
+  /// evaluate.
   void plan_round(const ModelWindow& history) BAFFLE_REQUIRES(mu_);
   /// Phase 2 (UNLOCKED): one batched predict_many over the plan.
   void run_plan(const ParamVec& candidate, const ModelWindow& history);
-  /// Phase 3 (locked): tallies the plan's profiles into the cache and
-  /// the pending candidate.
+  /// Phase 3 (locked): slides the held window onto `history`, tallies
+  /// the plan's profiles into its new slots and the pending candidate,
+  /// and moves the variation points, LOF window and τ with it.
   void deposit_round(const ModelWindow& history) BAFFLE_REQUIRES(mu_);
-  /// Phase 3 (locked): scoring on a fully-cached window.
-  ValidationOutcome score_round(const ParamVec& candidate,
-                                const ModelWindow& history)
+  /// Phase 3 (locked): scores the candidate against the held window.
+  ValidationOutcome score_round(const ParamVec& candidate)
       BAFFLE_REQUIRES(mu_);
-  void sync_window(const ModelWindow& history) BAFFLE_REQUIRES(mu_);
-  /// Adds what this validator and its cache tallied since the last
-  /// report to MetricsRegistry, in one call.
+  /// Adds what this validator tallied since the last report to
+  /// MetricsRegistry, in one call.
   void report_counts() BAFFLE_REQUIRES(mu_);
 
   std::vector<int> labels_;  // D_i's labels; its features live in engine_
   std::size_t num_classes_ = 0;
   ValidatorConfig config_;
 
-  // One lock serializes a validator's cross-round state: the prediction
-  // cache, the pending candidate and the incremental LOF window mutate
-  // together, and the commit/reject feedback must be ordered against
-  // scoring. The ENGINE deliberately runs outside it (see header
-  // comment): no model is evaluated while mu_ is held.
+  // One lock serializes a validator's cross-round state: the held
+  // window, the pending and promoted candidates mutate together, and
+  // the commit/reject feedback must be ordered against scoring. The
+  // ENGINE deliberately runs outside it (see header comment): no model
+  // is evaluated while mu_ is held.
   mutable Mutex mu_;
-  PredictionCache cache_ BAFFLE_GUARDED_BY(mu_);
   // The candidate last scored, kept until the round's commit/reject
   // feedback; its buffers are reused from round to round.
   bool pending_ BAFFLE_GUARDED_BY(mu_) = false;
   ParamVec pending_params_ BAFFLE_GUARDED_BY(mu_);
   ErrorProfile pending_profile_ BAFFLE_GUARDED_BY(mu_);
+  // The last committed candidate's profile, under its version, until
+  // the next window takes it in.
+  bool promoted_ BAFFLE_GUARDED_BY(mu_) = false;
+  std::uint64_t promoted_version_ BAFFLE_GUARDED_BY(mu_) = 0;
+  ErrorProfile promoted_profile_ BAFFLE_GUARDED_BY(mu_);
   ValidatorCounts counts_ BAFFLE_GUARDED_BY(mu_);
-  // counts_ and the cache's tallies as last reported to MetricsRegistry.
+  // counts_ as last reported to MetricsRegistry.
   ValidatorCounts reported_ BAFFLE_GUARDED_BY(mu_);
-  std::uint64_t reported_hits_ BAFFLE_GUARDED_BY(mu_) = 0;
-  std::uint64_t reported_misses_ BAFFLE_GUARDED_BY(mu_) = 0;
-  std::uint64_t reported_promotions_ BAFFLE_GUARDED_BY(mu_) = 0;
 
   // Engine-phase state, deliberately NOT guarded by mu_. The engine is
   // immutable after its setup-time bind() apart from an internally
@@ -223,12 +237,14 @@ class Validator {
   std::vector<MultiEvalModel> batch_models_;
   std::atomic<bool> validating_{false};
 
-  // Incremental LOF state, valid for the window identified by
-  // window_keys_: moved with the history window (DESIGN.md §12) and
-  // left untouched across rejected rounds.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> window_keys_
-      BAFFLE_GUARDED_BY(mu_);
-  // One variation point per key, 2|Y| values each, row-major.
+  // The window last scored (DESIGN.md §12), moved with the history
+  // window and left untouched across rejected rounds. A window of fewer
+  // than two models yields no variation point and holds nothing.
+  std::vector<std::uint64_t> window_versions_ BAFFLE_GUARDED_BY(mu_);
+  // One profile per held version; the slots past them keep their
+  // storage for the next new models.
+  std::vector<ErrorProfile> window_profiles_ BAFFLE_GUARDED_BY(mu_);
+  // One variation point per consecutive pair, 2|Y| values each.
   std::vector<double> window_points_ BAFFLE_GUARDED_BY(mu_);
   LofWindow lof_window_ BAFFLE_GUARDED_BY(mu_);
   double window_tau_ BAFFLE_GUARDED_BY(mu_) = 0.0;
@@ -236,7 +252,6 @@ class Validator {
 
   // Scoring scratch, kept so a steady-state round allocates nothing.
   std::vector<std::size_t> tally_ BAFFLE_GUARDED_BY(mu_);
-  ErrorProfile missed_profile_ BAFFLE_GUARDED_BY(mu_);
   std::vector<double> candidate_point_ BAFFLE_GUARDED_BY(mu_);
   std::vector<double> candidate_row_
       BAFFLE_GUARDED_BY(mu_);  // candidate→window dists

@@ -14,7 +14,6 @@
 #include "attack/dba.hpp"
 #include "metrics/confusion.hpp"
 #include "net/round_driver.hpp"
-#include "util/logging.hpp"
 #include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"

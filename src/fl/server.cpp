@@ -4,7 +4,6 @@
 
 #include "tensor/ops.hpp"
 #include "util/contracts.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 namespace baffle {
@@ -124,8 +123,6 @@ std::uint64_t FlServer::commit(const Proposal& proposal) {
   global_.set_parameters(proposal.candidate_params);
   ++version_;
   ++round_;
-  log_debug() << "round " << round_ << " committed (version " << version_
-              << ")";
   return version_;
 }
 
@@ -134,8 +131,6 @@ void FlServer::discard(const Proposal& proposal) {
     throw std::logic_error("FlServer::discard: stale proposal");
   }
   ++round_;
-  log_debug() << "round " << round_ << " rejected; keeping version "
-              << version_;
 }
 
 }  // namespace baffle

@@ -1,10 +1,17 @@
 #include "fl/update.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
 
 namespace baffle {
+
+bool same_bytes(const ParamVec& a, const ParamVec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
 
 void check_update_sizes(const std::vector<ParamVec>& updates,
                         std::size_t expected_size) {

@@ -11,6 +11,12 @@ namespace baffle {
 
 using ParamVec = std::vector<float>;
 
+/// True when `a` and `b` hold the same floats bit for bit. Unlike
+/// operator==, -0 and +0 differ and a NaN equals its own bits: the test
+/// for "the same model" wherever a result computed for one parameter
+/// vector is reused for another.
+bool same_bytes(const ParamVec& a, const ParamVec& b);
+
 /// Element-wise mean of equally-weighted updates.
 ParamVec mean_update(const std::vector<ParamVec>& updates);
 

@@ -1,22 +1,11 @@
 #include "net/client_actor.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "util/scratch_lease.hpp"
 
 namespace baffle {
-
-namespace {
-
-bool same_bytes(const ParamVec& a, const ParamVec& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-}  // namespace
 
 std::shared_ptr<const GlobalModel> SnapshotStore::intern(
     std::uint64_t version, ParamVec params) {

@@ -105,8 +105,8 @@ class ClientActor {
   void handle_validation();
 
   /// Round epilogue: receives RoundResult. On commit the retained
-  /// candidate is promoted into the local history (and the validator's
-  /// prediction cache); on reject it is dropped.
+  /// candidate is promoted into the local history (and its profile in
+  /// the validator); on reject it is dropped.
   void handle_round_result();
 
   std::size_t id() const { return config_.client_id; }

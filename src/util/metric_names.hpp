@@ -24,7 +24,10 @@ inline constexpr char kModelMaterializations[] =
     "validator.model_materializations";
 inline constexpr char kBatchedEvals[] = "validator.batched_evals";
 
-// Prediction cache (core/prediction_cache), counters.
+// Validator (core/validate) profile counters. The names predate the
+// validator's window record and are kept: Validator tallies them in
+// ValidatorCounts (hits are profile reads, misses window models it had
+// to evaluate), and a promotion is the same event as kCandidateReuse.
 inline constexpr char kCacheHits[] = "prediction_cache.hits";
 inline constexpr char kCacheMisses[] = "prediction_cache.misses";
 inline constexpr char kCachePromotions[] = "prediction_cache.promotions";

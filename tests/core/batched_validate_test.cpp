@@ -111,7 +111,7 @@ TEST_F(BatchedValidate, ColdWindowBatchedMatchesWarmSequential) {
     // re-lookups of deposited entries are hits).
     EXPECT_GT(MetricsRegistry::global().counter("validator.batched_evals"),
               batched_before);
-    EXPECT_EQ(cold.cache().misses(), history.size());
+    EXPECT_EQ(cold.counts().cache_misses, history.size());
   }
 }
 
@@ -134,7 +134,7 @@ TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
   Mlp model(arch_);
   MlpEvalWorkspace ws;
   for (const auto& entry : history) {
-    const ErrorProfile* cached = v.cache().find(entry->version);
+    const ErrorProfile* cached = v.held_profile(entry->version);
     ASSERT_NE(cached, nullptr) << "version " << entry->version;
     model.set_parameters(entry->params);
     const ConfusionMatrix cm = evaluate_confusion(model, data_, ws);
@@ -195,8 +195,8 @@ TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
   }
   ASSERT_GT(non_abstained, 4u);
   for (const auto& entry : window) {
-    const ErrorProfile* a = ser.cache().find(entry->version);
-    const ErrorProfile* b = par.cache().find(entry->version);
+    const ErrorProfile* a = ser.held_profile(entry->version);
+    const ErrorProfile* b = par.held_profile(entry->version);
     EXPECT_EQ(a == nullptr, b == nullptr) << "version " << entry->version;
     if (a != nullptr && b != nullptr) expect_same_profile(*a, *b);
   }

@@ -217,10 +217,11 @@ TEST_F(DefenseFixture, ValidatorsPersistAcrossRounds) {
                    VoteStrategy::kHonest);
   Validator* v = defense.client_validator(0, *clients_);
   ASSERT_NE(v, nullptr);
-  const auto misses = v->cache().misses();
+  const auto misses = v->counts().cache_misses;
   defense.evaluate(*genuine_params_, {0, 1}, *clients_, {},
                    VoteStrategy::kHonest);
-  EXPECT_EQ(defense.client_validator(0, *clients_)->cache().misses(), misses);
+  EXPECT_EQ(defense.client_validator(0, *clients_)->counts().cache_misses,
+            misses);
 }
 
 }  // namespace

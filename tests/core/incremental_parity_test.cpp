@@ -1,8 +1,8 @@
 // Property-style parity of the incremental validation engine
 // (DESIGN.md §12): a validator with cross-round state (candidate-profile
 // promotion, per-pair variation points, incremental distance matrix,
-// window-bounded cache) must produce bit-identical votes/φ/τ to
-// Algorithm 2 recomputed from scratch through arbitrary
+// one held record of its last window) must produce bit-identical
+// votes/φ/τ to Algorithm 2 recomputed from scratch through arbitrary
 // accept/reject/rollback sequences — while doing strictly fewer model
 // evaluations. The from-scratch oracle lives here, in the test: it
 // shares no state or cache with the Validator.
@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 
 #include "data/synth.hpp"
@@ -187,6 +189,13 @@ class ParityFixture : public ::testing::Test {
     return got;
   }
 
+  /// Checks run_script makes right before and right after each
+  /// validation, given the window scored.
+  struct Hooks {
+    std::function<void(const ModelWindow&)> before;
+    std::function<void(const ModelWindow&)> after;
+  };
+
   /// Drives `v` through scripted rounds against the oracle: validate
   /// on every `stride`-th round (on the others the chain moves without
   /// asking `v`, as for a client not sampled that round), then commit
@@ -194,7 +203,7 @@ class ParityFixture : public ::testing::Test {
   /// rather than abstained.
   std::size_t run_script(Validator& v, const std::vector<bool>& accept_script,
                          std::size_t lookback, std::uint64_t seed,
-                         std::size_t stride = 1) {
+                         std::size_t stride = 1, const Hooks& hooks = {}) {
     ModelHistory window(lookback + 1);
     std::uint64_t version = 0;
     window.push(version, params_);
@@ -204,9 +213,10 @@ class ParityFixture : public ::testing::Test {
       const bool accept = accept_script[round];
       const ModelWindow history = window.window_shared(lookback + 1);
       const ParamVec candidate = next_params(rng);
-      if ((round + 1) % stride == 0 &&
-          !expect_parity(v, candidate, history).abstained) {
-        ++non_abstained;
+      if ((round + 1) % stride == 0) {
+        if (hooks.before) hooks.before(history);
+        if (!expect_parity(v, candidate, history).abstained) ++non_abstained;
+        if (hooks.after) hooks.after(history);
       }
       if (accept) {
         ++version;
@@ -244,8 +254,8 @@ TEST_F(ParityFixture, AcceptRejectRollbackSequenceBitIdentical) {
 
   // The validator promoted committed candidates instead of re-evaluating
   // them as next round's history.back().
-  EXPECT_GT(v.cache().promotions(), 0u);
-  EXPECT_LT(v.cache().misses(), oracle_evaluations_);
+  EXPECT_GT(v.counts().candidate_reuse, 0u);
+  EXPECT_LT(v.counts().cache_misses, oracle_evaluations_);
 }
 
 TEST_F(ParityFixture, StridedValidationWindowsBitIdentical) {
@@ -268,11 +278,36 @@ TEST_F(ParityFixture, StridedValidationWindowsBitIdentical) {
     EXPECT_GE(non_abstained, 6u);  // the LOF path ran after each jump
     params_ = start;
   }
+
+  // On a chain that commits every round, a warm validator that scores
+  // every third round evaluates exactly the two models committed while
+  // it sat out. The third new model is its own promoted candidate: not
+  // the window's newest, and never evaluated again.
+  Validator v = make_validator(config(lookback));
+  ValidatorCounts before;
+  std::size_t warm = 0;
+  Hooks hooks;
+  hooks.before = [&](const ModelWindow& history) {
+    before = v.counts();
+    if (before.candidate_reuse == 0) return;  // nothing promoted yet
+    const std::uint64_t newest = history.back()->version;
+    EXPECT_NE(v.held_profile(newest - 2), nullptr);
+    EXPECT_EQ(v.held_profile(newest - 1), nullptr);
+    EXPECT_EQ(v.held_profile(newest), nullptr);
+  };
+  hooks.after = [&](const ModelWindow&) {
+    if (before.candidate_reuse == 0) return;
+    EXPECT_EQ(v.counts().cache_misses - before.cache_misses, 2u);
+    ++warm;
+  };
+  run_script(v, std::vector<bool>(6 * lookback, true), lookback,
+             /*seed=*/300, /*stride=*/3, hooks);
+  EXPECT_EQ(warm, 14u);  // every validation from round 8 on
 }
 
 TEST_F(ParityFixture, ZScoreAblationsMatchFreshRecompute) {
   // The ablations score off the same window state as LOF: A2 reads the
-  // cached variation points, A1 the cached profiles' accuracies.
+  // held variation points, A1 the held profiles' accuracies.
   const std::size_t lookback = 8;
   for (ValidationMethod method : {ValidationMethod::kGlobalAccuracyZScore,
                                   ValidationMethod::kVariationNormZScore}) {
@@ -283,8 +318,8 @@ TEST_F(ParityFixture, ZScoreAblationsMatchFreshRecompute) {
     const std::size_t non_abstained =
         run_script(v, kAcceptScript, lookback, /*seed=*/78);
     ASSERT_GT(non_abstained, 6u);
-    EXPECT_GT(v.cache().promotions(), 0u);
-    EXPECT_LT(v.cache().misses(), oracle_evaluations_);
+    EXPECT_GT(v.counts().candidate_reuse, 0u);
+    EXPECT_LT(v.counts().cache_misses, oracle_evaluations_);
     params_ = start;
   }
 }
@@ -315,7 +350,7 @@ TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
   // not promote (parameters differ bit-wise from the pending ones).
   const ParamVec other = next_params(rng);
   v.notify_commit(9, other);
-  EXPECT_EQ(v.cache().promotions(), 0u);
+  EXPECT_EQ(v.counts().candidate_reuse, 0u);
 
   window.push(9, other);
   history = window.window_shared(lookback + 1);
@@ -323,14 +358,14 @@ TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
 
   // Committing exactly the last validated candidate does promote.
   v.notify_commit(10, last);
-  EXPECT_EQ(v.cache().promotions(), 1u);
+  EXPECT_EQ(v.counts().candidate_reuse, 1u);
   window.push(10, last);
   history = window.window_shared(lookback + 1);
   const ParamVec candidate = next_params(rng);
-  const auto misses_before = v.cache().misses();
+  const auto misses_before = v.counts().cache_misses;
   expect_parity(v, candidate, history);
   // The promoted version was needed as history.back() and hit.
-  EXPECT_EQ(v.cache().misses(), misses_before);
+  EXPECT_EQ(v.counts().cache_misses, misses_before);
 }
 
 TEST_F(ParityFixture, OverlongWindowThrowsContractViolation) {
@@ -400,22 +435,19 @@ TEST_F(ParityFixture, RegistryCounterDeltasEqualValidatorTallies) {
   std::uint64_t validations = 0;
   std::uint64_t candidate_evals = 0;
   const auto expect_deltas = [&] {
-    const std::uint64_t promotions =
-        every.cache().promotions() + third.cache().promotions();
-    const std::uint64_t misses =
-        every.cache().misses() + third.cache().misses();
+    const ValidatorCounts a = every.counts(), b = third.counts();
+    const std::uint64_t promotions = a.candidate_reuse + b.candidate_reuse;
+    const std::uint64_t misses = a.cache_misses + b.cache_misses;
     const std::uint64_t want[] = {
-        every.cache().hits() + third.cache().hits(), misses, promotions,
+        a.cache_hits + b.cache_hits, misses, promotions,
         validations, misses + candidate_evals, promotions};
     for (std::size_t i = 0; i < std::size(names); ++i) {
       EXPECT_EQ(registry.counter(names[i]) - before[i], want[i]) << names[i];
     }
     // The validators' own validator.* tallies agree with the script.
-    const ValidatorCounts a = every.counts(), b = third.counts();
     EXPECT_EQ(a.validations + b.validations, validations);
     EXPECT_EQ(a.model_materializations + b.model_materializations,
               misses + candidate_evals);
-    EXPECT_EQ(a.candidate_reuse + b.candidate_reuse, promotions);
   };
 
   ModelHistory window(lookback + 1);
@@ -453,9 +485,180 @@ TEST_F(ParityFixture, RegistryCounterDeltasEqualValidatorTallies) {
       params_ = candidate;
     }
   }
-  EXPECT_GT(every.cache().promotions(), 0u);
-  EXPECT_GT(third.cache().promotions(), 0u);
-  EXPECT_GT(third.cache().misses(), every.cache().misses());
+  EXPECT_GT(every.counts().candidate_reuse, 0u);
+  EXPECT_GT(third.counts().candidate_reuse, 0u);
+  EXPECT_GT(third.counts().cache_misses, every.counts().cache_misses);
+}
+
+/// The prediction_cache.* counters (baffle_sim's cache line, e2ebench's
+/// core.cache_* ledger) and the profiles behind them, as a validator
+/// keeps them: one per model of the window it scored last, plus the
+/// candidate it promoted since.
+class PredictionCache : public ParityFixture {
+ protected:
+  /// Models `first` .. `first + count − 1` of one random-walk chain
+  /// whose model i has version i.
+  ModelWindow chain(std::size_t first, std::size_t count) {
+    while (chain_.size() < first + count) {
+      params_ = next_params(rng_);
+      chain_.push_back(std::make_shared<const GlobalModel>(
+          GlobalModel{chain_.size(), params_}));
+    }
+    return ModelWindow(chain_.begin() + static_cast<std::ptrdiff_t>(first),
+                       chain_.begin() +
+                           static_cast<std::ptrdiff_t>(first + count));
+  }
+
+  Rng rng_{31};
+  ModelWindow chain_;
+};
+
+TEST_F(PredictionCache, MissThenHit) {
+  // Scoring a window evaluates each model once; scoring it again reads
+  // the held profiles (only the newest, for the candidate's point) and
+  // evaluates just the new candidate.
+  Validator v = make_validator(config());
+  const ModelWindow window = chain(0, 9);
+  expect_parity(v, next_params(rng_), window);
+  const ValidatorCounts cold = v.counts();
+  EXPECT_EQ(cold.cache_misses, 9u);
+  EXPECT_EQ(cold.cache_hits, 2u * 8 + 1);  // two per point, the newest
+  expect_parity(v, next_params(rng_), window);
+  const ValidatorCounts warm = v.counts();
+  EXPECT_EQ(warm.cache_misses, cold.cache_misses);
+  EXPECT_EQ(warm.cache_hits, cold.cache_hits + 1);
+  EXPECT_EQ(warm.model_materializations, cold.model_materializations + 1);
+}
+
+TEST_F(PredictionCache, DistinctVersionsEvaluatedSeparately) {
+  // A version names a model: the same parameters committed under two
+  // versions are two window models, each evaluated and held.
+  ModelWindow window = chain(0, 8);
+  window.push_back(std::make_shared<const GlobalModel>(
+      GlobalModel{8, window.back()->params}));
+  Validator v = make_validator(config());
+  expect_parity(v, next_params(rng_), window);
+  EXPECT_EQ(v.counts().cache_misses, 9u);
+  const ErrorProfile* a = v.held_profile(7);
+  const ErrorProfile* b = v.held_profile(8);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a->errors, b->errors);
+}
+
+TEST_F(PredictionCache, FindReturnsStoredMatrix) {
+  // After the window slid by three models, one of them the promoted
+  // candidate, held_profile() returns for each held version the bits of
+  // a direct evaluation, and nothing for any other version.
+  Validator v = make_validator(config());
+  const ParamVec candidate = next_params(rng_);
+  expect_parity(v, candidate, chain(0, 9));
+  v.notify_commit(9, candidate);
+  ModelWindow window = chain(3, 6);
+  window.push_back(
+      std::make_shared<const GlobalModel>(GlobalModel{9, candidate}));
+  for (std::uint64_t version : {10u, 11u}) {
+    window.push_back(std::make_shared<const GlobalModel>(
+        GlobalModel{version, next_params(rng_)}));
+  }
+  expect_parity(v, next_params(rng_), window);
+  EXPECT_EQ(v.counts().cache_misses, 9u + 2);
+  EXPECT_EQ(v.held_profile(2), nullptr);
+  EXPECT_EQ(v.held_profile(12), nullptr);
+  const Dataset data = validator_data();
+  Mlp model(arch_);
+  for (const auto& g : window) {
+    const ErrorProfile* held = v.held_profile(g->version);
+    ASSERT_NE(held, nullptr) << "version " << g->version;
+    model.set_parameters(g->params);
+    const ConfusionMatrix cm = evaluate_confusion(model, data);
+    std::vector<double> errors = cm.source_focused_errors();
+    const std::vector<double> target = cm.target_focused_errors();
+    errors.insert(errors.end(), target.begin(), target.end());
+    EXPECT_EQ(held->errors, errors) << "version " << g->version;
+    EXPECT_EQ(held->accuracy, cm.accuracy());
+  }
+}
+
+TEST_F(PredictionCache, PromoteBindsMatrixAndCounts) {
+  // Committing the candidate scored last binds its profile to the new
+  // version and counts one promotion, which is one candidate reuse; the
+  // next window then evaluates only its own candidate.
+  Validator v = make_validator(config());
+  const ModelWindow window = chain(0, 9);
+  const ParamVec candidate = next_params(rng_);
+  expect_parity(v, candidate, window);
+  const std::uint64_t promotions_before =
+      MetricsRegistry::global().counter(metric::kCachePromotions);
+  v.notify_commit(9, candidate);
+  EXPECT_EQ(v.counts().candidate_reuse, 1u);
+  EXPECT_EQ(MetricsRegistry::global().counter(metric::kCachePromotions) -
+                promotions_before,
+            1u);
+  ASSERT_NE(v.held_profile(9), nullptr);
+  const ErrorProfile promoted = *v.held_profile(9);
+
+  ModelWindow next(window.begin() + 1, window.end());
+  next.push_back(
+      std::make_shared<const GlobalModel>(GlobalModel{9, candidate}));
+  const ValidatorCounts before = v.counts();
+  expect_parity(v, next_params(rng_), next);
+  EXPECT_EQ(v.counts().cache_misses, before.cache_misses);
+  EXPECT_EQ(v.counts().model_materializations,
+            before.model_materializations + 1);
+  ASSERT_NE(v.held_profile(9), nullptr);
+  EXPECT_EQ(v.held_profile(9)->errors, promoted.errors);
+}
+
+TEST_F(PredictionCache, PromotionComparesBytesNotFloats) {
+  // A commit promotes the pending candidate only when it holds the
+  // candidate's bytes. A zero whose sign flipped is another model,
+  // though operator== calls the two equal; a candidate holding a NaN,
+  // committed unchanged, is the same model, though operator== calls it
+  // unequal to itself.
+  const ModelWindow window = chain(0, 9);
+  ParamVec zero = next_params(rng_);
+  zero[0] = 0.0f;
+  ParamVec flipped = zero;
+  flipped[0] = -0.0f;
+  ParamVec nan = next_params(rng_);
+  nan[1] = std::numeric_limits<float>::quiet_NaN();
+
+  Validator v = make_validator(config());
+  v.validate(zero, window);
+  v.notify_commit(9, flipped);
+  EXPECT_EQ(v.counts().candidate_reuse, 0u);
+  EXPECT_EQ(v.held_profile(9), nullptr);
+
+  v.validate(nan, window);
+  v.notify_commit(9, ParamVec(nan));
+  EXPECT_EQ(v.counts().candidate_reuse, 1u);
+  EXPECT_NE(v.held_profile(9), nullptr);
+}
+
+TEST_F(PredictionCache, EvictBeforeDropsOnlyOlderVersions) {
+  // When the window moves on by s models, the validator drops exactly
+  // the s oldest profiles and keeps the rest without evaluating them
+  // again.
+  Validator v = make_validator(config());
+  expect_parity(v, next_params(rng_), chain(0, 9));
+  expect_parity(v, next_params(rng_), chain(3, 9));
+  EXPECT_EQ(v.counts().cache_misses, 9u + 3);
+  for (std::uint64_t version = 0; version < 12; ++version) {
+    EXPECT_EQ(v.held_profile(version) != nullptr, version >= 3)
+        << "version " << version;
+  }
+}
+
+TEST_F(PredictionCache, EvictedVersionCountsAsMissAgain) {
+  // A dropped model is evaluated again when a later window needs it: a
+  // window that does not continue the held one is scored from scratch.
+  Validator v = make_validator(config());
+  expect_parity(v, next_params(rng_), chain(0, 9));
+  expect_parity(v, next_params(rng_), chain(4, 9));
+  expect_parity(v, next_params(rng_), chain(0, 9));
+  EXPECT_EQ(v.counts().cache_misses, 9u + 4 + 9);
 }
 
 TEST(ValidatorCacheBound, HoldsOnlyTheWindowOn62Classes) {
@@ -498,13 +701,16 @@ TEST(ValidatorCacheBound, HoldsOnlyTheWindowOn62Classes) {
       window.push(version, candidate);
       params = candidate;
     }
-    EXPECT_LE(v.cache().size(), lookback + 2);
-    for (std::uint64_t old = 0; old < history.front()->version; ++old) {
-      EXPECT_EQ(v.cache().find(old), nullptr) << "version " << old;
+    std::size_t held = 0;
+    for (std::uint64_t ver = 0; ver <= version; ++ver) {
+      if (v.held_profile(ver) == nullptr) continue;
+      ++held;
+      EXPECT_GE(ver, history.front()->version) << "version " << ver;
     }
+    EXPECT_LE(held, lookback + 2);
   }
   EXPECT_GT(version, 3 * lookback);
-  EXPECT_GT(v.cache().promotions(), 0u);
+  EXPECT_GT(v.counts().candidate_reuse, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // A warm validator scores a moved window without touching the heap: the
-// window state, the profile tallies, τ/φ scratch, the cache's entries
-// and the registry counters all reuse storage kept across rounds.
+// window record's slots, the profile tallies, τ/φ scratch and the
+// registry counters all reuse storage kept across rounds.
 
 #include <gtest/gtest.h>
 

@@ -165,11 +165,11 @@ TEST_F(ValidatorFixture, AbstainsOnEmptyAndSingletonHistory) {
 TEST_F(ValidatorFixture, CachesHistoryEvaluations) {
   Validator v = make_validator();
   v.validate(genuine_next(), *history_);
-  const auto misses_first = v.cache().misses();
+  const auto misses_first = v.counts().cache_misses;
   v.validate(genuine_next(), *history_);
   // Second validation over the same history: everything cached.
-  EXPECT_EQ(v.cache().misses(), misses_first);
-  EXPECT_GT(v.cache().hits(), 0u);
+  EXPECT_EQ(v.counts().cache_misses, misses_first);
+  EXPECT_GT(v.counts().cache_hits, 0u);
 }
 
 TEST_F(ValidatorFixture, IdenticalCandidateToLatestIsNotFlagged) {

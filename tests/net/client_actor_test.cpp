@@ -10,7 +10,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -142,11 +141,6 @@ void expect_same_vote(const Vote& got, const Vote& want) {
             std::bit_cast<std::uint64_t>(want.phi));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.tau),
             std::bit_cast<std::uint64_t>(want.tau));
-}
-
-bool same_bytes(const ParamVec& a, const ParamVec& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 TEST(ClientActor, KeepsTheLastWindowOfAcceptedModels) {

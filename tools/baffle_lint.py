@@ -11,8 +11,9 @@ Rules (each failure names the file and the rule id):
   no-iostream         Library translation units (src/**) must not
                       include <iostream>/<cstdio>/<stdio.h> or call
                       printf/fprintf/puts. Console output belongs to the
-                      executables (tools/, bench/, examples/) and to the
-                      single designated sink, src/util/logging.cpp.
+                      executables (tools/, bench/, examples/); the
+                      library reports through MetricsRegistry, return
+                      values and exceptions.
   no-naked-new        No `new`/`delete` expressions in src/**; use
                       containers or smart pointers.
   no-libc-random      No rand()/srand()/time() seeding in src/**; all
@@ -52,7 +53,6 @@ import subprocess
 import sys
 import tempfile
 
-LIBRARY_OUTPUT_SINKS = {os.path.join("util", "logging.cpp")}
 # The annotated wrapper layer is the single sanctioned user of the raw
 # standard-library synchronization primitives.
 RAW_SYNC_SINKS = {os.path.join("util", "sync.hpp")}
@@ -120,17 +120,17 @@ class Linter:
 
     def lint_source_file(self, path: str) -> None:
         rel = os.path.relpath(path, os.path.join(self.root, "src"))
-        is_output_sink = rel in LIBRARY_OUTPUT_SINKS
         is_sync_sink = rel in RAW_SYNC_SINKS
         with open(path, encoding="utf-8") as f:
             for line_no, raw in enumerate(f, start=1):
                 allowed = {m for m in ALLOW.findall(raw)}
                 line = strip_comments_and_strings(raw)
-                if not is_output_sink and "no-iostream" not in allowed:
+                if "no-iostream" not in allowed:
                     if IOSTREAM_INCLUDE.search(line) or PRINTF_CALL.search(line):
                         self.fail("no-iostream", path, line_no,
-                                  "console I/O in a library TU (route it "
-                                  "through util/logging.hpp)")
+                                  "console I/O in a library TU (print from "
+                                  "an executable in tools/, bench/ or "
+                                  "examples/)")
                 if "no-naked-new" not in allowed:
                     if NEW_EXPR.search(line) or DELETE_EXPR.search(line):
                         self.fail("no-naked-new", path, line_no,

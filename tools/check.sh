@@ -31,9 +31,9 @@
 #                             # decoder and a round-server session must
 #                             # never crash, over-read or lose a frame)
 #   tools/check.sh --sweep-smoke
-#                             # also run sweep_bench --smoke plus a tiny
-#                             # baffle_sweep grid at BAFFLE_THREADS=1 vs
-#                             # 4 and fail on any CSV byte difference
+#                             # also run a tiny baffle_sweep grid at
+#                             # BAFFLE_THREADS=1 vs 4 and fail on any
+#                             # CSV byte difference
 #   tools/check.sh --e2e-build
 #                             # also build the end-to-end benchmark
 #                             # binary (e2ebench/, into .bench_build)
@@ -199,20 +199,15 @@ if [[ "$RUN_BENCH_SMOKE" -eq 1 ]]; then
 fi
 
 run_sweep_smoke() {
-  # Exits nonzero when the task-graph sweep driver's per-cell rows are
-  # not bit-identical to the serial cell loop (speedup gates only on
-  # multi-core hosts), then asserts CSV byte-parity between
-  # BAFFLE_THREADS=1 and 4 at the CLI surface (in-process, Sweep.*
-  # already compares pool sizes through ScopedGlobalPool).
-  cmake --build build-strict -j "$JOBS" --target sweep_bench \
-    baffle_sweep &&
-    (cd build-strict && ./bench/sweep_bench --smoke) &&
+  # Asserts CSV byte-parity between BAFFLE_THREADS=1 and 4 at the CLI
+  # surface (in-process, Sweep.* already compares pool sizes through
+  # ScopedGlobalPool).
+  cmake --build build-strict -j "$JOBS" --target baffle_sweep &&
     python3 tools/sweep_parity_test.py build-strict/tools/baffle_sweep
 }
 
 if [[ "$RUN_SWEEP_SMOKE" -eq 1 ]]; then
-  stage "sweep smoke (task-graph parity + thread-count determinism)" \
-    run_sweep_smoke
+  stage "sweep smoke (thread-count determinism)" run_sweep_smoke
 fi
 
 run_e2e_build() {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Cross-thread-count baffle_sim determinism check.
+"""Cross-thread-count and cross-engine baffle_sim determinism check.
 
 Runs the same short defended simulation through baffle_sim at
 BAFFLE_THREADS=1 (one worker: every parallel_for runs inline) and at
@@ -7,9 +7,13 @@ BAFFLE_THREADS=4, both in process and over the wire protocol
 (--transport=1), and asserts each mode's output is identical across the
 two thread counts once the millisecond timings are masked. Rates,
 accuracies, cache and engine counters and wire byte counts must all
-match. The in-process ParallelExperiment.* and TransportParity.* tests
-compare pool sizes too; this run checks the same property at the CLI
-surface, through the env variable and the printed summary.
+match. The two round engines must also print the same summary apart
+from the transport's `wire traffic (exact):` line: the same records,
+and the same validator counters (profile hits, misses and promotions).
+The in-process ParallelExperiment.* and TransportParity.* tests
+compare pool sizes and engines too; this run checks the same
+properties at the CLI surface, through the env variable and the
+printed summary.
 
 Usage: sim_parity_test.py /path/to/baffle_sim
 """
@@ -34,7 +38,10 @@ TIMING = re.compile(r"\d+(?:\.\d+)?(?= ms\b)")
 
 # Lines every run must print, so masking cannot hide an empty summary.
 REQUIRED = ("clean rounds:", "poisoned rounds:", "final main accuracy:",
-            "accuracy tracking:")
+            "accuracy tracking:", "cache:")
+
+# The one line only the transport engine prints.
+WIRE_LINE = "wire traffic (exact):"
 
 
 def run_sim(binary, threads, extra):
@@ -50,6 +57,7 @@ def main():
         return 2
     binary = sys.argv[1]
     failures = 0
+    summaries = {}
     for mode, extra in (("direct", []), ("transport", ["--transport=1"])):
         t1 = run_sim(binary, 1, extra)
         t4 = run_sim(binary, 4, extra)
@@ -58,7 +66,7 @@ def main():
             failures += 1
             print(f"FAIL: {mode} output lacks {missing}:\n{t1}",
                   file=sys.stderr)
-        if mode == "transport" and "wire traffic (exact):" not in t1:
+        if mode == "transport" and WIRE_LINE not in t1:
             failures += 1
             print(f"FAIL: transport output lacks its wire line:\n{t1}",
                   file=sys.stderr)
@@ -67,10 +75,18 @@ def main():
             print(f"FAIL: {mode} output differs across thread counts\n"
                   f"--- BAFFLE_THREADS=1\n{t1}--- BAFFLE_THREADS=4\n{t4}",
                   file=sys.stderr)
+        summaries[mode] = "".join(line for line in t1.splitlines(True)
+                                  if not line.startswith(WIRE_LINE))
+    if summaries["direct"] != summaries["transport"]:
+        failures += 1
+        print(f"FAIL: the round engines print different summaries\n"
+              f"--- direct\n{summaries['direct']}"
+              f"--- transport\n{summaries['transport']}", file=sys.stderr)
     if failures:
         return 1
     print("OK: baffle_sim output identical across BAFFLE_THREADS=1 and 4, "
-          "in process and over the wire (timings masked)")
+          "in process and over the wire, and across the two engines "
+          "apart from the wire line (timings masked)")
     return 0
 
 
