@@ -66,8 +66,7 @@ ArmResult run_with_aggregation(std::uint64_t seed, AggregateFn&& aggregate) {
       scenario.fl.global_lr * scenario.fl.clients_per_round /
       scenario.fl.total_clients);
 
-  const std::size_t rounds = bench_fast() ? 42 : 50;
-  for (std::size_t r = 1; r <= rounds; ++r) {
+  for (std::size_t r = 1; r <= 50; ++r) {
     const bool poison = schedule.is_poison_round(r);
     auto contributors = sampler.sample_round(rng);
     if (poison) contributors[0] = scenario.attacker_id;
@@ -95,7 +94,7 @@ int main() {
   print_banner("Ablation — BaFFLe vs robust-aggregation baselines",
                "BaFFLe (ICDCS'21), §I/§VII motivation");
 
-  const std::size_t reps = bench_fast() ? 1 : 2;
+  const std::size_t reps = 2;
   CsvWriter csv(bench::csv_path("ablation_baselines"),
                 {"rule", "secure_agg_compatible", "main_acc",
                  "backdoor_acc"});

@@ -22,8 +22,7 @@ inline void print_banner(const std::string& title,
   std::cout << "==============================================\n"
             << title << '\n'
             << "reproduces: " << paper_ref << '\n'
-            << "reps=" << bench_reps() << (bench_fast() ? " (fast mode)" : "")
-            << '\n'
+            << "reps=" << bench_reps() << '\n'
             << "==============================================\n";
 }
 
@@ -67,12 +66,6 @@ inline ExperimentConfig stable_config(TaskKind task, double server_fraction,
   cfg.track_accuracy = false;
   if (task == TaskKind::kFemnist62) {
     cfg.pretrain_epochs = 15;  // reaches the stable regime; see DESIGN.md
-  }
-  if (bench_fast()) {
-    cfg.rounds = 40;
-    cfg.defense_start = 15;
-    cfg.schedule.poison_rounds = {25, 32, 38};
-    cfg.pretrain_epochs = std::min<std::size_t>(cfg.pretrain_epochs, 10);
   }
   return cfg;
 }

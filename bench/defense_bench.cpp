@@ -13,7 +13,8 @@
 // by one row/column. The speedup is only admissible because the
 // per-round (vote, φ, τ, abstained) outcomes are bit-identical —
 // checked here and reported as parity_ok. The independent from-scratch
-// oracle of Algorithm 2 lives in the tests (IncrementalParity).
+// oracle of Algorithm 2 lives in the tests (ParityFixture.* in
+// tests/core/incremental_parity_test.cpp).
 //
 // Prints the sweep table and writes BENCH_defense.json. `--smoke` runs
 // a single timed round per cell on a smaller validation set (CI gate:

@@ -25,15 +25,6 @@ ExperimentConfig early_config(TaskKind task, bool defended) {
   cfg.defense_enabled = defended;
   cfg.stable_start = false;  // from-scratch FL training
   cfg.track_accuracy = true;
-  if (bench_fast()) {
-    // Same shape at 1/4 scale.
-    cfg.rounds = 200;
-    cfg.defense_start = 130;
-    cfg.schedule.poison_rounds = {25, 75};
-    for (std::size_t r = 130; r <= 170; r += 5) {
-      cfg.schedule.poison_rounds.push_back(r);
-    }
-  }
   return cfg;
 }
 

@@ -14,9 +14,7 @@ int main() {
                "BaFFLe (ICDCS'21), Table I");
 
   const std::size_t reps = bench_reps();
-  const std::vector<std::size_t> lookbacks =
-      bench_fast() ? std::vector<std::size_t>{10, 20}
-                   : std::vector<std::size_t>{10, 20, 30};
+  const std::vector<std::size_t> lookbacks{10, 20, 30};
   const std::vector<std::pair<DefenseMode, const char*>> modes{
       {DefenseMode::kClientsOnly, "C"},
       {DefenseMode::kServerOnly, "S"},

@@ -10,15 +10,6 @@ std::optional<AdaptiveUpdate> craft_adaptive_update(
     const Mlp& global, const Dataset& attacker_clean,
     const Dataset& backdoor_pool, const AdaptiveAttackConfig& config,
     const AttackerSideCheck& self_check, Rng& rng) {
-  TrainWorkspace ws;
-  return craft_adaptive_update(global, attacker_clean, backdoor_pool, config,
-                               self_check, rng, ws);
-}
-
-std::optional<AdaptiveUpdate> craft_adaptive_update(
-    const Mlp& global, const Dataset& attacker_clean,
-    const Dataset& backdoor_pool, const AdaptiveAttackConfig& config,
-    const AttackerSideCheck& self_check, Rng& rng, TrainWorkspace& ws) {
   if (!self_check) {
     throw std::invalid_argument("craft_adaptive_update: no self check");
   }
@@ -44,13 +35,13 @@ std::optional<AdaptiveUpdate> craft_adaptive_update(
       config.replacement.poison_fraction, rng);
   Mlp local = global;
   train_sgd(local, poisoned.features(), poisoned.labels(),
-            config.replacement.train, rng, ws);
+            config.replacement.train, rng);
   if (!clean_view.empty()) {
     // One clean-only fine-tuning epoch after the poisoned blend.
     TrainConfig cleanup = config.replacement.train;
     cleanup.epochs = 1;
     train_sgd(local, clean_view.features(), clean_view.labels(), cleanup,
-              rng, ws);
+              rng);
   }
   const ParamVec direction =
       subtract(local.parameters(), global.parameters());

@@ -55,10 +55,4 @@ std::optional<AdaptiveUpdate> craft_adaptive_update(
     const Dataset& backdoor_pool, const AdaptiveAttackConfig& config,
     const AttackerSideCheck& self_check, Rng& rng);
 
-/// As above with caller-owned training scratch.
-std::optional<AdaptiveUpdate> craft_adaptive_update(
-    const Mlp& global, const Dataset& attacker_clean,
-    const Dataset& backdoor_pool, const AdaptiveAttackConfig& config,
-    const AttackerSideCheck& self_check, Rng& rng, TrainWorkspace& ws);
-
 }  // namespace baffle

@@ -24,15 +24,6 @@ std::vector<std::vector<float>> split_trigger(
 ParamVec craft_dba_update(const Mlp& global, const Dataset& attacker_clean,
                           const std::vector<float>& trigger_part,
                           const DbaConfig& config, Rng& rng) {
-  TrainWorkspace ws;
-  return craft_dba_update(global, attacker_clean, trigger_part, config, rng,
-                          ws);
-}
-
-ParamVec craft_dba_update(const Mlp& global, const Dataset& attacker_clean,
-                          const std::vector<float>& trigger_part,
-                          const DbaConfig& config, Rng& rng,
-                          TrainWorkspace& ws) {
   if (attacker_clean.empty()) {
     throw std::invalid_argument("craft_dba_update: empty attacker shard");
   }
@@ -61,7 +52,7 @@ ParamVec craft_dba_update(const Mlp& global, const Dataset& attacker_clean,
   blend.shuffle(rng);
 
   Mlp local = global;
-  train_sgd(local, blend.features(), blend.labels(), config.train, rng, ws);
+  train_sgd(local, blend.features(), blend.labels(), config.train, rng);
   ParamVec update = subtract(local.parameters(), global.parameters());
   scale(update, static_cast<float>(config.per_client_boost));
   return update;
@@ -85,8 +76,7 @@ DbaUpdateProvider::DbaUpdateProvider(HonestUpdateProvider honest,
 }
 
 ParamVec DbaUpdateProvider::update_for(std::size_t client_id,
-                                       const Mlp& global, Rng& rng,
-                                       TrainWorkspace& ws) {
+                                       const Mlp& global, Rng& rng) {
   if (armed_) {
     const auto it =
         std::find(colluder_ids_.begin(), colluder_ids_.end(), client_id);
@@ -94,10 +84,10 @@ ParamVec DbaUpdateProvider::update_for(std::size_t client_id,
       const auto part =
           static_cast<std::size_t>(it - colluder_ids_.begin());
       return craft_dba_update(global, colluder_data_[part], parts_[part],
-                              config_, rng, ws);
+                              config_, rng);
     }
   }
-  return honest_.update_for(client_id, global, rng, ws);
+  return honest_.update_for(client_id, global, rng);
 }
 
 }  // namespace baffle

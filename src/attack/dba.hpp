@@ -38,12 +38,6 @@ ParamVec craft_dba_update(const Mlp& global, const Dataset& attacker_clean,
                           const std::vector<float>& trigger_part,
                           const DbaConfig& config, Rng& rng);
 
-/// As above with caller-owned training scratch.
-ParamVec craft_dba_update(const Mlp& global, const Dataset& attacker_clean,
-                          const std::vector<float>& trigger_part,
-                          const DbaConfig& config, Rng& rng,
-                          TrainWorkspace& ws);
-
 /// UpdateProvider running the coordinated attack: each id in
 /// `colluder_ids` submits a DBA update for its assigned trigger slice
 /// when armed; everyone else trains honestly.
@@ -58,13 +52,7 @@ class DbaUpdateProvider final : public UpdateProvider {
   const std::vector<std::size_t>& colluders() const { return colluder_ids_; }
 
   ParamVec update_for(std::size_t client_id, const Mlp& global,
-                      Rng& rng) override {
-    TrainWorkspace ws;
-    return update_for(client_id, global, rng, ws);
-  }
-
-  ParamVec update_for(std::size_t client_id, const Mlp& global, Rng& rng,
-                      TrainWorkspace& ws) override;
+                      Rng& rng) override;
 
  private:
   HonestUpdateProvider honest_;

@@ -11,16 +11,6 @@ ParamVec craft_replacement_update(const Mlp& global,
                                   const Dataset& backdoor_pool,
                                   const ModelReplacementConfig& config,
                                   Rng& rng) {
-  TrainWorkspace ws;
-  return craft_replacement_update(global, attacker_clean, backdoor_pool,
-                                  config, rng, ws);
-}
-
-ParamVec craft_replacement_update(const Mlp& global,
-                                  const Dataset& attacker_clean,
-                                  const Dataset& backdoor_pool,
-                                  const ModelReplacementConfig& config,
-                                  Rng& rng, TrainWorkspace& ws) {
   if (config.boost <= 0.0) {
     throw std::invalid_argument("craft_replacement_update: bad scaling");
   }
@@ -28,21 +18,19 @@ ParamVec craft_replacement_update(const Mlp& global,
       attacker_clean, backdoor_pool, config.task, config.poison_fraction,
       rng);
   Mlp local = global;
-  train_sgd(local, poisoned.features(), poisoned.labels(), config.train, rng,
-            ws);
+  train_sgd(local, poisoned.features(), poisoned.labels(), config.train, rng);
   ParamVec update = subtract(local.parameters(), global.parameters());
   scale(update, static_cast<float>(config.boost));
   return update;
 }
 
 ParamVec MaliciousUpdateProvider::update_for(std::size_t client_id,
-                                             const Mlp& global, Rng& rng,
-                                             TrainWorkspace& ws) {
+                                             const Mlp& global, Rng& rng) {
   if (client_id != attacker_id_ || !armed_) {
-    return honest_.update_for(client_id, global, rng, ws);
+    return honest_.update_for(client_id, global, rng);
   }
   return craft_replacement_update(global, attacker_clean_, backdoor_pool_,
-                                  config_, rng, ws);
+                                  config_, rng);
 }
 
 }  // namespace baffle

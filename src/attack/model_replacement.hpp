@@ -30,13 +30,6 @@ ParamVec craft_replacement_update(const Mlp& global,
                                   const ModelReplacementConfig& config,
                                   Rng& rng);
 
-/// As above with caller-owned training scratch.
-ParamVec craft_replacement_update(const Mlp& global,
-                                  const Dataset& attacker_clean,
-                                  const Dataset& backdoor_pool,
-                                  const ModelReplacementConfig& config,
-                                  Rng& rng, TrainWorkspace& ws);
-
 /// UpdateProvider that behaves honestly except for the attacker-
 /// controlled client id, which submits a model-replacement update
 /// whenever `poison_armed()` is set for the current proposal.
@@ -58,13 +51,7 @@ class MaliciousUpdateProvider final : public UpdateProvider {
   ModelReplacementConfig& config() { return config_; }
 
   ParamVec update_for(std::size_t client_id, const Mlp& global,
-                      Rng& rng) override {
-    TrainWorkspace ws;
-    return update_for(client_id, global, rng, ws);
-  }
-
-  ParamVec update_for(std::size_t client_id, const Mlp& global, Rng& rng,
-                      TrainWorkspace& ws) override;
+                      Rng& rng) override;
 
  private:
   HonestUpdateProvider honest_;

@@ -46,14 +46,6 @@ Dataset Dataset::subset(std::span<const std::size_t> indices) const {
   return gather(indices);
 }
 
-Dataset Dataset::filter_class(int y) const {
-  std::vector<std::size_t> rows;
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (labels_[i] == y) rows.push_back(i);
-  }
-  return gather(rows);
-}
-
 void Dataset::merge(const Dataset& other) {
   if (other.dim_ != dim_ || other.num_classes_ != num_classes_) {
     throw std::invalid_argument("Dataset::merge: incompatible datasets");

@@ -50,9 +50,6 @@ class Dataset {
   /// New dataset containing the samples at `indices`.
   Dataset subset(std::span<const std::size_t> indices) const;
 
-  /// New dataset with only the samples of class y.
-  Dataset filter_class(int y) const;
-
   /// Appends all samples of `other` (same dim/num_classes required).
   void merge(const Dataset& other);
 

@@ -48,14 +48,8 @@ class AdaptiveProvider final : public UpdateProvider {
 
   ParamVec update_for(std::size_t client_id, const Mlp& global,
                       Rng& rng) override {
-    TrainWorkspace ws;
-    return update_for(client_id, global, rng, ws);
-  }
-
-  ParamVec update_for(std::size_t client_id, const Mlp& global, Rng& rng,
-                      TrainWorkspace& ws) override {
     if (client_id != attacker_id_ || !armed_) {
-      return honest_.update_for(client_id, global, rng, ws);
+      return honest_.update_for(client_id, global, rng);
     }
     // Only the attacker's (unique) update task reaches this branch, so
     // self_validator_ has a single caller per round. The task may run on
@@ -72,11 +66,11 @@ class AdaptiveProvider final : public UpdateProvider {
       return o.phi <= o.tau;
     };
     const auto crafted = craft_adaptive_update(
-        global, attacker_clean_, backdoor_pool_, config_, check, rng, ws);
+        global, attacker_clean_, backdoor_pool_, config_, check, rng);
     if (!crafted) {
       submitted_.store(false, std::memory_order_relaxed);
       alpha_.store(0.0, std::memory_order_relaxed);
-      return honest_.update_for(client_id, global, rng, ws);
+      return honest_.update_for(client_id, global, rng);
     }
     submitted_.store(true, std::memory_order_relaxed);
     alpha_.store(crafted->alpha, std::memory_order_relaxed);

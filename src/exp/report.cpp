@@ -67,9 +67,4 @@ std::size_t bench_reps() {
   return 3;
 }
 
-bool bench_fast() {
-  const char* env = std::getenv("BAFFLE_BENCH_FAST");
-  return env != nullptr && env[0] == '1';
-}
-
 }  // namespace baffle

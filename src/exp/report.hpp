@@ -1,7 +1,7 @@
 #pragma once
 // Report formatting shared by the bench binaries: paper-style
-// "mean ± std" cells, aligned text tables, and environment knobs for
-// scaling bench workloads.
+// "mean ± std" cells, aligned text tables, and the repetition-count
+// knob.
 
 #include <string>
 #include <vector>
@@ -31,10 +31,5 @@ class TextTable {
 /// Number of repeated runs per configuration. Reads BAFFLE_BENCH_REPS
 /// (default 3; the paper uses 5).
 std::size_t bench_reps();
-
-/// BAFFLE_BENCH_FAST=1 shrinks workloads for smoke runs.
-bool bench_fast();
-
-/// Standard bench banner: experiment id, paper reference, knob values.
 
 }  // namespace baffle

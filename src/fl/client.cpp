@@ -6,29 +6,22 @@ namespace baffle {
 
 ParamVec FlClient::compute_update(const Mlp& global, const TrainConfig& config,
                                   Rng& rng) const {
-  TrainWorkspace ws;
-  return compute_update(global, config, rng, ws);
-}
-
-ParamVec FlClient::compute_update(const Mlp& global, const TrainConfig& config,
-                                  Rng& rng, TrainWorkspace& ws) const {
   if (data_.empty()) {
     return ParamVec(global.num_params(), 0.0f);
   }
   Mlp local = global;
-  train_sgd(local, data_.features(), data_.labels(), config, rng, ws);
+  train_sgd(local, data_.features(), data_.labels(), config, rng);
   ParamVec update(global.num_params());
   local.parameter_delta_into(global, update);
   return update;
 }
 
 ParamVec HonestUpdateProvider::update_for(std::size_t client_id,
-                                          const Mlp& global, Rng& rng,
-                                          TrainWorkspace& ws) {
+                                          const Mlp& global, Rng& rng) {
   if (client_id >= clients_->size()) {
     throw std::out_of_range("HonestUpdateProvider: unknown client");
   }
-  return (*clients_)[client_id].compute_update(global, config_, rng, ws);
+  return (*clients_)[client_id].compute_update(global, config_, rng);
 }
 
 }  // namespace baffle

@@ -21,12 +21,6 @@ class FlClient {
   ParamVec compute_update(const Mlp& global, const TrainConfig& config,
                           Rng& rng) const;
 
-  /// As above with caller-owned training scratch (the round loop hands
-  /// each worker thread one workspace, so steady-state local training
-  /// allocates nothing per step).
-  ParamVec compute_update(const Mlp& global, const TrainConfig& config,
-                          Rng& rng, TrainWorkspace& ws) const;
-
  private:
   std::size_t id_;
   Dataset data_;
@@ -36,9 +30,9 @@ class FlClient {
 /// trains locally; the attack module substitutes poisoned updates for
 /// adversary-controlled ids.
 ///
-/// Thread-safety contract: the server's round loop calls the
-/// workspace-taking update_for concurrently for the round's
-/// contributors (each call gets its own Rng and TrainWorkspace), so
+/// Thread-safety contract: the server's round loop and the client
+/// actors call update_for concurrently for the round's contributors
+/// (each call gets its own Rng; train_sgd leases its own scratch), so
 /// implementations must not mutate shared state in update_for — confine
 /// per-call state to locals or atomics. arm()-style round configuration
 /// happens strictly between rounds and needs no synchronization.
@@ -48,8 +42,9 @@ class UpdateProvider {
   /// Produces the update client `client_id` submits for this round.
   virtual ParamVec update_for(std::size_t client_id, const Mlp& global,
                               Rng& rng) = 0;
-  /// Workspace-threaded variant used by the (parallel) round loop; the
-  /// default ignores the workspace and forwards to the 3-arg form.
+  /// Nothing in the library calls or overrides this form; it is kept
+  /// because e2ebench's TracingProvider overrides it. The default
+  /// ignores the workspace and forwards to the 3-arg form.
   virtual ParamVec update_for(std::size_t client_id, const Mlp& global,
                               Rng& rng, TrainWorkspace& ws) {
     (void)ws;
@@ -64,13 +59,7 @@ class HonestUpdateProvider : public UpdateProvider {
       : clients_(clients), config_(config) {}
 
   ParamVec update_for(std::size_t client_id, const Mlp& global,
-                      Rng& rng) override {
-    TrainWorkspace ws;
-    return update_for(client_id, global, rng, ws);
-  }
-
-  ParamVec update_for(std::size_t client_id, const Mlp& global, Rng& rng,
-                      TrainWorkspace& ws) override;
+                      Rng& rng) override;
 
  private:
   const std::vector<FlClient>* clients_;

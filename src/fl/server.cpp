@@ -58,12 +58,7 @@ FlServer::Proposal FlServer::propose_round_with(
   }
   std::vector<ParamVec> updates(contributors.size());
   const auto compute_one = [&](std::size_t i) {
-    // One training workspace per worker thread: the per-step loop in
-    // train_sgd is allocation-free once its thread's workspace is warm,
-    // across contributors and across rounds.
-    thread_local TrainWorkspace ws;
-    updates[i] =
-        provider.update_for(contributors[i], global_, client_rngs[i], ws);
+    updates[i] = provider.update_for(contributors[i], global_, client_rngs[i]);
   };
   ThreadPool::global().parallel_for(contributors.size(), compute_one);
   return aggregate_updates(std::move(updates), contributors);

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/scratch_lease.hpp"
-
 namespace baffle {
 
 std::shared_ptr<const GlobalModel> SnapshotStore::intern(
@@ -95,14 +93,11 @@ void ClientActor::handle_training(Rng rng) {
   }
   Mlp global(arch_);
   global.set_parameters(broadcast.params);
-  // One training workspace per worker thread (and nesting level), like
-  // FlServer::propose_round_with's: no actor keeps one between rounds.
-  const ScratchLease<TrainWorkspace> ws;
 
   ClientUpdate reply;
   reply.round = broadcast.round;
   reply.client_id = config_.client_id;
-  reply.update = provider_->update_for(config_.client_id, global, rng, *ws);
+  reply.update = provider_->update_for(config_.client_id, global, rng);
   channel_->send(encode_frame(reply));
 }
 

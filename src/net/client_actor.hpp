@@ -14,8 +14,7 @@
 // (a tampered frame, an equivocating server) get a snapshot of their
 // own, so no window ever holds bytes its actor did not decode. Training
 // scratch is not kept between rounds: each training call builds the
-// broadcast model for itself and trains in a workspace leased per
-// worker thread.
+// broadcast model for itself, and train_sgd leases its own scratch.
 //
 // The actor's verdicts are bit-identical to the in-process
 // BaffleDefense path: VALIDATE depends only on (candidate, window,

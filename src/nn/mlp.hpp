@@ -31,10 +31,11 @@ struct MlpEvalWorkspace {
 
 /// Scratch buffers for the training path. One SGD step gathers a batch
 /// and runs forward, loss and backward entirely inside these buffers
-/// (the step then updates the layers in place), so a workspace
-/// reused across steps (and across clients) makes the steady-state
-/// training loop allocation-free after warm-up — the per-round
-/// client-side cost BaFFLe argues must stay cheap.
+/// (the step then updates the layers in place). train_sgd leases one
+/// per thread and nesting depth and reuses it across steps, clients and
+/// rounds, so the steady-state training loop is allocation-free after
+/// warm-up — the per-round client-side cost BaFFLe argues must stay
+/// cheap.
 struct TrainWorkspace {
   Matrix batch;                    // gathered minibatch (rows = samples)
   std::vector<int> batch_labels;

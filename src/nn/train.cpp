@@ -4,17 +4,12 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/scratch_lease.hpp"
+
 namespace baffle {
 
 TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
                      const TrainConfig& config, Rng& rng) {
-  TrainWorkspace ws;
-  return train_sgd(model, x, labels, config, rng, ws);
-}
-
-TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
-                     const TrainConfig& config, Rng& rng,
-                     TrainWorkspace& ws) {
   if (x.rows() != labels.size()) {
     throw std::invalid_argument("train_sgd: label count mismatch");
   }
@@ -28,6 +23,11 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
     throw std::invalid_argument(
         "train_sgd: learning_rate must be finite and positive");
   }
+  // Leased, not thread_local: should a step's GEMM fan out, its
+  // help-draining wait can run another client's train_sgd on this
+  // thread, and that call must take the next slot, not this one.
+  const ScratchLease<TrainWorkspace> lease;
+  TrainWorkspace& ws = *lease;
   ws.order.resize(x.rows());
   std::iota(ws.order.begin(), ws.order.end(), std::size_t{0});
 
@@ -63,27 +63,6 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
     }
   }
   return stats;
-}
-
-double evaluate_accuracy(const Mlp& model, const Matrix& x,
-                         std::span<const int> labels) {
-  MlpEvalWorkspace ws;
-  return evaluate_accuracy(model, ConstMatrixView(x), labels, ws);
-}
-
-double evaluate_accuracy(const Mlp& model, ConstMatrixView x,
-                         std::span<const int> labels, MlpEvalWorkspace& ws) {
-  if (x.rows() != labels.size()) {
-    throw std::invalid_argument("evaluate_accuracy: label count mismatch");
-  }
-  if (x.rows() == 0) return 0.0;
-  ws.predictions.resize(x.rows());
-  model.predict_into(x, ws.predictions, ws);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < ws.predictions.size(); ++i) {
-    if (ws.predictions[i] == static_cast<std::size_t>(labels[i])) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(x.rows());
 }
 
 }  // namespace baffle

@@ -25,27 +25,14 @@ struct TrainStats {
 /// Trains `model` in place. `x` has one sample per row; `labels` are the
 /// matching integer classes. Batch order is reshuffled per epoch with
 /// `rng`. Each step is forward_train, softmax_cross_entropy_into,
-/// backward_train, then sgd_step. Throws std::invalid_argument on a
-/// label count mismatch and, when `x` has rows, on a zero batch size or
-/// a learning rate that is not finite and positive.
+/// backward_train, then sgd_step. The batch gather, activations and
+/// loss gradient live in scratch leased per thread and nesting depth
+/// (util/scratch_lease.hpp), so a call performs zero heap allocations
+/// once its thread's slot is warm. Throws
+/// std::invalid_argument on a label count mismatch and, when `x` has
+/// rows, on a zero batch size or a learning rate that is not finite and
+/// positive.
 TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
                      const TrainConfig& config, Rng& rng);
-
-/// As above but with caller-owned scratch: batch gather, activations
-/// and loss gradient all live in `ws` and the step updates the layers
-/// in place, so a call performs zero heap allocations once the
-/// workspace is warm. Bit-identical to the allocating overload.
-TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
-                     const TrainConfig& config, Rng& rng, TrainWorkspace& ws);
-
-/// Fraction of rows of `x` classified as `labels` — the empirical
-/// accuracy acc_D(f) of Section II-A.
-double evaluate_accuracy(const Mlp& model, const Matrix& x,
-                         std::span<const int> labels);
-
-/// Zero-copy variant: predictions stream chunk-wise through `ws`
-/// (ws.predictions is the scratch), allocation-free once warm.
-double evaluate_accuracy(const Mlp& model, ConstMatrixView x,
-                         std::span<const int> labels, MlpEvalWorkspace& ws);
 
 }  // namespace baffle

@@ -279,12 +279,6 @@ void col_sum(const Matrix& m, std::span<float> out) {
                                   out.data());
 }
 
-std::vector<std::size_t> argmax_rows(const Matrix& m) {
-  std::vector<std::size_t> out(m.rows());
-  argmax_rows_into(m, out);
-  return out;
-}
-
 void argmax_rows_into(const Matrix& m, std::span<std::size_t> out) {
   BAFFLE_CHECK(out.size() == m.rows(), "argmax_rows_into: output length mismatch");
   for (std::size_t r = 0; r < m.rows(); ++r) {

@@ -9,8 +9,8 @@
 // tensor/simd.hpp) over B in 16-column panels: the scalar loop and the
 // AVX-512 FMA tile read B in place (KernelTable::gemm_reads_b_in_place),
 // the AVX2 FMA tile reads it packed into 64-byte-aligned panels
-// (thread_local scratch, reused across calls), and gemm_abt always
-// packs its transpose. The multiply is split over row blocks on the
+// (scratch leased per thread and nesting depth, reused across calls),
+// and gemm_abt always packs its transpose. The multiply is split over row blocks on the
 // global thread pool once it is large enough to amortize the dispatch;
 // small multiplies (the per-batch training shapes) run inline on the
 // caller. NaN/Inf inputs
@@ -77,11 +77,8 @@ void add_row_bias(Matrix& m, std::span<const float> bias);
 /// Column-wise sum of m into out (length = m.cols()).
 void col_sum(const Matrix& m, std::span<float> out);
 
-/// Index of the max entry of each row.
-std::vector<std::size_t> argmax_rows(const Matrix& m);
-
 /// Index of the max entry of each row, written into out (out.size() ==
-/// m.rows()). Allocation-free variant for the chunked inference path.
+/// m.rows()). Allocation-free, for the chunked inference path.
 void argmax_rows_into(const Matrix& m, std::span<std::size_t> out);
 
 }  // namespace baffle

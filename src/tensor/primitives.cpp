@@ -125,14 +125,4 @@ std::vector<float> add(std::span<const float> a, std::span<const float> b) {
   return out;
 }
 
-std::vector<float> lerp(std::span<const float> a, std::span<const float> b,
-                        float t) {
-  check(a.size() == b.size(), "lerp: length mismatch");
-  std::vector<float> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out[i] = (1.0f - t) * a[i] + t * b[i];
-  }
-  return out;
-}
-
 }  // namespace baffle

@@ -81,8 +81,4 @@ std::vector<float> subtract(std::span<const float> a, std::span<const float> b);
 /// out = a + b (allocating).
 std::vector<float> add(std::span<const float> a, std::span<const float> b);
 
-/// out = (1 - t) * a + t * b (allocating).
-std::vector<float> lerp(std::span<const float> a, std::span<const float> b,
-                        float t);
-
 }  // namespace baffle

@@ -9,7 +9,8 @@
 namespace baffle {
 
 /// Scratch for pool-parallel kernels (GEMM packing, the batched
-/// evaluation engine's panels and per-call views).
+/// evaluation engine's panels and per-call views) and for train_sgd's
+/// training workspace.
 ///
 /// A plain thread_local buffer is not safe there: parallel_for waiters
 /// help-drain the pool queue, so a thread blocked in one call can steal

@@ -143,13 +143,6 @@ TEST(Dataset, SubsetOutOfRangeThrows) {
   EXPECT_THROW(d.subset(idx), std::out_of_range);
 }
 
-TEST(Dataset, FilterClass) {
-  const Dataset d = make_small();
-  const Dataset ones = d.filter_class(1);
-  EXPECT_EQ(ones.size(), 2u);
-  for (int y : ones.labels()) EXPECT_EQ(y, 1);
-}
-
 TEST(Dataset, MergeRequiresCompatibleShape) {
   Dataset d = make_small();
   Dataset incompatible(3, 3);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "metrics/confusion.hpp"
 #include "nn/train.hpp"
 
 namespace baffle {
@@ -69,9 +70,7 @@ TEST(Synth, TaskIsLearnable) {
   tc.batch_size = 64;
   tc.sgd.learning_rate = 0.05f;
   train_sgd(model, task.train.features(), task.train.labels(), tc, rng);
-  EXPECT_GT(evaluate_accuracy(model, task.test.features(),
-                              task.test.labels()),
-            0.8);
+  EXPECT_GT(evaluate_confusion(model, task.test).accuracy(), 0.8);
 }
 
 TEST(Synth, SemanticBackdoorIsDistinctSubpopulation) {
@@ -89,8 +88,8 @@ TEST(Synth, SemanticBackdoorIsDistinctSubpopulation) {
   tc.batch_size = 64;
   tc.sgd.learning_rate = 0.05f;
   train_sgd(model, task.train.features(), task.train.labels(), tc, rng);
-  const double acc_on_backdoor = evaluate_accuracy(
-      model, task.backdoor_test.features(), task.backdoor_test.labels());
+  const double acc_on_backdoor =
+      evaluate_confusion(model, task.backdoor_test).accuracy();
   EXPECT_GT(acc_on_backdoor, 0.4);
 }
 
@@ -168,9 +167,7 @@ TEST(Synth, LabelNoiseProducesMislabeledExamples) {
   TrainConfig tc;
   tc.epochs = 30;
   train_sgd(model, task.train.features(), task.train.labels(), tc, rng);
-  EXPECT_LT(evaluate_accuracy(model, task.train.features(),
-                              task.train.labels()),
-            0.95);
+  EXPECT_LT(evaluate_confusion(model, task.train).accuracy(), 0.95);
 }
 
 }  // namespace

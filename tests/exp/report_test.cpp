@@ -41,15 +41,5 @@ TEST(Report, BenchRepsEnvOverride) {
   EXPECT_EQ(bench_reps(), 3u);
 }
 
-TEST(Report, BenchFastEnv) {
-  unsetenv("BAFFLE_BENCH_FAST");
-  EXPECT_FALSE(bench_fast());
-  setenv("BAFFLE_BENCH_FAST", "1", 1);
-  EXPECT_TRUE(bench_fast());
-  setenv("BAFFLE_BENCH_FAST", "0", 1);
-  EXPECT_FALSE(bench_fast());
-  unsetenv("BAFFLE_BENCH_FAST");
-}
-
 }  // namespace
 }  // namespace baffle

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dataset.hpp"
+#include "metrics/confusion.hpp"
+
 namespace baffle {
 namespace {
 
@@ -31,7 +34,9 @@ TEST(Train, LearnsSeparableBlobs) {
   cfg.sgd.learning_rate = 0.1f;
   const TrainStats stats = train_sgd(model, x, y, cfg, rng);
   EXPECT_GT(stats.steps, 0u);
-  EXPECT_GT(evaluate_accuracy(model, x, y), 0.97);
+  Dataset data(2, 2);
+  for (std::size_t i = 0; i < x.rows(); ++i) data.add(x.row(i), y[i]);
+  EXPECT_GT(evaluate_confusion(model, data).accuracy(), 0.97);
 }
 
 TEST(Train, LossDecreases) {
@@ -113,22 +118,6 @@ TEST(Train, PartialFinalBatchHandled) {
   cfg.batch_size = 16;
   const TrainStats stats = train_sgd(model, x, y, cfg, rng);
   EXPECT_EQ(stats.steps, 3u);  // 16 + 16 + 1
-}
-
-TEST(EvaluateAccuracy, PerfectAndZero) {
-  Mlp model(MlpConfig{{2, 2}, Activation::kRelu});
-  std::vector<float> params(model.num_params(), 0.0f);
-  params[model.num_params() - 2] = 1.0f;  // bias class 0 = 1 -> always 0
-  model.set_parameters(params);
-  Matrix x(4, 2, 0.0f);
-  EXPECT_EQ(evaluate_accuracy(model, x, std::vector<int>{0, 0, 0, 0}), 1.0);
-  EXPECT_EQ(evaluate_accuracy(model, x, std::vector<int>{1, 1, 1, 1}), 0.0);
-}
-
-TEST(EvaluateAccuracy, EmptyReturnsZero) {
-  Mlp model(MlpConfig{{2, 2}, Activation::kRelu});
-  Matrix x(0, 2);
-  EXPECT_EQ(evaluate_accuracy(model, x, {}), 0.0);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// TrainWorkspace behavior: reuse across differently-shaped trainings is
-// bit-exact, and the steady-state step loop performs zero heap
-// allocations once the workspace is warm.
+// train_sgd's leased training scratch: a slot reused across
+// differently-shaped trainings is bit-exact, a warm call performs zero
+// heap allocations, and a call nested inside a held lease takes its own
+// slot.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "nn/train.hpp"
+#include "util/scratch_lease.hpp"
 
 namespace {
 // Global allocation counter. Replacing the scalar operator new makes the
@@ -43,58 +46,105 @@ void make_blobs(Matrix& x, std::vector<int>& y, std::size_t n,
   }
 }
 
+struct Trained {
+  std::vector<float> params;
+  TrainStats stats;
+};
+
+/// Trains a {2, 4, 2} model from a fixed init on `x`/`y`: the small task
+/// every test below compares across slots.
+Trained train_small(const Matrix& x, const std::vector<int>& y) {
+  TrainConfig cfg;
+  cfg.epochs = 3;
+  cfg.batch_size = 16;  // 33 % 16 != 0 -> partial final batch
+  Mlp model(MlpConfig{{2, 4, 2}, Activation::kRelu});
+  Rng init(7), train(9);
+  model.init(init);
+  const TrainStats stats = train_sgd(model, x, y, cfg, train);
+  return {model.parameters(), stats};
+}
+
+/// Every byte `ws` holds, sizes and shapes included.
+std::vector<unsigned char> snapshot(const TrainWorkspace& ws) {
+  std::vector<unsigned char> out;
+  const auto put = [&](const void* p, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    out.insert(out.end(), bytes, bytes + n);
+  };
+  const auto put_size = [&](std::size_t n) { put(&n, sizeof n); };
+  const auto put_matrix = [&](const Matrix& m) {
+    put_size(m.rows());
+    put_size(m.cols());
+    put(m.flat().data(), m.size() * sizeof(float));
+  };
+  put_matrix(ws.batch);
+  put_size(ws.batch_labels.size());
+  put(ws.batch_labels.data(), ws.batch_labels.size() * sizeof(int));
+  put_size(ws.acts.size());
+  for (const Matrix& a : ws.acts) put_matrix(a);
+  put_matrix(ws.dlogits);
+  put_matrix(ws.dx);
+  put_size(ws.order.size());
+  put(ws.order.data(), ws.order.size() * sizeof(std::size_t));
+  return out;
+}
+
 TEST(TrainWorkspace, ReuseAcrossShapesBitExact) {
-  // Warm the shared workspace on a wide task, then train a smaller model
-  // with it: shrunken-then-regrown buffers must not change results.
+  // Warm this thread's slot on a wide task, then train a smaller model
+  // in it: shrunken-then-regrown buffers must not change results, so
+  // the result equals the same training on a fresh thread's cold slot.
   Rng data_rng(1);
   Matrix wide_x, small_x;
   std::vector<int> wide_y, small_y;
   make_blobs(wide_x, wide_y, 70, 6, data_rng);
   make_blobs(small_x, small_y, 33, 2, data_rng);
 
-  TrainWorkspace shared;
   Mlp warm(MlpConfig{{6, 12, 2}, Activation::kRelu});
   Rng warm_init(2), warm_train(3);
   warm.init(warm_init);
-  train_sgd(warm, wide_x, wide_y, TrainConfig{}, warm_train, shared);
+  train_sgd(warm, wide_x, wide_y, TrainConfig{}, warm_train);
+  const Trained reused = train_small(small_x, small_y);
 
-  TrainConfig cfg;
-  cfg.epochs = 3;
-  cfg.batch_size = 16;  // 33 % 16 != 0 -> partial final batch
-  Mlp with_shared(MlpConfig{{2, 4, 2}, Activation::kRelu});
-  Mlp with_fresh(MlpConfig{{2, 4, 2}, Activation::kRelu});
-  Rng init_a(7), init_b(7);
-  with_shared.init(init_a);
-  with_fresh.init(init_b);
+  Trained fresh;
+  std::thread([&] { fresh = train_small(small_x, small_y); }).join();
 
-  Rng train_a(9), train_b(9);
-  TrainWorkspace fresh;
-  const TrainStats sa =
-      train_sgd(with_shared, small_x, small_y, cfg, train_a, shared);
-  const TrainStats sb =
-      train_sgd(with_fresh, small_x, small_y, cfg, train_b, fresh);
-  EXPECT_EQ(sa.steps, sb.steps);
-  EXPECT_EQ(sa.final_loss, sb.final_loss);
-  EXPECT_EQ(with_shared.parameters(), with_fresh.parameters());
+  EXPECT_EQ(reused.stats.steps, fresh.stats.steps);
+  EXPECT_EQ(reused.stats.final_loss, fresh.stats.final_loss);
+  EXPECT_EQ(reused.params, fresh.params);
 }
 
-TEST(TrainWorkspace, WorkspaceOverloadMatchesAllocatingOverload) {
-  Rng data_rng(4);
+TEST(TrainWorkspace, NestedCallLeavesOuterLeaseUntouched) {
+  // A call made while this thread holds a TrainWorkspace lease (as a
+  // help-drained task would run inside another client's training) must
+  // train in the next slot: the held one keeps every byte, and the
+  // result equals an unnested call's.
+  Rng data_rng(11);
   Matrix x;
   std::vector<int> y;
-  make_blobs(x, y, 60, 3, data_rng);
-  TrainConfig cfg;
-  cfg.epochs = 2;
-  Mlp a(MlpConfig{{3, 6, 2}, Activation::kRelu});
-  Mlp b(MlpConfig{{3, 6, 2}, Activation::kRelu});
-  Rng init_a(5), init_b(5);
-  a.init(init_a);
-  b.init(init_b);
-  Rng train_a(6), train_b(6);
-  TrainWorkspace ws;
-  train_sgd(a, x, y, cfg, train_a, ws);
-  train_sgd(b, x, y, cfg, train_b);
-  EXPECT_EQ(a.parameters(), b.parameters());
+  make_blobs(x, y, 33, 2, data_rng);
+  const Trained unnested = train_small(x, y);
+
+  Trained nested;
+  std::vector<unsigned char> before, after;
+  {
+    const ScratchLease<TrainWorkspace> outer;
+    TrainWorkspace& ws = *outer;
+    ws.batch = Matrix(5, 3, -7.5f);
+    ws.batch_labels.assign(5, 42);
+    ws.acts.resize(2);
+    for (Matrix& act : ws.acts) act = Matrix(5, 9, 123.25f);
+    ws.dlogits = Matrix(5, 2, -0.125f);
+    ws.dx = Matrix(5, 9, 99.0f);
+    ws.order.assign(17, 3);
+    before = snapshot(ws);
+    nested = train_small(x, y);
+    after = snapshot(ws);
+  }
+
+  EXPECT_EQ(before, after) << "nested train_sgd wrote the held slot";
+  EXPECT_EQ(nested.stats.steps, unnested.stats.steps);
+  EXPECT_EQ(nested.stats.final_loss, unnested.stats.final_loss);
+  EXPECT_EQ(nested.params, unnested.params);
 }
 
 TEST(TrainWorkspace, SteadyStateStepLoopDoesNotAllocate) {
@@ -106,20 +156,20 @@ TEST(TrainWorkspace, SteadyStateStepLoopDoesNotAllocate) {
   Rng rng(10);
   model.init(rng);
 
-  TrainWorkspace ws;
   TrainConfig cfg;
   cfg.batch_size = 16;
   cfg.epochs = 1;
-  train_sgd(model, x, y, cfg, rng, ws);  // warm-up sizes every buffer
+  train_sgd(model, x, y, cfg, rng);  // warm-up sizes this thread's slot
 
-  // A warmed call allocates nothing, however many steps it runs.
+  // A warmed call on the same thread allocates nothing, however many
+  // steps it runs.
   const std::size_t before_short = g_allocs.load();
-  train_sgd(model, x, y, cfg, rng, ws);
+  train_sgd(model, x, y, cfg, rng);
   const std::size_t short_allocs = g_allocs.load() - before_short;
 
   cfg.epochs = 3;
   const std::size_t before_long = g_allocs.load();
-  train_sgd(model, x, y, cfg, rng, ws);
+  train_sgd(model, x, y, cfg, rng);
   const std::size_t long_allocs = g_allocs.load() - before_long;
 
   EXPECT_EQ(short_allocs, 0u) << "1 epoch";

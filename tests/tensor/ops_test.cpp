@@ -281,11 +281,10 @@ TEST(Gemm, ScalarArmMatchesTextbookFoldBitForBit) {
   }
 }
 
-TEST(RowOps, ArgmaxRowsIntoMatchesAllocating) {
+TEST(RowOps, ArgmaxRowsInto) {
   const Matrix m = Matrix::from_rows(3, 3, {1, 5, 2, 9, 0, 1, 2, 2, 7});
   std::vector<std::size_t> out(3);
   argmax_rows_into(m, out);
-  EXPECT_EQ(out, argmax_rows(m));
   EXPECT_EQ(out, (std::vector<std::size_t>{1, 0, 2}));
   std::vector<std::size_t> wrong_size(2);
   EXPECT_THROW(argmax_rows_into(m, wrong_size), std::invalid_argument);
@@ -315,7 +314,8 @@ TEST(RowOps, ColSum) {
 
 TEST(Argmax, PerRow) {
   const Matrix m = Matrix::from_rows(2, 3, {1, 5, 2, 7, 0, 3});
-  const auto idx = argmax_rows(m);
+  std::vector<std::size_t> idx(2);
+  argmax_rows_into(m, idx);
   EXPECT_EQ(idx[0], 1u);
   EXPECT_EQ(idx[1], 0u);
 }
@@ -354,14 +354,10 @@ TEST(VectorOps, CosineSimilarity) {
   EXPECT_EQ(cosine_similarity(a, zero), 0.0f);
 }
 
-TEST(VectorOps, SubtractAddLerp) {
+TEST(VectorOps, SubtractAdd) {
   const std::vector<float> a{5, 7}, b{2, 3};
   EXPECT_EQ(subtract(a, b), (std::vector<float>{3, 4}));
   EXPECT_EQ(add(a, b), (std::vector<float>{7, 10}));
-  EXPECT_EQ(lerp(a, b, 0.0f), a);
-  EXPECT_EQ(lerp(a, b, 1.0f), b);
-  const auto mid = lerp(a, b, 0.5f);
-  EXPECT_EQ(mid[0], 3.5f);
 }
 
 TEST(VectorOps, DotAccumulatesInDouble) {

@@ -23,6 +23,9 @@ EXPECTED = [
     ("no-naked-new", "bad_new.cpp"),
     ("no-libc-random", "bad_rand.cpp"),
     ("raw-sync", "bad_mutex.cpp"),
+    ("thread-local", "bad_thread_local.cpp"),
+    # Only the helped-time counter is sanctioned in metrics.cpp.
+    ("thread-local", os.path.join("src", "util", "metrics.cpp") + ":10:"),
     ("metric-name", "bad_metric_name.cpp:11"),  # literal on the next line
     ("metric-name", "bad_metric_cli.cpp"),    # tools/ are linted too
     ("header-hygiene", "bad_header.hpp"),
@@ -38,6 +41,10 @@ CLEAN = [
     # fixture path: the rule's advice text also mentions sync.hpp).
     ("raw-sync", os.path.join("src", "util", "sync.hpp")),
     ("metric-name", "good_metric_name.cpp"),
+    # The lease's slot stack is the sanctioned thread_local sink, and so
+    # is metrics.cpp's helped-time counter (line 6).
+    ("thread-local", os.path.join("src", "util", "scratch_lease.hpp") + ":"),
+    ("thread-local", os.path.join("src", "util", "metrics.cpp") + ":6:"),
     # The header that declares the names (the rule's advice text names
     # it too, so match the finding's "path:line" form).
     ("metric-name", os.path.join("src", "util", "metric_names.hpp") + ":"),

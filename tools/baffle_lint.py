@@ -26,6 +26,14 @@ Rules (each failure names the file and the rule id):
                       Analysis sees every critical section. sync.hpp
                       itself is the one sanctioned user of the raw
                       primitives.
+  thread-local        No `thread_local` in src/** outside
+                      util/scratch_lease.hpp: per-thread scratch is
+                      leased per (thread, nesting depth) through
+                      ScratchLease, because a plain thread_local buffer
+                      can be reused mid-call by a help-drained task on
+                      the same thread. The one other sanctioned use is
+                      util/metrics.cpp's helped-time counter (a
+                      per-thread tally, not scratch).
   metric-name         No string literal passed as a metric name
                       (add_counter, add_timer, counter, timer_*, or a
                       ScopedTimer's name) in src/** or tools/**: every
@@ -57,6 +65,14 @@ import tempfile
 # standard-library synchronization primitives.
 RAW_SYNC_SINKS = {os.path.join("util", "sync.hpp")}
 
+# thread_local is sanctioned on the lines of these files that contain
+# the given text: every line of the lease's slot stack, and only the
+# helped-time counter in util/metrics.cpp.
+THREAD_LOCAL_SINKS = {
+    os.path.join("util", "scratch_lease.hpp"): "",
+    os.path.join("util", "metrics.cpp"): "t_helped_seconds",
+}
+
 IOSTREAM_INCLUDE = re.compile(r'^\s*#\s*include\s*<(iostream|cstdio|stdio\.h)>')
 PRINTF_CALL = re.compile(r'(?<![\w:.])(?:std::)?(?:printf|fprintf|puts)\s*\(')
 NEW_EXPR = re.compile(r'(?<![\w.])new\s+[A-Za-z_(]')
@@ -68,6 +84,7 @@ RAW_SYNC = re.compile(
     r'shared_lock)\b')
 RAW_SYNC_INCLUDE = re.compile(
     r'^\s*#\s*include\s*<(mutex|shared_mutex|condition_variable)>')
+THREAD_LOCAL = re.compile(r'(?<![\w])thread_local\b')
 ALLOW = re.compile(r'//\s*baffle-lint:\s*allow\(([a-z-]+)\)')
 # A literal as the first argument of a registry call or a ScopedTimer's
 # name, matched on comment- and string-stripped text (literals survive
@@ -121,6 +138,7 @@ class Linter:
     def lint_source_file(self, path: str) -> None:
         rel = os.path.relpath(path, os.path.join(self.root, "src"))
         is_sync_sink = rel in RAW_SYNC_SINKS
+        thread_local_sink = THREAD_LOCAL_SINKS.get(rel)
         with open(path, encoding="utf-8") as f:
             for line_no, raw in enumerate(f, start=1):
                 allowed = {m for m in ALLOW.findall(raw)}
@@ -148,6 +166,15 @@ class Linter:
                                   "(use the annotated wrappers in "
                                   "util/sync.hpp so thread-safety "
                                   "analysis sees the critical section)")
+                if "thread-local" not in allowed and \
+                        THREAD_LOCAL.search(line) and \
+                        not (thread_local_sink is not None and
+                             thread_local_sink in line):
+                    self.fail("thread-local", path, line_no,
+                              "thread_local outside util/scratch_lease.hpp "
+                              "(lease per-thread scratch through "
+                              "ScratchLease so a nested call on the same "
+                              "thread gets its own slot)")
 
     # -- metric names --------------------------------------------------
 
