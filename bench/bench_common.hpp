@@ -5,7 +5,9 @@
 // only in the parameter being swept.
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,12 +19,21 @@ namespace baffle {
 
 /// Bench-run header. Lives with the benches (not exp/report) because
 /// library code keeps no console I/O; every bench owns its stdout.
+/// Every paper driver calls it first, so a BAFFLE_BENCH_REPS that
+/// bench_reps() rejects ends the run here: one line on stderr, exit 2.
 inline void print_banner(const std::string& title,
                          const std::string& paper_ref) {
+  std::size_t reps = 0;
+  try {
+    reps = bench_reps();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << '\n';
+    std::exit(2);
+  }
   std::cout << "==============================================\n"
             << title << '\n'
             << "reproduces: " << paper_ref << '\n'
-            << "reps=" << bench_reps() << '\n'
+            << "reps=" << reps << '\n'
             << "==============================================\n";
 }
 

@@ -62,8 +62,8 @@ int main() {
 
   // Byte-accurate sizes of this repo's models.
   Rng rng(7);
-  Mlp vision(MlpConfig{{32, 64, 10}, Activation::kRelu});
-  Mlp femnist(MlpConfig{{48, 96, 62}, Activation::kRelu});
+  Mlp vision(MlpConfig{{32, 64, 10}});
+  Mlp femnist(MlpConfig{{48, 96, 62}});
   vision.init(rng);
   femnist.init(rng);
   const std::size_t vision_bytes = history_model_bytes(vision);

@@ -52,7 +52,7 @@ BenchSetup make_setup(bool smoke) {
   const SynthTask task = make_synth_task(cfg, rng);
 
   BenchSetup s;
-  s.arch = MlpConfig{{cfg.dim, 64, cfg.num_classes}, Activation::kRelu};
+  s.arch = MlpConfig{{cfg.dim, 64, cfg.num_classes}};
   Rng sample_rng(9);
   s.holdout = smoke ? task.test.sample(250, sample_rng) : task.test;
   if (smoke) {

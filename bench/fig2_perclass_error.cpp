@@ -19,8 +19,7 @@ int main() {
   Rng rng(2026);
   SynthTaskConfig task_cfg = synth_vision10_config();
   const SynthTask task = make_synth_task(task_cfg, rng);
-  const MlpConfig arch{{task_cfg.dim, 64, task_cfg.num_classes},
-                       Activation::kRelu};
+  const MlpConfig arch{{task_cfg.dim, 64, task_cfg.num_classes}};
 
   // Stable global model.
   Mlp global(arch);

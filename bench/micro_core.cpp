@@ -3,8 +3,8 @@
 // secure-aggregation masking, GEMM, local training, and a full VALIDATE
 // call — the per-round client-side cost of BaFFLe.
 //
-// Before the google-benchmark suite runs, main() times every dispatched
-// kernel on both arms (scalar vs SIMD) and writes BENCH_simd.json with
+// Before the google-benchmark suite runs, main() times the three GEMMs
+// and axpy on both arms (scalar vs SIMD) and writes BENCH_simd.json with
 // GFLOP/s, speedup and a parity check per kernel. Run with
 // --benchmark_filter='^$' to emit just the JSON.
 
@@ -161,7 +161,7 @@ void BM_LocalTraining(benchmark::State& state) {
   SynthTaskConfig cfg = synth_vision10_config();
   cfg.train_per_class = 10;
   const SynthTask task = make_synth_task(cfg, rng);
-  Mlp model(MlpConfig{{cfg.dim, 64, cfg.num_classes}, Activation::kRelu});
+  Mlp model(MlpConfig{{cfg.dim, 64, cfg.num_classes}});
   model.init(rng);
   const Matrix& x = task.train.features();
   const auto& labels = task.train.labels();
@@ -182,7 +182,7 @@ void BM_ValidateCall(benchmark::State& state) {
   SynthTaskConfig cfg = synth_vision10_config();
   cfg.train_per_class = 60;
   const SynthTask task = make_synth_task(cfg, rng);
-  const MlpConfig arch{{cfg.dim, 32, cfg.num_classes}, Activation::kRelu};
+  const MlpConfig arch{{cfg.dim, 32, cfg.num_classes}};
   Mlp model(arch);
   model.init(rng);
   TrainConfig warm;
@@ -222,7 +222,7 @@ void BM_ValidateShift(benchmark::State& state) {
   SynthTaskConfig cfg = synth_vision10_config();
   cfg.train_per_class = 60;
   const SynthTask task = make_synth_task(cfg, rng);
-  const MlpConfig arch{{cfg.dim, 32, cfg.num_classes}, Activation::kRelu};
+  const MlpConfig arch{{cfg.dim, 32, cfg.num_classes}};
   Mlp model(arch);
   model.init(rng);
   TrainConfig warm;
@@ -290,7 +290,7 @@ void BM_ValidationRound(benchmark::State& state) {
   SynthTaskConfig cfg = synth_vision10_config();
   cfg.train_per_class = 60;
   const SynthTask task = make_synth_task(cfg, rng);
-  const MlpConfig arch{{cfg.dim, 32, cfg.num_classes}, Activation::kRelu};
+  const MlpConfig arch{{cfg.dim, 32, cfg.num_classes}};
   std::vector<FlClient> clients;
   for (std::size_t i = 0; i < 10; ++i) {
     clients.emplace_back(i, task.train.sample(200, rng));
@@ -394,29 +394,6 @@ SimdBenchEntry bench_gemm_kernel(const char* name, GemmFn gemm,
   return e;
 }
 
-/// Reduction returning a float (dot/distance/cosine family).
-template <typename Fn>
-SimdBenchEntry bench_reduction(const char* name, double flops_per_elem,
-                               std::size_t n, Fn fn) {
-  SimdBenchEntry e;
-  e.kernel = name;
-  e.shape = std::to_string(n);
-  const double flops = flops_per_elem * static_cast<double>(n);
-  simd::force_isa(simd::Isa::kScalar);
-  const float ref = fn();
-  e.gflops_scalar =
-      measure_gflops(flops, [&] { benchmark::DoNotOptimize(fn()); });
-  simd::reset_isa();
-  const float got = fn();
-  e.parity_ok =
-      std::abs(got - ref) <= 1e-4f * (std::abs(ref) + 1.0f);
-  e.gflops_dispatched =
-      measure_gflops(flops, [&] { benchmark::DoNotOptimize(fn()); });
-  e.speedup = e.gflops_scalar > 0.0 ? e.gflops_dispatched / e.gflops_scalar
-                                    : 0.0;
-  return e;
-}
-
 /// In-place primitive: parity from one application on a fresh copy per
 /// arm, throughput measured on a scratch buffer.
 template <typename Fn>
@@ -471,21 +448,9 @@ int write_simd_bench_json() {
       "gemm_abt",
       [](const Matrix& a, const Matrix& b, Matrix& o) { gemm_abt(a, b, o); },
       kGemmDim));
-  entries.push_back(
-      bench_reduction("dot", 2.0, kVecLen, [&] { return dot(va, vb); }));
-  entries.push_back(bench_reduction("squared_l2_distance", 3.0, kVecLen, [&] {
-    return squared_l2_distance(va, vb);
-  }));
-  entries.push_back(bench_reduction("cosine_similarity", 6.0, kVecLen, [&] {
-    return cosine_similarity(va, vb);
-  }));
   entries.push_back(bench_inplace("axpy", 2.0, vb, [&](std::vector<float>& y) {
     axpy(0.25f, va, y);
   }));
-  entries.push_back(
-      bench_inplace("relu_forward", 1.0, va, [&](std::vector<float>& x) {
-        relu_forward(x);
-      }));
   simd::reset_isa();
 
   bool all_parity = true;

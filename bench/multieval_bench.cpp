@@ -57,7 +57,7 @@ BenchSetup make_setup(bool smoke) {
   const SynthTask task = make_synth_task(cfg, rng);
 
   BenchSetup s;
-  s.arch = MlpConfig{{cfg.dim, 128, cfg.num_classes}, Activation::kRelu};
+  s.arch = MlpConfig{{cfg.dim, 128, cfg.num_classes}};
   s.holdout = task.test;
   if (smoke) s.timed = 1;
 

@@ -27,7 +27,7 @@ int main() {
               task.backdoor_train.size(), cfg.backdoor_source);
 
   // 2. A stable global model (as after many FL rounds).
-  Mlp global(MlpConfig{{cfg.dim, 64, cfg.num_classes}, Activation::kRelu});
+  Mlp global(MlpConfig{{cfg.dim, 64, cfg.num_classes}});
   global.init(rng);
   TrainConfig pre;
   pre.epochs = 30;

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace baffle {
 
 std::string format_mean_std(const MeanStd& value, int precision) {
@@ -60,11 +62,10 @@ std::string TextTable::render() const {
 }
 
 std::size_t bench_reps() {
-  if (const char* env = std::getenv("BAFFLE_BENCH_REPS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 3;
+  const char* env = std::getenv("BAFFLE_BENCH_REPS");
+  return env == nullptr
+             ? 3
+             : parse_env_count("BAFFLE_BENCH_REPS", "repetition count", env);
 }
 
 }  // namespace baffle

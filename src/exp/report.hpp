@@ -28,8 +28,9 @@ class TextTable {
   std::size_t width_;
 };
 
-/// Number of repeated runs per configuration. Reads BAFFLE_BENCH_REPS
-/// (default 3; the paper uses 5).
+/// Number of repeated runs per configuration: BAFFLE_BENCH_REPS, or 3
+/// when it is unset (the paper uses 5). A value parse_env_count rejects
+/// throws std::invalid_argument "BAFFLE_BENCH_REPS=value: reason".
 std::size_t bench_reps();
 
 }  // namespace baffle

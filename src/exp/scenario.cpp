@@ -94,8 +94,7 @@ Scenario build_scenario(const ScenarioConfig& config, Rng& rng) {
   // Architecture: one hidden layer is enough for the Gaussian-mixture
   // tasks while keeping 800-round runs cheap.
   const std::size_t hidden = config.task == TaskKind::kVision10 ? 64 : 96;
-  s.arch = MlpConfig{{task_cfg.dim, hidden, task_cfg.num_classes},
-                     Activation::kRelu};
+  s.arch = MlpConfig{{task_cfg.dim, hidden, task_cfg.num_classes}};
 
   s.fl.total_clients = config.num_clients;
   s.fl.clients_per_round = config.clients_per_round;

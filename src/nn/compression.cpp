@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "tensor/primitives.hpp"
 #include "util/serialization.hpp"
 
 namespace baffle {
@@ -15,10 +14,12 @@ constexpr std::uint32_t kMagic = 0xBAFFC0DE;
 
 std::vector<std::size_t> topk_indices(const ParamVec& params,
                                       std::size_t k) {
-  // Precompute |params| in one vectorized sweep; fabs is exact, so the
-  // selection is identical to comparing std::abs on the fly.
+  // Precompute |params| in one sweep; fabs is exact, so the selection
+  // is identical to comparing std::abs on the fly.
   std::vector<float> mags(params.size());
-  abs_into(mags, params);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    mags[i] = std::fabs(params[i]);
+  }
   std::vector<std::size_t> idx(params.size());
   std::iota(idx.begin(), idx.end(), std::size_t{0});
   std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),

@@ -7,10 +7,10 @@
 
 namespace baffle {
 
-Dense::Dense(std::size_t in_dim, std::size_t out_dim, Activation act)
+Dense::Dense(std::size_t in_dim, std::size_t out_dim, bool relu)
     : in_dim_(in_dim),
       out_dim_(out_dim),
-      act_(act),
+      relu_(relu),
       weights_(in_dim, out_dim),
       bias_(out_dim, 0.0f),
       weight_grad_(in_dim, out_dim),
@@ -20,11 +20,9 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, Activation act)
 }
 
 void Dense::init_weights(Rng& rng) {
-  // He initialization for ReLU, Glorot for the rest.
   const double fan_in = static_cast<double>(in_dim_);
-  const double scale = act_ == Activation::kRelu
-                           ? std::sqrt(2.0 / fan_in)
-                           : std::sqrt(1.0 / fan_in);
+  const double scale =
+      relu_ ? std::sqrt(2.0 / fan_in) : std::sqrt(1.0 / fan_in);
   for (float& w : weights_.flat()) {
     w = static_cast<float>(rng.normal(0.0, scale));
   }
@@ -34,9 +32,7 @@ void Dense::init_weights(Rng& rng) {
 void Dense::forward_eval(ConstMatrixView x, Matrix& out) const {
   BAFFLE_CHECK(x.cols() == in_dim_, "input width must match the layer");
   out.resize(x.rows(), out_dim_);
-  const bool fuse_relu = act_ == Activation::kRelu;
-  gemm_ab_bias(x, weights_, bias_, fuse_relu, out);
-  if (!fuse_relu) activation_forward(act_, out);
+  gemm_ab_bias(x, weights_, bias_, relu_, out);
 }
 
 void Dense::backward_at(const Matrix& input, const Matrix& output,
@@ -44,7 +40,7 @@ void Dense::backward_at(const Matrix& input, const Matrix& output,
   BAFFLE_CHECK(dout.rows() == input.rows() && dout.cols() == out_dim_ &&
                    input.cols() == in_dim_,
                "gradient/input shapes must match the layer and batch");
-  activation_backward(act_, output, dout);
+  if (relu_) relu_backward(output.flat(), dout.flat());
   // dW = xᵀ dout; db = colsum(dout); dx = dout Wᵀ. The GEMMs and
   // col_sum fold from +0, so they overwrite the grad buffers.
   gemm_atb(input, dout, weight_grad_);

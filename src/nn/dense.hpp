@@ -2,7 +2,6 @@
 // Fully-connected layer. It owns its weights, bias and their gradient
 // buffers; the forward activations live in the caller's workspace.
 
-#include "nn/activation.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -11,14 +10,17 @@ namespace baffle {
 
 class Dense {
  public:
-  Dense(std::size_t in_dim, std::size_t out_dim, Activation act);
+  /// A hidden layer (`relu`) applies ReLU to x W + b; the output layer
+  /// is linear (softmax lives in the loss).
+  Dense(std::size_t in_dim, std::size_t out_dim, bool relu);
 
-  /// He/Glorot-style initialization (scaled by fan-in).
+  /// He initialization for a ReLU layer, Glorot for the linear one
+  /// (scaled by fan-in).
   void init_weights(Rng& rng);
 
-  /// out = act(x W + b), reusing out's storage. Safe to call
-  /// concurrently on a const layer: it reads the weights in place (or
-  /// packs them into per-call scratch) and writes only `out`.
+  /// out = x W + b, then ReLU when relu(), reusing out's storage. Safe
+  /// to call concurrently on a const layer: it reads the weights in
+  /// place (or packs them into per-call scratch) and writes only `out`.
   void forward_eval(ConstMatrixView x, Matrix& out) const;
 
   /// Given dL/d(out), writes dL/dW and dL/db into the layer's grad
@@ -32,7 +34,7 @@ class Dense {
 
   std::size_t in_dim() const { return in_dim_; }
   std::size_t out_dim() const { return out_dim_; }
-  Activation activation() const { return act_; }
+  bool relu() const { return relu_; }
   std::size_t num_params() const { return weights_.size() + bias_.size(); }
 
   Matrix& weights() { return weights_; }
@@ -47,7 +49,7 @@ class Dense {
  private:
   std::size_t in_dim_;
   std::size_t out_dim_;
-  Activation act_;
+  bool relu_;
 
   Matrix weights_;            // (in, out)
   std::vector<float> bias_;   // (out)

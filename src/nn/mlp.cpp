@@ -15,10 +15,9 @@ Mlp::Mlp(const MlpConfig& config) : config_(config) {
   const std::size_t n_layers = config.layer_dims.size() - 1;
   layers_.reserve(n_layers);
   for (std::size_t i = 0; i < n_layers; ++i) {
-    const bool is_last = (i + 1 == n_layers);
+    const bool hidden = (i + 1 < n_layers);
     layers_.emplace_back(config.layer_dims[i], config.layer_dims[i + 1],
-                         is_last ? Activation::kIdentity
-                                 : config.hidden_activation);
+                         hidden);
     num_params_ += layers_.back().num_params();
   }
 }

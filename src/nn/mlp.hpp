@@ -1,5 +1,7 @@
 #pragma once
-// Multi-layer perceptron classifier.
+// Multi-layer perceptron classifier: ReLU hidden layers and a linear
+// output layer (softmax lives in the loss), the stand-in for the
+// paper's ReLU networks.
 //
 // FL treats models as flat parameter vectors (for averaging, scaling and
 // secure aggregation), so the Mlp exposes get/set of a contiguous
@@ -13,11 +15,9 @@
 
 namespace baffle {
 
-/// Architecture spec: layer widths [in, h1, ..., out] plus the hidden
-/// activation (output layer is always linear; softmax lives in the loss).
+/// Architecture spec: layer widths [in, h1, ..., out].
 struct MlpConfig {
-  std::vector<std::size_t> layer_dims;           // >= 2 entries
-  Activation hidden_activation = Activation::kRelu;
+  std::vector<std::size_t> layer_dims;  // >= 2 entries
 };
 
 /// Scratch buffers for the inference path. Reusing one workspace across

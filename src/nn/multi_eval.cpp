@@ -1,7 +1,6 @@
 #include "nn/multi_eval.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "tensor/kernels.hpp"
 #include "util/contracts.hpp"
@@ -73,18 +72,9 @@ const float* MultiModelEval::eval_panels(std::span<const LayerView> layers,
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const LayerView& lv = layers[l];
     const bool hidden = l + 1 < layers.size();
-    const bool relu = hidden && config_.hidden_activation == Activation::kRelu;
     kernels::EvalLayerArgs a{lv.w,     1,        lv.d_out, lv.bias, in,
-                             cur,      lv.d_in,  lv.d_out, relu,    panels};
+                             cur,      lv.d_in,  lv.d_out, hidden,  panels};
     t.eval_layer_f32(a);
-    if (hidden && config_.hidden_activation == Activation::kTanh) {
-      // Same element-wise std::tanh as activation_forward, applied to
-      // per-arm-identical inputs: stays bit-identical to the
-      // sequential path.
-      for (std::size_t i = 0; i < lv.d_out * kPC * panels; ++i) {
-        cur[i] = std::tanh(cur[i]);
-      }
-    }
     last = cur;
     in = cur;
     std::swap(cur, nxt);

@@ -4,7 +4,7 @@
 // The validator evaluates ℓ+1 models per round against ONE fixed
 // dataset. Mlp::predict_into re-runs the whole inference pipeline per
 // model: materialize parameters into a scratch model, stream X
-// through GEMM + bias + activation (packing the weights per call where
+// through GEMM + bias + ReLU (packing the weights per call where
 // the GEMM tile does not read them in place), argmax. This
 // engine inverts the loop: the features are packed ONCE as Xᵀ panels
 // (pack_bt_panels: 16 sample-columns per panel) at bind() time, and

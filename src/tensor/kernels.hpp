@@ -8,6 +8,11 @@
 // chosen by CPUID, AVX-512F) microkernels and vectorized primitives.
 // tensor/ops.cpp and tensor/primitives.cpp do the shape checking,
 // packing and thread-pool splitting, then call through active_table().
+//
+// An entry earns its two arms by running on every round of a workload:
+// training, aggregation and masking, or validation. A loop only the
+// robust-aggregation baselines or the report tables reach stays one
+// plain loop outside the table (tensor/primitives.cpp, util/stats.cpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -114,18 +119,9 @@ struct KernelTable {
                           std::size_t r1);
 
   // Flat-vector primitives. All length arguments are element counts.
-  // The reductions return their raw double accumulator so the public
-  // wrappers can round exactly where the pre-SIMD code did (e.g.
-  // l2_norm takes sqrt in double, then casts).
-  double (*dot)(const float*, const float*, std::size_t);
-  double (*squared_l2)(const float*, std::size_t);
-  double (*squared_l2_distance)(const float*, const float*, std::size_t);
-  float (*cosine_similarity)(const float*, const float*, std::size_t);
   void (*axpy)(float alpha, const float*, float*, std::size_t);
   void (*scale)(float*, float alpha, std::size_t);
-  void (*abs_into)(float* out, const float* x, std::size_t);
   float (*max_value)(const float*, std::size_t);  // n > 0
-  void (*relu_forward)(float*, std::size_t);
   void (*relu_backward)(const float* activated, float* grad, std::size_t);
   void (*add_u64)(std::uint64_t* acc, const std::uint64_t*, std::size_t);
   // Secure-aggregation masking (fl/secure_agg.hpp). One pair's mask is
@@ -140,8 +136,6 @@ struct KernelTable {
   // is none. Words from that index on are left as they were.
   std::size_t (*encode_fixed_u64)(const float* x, unsigned frac_bits,
                                   std::uint64_t* out, std::size_t n);
-  double (*sum_d)(const double*, std::size_t);
-  double (*sum_sq_diff_d)(const double*, double center, std::size_t);
 
   // Batched multi-model evaluation: fused transposed layers and the
   // panel argmax.

@@ -1,7 +1,7 @@
 // Scalar kernel arm: plain loops without FMA. This arm is the ground
 // truth for the parity tests and the fallback selected by
 // BAFFLE_FORCE_SCALAR or on CPUs without AVX2+FMA, so its arithmetic
-// (accumulation order, double-precision reductions) must not change.
+// (accumulation order, rounding points) must not change.
 
 #include <algorithm>
 #include <cmath>
@@ -47,42 +47,6 @@ void gemm_panel_rows(const PanelGemmArgs& g, std::size_t r0,
   }
 }
 
-double dot(const float* a, const float* b, std::size_t n) {
-  // Accumulate in double: parameter vectors reach ~10^5 entries and the
-  // cosine-similarity baselines (FoolsGold) are sensitive to cancellation.
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return acc;
-}
-
-double squared_l2(const float* x, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(x[i]);
-  }
-  return acc;
-}
-
-double squared_l2_distance(const float* a, const float* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    acc += d * d;
-  }
-  return acc;
-}
-
-float cosine_similarity(const float* a, const float* b, std::size_t n) {
-  // Structured like the pre-SIMD code: norms rounded through
-  // float(sqrt(double)) and a float dot before the division.
-  const float na = static_cast<float>(std::sqrt(squared_l2(a, n)));
-  const float nb = static_cast<float>(std::sqrt(squared_l2(b, n)));
-  if (na == 0.0f || nb == 0.0f) return 0.0f;
-  return static_cast<float>(dot(a, b, n)) / (na * nb);
-}
-
 void axpy(float alpha, const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -91,18 +55,8 @@ void scale(float* x, float alpha, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
 }
 
-void abs_into(float* out, const float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::fabs(x[i]);
-}
-
 float max_value(const float* x, std::size_t n) {
   return *std::max_element(x, x + n);
-}
-
-void relu_forward(float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (x[i] < 0.0f) x[i] = 0.0f;
-  }
 }
 
 void relu_backward(const float* activated, float* grad, std::size_t n) {
@@ -145,20 +99,6 @@ std::size_t encode_fixed_u64(const float* x, unsigned frac_bits,
         static_cast<std::int64_t>(scaled + std::copysign(0.5, scaled)));
   }
   return n;
-}
-
-double sum_d(const double* x, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i];
-  return acc;
-}
-
-double sum_sq_diff_d(const double* x, double center, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += (x[i] - center) * (x[i] - center);
-  }
-  return acc;
 }
 
 // ---- Batched multi-model evaluation (DESIGN.md §14) ----
@@ -241,21 +181,13 @@ constexpr KernelTable kTable = {
     /*gemm_reads_b_in_place=*/true,
     /*libm_exp_copy=*/false,
     gemm_panel_rows,
-    dot,
-    squared_l2,
-    squared_l2_distance,
-    cosine_similarity,
     axpy,
     scale,
-    abs_into,
     max_value,
-    relu_forward,
     relu_backward,
     add_u64,
     pair_keystream_u64,
     encode_fixed_u64,
-    sum_d,
-    sum_sq_diff_d,
     eval_layer_f32,
     argmax_margin_panel,
     exp_f32,

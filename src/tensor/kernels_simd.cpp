@@ -6,10 +6,9 @@
 // function-pointer table instead of in a header: nothing here may be
 // inlined into code that must run on non-AVX2 CPUs.
 //
-// Numeric contract: the dot/norm/distance family keeps the scalar
-// arm's double-precision accumulation (via 4-wide double lanes), so the
-// two arms differ only by reassociation and FMA rounding — within the
-// parity-test tolerance — while relu/abs/max, the u64 adds, the mask
+// Numeric contract: the GEMM and eval-layer tiles and axpy differ from
+// the scalar arm only by FMA rounding — within the parity-test
+// tolerance — while scale, max, relu_backward, the u64 adds, the mask
 // keystream and encode, and the SGD step's softmax are bit-exact. The
 // ymm and zmm GEMM and eval-layer tiles are bit-identical to each other.
 
@@ -33,23 +32,17 @@ namespace baffle::kernels {
 namespace {
 
 using simd::f32x8;
-using simd::f64x4;
-using simd::hsum4;
 using simd::i32x8;
 using simd::kFloatLanes;
 using simd::loada8;
-using simd::loadu4d;
 using simd::loadu4u;
 using simd::loadu8;
 using simd::splat8;
 using simd::storeu4u;
 using simd::storeu8;
 using simd::u64x4;
-using simd::vabs8;
 using simd::vmax8;
 using simd::vrelu8;
-using simd::widen_hi;
-using simd::widen_lo;
 
 /// One panel's bias as two vectors; the tail panel stages its live
 /// columns so no load reads past the n-entry bias.
@@ -71,8 +64,8 @@ BAFFLE_ALWAYS_INLINE void load_panel_bias(const float* bias, std::size_t j0,
 /// MR <= 6 keeps 2*MR accumulators + 2 panel loads + 1 broadcast within
 /// the 16 ymm registers. A is addressed through the stride pair so the
 /// same tile serves gemm_ab (a_p_stride=1) and gemm_atb (a_row_stride=1).
-/// The epilogue adds the bias (one rounding, as add_row_bias's axpy with
-/// alpha=1) and applies vrelu8 (relu_forward's lanes).
+/// The epilogue adds the bias (one rounding, like the scalar arm's one
+/// bias add) and applies vrelu8 (its keep-unless-negative).
 template <int MR>
 BAFFLE_ALWAYS_INLINE void micro_tile(const PanelGemmArgs& g,
                                      const float* panel, std::size_t i0,
@@ -156,161 +149,6 @@ void gemm_panel_rows(const PanelGemmArgs& g, std::size_t r0,
   }
 }
 
-// The double-widening reductions are unrolled 4x (32 floats, eight
-// independent f64x4 chains per iteration): the loop is bound by FMA
-// latency (~4-5 cycles on 2 ports), so it takes 8+ in-flight chains to
-// reach multiply-add throughput. Two chains measured 1.28x/1.58x over
-// scalar for dot/distance; eight chains roughly double that.
-
-double dot(const float* a, const float* b, std::size_t n) {
-  f64x4 lo0{}, hi0{}, lo1{}, hi1{}, lo2{}, hi2{}, lo3{}, hi3{};
-  std::size_t i = 0;
-  for (; i + 4 * kFloatLanes <= n; i += 4 * kFloatLanes) {
-    const f32x8 a0 = loadu8(a + i);
-    const f32x8 b0 = loadu8(b + i);
-    const f32x8 a1 = loadu8(a + i + kFloatLanes);
-    const f32x8 b1 = loadu8(b + i + kFloatLanes);
-    const f32x8 a2 = loadu8(a + i + 2 * kFloatLanes);
-    const f32x8 b2 = loadu8(b + i + 2 * kFloatLanes);
-    const f32x8 a3 = loadu8(a + i + 3 * kFloatLanes);
-    const f32x8 b3 = loadu8(b + i + 3 * kFloatLanes);
-    lo0 += widen_lo(a0) * widen_lo(b0);
-    hi0 += widen_hi(a0) * widen_hi(b0);
-    lo1 += widen_lo(a1) * widen_lo(b1);
-    hi1 += widen_hi(a1) * widen_hi(b1);
-    lo2 += widen_lo(a2) * widen_lo(b2);
-    hi2 += widen_hi(a2) * widen_hi(b2);
-    lo3 += widen_lo(a3) * widen_lo(b3);
-    hi3 += widen_hi(a3) * widen_hi(b3);
-  }
-  for (; i + kFloatLanes <= n; i += kFloatLanes) {
-    const f32x8 av = loadu8(a + i);
-    const f32x8 bv = loadu8(b + i);
-    lo0 += widen_lo(av) * widen_lo(bv);
-    hi0 += widen_hi(av) * widen_hi(bv);
-  }
-  double acc =
-      hsum4(((lo0 + lo1) + (lo2 + lo3)) + ((hi0 + hi1) + (hi2 + hi3)));
-  for (; i < n; ++i) {
-    acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return acc;
-}
-
-double squared_l2(const float* x, std::size_t n) {
-  f64x4 lo0{}, hi0{}, lo1{}, hi1{}, lo2{}, hi2{}, lo3{}, hi3{};
-  std::size_t i = 0;
-  for (; i + 4 * kFloatLanes <= n; i += 4 * kFloatLanes) {
-    const f32x8 v0 = loadu8(x + i);
-    const f32x8 v1 = loadu8(x + i + kFloatLanes);
-    const f32x8 v2 = loadu8(x + i + 2 * kFloatLanes);
-    const f32x8 v3 = loadu8(x + i + 3 * kFloatLanes);
-    const f64x4 dl0 = widen_lo(v0), dh0 = widen_hi(v0);
-    const f64x4 dl1 = widen_lo(v1), dh1 = widen_hi(v1);
-    const f64x4 dl2 = widen_lo(v2), dh2 = widen_hi(v2);
-    const f64x4 dl3 = widen_lo(v3), dh3 = widen_hi(v3);
-    lo0 += dl0 * dl0;
-    hi0 += dh0 * dh0;
-    lo1 += dl1 * dl1;
-    hi1 += dh1 * dh1;
-    lo2 += dl2 * dl2;
-    hi2 += dh2 * dh2;
-    lo3 += dl3 * dl3;
-    hi3 += dh3 * dh3;
-  }
-  for (; i + kFloatLanes <= n; i += kFloatLanes) {
-    const f32x8 v = loadu8(x + i);
-    const f64x4 dl = widen_lo(v), dh = widen_hi(v);
-    lo0 += dl * dl;
-    hi0 += dh * dh;
-  }
-  double acc =
-      hsum4(((lo0 + lo1) + (lo2 + lo3)) + ((hi0 + hi1) + (hi2 + hi3)));
-  for (; i < n; ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(x[i]);
-  }
-  return acc;
-}
-
-double squared_l2_distance(const float* a, const float* b, std::size_t n) {
-  f64x4 lo0{}, hi0{}, lo1{}, hi1{}, lo2{}, hi2{}, lo3{}, hi3{};
-  std::size_t i = 0;
-  for (; i + 4 * kFloatLanes <= n; i += 4 * kFloatLanes) {
-    const f32x8 a0 = loadu8(a + i);
-    const f32x8 b0 = loadu8(b + i);
-    const f32x8 a1 = loadu8(a + i + kFloatLanes);
-    const f32x8 b1 = loadu8(b + i + kFloatLanes);
-    const f32x8 a2 = loadu8(a + i + 2 * kFloatLanes);
-    const f32x8 b2 = loadu8(b + i + 2 * kFloatLanes);
-    const f32x8 a3 = loadu8(a + i + 3 * kFloatLanes);
-    const f32x8 b3 = loadu8(b + i + 3 * kFloatLanes);
-    const f64x4 dl0 = widen_lo(a0) - widen_lo(b0);
-    const f64x4 dh0 = widen_hi(a0) - widen_hi(b0);
-    const f64x4 dl1 = widen_lo(a1) - widen_lo(b1);
-    const f64x4 dh1 = widen_hi(a1) - widen_hi(b1);
-    const f64x4 dl2 = widen_lo(a2) - widen_lo(b2);
-    const f64x4 dh2 = widen_hi(a2) - widen_hi(b2);
-    const f64x4 dl3 = widen_lo(a3) - widen_lo(b3);
-    const f64x4 dh3 = widen_hi(a3) - widen_hi(b3);
-    lo0 += dl0 * dl0;
-    hi0 += dh0 * dh0;
-    lo1 += dl1 * dl1;
-    hi1 += dh1 * dh1;
-    lo2 += dl2 * dl2;
-    hi2 += dh2 * dh2;
-    lo3 += dl3 * dl3;
-    hi3 += dh3 * dh3;
-  }
-  for (; i + kFloatLanes <= n; i += kFloatLanes) {
-    const f32x8 av = loadu8(a + i);
-    const f32x8 bv = loadu8(b + i);
-    const f64x4 dl = widen_lo(av) - widen_lo(bv);
-    const f64x4 dh = widen_hi(av) - widen_hi(bv);
-    lo0 += dl * dl;
-    hi0 += dh * dh;
-  }
-  double acc =
-      hsum4(((lo0 + lo1) + (lo2 + lo3)) + ((hi0 + hi1) + (hi2 + hi3)));
-  for (; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    acc += d * d;
-  }
-  return acc;
-}
-
-float cosine_similarity(const float* a, const float* b, std::size_t n) {
-  // One fused pass: the scalar arm makes three (norm, norm, dot).
-  // Reductions and the norm/zero handling match it structurally, so the
-  // results agree to reassociation rounding.
-  f64x4 d_lo{}, d_hi{}, na_lo{}, na_hi{}, nb_lo{}, nb_hi{};
-  std::size_t i = 0;
-  for (; i + kFloatLanes <= n; i += kFloatLanes) {
-    const f32x8 av = loadu8(a + i);
-    const f32x8 bv = loadu8(b + i);
-    const f64x4 al = widen_lo(av), ah = widen_hi(av);
-    const f64x4 bl = widen_lo(bv), bh = widen_hi(bv);
-    d_lo += al * bl;
-    d_hi += ah * bh;
-    na_lo += al * al;
-    na_hi += ah * ah;
-    nb_lo += bl * bl;
-    nb_hi += bh * bh;
-  }
-  double d = hsum4(d_lo + d_hi);
-  double na2 = hsum4(na_lo + na_hi);
-  double nb2 = hsum4(nb_lo + nb_hi);
-  for (; i < n; ++i) {
-    const double av = a[i], bv = b[i];
-    d += av * bv;
-    na2 += av * av;
-    nb2 += bv * bv;
-  }
-  const float na = static_cast<float>(std::sqrt(na2));
-  const float nb = static_cast<float>(std::sqrt(nb2));
-  if (na == 0.0f || nb == 0.0f) return 0.0f;
-  return static_cast<float>(d) / (na * nb);
-}
-
 void axpy(float alpha, const float* x, float* y, std::size_t n) {
   const f32x8 av = splat8(alpha);
   std::size_t i = 0;
@@ -327,14 +165,6 @@ void scale(float* x, float alpha, std::size_t n) {
     storeu8(x + i, loadu8(x + i) * av);
   }
   for (; i < n; ++i) x[i] *= alpha;
-}
-
-void abs_into(float* out, const float* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kFloatLanes <= n; i += kFloatLanes) {
-    storeu8(out + i, vabs8(loadu8(x + i)));
-  }
-  for (; i < n; ++i) out[i] = std::fabs(x[i]);
 }
 
 float max_value(const float* x, std::size_t n) {
@@ -356,16 +186,6 @@ float max_value(const float* x, std::size_t n) {
   return best;
 }
 
-void relu_forward(float* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kFloatLanes <= n; i += kFloatLanes) {
-    storeu8(x + i, vrelu8(loadu8(x + i)));
-  }
-  for (; i < n; ++i) {
-    if (x[i] < 0.0f) x[i] = 0.0f;
-  }
-}
-
 void relu_backward(const float* activated, float* grad, std::size_t n) {
   const f32x8 zero{};
   std::size_t i = 0;
@@ -384,7 +204,7 @@ void relu_backward(const float* activated, float* grad, std::size_t n) {
 
 void add_u64(std::uint64_t* acc, const std::uint64_t* x, std::size_t n) {
   std::size_t i = 0;
-  for (; i + simd::kDoubleLanes <= n; i += simd::kDoubleLanes) {
+  for (; i + simd::kU64Lanes <= n; i += simd::kU64Lanes) {
     storeu4u(acc + i, loadu4u(acc + i) + loadu4u(x + i));
   }
   for (; i < n; ++i) acc[i] += x[i];
@@ -409,8 +229,8 @@ void pair_keystream_lanes(std::uint64_t* plus, std::uint64_t* minus,
   u64x4 counter = {seed, seed + kGoldenGamma, seed + 2 * kGoldenGamma,
                    seed + 3 * kGoldenGamma};
   std::size_t i = 0;
-  for (; i + simd::kDoubleLanes <= n;
-       i += simd::kDoubleLanes, counter += 4 * kGoldenGamma) {
+  for (; i + simd::kU64Lanes <= n;
+       i += simd::kU64Lanes, counter += 4 * kGoldenGamma) {
     const u64x4 m = split_mix4(counter);
     if constexpr (kPlus) storeu4u(plus + i, loadu4u(plus + i) + m);
     if constexpr (kMinus) storeu4u(minus + i, loadu4u(minus + i) - m);
@@ -435,30 +255,6 @@ void pair_keystream_u64(std::uint64_t* plus, std::uint64_t* minus,
   }
 }
 
-double sum_d(const double* x, std::size_t n) {
-  f64x4 acc{};
-  std::size_t i = 0;
-  for (; i + simd::kDoubleLanes <= n; i += simd::kDoubleLanes) {
-    acc += loadu4d(x + i);
-  }
-  double s = hsum4(acc);
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
-double sum_sq_diff_d(const double* x, double center, std::size_t n) {
-  const f64x4 cv = {center, center, center, center};
-  f64x4 acc{};
-  std::size_t i = 0;
-  for (; i + simd::kDoubleLanes <= n; i += simd::kDoubleLanes) {
-    const f64x4 d = loadu4d(x + i) - cv;
-    acc += d * d;
-  }
-  double s = hsum4(acc);
-  for (; i < n; ++i) s += (x[i] - center) * (x[i] - center);
-  return s;
-}
-
 // ---- Batched multi-model evaluation (DESIGN.md §14) ----
 
 BAFFLE_ALWAYS_INLINE f32x8 vmin8(f32x8 a, f32x8 b) {
@@ -471,9 +267,9 @@ BAFFLE_ALWAYS_INLINE f32x8 vmin8(f32x8 a, f32x8 b) {
 /// accumulation (per-p FMA into zero-initialized registers, so
 /// bit-identical to gemm_panel_rows), but with the bias add and
 /// optional ReLU applied while the tile is still in registers, and the
-/// output written panel-packed. The bias add matches the sequential
-/// path's add_row_bias (axpy alpha=1: a single correctly-rounded add),
-/// and vrelu8 matches relu_forward.
+/// output written panel-packed. The bias add and vrelu8 match
+/// micro_tile's epilogue, so a fused layer equals the sequential path's
+/// gemm_ab_bias.
 template <int MR>
 BAFFLE_ALWAYS_INLINE void eval_tile_f32(const EvalLayerArgs& g,
                                         const float* in, float* out,
@@ -1155,20 +951,12 @@ KernelTable make_table(bool avx512f, bool avx512dq) {
   // encode_fixed_u64 (unless the zmm entry replaces it) and col_sum,
   // whose -O3 loop vectorizes in the scalar TU.
   t.gemm_panel_rows = gemm_panel_rows;
-  t.dot = dot;
-  t.squared_l2 = squared_l2;
-  t.squared_l2_distance = squared_l2_distance;
-  t.cosine_similarity = cosine_similarity;
   t.axpy = axpy;
   t.scale = scale;
-  t.abs_into = abs_into;
   t.max_value = max_value;
-  t.relu_forward = relu_forward;
   t.relu_backward = relu_backward;
   t.add_u64 = add_u64;
   t.pair_keystream_u64 = pair_keystream_u64;
-  t.sum_d = sum_d;
-  t.sum_sq_diff_d = sum_sq_diff_d;
   t.eval_layer_f32 = eval_layer_f32;
   t.softmax_xent_rows = softmax_xent_rows;
 #if defined(BAFFLE_HAVE_AVX512F_TARGET)

@@ -265,14 +265,6 @@ void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out) {
   run_panels(kernels::active_table(), args, m, macs);
 }
 
-void add_row_bias(Matrix& m, std::span<const float> bias) {
-  BAFFLE_CHECK(bias.size() == m.cols(), "add_row_bias: bias length mismatch");
-  const kernels::KernelTable& kt = kernels::active_table();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    kt.axpy(1.0f, bias.data(), m.row(r).data(), m.cols());
-  }
-}
-
 void col_sum(const Matrix& m, std::span<float> out) {
   BAFFLE_CHECK(out.size() == m.cols(), "col_sum: output length mismatch");
   kernels::active_table().col_sum(m.flat().data(), m.rows(), m.cols(),

@@ -18,7 +18,7 @@
 // sparsity shortcut. The A operand is taken as a view so callers can
 // feed row-chunks of a dataset's feature matrix without copying.
 //
-// The flat-vector primitives (dot/axpy/norms/...) live in
+// The flat-vector primitives (axpy/norms/...) live in
 // tensor/primitives.hpp, included here so existing callers keep
 // compiling unchanged.
 
@@ -60,7 +60,8 @@ void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out);
 /// out = a * b + bias on every row, then ReLU (negatives to 0) when
 /// `relu` — a dense layer's forward pass. Bias length = b.cols(). The
 /// bias add and ReLU run in the GEMM kernel's epilogue; every element
-/// equals gemm_ab, add_row_bias, relu_forward in sequence.
+/// equals gemm_ab's element, then one bias add, then
+/// keep-unless-negative (NaN and -0 pass).
 void gemm_ab_bias(ConstMatrixView a, const Matrix& b,
                   std::span<const float> bias, bool relu, Matrix& out);
 
@@ -69,10 +70,6 @@ void gemm_atb(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out = a * bᵀ. Shapes: (m,k) x (n,k) -> (m,n).
 void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// Adds bias (length = m.cols()) to every row of m: gemm_ab_bias's
-/// sequential oracle in the tests.
-void add_row_bias(Matrix& m, std::span<const float> bias);
 
 /// Column-wise sum of m into out (length = m.cols()).
 void col_sum(const Matrix& m, std::span<float> out);

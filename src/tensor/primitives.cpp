@@ -12,6 +12,28 @@ namespace {
 void check(bool cond, const char* what) {
   if (!cond) throw std::invalid_argument(what);
 }
+
+// The reductions accumulate in double, in index order: parameter
+// vectors reach ~10^5 entries, and the cosine-similarity baselines
+// (FoolsGold) are sensitive to cancellation. Not dispatched: no
+// workload runs them hot, so every arm gets the same bits.
+double squared_l2(std::span<const float> x) {
+  double acc = 0.0;
+  for (const float v : x) {
+    acc += static_cast<double>(v) * static_cast<double>(v);
+  }
+  return acc;
+}
+
+double squared_l2_distance_d(std::span<const float> a,
+                             std::span<const float> b) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
+    acc += d * d;
+  }
+  return acc;
+}
 }  // namespace
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
@@ -23,45 +45,31 @@ void scale(std::span<float> x, float alpha) {
   kernels::active_table().scale(x.data(), alpha, x.size());
 }
 
-void abs_into(std::span<float> out, std::span<const float> x) {
-  check(out.size() == x.size(), "abs_into: length mismatch");
-  kernels::active_table().abs_into(out.data(), x.data(), x.size());
-}
-
-float dot(std::span<const float> a, std::span<const float> b) {
-  check(a.size() == b.size(), "dot: length mismatch");
-  return static_cast<float>(
-      kernels::active_table().dot(a.data(), b.data(), a.size()));
-}
-
 float l2_norm(std::span<const float> x) {
-  // sqrt in double, then round: matches the pre-SIMD l2_norm exactly.
-  return static_cast<float>(
-      std::sqrt(kernels::active_table().squared_l2(x.data(), x.size())));
+  return static_cast<float>(std::sqrt(squared_l2(x)));
 }
 
 float l2_distance(std::span<const float> a, std::span<const float> b) {
   check(a.size() == b.size(), "l2_distance: length mismatch");
-  return static_cast<float>(std::sqrt(
-      kernels::active_table().squared_l2_distance(a.data(), b.data(),
-                                                  a.size())));
+  return static_cast<float>(std::sqrt(squared_l2_distance_d(a, b)));
 }
 
 float squared_l2_distance(std::span<const float> a,
                           std::span<const float> b) {
   check(a.size() == b.size(), "squared_l2_distance: length mismatch");
-  return static_cast<float>(kernels::active_table().squared_l2_distance(
-      a.data(), b.data(), a.size()));
+  return static_cast<float>(squared_l2_distance_d(a, b));
 }
 
 float cosine_similarity(std::span<const float> a, std::span<const float> b) {
   check(a.size() == b.size(), "cosine_similarity: length mismatch");
-  return kernels::active_table().cosine_similarity(a.data(), b.data(),
-                                                   a.size());
-}
-
-void relu_forward(std::span<float> x) {
-  kernels::active_table().relu_forward(x.data(), x.size());
+  const float na = static_cast<float>(std::sqrt(squared_l2(a)));
+  const float nb = static_cast<float>(std::sqrt(squared_l2(b)));
+  if (na == 0.0f || nb == 0.0f) return 0.0f;
+  double dot = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    dot += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+  }
+  return static_cast<float>(dot) / (na * nb);
 }
 
 void relu_backward(std::span<const float> activated, std::span<float> grad) {
@@ -85,14 +93,6 @@ std::size_t encode_fixed_u64(std::span<const float> x, unsigned frac_bits,
   check(out.size() == x.size(), "encode_fixed_u64: length mismatch");
   return kernels::active_table().encode_fixed_u64(x.data(), frac_bits,
                                                   out.data(), x.size());
-}
-
-double sum(std::span<const double> xs) {
-  return kernels::active_table().sum_d(xs.data(), xs.size());
-}
-
-double sum_sq_diff(std::span<const double> xs, double center) {
-  return kernels::active_table().sum_sq_diff_d(xs.data(), center, xs.size());
 }
 
 double softmax_xent_rows(Matrix& probs_grad, std::span<const int> labels) {

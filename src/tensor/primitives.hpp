@@ -1,13 +1,13 @@
 #pragma once
-// Shared flat-vector primitives, dispatched to the scalar or SIMD
-// kernel arm at runtime (see tensor/simd.hpp for the dispatch rules).
+// Shared flat-vector primitives of the SGD step, secure-aggregation
+// masking and the robust-aggregation baselines.
 //
-// These are the loops that used to be re-implemented ad hoc across the
-// SGD step, secure-aggregation masking, the top-k compression codec and
-// every robust-aggregation baseline. The reductions (dot/norm/distance
-// family) accumulate in double regardless of arm; the scalar arm
-// reproduces the pre-SIMD arithmetic exactly, the vector arm differs
-// only by reassociation/FMA rounding.
+// The ones a workload runs hot (axpy, scale, relu_backward, the u64
+// masking loops, the softmax) dispatch to the scalar or SIMD kernel
+// arm at runtime (see tensor/simd.hpp for the dispatch rules). The
+// norm/distance/cosine reductions only the baselines call are one
+// plain loop each, accumulating in double in index order, so they
+// return the same bits on every arm.
 
 #include <cstdint>
 #include <span>
@@ -23,18 +23,12 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y);
 /// x *= alpha
 void scale(std::span<float> x, float alpha);
 
-/// out = |x| elementwise.
-void abs_into(std::span<float> out, std::span<const float> x);
-
-float dot(std::span<const float> a, std::span<const float> b);
 float l2_norm(std::span<const float> x);
 float l2_distance(std::span<const float> a, std::span<const float> b);
 /// ||a - b||^2 without the sqrt-then-square round trip (Krum's scores).
 float squared_l2_distance(std::span<const float> a, std::span<const float> b);
 float cosine_similarity(std::span<const float> a, std::span<const float> b);
 
-/// x = max(x, 0) elementwise; NaN passes through.
-void relu_forward(std::span<float> x);
 /// grad zeroed where the activated output is <= 0.
 void relu_backward(std::span<const float> activated, std::span<float> grad);
 
@@ -57,10 +51,6 @@ void pair_keystream_u64(std::uint64_t* plus, std::uint64_t* minus,
 /// returned index are written. Bit-identical on every arm.
 std::size_t encode_fixed_u64(std::span<const float> x, unsigned frac_bits,
                              std::span<std::uint64_t> out);
-
-double sum(std::span<const double> xs);
-/// Sum of (x - center)^2 — the stddev inner loop.
-double sum_sq_diff(std::span<const double> xs, double center);
 
 /// Fused row-softmax + mean cross-entropy + gradient. On entry
 /// `probs_grad` holds the logits; on exit it holds dL/dlogits for the

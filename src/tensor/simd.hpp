@@ -4,7 +4,7 @@
 // The numeric kernels come in two arms:
 //   - a scalar arm (plain loops, always compiled) that preserves the
 //     pre-SIMD arithmetic exactly, and
-//   - a vector arm written against the 8-wide float / 4-wide double
+//   - a vector arm written against the 8-wide float / 4-wide u64
 //     types below (GCC/Clang vector extensions), compiled with
 //     -mavx2 -mfma when the toolchain supports it.
 // Which arm runs is decided once per process: the vector arm is used
@@ -33,8 +33,8 @@ namespace baffle::simd {
 
 /// Lanes per float vector (8 x f32 = 256 bits).
 inline constexpr std::size_t kFloatLanes = 8;
-/// Lanes per double vector (4 x f64 = 256 bits).
-inline constexpr std::size_t kDoubleLanes = 4;
+/// Lanes per 64-bit integer vector (4 x u64 = 256 bits).
+inline constexpr std::size_t kU64Lanes = 4;
 /// Alignment of Matrix storage and packed GEMM panels: a full cache
 /// line, so an aligned 256-bit load can never straddle one.
 inline constexpr std::size_t kAlignment = 64;
@@ -48,7 +48,6 @@ inline constexpr std::size_t kAlignment = 64;
 
 typedef float f32x8 __attribute__((vector_size(32)));
 typedef std::int32_t i32x8 __attribute__((vector_size(32)));
-typedef double f64x4 __attribute__((vector_size(32)));
 typedef std::uint64_t u64x4 __attribute__((vector_size(32)));
 
 namespace detail {
@@ -58,9 +57,7 @@ namespace detail {
 // alignment instead, so loads/stores through them are emitted as
 // unaligned instructions.
 typedef float f32x8_u __attribute__((vector_size(32), aligned(4)));
-typedef double f64x4_u __attribute__((vector_size(32), aligned(8)));
 typedef std::uint64_t u64x4_u __attribute__((vector_size(32), aligned(8)));
-typedef float f32x4 __attribute__((vector_size(16)));
 }  // namespace detail
 
 BAFFLE_ALWAYS_INLINE f32x8 loadu8(const float* p) {
@@ -76,29 +73,11 @@ BAFFLE_ALWAYS_INLINE f32x8 loada8(const float* p) {
 BAFFLE_ALWAYS_INLINE f32x8 splat8(float x) {
   return f32x8{x, x, x, x, x, x, x, x};
 }
-BAFFLE_ALWAYS_INLINE f64x4 loadu4d(const double* p) {
-  return *reinterpret_cast<const detail::f64x4_u*>(p);
-}
 BAFFLE_ALWAYS_INLINE u64x4 loadu4u(const std::uint64_t* p) {
   return *reinterpret_cast<const detail::u64x4_u*>(p);
 }
 BAFFLE_ALWAYS_INLINE void storeu4u(std::uint64_t* p, u64x4 v) {
   *reinterpret_cast<detail::u64x4_u*>(p) = v;
-}
-
-/// Widen the low/high four float lanes to doubles (for the primitives
-/// that accumulate in double to match the scalar arm's precision).
-BAFFLE_ALWAYS_INLINE f64x4 widen_lo(f32x8 v) {
-  return __builtin_convertvector(
-      __builtin_shufflevector(v, v, 0, 1, 2, 3), f64x4);
-}
-BAFFLE_ALWAYS_INLINE f64x4 widen_hi(f32x8 v) {
-  return __builtin_convertvector(
-      __builtin_shufflevector(v, v, 4, 5, 6, 7), f64x4);
-}
-
-BAFFLE_ALWAYS_INLINE double hsum4(f64x4 v) {
-  return (v[0] + v[1]) + (v[2] + v[3]);
 }
 
 /// Lanewise max via the sign of the comparison mask (portable across
@@ -116,13 +95,6 @@ BAFFLE_ALWAYS_INLINE f32x8 vmax8(f32x8 a, f32x8 b) {
 BAFFLE_ALWAYS_INLINE f32x8 vrelu8(f32x8 x) {
   const i32x8 keep = ~(x < f32x8{});  // all-ones unless x < 0
   return __builtin_bit_cast(f32x8, __builtin_bit_cast(i32x8, x) & keep);
-}
-
-/// |x| lanewise (clears the sign bit).
-BAFFLE_ALWAYS_INLINE f32x8 vabs8(f32x8 x) {
-  const std::int32_t m = 0x7fffffff;
-  return __builtin_bit_cast(
-      f32x8, __builtin_bit_cast(i32x8, x) & i32x8{m, m, m, m, m, m, m, m});
 }
 
 #endif  // BAFFLE_SIMD_VEC_EXT && __AVX2__ && __FMA__

@@ -20,8 +20,8 @@
 //     when off.
 //
 // Header-only and dependency-free on purpose: the kernel arms
-// (tensor/kernels_*.cpp) sit below baffle_util in the layering and
-// must still be able to state their preconditions.
+// (tensor/kernels_*.cpp) link no other baffle library and must still
+// be able to state their preconditions.
 
 #include <cstddef>
 #include <stdexcept>

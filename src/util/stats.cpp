@@ -4,25 +4,24 @@
 #include <cmath>
 #include <stdexcept>
 
-// The util layer sits below tensor, so it reaches the dispatched sum
-// kernels through the table directly instead of tensor/primitives.hpp.
-#include "tensor/kernels.hpp"
-
 namespace baffle {
 
+// mean and stddev are plain loops in index order: the tables' ± columns
+// must not depend on the kernel arm.
 double mean(std::span<const double> xs) {
   if (xs.empty()) throw std::invalid_argument("mean: empty input");
-  return kernels::active_table().sum_d(xs.data(), xs.size()) /
-         static_cast<double>(xs.size());
+  double acc = 0.0;
+  for (const double x : xs) acc += x;
+  return acc / static_cast<double>(xs.size());
 }
 
 double stddev(std::span<const double> xs) {
   if (xs.empty()) throw std::invalid_argument("stddev: empty input");
   if (xs.size() == 1) return 0.0;
   const double m = mean(xs);
-  return std::sqrt(kernels::active_table().sum_sq_diff_d(xs.data(), m,
-                                                         xs.size()) /
-                   static_cast<double>(xs.size() - 1));
+  double acc = 0.0;
+  for (const double x : xs) acc += (x - m) * (x - m);
+  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
 double median(std::vector<double> xs) { return quantile(std::move(xs), 0.5); }

@@ -114,13 +114,14 @@ namespace {
 /// global() is read on every thread while a scope installs or restores.
 std::atomic<ThreadPool*> g_installed{nullptr};
 
-constexpr std::size_t kMaxPoolThreads = 1024;
+constexpr std::size_t kMaxEnvCount = 1024;
 
 }  // namespace
 
-std::size_t parse_thread_count(const std::string& text) {
-  const auto reject = [&text](const std::string& why) {
-    return std::invalid_argument("BAFFLE_THREADS=" + text + ": " + why);
+std::size_t parse_env_count(std::string_view var, std::string_view noun,
+                            const std::string& text) {
+  const auto reject = [&](const std::string& why) {
+    return std::invalid_argument(std::string(var) + "=" + text + ": " + why);
   };
   if (text.empty() || text.find_first_not_of("0123456789") != text.npos) {
     throw reject("not a whole decimal number");
@@ -128,11 +129,11 @@ std::size_t parse_thread_count(const std::string& text) {
   std::size_t n = 0;
   for (const char c : text) {
     n = n * 10 + static_cast<std::size_t>(c - '0');
-    if (n > kMaxPoolThreads) break;  // stop before the value can overflow
+    if (n > kMaxEnvCount) break;  // stop before the value can overflow
   }
-  if (n < 1 || n > kMaxPoolThreads) {
-    throw reject("worker count must be in [1, " +
-                 std::to_string(kMaxPoolThreads) + "]");
+  if (n < 1 || n > kMaxEnvCount) {
+    throw reject(std::string(noun) + " must be in [1, " +
+                 std::to_string(kMaxEnvCount) + "]");
   }
   return n;
 }
@@ -147,7 +148,9 @@ ThreadPool& ThreadPool::global() {
   // the next call retries the initialization.
   static ThreadPool pool([] {
     const char* env = std::getenv("BAFFLE_THREADS");
-    return env == nullptr ? std::size_t{0} : parse_thread_count(env);
+    return env == nullptr
+               ? std::size_t{0}
+               : parse_env_count("BAFFLE_THREADS", "worker count", env);
   }());
   return pool;
 }

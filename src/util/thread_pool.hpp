@@ -18,6 +18,7 @@
 #include <future>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -61,7 +62,7 @@ class ThreadPool {
   /// Process-wide shared pool: the innermost live ScopedGlobalPool's,
   /// else a lazily constructed one sized by BAFFLE_THREADS (unset:
   /// hardware concurrency). Throws std::invalid_argument when
-  /// BAFFLE_THREADS is set but not accepted by parse_thread_count.
+  /// BAFFLE_THREADS is set but not accepted by parse_env_count.
   static ThreadPool& global();
 
  private:
@@ -91,10 +92,13 @@ class ThreadPool {
   bool stop_ BAFFLE_GUARDED_BY(mutex_) = false;
 };
 
-/// Parses a BAFFLE_THREADS value: a whole decimal token in [1, 1024].
-/// Anything else (empty, signed, trailing characters, out of range)
-/// throws std::invalid_argument naming the variable and the value.
-std::size_t parse_thread_count(const std::string& text);
+/// Parses the value `text` of the count variable `var` (BAFFLE_THREADS,
+/// BAFFLE_BENCH_REPS): a whole decimal token in [1, 1024]. Anything else
+/// (empty, signed, trailing characters, out of range) throws
+/// std::invalid_argument "VAR=text: reason", where an out-of-range
+/// reason names the count as `noun` ("worker count").
+std::size_t parse_env_count(std::string_view var, std::string_view noun,
+                            const std::string& text);
 
 /// Installs an owned pool of `num_threads` (≥ 1) workers as
 /// ThreadPool::global() for its lifetime and restores the previous

@@ -16,8 +16,7 @@ struct Fixture {
 
   Fixture()
       : task(make_task()),
-        global(MlpConfig{{task.config.dim, 32, task.config.num_classes},
-                         Activation::kRelu}) {
+        global(MlpConfig{{task.config.dim, 32, task.config.num_classes}}) {
     Rng rng(2);
     global.init(rng);
     TrainConfig tc;

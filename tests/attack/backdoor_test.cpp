@@ -8,7 +8,7 @@ namespace baffle {
 namespace {
 
 Mlp always_predicts(int cls, std::size_t classes) {
-  Mlp model(MlpConfig{{2, classes}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, classes}});
   std::vector<float> params(model.num_params(), 0.0f);
   // Bias vector is the last `classes` entries.
   params[params.size() - classes + static_cast<std::size_t>(cls)] = 10.0f;

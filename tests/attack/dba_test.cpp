@@ -55,8 +55,7 @@ struct DbaFixture {
 
   DbaFixture()
       : task(make_task()),
-        global(MlpConfig{{task.config.dim, 32, task.config.num_classes},
-                         Activation::kRelu}) {
+        global(MlpConfig{{task.config.dim, 32, task.config.num_classes}}) {
     Rng rng(3);
     global.init(rng);
     TrainConfig tc;

@@ -29,7 +29,7 @@ class BatchedValidate : public ::testing::Test {
     cfg.train_per_class = 25;
     cfg.test_per_class = 20;
     task_ = make_synth_task(cfg, rng);
-    arch_ = MlpConfig{{cfg.dim, 16, cfg.num_classes}, Activation::kRelu};
+    arch_ = MlpConfig{{cfg.dim, 16, cfg.num_classes}};
     Mlp model(arch_);
     model.init(rng);
     params_ = model.parameters();

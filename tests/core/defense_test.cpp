@@ -22,7 +22,7 @@ class DefenseFixture : public ::testing::Test {
     cfg.test_per_class = 40;
     task_ = new SynthTask(make_synth_task(cfg, rng));
     arch_ = new MlpConfig{
-        {cfg.dim, 32, cfg.num_classes}, Activation::kRelu};
+        {cfg.dim, 32, cfg.num_classes}};
 
     clients_ = new std::vector<FlClient>;
     for (std::size_t i = 0; i < 8; ++i) {

@@ -141,7 +141,7 @@ class ParityFixture : public ::testing::Test {
     cfg.train_per_class = 25;
     cfg.test_per_class = 20;  // 200 samples; validators draw 120 below
     task_ = make_synth_task(cfg, rng);
-    arch_ = MlpConfig{{cfg.dim, 16, cfg.num_classes}, Activation::kRelu};
+    arch_ = MlpConfig{{cfg.dim, 16, cfg.num_classes}};
     Mlp model(arch_);
     model.init(rng);
     params_ = model.parameters();
@@ -670,8 +670,7 @@ TEST(ValidatorCacheBound, HoldsOnlyTheWindowOn62Classes) {
   task_cfg.train_per_class = 1;
   task_cfg.test_per_class = 4;
   const SynthTask task = make_synth_task(task_cfg, rng);
-  const MlpConfig arch{{task_cfg.dim, 16, task_cfg.num_classes},
-                       Activation::kRelu};
+  const MlpConfig arch{{task_cfg.dim, 16, task_cfg.num_classes}};
   Mlp model(arch);
   model.init(rng);
   ParamVec params = model.parameters();

@@ -4,29 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "core/validate.hpp"
 #include "data/synth.hpp"
+#include "support/alloc_counter.hpp"
 #include "util/thread_pool.hpp"
-
-namespace {
-// Global allocation counter. Replacing the scalar operator new makes the
-// default array/nothrow forms route through it as well, so every
-// (non-over-aligned) heap allocation in this binary is counted.
-std::atomic<std::size_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace baffle {
 namespace {
@@ -40,7 +23,7 @@ TEST(ValidatorSteadyState, MovedWindowValidatesWithoutAllocating) {
   cfg.train_per_class = 10;
   cfg.test_per_class = 12;
   const SynthTask task = make_synth_task(cfg, rng);
-  const MlpConfig arch{{cfg.dim, 16, cfg.num_classes}, Activation::kRelu};
+  const MlpConfig arch{{cfg.dim, 16, cfg.num_classes}};
   Mlp model(arch);
   model.init(rng);
   std::vector<ParamVec> ring;
@@ -63,10 +46,9 @@ TEST(ValidatorSteadyState, MovedWindowValidatesWithoutAllocating) {
     for (int round = 0; round < 40; ++round) {
       const ModelWindow window = history.window_shared(lookback + 1);
       const ParamVec& candidate = ring[(version + 1) % ring.size()];
-      const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+      const std::size_t before = heap_allocations();
       const ValidationOutcome outcome = validator.validate(candidate, window);
-      const std::size_t allocations =
-          g_allocs.load(std::memory_order_relaxed) - before;
+      const std::size_t allocations = heap_allocations() - before;
       // Warm-up: the window fills over the first ℓ commits.
       if (round >= 30) {
         EXPECT_FALSE(outcome.abstained);

@@ -38,7 +38,7 @@ class ValidatorFixture : public ::testing::Test {
     cfg.test_per_class = 40;
     task_ = new SynthTask(make_synth_task(cfg, rng));
     arch_ = new MlpConfig{
-        {cfg.dim, 32, cfg.num_classes}, Activation::kRelu};
+        {cfg.dim, 32, cfg.num_classes}};
 
     Mlp model(*arch_);
     model.init(rng);
@@ -270,13 +270,13 @@ TEST(ValidationMethodName, AllNamed) {
 }
 
 TEST(Validator, RejectsEmptyData) {
-  const MlpConfig arch{{4, 2}, Activation::kRelu};
+  const MlpConfig arch{{4, 2}};
   EXPECT_THROW(Validator(Dataset(4, 2), arch, ValidatorConfig{}),
                std::invalid_argument);
 }
 
 TEST(Validator, RejectsTinyLookback) {
-  const MlpConfig arch{{4, 2}, Activation::kRelu};
+  const MlpConfig arch{{4, 2}};
   Dataset d(4, 2);
   d.add(std::array{0.0f, 0.0f, 0.0f, 0.0f}, 0);
   ValidatorConfig cfg;

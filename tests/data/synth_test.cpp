@@ -63,7 +63,7 @@ TEST(Synth, TaskIsLearnable) {
   SynthTaskConfig cfg = synth_vision10_config();
   cfg.train_per_class = 200;
   const SynthTask task = make_synth_task(cfg, rng);
-  Mlp model(MlpConfig{{cfg.dim, 64, cfg.num_classes}, Activation::kRelu});
+  Mlp model(MlpConfig{{cfg.dim, 64, cfg.num_classes}});
   model.init(rng);
   TrainConfig tc;
   tc.epochs = 20;
@@ -80,8 +80,7 @@ TEST(Synth, SemanticBackdoorIsDistinctSubpopulation) {
   Rng rng(7);
   const SynthTask task = make_synth_task(synth_vision10_config(), rng);
   Mlp model(
-      MlpConfig{{task.config.dim, 64, task.config.num_classes},
-                Activation::kRelu});
+      MlpConfig{{task.config.dim, 64, task.config.num_classes}});
   model.init(rng);
   TrainConfig tc;
   tc.epochs = 25;
@@ -162,7 +161,7 @@ TEST(Synth, LabelNoiseProducesMislabeledExamples) {
   // clean generator; just check the test set (no noise) differs from
   // train in label-conditional structure via a weak proxy: train cannot
   // be 100% learnable.
-  Mlp model(MlpConfig{{cfg.dim, 32, cfg.num_classes}, Activation::kRelu});
+  Mlp model(MlpConfig{{cfg.dim, 32, cfg.num_classes}});
   model.init(rng);
   TrainConfig tc;
   tc.epochs = 30;

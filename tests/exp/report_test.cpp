@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace baffle {
 namespace {
@@ -35,8 +37,21 @@ TEST(Report, TextTableRejectsRaggedRow) {
 TEST(Report, BenchRepsEnvOverride) {
   setenv("BAFFLE_BENCH_REPS", "7", 1);
   EXPECT_EQ(bench_reps(), 7u);
-  setenv("BAFFLE_BENCH_REPS", "bogus", 1);
-  EXPECT_EQ(bench_reps(), 3u);  // default on parse failure
+  // A value that is not a whole number in [1, 1024] fails closed: no
+  // silent default, no prefix parse.
+  for (const char* bad : {"7x", "bogus", "0", "-2", ""}) {
+    SCOPED_TRACE(bad);
+    setenv("BAFFLE_BENCH_REPS", bad, 1);
+    try {
+      bench_reps();
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "BAFFLE_BENCH_REPS=" + std::string(bad) + ": ", 0),
+                0u)
+          << e.what();
+    }
+  }
   unsetenv("BAFFLE_BENCH_REPS");
   EXPECT_EQ(bench_reps(), 3u);
 }

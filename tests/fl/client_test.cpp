@@ -22,7 +22,7 @@ Dataset blob_data(int label_offset, std::size_t n) {
 }
 
 Mlp fresh_model() {
-  Mlp m(MlpConfig{{2, 4, 2}, Activation::kRelu});
+  Mlp m(MlpConfig{{2, 4, 2}});
   Rng rng(7);
   m.init(rng);
   return m;

@@ -43,8 +43,7 @@ struct ParityFixture {
   }
 
   MlpConfig arch() const {
-    return MlpConfig{{task.config.dim, 16, task.config.num_classes},
-                     Activation::kRelu};
+    return MlpConfig{{task.config.dim, 16, task.config.num_classes}};
   }
 
   FlConfig fl_config(bool secure = false) const {

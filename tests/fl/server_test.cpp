@@ -11,7 +11,7 @@
 namespace baffle {
 namespace {
 
-MlpConfig arch() { return MlpConfig{{2, 4, 2}, Activation::kRelu}; }
+MlpConfig arch() { return MlpConfig{{2, 4, 2}}; }
 
 FlConfig fl_config(bool secure = false) {
   FlConfig cfg;

@@ -54,8 +54,7 @@ struct Pipeline {
   Pipeline()
       : task(make_task()),
         server_holdout(make_holdout(task)),
-        arch{{task.config.dim, 32, task.config.num_classes},
-             Activation::kRelu},
+        arch{{task.config.dim, 32, task.config.num_classes}},
         server(arch, fl_config(), 99),
         defense(arch, feedback_config(), server_holdout),
         provider(&clients, fl_config().local_train) {

@@ -91,7 +91,7 @@ TEST(ConfusionMatrix, PerClassErrorEmptyClassIsZero) {
 
 TEST(EvaluateConfusion, MatchesModelPredictions) {
   // Linear model biased to always predict class 1.
-  Mlp model(MlpConfig{{2, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 2}});
   std::vector<float> params(model.num_params(), 0.0f);
   params.back() = 5.0f;  // class-1 bias
   model.set_parameters(params);
@@ -107,7 +107,7 @@ TEST(EvaluateConfusion, MatchesModelPredictions) {
 }
 
 TEST(EvaluateConfusion, EmptyDatasetGivesEmptyMatrix) {
-  Mlp model(MlpConfig{{2, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 2}});
   const Dataset data(2, 2);
   const ConfusionMatrix cm = evaluate_confusion(model, data);
   EXPECT_EQ(cm.total(), 0u);

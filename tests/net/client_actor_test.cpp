@@ -17,7 +17,7 @@
 namespace baffle {
 namespace {
 
-const MlpConfig kArch{{4, 3, 2}, Activation::kRelu};
+const MlpConfig kArch{{4, 3, 2}};
 
 /// Never asked for an update: these tests drive only validation.
 class NoUpdates final : public UpdateProvider {

@@ -34,8 +34,7 @@ TEST(TransportRoundDriver, ActorsShareOneSnapshotPerAcceptedModel) {
     std::iota(rows.begin(), rows.end(), id * kShard);
     clients.emplace_back(id, task.train.subset(rows));
   }
-  const MlpConfig arch{{task_cfg.dim, 8, task_cfg.num_classes},
-                       Activation::kRelu};
+  const MlpConfig arch{{task_cfg.dim, 8, task_cfg.num_classes}};
   FlConfig fl;
   fl.total_clients = kClients;
   fl.clients_per_round = 4;

@@ -94,8 +94,8 @@ TEST(Compression, ConstantVectorHandled) {
 }
 
 TEST(Compression, TinyVectorsRoundTrip) {
-  // Fewer parameters than one SIMD lane: the abs_into magnitude pass
-  // and the codec must handle sub-vector tails.
+  // A handful of parameters: the magnitude selection and the codec
+  // must keep every one of them at keep_fraction 1.
   for (std::size_t n : {1u, 2u, 7u}) {
     Rng rng(10 + n);
     const ParamVec params = random_params(n, rng);

@@ -8,19 +8,19 @@ namespace baffle {
 namespace {
 
 TEST(Dense, ShapesAndParamCount) {
-  Dense layer(4, 3, Activation::kRelu);
+  Dense layer(4, 3, /*relu=*/true);
   EXPECT_EQ(layer.in_dim(), 4u);
   EXPECT_EQ(layer.out_dim(), 3u);
   EXPECT_EQ(layer.num_params(), 4u * 3u + 3u);
 }
 
 TEST(Dense, RejectsZeroDims) {
-  EXPECT_THROW(Dense(0, 3, Activation::kRelu), std::invalid_argument);
-  EXPECT_THROW(Dense(3, 0, Activation::kRelu), std::invalid_argument);
+  EXPECT_THROW(Dense(0, 3, /*relu=*/true), std::invalid_argument);
+  EXPECT_THROW(Dense(3, 0, /*relu=*/true), std::invalid_argument);
 }
 
 TEST(Dense, InitWeightsNonZeroBiasZero) {
-  Dense layer(8, 8, Activation::kRelu);
+  Dense layer(8, 8, /*relu=*/true);
   Rng rng(1);
   layer.init_weights(rng);
   float norm = l2_norm(layer.weights().flat());
@@ -29,7 +29,7 @@ TEST(Dense, InitWeightsNonZeroBiasZero) {
 }
 
 TEST(Dense, ForwardLinearIdentity) {
-  Dense layer(2, 2, Activation::kIdentity);
+  Dense layer(2, 2, /*relu=*/false);
   layer.weights().at(0, 0) = 1.0f;
   layer.weights().at(1, 1) = 1.0f;
   layer.bias() = {0.5f, -0.5f};
@@ -41,7 +41,7 @@ TEST(Dense, ForwardLinearIdentity) {
 }
 
 TEST(Dense, ForwardReluClampsNegatives) {
-  Dense layer(1, 1, Activation::kRelu);
+  Dense layer(1, 1, /*relu=*/true);
   layer.weights().at(0, 0) = 1.0f;
   layer.bias() = {-5.0f};
   Matrix x = Matrix::from_rows(1, 1, {2.0f});
@@ -51,14 +51,14 @@ TEST(Dense, ForwardReluClampsNegatives) {
 }
 
 TEST(Dense, ForwardRejectsWrongInputDim) {
-  Dense layer(3, 2, Activation::kRelu);
+  Dense layer(3, 2, /*relu=*/true);
   Matrix x(1, 4);
   Matrix out;
   EXPECT_THROW(layer.forward_eval(x, out), std::invalid_argument);
 }
 
 TEST(Dense, BackwardAtWritesGradients) {
-  Dense layer(2, 1, Activation::kIdentity);
+  Dense layer(2, 1, /*relu=*/false);
   layer.weights().at(0, 0) = 1.0f;
   layer.weights().at(1, 0) = 1.0f;
   Matrix x = Matrix::from_rows(1, 2, {3.0f, 4.0f});
@@ -80,7 +80,7 @@ TEST(Dense, BackwardAtWritesGradients) {
 }
 
 TEST(Dense, BackwardComputesInputGradient) {
-  Dense layer(2, 2, Activation::kIdentity);
+  Dense layer(2, 2, /*relu=*/false);
   layer.weights().at(0, 0) = 2.0f;
   layer.weights().at(1, 1) = 3.0f;
   Matrix x = Matrix::from_rows(1, 2, {1.0f, 1.0f});
@@ -95,7 +95,7 @@ TEST(Dense, BackwardComputesInputGradient) {
 }
 
 TEST(Dense, BackwardShapeMismatchThrows) {
-  Dense layer(2, 2, Activation::kIdentity);
+  Dense layer(2, 2, /*relu=*/false);
   Matrix x = Matrix::from_rows(1, 2, {1.0f, 1.0f});
   Matrix out;
   layer.forward_eval(x, out);

@@ -1,8 +1,7 @@
 // Numerical gradient check: the single most load-bearing property of the
 // NN substrate. The gradients train_sgd steps on (forward_train,
 // softmax_cross_entropy_into, backward_train) must match central finite
-// differences of the loss for every parameter, across architectures and
-// activations.
+// differences of the loss for every parameter, across architectures.
 
 #include <gtest/gtest.h>
 
@@ -88,15 +87,12 @@ TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
 INSTANTIATE_TEST_SUITE_P(
     Architectures, GradCheck,
     ::testing::Values(
-        GradCheckCase{{{3, 2}, Activation::kRelu}, "linear"},
-        GradCheckCase{{{4, 8, 3}, Activation::kRelu}, "relu_1hidden"},
-        GradCheckCase{{{4, 8, 3}, Activation::kTanh}, "tanh_1hidden"},
-        GradCheckCase{{{5, 8, 6, 4}, Activation::kRelu}, "relu_2hidden"},
-        GradCheckCase{{{5, 8, 6, 4}, Activation::kTanh}, "tanh_2hidden"},
-        GradCheckCase{{{2, 16, 16, 2}, Activation::kTanh}, "wide_tanh"},
+        GradCheckCase{{{3, 2}}, "linear"},
+        GradCheckCase{{{4, 8, 3}}, "relu_1hidden"},
+        GradCheckCase{{{5, 8, 6, 4}}, "relu_2hidden"},
         // The two architectures the experiments train.
-        GradCheckCase{{{32, 64, 10}, Activation::kRelu}, "vision_relu"},
-        GradCheckCase{{{48, 96, 62}, Activation::kRelu}, "femnist_relu"}),
+        GradCheckCase{{{32, 64, 10}}, "vision_relu"},
+        GradCheckCase{{{48, 96, 62}}, "femnist_relu"}),
     [](const auto& info) { return info.param.name; });
 
 }  // namespace

@@ -8,7 +8,7 @@ namespace baffle {
 namespace {
 
 MlpConfig small_config() {
-  return MlpConfig{{4, 6, 3}, Activation::kRelu};
+  return MlpConfig{{4, 6, 3}};
 }
 
 TEST(Mlp, ParamCountMatchesLayers) {
@@ -19,13 +19,13 @@ TEST(Mlp, ParamCountMatchesLayers) {
 }
 
 TEST(Mlp, RejectsTooFewDims) {
-  EXPECT_THROW(Mlp(MlpConfig{{4}, Activation::kRelu}), std::invalid_argument);
+  EXPECT_THROW(Mlp(MlpConfig{{4}}), std::invalid_argument);
 }
 
 TEST(Mlp, LastLayerIsLinear) {
   Mlp model(small_config());
-  EXPECT_EQ(model.layers().back().activation(), Activation::kIdentity);
-  EXPECT_EQ(model.layers().front().activation(), Activation::kRelu);
+  EXPECT_FALSE(model.layers().back().relu());
+  EXPECT_TRUE(model.layers().front().relu());
 }
 
 TEST(Mlp, ParameterRoundTrip) {
@@ -149,7 +149,7 @@ TEST(Mlp, ParameterDeltaIntoRejectsMismatches) {
 
 TEST(Mlp, PredictReturnsArgmaxClass) {
   // Construct a linear model that always prefers class 2.
-  Mlp model(MlpConfig{{2, 3}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 3}});
   std::vector<float> params(model.num_params(), 0.0f);
   params[model.num_params() - 1] = 10.0f;  // bias of class 2
   model.set_parameters(params);
@@ -158,7 +158,7 @@ TEST(Mlp, PredictReturnsArgmaxClass) {
 }
 
 TEST(Mlp, DeepNetworkForwardShape) {
-  Mlp model(MlpConfig{{8, 16, 16, 8, 5}, Activation::kTanh});
+  Mlp model(MlpConfig{{8, 16, 16, 8, 5}});
   Rng rng(7);
   model.init(rng);
   Matrix x(10, 8, 0.1f);

@@ -118,7 +118,7 @@ ParallelRun run_engine(MultiModelEval& engine,
 }
 
 TEST(MultiModelEval, Fp32BitParityWithSequentialPath) {
-  const MlpConfig arch{{32, 24, 10}, Activation::kRelu};
+  const MlpConfig arch{{32, 24, 10}};
   Rng rng(7);
   const auto chain = model_chain(arch, rng, 5);
   // 330 samples: 20 full panels plus a 10-column tail panel.
@@ -137,7 +137,7 @@ TEST(MultiModelEval, Fp32BitParityWithSequentialPath) {
 TEST(MultiModelEval, PanelGroupsMatchSequentialPredsAndMarginsOnEveryPool) {
   // Sample counts around one panel (16), one panel group (64 = 4
   // panels) and one tile's panel block (256), with tail panels.
-  const MlpConfig arch{{32, 64, 10}, Activation::kRelu};
+  const MlpConfig arch{{32, 64, 10}};
   Rng rng(61);
   const auto chain = model_chain(arch, rng, 3);
   for (std::size_t samples : {1, 15, 16, 17, 63, 64, 65, 180, 1000}) {
@@ -165,8 +165,10 @@ TEST(MultiModelEval, PanelGroupsMatchSequentialPredsAndMarginsOnEveryPool) {
   }
 }
 
-TEST(MultiModelEval, Fp32ParityMultiLayerTanh) {
-  const MlpConfig arch{{16, 12, 14, 6}, Activation::kTanh};
+TEST(MultiModelEval, Fp32ParityMultiLayer) {
+  // Two hidden layers: the engine chains a ReLU layer's packed output
+  // into the next ReLU layer, not just into the linear output layer.
+  const MlpConfig arch{{16, 12, 14, 6}};
   Rng rng(9);
   const auto chain = model_chain(arch, rng, 3);
   const Matrix x = features_matrix(20, 16, 13);
@@ -181,7 +183,7 @@ TEST(MultiModelEval, Fp32ParityMultiLayerTanh) {
 }
 
 TEST(MultiModelEval, SingleSampleAndSingleRowPanels) {
-  const MlpConfig arch{{8, 6, 4}, Activation::kRelu};
+  const MlpConfig arch{{8, 6, 4}};
   Rng rng(21);
   const auto chain = model_chain(arch, rng, 2);
   Rng data_rng(22);
@@ -198,7 +200,7 @@ TEST(MultiModelEval, SingleSampleAndSingleRowPanels) {
 }
 
 TEST(MultiModelEval, PredictManySpansModelChunks) {
-  const MlpConfig arch{{12, 10, 5}, Activation::kRelu};
+  const MlpConfig arch{{12, 10, 5}};
   Rng rng(31);
   // More models than kModelChunk, so the chunked panel-outer loop runs
   // at least twice.
@@ -223,7 +225,7 @@ TEST(MultiModelEval, PredictManySpansModelChunks) {
 }
 
 TEST(MultiModelEval, RebindReplacesDataset) {
-  const MlpConfig arch{{10, 8, 3}, Activation::kRelu};
+  const MlpConfig arch{{10, 8, 3}};
   Rng rng(41);
   const auto chain = model_chain(arch, rng, 1);
   Rng data_rng(42);
@@ -245,7 +247,7 @@ TEST(MultiModelEval, RebindReplacesDataset) {
 }
 
 TEST(MultiModelEvalParallelParity, Fp32BytesEqualSerialAndSequential) {
-  const MlpConfig arch{{32, 24, 10}, Activation::kRelu};
+  const MlpConfig arch{{32, 24, 10}};
   Rng rng(55);
   // Two model chunks × three panel blocks, so the parallel sweep has
   // genuinely independent tiles in both dimensions.

@@ -12,7 +12,7 @@
 namespace baffle {
 namespace {
 
-MlpConfig tiny() { return MlpConfig{{2, 2}, Activation::kRelu}; }
+MlpConfig tiny() { return MlpConfig{{2, 2}}; }
 
 /// The layers' gradient buffers in flat parameter order.
 std::vector<float> flat_gradients(const Mlp& model) {
@@ -79,7 +79,7 @@ TEST(Sgd, StepsMatchFlatReferenceForEveryConfig) {
   // add: three steps leave the same bytes for every learning rate, and
   // the gradients are only read.
   Rng rng(3);
-  Mlp init(MlpConfig{{3, 5, 2}, Activation::kRelu});
+  Mlp init(MlpConfig{{3, 5, 2}});
   init.init(rng);
   for (Dense& layer : init.layers()) {
     for (float& b : layer.bias()) b = static_cast<float>(rng.normal());

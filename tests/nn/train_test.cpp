@@ -26,7 +26,7 @@ TEST(Train, LearnsSeparableBlobs) {
   Matrix x;
   std::vector<int> y;
   make_blobs(x, y, 200, rng);
-  Mlp model(MlpConfig{{2, 8, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 8, 2}});
   model.init(rng);
   TrainConfig cfg;
   cfg.epochs = 20;
@@ -44,7 +44,7 @@ TEST(Train, LossDecreases) {
   Matrix x;
   std::vector<int> y;
   make_blobs(x, y, 100, rng);
-  Mlp model(MlpConfig{{2, 4, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 4, 2}});
   model.init(rng);
   TrainConfig one_epoch;
   one_epoch.epochs = 1;
@@ -65,8 +65,8 @@ TEST(Train, DeterministicGivenSeed) {
   TrainConfig cfg;
   cfg.epochs = 3;
 
-  Mlp a(MlpConfig{{2, 4, 2}, Activation::kRelu});
-  Mlp b(MlpConfig{{2, 4, 2}, Activation::kRelu});
+  Mlp a(MlpConfig{{2, 4, 2}});
+  Mlp b(MlpConfig{{2, 4, 2}});
   Rng init_a(7), init_b(7);
   a.init(init_a);
   b.init(init_b);
@@ -77,7 +77,7 @@ TEST(Train, DeterministicGivenSeed) {
 }
 
 TEST(Train, EmptyDatasetIsNoop) {
-  Mlp model(MlpConfig{{2, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 2}});
   Rng rng(4);
   model.init(rng);
   const auto before = model.parameters();
@@ -88,7 +88,7 @@ TEST(Train, EmptyDatasetIsNoop) {
 }
 
 TEST(Train, MismatchedLabelsThrow) {
-  Mlp model(MlpConfig{{2, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 2}});
   Rng rng(5);
   Matrix x(3, 2);
   const std::vector<int> y{0, 1};
@@ -97,7 +97,7 @@ TEST(Train, MismatchedLabelsThrow) {
 }
 
 TEST(Train, ZeroBatchSizeThrows) {
-  Mlp model(MlpConfig{{2, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 2}});
   Rng rng(6);
   Matrix x(3, 2);
   const std::vector<int> y{0, 1, 0};
@@ -111,7 +111,7 @@ TEST(Train, PartialFinalBatchHandled) {
   Matrix x;
   std::vector<int> y;
   make_blobs(x, y, 33, rng);  // 33 % 16 != 0
-  Mlp model(MlpConfig{{2, 4, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 4, 2}});
   model.init(rng);
   TrainConfig cfg;
   cfg.epochs = 1;

@@ -5,29 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
 #include "nn/train.hpp"
+#include "support/alloc_counter.hpp"
 #include "util/scratch_lease.hpp"
-
-namespace {
-// Global allocation counter. Replacing the scalar operator new makes the
-// default array/nothrow forms route through it as well, so every
-// (non-over-aligned) heap allocation in this binary is counted.
-std::atomic<std::size_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace baffle {
 namespace {
@@ -57,7 +40,7 @@ Trained train_small(const Matrix& x, const std::vector<int>& y) {
   TrainConfig cfg;
   cfg.epochs = 3;
   cfg.batch_size = 16;  // 33 % 16 != 0 -> partial final batch
-  Mlp model(MlpConfig{{2, 4, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{2, 4, 2}});
   Rng init(7), train(9);
   model.init(init);
   const TrainStats stats = train_sgd(model, x, y, cfg, train);
@@ -99,7 +82,7 @@ TEST(TrainWorkspace, ReuseAcrossShapesBitExact) {
   make_blobs(wide_x, wide_y, 70, 6, data_rng);
   make_blobs(small_x, small_y, 33, 2, data_rng);
 
-  Mlp warm(MlpConfig{{6, 12, 2}, Activation::kRelu});
+  Mlp warm(MlpConfig{{6, 12, 2}});
   Rng warm_init(2), warm_train(3);
   warm.init(warm_init);
   train_sgd(warm, wide_x, wide_y, TrainConfig{}, warm_train);
@@ -152,7 +135,7 @@ TEST(TrainWorkspace, SteadyStateStepLoopDoesNotAllocate) {
   Matrix x;
   std::vector<int> y;
   make_blobs(x, y, 64, 4, data_rng);
-  Mlp model(MlpConfig{{4, 8, 2}, Activation::kRelu});
+  Mlp model(MlpConfig{{4, 8, 2}});
   Rng rng(10);
   model.init(rng);
 
@@ -163,14 +146,14 @@ TEST(TrainWorkspace, SteadyStateStepLoopDoesNotAllocate) {
 
   // A warmed call on the same thread allocates nothing, however many
   // steps it runs.
-  const std::size_t before_short = g_allocs.load();
+  const std::size_t before_short = heap_allocations();
   train_sgd(model, x, y, cfg, rng);
-  const std::size_t short_allocs = g_allocs.load() - before_short;
+  const std::size_t short_allocs = heap_allocations() - before_short;
 
   cfg.epochs = 3;
-  const std::size_t before_long = g_allocs.load();
+  const std::size_t before_long = heap_allocations();
   train_sgd(model, x, y, cfg, rng);
-  const std::size_t long_allocs = g_allocs.load() - before_long;
+  const std::size_t long_allocs = heap_allocations() - before_long;
 
   EXPECT_EQ(short_allocs, 0u) << "1 epoch";
   EXPECT_EQ(long_allocs, 0u) << "3 epochs";

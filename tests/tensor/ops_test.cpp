@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace baffle {
 namespace {
@@ -290,18 +292,25 @@ TEST(RowOps, ArgmaxRowsInto) {
   EXPECT_THROW(argmax_rows_into(m, wrong_size), std::invalid_argument);
 }
 
+// The row bias is gemm_ab_bias's epilogue: with B = I its output is A
+// plus the bias on every row.
 TEST(RowOps, AddRowBias) {
-  Matrix m(2, 3, 1.0f);
+  const Matrix a(2, 3, 1.0f);
+  Matrix eye(3, 3);
+  for (std::size_t i = 0; i < 3; ++i) eye.at(i, i) = 1.0f;
   const std::vector<float> bias{1.0f, 2.0f, 3.0f};
-  add_row_bias(m, bias);
-  EXPECT_EQ(m.at(0, 0), 2.0f);
-  EXPECT_EQ(m.at(1, 2), 4.0f);
+  Matrix out(2, 3);
+  gemm_ab_bias(a, eye, bias, /*relu=*/false, out);
+  EXPECT_EQ(out.at(0, 0), 2.0f);
+  EXPECT_EQ(out.at(1, 2), 4.0f);
 }
 
 TEST(RowOps, AddRowBiasLengthMismatch) {
-  Matrix m(2, 3);
+  const Matrix a(2, 3), b(3, 3);
+  Matrix out(2, 3);
   const std::vector<float> bias{1.0f};
-  EXPECT_THROW(add_row_bias(m, bias), std::invalid_argument);
+  EXPECT_THROW(gemm_ab_bias(a, b, bias, /*relu=*/false, out),
+               std::invalid_argument);
 }
 
 TEST(RowOps, ColSum) {
@@ -341,9 +350,11 @@ TEST(VectorOps, Scale) {
 
 TEST(VectorOps, DotAndNorms) {
   const std::vector<float> a{3, 4}, b{1, 0};
-  EXPECT_EQ(dot(a, b), 3.0f);
   EXPECT_EQ(l2_norm(a), 5.0f);
   EXPECT_EQ(l2_distance(a, b), std::sqrt(4.0f + 16.0f));
+  EXPECT_EQ(squared_l2_distance(a, b), 20.0f);
+  // The dot a·b = 3 over the norms 5 and 1.
+  EXPECT_EQ(cosine_similarity(a, b), 3.0f / 5.0f);
 }
 
 TEST(VectorOps, CosineSimilarity) {
@@ -361,15 +372,69 @@ TEST(VectorOps, SubtractAdd) {
 }
 
 TEST(VectorOps, DotAccumulatesInDouble) {
-  // Alternating large +/- values that would lose precision in fp32.
-  std::vector<float> a, b;
+  // cosine_similarity's dot a·b = 1 accumulates in double. In fp32 the
+  // leading 1 would vanish into the first 1e8 (the float spacing there
+  // is 8) and the alternating ±1e8 terms would cancel to a dot of 0.
+  std::vector<float> a{1.0f}, b{1.0f};
   for (int i = 0; i < 1000; ++i) {
-    a.push_back(i % 2 == 0 ? 1e7f : -1e7f);
+    a.push_back(i % 2 == 0 ? 1e8f : -1e8f);
     b.push_back(1.0f);
   }
-  a.push_back(1.0f);
-  b.push_back(1.0f);
-  EXPECT_NEAR(dot(a, b), 1.0f, 1e-3f);
+  const float cos = cosine_similarity(a, b);
+  EXPECT_GT(cos, 0.0f);
+  EXPECT_EQ(cos, 1.0f / (l2_norm(a) * l2_norm(b)));
+}
+
+// The reductions only the robust-aggregation baselines and the tables'
+// ± columns call are one loop each: the kernel arm moves none of their
+// bits.
+class Primitives : public ::testing::Test {
+ protected:
+  void TearDown() override { simd::reset_isa(); }
+};
+
+TEST_F(Primitives, ReductionsAreArmIndependent) {
+  if (simd::scalar_forced_by_env()) {
+    GTEST_SKIP() << "BAFFLE_FORCE_SCALAR pins the scalar arm";
+  }
+  if (!simd::isa_available(simd::Isa::kVector)) {
+    GTEST_SKIP() << "no vector arm on this build/CPU to compare against";
+  }
+  const char* const names[] = {"l2_norm", "l2_distance", "squared_l2_distance",
+                               "cosine_similarity", "mean", "stddev"};
+  const auto bits = [](std::span<const float> a, std::span<const float> b,
+                       std::span<const double> xs) {
+    std::vector<std::uint64_t> out;
+    for (const float v : {l2_norm(a), l2_distance(a, b),
+                          squared_l2_distance(a, b),
+                          cosine_similarity(a, b)}) {
+      out.push_back(std::bit_cast<std::uint32_t>(v));
+    }
+    if (!xs.empty()) {  // mean and stddev reject an empty input
+      out.push_back(std::bit_cast<std::uint64_t>(mean(xs)));
+      out.push_back(std::bit_cast<std::uint64_t>(stddev(xs)));
+    }
+    return out;
+  };
+  Rng rng(26);
+  for (const std::size_t n : {0, 1, 3, 4, 31, 32, 33, 65536}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    std::vector<float> a(n), b(n);
+    std::vector<double> xs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = static_cast<float>(rng.normal());
+      b[i] = static_cast<float>(rng.normal());
+      xs[i] = rng.normal(3.0, 2.0);
+    }
+    ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
+    const std::vector<std::uint64_t> scalar = bits(a, b, xs);
+    ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
+    const std::vector<std::uint64_t> vector = bits(a, b, xs);
+    ASSERT_EQ(vector.size(), scalar.size());
+    for (std::size_t i = 0; i < scalar.size(); ++i) {
+      EXPECT_EQ(vector[i], scalar[i]) << names[i];
+    }
+  }
 }
 
 }  // namespace

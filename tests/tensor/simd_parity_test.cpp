@@ -213,30 +213,6 @@ TEST_F(SimdParity, MatrixStorageIsCacheLineAligned) {
             0u);
 }
 
-TEST_F(SimdParity, ReductionsMatchScalar) {
-  Rng rng(21);
-  for (std::size_t n : kLens) {
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    const std::vector<float> a = random_vec(n, rng);
-    const std::vector<float> b = random_vec(n, rng);
-
-    ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-    const float dot_ref = dot(a, b);
-    const float norm_ref = l2_norm(a);
-    const float dist_ref = l2_distance(a, b);
-    const float sq_ref = squared_l2_distance(a, b);
-    const float cos_ref = cosine_similarity(a, b);
-
-    ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
-    // Both arms accumulate in double, so only summation order differs.
-    EXPECT_NEAR(dot(a, b), dot_ref, 1e-5f * (std::abs(dot_ref) + 1.0f));
-    EXPECT_NEAR(l2_norm(a), norm_ref, 1e-5f * (norm_ref + 1.0f));
-    EXPECT_NEAR(l2_distance(a, b), dist_ref, 1e-5f * (dist_ref + 1.0f));
-    EXPECT_NEAR(squared_l2_distance(a, b), sq_ref, 1e-5f * (sq_ref + 1.0f));
-    EXPECT_NEAR(cosine_similarity(a, b), cos_ref, 1e-5f);
-  }
-}
-
 TEST_F(SimdParity, ElementwisePrimitivesMatchScalar) {
   Rng rng(22);
   for (std::size_t n : kLens) {
@@ -244,24 +220,21 @@ TEST_F(SimdParity, ElementwisePrimitivesMatchScalar) {
     const std::vector<float> x = random_vec(n, rng);
     const std::vector<float> y0 = random_vec(n, rng);
 
-    std::vector<float> ref_axpy = y0, ref_scale = x, ref_abs(n);
+    std::vector<float> ref_axpy = y0, ref_scale = x;
     ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
     axpy(0.75f, x, ref_axpy);
     scale(ref_scale, -1.25f);
-    abs_into(ref_abs, x);
 
-    std::vector<float> got_axpy = y0, got_scale = x, got_abs(n);
+    std::vector<float> got_axpy = y0, got_scale = x;
     ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
     axpy(0.75f, x, got_axpy);
     scale(got_scale, -1.25f);
-    abs_into(got_abs, x);
 
     // FMA contraction may shave one rounding off axpy.
     expect_spans_near(ref_axpy, got_axpy, 1e-6f);
     // Pure products round identically: exact.
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got_scale[i], ref_scale[i]) << "scale index " << i;
-      ASSERT_EQ(got_abs[i], ref_abs[i]) << "abs_into index " << i;
     }
   }
 }
@@ -274,31 +247,22 @@ TEST_F(SimdParity, ReluMatchesScalarIncludingNanAndSignedZero) {
       x[i] = (static_cast<float>(i) - static_cast<float>(n) / 2.0f) * 0.5f;
     }
     if (n >= 4) {
-      x[0] = kNan;       // `if (x < 0) x = 0` leaves NaN alone
-      x[1] = -0.0f;      // -0 < 0 is false: -0 passes through
-      x[2] = -kInf;      // clamped to 0
+      x[0] = kNan;       // NaN <= 0 is false: the gradient passes
+      x[1] = -0.0f;      // -0 <= 0: zeroed
+      x[2] = -kInf;      // zeroed
       x[3] = kInf;
     }
     std::vector<float> grad0(n, 2.0f);
 
-    std::vector<float> ref_x = x, ref_g = grad0;
+    std::vector<float> ref_g = grad0;
     ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-    relu_forward(ref_x);
     relu_backward(x, ref_g);
 
-    std::vector<float> got_x = x, got_g = grad0;
+    std::vector<float> got_g = grad0;
     ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
-    relu_forward(got_x);
     relu_backward(x, got_g);
 
     for (std::size_t i = 0; i < n; ++i) {
-      if (std::isnan(ref_x[i])) {
-        ASSERT_TRUE(std::isnan(got_x[i])) << "index " << i;
-      } else {
-        ASSERT_EQ(got_x[i], ref_x[i]) << "index " << i;
-        ASSERT_EQ(std::signbit(got_x[i]), std::signbit(ref_x[i]))
-            << "index " << i;
-      }
       ASSERT_EQ(got_g[i], ref_g[i]) << "grad index " << i;
     }
     if (n >= 4) {
@@ -326,22 +290,6 @@ TEST_F(SimdParity, AddU64MatchesScalarWithWraparound) {
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], ref[i]) << "index " << i;
     }
-  }
-}
-
-TEST_F(SimdParity, DoubleSumsMatchScalar) {
-  Rng rng(24);
-  for (std::size_t n : kLens) {
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    std::vector<double> xs(n);
-    for (auto& v : xs) v = rng.normal(3.0, 2.0);
-
-    ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-    const double sum_ref = sum(xs);
-    const double ssd_ref = sum_sq_diff(xs, 3.0);
-    ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
-    EXPECT_NEAR(sum(xs), sum_ref, 1e-9 * (std::abs(sum_ref) + 1.0));
-    EXPECT_NEAR(sum_sq_diff(xs, 3.0), ssd_ref, 1e-9 * (ssd_ref + 1.0));
   }
 }
 
@@ -637,9 +585,9 @@ TEST_F(SimdParity, GemmWidthsAgreeBitForBit) {
 }
 
 TEST_F(SimdParity, FusedBiasReluEqualsSequentialPassesOnEveryArm) {
-  // Dense::forward_eval used to run gemm_ab, add_row_bias and
-  // relu_forward as three passes; the fused call must reproduce them
-  // byte for byte on every table, or records would change.
+  // The fused epilogue must equal gemm_ab followed by a separate bias
+  // pass and ReLU pass, byte for byte on every table, or records would
+  // change.
   const GemmWidths w = gemm_widths();
   std::vector<const kernels::KernelTable*> tables = {&kernels::scalar_table(),
                                                      w.ymm};
@@ -663,8 +611,15 @@ TEST_F(SimdParity, FusedBiasReluEqualsSequentialPassesOnEveryArm) {
             add_specials(bias, rng);
             Matrix ref(m, n), got(m, n);
             gemm_ab(a, b, ref);
-            add_row_bias(ref, bias);
-            if (relu) relu_forward(ref.flat());
+            // One bias add per element, then `if (v < 0) v = 0`, which
+            // leaves NaN and -0 alone.
+            for (std::size_t i = 0; i < m; ++i) {
+              for (std::size_t j = 0; j < n; ++j) {
+                float& v = ref.at(i, j);
+                v += bias[j];
+                if (relu && v < 0.0f) v = 0.0f;
+              }
+            }
             gemm_ab_bias(a, b, bias, relu, got);
             expect_same_bytes(ref.flat(), got.flat());
             if (::testing::Test::HasFatalFailure()) return;

@@ -143,14 +143,17 @@ TEST(ThreadPool, ScopedGlobalPoolInstallsNestsAndRestores) {
 }
 
 TEST(ThreadPool, ParseThreadCountAcceptsOnlyWholeTokensInRange) {
-  EXPECT_EQ(parse_thread_count("1"), 1u);
-  EXPECT_EQ(parse_thread_count("4"), 4u);
-  EXPECT_EQ(parse_thread_count("1024"), 1024u);
+  const auto parse = [](const std::string& text) {
+    return parse_env_count("BAFFLE_THREADS", "worker count", text);
+  };
+  EXPECT_EQ(parse("1"), 1u);
+  EXPECT_EQ(parse("4"), 4u);
+  EXPECT_EQ(parse("1024"), 1024u);
   for (const char* bad :
        {"-1", "0", "abc", "4x", "1025", "", " 4", "+4", "99999999999"}) {
     SCOPED_TRACE(bad);
     try {
-      parse_thread_count(bad);
+      parse(bad);
       ADD_FAILURE() << "accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("BAFFLE_THREADS=" +
@@ -159,6 +162,18 @@ TEST(ThreadPool, ParseThreadCountAcceptsOnlyWholeTokensInRange) {
           << e.what();
     }
   }
+  // The two messages a bad BAFFLE_THREADS prints, byte for byte.
+  const auto message = [&](const std::string& text) -> std::string {
+    try {
+      parse(text);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message("4x"), "BAFFLE_THREADS=4x: not a whole decimal number");
+  EXPECT_EQ(message("0"),
+            "BAFFLE_THREADS=0: worker count must be in [1, 1024]");
 }
 
 }  // namespace

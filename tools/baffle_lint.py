@@ -194,14 +194,6 @@ class Linter:
 
     # -- dispatch-table completeness -----------------------------------
 
-    # Table members are wrappers around differently-named public entry
-    # points in a few places; the parity test exercises those.
-    PARITY_ALIASES = {
-        "squared_l2": ["l2_norm", "squared_l2"],
-        "sum_d": ["sum(", "sum ("],
-        "sum_sq_diff_d": ["sum_sq_diff"],
-    }
-
     def lint_dispatch_table(self) -> None:
         table_path = os.path.join(self.root, "src", "tensor", "kernels.hpp")
         scalar_path = os.path.join(self.root, "src", "tensor",
@@ -240,8 +232,7 @@ class Linter:
                 self.fail("dispatch-table", simd_path, None,
                           f"table entry '{name}' has no SIMD "
                           "implementation")
-            probes = [name] + self.PARITY_ALIASES.get(name, [])
-            if not any(p in parity for p in probes):
+            if name not in parity:
                 self.fail("dispatch-table", parity_path, None,
                           f"table entry '{name}' has no SimdParity "
                           "coverage")
