@@ -14,17 +14,21 @@
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
 #include "util/csv.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 
 /// Bench-run header. Lives with the benches (not exp/report) because
 /// library code keeps no console I/O; every bench owns its stdout.
-/// Every paper driver calls it first, so a BAFFLE_BENCH_REPS that
-/// bench_reps() rejects ends the run here: one line on stderr, exit 2.
+/// Every paper driver calls it first, so a BAFFLE_THREADS that sizing
+/// the pool rejects, or a BAFFLE_BENCH_REPS that bench_reps() rejects,
+/// ends the run here, before the driver opens its CSV: one line on
+/// stderr, exit 2.
 inline void print_banner(const std::string& title,
                          const std::string& paper_ref) {
   std::size_t reps = 0;
   try {
+    ThreadPool::global();
     reps = bench_reps();
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << '\n';

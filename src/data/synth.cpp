@@ -60,21 +60,24 @@ MixtureModel build_mixture(const SynthTaskConfig& cfg, Rng& rng) {
   return model;
 }
 
-/// Draws one sample around `mean` into `x`.
+/// Draws one sample around `mean` into `x`; `draws` holds one
+/// Gaussian per dimension.
 void sample_from_mean(const std::vector<float>& mean, double noise, Rng& rng,
-                      std::span<float> x) {
+                      std::span<double> draws, std::span<float> x) {
+  rng.normals(draws, 0.0, noise);
   for (std::size_t i = 0; i < mean.size(); ++i) {
-    x[i] = mean[i] + static_cast<float>(rng.normal(0.0, noise));
+    x[i] = mean[i] + static_cast<float>(draws[i]);
   }
 }
 
 /// Clean sample of class c: uniform over its sub-populations.
 void sample_clean(const MixtureModel& model, const SynthTaskConfig& cfg,
-                  std::size_t c, Rng& rng, std::span<float> x) {
+                  std::size_t c, Rng& rng, std::span<double> draws,
+                  std::span<float> x) {
   const auto& modes = model.mode_means[c];
   const auto m = static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(modes.size()) - 1));
-  sample_from_mean(modes[m], cfg.noise, rng, x);
+  sample_from_mean(modes[m], cfg.noise, rng, draws, x);
 }
 
 Dataset make_clean_set(const MixtureModel& model, const SynthTaskConfig& cfg,
@@ -82,9 +85,10 @@ Dataset make_clean_set(const MixtureModel& model, const SynthTaskConfig& cfg,
   Dataset out(cfg.dim, cfg.num_classes);
   out.reserve(cfg.num_classes * per_class);
   std::vector<float> x(cfg.dim);
+  std::vector<double> draws(cfg.dim);
   for (std::size_t c = 0; c < cfg.num_classes; ++c) {
     for (std::size_t i = 0; i < per_class; ++i) {
-      sample_clean(model, cfg, c, rng, x);
+      sample_clean(model, cfg, c, rng, draws, x);
       auto y = static_cast<int>(c);
       if (label_noise > 0.0 && rng.bernoulli(label_noise)) {
         // Mislabel to a uniformly random *other* class.
@@ -109,24 +113,26 @@ Dataset make_backdoor_set(const MixtureModel& model,
       cfg.backdoor_kind == BackdoorKind::kTrigger ? trigger_pattern(cfg)
                                                   : std::vector<float>{};
   std::vector<float> x(cfg.dim);
+  std::vector<double> draws(cfg.dim);
   for (std::size_t i = 0; i < count; ++i) {
     switch (cfg.backdoor_kind) {
       case BackdoorKind::kSemantic:
-        sample_from_mean(model.backdoor_mean, cfg.noise, rng, x);
+        sample_from_mean(model.backdoor_mean, cfg.noise, rng, draws, x);
         out.add(x, cfg.backdoor_source);
         break;
       case BackdoorKind::kLabelFlip:
         // The backdoor instances are ordinary samples of the source
         // class.
         sample_clean(model, cfg,
-                     static_cast<std::size_t>(cfg.backdoor_source), rng, x);
+                     static_cast<std::size_t>(cfg.backdoor_source), rng, draws,
+                     x);
         out.add(x, cfg.backdoor_source);
         break;
       case BackdoorKind::kTrigger: {
         // Any input stamped with the patch; true class preserved.
         const auto c = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(cfg.num_classes) - 1));
-        sample_clean(model, cfg, c, rng, x);
+        sample_clean(model, cfg, c, rng, draws, x);
         apply_trigger(x, pattern);
         out.add(x, static_cast<int>(c));
         break;

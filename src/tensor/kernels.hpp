@@ -10,7 +10,8 @@
 // packing and thread-pool splitting, then call through active_table().
 //
 // An entry earns its two arms by running on every round of a workload:
-// training, aggregation and masking, or validation. A loop only the
+// training, aggregation and masking, or validation — or on every
+// set-up, as Rng's engine and Gaussian draws do. A loop only the
 // robust-aggregation baselines or the report tables reach stays one
 // plain loop outside the table (tensor/primitives.cpp, util/stats.cpp).
 
@@ -98,6 +99,36 @@ struct ArgmaxMarginArgs {
   float* margins = nullptr;      // nullable; cols entries, +inf if n_rows==1
 };
 
+// ---- MT19937-64 (util/rng.hpp) ----
+//
+// std::mt19937_64's parameters, so Rng's engine produces its words: the
+// state size n, the middle word m, the twist matrix a, the upper mask
+// of r = 31 bits kept from a word, and the tempering masks (Rng::temper).
+inline constexpr std::size_t kMtWords = 312;
+inline constexpr std::size_t kMtMiddle = 156;
+inline constexpr std::uint64_t kMtMatrixA = 0xb5026f5aa96619e9ULL;
+inline constexpr std::uint64_t kMtUpperMask = ~std::uint64_t{0} << 31;
+inline constexpr std::uint64_t kMtTemperD = 0x5555555555555555ULL;
+inline constexpr std::uint64_t kMtTemperB = 0x71d67fffeda60000ULL;
+inline constexpr std::uint64_t kMtTemperC = 0xfff7eee000000000ULL;
+
+/// One step of Rng::normals: the polar method of libstdc++'s
+/// normal_distribution over raw (untempered) MT19937-64 state words.
+/// Pair i reads words[2i] then words[2i + 1]; each word is tempered and
+/// becomes u = min(double(word) · 2^-64, 1 - 2^-53) (generate_canonical
+/// with one word per value), then v = 2u - 1. With x and y the pair's
+/// two values, r2 = x·x + y·y — each product rounded before the add —
+/// and the pair is accepted when 0 < r2 <= 1. The y and r2 of accepted
+/// pairs are written in pair order until `want` are accepted or the
+/// pairs run out.
+struct PolarPairsArgs {
+  const std::uint64_t* words = nullptr;  // 2 * pairs raw state words
+  std::size_t pairs = 0;
+  std::size_t want = 0;   // >= 1
+  double* y = nullptr;    // want entries
+  double* r2 = nullptr;   // want entries
+};
+
 struct KernelTable {
   const char* name;
   /// Register width of gemm_panel_rows: "scalar", "avx2" (ymm 6x16
@@ -153,6 +184,14 @@ struct KernelTable {
   // over the rows in order from +0. out must not overlap m.
   void (*col_sum)(const float* m, std::size_t rows, std::size_t cols,
                   float* out);
+
+  // Rng's engine (util/rng.hpp). mt_regenerate runs std::mt19937_64's
+  // twist over the kMtWords state words in place. polar_pairs returns
+  // the number of accepted pairs written and sets *pairs_read to the
+  // pairs consumed: up to and including the last accepted one when
+  // `want` were accepted, else all of them.
+  void (*mt_regenerate)(std::uint64_t* state);
+  std::size_t (*polar_pairs)(const PolarPairsArgs&, std::size_t* pairs_read);
 };
 
 /// softmax_xent_rows as one loop over the rows, with the row max taken

@@ -175,6 +175,47 @@ void argmax_margin_panel(const ArgmaxMarginArgs& g) {
   }
 }
 
+// ---- Rng's engine (util/rng.hpp) ----
+
+// std::mt19937_64's twist (libstdc++'s _M_gen_rand), in place and in
+// order: word k becomes word (k + m) mod n — already updated when it
+// precedes k — XOR the twisted join of word k and word (k + 1) mod n.
+void mt_regenerate(std::uint64_t* x) {
+  const auto twist = [x](std::size_t k, std::size_t next, std::size_t far) {
+    const std::uint64_t y = (x[k] & kMtUpperMask) | (x[next] & ~kMtUpperMask);
+    x[k] = x[far] ^ (y >> 1) ^ ((y & 1) != 0 ? kMtMatrixA : 0);
+  };
+  std::size_t k = 0;
+  for (; k < kMtWords - kMtMiddle; ++k) twist(k, k + 1, k + kMtMiddle);
+  for (; k < kMtWords - 1; ++k) twist(k, k + 1, k + kMtMiddle - kMtWords);
+  twist(kMtWords - 1, 0, kMtMiddle - 1);
+}
+
+/// generate_canonical<double, 53> over one tempered word, then 2u - 1:
+/// the polar method's coordinate. 1 - 2^-53 is nextafter(1, 0), where
+/// libstdc++ clamps a sum that rounded up to 1.
+double polar_coordinate(std::uint64_t raw) {
+  const double u = std::min(static_cast<double>(Rng::temper(raw)) * 0x1p-64,
+                            1.0 - 0x1p-53);
+  return 2.0 * u - 1.0;
+}
+
+std::size_t polar_pairs(const PolarPairsArgs& g, std::size_t* pairs_read) {
+  std::size_t accepted = 0;
+  std::size_t i = 0;
+  for (; i < g.pairs && accepted < g.want; ++i) {
+    const double x = polar_coordinate(g.words[2 * i]);
+    const double y = polar_coordinate(g.words[2 * i + 1]);
+    const double r2 = x * x + y * y;
+    if (r2 > 1.0 || r2 == 0.0) continue;
+    g.y[accepted] = y;
+    g.r2[accepted] = r2;
+    ++accepted;
+  }
+  *pairs_read = i;
+  return accepted;
+}
+
 constexpr KernelTable kTable = {
     "scalar",
     /*gemm_width=*/"scalar",
@@ -193,6 +234,8 @@ constexpr KernelTable kTable = {
     exp_f32,
     softmax_xent_rows,
     col_sum,
+    mt_regenerate,
+    polar_pairs,
 };
 
 }  // namespace

@@ -9,8 +9,9 @@
 // Numeric contract: the GEMM and eval-layer tiles and axpy differ from
 // the scalar arm only by FMA rounding — within the parity-test
 // tolerance — while scale, max, relu_backward, the u64 adds, the mask
-// keystream and encode, and the SGD step's softmax are bit-exact. The
-// ymm and zmm GEMM and eval-layer tiles are bit-identical to each other.
+// keystream and encode, Rng's twist and polar step, and the SGD step's
+// softmax are bit-exact. The ymm and zmm GEMM and eval-layer tiles are
+// bit-identical to each other.
 
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
@@ -935,21 +936,146 @@ BAFFLE_TARGET_AVX512DQ std::size_t encode_fixed_u64_zmm(const float* x,
   return n;
 }
 
+// ---- Rng's engine on eight u64 lanes ----
+//
+// The twist and the tempering are exact integer arithmetic. The polar
+// step converts words to doubles (vcvtuqq2pd, correctly rounded like
+// the scalar cast) and scales, clamps and doubles them exactly; its one
+// rounding that could differ is r2 = x·x + y·y, which must round each
+// product before the add as libstdc++'s loop does in a TU without FMA.
+// This TU builds with -ffp-contract=fast, under which _mm512_mul_pd and
+// _mm512_add_pd contract into an FMA, so r2 takes the explicit-rounding
+// forms, which GCC leaves apart.
+
+/// The scalar arm's twist of word k, for the eight words the vector
+/// loops leave.
+void mt_twist_word(std::uint64_t* x, std::size_t k) {
+  const std::uint64_t y = (x[k] & kMtUpperMask) |
+                          (x[(k + 1) % kMtWords] & ~kMtUpperMask);
+  x[k] = x[(k + kMtMiddle) % kMtWords] ^ (y >> 1) ^
+         ((y & 1) != 0 ? kMtMatrixA : 0);
+}
+
+/// Twists words [k, k + 8), reading word (k + m) mod n of each lane at
+/// `far`.
+BAFFLE_TARGET_AVX512DQ BAFFLE_ALWAYS_INLINE void mt_twist8(
+    std::uint64_t* x, std::size_t k, const std::uint64_t* far) {
+  const __m512i upper = set1_u64(kMtUpperMask);
+  const __m512i y = _mm512_or_si512(
+      _mm512_and_si512(_mm512_loadu_si512(x + k), upper),
+      _mm512_maskz_andnot_epi64(0xFF, upper, _mm512_loadu_si512(x + k + 1)));
+  const __m512i odd = _mm512_maskz_mov_epi64(
+      _mm512_test_epi64_mask(y, set1_u64(1)), set1_u64(kMtMatrixA));
+  const __m512i shifted = _mm512_maskz_srli_epi64(0xFF, y, 1);
+  _mm512_storeu_si512(
+      x + k, _mm512_xor_si512(
+                 _mm512_xor_si512(_mm512_loadu_si512(far), shifted), odd));
+}
+
+/// The scalar arm's twist, eight words at a time: words [0, n - m) read
+/// words k + m not yet updated, words [n - m, n - 1) read words k + m - n
+/// already updated, and neither reads a word its own vector writes.
+BAFFLE_TARGET_AVX512DQ void mt_regenerate_zmm(std::uint64_t* x) {
+  std::size_t k = 0;
+  for (; k + 8 <= kMtWords - kMtMiddle; k += 8) {
+    mt_twist8(x, k, x + k + kMtMiddle);
+  }
+  for (; k < kMtWords - kMtMiddle; ++k) mt_twist_word(x, k);
+  for (; k + 8 <= kMtWords - 1; k += 8) {
+    mt_twist8(x, k, x + k + kMtMiddle - kMtWords);
+  }
+  for (; k < kMtWords; ++k) mt_twist_word(x, k);
+}
+
+/// Rng::temper on eight lanes.
+BAFFLE_TARGET_AVX512DQ BAFFLE_ALWAYS_INLINE __m512i temper8(__m512i z) {
+  z = _mm512_xor_si512(z, _mm512_and_si512(_mm512_maskz_srli_epi64(0xFF, z, 29),
+                                           set1_u64(kMtTemperD)));
+  z = _mm512_xor_si512(z, _mm512_and_si512(_mm512_maskz_slli_epi64(0xFF, z, 17),
+                                           set1_u64(kMtTemperB)));
+  z = _mm512_xor_si512(z, _mm512_and_si512(_mm512_maskz_slli_epi64(0xFF, z, 37),
+                                           set1_u64(kMtTemperC)));
+  return _mm512_xor_si512(z, _mm512_maskz_srli_epi64(0xFF, z, 43));
+}
+
+/// The scalar arm's polar_coordinate on eight raw words: temper, the
+/// canonical min(double(word) · 2^-64, 1 - 2^-53), then 2u - 1.
+BAFFLE_TARGET_AVX512DQ BAFFLE_ALWAYS_INLINE __m512d polar_coordinate8(
+    __m512i raw) {
+  const __m512d u = _mm512_maskz_min_pd(
+      0xFF,
+      _mm512_mul_pd(_mm512_maskz_cvtepu64_pd(0xFF, temper8(raw)),
+                    _mm512_set1_pd(0x1p-64)),
+      _mm512_set1_pd(1.0 - 0x1p-53));
+  return _mm512_sub_pd(_mm512_add_pd(u, u), _mm512_set1_pd(1.0));
+}
+
+/// Eight pairs per step: the even and odd words of sixteen become x and
+/// y, and the accepted lanes' y and r2 are compressed into place in
+/// pair order. The step that reaches `want` keeps the first accepted
+/// lanes it needs and counts the pairs up to the last one kept.
+BAFFLE_TARGET_AVX512DQ std::size_t polar_pairs_zmm(const PolarPairsArgs& g,
+                                                   std::size_t* pairs_read) {
+  const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+  const __m512i odd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
+  constexpr int kRound = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+  std::size_t accepted = 0;
+  std::size_t i = 0;
+  while (i < g.pairs && accepted < g.want) {
+    const std::size_t live = std::min<std::size_t>(g.pairs - i, 8);
+    const std::uint64_t* w = g.words + 2 * i;
+    const __m512i lo = _mm512_maskz_loadu_epi64(lanes_below8(2 * live), w);
+    const __m512i hi =
+        live > 4 ? _mm512_maskz_loadu_epi64(lanes_below8(2 * live - 8), w + 8)
+                 : _mm512_setzero_si512();
+    const __m512d x =
+        polar_coordinate8(_mm512_permutex2var_epi64(lo, even, hi));
+    const __m512d y =
+        polar_coordinate8(_mm512_permutex2var_epi64(lo, odd, hi));
+    const __m512d r2 = _mm512_maskz_add_round_pd(
+        0xFF, _mm512_maskz_mul_round_pd(0xFF, x, x, kRound),
+        _mm512_maskz_mul_round_pd(0xFF, y, y, kRound), kRound);
+    unsigned keep = _mm512_cmp_pd_mask(r2, _mm512_set1_pd(1.0), _CMP_LE_OQ) &
+                    _mm512_cmp_pd_mask(r2, _mm512_setzero_pd(), _CMP_NEQ_OQ) &
+                    lanes_below8(live);
+    std::size_t step = live;
+    std::size_t kept = static_cast<std::size_t>(__builtin_popcount(keep));
+    if (kept >= g.want - accepted) {
+      unsigned extra = keep;  // clear the lowest want - accepted lanes
+      for (std::size_t j = accepted; j < g.want; ++j) extra &= extra - 1;
+      keep ^= extra;
+      kept = g.want - accepted;
+      step = static_cast<std::size_t>(32 - __builtin_clz(keep));
+    }
+    const auto lanes = static_cast<__mmask8>(keep);
+    const __mmask8 out = lanes_below8(kept);
+    _mm512_mask_storeu_pd(g.y + accepted, out,
+                          _mm512_maskz_compress_pd(lanes, y));
+    _mm512_mask_storeu_pd(g.r2 + accepted, out,
+                          _mm512_maskz_compress_pd(lanes, r2));
+    accepted += kept;
+    i += step;
+  }
+  *pairs_read = i;
+  return accepted;
+}
+
 #endif  // BAFFLE_HAVE_AVX512F_TARGET
 
 /// The vector table; `avx512f` swaps in the zmm fp32 kernels (the GEMM
 /// tile and the fused eval layer), which leave every result unchanged,
 /// and — once its probe passes — the libm-exact exp with the
 /// whole-batch softmax built on it; `avx512f` with `avx512dq` swaps in
-/// the zmm masking entries.
+/// the zmm masking entries and Rng's twist and polar step.
 KernelTable make_table(bool avx512f, bool avx512dq) {
   KernelTable t = scalar_table();
   t.name = "avx2";
   t.gemm_width = "avx2";
   t.gemm_reads_b_in_place = false;
   // scalar-inherited: exp_f32 (unless the zmm copy replaces it),
-  // encode_fixed_u64 (unless the zmm entry replaces it) and col_sum,
-  // whose -O3 loop vectorizes in the scalar TU.
+  // encode_fixed_u64, mt_regenerate and polar_pairs (unless the zmm
+  // entries replace them) and col_sum, whose -O3 loop vectorizes in the
+  // scalar TU.
   t.gemm_panel_rows = gemm_panel_rows;
   t.axpy = axpy;
   t.scale = scale;
@@ -973,6 +1099,8 @@ KernelTable make_table(bool avx512f, bool avx512dq) {
     if (avx512dq) {
       t.pair_keystream_u64 = pair_keystream_u64_zmm;
       t.encode_fixed_u64 = encode_fixed_u64_zmm;
+      t.mt_regenerate = mt_regenerate_zmm;
+      t.polar_pairs = polar_pairs_zmm;
     }
   }
 #else

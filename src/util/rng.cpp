@@ -1,12 +1,27 @@
 #include "util/rng.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <string>
 
 namespace baffle {
+
+Rng::Engine::Engine(result_type seed) {
+  // std::mt19937_64's seeding: x_i = f * (x_{i-1} ^ (x_{i-1} >> 62)) + i.
+  words[0] = seed;
+  for (std::size_t i = 1; i < kernels::kMtWords; ++i) {
+    words[i] = 6364136223846793005ULL * (words[i - 1] ^ (words[i - 1] >> 62)) +
+               i;
+  }
+}
+
+void Rng::Engine::regenerate() {
+  kernels::active_table().mt_regenerate(words.data());
+  next = 0;
+}
 
 double Rng::uniform(double lo, double hi) {
   std::uniform_real_distribution<double> dist(lo, hi);
@@ -16,6 +31,40 @@ double Rng::uniform(double lo, double hi) {
 double Rng::normal(double mean, double stddev) {
   std::normal_distribution<double> dist(mean, stddev);
   return dist(engine_);
+}
+
+void Rng::normals(std::span<double> out, double mean, double stddev) {
+  const kernels::KernelTable& table = kernels::active_table();
+  std::array<double, 64> r2{};
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const std::size_t left = kernels::kMtWords - engine_.next;
+    if (left == 0) {
+      engine_.regenerate();
+      continue;
+    }
+    if (left == 1) {
+      // The next pair straddles the twist.
+      out[done++] = normal(mean, stddev);
+      continue;
+    }
+    kernels::PolarPairsArgs step;
+    step.words = engine_.words.data() + engine_.next;
+    step.pairs = left / 2;
+    step.want = std::min(out.size() - done, r2.size());
+    step.y = out.data() + done;
+    step.r2 = r2.data();
+    std::size_t pairs_read = 0;
+    const std::size_t accepted = table.polar_pairs(step, &pairs_read);
+    engine_.next += 2 * pairs_read;
+    // libstdc++'s return value for an accepted pair; a fresh
+    // distribution per draw discards the pair's other value, x * mult.
+    for (std::size_t i = 0; i < accepted; ++i) {
+      const double mult = std::sqrt(-2.0 * std::log(r2[i]) / r2[i]);
+      step.y[i] = step.y[i] * mult * stddev + mean;
+    }
+    done += accepted;
+  }
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

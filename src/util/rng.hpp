@@ -6,16 +6,25 @@
 // derives statistically independent child generators (SplitMix64 over the
 // parent stream), which lets client-local work run on a thread pool
 // without making results depend on scheduling order.
+//
+// The engine is an in-house MT19937-64 with std::mt19937_64's seeding,
+// twist, tempering and range, so every std:: distribution draws the
+// same values from it as from std's engine (DESIGN.md §7). Its twist
+// and the batched Gaussian draws of normals() run through the kernel
+// table (tensor/kernels.hpp); the parity tests pin both to std's engine
+// and std::normal_distribution.
 
+#include <array>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <vector>
 
+#include "tensor/kernels.hpp"
+
 namespace baffle {
 
-/// Seeded pseudo-random generator wrapping mt19937_64 with the sampling
-/// helpers used across the library.
+/// Seeded pseudo-random generator (MT19937-64) with the sampling helpers
+/// used across the library.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(split_mix(seed)) {}
@@ -23,8 +32,15 @@ class Rng {
   /// Uniform real in [lo, hi).
   double uniform(double lo = 0.0, double hi = 1.0);
 
-  /// Standard normal (optionally scaled/shifted).
+  /// Standard normal (optionally scaled/shifted): one draw of a fresh
+  /// std::normal_distribution(mean, stddev).
   double normal(double mean = 0.0, double stddev = 1.0);
+
+  /// Fills `out` with the values, and consumes the engine words, of
+  /// out.size() calls of normal(mean, stddev), drawing eight polar
+  /// pairs per vector step. Slower than normal() for a single draw.
+  void normals(std::span<double> out, double mean = 0.0,
+               double stddev = 1.0);
 
   /// Uniform integer in [lo, hi] (inclusive).
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -75,8 +91,35 @@ class Rng {
     return x ^ (x >> 31);
   }
 
+  /// MT19937-64's output tempering of one state word.
+  static constexpr std::uint64_t temper(std::uint64_t z) {
+    z ^= (z >> 29) & kernels::kMtTemperD;
+    z ^= (z << 17) & kernels::kMtTemperB;
+    z ^= (z << 37) & kernels::kMtTemperC;
+    return z ^ (z >> 43);
+  }
+
  private:
-  std::mt19937_64 engine_;
+  /// std::mt19937_64's state, seeding and output, as a uniform random
+  /// bit generator the std:: distributions draw from.
+  struct Engine {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    explicit Engine(result_type seed);
+    result_type operator()() {
+      if (next == kernels::kMtWords) regenerate();
+      return temper(words[next++]);
+    }
+    /// Twists the state and restarts at its first word.
+    void regenerate();
+
+    std::array<std::uint64_t, kernels::kMtWords> words;
+    std::size_t next = kernels::kMtWords;  // kMtWords: twist before use
+  };
+
+  Engine engine_;
 };
 
 }  // namespace baffle

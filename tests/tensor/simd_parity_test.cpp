@@ -5,6 +5,7 @@
 // FMA/reassociation rounding, bounded by the tolerances here.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -1105,6 +1106,110 @@ TEST_F(SimdParity, EncodeFixedU64SweepMatchesStdRoundOnEveryArm) {
       EXPECT_GT(encoded, 0u);
       EXPECT_GT(rejected, 0u);
     }
+  }
+}
+
+/// Inverse of Rng::temper, so a test can pick the tempered word — and so
+/// the polar coordinate — a raw state word yields.
+std::uint64_t untemper(std::uint64_t z) {
+  z ^= z >> 43;                          // a shift of >= 32 bits undoes
+  z ^= (z << 37) & kernels::kMtTemperC;  // itself
+  std::uint64_t y = z;
+  for (int i = 0; i < 4; ++i) y = z ^ ((y << 17) & kernels::kMtTemperB);
+  z = y;
+  for (int i = 0; i < 3; ++i) y = z ^ ((y >> 29) & kernels::kMtTemperD);
+  return y;
+}
+
+struct PolarRun {
+  std::size_t accepted = 0;
+  std::size_t pairs_read = 0;
+  std::vector<double> y, r2;  // want + 1 entries, the last a guard
+};
+
+PolarRun run_polar_pairs(const kernels::KernelTable& t,
+                         std::span<const std::uint64_t> words,
+                         std::size_t want) {
+  PolarRun run;
+  run.y.assign(want + 1, -7.0);
+  run.r2.assign(want + 1, -7.0);
+  kernels::PolarPairsArgs g;
+  g.words = words.data();
+  g.pairs = words.size() / 2;
+  g.want = want;
+  g.y = run.y.data();
+  g.r2 = run.r2.data();
+  run.accepted = t.polar_pairs(g, &run.pairs_read);
+  return run;
+}
+
+std::vector<std::uint64_t> double_bits(std::span<const double> v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+TEST_F(SimdParity, RngEngineEntriesMatchScalarOnEveryArm) {
+  // Rng's twist and polar step are exact: every arm must give the scalar
+  // arm's state words, and its accepted count, pairs read and y/r2 bits,
+  // for every pair count through two vectors and a whole state, every
+  // stop count, and the polar method's edge words among random ones.
+  Rng rng(53);
+  std::vector<std::uint64_t> state(kernels::kMtWords);
+  for (auto& w : state) w = rng.next_u64();
+  for (const kernels::KernelTable* t : every_width()) {
+    SCOPED_TRACE(t->gemm_width);
+    std::vector<std::uint64_t> ref = state, got = state;
+    for (int twist = 0; twist < 3; ++twist) {
+      kernels::scalar_table().mt_regenerate(ref.data());
+      t->mt_regenerate(got.data());
+      ASSERT_EQ(ref, got) << "twist " << twist;
+    }
+  }
+
+  // Tempered edge words: u = 0 (coordinate -1), u = 1/2 (0), u = 3/4,
+  // and the words that round to 2^64, which clamp to 1 - 2^-53.
+  const std::uint64_t edges[] = {0, 1ULL << 63, 3ULL << 62, ~0ULL,
+                                 ~0ULL - 1023};
+  for (const std::uint64_t e : edges) ASSERT_EQ(Rng::temper(untemper(e)), e);
+  std::vector<std::uint64_t> words(2 * (kernels::kMtWords / 2 + 17));
+  for (auto& w : words) {
+    w = rng.bernoulli(0.3) ? untemper(edges[rng.uniform_int(0, 4)])
+                           : rng.next_u64();
+  }
+  std::vector<std::size_t> pair_counts;
+  for (std::size_t p = 1; p <= 17; ++p) pair_counts.push_back(p);
+  pair_counts.push_back(kernels::kMtWords / 2);
+  pair_counts.push_back(words.size() / 2);
+  for (const std::size_t pairs : pair_counts) {
+    const std::span<const std::uint64_t> in(words.data(), 2 * pairs);
+    for (const std::size_t want : {1, 2, 3, 5, 7, 8, 9, 16, 64, 400}) {
+      SCOPED_TRACE(::testing::Message() << "pairs=" << pairs
+                                        << " want=" << want);
+      const PolarRun ref = run_polar_pairs(kernels::scalar_table(), in, want);
+      for (const kernels::KernelTable* t : every_width()) {
+        SCOPED_TRACE(t->gemm_width);
+        const PolarRun got = run_polar_pairs(*t, in, want);
+        ASSERT_EQ(got.accepted, ref.accepted);
+        ASSERT_EQ(got.pairs_read, ref.pairs_read);
+        ASSERT_EQ(double_bits(got.y), double_bits(ref.y));
+        ASSERT_EQ(double_bits(got.r2), double_bits(ref.r2));
+      }
+    }
+  }
+
+  // The accept test's edges on every arm: r2 = 1 passes, r2 = 0 and
+  // r2 = 2 do not.
+  const std::uint64_t minus_one = untemper(0), zero = untemper(1ULL << 63);
+  const std::vector<std::uint64_t> edge_pairs = {zero, zero,      minus_one,
+                                                 minus_one, minus_one, zero};
+  for (const kernels::KernelTable* t : every_width()) {
+    SCOPED_TRACE(t->gemm_width);
+    const PolarRun run = run_polar_pairs(*t, edge_pairs, 3);
+    ASSERT_EQ(run.accepted, 1u);
+    EXPECT_EQ(run.pairs_read, 3u);
+    EXPECT_EQ(run.y[0], 0.0);
+    EXPECT_EQ(run.r2[0], 1.0);
   }
 }
 

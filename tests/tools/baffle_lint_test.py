@@ -26,6 +26,8 @@ EXPECTED = [
     ("thread-local", "bad_thread_local.cpp"),
     # Only the helped-time counter is sanctioned in metrics.cpp.
     ("thread-local", os.path.join("src", "util", "metrics.cpp") + ":10:"),
+    ("rng-engine", "bad_rng_engine.cpp:9:"),   # the engine
+    ("rng-engine", "bad_rng_engine.cpp:10:"),  # the distribution
     ("metric-name", "bad_metric_name.cpp:11"),  # literal on the next line
     ("metric-name", "bad_metric_cli.cpp"),    # tools/ are linted too
     ("header-hygiene", "bad_header.hpp"),
@@ -45,6 +47,8 @@ CLEAN = [
     # is metrics.cpp's helped-time counter (line 6).
     ("thread-local", os.path.join("src", "util", "scratch_lease.hpp") + ":"),
     ("thread-local", os.path.join("src", "util", "metrics.cpp") + ":6:"),
+    # Rng's own source is the one place std's engine may appear.
+    ("rng-engine", os.path.join("src", "util", "rng.cpp") + ":"),
     # The header that declares the names (the rule's advice text names
     # it too, so match the finding's "path:line" form).
     ("metric-name", os.path.join("src", "util", "metric_names.hpp") + ":"),

@@ -34,6 +34,13 @@ Rules (each failure names the file and the rule id):
                       the same thread. The one other sanctioned use is
                       util/metrics.cpp's helped-time counter (a
                       per-thread tally, not scratch).
+  rng-engine          std::mt19937, std::mt19937_64,
+                      std::normal_distribution and std::random_device
+                      appear in src/** only in util/rng.hpp and
+                      util/rng.cpp: every draw goes through Rng's one
+                      engine, whose sequence the parity tests pin to
+                      std's (the tests keep std's engine as their
+                      oracle).
   metric-name         No string literal passed as a metric name
                       (add_counter, add_timer, counter, timer_*, or a
                       ScopedTimer's name) in src/** or tools/**: every
@@ -73,6 +80,11 @@ THREAD_LOCAL_SINKS = {
     os.path.join("util", "metrics.cpp"): "t_helped_seconds",
 }
 
+# Rng's engine is the one sanctioned user of std's engines and of the
+# normal distribution it reproduces in batches.
+RNG_ENGINE_SINKS = {os.path.join("util", "rng.hpp"),
+                    os.path.join("util", "rng.cpp")}
+
 IOSTREAM_INCLUDE = re.compile(r'^\s*#\s*include\s*<(iostream|cstdio|stdio\.h)>')
 PRINTF_CALL = re.compile(r'(?<![\w:.])(?:std::)?(?:printf|fprintf|puts)\s*\(')
 NEW_EXPR = re.compile(r'(?<![\w.])new\s+[A-Za-z_(]')
@@ -85,6 +97,8 @@ RAW_SYNC = re.compile(
 RAW_SYNC_INCLUDE = re.compile(
     r'^\s*#\s*include\s*<(mutex|shared_mutex|condition_variable)>')
 THREAD_LOCAL = re.compile(r'(?<![\w])thread_local\b')
+RNG_ENGINE = re.compile(
+    r'std::(?:mt19937(?:_64)?|normal_distribution|random_device)\b')
 ALLOW = re.compile(r'//\s*baffle-lint:\s*allow\(([a-z-]+)\)')
 # A literal as the first argument of a registry call or a ScopedTimer's
 # name, matched on comment- and string-stripped text (literals survive
@@ -139,6 +153,7 @@ class Linter:
         rel = os.path.relpath(path, os.path.join(self.root, "src"))
         is_sync_sink = rel in RAW_SYNC_SINKS
         thread_local_sink = THREAD_LOCAL_SINKS.get(rel)
+        is_rng_sink = rel in RNG_ENGINE_SINKS
         with open(path, encoding="utf-8") as f:
             for line_no, raw in enumerate(f, start=1):
                 allowed = {m for m in ALLOW.findall(raw)}
@@ -175,6 +190,12 @@ class Linter:
                               "(lease per-thread scratch through "
                               "ScratchLease so a nested call on the same "
                               "thread gets its own slot)")
+                if not is_rng_sink and "rng-engine" not in allowed and \
+                        RNG_ENGINE.search(line):
+                    self.fail("rng-engine", path, line_no,
+                              "std engine or normal_distribution outside "
+                              "util/rng.* (draw through Rng, whose "
+                              "sequence the parity tests pin)")
 
     # -- metric names --------------------------------------------------
 
