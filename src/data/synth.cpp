@@ -178,11 +178,11 @@ SynthTaskConfig synth_vision10_config() {
   cfg.mode_spread = 1.5;
   cfg.noise = 0.95;
   cfg.label_noise = 0.03;
-  // 10k training samples across 100 clients puts ~90 samples on each
-  // client (90-10 split) — the same order as the paper's CIFAR-10
-  // deployment (500/client), and enough resolution for a client's
-  // VALIDATE to see the side effects of a behavior-cloned adaptive
-  // injection.
+  // 10k training samples across the preset's 50 clients puts ~180
+  // samples on each client (90-10 split) — the same order as the
+  // paper's CIFAR-10 deployment (500/client), and enough resolution for
+  // a client's VALIDATE to see the side effects of a behavior-cloned
+  // adaptive injection.
   cfg.train_per_class = 1000;
   cfg.test_per_class = 100;
   cfg.backdoor_kind = BackdoorKind::kSemantic;

@@ -132,8 +132,8 @@ class AccuracyTracker {
 };
 
 /// Repeats the experiment with seeds base_seed, base_seed+1, … and
-/// aggregates FP/FN rates (mean ± population std, the paper's 5-run
-/// convention). Repetitions run in parallel on the global thread pool.
+/// aggregates FP/FN rates (mean ± sample std, ddof = 1, the paper's
+/// 5-run convention). Repetitions run in parallel on the global thread pool.
 struct RepeatedResult {
   MeanStd fp;
   MeanStd fn;

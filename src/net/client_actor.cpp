@@ -6,23 +6,24 @@
 namespace baffle {
 
 std::shared_ptr<const GlobalModel> SnapshotStore::intern(
-    std::uint64_t version, ParamVec params) {
+    std::uint64_t version, const F32View& params) {
   MutexLock lock(mu_);
   if (const auto it = by_version_.find(version); it != by_version_.end()) {
     for (const auto& weak : it->second) {
-      if (auto held = weak.lock(); held && same_bytes(held->params, params)) {
+      if (auto held = weak.lock(); held && params.same_bytes(held->params)) {
         return held;
       }
     }
   }
-  // A new snapshot: first forget the ones no window holds any more, so
+  // A new snapshot: first forget the ones no holder keeps any more, so
   // the table stays as small as the live windows.
   for (auto it = by_version_.begin(); it != by_version_.end();) {
     std::erase_if(it->second, [](const auto& weak) { return weak.expired(); });
     it = it->second.empty() ? by_version_.erase(it) : std::next(it);
   }
-  auto snapshot = std::make_shared<const GlobalModel>(
-      GlobalModel{version, std::move(params)});
+  GlobalModel model{version, {}};
+  params.copy_into(model.params);
+  auto snapshot = std::make_shared<const GlobalModel>(std::move(model));
   by_version_[version].push_back(snapshot);
   return snapshot;
 }
@@ -59,40 +60,48 @@ ClientActor::ClientActor(ClientActorConfig config, MlpConfig arch,
   }
 }
 
-WireMessage ClientActor::recv_expect(MsgType expected) {
-  auto frame = channel_->recv_for(kRecvTimeout);
-  if (!frame) {
+WireView ClientActor::recv_expect(MsgType expected, WireBytes& frame) {
+  auto received = channel_->recv_for(kRecvTimeout);
+  if (!received) {
     throw std::runtime_error(std::string("ClientActor: timed out waiting "
                                          "for ") +
                              msg_type_name(expected));
   }
-  WireMessage msg = decode_frame(*frame);
+  frame = std::move(*received);
+  WireView view = decode_frame_view(frame);
   const auto actual = static_cast<MsgType>(
-      static_cast<std::uint8_t>(msg.index()) + 1);
+      static_cast<std::uint8_t>(view.index()) + 1);
   if (actual != expected) {
     throw WireError(std::string("ClientActor: expected ") +
                     msg_type_name(expected) + ", got " +
                     msg_type_name(actual));
   }
-  return msg;
+  return view;
 }
 
-void ClientActor::accept(std::uint64_t version, ParamVec params) {
+void ClientActor::check_advances(std::uint64_t version) const {
   if (!history_.empty() && version <= history_.latest().version) {
     throw WireError(
         "ClientActor: accepted version does not advance the local window");
   }
-  history_.push(snapshots_.intern(version, std::move(params)));
+}
+
+void ClientActor::accept(std::uint64_t version, const F32View& params) {
+  check_advances(version);
+  history_.push(snapshots_.intern(version, params));
 }
 
 void ClientActor::handle_training(Rng rng) {
-  const auto broadcast =
-      std::get<ModelBroadcast>(recv_expect(MsgType::kModelBroadcast));
+  WireBytes frame;
+  const auto broadcast = std::get<ModelBroadcastView>(
+      recv_expect(MsgType::kModelBroadcast, frame));
   if (broadcast.purpose != ModelPurpose::kTraining) {
     throw WireError("ClientActor: training phase got a candidate model");
   }
+  ParamVec params;
+  broadcast.params.copy_into(params);
   Mlp global(arch_);
-  global.set_parameters(broadcast.params);
+  global.set_parameters(params);
 
   ClientUpdate reply;
   reply.round = broadcast.round;
@@ -102,19 +111,27 @@ void ClientActor::handle_training(Rng rng) {
 }
 
 void ClientActor::handle_validation() {
-  auto delta = std::get<HistoryDelta>(recv_expect(MsgType::kHistoryDelta));
-  for (auto& entry : delta.entries) {
-    accept(entry.version, std::move(entry.params));
-  }
+  WireBytes frame;
+  const std::uint64_t round = [&] {
+    const auto delta =
+        std::get<HistoryDeltaView>(recv_expect(MsgType::kHistoryDelta, frame));
+    for (const auto& entry : delta.entries) {
+      accept(entry.version, entry.params);
+    }
+    return delta.round;
+  }();
 
-  auto candidate =
-      std::get<ModelBroadcast>(recv_expect(MsgType::kModelBroadcast));
+  const auto candidate = std::get<ModelBroadcastView>(
+      recv_expect(MsgType::kModelBroadcast, frame));
   if (candidate.purpose != ModelPurpose::kCandidate) {
     throw WireError("ClientActor: validation phase got a training model");
   }
-  if (candidate.round != delta.round) {
+  if (candidate.round != round) {
     throw WireError("ClientActor: candidate round mismatches history delta");
   }
+  // Every validator of the round is sent the same candidate bytes, so
+  // they judge, and hold pending, one shared snapshot of it.
+  auto model = snapshots_.intern(candidate.version, candidate.params);
 
   // Honest verdict first; a malicious actor then lies on the wire. The
   // abstained flag always reports the honest state — the tally counts
@@ -123,13 +140,13 @@ void ClientActor::handle_validation() {
   ValidationOutcome outcome{.abstained = true};  // no data: nothing to judge
   if (validator_) {
     outcome = validator_->validate(
-        candidate.params, history_.window_shared(config_.lookback + 1));
+        model->params, history_.window_shared(config_.lookback + 1));
   }
 
-  pending_ = PendingCandidate{delta.round, std::move(candidate.params)};
+  pending_ = PendingCandidate{round, std::move(model)};
 
   Vote vote;
-  vote.round = delta.round;
+  vote.round = round;
   vote.client_id = config_.client_id;
   vote.vote = static_cast<std::uint8_t>(cast_vote(outcome.vote,
                                                   config_.strategy));
@@ -140,12 +157,18 @@ void ClientActor::handle_validation() {
 }
 
 void ClientActor::handle_round_result() {
+  WireBytes frame;
   const auto result =
-      std::get<RoundResult>(recv_expect(MsgType::kRoundResult));
+      std::get<RoundResult>(recv_expect(MsgType::kRoundResult, frame));
   const bool judged_this_round =
       pending_ && pending_->round == result.round;
   if (judged_this_round && result.committed != 0) {
-    accept(result.version, std::move(pending_->params));
+    check_advances(result.version);
+    if (result.version != pending_->model->version) {
+      throw WireError(
+          "ClientActor: commit names another version than the candidate's");
+    }
+    history_.push(std::move(pending_->model));
     if (validator_) {
       validator_->notify_commit(result.version, history_.latest().params);
     }

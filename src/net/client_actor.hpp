@@ -7,12 +7,14 @@
 // kept in sync through HistoryDelta messages (§VI-D: a
 // recently-selected validator receives only the models it is missing).
 //
-// What an actor shares: every model it accepts, it decodes from its
-// own frames and then interns through its driver's SnapshotStore, so
-// actors whose decoded bytes are bit-equal hold one immutable
-// GlobalModel between them instead of a copy each. Bytes that differ
-// (a tampered frame, an equivocating server) get a snapshot of their
-// own, so no window ever holds bytes its actor did not decode. Training
+// What an actor shares: every model it validates or accepts — each
+// history-delta entry and the round's candidate — it interns straight
+// from its own frame's bytes through its driver's SnapshotStore, so
+// actors whose frames carry bit-equal bytes hold one immutable
+// GlobalModel between them instead of a copy each, and only the first
+// of them copies the bytes out of its frame. Bytes that differ (a
+// tampered frame, an equivocating server) get a snapshot of their own,
+// so no window ever holds bytes its actor was not sent. Training
 // scratch is not kept between rounds: each training call builds the
 // broadcast model for itself, and train_sgd leases its own scratch.
 //
@@ -30,6 +32,7 @@
 // same function the in-process path applies), which is where vote
 // manipulation happens in a deployment; the server never rewrites
 // votes. Every version the wire supplies must advance the local window,
+// and a commit must name the version its candidate was announced with,
 // or the handler throws WireError.
 
 #include <optional>
@@ -42,18 +45,19 @@
 
 namespace baffle {
 
-/// The decoded accepted models the client actors of one driver share.
-/// intern() hands back the snapshot an actor already holds for
-/// (version, bytes) when one exists, else a new one built from the
-/// caller's own decoded params. Bytes are compared with memcmp, not
-/// float ==: a NaN matches its own bits, and -0 never matches +0. The
-/// store holds only weak references, so a snapshot dies with the last
-/// window that holds it.
+/// The models the client actors of one driver share, interned from
+/// their frames' bytes. intern() hands back the snapshot an actor
+/// already holds for (version, bytes) when one exists, and only
+/// otherwise copies the payload out of the caller's frame into a new
+/// one. Bytes are compared with memcmp, not float ==: a NaN matches
+/// its own bits, and -0 never matches +0. The store holds only weak
+/// references, so a snapshot dies with the last window (or pending
+/// candidate) that holds it.
 class SnapshotStore {
  public:
   /// Thread-safe: actors intern concurrently inside a phase's fork-join.
   std::shared_ptr<const GlobalModel> intern(std::uint64_t version,
-                                            ParamVec params);
+                                            const F32View& params);
 
   /// Snapshots some holder still keeps alive (tests).
   std::size_t live() const;
@@ -100,12 +104,14 @@ class ClientActor {
   /// ModelBroadcast(kCandidate), appends the delta to the local
   /// history, runs VALIDATE (or abstains without data/history), casts
   /// its vote through its strategy, sends Vote, and retains the
-  /// candidate pending the round result.
+  /// candidate's shared snapshot pending the round result.
   void handle_validation();
 
   /// Round epilogue: receives RoundResult. On commit the retained
   /// candidate is promoted into the local history (and its profile in
-  /// the validator); on reject it is dropped.
+  /// the validator); the commit must name the version the candidate
+  /// was announced with, or the handler throws WireError. On reject it
+  /// is dropped.
   void handle_round_result();
 
   std::size_t id() const { return config_.client_id; }
@@ -114,13 +120,15 @@ class ClientActor {
   const ModelHistory& history() const { return history_; }
 
  private:
-  /// Receives one frame and decodes it, insisting on `expected` type.
-  WireMessage recv_expect(MsgType expected);
-  /// Appends a wire-supplied accepted model, interned through the
-  /// shared store. ModelHistory::push only debug-checks that versions
-  /// grow, so a version that does not advance the window is rejected
-  /// here as a protocol violation.
-  void accept(std::uint64_t version, ParamVec params);
+  /// Receives one frame into `frame` and decodes it in place, insisting
+  /// on `expected` type; the view's payloads alias `frame`.
+  WireView recv_expect(MsgType expected, WireBytes& frame);
+  /// ModelHistory::push only debug-checks that versions grow, so a
+  /// wire-supplied version that does not advance the window is
+  /// rejected here as a protocol violation.
+  void check_advances(std::uint64_t version) const;
+  /// Appends a history-delta entry, interned from its frame's bytes.
+  void accept(std::uint64_t version, const F32View& params);
 
   ClientActorConfig config_;
   MlpConfig arch_;  // decoded training broadcasts materialize as this
@@ -130,10 +138,12 @@ class ClientActor {
   std::optional<Validator> validator_;  // nullopt: empty shard
   ModelHistory history_;                // capacity lookback + 1
 
-  /// Candidate judged this round, awaiting the server's verdict.
+  /// Candidate judged this round, awaiting the server's verdict. Its
+  /// snapshot carries the version it was announced with: the one it
+  /// receives on a commit.
   struct PendingCandidate {
     std::uint64_t round = 0;
-    ParamVec params;
+    std::shared_ptr<const GlobalModel> model;
   };
   std::optional<PendingCandidate> pending_;
 };

@@ -105,14 +105,16 @@ FeedbackDecision TransportRoundDriver::evaluate(
   const ModelWindow window = defense_.current_window();
 
   std::vector<ClientActor*> actors;
+  WireBytes candidate;
   if (feedback.mode != DefenseMode::kServerOnly && !validating_ids.empty()) {
     round_validators_ = validating_ids;
     actors = actors_for(validating_ids);
     // The candidate's version-on-commit, so validators can promote it
-    // into their windows without a second download.
-    round_server_.send_validation(proposal.round, server_.version() + 1,
-                                  proposal.candidate_params, window,
-                                  validating_ids);
+    // into their windows without a second download. Encoded once: every
+    // validator is sent the same bytes.
+    candidate = encode_model_broadcast(proposal.round, server_.version() + 1,
+                                       ModelPurpose::kCandidate,
+                                       proposal.candidate_params);
   }
   // The server validates locally (its vote never crosses a wire), as
   // one more task beside the client actors, like BaffleDefense::evaluate.
@@ -121,6 +123,10 @@ FeedbackDecision TransportRoundDriver::evaluate(
                           defense_.server_validator() != nullptr;
   ThreadPool::global().parallel_for(actors.size() + 1, [&](std::size_t i) {
     if (i < actors.size()) {
+      // Each validator's frames are sent from its own task, just before
+      // its actor reads them, so at most pool-size deltas are in flight.
+      round_server_.send_validation(validating_ids[i], proposal.round, window,
+                                    candidate);
       actors[i]->handle_validation();
     } else if (use_server) {
       server_outcome = defense_.server_validator()->validate(

@@ -11,12 +11,13 @@
 //                    (parallel_for), collect and admission-check their
 //                    ClientUpdates, aggregate the responders through
 //                    FlServer::aggregate_updates.
-//   evaluate       — ship each validator its history delta plus the
-//                    candidate, run the validating actors and the
-//                    server's own validator (whose vote never crosses a
-//                    wire) as one fork-join, collect the Votes, and hand
-//                    them to core's tally (decide_quorum), which checks
-//                    them and applies Algorithm 1's quorum.
+//   evaluate       — encode the candidate once, then run the validating
+//                    actors and the server's own validator (whose vote
+//                    never crosses a wire) as one fork-join, each
+//                    validator's task first shipping it its history
+//                    delta plus the candidate; collect the Votes, and
+//                    hand them to core's tally (decide_quorum), which
+//                    checks them and applies Algorithm 1's quorum.
 //   finish_round   — deliver the RoundResult to every participant so
 //                    actors promote or drop the judged candidate.
 //

@@ -46,25 +46,28 @@ std::uint64_t RoundServer::synced_version(std::size_t client_id) const {
   return it->second.synced_version;
 }
 
-void RoundServer::send_frame(std::size_t client_id, const WireMessage& msg,
+void RoundServer::send_frame(std::size_t client_id, WireBytes frame,
                              CommCategory category) {
-  WireBytes frame = encode_frame(msg);
   if (tracker_) tracker_->add_bytes(category, frame.size());
   session_for(client_id).channel->send(std::move(frame));
+}
+
+void RoundServer::send_to_all(const std::vector<std::size_t>& ids,
+                              WireBytes frame, CommCategory category) {
+  if (ids.empty()) return;
+  for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
+    send_frame(ids[i], frame, category);
+  }
+  send_frame(ids.back(), std::move(frame), category);
 }
 
 void RoundServer::broadcast_training(
     std::uint64_t round, std::uint64_t version, const ParamVec& global,
     const std::vector<std::size_t>& contributors) {
-  ModelBroadcast msg;
-  msg.round = round;
-  msg.version = version;
-  msg.purpose = ModelPurpose::kTraining;
-  msg.params = global;  // one copy per encode below; params stay put
+  WireBytes frame =
+      encode_model_broadcast(round, version, ModelPurpose::kTraining, global);
   MutexLock lock(mu_);
-  for (std::size_t id : contributors) {
-    send_frame(id, msg, CommCategory::kModelDownload);
-  }
+  send_to_all(contributors, std::move(frame), CommCategory::kModelDownload);
 }
 
 std::optional<WireMessage> RoundServer::admit(const WireBytes& frame,
@@ -123,36 +126,28 @@ std::optional<WireMessage> RoundServer::admit(const WireBytes& frame,
   return msg;
 }
 
-void RoundServer::send_validation(std::uint64_t round,
-                                  std::uint64_t candidate_version,
-                                  const ParamVec& candidate,
+void RoundServer::send_validation(std::size_t validator, std::uint64_t round,
                                   const ModelWindow& window,
-                                  const std::vector<std::size_t>& validators) {
-  ModelBroadcast candidate_msg;
-  candidate_msg.round = round;
-  candidate_msg.version = candidate_version;
-  candidate_msg.purpose = ModelPurpose::kCandidate;
-  candidate_msg.params = candidate;
+                                  const WireBytes& candidate) {
+  std::uint64_t synced = kNeverSynced;
+  {
+    MutexLock lock(mu_);
+    synced = session_for(validator).synced_version;
+  }
+  // Window versions increase, so the entries the validator is missing
+  // are a suffix of the window.
+  const auto missing = [&](const auto& entry) {
+    return synced == kNeverSynced || entry->version > synced;
+  };
+  const auto first = std::find_if(window.begin(), window.end(), missing);
+  WireBytes delta = encode_history_delta(round, std::span(first, window.end()));
 
   MutexLock lock(mu_);
-  for (std::size_t id : validators) {
-    Session& session = session_for(id);
-    HistoryDelta delta;
-    delta.round = round;
-    for (const auto& entry : window) {
-      if (session.synced_version != kNeverSynced &&
-          entry->version <= session.synced_version) {
-        continue;
-      }
-      delta.entries.push_back(
-          HistoryDelta::Entry{entry->version, entry->params});
-    }
-    send_frame(id, delta, CommCategory::kHistory);
-    if (!window.empty()) {
-      session.synced_version = window.back()->version;
-    }
-    send_frame(id, candidate_msg, CommCategory::kModelDownload);
+  send_frame(validator, std::move(delta), CommCategory::kHistory);
+  if (!window.empty()) {
+    session_for(validator).synced_version = window.back()->version;
   }
+  send_frame(validator, candidate, CommCategory::kModelDownload);
 }
 
 RoundServer::Collection RoundServer::collect(
@@ -216,10 +211,9 @@ RoundServer::Collection RoundServer::collect(
 void RoundServer::finish_round(const RoundResult& result,
                                const std::vector<std::size_t>& participants,
                                const std::vector<std::size_t>& validators) {
+  WireBytes frame = encode_frame(result);
   MutexLock lock(mu_);
-  for (std::size_t id : participants) {
-    send_frame(id, result, CommCategory::kControl);
-  }
+  send_to_all(participants, std::move(frame), CommCategory::kControl);
   if (result.committed != 0) {
     // Validators promote the candidate they already hold into their
     // window, so their sync level advances to the committed version.

@@ -8,9 +8,19 @@
 //
 //   broadcast_training      →  ModelBroadcast(kTraining) to contributors
 //   collect(kClientUpdate)  ←  ClientUpdate from each, admission-checked
-//   send_validation         →  HistoryDelta + ModelBroadcast(kCandidate)
+//   send_validation         →  HistoryDelta + ModelBroadcast(kCandidate),
+//                              one validator per call
 //   collect(kVote)          ←  Vote from each validator, admission-checked
 //   finish_round            →  RoundResult to every round participant
+//
+// A frame whose fields do not depend on the recipient (the training
+// broadcast, the round's candidate, the result) is encoded once and
+// its bytes go to every recipient. A history delta depends on the
+// validator's synced_version, so send_validation encodes it straight
+// from the window's shared snapshots, outside the lock, one validator
+// at a time: TransportRoundDriver calls it from each validator's task
+// just before that actor reads, so at most pool-size deltas are in
+// flight.
 //
 // One collection loop serves both inbound phases and enforces per-round
 // admission on every frame (decodes, type, round number, session
@@ -24,9 +34,10 @@
 // message was inadmissible is dropped the same way.
 //
 // The simulation runs a phase's client actors to completion (a pool
-// fork-join in TransportRoundDriver) before it collects, so collection
-// finds every frame already queued; the wait only matters for clients
-// that answer late from threads of their own.
+// fork-join in TransportRoundDriver, each validator's task sending its
+// own frames first) before it collects, so collection finds every frame
+// already queued; the wait only matters for clients that answer late
+// from threads of their own.
 //
 // Byte accounting is exact: every frame sent or received is reported to
 // the attached CommTracker at its actually-serialized size, attributed
@@ -85,12 +96,15 @@ class RoundServer {
                           const ParamVec& global,
                           const std::vector<std::size_t>& contributors);
 
-  /// Ships each validator the window entries it is missing (those newer
-  /// than its session's synced_version) followed by the candidate, and
-  /// advances synced_version to the window head.
-  void send_validation(std::uint64_t round, std::uint64_t candidate_version,
-                       const ParamVec& candidate, const ModelWindow& window,
-                       const std::vector<std::size_t>& validators);
+  /// Ships `validator` a HistoryDelta of `round` holding the window
+  /// entries it is missing (those newer than its session's
+  /// synced_version), then `candidate` — the round's
+  /// ModelBroadcast(kCandidate) frame, encoded once for every validator
+  /// — and advances synced_version to the window head. Thread-safe: the
+  /// delta is encoded outside the lock, so concurrent calls for
+  /// distinct validators overlap.
+  void send_validation(std::size_t validator, std::uint64_t round,
+                       const ModelWindow& window, const WireBytes& candidate);
 
   struct Collection {
     /// Responders' admissible messages, in the order their ids appear
@@ -133,8 +147,12 @@ class RoundServer {
   };
 
   Session& session_for(std::size_t client_id) BAFFLE_REQUIRES(mu_);
-  void send_frame(std::size_t client_id, const WireMessage& msg,
+  void send_frame(std::size_t client_id, WireBytes frame,
                   CommCategory category) BAFFLE_REQUIRES(mu_);
+  /// Sends `frame`'s bytes to each of `ids`: a copy each, and the last
+  /// one the frame itself.
+  void send_to_all(const std::vector<std::size_t>& ids, WireBytes frame,
+                   CommCategory category) BAFFLE_REQUIRES(mu_);
   /// Admission check of one frame read from `client_id`'s channel in
   /// the `expected` (update or vote) phase of `round`: the decoded
   /// message when it passes every check, else nullopt (stats updated).

@@ -1,5 +1,9 @@
 #include "net/wire.hpp"
 
+#include <limits>
+
+#include "fl/server.hpp"
+
 namespace baffle {
 
 namespace {
@@ -10,20 +14,49 @@ namespace {
 // history delta of 2^32 entries each of zero floats).
 constexpr std::size_t kMaxHistoryEntries = 4096;
 
-void encode_body(ByteWriter& w, const ModelBroadcast& m) {
-  w.u64(m.round);
-  w.u64(m.version);
-  w.u8(static_cast<std::uint8_t>(m.purpose));
-  w.f32_span(m.params);
+// Body encoders, one per message type. Each runs twice per frame: dry
+// on a ByteCounter to size the frame, then on the frame's ByteWriter.
+template <typename W>
+void encode_broadcast_body(W& w, std::uint64_t round, std::uint64_t version,
+                           ModelPurpose purpose,
+                           std::span<const float> params) {
+  w.u64(round);
+  w.u64(version);
+  w.u8(static_cast<std::uint8_t>(purpose));
+  w.f32_span(params);
 }
 
-void encode_body(ByteWriter& w, const ClientUpdate& m) {
+// A delta entry's version and params, from a decoded-message entry or a
+// shared window snapshot.
+const HistoryDelta::Entry& entry_of(const HistoryDelta::Entry& e) { return e; }
+const GlobalModel& entry_of(const std::shared_ptr<const GlobalModel>& s) {
+  return *s;
+}
+
+template <typename W, typename Entries>
+void encode_delta_body(W& w, std::uint64_t round, const Entries& entries) {
+  w.u64(round);
+  w.u64(entries.size());
+  for (const auto& entry : entries) {
+    w.u64(entry_of(entry).version);
+    w.f32_span(entry_of(entry).params);
+  }
+}
+
+template <typename W>
+void encode_body(W& w, const ModelBroadcast& m) {
+  encode_broadcast_body(w, m.round, m.version, m.purpose, m.params);
+}
+
+template <typename W>
+void encode_body(W& w, const ClientUpdate& m) {
   w.u64(m.round);
   w.u64(m.client_id);
   w.f32_span(m.update);
 }
 
-void encode_body(ByteWriter& w, const Vote& m) {
+template <typename W>
+void encode_body(W& w, const Vote& m) {
   w.u64(m.round);
   w.u64(m.client_id);
   w.u8(m.vote);
@@ -32,21 +65,38 @@ void encode_body(ByteWriter& w, const Vote& m) {
   w.f64(m.tau);
 }
 
-void encode_body(ByteWriter& w, const HistoryDelta& m) {
-  w.u64(m.round);
-  w.u64(m.entries.size());
-  for (const auto& entry : m.entries) {
-    w.u64(entry.version);
-    w.f32_span(entry.params);
-  }
+template <typename W>
+void encode_body(W& w, const HistoryDelta& m) {
+  encode_delta_body(w, m.round, m.entries);
 }
 
-void encode_body(ByteWriter& w, const RoundResult& m) {
+template <typename W>
+void encode_body(W& w, const RoundResult& m) {
   w.u64(m.round);
   w.u8(m.committed);
   w.u64(m.version);
   w.u32(m.reject_votes);
   w.u32(m.total_voters);
+}
+
+/// One frame in one buffer: `body(writer)` runs dry to size it, then
+/// writes behind the length prefix and header into the reserved bytes.
+template <typename Body>
+WireBytes encode(MsgType type, std::uint16_t version, const Body& body) {
+  ByteCounter counter;
+  body(counter);
+  constexpr std::size_t kHeader = 2 + 1;  // version, type
+  if (counter.size() > std::numeric_limits<std::uint32_t>::max() - kHeader) {
+    throw WireError("wire: message too large for one frame");
+  }
+  const std::size_t payload_len = kHeader + counter.size();
+  ByteWriter w;
+  w.reserve(4 + payload_len);
+  w.u32(static_cast<std::uint32_t>(payload_len));
+  w.u16(version);
+  w.u8(static_cast<std::uint8_t>(type));
+  body(w);
+  return w.take();
 }
 
 MsgType type_of(const WireMessage& msg) {
@@ -60,8 +110,8 @@ MsgType type_of(const WireMessage& msg) {
   throw WireError("wire: valueless message");
 }
 
-ModelBroadcast decode_model_broadcast(ByteReader& r) {
-  ModelBroadcast m;
+ModelBroadcastView decode_model_broadcast(ByteReader& r) {
+  ModelBroadcastView m;
   m.round = r.u64();
   m.version = r.u64();
   const std::uint8_t purpose = r.u8();
@@ -69,15 +119,15 @@ ModelBroadcast decode_model_broadcast(ByteReader& r) {
     throw WireError("wire: unknown model purpose");
   }
   m.purpose = static_cast<ModelPurpose>(purpose);
-  r.f32_vec_into(m.params);
+  m.params = r.f32_view();
   return m;
 }
 
-ClientUpdate decode_client_update(ByteReader& r) {
-  ClientUpdate m;
+ClientUpdateView decode_client_update(ByteReader& r) {
+  ClientUpdateView m;
   m.round = r.u64();
   m.client_id = r.u64();
-  r.f32_vec_into(m.update);
+  m.update = r.f32_view();
   return m;
 }
 
@@ -94,8 +144,8 @@ Vote decode_vote(ByteReader& r) {
   return m;
 }
 
-HistoryDelta decode_history_delta(ByteReader& r) {
-  HistoryDelta m;
+HistoryDeltaView decode_history_delta(ByteReader& r) {
+  HistoryDeltaView m;
   m.round = r.u64();
   const std::uint64_t count = r.u64();
   if (count > kMaxHistoryEntries) {
@@ -104,14 +154,14 @@ HistoryDelta decode_history_delta(ByteReader& r) {
   m.entries.reserve(count);
   std::uint64_t prev_version = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    HistoryDelta::Entry entry;
+    HistoryDeltaView::Entry entry;
     entry.version = r.u64();
     if (i > 0 && entry.version <= prev_version) {
       throw WireError("wire: history delta versions must strictly increase");
     }
     prev_version = entry.version;
-    r.f32_vec_into(entry.params);
-    m.entries.push_back(std::move(entry));
+    entry.params = r.f32_view();
+    m.entries.push_back(entry);
   }
   return m;
 }
@@ -141,6 +191,38 @@ ByteReader open_frame(std::span<const std::uint8_t> frame) {
   return header;
 }
 
+// The owning messages, copied out of their views.
+ModelBroadcast materialize(const ModelBroadcastView& v) {
+  ModelBroadcast m;
+  m.round = v.round;
+  m.version = v.version;
+  m.purpose = v.purpose;
+  v.params.copy_into(m.params);
+  return m;
+}
+
+ClientUpdate materialize(const ClientUpdateView& v) {
+  ClientUpdate m;
+  m.round = v.round;
+  m.client_id = v.client_id;
+  v.update.copy_into(m.update);
+  return m;
+}
+
+HistoryDelta materialize(const HistoryDeltaView& v) {
+  HistoryDelta m;
+  m.round = v.round;
+  m.entries.resize(v.entries.size());
+  for (std::size_t i = 0; i < v.entries.size(); ++i) {
+    m.entries[i].version = v.entries[i].version;
+    v.entries[i].params.copy_into(m.entries[i].params);
+  }
+  return m;
+}
+
+Vote materialize(const Vote& v) { return v; }
+RoundResult materialize(const RoundResult& v) { return v; }
+
 }  // namespace
 
 const char* msg_type_name(MsgType type) {
@@ -155,25 +237,37 @@ const char* msg_type_name(MsgType type) {
 }
 
 WireBytes encode_frame(const WireMessage& msg, std::uint16_t version) {
-  ByteWriter body;
-  body.u16(version);
-  body.u8(static_cast<std::uint8_t>(type_of(msg)));
-  std::visit([&](const auto& m) { encode_body(body, m); }, msg);
-
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(body.size()));
-  frame.raw(body.bytes());
-  return frame.take();
+  const auto encode_message = [&](const auto& m) {
+    const auto body = [&](auto& w) { encode_body(w, m); };
+    return encode(type_of(msg), version, body);
+  };
+  return std::visit(encode_message, msg);
 }
 
-WireMessage decode_frame(std::span<const std::uint8_t> frame) {
+WireBytes encode_model_broadcast(std::uint64_t round, std::uint64_t version,
+                                 ModelPurpose purpose,
+                                 std::span<const float> params) {
+  const auto body = [&](auto& w) {
+    encode_broadcast_body(w, round, version, purpose, params);
+  };
+  return encode(MsgType::kModelBroadcast, kProtocolVersion, body);
+}
+
+WireBytes encode_history_delta(
+    std::uint64_t round,
+    std::span<const std::shared_ptr<const GlobalModel>> entries) {
+  const auto body = [&](auto& w) { encode_delta_body(w, round, entries); };
+  return encode(MsgType::kHistoryDelta, kProtocolVersion, body);
+}
+
+WireView decode_frame_view(std::span<const std::uint8_t> frame) {
   ByteReader r = open_frame(frame);
   const std::uint16_t version = r.u16();
   if (version < kProtocolVersionMin || version > kProtocolVersion) {
     throw WireError("wire: unsupported protocol version");
   }
   const std::uint8_t type = r.u8();
-  WireMessage msg = [&]() -> WireMessage {
+  WireView view = [&]() -> WireView {
     switch (static_cast<MsgType>(type)) {
       case MsgType::kModelBroadcast: return decode_model_broadcast(r);
       case MsgType::kClientUpdate: return decode_client_update(r);
@@ -186,7 +280,14 @@ WireMessage decode_frame(std::span<const std::uint8_t> frame) {
   // Strict decoding: a successful body decode must consume the payload
   // exactly — trailing bytes mean a grammar mismatch between endpoints.
   if (!r.done()) throw WireError("wire: trailing bytes after message body");
-  return msg;
+  return view;
+}
+
+WireMessage decode_frame(std::span<const std::uint8_t> frame) {
+  const auto copy_out = [](const auto& view) -> WireMessage {
+    return materialize(view);
+  };
+  return std::visit(copy_out, decode_frame_view(frame));
 }
 
 }  // namespace baffle

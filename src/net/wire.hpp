@@ -18,10 +18,17 @@
 // tools/check.sh locks in under ASan.
 //
 // Model parameters travel as raw f32 vectors (the architecture is
-// session-static scenario configuration); on little-endian hosts they
-// decode with a single memcpy into the destination ParamVec.
+// session-static scenario configuration). Each payload costs one copy
+// per side: encode_frame sizes the frame from the message and writes
+// length, header and body into one buffer, and decode_frame_view
+// leaves every payload in the frame as an F32View, from which a
+// receiver copies (decode_frame, one memcpy on little-endian hosts) or
+// compares (SnapshotStore::intern) without an intermediate vector.
+// decode_frame is decode_frame_view plus those copies: there is one
+// parser, so both entry points make the same checks.
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -31,6 +38,8 @@
 #include "util/serialization.hpp"
 
 namespace baffle {
+
+struct GlobalModel;
 
 /// Newest protocol revision this build speaks…
 inline constexpr std::uint16_t kProtocolVersion = 1;
@@ -117,17 +126,66 @@ struct RoundResult {
 using WireMessage = std::variant<ModelBroadcast, ClientUpdate, Vote,
                                  HistoryDelta, RoundResult>;
 
+/// The messages that carry model payloads, decoded in place: the same
+/// fields, with each f32 vector left in its frame. Vote and RoundResult
+/// carry none, so they are their own views.
+struct ModelBroadcastView {
+  std::uint64_t round = 0;
+  std::uint64_t version = 0;
+  ModelPurpose purpose = ModelPurpose::kTraining;
+  F32View params;
+};
+
+struct ClientUpdateView {
+  std::uint64_t round = 0;
+  std::uint64_t client_id = 0;
+  F32View update;
+};
+
+struct HistoryDeltaView {
+  std::uint64_t round = 0;
+  struct Entry {
+    std::uint64_t version = 0;
+    F32View params;
+  };
+  std::vector<Entry> entries;  // oldest first
+};
+
+/// Alternatives in WireMessage's order (MsgType == index + 1).
+using WireView = std::variant<ModelBroadcastView, ClientUpdateView, Vote,
+                              HistoryDeltaView, RoundResult>;
+
 using WireBytes = std::vector<std::uint8_t>;
 
 /// Encodes one message as a complete frame (length prefix included),
 /// stamped with `version` (defaults to the current protocol revision —
-/// the knob exists so tests can forge unsupported versions).
+/// the knob exists so tests can forge unsupported versions). One heap
+/// allocation: the frame is sized before it is written.
 WireBytes encode_frame(const WireMessage& msg,
                        std::uint16_t version = kProtocolVersion);
 
-/// Decodes one complete frame. Throws WireError on malformed input
-/// (bad length, unknown version/type, trailing bytes) and
-/// std::out_of_range on truncation; both are protocol errors.
+/// The frame encode_frame gives a ModelBroadcast{round, version,
+/// purpose, params}, written straight from `params`.
+WireBytes encode_model_broadcast(std::uint64_t round, std::uint64_t version,
+                                 ModelPurpose purpose,
+                                 std::span<const float> params);
+
+/// The frame encode_frame gives a HistoryDelta of `round` whose entries
+/// copy `entries` (oldest first), written straight from the shared
+/// snapshots.
+WireBytes encode_history_delta(
+    std::uint64_t round,
+    std::span<const std::shared_ptr<const GlobalModel>> entries);
+
+/// Decodes one complete frame, leaving its payloads in place: the
+/// result's F32Views alias `frame` and are valid only while it is.
+/// Throws WireError on malformed input (bad length, unknown
+/// version/type, out-of-range field, entry cap, versions that do not
+/// strictly increase, trailing bytes) and std::out_of_range on
+/// truncation; both are protocol errors.
+WireView decode_frame_view(std::span<const std::uint8_t> frame);
+
+/// decode_frame_view, with every payload copied out of the frame.
 WireMessage decode_frame(std::span<const std::uint8_t> frame);
 
 }  // namespace baffle

@@ -95,17 +95,10 @@ std::uint64_t ByteReader::u64() {
 float ByteReader::f32() { return std::bit_cast<float>(u32()); }
 double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
-void ByteReader::f32_vec_into(std::vector<float>& out) {
+F32View ByteReader::f32_view() {
   const std::size_t n =
       length_prefix(sizeof(float), "ByteReader: implausible f32 vector length");
-  out.resize(n);
-  if (n == 0) return;  // keep memcpy away from an empty buffer's null base
-  if constexpr (kLittleEndian) {
-    std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(float));
-    pos_ += n * sizeof(float);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = f32();
-  }
+  return F32View(raw(n * sizeof(float)));
 }
 
 std::span<const std::uint8_t> ByteReader::raw(std::size_t n) {
@@ -113,6 +106,35 @@ std::span<const std::uint8_t> ByteReader::raw(std::size_t n) {
   const auto view = bytes_.subspan(pos_, n);
   pos_ += n;
   return view;
+}
+
+void F32View::copy_into(std::vector<float>& out) const {
+  out.resize(size());
+  if (out.empty()) return;  // keep memcpy away from an empty buffer's null base
+  if constexpr (kLittleEndian) {
+    std::memcpy(out.data(), bytes_.data(), bytes_.size());
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = std::bit_cast<float>(
+          read_le<std::uint32_t>(bytes_, i * sizeof(float)));
+    }
+  }
+}
+
+bool F32View::same_bytes(std::span<const float> v) const {
+  if (v.size() != size()) return false;
+  if (v.empty()) return true;
+  if constexpr (kLittleEndian) {
+    return std::memcmp(v.data(), bytes_.data(), bytes_.size()) == 0;
+  } else {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (std::bit_cast<std::uint32_t>(v[i]) !=
+          read_le<std::uint32_t>(bytes_, i * sizeof(float))) {
+        return false;
+      }
+    }
+    return true;
+  }
 }
 
 }  // namespace baffle

@@ -25,6 +25,10 @@ namespace baffle {
 
 class ByteWriter {
  public:
+  /// Sizes the buffer for `n` bytes up front, so a writer that knows
+  /// its output length appends without reallocating.
+  void reserve(std::size_t n) { bytes_.reserve(n); }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -42,6 +46,48 @@ class ByteWriter {
   std::vector<std::uint8_t> bytes_;
 };
 
+/// Stands in for a ByteWriter, writing nothing and counting what it
+/// would have written, so an encoder can size its output by running
+/// once dry. It has the writer methods the wire bodies use.
+class ByteCounter {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void f64(double) { n_ += 8; }
+  void f32_span(std::span<const float> v) { n_ += 8 + v.size() * 4; }
+
+  std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
+/// A length-prefixed f32 vector read in place: size() little-endian
+/// floats that still lie in the reader's input, at any alignment. It
+/// aliases that input, so it is valid only as long as the input is.
+class F32View {
+ public:
+  F32View() = default;
+  /// `bytes.size()` must be a multiple of 4 (ByteReader::f32_view
+  /// guarantees it).
+  explicit F32View(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+
+  std::size_t size() const { return bytes_.size() / sizeof(float); }
+  std::span<const std::uint8_t> bytes() const { return bytes_; }
+
+  /// Copies the floats into `out`, resized to fit: one memcpy on
+  /// little-endian hosts, per-element decoding on big-endian ones.
+  void copy_into(std::vector<float>& out) const;
+  /// True when `v` holds these floats bit for bit (memcmp on
+  /// little-endian hosts): -0 never matches +0, and a NaN matches only
+  /// its own bits.
+  bool same_bytes(std::span<const float> v) const;
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+};
+
 /// Throws std::out_of_range on truncated input and std::runtime_error on
 /// malformed length prefixes. Never reads past the given span.
 class ByteReader {
@@ -54,11 +100,9 @@ class ByteReader {
   std::uint64_t u64();
   float f32();
   double f64();
-  /// Decodes a length-prefixed f32 vector into `out` (resized to fit).
-  /// On little-endian hosts the payload is copied in one memcpy straight
-  /// from the wire bytes — the zero-copy path the model/update decoding
-  /// rides; big-endian hosts fall back to per-element decoding.
-  void f32_vec_into(std::vector<float>& out);
+  /// Consumes a length-prefixed f32 vector and returns it in place,
+  /// aliasing the input span; F32View::copy_into materializes it.
+  F32View f32_view();
   /// Consumes exactly `n` bytes and returns a view aliasing the input
   /// span (valid for the span's lifetime).
   std::span<const std::uint8_t> raw(std::size_t n);

@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "support/alloc_counter.hpp"
+
 namespace baffle {
 namespace {
 
@@ -61,16 +63,24 @@ struct Rig {
   }
 
   /// Ships a delta of `entries` plus `candidate`, runs the actor's
-  /// validation phase and returns its vote.
+  /// validation phase and returns its vote. The candidate is announced
+  /// as the version after the window head, the one a commit gives it.
   Vote validate(std::uint64_t round,
                 std::vector<HistoryDelta::Entry> entries,
                 ParamVec candidate) {
+    std::uint64_t head = 0;
+    if (!entries.empty()) {
+      head = entries.back().version;
+    } else if (!actor->history().empty()) {
+      head = actor->history().latest().version;
+    }
     HistoryDelta delta;
     delta.round = round;
     delta.entries = std::move(entries);
     server->send(encode_frame(delta));
     ModelBroadcast broadcast;
     broadcast.round = round;
+    broadcast.version = head + 1;
     broadcast.purpose = ModelPurpose::kCandidate;
     broadcast.params = std::move(candidate);
     server->send(encode_frame(broadcast));
@@ -143,6 +153,28 @@ void expect_same_vote(const Vote& got, const Vote& want) {
             std::bit_cast<std::uint64_t>(want.tau));
 }
 
+TEST(SnapshotStore, InternsFrameBytesAndCopiesOnlyOnAMiss) {
+  const ParamVec params = random_model(7);
+  const ModelBroadcast broadcast{1, 4, ModelPurpose::kCandidate, params};
+  const WireBytes frame = encode_frame(broadcast);
+  const auto view = std::get<ModelBroadcastView>(decode_frame_view(frame));
+  SnapshotStore store;
+  const auto first = store.intern(4, view.params);
+  EXPECT_EQ(first->version, 4u);
+  EXPECT_TRUE(same_bytes(first->params, params));
+
+  // Bytes it holds for that version: the held snapshot, no copy.
+  const std::size_t before = heap_allocations();
+  const auto again = store.intern(4, view.params);
+  EXPECT_EQ(heap_allocations() - before, 0u);
+  EXPECT_EQ(again.get(), first.get());
+
+  // The same bytes under another version are another model.
+  const auto other = store.intern(5, view.params);
+  EXPECT_NE(other.get(), first.get());
+  EXPECT_EQ(store.live(), 2u);
+}
+
 TEST(ClientActor, KeepsTheLastWindowOfAcceptedModels) {
   Rig rig;
   rig.validate(1, {1, 2, 3, 4});
@@ -175,6 +207,15 @@ TEST(ClientActor, CommitThatDoesNotAdvanceTheWindowIsAWireError) {
   Rig other;
   other.validate(1, {4, 5});
   EXPECT_THROW(other.finish(1, /*committed=*/true, 2), WireError);
+}
+
+TEST(ClientActor, CommitOfAnotherVersionThanTheCandidatesIsAWireError) {
+  // The candidate was announced as version 3; a commit that names 4
+  // advances the window but contradicts the announcement.
+  Rig rig;
+  rig.validate(1, {1, 2});
+  EXPECT_THROW(rig.finish(1, /*committed=*/true, 4), WireError);
+  EXPECT_EQ(rig.actor->history().latest().version, 2u);
 }
 
 TEST(ClientActor, CastsItsVoteThroughItsStrategy) {
@@ -217,7 +258,8 @@ TEST(ClientActor, BitEqualModelsShareOneSnapshot) {
       EXPECT_EQ(wa[i].get(), wb[i].get()) << "version " << wa[i]->version;
       EXPECT_NE(wa[i].get(), wo[i].get());
     }
-    EXPECT_EQ(store.live(), kJudgingLookback + 1);
+    // The window's models, and the candidate both judged, pending.
+    EXPECT_EQ(store.live(), kJudgingLookback + 2);
   }
 
   // Sharing changes no vote: both judge exactly as the lone actor.
@@ -241,36 +283,45 @@ TEST(ClientActor, DifferingBytesKeepTheirOwnSnapshot) {
   Rig a(VoteStrategy::kHonest, &store, shard, kJudgingLookback);
   Rig b(VoteStrategy::kHonest, &store, shard, kJudgingLookback);
   Rig c(VoteStrategy::kHonest, &store, shard, kJudgingLookback);
+  Rig d(VoteStrategy::kHonest, &store, shard, kJudgingLookback);
   const ParamVec candidate = random_model(100);
 
   // b's entry for version 4 differs from a's only in the sign of a
-  // zero: equal under float ==, not bit-equal.
+  // zero: equal under float ==, not bit-equal. d's entry for version 6
+  // differs only in a NaN's payload: unequal under ==, even to itself.
+  const float nan_a = std::bit_cast<float>(std::uint32_t{0x7fc00001});
+  const float nan_d = std::bit_cast<float>(std::uint32_t{0x7fc00002});
   std::vector<HistoryDelta::Entry> original = judging_window();
   original[3].params[0] = 0.0f;
-  std::vector<HistoryDelta::Entry> tampered = original;
-  tampered[3].params[0] = -0.0f;
+  original[5].params[1] = nan_a;
+  std::vector<HistoryDelta::Entry> signed_zero = original;
+  signed_zero[3].params[0] = -0.0f;
+  std::vector<HistoryDelta::Entry> nan_payload = original;
+  nan_payload[5].params[1] = nan_d;
   const ParamVec want_bytes = original[3].params;
   a.validate(1, original, candidate);
-  b.validate(1, tampered, candidate);
+  b.validate(1, signed_zero, candidate);
   c.validate(1, original, candidate);
+  d.validate(1, nan_payload, candidate);
 
   const ModelWindow wa = a.window();
   const ModelWindow wb = b.window();
   const ModelWindow wc = c.window();
+  const ModelWindow wd = d.window();
   for (std::size_t i = 0; i < wa.size(); ++i) {
     SCOPED_TRACE(wa[i]->version);
-    EXPECT_EQ(wa[i].get(), wc[i].get());  // c matched a's bytes
-    if (i == 3) {
-      EXPECT_NE(wa[i].get(), wb[i].get());
-    } else {
-      EXPECT_EQ(wa[i].get(), wb[i].get());
-    }
+    EXPECT_EQ(wa[i].get(), wc[i].get());  // c matched a's bytes, NaN too
+    EXPECT_EQ(wa[i].get() == wb[i].get(), i != 3);
+    EXPECT_EQ(wa[i].get() == wd[i].get(), i != 5);
   }
-  // Each window reads the bytes its own actor decoded.
+  // Each window reads the bytes its own actor was sent.
   EXPECT_TRUE(same_bytes(wa[3]->params, want_bytes));
   EXPECT_FALSE(std::signbit(wa[3]->params[0]));
   EXPECT_TRUE(std::signbit(wb[3]->params[0]));
-  EXPECT_EQ(store.live(), kJudgingLookback + 2);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(wa[5]->params[1]), 0x7fc00001u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(wd[5]->params[1]), 0x7fc00002u);
+  // a's window, b's and d's own entries, and the one pending candidate.
+  EXPECT_EQ(store.live(), kJudgingLookback + 1 + 2 + 1);
 }
 
 }  // namespace

@@ -67,6 +67,19 @@ ModelWindow window_of(std::initializer_list<std::uint64_t> versions) {
   return window;
 }
 
+/// Runs the validation send for each of `validators`, as
+/// TransportRoundDriver's per-validator tasks do.
+void send_validation(RoundServer& server, std::uint64_t round,
+                     std::uint64_t version, const ParamVec& candidate,
+                     const ModelWindow& window,
+                     std::initializer_list<std::size_t> validators) {
+  const WireBytes frame = encode_model_broadcast(
+      round, version, ModelPurpose::kCandidate, candidate);
+  for (std::size_t id : validators) {
+    server.send_validation(id, round, window, frame);
+  }
+}
+
 TEST(RoundServer, BroadcastsTrainingModelToContributors) {
   Rig rig(3);
   rig.server.broadcast_training(1, 0, ParamVec(kParams, 0.5f), {0, 2});
@@ -191,7 +204,7 @@ TEST(RoundServer, FirstValidationShipsFullWindowThenOnlyDeltas) {
   const ParamVec candidate(kParams, 9.0f);
 
   EXPECT_EQ(rig.server.synced_version(0), RoundServer::kNeverSynced);
-  rig.server.send_validation(3, 4, candidate, window_of({1, 2, 3}), {0});
+  send_validation(rig.server, 3, 4, candidate, window_of({1, 2, 3}), {0});
   {
     const auto delta =
         std::get<HistoryDelta>(decode_frame(*rig.clients[0]->try_recv()));
@@ -205,7 +218,7 @@ TEST(RoundServer, FirstValidationShipsFullWindowThenOnlyDeltas) {
   EXPECT_EQ(rig.server.synced_version(0), 3u);
 
   // Window advanced by one commit; only the new entry ships.
-  rig.server.send_validation(4, 5, candidate, window_of({2, 3, 4}), {0});
+  send_validation(rig.server, 4, 5, candidate, window_of({2, 3, 4}), {0});
   {
     const auto delta =
         std::get<HistoryDelta>(decode_frame(*rig.clients[0]->try_recv()));
@@ -215,10 +228,44 @@ TEST(RoundServer, FirstValidationShipsFullWindowThenOnlyDeltas) {
   EXPECT_EQ(rig.server.synced_version(0), 4u);
 }
 
+TEST(RoundServer, SharedFramesAreByteIdenticalAcrossRecipients) {
+  // The training broadcast and the candidate depend on no recipient:
+  // each is encoded once, and every recipient gets the same bytes.
+  Rig rig(3);
+  const ParamVec global{0.5f, -0.0f, 2.0f};
+  rig.server.broadcast_training(2, 1, global, {0, 1, 2});
+  const WireBytes training = *rig.clients[0]->try_recv();
+  const ModelBroadcast want_training{2, 1, ModelPurpose::kTraining, global};
+  EXPECT_EQ(training, encode_frame(want_training));
+  for (std::size_t id : {1u, 2u}) {
+    EXPECT_EQ(*rig.clients[id]->try_recv(), training);
+  }
+
+  // Validators at different sync levels get different deltas, and the
+  // same candidate bytes.
+  send_validation(rig.server, 2, 2, global, window_of({1}), {1});
+  rig.clients[1]->try_recv();  // delta
+  rig.clients[1]->try_recv();  // candidate
+  const ParamVec candidate{9.0f, 8.0f, 7.0f};
+  send_validation(rig.server, 3, 3, candidate, window_of({1, 2}), {0, 1, 2});
+  std::vector<WireBytes> deltas;
+  std::vector<WireBytes> candidates;
+  for (std::size_t id = 0; id < 3; ++id) {
+    deltas.push_back(*rig.clients[id]->try_recv());
+    candidates.push_back(*rig.clients[id]->try_recv());
+  }
+  EXPECT_NE(deltas[0], deltas[1]);  // full window vs. one entry
+  EXPECT_EQ(deltas[0], deltas[2]);
+  const ModelBroadcast want{3, 3, ModelPurpose::kCandidate, candidate};
+  EXPECT_EQ(candidates[0], encode_frame(want));
+  EXPECT_EQ(candidates[1], candidates[0]);
+  EXPECT_EQ(candidates[2], candidates[0]);
+}
+
 TEST(RoundServer, CommitAdvancesValidatorSyncAndRejectDoesNot) {
   Rig rig(2);
-  rig.server.send_validation(3, 4, ParamVec(kParams, 9.0f),
-                             window_of({1, 2, 3}), {0, 1});
+  send_validation(rig.server, 3, 4, ParamVec(kParams, 9.0f),
+                  window_of({1, 2, 3}), {0, 1});
   RoundResult commit;
   commit.round = 3;
   commit.committed = 1;
@@ -261,8 +308,8 @@ TEST(RoundServer, TrackerTotalsMatchChannelByteCountsExactly) {
   rig.send(1, rig.update_from(1, 1));
   rig.clients[1]->send(WireBytes{1, 2, 3});  // even junk bytes count
   (void)rig.server.collect(1, MsgType::kClientUpdate, {0, 1});
-  rig.server.send_validation(1, 1, ParamVec(kParams, 1.0f),
-                             window_of({0}), {0, 1});
+  send_validation(rig.server, 1, 1, ParamVec(kParams, 1.0f), window_of({0}),
+                  {0, 1});
   rig.send(0, rig.vote_from(0, 1, 0));
   rig.send(1, rig.vote_from(1, 1, 1));
   (void)rig.server.collect(1, MsgType::kVote, {0, 1});

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <stdexcept>
+#include <string>
+
+#include "fl/server.hpp"
+#include "support/alloc_counter.hpp"
 
 namespace baffle {
 namespace {
@@ -52,6 +57,193 @@ RoundResult sample_result() {
   m.reject_votes = 2;
   m.total_voters = 9;
   return m;
+}
+
+/// Little-endian fields appended by hand: the grammar wire.hpp
+/// documents, spelled out without the encoder's ByteWriter.
+class Body {
+ public:
+  Body& u8(std::uint64_t v) { return le(v, 1); }
+  Body& u16(std::uint64_t v) { return le(v, 2); }
+  Body& u32(std::uint64_t v) { return le(v, 4); }
+  Body& u64(std::uint64_t v) { return le(v, 8); }
+  Body& f64(double v) { return le(std::bit_cast<std::uint64_t>(v), 8); }
+  /// A u64 element count, then each float's bits.
+  Body& f32s(std::initializer_list<float> v) {
+    u64(v.size());
+    for (float f : v) le(std::bit_cast<std::uint32_t>(f), 4);
+    return *this;
+  }
+  /// u32 payload_len, u16 protocol_version, u8 message_type, body.
+  WireBytes frame(MsgType type) const {
+    Body f;
+    f.u32(bytes_.size() + 3).u16(kProtocolVersion);
+    f.u8(static_cast<std::uint8_t>(type));
+    f.bytes_.insert(f.bytes_.end(), bytes_.begin(), bytes_.end());
+    return f.bytes_;
+  }
+
+ private:
+  Body& le(std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) {
+      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    return *this;
+  }
+  WireBytes bytes_;
+};
+
+std::shared_ptr<const GlobalModel> snapshot(std::uint64_t v, ParamVec params) {
+  return std::make_shared<const GlobalModel>(GlobalModel{v, std::move(params)});
+}
+
+/// `frame` as lowercase hex, two digits per byte.
+std::string hex(const WireBytes& frame) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t byte : frame) {
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xf];
+  }
+  return out;
+}
+
+TEST(Wire, FrameBytesMatchGrammar) {
+  // One frame as hex, which also pins Body: payload_len 28, version 1,
+  // type 5, round 7, committed 1, version 7, 2 reject votes, 9 voters.
+  const std::string result_hex =
+      "1c00000001000507000000000000000107000000000000000200000009000000";
+  EXPECT_EQ(hex(encode_frame(sample_result())), result_hex);
+  Body result;
+  result.u64(7).u8(1).u64(7).u32(2).u32(9);
+  EXPECT_EQ(encode_frame(sample_result()), result.frame(MsgType::kRoundResult));
+
+  Body broadcast;
+  broadcast.u64(7).u64(6).u8(1).f32s({1.0f, -2.5f, 0.0f});
+  EXPECT_EQ(encode_frame(sample_broadcast()),
+            broadcast.frame(MsgType::kModelBroadcast));
+  Body empty_broadcast;
+  empty_broadcast.u64(0).u64(0).u8(0).f32s({});
+  EXPECT_EQ(encode_frame(ModelBroadcast{}),
+            empty_broadcast.frame(MsgType::kModelBroadcast));
+
+  Body update;
+  update.u64(7).u64(13).f32s({0.25f, -0.5f});
+  EXPECT_EQ(encode_frame(sample_update()),
+            update.frame(MsgType::kClientUpdate));
+  Body empty_update;
+  empty_update.u64(0).u64(0).f32s({});
+  EXPECT_EQ(encode_frame(ClientUpdate{}),
+            empty_update.frame(MsgType::kClientUpdate));
+
+  Body vote;
+  vote.u64(7).u64(13).u8(1).u8(0).f64(2.75).f64(1.5);
+  EXPECT_EQ(encode_frame(sample_vote()), vote.frame(MsgType::kVote));
+
+  // Several entries, one of them empty, and bit patterns == would
+  // blur.
+  const float nan = std::bit_cast<float>(std::uint32_t{0x7fc00005});
+  HistoryDelta delta;
+  delta.round = 9;
+  delta.entries.push_back({4, {1.0f}});
+  delta.entries.push_back({5, {}});
+  delta.entries.push_back({8, {-0.0f, nan, 3.0f}});
+  Body delta_body;
+  delta_body.u64(9).u64(3);
+  delta_body.u64(4).f32s({1.0f});
+  delta_body.u64(5).f32s({});
+  delta_body.u64(8).f32s({-0.0f, nan, 3.0f});
+  EXPECT_EQ(encode_frame(delta), delta_body.frame(MsgType::kHistoryDelta));
+  Body empty_delta;
+  empty_delta.u64(0).u64(0);
+  EXPECT_EQ(encode_frame(HistoryDelta{}),
+            empty_delta.frame(MsgType::kHistoryDelta));
+}
+
+TEST(Wire, EncodeFrameAllocatesOnce) {
+  // A FEMNIST-sized model: the frame is sized before it is written, so
+  // encoding reserves once and never regrows.
+  constexpr std::size_t kModel = 11'000;
+  const ParamVec params(kModel, 0.5f);
+  HistoryDelta delta;
+  std::vector<std::shared_ptr<const GlobalModel>> snapshots;
+  for (std::uint64_t v = 1; v <= 3; ++v) {
+    delta.entries.push_back({v, params});
+    snapshots.push_back(snapshot(v, params));
+  }
+  std::vector<WireMessage> msgs;
+  msgs.emplace_back(ModelBroadcast{3, 2, ModelPurpose::kTraining, params});
+  msgs.emplace_back(ClientUpdate{3, 1, params});
+  msgs.emplace_back(delta);
+  for (const WireMessage& msg : msgs) {
+    const std::size_t before = heap_allocations();
+    const WireBytes frame = encode_frame(msg);
+    EXPECT_EQ(heap_allocations() - before, 1u)
+        << msg_type_name(static_cast<MsgType>(msg.index() + 1));
+    EXPECT_GT(frame.size(), kModel * sizeof(float));
+  }
+  std::size_t before = heap_allocations();
+  (void)encode_model_broadcast(3, 2, ModelPurpose::kCandidate, params);
+  EXPECT_EQ(heap_allocations() - before, 1u);
+  before = heap_allocations();
+  (void)encode_history_delta(3, snapshots);
+  EXPECT_EQ(heap_allocations() - before, 1u);
+}
+
+TEST(Wire, SnapshotEncodersMatchEncodeFrame) {
+  const float nan = std::bit_cast<float>(std::uint32_t{0xffc00003});
+  std::vector<std::shared_ptr<const GlobalModel>> snapshots;
+  snapshots.push_back(snapshot(4, {1.0f, 2.0f}));
+  snapshots.push_back(snapshot(5, {}));
+  snapshots.push_back(snapshot(9, {-0.0f, nan}));
+  HistoryDelta delta;
+  delta.round = 11;
+  for (const auto& s : snapshots) {
+    delta.entries.push_back({s->version, s->params});
+  }
+  EXPECT_EQ(encode_history_delta(11, snapshots), encode_frame(delta));
+  EXPECT_EQ(encode_history_delta(11, std::span(snapshots).subspan(2)),
+            encode_frame(HistoryDelta{11, {delta.entries[2]}}));
+  EXPECT_EQ(encode_history_delta(11, {}), encode_frame(HistoryDelta{11, {}}));
+
+  const ModelBroadcast m = sample_broadcast();
+  const WireBytes direct =
+      encode_model_broadcast(m.round, m.version, m.purpose, m.params);
+  EXPECT_EQ(direct, encode_frame(m));
+}
+
+TEST(Wire, FrameViewAliasesTheFrameAndMatchesDecode) {
+  HistoryDelta delta;
+  delta.round = 3;
+  delta.entries.push_back({1, {1.0f, -0.0f}});
+  delta.entries.push_back({2, {}});
+  delta.entries.push_back({6, {4.0f}});
+  const WireBytes frame = encode_frame(delta);
+  const auto view = std::get<HistoryDeltaView>(decode_frame_view(frame));
+  const auto owned = std::get<HistoryDelta>(decode_frame(frame));
+  EXPECT_EQ(view.round, 3u);
+  ASSERT_EQ(view.entries.size(), 3u);
+  for (std::size_t i = 0; i < view.entries.size(); ++i) {
+    SCOPED_TRACE(i);
+    const F32View params = view.entries[i].params;
+    EXPECT_EQ(view.entries[i].version, owned.entries[i].version);
+    EXPECT_TRUE(params.same_bytes(owned.entries[i].params));
+    if (params.size() > 0) {  // the payload lies inside the frame
+      EXPECT_GE(params.bytes().data(), frame.data());
+      EXPECT_LE(params.bytes().data() + params.bytes().size(),
+                frame.data() + frame.size());
+    }
+  }
+  EXPECT_FALSE(view.entries[0].params.same_bytes(ParamVec{1.0f, 0.0f}));
+
+  const WireBytes update = encode_frame(sample_update());
+  const auto update_view =
+      std::get<ClientUpdateView>(decode_frame_view(update));
+  ParamVec copied;
+  update_view.update.copy_into(copied);
+  EXPECT_EQ(copied, sample_update().update);
+  const WireBytes vote = encode_frame(sample_vote());
+  EXPECT_EQ(std::get<Vote>(decode_frame_view(vote)).phi, 2.75);
 }
 
 TEST(Wire, ModelBroadcastRoundTrips) {
@@ -169,8 +361,10 @@ TEST(Wire, TruncationSweepAllMessageTypes) {
                    << " cut at " << cut);
       const std::span<const std::uint8_t> prefix(full.data(), cut);
       EXPECT_THROW(decode_frame(prefix), std::exception);
+      EXPECT_THROW(decode_frame_view(prefix), std::exception);
     }
     EXPECT_NO_THROW(decode_frame(full));
+    EXPECT_NO_THROW(decode_frame_view(full));
   }
 }
 

@@ -34,7 +34,7 @@ TEST(Serialization, RoundTripFloatVector) {
   w.f32_span(v);
   ByteReader r(w.bytes());
   std::vector<float> out;
-  r.f32_vec_into(out);
+  r.f32_view().copy_into(out);
   EXPECT_EQ(out, v);
   EXPECT_TRUE(r.done());
 }
@@ -44,7 +44,7 @@ TEST(Serialization, RoundTripEmptyVector) {
   w.f32_span({});
   ByteReader r(w.bytes());
   std::vector<float> out{1.0f};
-  r.f32_vec_into(out);
+  r.f32_view().copy_into(out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -77,19 +77,19 @@ TEST(Serialization, ImplausibleVectorLengthThrows) {
   w.u64(std::numeric_limits<std::uint64_t>::max());  // absurd length
   ByteReader r(w.bytes());
   std::vector<float> out;
-  EXPECT_THROW(r.f32_vec_into(out), std::runtime_error);
+  EXPECT_THROW(r.f32_view().copy_into(out), std::runtime_error);
 }
 
 TEST(Serialization, ImplausibleStringLengthThrows) {
   // Named for the byte-string reader this check was first written for.
-  // The guard is length_prefix's, which f32_vec_into shares: a prefix
+  // The guard is length_prefix's, which f32_view shares: a prefix
   // claiming 1 MiB of payload when nothing follows is rejected before
   // any allocation.
   ByteWriter w;
   w.u64((std::uint64_t{1} << 20) / sizeof(float));
   ByteReader r(w.bytes());
   std::vector<float> out;
-  EXPECT_THROW(r.f32_vec_into(out), std::runtime_error);
+  EXPECT_THROW(r.f32_view().copy_into(out), std::runtime_error);
   EXPECT_TRUE(out.empty());
 }
 
@@ -160,7 +160,7 @@ TEST_P(SerializationFuzz, RandomRoundTrip) {
       case 1: EXPECT_EQ(r.f32(), op.f); break;
       case 2: {
         std::vector<float> vec;
-        r.f32_vec_into(vec);
+        r.f32_view().copy_into(vec);
         EXPECT_EQ(vec, op.vec);
         break;
       }
@@ -215,8 +215,57 @@ TEST(Serialization, F32VecIntoReplacesPriorContents) {
   w.f32_span(std::vector<float>{1.0f, 2.0f});
   ByteReader r(w.bytes());
   std::vector<float> out{9.0f, 9.0f, 9.0f, 9.0f, 9.0f};
-  r.f32_vec_into(out);
+  r.f32_view().copy_into(out);
   EXPECT_EQ(out, (std::vector<float>{1.0f, 2.0f}));
+}
+
+TEST(Serialization, CounterCountsWhatTheWriterWrites) {
+  const auto write_all = [](auto& w) {
+    w.u8(1);
+    w.u32(3);
+    w.u64(4);
+    w.f64(-2.5);
+    w.f32_span(std::vector<float>{1.0f, 2.0f, 3.0f});
+    w.f32_span({});
+  };
+  ByteWriter writer;
+  ByteCounter counter;
+  write_all(writer);
+  write_all(counter);
+  EXPECT_EQ(counter.size(), writer.size());
+}
+
+TEST(Serialization, F32ViewReadsInPlaceAtAnyAlignment) {
+  const float nan = std::bit_cast<float>(std::uint32_t{0x7fc00009});
+  const std::vector<float> v{1.0f, -0.0f, nan};
+  ByteWriter w;
+  w.u8(7);  // puts the payload at an odd offset
+  w.f32_span(v);
+  const std::vector<std::uint8_t> bytes = w.take();
+  ByteReader r(bytes);
+  r.u8();
+  const F32View view = r.f32_view();
+  EXPECT_TRUE(r.done());
+  ASSERT_EQ(view.size(), 3u);
+  EXPECT_EQ(view.bytes().data(), bytes.data() + 9);  // aliases the input
+
+  // Bit-for-bit comparison: -0 is not +0, a NaN matches only its bits.
+  EXPECT_TRUE(view.same_bytes(v));
+  std::vector<float> other = v;
+  other[1] = 0.0f;
+  EXPECT_FALSE(view.same_bytes(other));
+  other = v;
+  other[2] = std::bit_cast<float>(std::uint32_t{0x7fc0000a});
+  EXPECT_FALSE(view.same_bytes(other));
+  EXPECT_FALSE(view.same_bytes(std::span(v).first(2)));
+
+  std::vector<float> out;
+  view.copy_into(out);
+  ASSERT_EQ(out.size(), 3u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+              std::bit_cast<std::uint32_t>(v[i]));
+  }
 }
 
 TEST(Serialization, DenormalsSurviveRoundTrip) {
@@ -225,7 +274,7 @@ TEST(Serialization, DenormalsSurviveRoundTrip) {
   w.f32_span(std::vector<float>{denorm, -denorm});
   ByteReader r(w.bytes());
   std::vector<float> v;
-  r.f32_vec_into(v);
+  r.f32_view().copy_into(v);
   ASSERT_EQ(v.size(), 2u);
   EXPECT_EQ(std::bit_cast<std::uint32_t>(v[0]),
             std::bit_cast<std::uint32_t>(denorm));
@@ -258,7 +307,7 @@ TEST(Serialization, TruncationSweepCoversEveryReaderMethod) {
     r.f32();
     r.f64();
     std::vector<float> vec;
-    r.f32_vec_into(vec);
+    r.f32_view().copy_into(vec);
     r.raw(2);
     return r.done();
   };
@@ -297,7 +346,7 @@ TEST(Serialization, OverflowingLengthPrefixCannotWrap) {
     w.u32(0);  // a few real bytes after the prefix
     ByteReader r(w.bytes());
     std::vector<float> out;
-    EXPECT_THROW(r.f32_vec_into(out), std::runtime_error);
+    EXPECT_THROW(r.f32_view().copy_into(out), std::runtime_error);
     EXPECT_TRUE(out.empty());  // nothing was allocated or written
   }
 }

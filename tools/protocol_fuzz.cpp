@@ -13,6 +13,12 @@
 //      collected set or in ProtocolStats, and the tracker's byte count
 //      must equal the channels' own.
 //
+// Both lanes decode each frame in place too (decode_frame_view, what
+// client actors read) and intern every payload of a frame that decodes
+// through a SnapshotStore, as actors do: the snapshot must hold the
+// bytes decode_frame copies out, and a burst keeps its snapshots alive
+// so later frames exercise the store's comparison as well as its copy.
+//
 // The contract under test (src/net/wire.hpp, src/net/round_server.hpp):
 // a malformed frame always surfaces as a thrown std::exception or a
 // counted rejection — never a crash, hang, or out-of-bounds read. Run
@@ -29,6 +35,7 @@
 
 #include "cli_flags.hpp"
 #include "fl/comm.hpp"
+#include "net/client_actor.hpp"
 #include "net/round_server.hpp"
 #include "util/rng.hpp"
 
@@ -105,17 +112,61 @@ std::vector<WireBytes> seed_corpus(Rng& rng) {
   return corpus;
 }
 
-/// Decode must either succeed or throw std::exception; anything else
-/// (a crash, an ASan report) never returns here. Returns whether the
-/// frame decoded cleanly.
-bool decode_is_clean(std::span<const std::uint8_t> frame) {
-  try {
-    (void)decode_frame(frame);
+/// Decodes frames in place and interns every payload of each frame that
+/// decodes, as client actors do, into one store. Snapshots stay held
+/// until release(), so a burst's later frames meet its earlier ones.
+class PayloadCheck {
+ public:
+  /// Decoding either succeeds or throws std::exception; anything else
+  /// (a crash, an ASan report) never returns here. Returns whether the
+  /// frame decoded.
+  bool decode_is_clean(std::span<const std::uint8_t> frame) {
+    WireView view;
+    try {
+      view = decode_frame_view(frame);
+    } catch (const std::exception&) {
+      return false;
+    }
+    const WireMessage owned = decode_frame(frame);
+    if (const auto* m = std::get_if<ModelBroadcastView>(&view)) {
+      intern(m->version, m->params, std::get<ModelBroadcast>(owned).params);
+    } else if (const auto* u = std::get_if<ClientUpdateView>(&view)) {
+      intern(u->round, u->update, std::get<ClientUpdate>(owned).update);
+    } else if (const auto* d = std::get_if<HistoryDeltaView>(&view)) {
+      const auto& entries = std::get<HistoryDelta>(owned).entries;
+      for (std::size_t i = 0; i < d->entries.size(); ++i) {
+        intern(d->entries[i].version, d->entries[i].params, entries[i].params);
+      }
+    }
     return true;
-  } catch (const std::exception&) {
-    return false;
   }
-}
+
+  /// Drops the held snapshots, counting the ones the store had to copy.
+  void release() {
+    copied_ += store_.live();
+    held_.clear();
+  }
+
+  std::uint64_t interned() const { return interned_; }
+  std::uint64_t copied() const { return copied_; }
+  /// Whether some snapshot differed from decode_frame's copy of its
+  /// payload.
+  bool mismatch() const { return mismatch_; }
+
+ private:
+  void intern(std::uint64_t version, const F32View& payload,
+              const ParamVec& copy) {
+    held_.push_back(store_.intern(version, payload));
+    mismatch_ = mismatch_ || !same_bytes(held_.back()->params, copy);
+    ++interned_;
+  }
+
+  SnapshotStore store_;
+  std::vector<std::shared_ptr<const GlobalModel>> held_;
+  std::uint64_t interned_ = 0;
+  std::uint64_t copied_ = 0;
+  bool mismatch_ = false;
+};
 
 /// A one-client RoundServer session whose collection never waits.
 class FuzzSession {
@@ -183,6 +234,7 @@ MsgType phase_for(const WireMessage& pristine, Rng& rng) {
 int run(std::uint64_t seed, std::size_t rounds) {
   Rng rng(seed);
   FuzzSession session;
+  PayloadCheck payloads;
   std::uint64_t cases = 0;
   std::uint64_t survivors = 0;  // bit-flipped frames that still decode
 
@@ -190,7 +242,7 @@ int run(std::uint64_t seed, std::size_t rounds) {
     const auto corpus = seed_corpus(rng);
 
     for (const auto& frame : corpus) {
-      if (!decode_is_clean(frame)) {
+      if (!payloads.decode_is_clean(frame)) {
         std::fprintf(stderr,
                      "protocol_fuzz: pristine frame rejected (iter %zu)\n",
                      iter);
@@ -201,7 +253,7 @@ int run(std::uint64_t seed, std::size_t rounds) {
       // 1. Every proper prefix must be rejected.
       for (std::size_t cut = 0; cut < frame.size(); ++cut) {
         const std::span<const std::uint8_t> prefix(frame.data(), cut);
-        if (decode_is_clean(prefix)) {
+        if (payloads.decode_is_clean(prefix)) {
           std::fprintf(stderr,
                        "protocol_fuzz: truncated frame accepted "
                        "(iter %zu, %zu of %zu bytes)\n",
@@ -223,10 +275,11 @@ int run(std::uint64_t seed, std::size_t rounds) {
               0, static_cast<std::int64_t>(mutated.size()) * 8 - 1));
           mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
         }
-        if (decode_is_clean(mutated)) ++survivors;
+        if (payloads.decode_is_clean(mutated)) ++survivors;
         burst.push_back(std::move(mutated));
         ++cases;
       }
+      payloads.release();
       if (!session.collect_burst(burst, phase_for(decode_frame(frame), rng))) {
         std::fprintf(stderr, "protocol_fuzz: bit-flip burst (iter %zu)\n",
                      iter);
@@ -241,8 +294,10 @@ int run(std::uint64_t seed, std::size_t rounds) {
       for (auto& byte : bytes) {
         byte = static_cast<std::uint8_t>(rng.next_u64());
       }
+      (void)payloads.decode_is_clean(bytes);
       ++cases;
     }
+    payloads.release();
     const MsgType phase =
         rng.bernoulli(0.5) ? MsgType::kClientUpdate : MsgType::kVote;
     if (!session.collect_burst(garbage, phase)) {
@@ -251,6 +306,12 @@ int run(std::uint64_t seed, std::size_t rounds) {
     }
   }
 
+  if (payloads.mismatch()) {
+    std::fprintf(stderr,
+                 "protocol_fuzz: a snapshot interned from a frame differs "
+                 "from the frame's decoded copy\n");
+    return 1;
+  }
   if (!session.bytes_reconcile()) {
     std::fprintf(stderr,
                  "protocol_fuzz: tracker bytes differ from channel bytes\n");
@@ -261,9 +322,12 @@ int run(std::uint64_t seed, std::size_t rounds) {
     return 1;
   }
   std::printf(
-      "protocol_fuzz: OK (%llu cases, %llu mutated frames still decoded)\n",
+      "protocol_fuzz: OK (%llu cases, %llu mutated frames still decoded, "
+      "%llu payloads interned, %llu of them copied)\n",
       static_cast<unsigned long long>(cases),
-      static_cast<unsigned long long>(survivors));
+      static_cast<unsigned long long>(survivors),
+      static_cast<unsigned long long>(payloads.interned()),
+      static_cast<unsigned long long>(payloads.copied()));
   return 0;
 }
 

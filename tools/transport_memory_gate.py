@@ -3,12 +3,14 @@
 
 Runs baffle_sim in process and over the wire protocol (--transport=1)
 for each configuration below, on one pool worker (BAFFLE_THREADS=1),
-and fails when a transport run's peak resident set exceeds twice the
-in-process run's. Over the wire every client actor keeps its own window
-of the last l+1 accepted models, so a transport run that stores one
-decoded copy per actor (instead of sharing bit-equal snapshots) grows
-with clients x (l+1) x model size and trips this gate long before the
-in-process run moves.
+and fails when a transport run's peak resident set exceeds the
+in-process run's by more than MAX_RATIO. Over the wire every client
+actor keeps its own window of the last l+1 accepted models, so a
+transport run that stores one decoded copy per actor (instead of
+sharing bit-equal snapshots) grows with clients x (l+1) x model size
+and trips this gate long before the in-process run moves. So does one
+that encodes every validator's history delta before any actor reads
+(FEMNIST: 1.37x, where streaming the deltas reads 1.12x).
 
 Each child's peak is read from the rusage os.wait4 returns for that
 child alone. RUSAGE_CHILDREN is not used: it keeps a running maximum
@@ -27,8 +29,10 @@ CONFIGS = (
     ("femnist", ["--task=femnist", "--rounds=60"]),
 )
 
-# Largest allowed transport / in-process peak-RSS ratio.
-MAX_RATIO = 2.0
+# Largest allowed transport / in-process peak-RSS ratio. Streamed
+# deltas read 1.07x (vision l=40) and 1.12-1.13x (femnist) on a 4-vCPU
+# AVX-512F host; queued deltas read 1.17-1.18x and 1.37x.
+MAX_RATIO = 1.25
 
 
 def peak_mb(binary, flags):
@@ -58,7 +62,7 @@ def main():
         verdict = "ok" if ratio <= MAX_RATIO else "FAIL"
         print(f"{verdict}: {name}: peak RSS {wired:.1f} MB over the wire, "
               f"{inproc:.1f} MB in process ({ratio:.2f}x, limit "
-              f"{MAX_RATIO:.1f}x)")
+              f"{MAX_RATIO:.2f}x)")
         if ratio > MAX_RATIO:
             failures += 1
     return 1 if failures else 0
