@@ -51,9 +51,8 @@ ParamVec craft_dba_update(const Mlp& global, const Dataset& attacker_clean,
   }
   blend.shuffle(rng);
 
-  Mlp local = global;
-  train_sgd(local, blend.features(), blend.labels(), config.train, rng);
-  ParamVec update = subtract(local.parameters(), global.parameters());
+  ParamVec update = train_update(global, blend.features(), blend.labels(),
+                                 config.train, rng);
   scale(update, static_cast<float>(config.per_client_boost));
   return update;
 }

@@ -17,9 +17,8 @@ ParamVec craft_replacement_update(const Mlp& global,
   const Dataset poisoned = make_poisoned_training_set(
       attacker_clean, backdoor_pool, config.task, config.poison_fraction,
       rng);
-  Mlp local = global;
-  train_sgd(local, poisoned.features(), poisoned.labels(), config.train, rng);
-  ParamVec update = subtract(local.parameters(), global.parameters());
+  ParamVec update = train_update(global, poisoned.features(),
+                                 poisoned.labels(), config.train, rng);
   scale(update, static_cast<float>(config.boost));
   return update;
 }

@@ -9,11 +9,7 @@ ParamVec FlClient::compute_update(const Mlp& global, const TrainConfig& config,
   if (data_.empty()) {
     return ParamVec(global.num_params(), 0.0f);
   }
-  Mlp local = global;
-  train_sgd(local, data_.features(), data_.labels(), config, rng);
-  ParamVec update(global.num_params());
-  local.parameter_delta_into(global, update);
-  return update;
+  return train_update(global, data_.features(), data_.labels(), config, rng);
 }
 
 ParamVec HonestUpdateProvider::update_for(std::size_t client_id,

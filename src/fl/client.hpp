@@ -16,8 +16,9 @@ class FlClient {
   const Dataset& data() const { return data_; }
 
   /// Trains a copy of the global model on the local shard for the
-  /// configured number of epochs and returns the update U = L - G.
-  /// A client with no data returns a zero update.
+  /// configured number of epochs and returns the update U = L - G
+  /// (train_update: the copy is a leased model, so a warm call allocates
+  /// only the update). A client with no data returns a zero update.
   ParamVec compute_update(const Mlp& global, const TrainConfig& config,
                           Rng& rng) const;
 
@@ -32,10 +33,11 @@ class FlClient {
 ///
 /// Thread-safety contract: the server's round loop and the client
 /// actors call update_for concurrently for the round's contributors
-/// (each call gets its own Rng; train_sgd leases its own scratch), so
-/// implementations must not mutate shared state in update_for — confine
-/// per-call state to locals or atomics. arm()-style round configuration
-/// happens strictly between rounds and needs no synchronization.
+/// (each call gets its own Rng; train_update leases its local model and
+/// train_sgd its scratch), so implementations must not mutate shared
+/// state in update_for — confine per-call state to locals or atomics.
+/// arm()-style round configuration happens strictly between rounds and
+/// needs no synchronization.
 class UpdateProvider {
  public:
   virtual ~UpdateProvider() = default;

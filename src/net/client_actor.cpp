@@ -1,6 +1,7 @@
 #include "net/client_actor.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace baffle {
@@ -45,6 +46,7 @@ ClientActor::ClientActor(ClientActorConfig config, MlpConfig arch,
                          SnapshotStore& snapshots)
     : config_(config),
       arch_(std::move(arch)),
+      num_params_(Mlp(arch_).num_params()),
       provider_(provider),
       channel_(std::move(channel)),
       snapshots_(snapshots),
@@ -86,8 +88,17 @@ void ClientActor::check_advances(std::uint64_t version) const {
   }
 }
 
+void ClientActor::check_length(const F32View& params) const {
+  if (params.size() != num_params_) {
+    throw WireError("ClientActor: a model payload of " +
+                    std::to_string(params.size()) + " floats, the model has " +
+                    std::to_string(num_params_) + " parameters");
+  }
+}
+
 void ClientActor::accept(std::uint64_t version, const F32View& params) {
   check_advances(version);
+  check_length(params);
   history_.push(snapshots_.intern(version, params));
 }
 
@@ -98,15 +109,14 @@ void ClientActor::handle_training(Rng rng) {
   if (broadcast.purpose != ModelPurpose::kTraining) {
     throw WireError("ClientActor: training phase got a candidate model");
   }
-  ParamVec params;
-  broadcast.params.copy_into(params);
-  Mlp global(arch_);
-  global.set_parameters(params);
+  check_length(broadcast.params);
+  const LeasedMlp global(arch_);
+  global->set_parameters(broadcast.params);
 
   ClientUpdate reply;
   reply.round = broadcast.round;
   reply.client_id = config_.client_id;
-  reply.update = provider_->update_for(config_.client_id, global, rng);
+  reply.update = provider_->update_for(config_.client_id, *global, rng);
   channel_->send(encode_frame(reply));
 }
 
@@ -131,6 +141,7 @@ void ClientActor::handle_validation() {
   }
   // Every validator of the round is sent the same candidate bytes, so
   // they judge, and hold pending, one shared snapshot of it.
+  check_length(candidate.params);
   auto model = snapshots_.intern(candidate.version, candidate.params);
 
   // Honest verdict first; a malicious actor then lies on the wire. The

@@ -14,9 +14,10 @@
 // GlobalModel between them instead of a copy each, and only the first
 // of them copies the bytes out of its frame. Bytes that differ (a
 // tampered frame, an equivocating server) get a snapshot of their own,
-// so no window ever holds bytes its actor was not sent. Training
-// scratch is not kept between rounds: each training call builds the
-// broadcast model for itself, and train_sgd leases its own scratch.
+// so no window ever holds bytes its actor was not sent. Training keeps
+// no model of its own: each call copies the broadcast's bytes once,
+// into an Mlp leased per thread (LeasedMlp), and the provider trains a
+// leased local model too, so a warm training call constructs no model.
 //
 // The actor's verdicts are bit-identical to the in-process
 // BaffleDefense path: VALIDATE depends only on (candidate, window,
@@ -32,8 +33,9 @@
 // same function the in-process path applies), which is where vote
 // manipulation happens in a deployment; the server never rewrites
 // votes. Every version the wire supplies must advance the local window,
-// and a commit must name the version its candidate was announced with,
-// or the handler throws WireError.
+// a commit must name the version its candidate was announced with, and
+// every model payload must hold the architecture's parameter count, or
+// the handler throws WireError.
 
 #include <optional>
 #include <unordered_map>
@@ -127,11 +129,15 @@ class ClientActor {
   /// wire-supplied version that does not advance the window is
   /// rejected here as a protocol violation.
   void check_advances(std::uint64_t version) const;
+  /// A model payload of another length than the architecture's
+  /// parameter count is a protocol violation.
+  void check_length(const F32View& params) const;
   /// Appends a history-delta entry, interned from its frame's bytes.
   void accept(std::uint64_t version, const F32View& params);
 
   ClientActorConfig config_;
   MlpConfig arch_;  // decoded training broadcasts materialize as this
+  std::size_t num_params_;  // every model payload's length
   UpdateProvider* provider_;
   std::shared_ptr<Channel> channel_;
   SnapshotStore& snapshots_;

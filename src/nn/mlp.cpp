@@ -105,6 +105,33 @@ void Mlp::set_parameters(std::span<const float> flat) {
   }
 }
 
+void Mlp::set_parameters(const F32View& flat) {
+  if (flat.size() != num_params_) {
+    throw std::invalid_argument("Mlp::set_parameters: size mismatch");
+  }
+  std::size_t pos = 0;
+  for (auto& layer : layers_) {
+    const auto w = layer.weights().flat();
+    flat.subview(pos, w.size()).copy_to(w);
+    pos += w.size();
+    flat.subview(pos, layer.bias().size()).copy_to(layer.bias());
+    pos += layer.bias().size();
+  }
+}
+
+void Mlp::copy_parameters_from(const Mlp& from) {
+  if (from.config_.layer_dims != config_.layer_dims) {
+    throw std::invalid_argument(
+        "Mlp::copy_parameters_from: layer dims differ");
+  }
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Dense& src = from.layers_[i];
+    Dense& dst = layers_[i];
+    std::ranges::copy(src.weights().flat(), dst.weights().flat().begin());
+    std::ranges::copy(src.bias(), dst.bias().begin());
+  }
+}
+
 void Mlp::parameter_delta_into(const Mlp& base, std::span<float> out) const {
   if (base.config_.layer_dims != config_.layer_dims) {
     throw std::invalid_argument("Mlp::parameter_delta_into: layer dims differ");
@@ -135,6 +162,13 @@ void Mlp::add_to_parameters(std::span<const float> delta) {
     pos += w.size();
     axpy(1.0f, delta.subspan(pos, layer.bias().size()), layer.bias());
     pos += layer.bias().size();
+  }
+}
+
+LeasedMlp::LeasedMlp(const MlpConfig& config) {
+  std::optional<Mlp>& slot = *lease_;
+  if (!slot || slot->config().layer_dims != config.layer_dims) {
+    slot.emplace(config);
   }
 }
 

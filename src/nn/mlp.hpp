@@ -8,10 +8,13 @@
 // std::vector<float> of all weights and biases, in a fixed layer order.
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "nn/dense.hpp"
+#include "util/scratch_lease.hpp"
+#include "util/serialization.hpp"
 
 namespace baffle {
 
@@ -85,6 +88,14 @@ class Mlp {
   /// row-major then bias.
   std::vector<float> parameters() const;
   void set_parameters(std::span<const float> flat);
+  /// As above, straight from wire bytes: one copy per block, no staging
+  /// vector.
+  void set_parameters(const F32View& flat);
+
+  /// Copies `from`'s weights and biases, leaving the gradient buffers as
+  /// they are (the next backward_train overwrites them): what a local
+  /// model needs of the global one. `from` must have the same layer dims.
+  void copy_parameters_from(const Mlp& from);
 
   /// out = parameters() − base.parameters() in one pass (a client's
   /// update L − G), written into a caller-owned buffer
@@ -101,6 +112,23 @@ class Mlp {
   MlpConfig config_;
   std::vector<Dense> layers_;
   std::size_t num_params_ = 0;
+};
+
+/// An Mlp leased per thread and nesting depth (util/scratch_lease.hpp)
+/// for a model a call fills, trains or reads, and then drops: a client's
+/// local model, or a training broadcast read off the wire. The slot
+/// keeps its layers between leases and is rebuilt only when `config`
+/// differs from its last holder's, so a warm lease allocates nothing.
+/// Its parameters are whatever the last holder left: set them first.
+class LeasedMlp {
+ public:
+  explicit LeasedMlp(const MlpConfig& config);
+
+  Mlp& operator*() const { return **lease_; }
+  Mlp* operator->() const { return &**lease_; }
+
+ private:
+  ScratchLease<std::optional<Mlp>> lease_;
 };
 
 }  // namespace baffle

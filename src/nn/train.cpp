@@ -65,4 +65,15 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
   return stats;
 }
 
+std::vector<float> train_update(const Mlp& global, const Matrix& x,
+                                std::span<const int> labels,
+                                const TrainConfig& config, Rng& rng) {
+  const LeasedMlp local(global.config());
+  local->copy_parameters_from(global);
+  train_sgd(*local, x, labels, config, rng);
+  std::vector<float> update(global.num_params());
+  local->parameter_delta_into(global, update);
+  return update;
+}
+
 }  // namespace baffle

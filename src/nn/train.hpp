@@ -35,4 +35,12 @@ struct TrainStats {
 TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
                      const TrainConfig& config, Rng& rng);
 
+/// A local update U = L − G: train_sgd on a LeasedMlp holding a copy of
+/// `global`'s parameters, whose difference from `global` is written
+/// straight into the returned vector. A call on a warm thread allocates
+/// that vector and nothing else. `global` is only read.
+std::vector<float> train_update(const Mlp& global, const Matrix& x,
+                                std::span<const int> labels,
+                                const TrainConfig& config, Rng& rng);
+
 }  // namespace baffle

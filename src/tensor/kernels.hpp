@@ -148,6 +148,11 @@ struct KernelTable {
   // runs this kernel over row blocks of the output.
   void (*gemm_panel_rows)(const PanelGemmArgs&, std::size_t r0,
                           std::size_t r1);
+  // One panel of pack_bt_panels: row c < rows of the row-major rows x k
+  // block b becomes column c of the k x kPanelCols panel, and columns
+  // rows..kPanelCols-1 are +0. A copy, so every arm gives the same bytes.
+  void (*pack_bt_panel)(const float* b, std::size_t rows, std::size_t k,
+                        float* panel);
 
   // Flat-vector primitives. All length arguments are element counts.
   void (*axpy)(float alpha, const float*, float*, std::size_t);
@@ -184,6 +189,9 @@ struct KernelTable {
   // over the rows in order from +0. out must not overlap m.
   void (*col_sum)(const float* m, std::size_t rows, std::size_t cols,
                   float* out);
+  // w[i] += round(−lr · g[i]): the product rounds before its add, never
+  // one FMA, so every arm gives the same bytes.
+  void (*sgd_update)(float* w, const float* g, float lr, std::size_t n);
 
   // Rng's engine (util/rng.hpp). mt_regenerate runs std::mt19937_64's
   // twist over the kMtWords state words in place. polar_pairs returns

@@ -47,6 +47,18 @@ void gemm_panel_rows(const PanelGemmArgs& g, std::size_t r0,
   }
 }
 
+// Sequential reads of each b row, 16-strided writes into the panel.
+void pack_bt_panel(const float* b, std::size_t rows, std::size_t k,
+                   float* panel) {
+  for (std::size_t c = 0; c < rows; ++c) {
+    const float* src = b + c * k;
+    for (std::size_t p = 0; p < k; ++p) panel[p * kPanelCols + c] = src[p];
+  }
+  for (std::size_t c = rows; c < kPanelCols; ++c) {
+    for (std::size_t p = 0; p < k; ++p) panel[p * kPanelCols + c] = 0.0f;
+  }
+}
+
 void axpy(float alpha, const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -142,9 +154,8 @@ double softmax_xent_rows(float* x, const int* labels, std::size_t rows,
   return softmax_xent_row_loop(x, labels, rows, cols, max_value);
 }
 
-// Every arm runs this loop. __restrict lets the compiler keep `out` in
-// registers across rows; without it the loop is slower than the
-// per-row vector axpy it replaced.
+// __restrict lets the compiler keep `out` in registers across rows;
+// without it the loop is slower than the per-row axpy it replaced.
 void col_sum(const float* __restrict m, std::size_t rows, std::size_t cols,
              float* __restrict out) {
   std::fill_n(out, cols, 0.0f);
@@ -152,6 +163,13 @@ void col_sum(const float* __restrict m, std::size_t rows, std::size_t cols,
     const float* row = m + r * cols;
     for (std::size_t c = 0; c < cols; ++c) out[c] += row[c];
   }
+}
+
+// Not axpy: this TU has no FMA codegen, so the product is rounded before
+// its add, and the loop still vectorizes at -O3.
+void sgd_update(float* w, const float* g, float lr, std::size_t n) {
+  const float neg_lr = -lr;
+  for (std::size_t i = 0; i < n; ++i) w[i] += neg_lr * g[i];
 }
 
 void argmax_margin_panel(const ArgmaxMarginArgs& g) {
@@ -222,6 +240,7 @@ constexpr KernelTable kTable = {
     /*gemm_reads_b_in_place=*/true,
     /*libm_exp_copy=*/false,
     gemm_panel_rows,
+    pack_bt_panel,
     axpy,
     scale,
     max_value,
@@ -234,6 +253,7 @@ constexpr KernelTable kTable = {
     exp_f32,
     softmax_xent_rows,
     col_sum,
+    sgd_update,
     mt_regenerate,
     polar_pairs,
 };

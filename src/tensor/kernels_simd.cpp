@@ -10,8 +10,8 @@
 // the scalar arm only by FMA rounding — within the parity-test
 // tolerance — while scale, max, relu_backward, the u64 adds, the mask
 // keystream and encode, Rng's twist and polar step, and the SGD step's
-// softmax are bit-exact. The ymm and zmm GEMM and eval-layer tiles are
-// bit-identical to each other.
+// pack, softmax, column sums and update are bit-exact. The ymm and zmm
+// GEMM and eval-layer tiles are bit-identical to each other.
 
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
@@ -817,6 +817,117 @@ BAFFLE_TARGET_AVX512F double softmax_xent_rows_zmm(float* x,
   return loss / batch;
 }
 
+// ---- The SGD step's glue on 16 lanes ----
+//
+// Copies, compares and one rounding per operation, each lane doing what
+// the scalar loop does to its element, so all four give the scalar
+// arm's bytes. The ReLU mask and the update run whole vectors unmasked,
+// then one masked tail: a loop that masks every step, as exp_f32_zmm
+// does, timed 15-35% slower on the vision model's layers.
+
+/// One gather per panel row: lane c reads row c of b at column p; the
+/// lanes from `rows` on read nothing and store +0.
+BAFFLE_TARGET_AVX512F void pack_bt_panel_zmm(const float* b, std::size_t rows,
+                                             std::size_t k, float* panel) {
+  BAFFLE_DCHECK(k <= std::numeric_limits<int>::max() / kPanelCols,
+                "a row offset of the panel must fit the gather's int32");
+  const __m512i row_offsets = _mm512_mullo_epi32(
+      _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+      _mm512_set1_epi32(static_cast<int>(k)));
+  const __mmask16 live = lanes_below(rows);
+  for (std::size_t p = 0; p < k; ++p) {
+    _mm512_storeu_ps(panel + p * kPanelCols,
+                     _mm512_mask_i32gather_ps(_mm512_setzero_ps(), live,
+                                              row_offsets, b + p, 4));
+  }
+}
+
+/// The ReLU mask: keep the gradient where NOT (a <= 0), so a NaN
+/// activation keeps it and −0 loses it; +0 elsewhere.
+BAFFLE_TARGET_AVX512F void relu_backward_zmm(const float* activated,
+                                             float* grad, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __mmask16 keep = _mm512_cmp_ps_mask(
+        _mm512_loadu_ps(activated + i), _mm512_setzero_ps(), _CMP_NLE_UQ);
+    _mm512_storeu_ps(grad + i,
+                     _mm512_maskz_mov_ps(keep, _mm512_loadu_ps(grad + i)));
+  }
+  if (i == n) return;
+  const __mmask16 live = lanes_below(n - i);
+  const __mmask16 dead = _mm512_mask_cmp_ps_mask(
+      live, _mm512_maskz_loadu_ps(live, activated + i), _mm512_setzero_ps(),
+      _CMP_LE_OQ);
+  _mm512_mask_storeu_ps(grad + i, dead, _mm512_setzero_ps());
+}
+
+/// Columns [c0, c0 + 16·NV) of col_sum, the last vector's live lanes in
+/// `last`: one accumulator per column vector, each lane folding its
+/// column over the rows in order from +0.
+template <int NV>
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE void col_sum_group_zmm(
+    const float* m, std::size_t rows, std::size_t cols, std::size_t c0,
+    __mmask16 last, float* out) {
+  __m512 acc[NV];
+  BAFFLE_UNROLL for (int v = 0; v < NV; ++v) acc[v] = _mm512_setzero_ps();
+  const float* row = m + c0;
+  for (std::size_t r = 0; r < rows; ++r, row += cols) {
+    BAFFLE_UNROLL for (int v = 0; v < NV; ++v) {
+      const __m512 x = v + 1 == NV ? _mm512_maskz_loadu_ps(last, row + 16 * v)
+                                   : _mm512_loadu_ps(row + 16 * v);
+      acc[v] = _mm512_add_ps(acc[v], x);
+    }
+  }
+  BAFFLE_UNROLL for (int v = 0; v < NV; ++v) {
+    _mm512_mask_storeu_ps(out + c0 + 16 * v, v + 1 == NV ? last : 0xFFFF,
+                          acc[v]);
+  }
+}
+
+/// Four column vectors per pass over the rows, so their folds overlap;
+/// the last pass takes the one to four that are left.
+BAFFLE_TARGET_AVX512F void col_sum_zmm(const float* m, std::size_t rows,
+                                       std::size_t cols, float* out) {
+  std::size_t c0 = 0;
+  for (; cols - c0 > 64; c0 += 64) {
+    col_sum_group_zmm<4>(m, rows, cols, c0, 0xFFFF, out);
+  }
+  const std::size_t left = cols - c0;
+  if (left == 0) return;
+  const __mmask16 last = lanes_below(left - (left - 1) / 16 * 16);
+  switch ((left + 15) / 16) {
+    case 4: col_sum_group_zmm<4>(m, rows, cols, c0, last, out); break;
+    case 3: col_sum_group_zmm<3>(m, rows, cols, c0, last, out); break;
+    case 2: col_sum_group_zmm<2>(m, rows, cols, c0, last, out); break;
+    case 1: col_sum_group_zmm<1>(m, rows, cols, c0, last, out); break;
+    default: break;
+  }
+}
+
+/// w + round(−lr · g) in the explicit-rounding forms, which
+/// -ffp-contract=fast leaves apart (plain _mm512_mul_ps and
+/// _mm512_add_ps would contract into one FMA).
+BAFFLE_TARGET_AVX512F void sgd_update_zmm(float* w, const float* g, float lr,
+                                          std::size_t n) {
+  constexpr int kRound = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+  const __m512 neg_lr = _mm512_set1_ps(-lr);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 step = _mm512_maskz_mul_round_ps(
+        0xFFFF, neg_lr, _mm512_loadu_ps(g + i), kRound);
+    _mm512_storeu_ps(w + i, _mm512_maskz_add_round_ps(
+                                0xFFFF, _mm512_loadu_ps(w + i), step, kRound));
+  }
+  if (i == n) return;
+  const __mmask16 live = lanes_below(n - i);
+  const __m512 step = _mm512_maskz_mul_round_ps(
+      live, neg_lr, _mm512_maskz_loadu_ps(live, g + i), kRound);
+  _mm512_mask_storeu_ps(
+      w + i, live,
+      _mm512_maskz_add_round_ps(live, _mm512_maskz_loadu_ps(live, w + i),
+                                step, kRound));
+}
+
 // ---- Secure-aggregation masking on eight u64 lanes ----
 //
 // AVX-512DQ multiplies 64-bit lanes in one instruction (vpmullq, where
@@ -1063,19 +1174,19 @@ BAFFLE_TARGET_AVX512DQ std::size_t polar_pairs_zmm(const PolarPairsArgs& g,
 #endif  // BAFFLE_HAVE_AVX512F_TARGET
 
 /// The vector table; `avx512f` swaps in the zmm fp32 kernels (the GEMM
-/// tile and the fused eval layer), which leave every result unchanged,
-/// and — once its probe passes — the libm-exact exp with the
-/// whole-batch softmax built on it; `avx512f` with `avx512dq` swaps in
-/// the zmm masking entries and Rng's twist and polar step.
+/// tile, the fused eval layer and the SGD step's pack, ReLU mask,
+/// column sums and update), which leave every result unchanged, and —
+/// once its probe passes — the libm-exact exp with the whole-batch
+/// softmax built on it; `avx512f` with `avx512dq` swaps in the zmm
+/// masking entries and Rng's twist and polar step.
 KernelTable make_table(bool avx512f, bool avx512dq) {
   KernelTable t = scalar_table();
   t.name = "avx2";
   t.gemm_width = "avx2";
   t.gemm_reads_b_in_place = false;
-  // scalar-inherited: exp_f32 (unless the zmm copy replaces it),
-  // encode_fixed_u64, mt_regenerate and polar_pairs (unless the zmm
-  // entries replace them) and col_sum, whose -O3 loop vectorizes in the
-  // scalar TU.
+  // scalar-inherited unless a zmm entry replaces them: pack_bt_panel,
+  // col_sum and sgd_update, whose -O3 loops vectorize in the scalar TU,
+  // exp_f32, encode_fixed_u64, mt_regenerate and polar_pairs.
   t.gemm_panel_rows = gemm_panel_rows;
   t.axpy = axpy;
   t.scale = scale;
@@ -1090,7 +1201,11 @@ KernelTable make_table(bool avx512f, bool avx512dq) {
     t.gemm_width = "avx512f";
     t.gemm_reads_b_in_place = true;
     t.gemm_panel_rows = gemm_panel_rows_zmm;
+    t.pack_bt_panel = pack_bt_panel_zmm;
     t.eval_layer_f32 = eval_layer_f32_zmm;
+    t.relu_backward = relu_backward_zmm;
+    t.col_sum = col_sum_zmm;
+    t.sgd_update = sgd_update_zmm;
     if (libm_exp_copy_matches()) {
       t.libm_exp_copy = true;
       t.exp_f32 = exp_f32_zmm;

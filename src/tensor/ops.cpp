@@ -180,23 +180,16 @@ void pack_b_panels(ConstMatrixView b, PackedB& out) {
 
 void pack_bt_panels(const Matrix& b, PackedB& out) {
   // Effective operand is bᵀ: panels hold columns of bᵀ, i.e. rows of b,
-  // gathered with a transposing copy (sequential reads of each b row,
-  // 16-strided writes into the panel).
+  // gathered with the table's transposing copy.
   constexpr std::size_t pc = kernels::kPanelCols;
   const std::size_t k = b.cols(), n = b.rows();
   const std::size_t panels = (n + pc - 1) / pc;
   out.data_.resize(panels * k * pc);
+  const kernels::KernelTable& kt = kernels::active_table();
   const auto pack_panel = [&](std::size_t jp) {
-    float* panel = out.data_.data() + jp * k * pc;
     const std::size_t j0 = jp * pc;
-    const std::size_t cols = std::min(pc, n - j0);
-    for (std::size_t c = 0; c < cols; ++c) {
-      const float* src = b.row(j0 + c).data();
-      for (std::size_t p = 0; p < k; ++p) panel[p * pc + c] = src[p];
-    }
-    for (std::size_t c = cols; c < pc; ++c) {
-      for (std::size_t p = 0; p < k; ++p) panel[p * pc + c] = 0.0f;
-    }
+    kt.pack_bt_panel(b.flat().data() + j0 * k, std::min(pc, n - j0), k,
+                     out.data_.data() + jp * k * pc);
   };
   // Validation-sized packs (MultiModelEval::bind over a whole holdout)
   // fan the panels out across the pool — each panel is a disjoint write

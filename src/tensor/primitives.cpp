@@ -103,11 +103,7 @@ double softmax_xent_rows(Matrix& probs_grad, std::span<const int> labels) {
 
 void sgd_update(std::span<float> w, std::span<const float> g, float lr) {
   check(g.size() == w.size(), "sgd_update: length mismatch");
-  // Not dispatched, and not axpy: this TU has no FMA codegen, so the
-  // product is rounded before its add on every arm, and the loop still
-  // vectorizes at -O3.
-  const float neg_lr = -lr;
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] += neg_lr * g[i];
+  kernels::active_table().sgd_update(w.data(), g.data(), lr, w.size());
 }
 
 std::vector<float> subtract(std::span<const float> a,

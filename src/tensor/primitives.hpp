@@ -3,8 +3,9 @@
 // masking and the robust-aggregation baselines.
 //
 // The ones a workload runs hot (axpy, scale, relu_backward, the u64
-// masking loops, the softmax) dispatch to the scalar or SIMD kernel
-// arm at runtime (see tensor/simd.hpp for the dispatch rules). The
+// masking loops, the softmax, the SGD update) dispatch to the scalar or
+// SIMD kernel arm at runtime (see tensor/simd.hpp for the dispatch
+// rules). The
 // norm/distance/cosine reductions only the baselines call are one
 // plain loop each, accumulating in double in index order, so they
 // return the same bits on every arm.

@@ -3,6 +3,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "util/contracts.hpp"
+
 namespace baffle {
 
 namespace {
@@ -110,6 +112,11 @@ std::span<const std::uint8_t> ByteReader::raw(std::size_t n) {
 
 void F32View::copy_into(std::vector<float>& out) const {
   out.resize(size());
+  copy_to(out);
+}
+
+void F32View::copy_to(std::span<float> out) const {
+  BAFFLE_DCHECK(out.size() == size(), "copy_to needs size() floats");
   if (out.empty()) return;  // keep memcpy away from an empty buffer's null base
   if constexpr (kLittleEndian) {
     std::memcpy(out.data(), bytes_.data(), bytes_.size());

@@ -76,9 +76,17 @@ class F32View {
   std::size_t size() const { return bytes_.size() / sizeof(float); }
   std::span<const std::uint8_t> bytes() const { return bytes_; }
 
+  /// The floats [first, first + count); the range must lie inside.
+  F32View subview(std::size_t first, std::size_t count) const {
+    return F32View(
+        bytes_.subspan(first * sizeof(float), count * sizeof(float)));
+  }
+
   /// Copies the floats into `out`, resized to fit: one memcpy on
   /// little-endian hosts, per-element decoding on big-endian ones.
   void copy_into(std::vector<float>& out) const;
+  /// As copy_into, into a span of exactly size() floats.
+  void copy_to(std::span<float> out) const;
   /// True when `v` holds these floats bit for bit (memcmp on
   /// little-endian hosts): -0 never matches +0, and a NaN matches only
   /// its own bits.

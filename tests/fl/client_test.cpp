@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <thread>
 
+#include "support/alloc_counter.hpp"
 #include "tensor/ops.hpp"
 
 namespace baffle {
@@ -93,6 +95,46 @@ TEST(HonestProvider, DelegatesToClients) {
   const ParamVec u1 = provider.update_for(1, global, rng);
   EXPECT_EQ(u0.size(), global.num_params());
   EXPECT_NE(u0, u1);  // different shards, different updates
+}
+
+TEST(FlClient, ReusedLocalModelSlotGivesAFreshThreadsUpdate) {
+  // The local model is leased per thread: a slot left holding another
+  // client's trained model, or rebuilt for another architecture, must
+  // give the bytes of a thread whose slot was never used.
+  const FlClient client(0, blob_data(0, 50)), other(1, blob_data(1, 30));
+  const Mlp global = fresh_model();
+  ParamVec fresh;
+  std::thread([&] {
+    Rng rng(8);
+    fresh = client.compute_update(global, TrainConfig{}, rng);
+  }).join();
+
+  Rng other_rng(9);
+  other.compute_update(global, TrainConfig{}, other_rng);
+  Rng rng(8);
+  EXPECT_EQ(client.compute_update(global, TrainConfig{}, rng), fresh);
+
+  Mlp wide(MlpConfig{{2, 7, 2}});
+  wide.init(other_rng);
+  other.compute_update(wide, TrainConfig{}, other_rng);
+  Rng again(8);
+  EXPECT_EQ(client.compute_update(global, TrainConfig{}, again), fresh);
+}
+
+TEST(HonestProvider, WarmUpdateForAllocatesOnlyTheUpdate) {
+  // The local model and the training scratch are leased per thread, so
+  // once this thread's slots are warm the returned update is the call's
+  // one heap allocation.
+  std::vector<FlClient> clients;
+  clients.emplace_back(0, blob_data(0, 60));
+  HonestUpdateProvider provider(&clients, TrainConfig{});
+  const Mlp global = fresh_model();
+  Rng rng(10);
+  provider.update_for(0, global, rng);
+  const std::size_t before = heap_allocations();
+  const ParamVec u = provider.update_for(0, global, rng);
+  EXPECT_EQ(heap_allocations() - before, 1u);
+  EXPECT_EQ(u.size(), global.num_params());
 }
 
 TEST(HonestProvider, UnknownClientThrows) {

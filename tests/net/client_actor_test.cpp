@@ -218,6 +218,39 @@ TEST(ClientActor, CommitOfAnotherVersionThanTheCandidatesIsAWireError) {
   EXPECT_EQ(rig.actor->history().latest().version, 2u);
 }
 
+TEST(ClientActor, ModelOfTheWrongLengthIsAWireError) {
+  // Every model payload must hold the architecture's parameter count:
+  // a short or long training broadcast, history-delta entry or
+  // candidate is a protocol error before the actor trains on it or
+  // interns it.
+  const std::size_t params = Mlp(kArch).num_params();
+  for (const std::size_t len : {params - 1, params + 1, std::size_t{0}}) {
+    SCOPED_TRACE(::testing::Message() << "length " << len);
+    {
+      Rig rig;
+      rig.server->send(encode_frame(ModelBroadcast{
+          1, 1, ModelPurpose::kTraining, ParamVec(len, 0.5f)}));
+      EXPECT_THROW(rig.actor->handle_training(Rng(1)), WireError);
+    }
+    {
+      Rig rig;
+      std::vector<HistoryDelta::Entry> entries = {{1, rig.params(1.0f)},
+                                                  {2, ParamVec(len, 2.0f)}};
+      EXPECT_THROW(rig.validate(1, std::move(entries), rig.params(-1.0f)),
+                   WireError);
+      EXPECT_EQ(rig.actor->history().size(), 1u);
+      EXPECT_EQ(rig.own_store.live(), 1u);
+    }
+    {
+      Rig rig;
+      std::vector<HistoryDelta::Entry> entries = {{1, rig.params(1.0f)}};
+      EXPECT_THROW(rig.validate(1, std::move(entries), ParamVec(len, -1.0f)),
+                   WireError);
+      EXPECT_EQ(rig.own_store.live(), 1u);  // the window's model only
+    }
+  }
+}
+
 TEST(ClientActor, CastsItsVoteThroughItsStrategy) {
   // No data: the honest verdict is an abstaining "clean". The strategy
   // changes the vote on the wire, never the abstention flag.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "support/alloc_counter.hpp"
 #include "tensor/ops.hpp"
 
 namespace baffle {
@@ -145,6 +150,74 @@ TEST(Mlp, ParameterDeltaIntoRejectsMismatches) {
   delta.pop_back();
   EXPECT_THROW(model.parameter_delta_into(model, delta),
                std::invalid_argument);
+}
+
+TEST(Mlp, SetParametersFromWireBytesEqualsTheSpanForm) {
+  // Length-prefixed f32s as a frame carries them, read at an odd
+  // offset: the one-copy form leaves the bytes the span form does.
+  Mlp model(small_config());
+  Rng rng(8);
+  model.init(rng);
+  std::vector<float> params = model.parameters();
+  params[3] = -0.0f;
+  ByteWriter w;
+  w.u8(0);
+  w.f32_span(params);
+  ByteReader r(w.bytes());
+  r.u8();
+  const F32View view = r.f32_view();
+
+  Mlp from_span(small_config()), from_wire(small_config());
+  from_span.set_parameters(params);
+  from_wire.set_parameters(view);
+  const std::vector<float> got = from_wire.parameters();
+  EXPECT_EQ(std::memcmp(got.data(), from_span.parameters().data(),
+                        got.size() * sizeof(float)),
+            0);
+  EXPECT_TRUE(std::signbit(got[3]));
+  EXPECT_THROW(Mlp(MlpConfig{{4, 6, 2}}).set_parameters(view),
+               std::invalid_argument);
+}
+
+TEST(Mlp, CopyParametersFromLeavesTheGradientBuffers) {
+  Mlp from(small_config()), to(small_config());
+  Rng rng(9);
+  from.init(rng);
+  to.init(rng);
+  for (Dense& layer : to.layers()) {
+    layer.weight_grad().fill(3.0f);
+    std::fill(layer.bias_grad().begin(), layer.bias_grad().end(), 4.0f);
+  }
+  to.copy_parameters_from(from);
+  EXPECT_EQ(to.parameters(), from.parameters());
+  for (const Dense& layer : to.layers()) {
+    for (float g : layer.weight_grad().flat()) EXPECT_EQ(g, 3.0f);
+    for (float g : layer.bias_grad()) EXPECT_EQ(g, 4.0f);
+  }
+  EXPECT_THROW(to.copy_parameters_from(Mlp(MlpConfig{{4, 3, 6}})),
+               std::invalid_argument);
+}
+
+TEST(LeasedMlp, WarmSlotIsReusedAndANestedLeaseTakesAnother) {
+  const MlpConfig arch = small_config();
+  const Mlp* first = nullptr;
+  {
+    const LeasedMlp lease(arch);
+    first = &*lease;
+  }
+  {
+    const std::size_t before = heap_allocations();
+    const LeasedMlp again(arch);
+    EXPECT_EQ(heap_allocations() - before, 0u) << "a warm lease allocates";
+    EXPECT_EQ(&*again, first);
+    const LeasedMlp nested(arch);
+    EXPECT_NE(&*nested, &*again);
+    EXPECT_EQ(nested->config().layer_dims, arch.layer_dims);
+  }
+  // Another architecture rebuilds the slot to its shape.
+  const LeasedMlp other(MlpConfig{{5, 2}});
+  EXPECT_EQ(other->num_params(), 12u);
+  EXPECT_EQ(other->config().layer_dims, (std::vector<std::size_t>{5, 2}));
 }
 
 TEST(Mlp, PredictReturnsArgmaxClass) {

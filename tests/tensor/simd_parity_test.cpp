@@ -751,9 +751,9 @@ TEST_F(SimdParity, TrainSgdWidthsAgreeBitForBit) {
 
 // ---- SGD step kernels (DESIGN.md §10) ----
 //
-// The softmax, column sums and in-place update are byte-identical on
-// the scalar arm, the ymm width and the zmm width: each compares all
-// three tables (two without AVX-512F).
+// The softmax, Bᵀ pack, ReLU mask, column sums and in-place update are
+// byte-identical on the scalar arm, the ymm width and the zmm width:
+// each compares all three tables (two without AVX-512F).
 
 std::vector<const kernels::KernelTable*> every_width() {
   const GemmWidths w = gemm_widths();
@@ -935,6 +935,118 @@ TEST_F(SimdParity, ColSumMatchesPerRowAxpyOnEveryWidth) {
         expect_same_bytes(ref, got);
         if (::testing::Test::HasFatalFailure()) return;
       }
+    }
+  }
+}
+
+/// True when `got` holds `ref`'s floats bit for bit, NaN payloads too:
+/// what a kernel that only copies or zeroes must leave.
+::testing::AssertionResult identical_bytes(std::span<const float> ref,
+                                           std::span<const float> got) {
+  if (ref.size() != got.size()) {
+    return ::testing::AssertionFailure() << "lengths differ";
+  }
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (float_bits(ref[i]) != float_bits(got[i])) {
+      return ::testing::AssertionFailure()
+             << "first differing float at index " << i << ": " << got[i]
+             << " vs " << ref[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_F(SimdParity, SgdUpdateMatchesScalarOnEveryWidth) {
+  // w += round(−lr·g): on every width the scalar loop's bytes. The
+  // inputs hold many elements where one FMA, fma(−lr, g, w), rounds to
+  // other bytes, so an update contracted into an FMA fails.
+  Rng rng(54);
+  std::size_t fused_differs = 0;
+  for (std::size_t n : {0, 1, 7, 15, 16, 17, 33, 64, 640, 1000, 2762}) {
+    for (const float lr : {0.1f, 0.05f, 0.3f}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " lr=" << lr);
+      std::vector<float> w = random_vec(n, rng), g = random_vec(n, rng);
+      add_specials(w, rng);
+      add_specials(g, rng);
+      std::vector<float> ref = w;
+      kernels::scalar_table().sgd_update(ref.data(), g.data(), lr, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const float fused = std::fma(-lr, g[i], w[i]);
+        if (!std::isnan(ref[i]) && float_bits(fused) != float_bits(ref[i])) {
+          ++fused_differs;
+        }
+      }
+      for (const kernels::KernelTable* t : every_width()) {
+        SCOPED_TRACE(t->gemm_width);
+        kernels::pin_table_for_testing(*t);
+        std::vector<float> got = w;
+        sgd_update(got, g, lr);
+        expect_same_bytes(ref, got);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(fused_differs, 1000u);
+}
+
+TEST_F(SimdParity, PackBtPanelsMatchesScalarOnEveryWidth) {
+  // gemm_abt's transposing copy: on every width, panel jp's row p holds
+  // b[16·jp + c][p] in column c, NaN payloads included, and +0 past the
+  // last row of b over whatever the scratch held before.
+  Rng rng(55);
+  constexpr std::size_t pc = kernels::kPanelCols;
+  for (std::size_t n : {1, 10, 15, 16, 17, 62, 64, 65, 96}) {
+    for (std::size_t k : {1, 10, 32, 62}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k);
+      const Matrix b = special_matrix(n, k, rng);
+      const std::size_t panels = (n + pc - 1) / pc;
+      std::vector<float> want(panels * k * pc, 0.0f);
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t p = 0; p < k; ++p) {
+          want[(j / pc) * k * pc + p * pc + j % pc] = b.at(j, p);
+        }
+      }
+      const Matrix stale(panels * pc, k, kNan);
+      for (const kernels::KernelTable* t : every_width()) {
+        SCOPED_TRACE(t->gemm_width);
+        kernels::pin_table_for_testing(*t);
+        PackedB packed;
+        pack_bt_panels(stale, packed);
+        pack_bt_panels(b, packed);
+        ASSERT_EQ(packed.k(), k);
+        ASSERT_EQ(packed.n(), n);
+        ASSERT_TRUE(identical_bytes(
+            want, std::span<const float>(packed.data(), want.size())));
+      }
+    }
+  }
+}
+
+TEST_F(SimdParity, ReluBackwardMatchesScalarOnEveryWidth) {
+  // The gradient survives where NOT (a <= 0) and becomes +0 elsewhere:
+  // NaN activations keep it, −0 and −Inf lose it, on every width and
+  // every tail; the surviving gradients keep their bytes.
+  Rng rng(56);
+  const float edges[] = {kNan, -0.0f, 0.0f, -kInf, kInf,
+                         std::numeric_limits<float>::denorm_min(),
+                         -std::numeric_limits<float>::denorm_min()};
+  for (std::size_t n : {0, 1, 7, 15, 16, 17, 31, 33, 64, 640, 1000, 2048}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    std::vector<float> a = random_vec(n, rng), g = random_vec(n, rng);
+    add_specials(g, rng);
+    for (std::size_t i = 0; i < n; i += 3) a[i] = edges[(i / 3) % 7];
+    std::vector<float> ref = g;
+    kernels::scalar_table().relu_backward(a.data(), ref.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t want = a[i] <= 0.0f ? 0u : float_bits(g[i]);
+      ASSERT_EQ(float_bits(ref[i]), want) << "index " << i;
+    }
+    for (const kernels::KernelTable* t : every_width()) {
+      SCOPED_TRACE(t->gemm_width);
+      kernels::pin_table_for_testing(*t);
+      std::vector<float> got = g;
+      relu_backward(a, got);
+      ASSERT_TRUE(identical_bytes(ref, got));
     }
   }
 }

@@ -41,8 +41,8 @@
 #   tools/check.sh --paper    # also rerun the twelve paper drivers at
 #                             # BAFFLE_THREADS=4 and fail on any CSV
 #                             # byte that differs from the committed
-#                             # bench_*.csv (skips off the avx512f
-#                             # GEMM tile; tools/paper_csvs.sh)
+#                             # bench_*.csv (skips on the scalar
+#                             # arm; tools/paper_csvs.sh)
 #   tools/check.sh --all      # every stage above
 #
 # Each stage reports one PASS/FAIL/SKIP line; the script stops at the
@@ -224,14 +224,14 @@ if [[ "$RUN_E2E_BUILD" -eq 1 ]]; then
 fi
 
 if [[ "$RUN_PAPER" -eq 1 ]]; then
-  # Same steps as CI's paper-csvs job. Exit 77 (another GEMM tile than
-  # the committed CSVs') is a SKIP.
+  # Same steps as CI's paper-csvs job. Exit 77 (the scalar arm, whose
+  # rounding moves rows) is a SKIP.
   echo "== paper CSVs (tools/paper_csvs.sh) =="
   paper_rc=0
   tools/paper_csvs.sh build-strict || paper_rc=$?
   case "$paper_rc" in
     0) SUMMARY+=("PASS  paper CSVs") ;;
-    77) skip "paper CSVs" "GEMM tile is not the committed CSVs' avx512f" ;;
+    77) skip "paper CSVs" "the scalar arm moves rows of the CSVs" ;;
     *) SUMMARY+=("FAIL  paper CSVs")
        print_summary
        exit 1 ;;
