@@ -3,7 +3,9 @@
 // over the paper's look-back sizes ℓ (DESIGN.md §14, §17).
 //
 // Arms:
-//   sequential   per-model Mlp::predict_into (the pre-engine path);
+//   sequential   the engine's test oracle, one model at a time: the
+//                training forward over the whole holdout, then each
+//                row's first maximum (tests/support/predict_oracle);
 //   fp32         MultiModelEval::predict_many on a one-worker global
 //                pool (ScopedGlobalPool), which runs the tile loop
 //                inline — one shared packed input, fused layer GEMMs
@@ -21,6 +23,9 @@
 // speed gate is enforced only with ≥ 4 hardware cores AND a ≥ 4-thread
 // pool: threading cannot pay on a starved container, so a 1-core CI box
 // must still report bit_identical=true without a spurious gate failure.
+// Before the first timed row a full run spins the pool's threads for
+// kWarmUpSeconds: on an idle VM the first rows otherwise timed the
+// parallel arm at ~1.0x, a cold host rather than the engine.
 
 #include <algorithm>
 #include <chrono>
@@ -32,6 +37,7 @@
 #include "core/history.hpp"
 #include "data/synth.hpp"
 #include "nn/multi_eval.hpp"
+#include "support/predict_oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -40,6 +46,7 @@ using namespace baffle;
 
 constexpr std::size_t kLookbacks[] = {2, 10, 20, 40};
 constexpr std::size_t kMaxLookback = 40;
+constexpr double kWarmUpSeconds = 2.0;
 
 struct BenchSetup {
   Dataset holdout;
@@ -74,6 +81,21 @@ BenchSetup make_setup(bool smoke) {
 
 using PredTable = std::vector<std::vector<std::size_t>>;  // model × sample
 
+/// Spins the threads a global-pool parallel_for fans out to (the
+/// caller and pool.size() − 1 workers), the ones the parallel arm runs
+/// on, until `seconds` have passed.
+void warm_up_pool(double seconds) {
+  using clock = std::chrono::steady_clock;
+  const auto until =
+      clock::now() + std::chrono::duration_cast<clock::duration>(
+                         std::chrono::duration<double>(seconds));
+  ThreadPool& pool = ThreadPool::global();
+  pool.parallel_for(pool.size(), [&](std::size_t) {
+    while (clock::now() < until) {
+    }
+  });
+}
+
 double median(std::vector<double>& v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
@@ -106,7 +128,6 @@ struct SweepRow {
 void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
              PredTable& fp32, PredTable& fp32p, SweepRow& row) {
   Mlp model(s.arch);
-  MlpEvalWorkspace seq_ws;
   MultiModelEval engine(s.arch);
   engine.bind(s.holdout.features());
   std::vector<MultiEvalModel> bfp(models), pfp(models);
@@ -138,7 +159,7 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
     for (std::size_t it = 0; it < iters; ++it) {
       for (std::size_t v = 0; v < models; ++v) {
         model.set_parameters(s.chain[v]);
-        model.predict_into(s.holdout.features(), seq[v], seq_ws);
+        seq[v] = oracle_predict(model, s.holdout.features());
       }
     }
     const double d_seq = lap(t);
@@ -196,6 +217,8 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %10s %10s %8s %8s %7s %6s\n", "lookback", "seq ms",
               "fp32 ms", "fp32p ms", "fp32 spd", "par spd", "parity",
               "bitid");
+
+  if (!smoke) warm_up_pool(kWarmUpSeconds);
 
   std::vector<SweepRow> rows;
   bool all_parity = true;

@@ -14,7 +14,9 @@ double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
                          int target_class, MlpEvalWorkspace& ws) {
   const Matrix& x = backdoor_test.features();
   ws.predictions.resize(x.rows());
-  if (!backdoor_test.empty()) model.predict_into(x, ws.predictions, ws);
+  if (!backdoor_test.empty()) {
+    predict_classes(model.config(), model.parameters(), x, ws.predictions);
+  }
   return backdoor_hit_rate(backdoor_test, target_class, ws.predictions);
 }
 

@@ -4,7 +4,7 @@
 #include <span>
 
 #include "data/backdoor_data.hpp"
-#include "nn/mlp.hpp"
+#include "nn/multi_eval.hpp"
 
 namespace baffle {
 
@@ -15,8 +15,11 @@ namespace baffle {
 double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
                          int target_class);
 
-/// Zero-copy variant: inference streams through `ws` (allocation-free
-/// once warm) — used by the per-round accuracy tracking path.
+/// As above, with the predictions in `ws`, reused across calls. Both
+/// predict through predict_classes (an engine bound to the set for this
+/// call) and throw std::invalid_argument on an empty set, a target
+/// outside the classes, or a set that is not as wide as the model's
+/// input.
 double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
                          int target_class, MlpEvalWorkspace& ws);
 

@@ -93,7 +93,8 @@ ConfusionMatrix evaluate_confusion(const Mlp& model, const Dataset& data,
                                    MlpEvalWorkspace& ws) {
   if (data.empty()) return ConfusionMatrix(data.num_classes());
   ws.predictions.resize(data.size());
-  model.predict_into(data.features(), ws.predictions, ws);
+  predict_classes(model.config(), model.parameters(), data.features(),
+                  ws.predictions);
   return tally_confusion(data, ws.predictions);
 }
 

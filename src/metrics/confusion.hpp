@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "nn/mlp.hpp"
+#include "nn/multi_eval.hpp"
 
 namespace baffle {
 
@@ -52,9 +52,11 @@ class ConfusionMatrix {
 ConfusionMatrix tally_confusion(const Dataset& data,
                                 std::span<const std::size_t> predictions);
 
-/// Evaluates `model` on `data` and tallies the confusion matrix.
-/// Inference runs chunked through `ws`, so repeated evaluations (the
-/// validator's ℓ+1 models per round) reuse the same scratch storage.
+/// Evaluates `model` on `data` (predict_classes: an engine bound to
+/// `data` for this call) and tallies the confusion matrix; an empty
+/// `data` gives an empty matrix. The predictions land in `ws`, reused
+/// across calls. Throws std::invalid_argument when a non-empty `data`
+/// is not as wide as the model's input.
 ConfusionMatrix evaluate_confusion(const Mlp& model, const Dataset& data,
                                    MlpEvalWorkspace& ws);
 

@@ -21,7 +21,7 @@ class Dense {
   /// out = x W + b, then ReLU when relu(), reusing out's storage. Safe
   /// to call concurrently on a const layer: it reads the weights in
   /// place (or packs them into per-call scratch) and writes only `out`.
-  void forward_eval(ConstMatrixView x, Matrix& out) const;
+  void forward_eval(const Matrix& x, Matrix& out) const;
 
   /// Given dL/d(out), writes dL/dW and dL/db into the layer's grad
   /// buffers (overwriting them: one backward per step) and dL/dx into

@@ -49,35 +49,6 @@ void Mlp::backward_train(const Matrix& x, TrainWorkspace& ws) {
   }
 }
 
-std::vector<std::size_t> Mlp::predict(const Matrix& x) const {
-  std::vector<std::size_t> out(x.rows());
-  MlpEvalWorkspace ws;
-  predict_into(x, out, ws);
-  return out;
-}
-
-void Mlp::predict_into(ConstMatrixView x, std::span<std::size_t> out,
-                       MlpEvalWorkspace& ws, std::size_t chunk_rows) const {
-  if (x.cols() != input_dim()) {
-    throw std::invalid_argument("Mlp::predict_into: input dim mismatch");
-  }
-  if (out.size() != x.rows()) {
-    throw std::invalid_argument("Mlp::predict_into: output length mismatch");
-  }
-  if (chunk_rows == 0) chunk_rows = kPredictChunkRows;
-  for (std::size_t r0 = 0; r0 < x.rows(); r0 += chunk_rows) {
-    const std::size_t count = std::min(chunk_rows, x.rows() - r0);
-    layers_.front().forward_eval(x.row_range(r0, count), ws.a);
-    Matrix* src = &ws.a;
-    Matrix* dst = &ws.b;
-    for (std::size_t li = 1; li < layers_.size(); ++li) {
-      layers_[li].forward_eval(*src, *dst);
-      std::swap(src, dst);
-    }
-    argmax_rows_into(*src, out.subspan(r0, count));
-  }
-}
-
 std::vector<float> Mlp::parameters() const {
   std::vector<float> flat;
   flat.reserve(num_params_);

@@ -6,6 +6,8 @@
 // FL treats models as flat parameter vectors (for averaging, scaling and
 // secure aggregation), so the Mlp exposes get/set of a contiguous
 // std::vector<float> of all weights and biases, in a fixed layer order.
+// The Mlp trains; inference runs on the evaluation engine
+// (nn/multi_eval.hpp), which reads those flat parameters in place.
 
 #include <memory>
 #include <optional>
@@ -21,15 +23,6 @@ namespace baffle {
 /// Architecture spec: layer widths [in, h1, ..., out].
 struct MlpConfig {
   std::vector<std::size_t> layer_dims;  // >= 2 entries
-};
-
-/// Scratch buffers for the inference path. Reusing one workspace across
-/// evaluations (the validator runs ℓ+1 of them per round against the
-/// same dataset) keeps the hot loop allocation-free after warm-up.
-struct MlpEvalWorkspace {
-  Matrix a;
-  Matrix b;
-  std::vector<std::size_t> predictions;  // scratch for whole-set evals
 };
 
 /// Scratch buffers for the training path. One SGD step gathers a batch
@@ -64,20 +57,6 @@ class Mlp {
   /// forward_train on the same `x`. OVERWRITES the layers' gradient
   /// buffers (exactly one backward per step).
   void backward_train(const Matrix& x, TrainWorkspace& ws);
-
-  /// Rows per inference chunk: large enough to keep GEMM efficient,
-  /// small enough that a chunk's activations stay cache-resident.
-  static constexpr std::size_t kPredictChunkRows = 512;
-
-  /// Predicted class per row of x. Const and thread-safe.
-  std::vector<std::size_t> predict(const Matrix& x) const;
-
-  /// Predicted class per row of x, written into out (out.size() ==
-  /// x.rows()). Processes chunk_rows rows at a time through ws without
-  /// allocating once the workspace is warm.
-  void predict_into(ConstMatrixView x, std::span<std::size_t> out,
-                    MlpEvalWorkspace& ws,
-                    std::size_t chunk_rows = kPredictChunkRows) const;
 
   std::size_t num_params() const { return num_params_; }
   std::size_t input_dim() const { return config_.layer_dims.front(); }

@@ -160,4 +160,12 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models) {
   MetricsRegistry::global().add_counter(metric::kEngineTiles, ntiles);
 }
 
+void predict_classes(const MlpConfig& arch, std::span<const float> params,
+                     const Matrix& x, std::span<std::size_t> out) {
+  MultiModelEval engine(arch);
+  engine.bind(x);
+  const MultiEvalModel model{params, out};
+  engine.predict_many({&model, 1});
+}
+
 }  // namespace baffle

@@ -1,15 +1,17 @@
 #pragma once
-// Batched multi-model evaluation engine (DESIGN.md §14, §17).
+// Batched multi-model evaluation engine (DESIGN.md §14, §17): the
+// library's one inference path. Validators, accuracy tracking,
+// evaluate_confusion, backdoor_accuracy and the adaptive attacker's
+// behaviour cloning all predict through it.
 //
 // The validator evaluates ℓ+1 models per round against ONE fixed
-// dataset. Mlp::predict_into re-runs the whole inference pipeline per
-// model: materialize parameters into a scratch model, stream X
-// through GEMM + bias + ReLU (packing the weights per call where
-// the GEMM tile does not read them in place), argmax. This
-// engine inverts the loop: the features are packed ONCE as Xᵀ panels
-// (pack_bt_panels: 16 sample-columns per panel) at bind() time, and
-// every model is evaluated by streaming its layers over groups of
-// kGroupPanels consecutive panels with fused transposed-layer kernels —
+// dataset. A forward pass per model would pay the whole pipeline each
+// time: materialize parameters into a model, stream X through GEMM +
+// bias + ReLU, argmax. This engine inverts the loop: the features are
+// packed ONCE as Xᵀ panels (pack_bt_panels: 16 sample-columns per
+// panel) at bind() time, and every model is evaluated by streaming its
+// layers over groups of kGroupPanels consecutive panels with fused
+// transposed-layer kernels —
 // out = Wᵀ·in with the bias add and ReLU applied while the tile is
 // still in registers, each weight broadcast feeding every panel of the
 // group, the weights read in place from the flat parameter vector (no
@@ -26,8 +28,10 @@
 // per-call state lives in per-(thread, nesting-depth) leased scratch;
 // the engine itself is immutable after bind().
 //
-// Predictions are BIT-IDENTICAL to Mlp::predict_into on the same kernel
-// arm. The fused kernels keep the sequential path's accumulation order
+// Predictions are BIT-IDENTICAL to the training forward on the same
+// kernel arm (Dense::forward_eval per layer, then each row's first
+// maximum), which tests/support/predict_oracle.hpp keeps as the test
+// oracle. The fused kernels keep that forward's accumulation order
 // (fold-left over the inner dimension from a zero accumulator, one
 // post-sum bias add, same ReLU and first-max argmax), so error
 // profiles, votes, φ and τ are unchanged byte-for-byte.
@@ -144,6 +148,22 @@ class MultiModelEval {
   std::size_t panels_ = 0;
 
   PackedB xpack_;  // fp32 Xᵀ panels — always present once bound
+};
+
+/// One-off inference: binds an engine to `x` for this call and writes
+/// the class that the model with flat parameters `params` (Mlp layout,
+/// layer dims `arch`) predicts for each row of `x` into `out`
+/// (out.size() == x.rows()). Throws std::invalid_argument when x.cols()
+/// is not the model's input width. A caller that evaluates many models
+/// on one dataset binds its own engine once (Validator,
+/// AccuracyTracker).
+void predict_classes(const MlpConfig& arch, std::span<const float> params,
+                     const Matrix& x, std::span<std::size_t> out);
+
+/// Scratch of evaluate_confusion's and backdoor_accuracy's workspace
+/// overloads: the prediction buffer, reused across calls.
+struct MlpEvalWorkspace {
+  std::vector<std::size_t> predictions;
 };
 
 }  // namespace baffle

@@ -88,8 +88,8 @@ struct EvalLayerArgs {
   std::size_t panels = 1;
 };
 
-/// Column argmax over a packed panel with the same first-max tie-break
-/// as argmax_rows_into, plus (when `margins` is non-null) the top-2
+/// Column argmax over a packed panel with std::max_element's first-max
+/// tie-break, plus (when `margins` is non-null) the top-2
 /// margin per column, which the parity tests compare byte for byte.
 struct ArgmaxMarginArgs {
   const float* in = nullptr;     // packed panel, n_rows x kPanelCols

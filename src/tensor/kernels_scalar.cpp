@@ -174,7 +174,7 @@ void sgd_update(float* w, const float* g, float lr, std::size_t n) {
 
 void argmax_margin_panel(const ArgmaxMarginArgs& g) {
   for (std::size_t c = 0; c < g.cols; ++c) {
-    // Strict > keeps the first maximum, matching argmax_rows_into.
+    // Strict > keeps the first maximum, as std::max_element does.
     float best = g.in[c];
     float second = -std::numeric_limits<float>::infinity();
     std::size_t bi = 0;

@@ -544,7 +544,7 @@ BAFFLE_TARGET_AVX512F void gemm_panel_rows_zmm(const PanelGemmArgs& g,
 
 /// Column argmax + top-2 margin over a packed panel, 16 lanes at once.
 /// The strict > mask keeps the first maximum (matching the scalar arm
-/// and argmax_rows_into), and `second = max(second, min(x, best))` is
+/// and std::max_element), and `second = max(second, min(x, best))` is
 /// the branch-free form of the scalar top-2 update: every lane op is an
 /// exact copy/compare, so preds and margins are bit-identical across
 /// arms for finite logits.

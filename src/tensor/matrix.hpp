@@ -85,38 +85,4 @@ class Matrix {
   AlignedFloatVec data_;
 };
 
-/// Non-owning read-only view of a row-major float matrix, or of a
-/// contiguous row range of one. Lets the inference path walk a dataset's
-/// feature matrix chunk-by-chunk without copying rows; implicitly
-/// constructible from Matrix so the GEMM entry points accept either.
-class ConstMatrixView {
- public:
-  ConstMatrixView() = default;
-  ConstMatrixView(const float* data, std::size_t rows, std::size_t cols)
-      : data_(data), rows_(rows), cols_(cols) {}
-  ConstMatrixView(const Matrix& m)  // NOLINT(google-explicit-constructor)
-      : data_(m.flat().data()), rows_(m.rows()), cols_(m.cols()) {}
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  const float* data() const { return data_; }
-
-  std::span<const float> row(std::size_t r) const {
-    BAFFLE_DCHECK_BOUNDS(r, rows_);
-    return {data_ + r * cols_, cols_};
-  }
-
-  /// View of `count` consecutive rows starting at `first`.
-  ConstMatrixView row_range(std::size_t first, std::size_t count) const {
-    BAFFLE_DCHECK(first + count <= rows_,
-                  "row_range must stay inside the viewed matrix");
-    return {data_ + first * cols_, count, cols_};
-  }
-
- private:
-  const float* data_ = nullptr;
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-};
-
 }  // namespace baffle

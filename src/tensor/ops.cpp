@@ -118,10 +118,10 @@ void use_panels(kernels::PanelGemmArgs& args, const PackedB& bp) {
 /// GEMM against a row-major B (args.k x args.n): read in place when the
 /// kernel can, else packed first.
 void run_panels_on(const kernels::KernelTable& kt,
-                   kernels::PanelGemmArgs args, ConstMatrixView b,
+                   kernels::PanelGemmArgs args, const Matrix& b,
                    std::size_t m, std::size_t macs) {
   if (kt.gemm_reads_b_in_place) {
-    args.b = b.data();
+    args.b = b.flat().data();
     args.b_p_stride = b.cols();
     args.b_panel_stride = kernels::kPanelCols;
     run_panels(kt, args, m, macs);
@@ -136,21 +136,21 @@ void run_panels_on(const kernels::KernelTable& kt,
 }
 
 /// gemm_ab, with the bias(+ReLU) epilogue when `bias` is non-null.
-void gemm_ab_impl(ConstMatrixView a, const Matrix& b, const float* bias,
+void gemm_ab_impl(const Matrix& a, const Matrix& b, const float* bias,
                   bool relu, Matrix& out) {
   BAFFLE_CHECK(a.cols() == b.rows(), "gemm_ab: inner dimension mismatch");
   BAFFLE_CHECK(out.rows() == a.rows() && out.cols() == b.cols(),
         "gemm_ab: output shape mismatch");
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   if (m == 0 || n == 0) return;
-  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), a.data(), m * k),
+  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), a.flat().data(), a.size()),
                 "GEMM output must not alias an input");
   BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), b.flat().data(), b.size()),
                 "GEMM output must not alias an input");
   const std::size_t macs = m * k * n;
   const GemmReport report(macs, macs >= kParallelMacs);
-  kernels::PanelGemmArgs args =
-      panel_args(a.data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);
+  kernels::PanelGemmArgs args = panel_args(
+      a.flat().data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);
   args.bias = bias;
   args.relu = relu;
   run_panels_on(kernels::active_table(), args, b, m, macs);
@@ -158,7 +158,7 @@ void gemm_ab_impl(ConstMatrixView a, const Matrix& b, const float* bias,
 
 }  // namespace
 
-void pack_b_panels(ConstMatrixView b, PackedB& out) {
+void pack_b_panels(const Matrix& b, PackedB& out) {
   constexpr std::size_t pc = kernels::kPanelCols;
   const std::size_t k = b.rows(), n = b.cols();
   const std::size_t panels = (n + pc - 1) / pc;
@@ -208,11 +208,11 @@ void pack_bt_panels(const Matrix& b, PackedB& out) {
   out.n_ = n;
 }
 
-void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out) {
+void gemm_ab(const Matrix& a, const Matrix& b, Matrix& out) {
   gemm_ab_impl(a, b, /*bias=*/nullptr, /*relu=*/false, out);
 }
 
-void gemm_ab_bias(ConstMatrixView a, const Matrix& b,
+void gemm_ab_bias(const Matrix& a, const Matrix& b,
                   std::span<const float> bias, bool relu, Matrix& out) {
   BAFFLE_CHECK(bias.size() == b.cols(), "gemm_ab_bias: bias length mismatch");
   gemm_ab_impl(a, b, bias.data(), relu, out);
@@ -262,15 +262,6 @@ void col_sum(const Matrix& m, std::span<float> out) {
   BAFFLE_CHECK(out.size() == m.cols(), "col_sum: output length mismatch");
   kernels::active_table().col_sum(m.flat().data(), m.rows(), m.cols(),
                                   out.data());
-}
-
-void argmax_rows_into(const Matrix& m, std::span<std::size_t> out) {
-  BAFFLE_CHECK(out.size() == m.rows(), "argmax_rows_into: output length mismatch");
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    auto row = m.row(r);
-    out[r] = static_cast<std::size_t>(
-        std::max_element(row.begin(), row.end()) - row.begin());
-  }
 }
 
 }  // namespace baffle

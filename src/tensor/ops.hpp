@@ -15,8 +15,7 @@
 // small multiplies (the per-batch training shapes) run inline on the
 // caller. NaN/Inf inputs
 // propagate to the output — a diverged model must not be masked by a
-// sparsity shortcut. The A operand is taken as a view so callers can
-// feed row-chunks of a dataset's feature matrix without copying.
+// sparsity shortcut.
 //
 // The flat-vector primitives (axpy/norms/...) live in
 // tensor/primitives.hpp, included here so existing callers keep
@@ -40,7 +39,7 @@ class PackedB {
   const float* data() const { return data_.data(); }
 
  private:
-  friend void pack_b_panels(ConstMatrixView b, PackedB& out);
+  friend void pack_b_panels(const Matrix& b, PackedB& out);
   friend void pack_bt_panels(const Matrix& b, PackedB& out);
 
   AlignedFloatVec data_;
@@ -49,20 +48,20 @@ class PackedB {
 };
 
 /// Packs B (k x n, natural layout) into panels.
-void pack_b_panels(ConstMatrixView b, PackedB& out);
+void pack_b_panels(const Matrix& b, PackedB& out);
 
 /// Packs Bᵀ for gemm_abt: b is (n, k) and the panels hold its columns.
 void pack_bt_panels(const Matrix& b, PackedB& out);
 
 /// out = a * b. Shapes: (m,k) x (k,n) -> (m,n).
-void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out);
+void gemm_ab(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out = a * b + bias on every row, then ReLU (negatives to 0) when
 /// `relu` — a dense layer's forward pass. Bias length = b.cols(). The
 /// bias add and ReLU run in the GEMM kernel's epilogue; every element
 /// equals gemm_ab's element, then one bias add, then
 /// keep-unless-negative (NaN and -0 pass).
-void gemm_ab_bias(ConstMatrixView a, const Matrix& b,
+void gemm_ab_bias(const Matrix& a, const Matrix& b,
                   std::span<const float> bias, bool relu, Matrix& out);
 
 /// out = aᵀ * b. Shapes: (k,m) x (k,n) -> (m,n).
@@ -73,9 +72,5 @@ void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// Column-wise sum of m into out (length = m.cols()).
 void col_sum(const Matrix& m, std::span<float> out);
-
-/// Index of the max entry of each row, written into out (out.size() ==
-/// m.rows()). Allocation-free, for the chunked inference path.
-void argmax_rows_into(const Matrix& m, std::span<std::size_t> out);
 
 }  // namespace baffle

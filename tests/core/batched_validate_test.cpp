@@ -15,6 +15,7 @@
 
 #include "data/synth.hpp"
 #include "metrics/confusion.hpp"
+#include "support/predict_oracle.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -116,8 +117,8 @@ TEST_F(BatchedValidate, ColdWindowBatchedMatchesWarmSequential) {
 }
 
 TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
-  // Every profile the batched pass deposited must carry the bits of a
-  // plain per-model evaluate_confusion on the same dataset.
+  // Every profile the batched pass deposited must carry the bits of
+  // the inference oracle's confusion matrix on the same dataset.
   const std::size_t ell = 10;
   Validator v = make_validator(ell);
   ModelHistory window(ell + 1);
@@ -132,12 +133,11 @@ TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
   EXPECT_FALSE(outcome.abstained);
 
   Mlp model(arch_);
-  MlpEvalWorkspace ws;
   for (const auto& entry : history) {
     const ErrorProfile* cached = v.held_profile(entry->version);
     ASSERT_NE(cached, nullptr) << "version " << entry->version;
     model.set_parameters(entry->params);
-    const ConfusionMatrix cm = evaluate_confusion(model, data_, ws);
+    const ConfusionMatrix cm = oracle_confusion(model, data_);
     std::vector<double> errors = cm.source_focused_errors();
     const std::vector<double> target = cm.target_focused_errors();
     errors.insert(errors.end(), target.begin(), target.end());

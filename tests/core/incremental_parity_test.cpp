@@ -5,7 +5,9 @@
 // votes/φ/τ to Algorithm 2 recomputed from scratch through arbitrary
 // accept/reject/rollback sequences — while doing strictly fewer model
 // evaluations. The from-scratch oracle lives here, in the test: it
-// shares no state or cache with the Validator.
+// shares no state or cache with the Validator, and it evaluates models
+// through the inference oracle (tests/support/predict_oracle.hpp), not
+// the Validator's engine.
 
 #include "core/validate.hpp"
 
@@ -18,6 +20,7 @@
 
 #include "data/synth.hpp"
 #include "metrics/confusion.hpp"
+#include "support/predict_oracle.hpp"
 #include "util/contracts.hpp"
 #include "util/metric_names.hpp"
 #include "util/metrics.hpp"
@@ -68,11 +71,11 @@ ValidationOutcome fresh_validate(const ValidatorConfig& cfg,
   std::vector<ConfusionMatrix> cms;
   for (const auto& g : history) {
     model.set_parameters(g->params);
-    cms.push_back(evaluate_confusion(model, data));
+    cms.push_back(oracle_confusion(model, data));
     ++evaluations;
   }
   model.set_parameters(candidate);
-  const ConfusionMatrix candidate_cm = evaluate_confusion(model, data);
+  const ConfusionMatrix candidate_cm = oracle_confusion(model, data);
 
   std::vector<VariationPoint> variations;
   for (std::size_t i = 1; i < cms.size(); ++i) {
@@ -572,7 +575,7 @@ TEST_F(PredictionCache, FindReturnsStoredMatrix) {
     const ErrorProfile* held = v.held_profile(g->version);
     ASSERT_NE(held, nullptr) << "version " << g->version;
     model.set_parameters(g->params);
-    const ConfusionMatrix cm = evaluate_confusion(model, data);
+    const ConfusionMatrix cm = oracle_confusion(model, data);
     std::vector<double> errors = cm.source_focused_errors();
     const std::vector<double> target = cm.target_focused_errors();
     errors.insert(errors.end(), target.begin(), target.end());

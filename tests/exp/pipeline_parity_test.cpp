@@ -2,7 +2,8 @@
 // measured on the model the round left behind, so a rejected round
 // must report exactly the accuracy of the round before it (the
 // rollback restored that model). The tracking engines must equal the
-// predict_into path on every round's model, and tracking must stay
+// inference oracle and the one-off entry points (evaluate_confusion,
+// backdoor_accuracy) on every round's model, and tracking must stay
 // bit-exact where experiments nest inside the pool (run_repeated) and
 // where rounds cross the wire protocol.
 
@@ -14,6 +15,7 @@
 #include "attack/backdoor.hpp"
 #include "exp/experiment.hpp"
 #include "metrics/confusion.hpp"
+#include "support/predict_oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace baffle {
@@ -95,10 +97,12 @@ TEST(PipelineParity, PipelinedRejectionRoundsKeepOldSnapshot) {
 }
 
 TEST(AccuracyTracking, EnginesMatchEvaluateConfusionEveryRound) {
-  // run_experiment tracks accuracy on AccuracyTracker's bound engines;
-  // on every model a round leaves behind they must equal the
-  // predict_into path (evaluate_confusion, backdoor_accuracy) bit for
-  // bit, on one worker and on four.
+  // run_experiment tracks accuracy on AccuracyTracker's engines, bound
+  // once; on every model a round leaves behind they must equal the
+  // inference oracle (tests/support/predict_oracle.hpp) bit for bit,
+  // and so must the one-off entry points, evaluate_confusion and
+  // backdoor_accuracy, which bind an engine per call. On one worker
+  // and on four.
   const ExperimentConfig cfg = small_config();
   for (const std::size_t workers : {1u, 4u}) {
     SCOPED_TRACE(workers);
@@ -117,13 +121,20 @@ TEST(AccuracyTracking, EnginesMatchEvaluateConfusionEveryRound) {
       const AccuracyTracker::Accuracies got =
           tracker.measure(model.parameters());
       const double main =
-          evaluate_confusion(model, scenario.task.test).accuracy();
-      const double backdoor =
-          backdoor_accuracy(model, scenario.task.backdoor_test,
-                            scenario.backdoor.target_class);
+          oracle_confusion(model, scenario.task.test).accuracy();
+      const double backdoor = backdoor_hit_rate(
+          scenario.task.backdoor_test, scenario.backdoor.target_class,
+          oracle_predict(model, scenario.task.backdoor_test.features()));
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got.main),
                 std::bit_cast<std::uint64_t>(main));
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got.backdoor),
+                std::bit_cast<std::uint64_t>(backdoor));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    evaluate_confusion(model, scenario.task.test).accuracy()),
+                std::bit_cast<std::uint64_t>(main));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(backdoor_accuracy(
+                    model, scenario.task.backdoor_test,
+                    scenario.backdoor.target_class)),
                 std::bit_cast<std::uint64_t>(backdoor));
     }
   }

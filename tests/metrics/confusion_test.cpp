@@ -4,8 +4,34 @@
 
 #include <array>
 
+#include "data/synth.hpp"
+#include "support/predict_oracle.hpp"
+
 namespace baffle {
 namespace {
+
+void expect_same_counts(const ConfusionMatrix& got,
+                        const ConfusionMatrix& want) {
+  ASSERT_EQ(got.num_classes(), want.num_classes());
+  EXPECT_EQ(got.total(), want.total());
+  const int classes = static_cast<int>(want.num_classes());
+  for (int t = 0; t < classes; ++t) {
+    for (int p = 0; p < classes; ++p) {
+      EXPECT_EQ(got.count(t, p), want.count(t, p)) << t << "->" << p;
+    }
+  }
+}
+
+/// A vision-shaped model ({32, 64, 10}) with every weight and bias
+/// drawn at random, so a dropped bias add changes predictions.
+Mlp vision_model(const SynthTaskConfig& cfg, Rng& rng) {
+  Mlp model(MlpConfig{{cfg.dim, 64, cfg.num_classes}});
+  model.init(rng);
+  std::vector<float> params = model.parameters();
+  for (float& p : params) p += static_cast<float>(rng.normal(0.0, 0.3));
+  model.set_parameters(params);
+  return model;
+}
 
 TEST(ConfusionMatrix, AccuracyAndError) {
   ConfusionMatrix cm(3);
@@ -104,13 +130,46 @@ TEST(EvaluateConfusion, MatchesModelPredictions) {
   EXPECT_EQ(cm.count(0, 1), 1u);
   EXPECT_EQ(cm.count(1, 1), 2u);
   EXPECT_NEAR(cm.accuracy(), 2.0 / 3.0, 1e-12);
+  expect_same_counts(cm, oracle_confusion(model, data));
+}
+
+TEST(EvaluateConfusion, BothOverloadsEqualTheOracleOnAPartialLastPanel) {
+  // 330 samples: 20 full 16-sample panels and a 10-sample tail.
+  Rng rng(17);
+  SynthTaskConfig cfg = synth_vision10_config();
+  cfg.train_per_class = 1;
+  cfg.test_per_class = 33;
+  const Dataset test = make_synth_task(cfg, rng).test;
+  ASSERT_NE(test.size() % 16, 0u);
+  const Mlp model = vision_model(cfg, rng);
+  const ConfusionMatrix want = oracle_confusion(model, test);
+  ASSERT_GT(want.accuracy(), 0.0);
+  ASSERT_LT(want.accuracy(), 1.0);
+
+  expect_same_counts(evaluate_confusion(model, test), want);
+  MlpEvalWorkspace ws;
+  expect_same_counts(evaluate_confusion(model, test, ws), want);
+  // The workspace carries over to another model.
+  const Mlp other = vision_model(cfg, rng);
+  expect_same_counts(evaluate_confusion(other, test, ws),
+                     oracle_confusion(other, test));
+}
+
+TEST(EvaluateConfusion, RejectsADatasetOfAnotherInputWidth) {
+  const Mlp model(MlpConfig{{4, 6, 3}});
+  Dataset data(5, 3);
+  data.add(std::array{0.0f, 1.0f, 0.0f, 1.0f, 0.0f}, 1);
+  MlpEvalWorkspace ws;
+  EXPECT_THROW(evaluate_confusion(model, data), std::invalid_argument);
+  EXPECT_THROW(evaluate_confusion(model, data, ws), std::invalid_argument);
 }
 
 TEST(EvaluateConfusion, EmptyDatasetGivesEmptyMatrix) {
   Mlp model(MlpConfig{{2, 2}});
   const Dataset data(2, 2);
-  const ConfusionMatrix cm = evaluate_confusion(model, data);
-  EXPECT_EQ(cm.total(), 0u);
+  EXPECT_EQ(evaluate_confusion(model, data).total(), 0u);
+  MlpEvalWorkspace ws;
+  EXPECT_EQ(evaluate_confusion(model, data, ws).total(), 0u);
 }
 
 }  // namespace

@@ -51,52 +51,6 @@ TEST(Mlp, SetParametersSizeMismatchThrows) {
                std::invalid_argument);
 }
 
-TEST(Mlp, ChunkedPredictMatchesWholeBatch) {
-  Mlp model(small_config());
-  Rng rng(5);
-  model.init(rng);
-  Matrix x(37, 4);  // deliberately not a multiple of any chunk size
-  for (float& v : x.flat()) v = static_cast<float>(rng.normal());
-  const auto whole = model.predict(x);
-
-  MlpEvalWorkspace ws;
-  std::vector<std::size_t> chunked(x.rows());
-  for (std::size_t chunk : {1u, 3u, 36u, 37u, 1000u}) {
-    model.predict_into(x, chunked, ws, chunk);
-    EXPECT_EQ(chunked, whole) << "chunk=" << chunk;
-  }
-}
-
-TEST(Mlp, PredictIntoReusesWorkspaceAcrossModels) {
-  Mlp a(small_config()), b(small_config());
-  Rng rng(6);
-  a.init(rng);
-  b.init(rng);
-  Matrix x(8, 4);
-  for (float& v : x.flat()) v = static_cast<float>(rng.normal());
-
-  MlpEvalWorkspace ws;
-  std::vector<std::size_t> out_a(x.rows()), out_b(x.rows());
-  a.predict_into(x, out_a, ws);
-  b.predict_into(x, out_b, ws);  // same workspace, different model
-  EXPECT_EQ(out_a, a.predict(x));
-  EXPECT_EQ(out_b, b.predict(x));
-}
-
-TEST(Mlp, PredictIntoValidatesShapes) {
-  Mlp model(small_config());
-  Rng rng(7);
-  model.init(rng);
-  MlpEvalWorkspace ws;
-  Matrix wrong_dim(3, 5);
-  std::vector<std::size_t> out(3);
-  EXPECT_THROW(model.predict_into(wrong_dim, out, ws),
-               std::invalid_argument);
-  Matrix x(3, 4);
-  std::vector<std::size_t> short_out(2);
-  EXPECT_THROW(model.predict_into(x, short_out, ws), std::invalid_argument);
-}
-
 TEST(Mlp, IdenticalParamsGiveIdenticalOutputs) {
   Mlp a(small_config()), b(small_config());
   Rng rng(2);
@@ -218,16 +172,6 @@ TEST(LeasedMlp, WarmSlotIsReusedAndANestedLeaseTakesAnother) {
   const LeasedMlp other(MlpConfig{{5, 2}});
   EXPECT_EQ(other->num_params(), 12u);
   EXPECT_EQ(other->config().layer_dims, (std::vector<std::size_t>{5, 2}));
-}
-
-TEST(Mlp, PredictReturnsArgmaxClass) {
-  // Construct a linear model that always prefers class 2.
-  Mlp model(MlpConfig{{2, 3}});
-  std::vector<float> params(model.num_params(), 0.0f);
-  params[model.num_params() - 1] = 10.0f;  // bias of class 2
-  model.set_parameters(params);
-  Matrix x(4, 2, 1.0f);
-  for (std::size_t p : model.predict(x)) EXPECT_EQ(p, 2u);
 }
 
 TEST(Mlp, DeepNetworkForwardShape) {

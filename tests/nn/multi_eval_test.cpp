@@ -9,6 +9,7 @@
 
 #include "data/synth.hpp"
 #include "nn/mlp.hpp"
+#include "support/predict_oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace baffle {
@@ -40,29 +41,16 @@ Matrix features_matrix(std::size_t test_per_class, std::size_t dim,
   return task.test.features();
 }
 
-std::vector<std::size_t> sequential_preds(const MlpConfig& arch,
-                                          const std::vector<float>& params,
-                                          const Matrix& x) {
+// The oracle's logits (tests/support/predict_oracle.hpp), reduced to
+// the first-max prediction and the top-2 margin.
+void oracle_preds_and_margins(const MlpConfig& arch,
+                              const std::vector<float>& params,
+                              const Matrix& x,
+                              std::vector<std::size_t>& preds,
+                              std::vector<float>& margins) {
   Mlp model(arch);
   model.set_parameters(params);
-  MlpEvalWorkspace ws;
-  std::vector<std::size_t> preds(x.rows());
-  model.predict_into(x, preds, ws);
-  return preds;
-}
-
-// The sequential path's logits (forward_train runs predict_into's
-// per-layer forward_eval), reduced to argmax_rows_into's first-max
-// prediction and the top-2 margin.
-void sequential_preds_and_margins(const MlpConfig& arch,
-                                  const std::vector<float>& params,
-                                  const Matrix& x,
-                                  std::vector<std::size_t>& preds,
-                                  std::vector<float>& margins) {
-  Mlp model(arch);
-  model.set_parameters(params);
-  TrainWorkspace ws;
-  const Matrix& logits = model.forward_train(x, ws);
+  const Matrix logits = oracle_logits(model, x);
   preds.assign(x.rows(), 0);
   margins.assign(x.rows(), 0.0f);
   for (std::size_t r = 0; r < x.rows(); ++r) {
@@ -130,7 +118,7 @@ TEST(MultiModelEval, Fp32BitParityWithSequentialPath) {
   std::vector<std::size_t> batched(x.rows());
   for (const auto& params : chain) {
     predict_one(engine, params, batched);
-    EXPECT_EQ(batched, sequential_preds(arch, params, x));
+    EXPECT_EQ(batched, oracle_predict(arch, params, x));
   }
 }
 
@@ -152,8 +140,8 @@ TEST(MultiModelEval, PanelGroupsMatchSequentialPredsAndMarginsOnEveryPool) {
       for (std::size_t v = 0; v < chain.size(); ++v) {
         std::vector<std::size_t> preds;
         std::vector<float> margins;
-        sequential_preds_and_margins(arch, chain[v], x, preds, margins);
-        ASSERT_EQ(preds, sequential_preds(arch, chain[v], x));
+        oracle_preds_and_margins(arch, chain[v], x, preds, margins);
+        ASSERT_EQ(preds, oracle_predict(arch, chain[v], x));
         const auto at = static_cast<std::ptrdiff_t>(v * samples);
         EXPECT_TRUE(std::equal(preds.begin(), preds.end(),
                                run.preds.begin() + at));
@@ -178,7 +166,7 @@ TEST(MultiModelEval, Fp32ParityMultiLayer) {
   std::vector<std::size_t> batched(x.rows());
   for (const auto& params : chain) {
     predict_one(engine, params, batched);
-    EXPECT_EQ(batched, sequential_preds(arch, params, x));
+    EXPECT_EQ(batched, oracle_predict(arch, params, x));
   }
 }
 
@@ -195,7 +183,7 @@ TEST(MultiModelEval, SingleSampleAndSingleRowPanels) {
   std::vector<std::size_t> batched(1);
   for (const auto& params : chain) {
     predict_one(engine, params, batched);
-    EXPECT_EQ(batched, sequential_preds(arch, params, x));
+    EXPECT_EQ(batched, oracle_predict(arch, params, x));
   }
 }
 
@@ -220,7 +208,7 @@ TEST(MultiModelEval, PredictManySpansModelChunks) {
   }
   engine.predict_many(models);
   for (std::size_t v = 0; v < count; ++v) {
-    EXPECT_EQ(preds[v], sequential_preds(arch, chain[v], x));
+    EXPECT_EQ(preds[v], oracle_predict(arch, chain[v], x));
   }
 }
 
@@ -237,13 +225,31 @@ TEST(MultiModelEval, RebindReplacesDataset) {
   engine.bind(x1);
   std::vector<std::size_t> preds1(x1.rows());
   predict_one(engine, chain[0], preds1);
-  EXPECT_EQ(preds1, sequential_preds(arch, chain[0], x1));
+  EXPECT_EQ(preds1, oracle_predict(arch, chain[0], x1));
 
   engine.bind(x2);
   EXPECT_EQ(engine.bound_samples(), 17u);
   std::vector<std::size_t> preds2(x2.rows());
   predict_one(engine, chain[0], preds2);
-  EXPECT_EQ(preds2, sequential_preds(arch, chain[0], x2));
+  EXPECT_EQ(preds2, oracle_predict(arch, chain[0], x2));
+}
+
+// The engine checks its output spans against the bound set, as the
+// argmax it replaced checked its output length.
+TEST(MultiModelEval, RejectsAPredictionSpanOfAnotherLength) {
+  const MlpConfig arch{{4, 3}};
+  Rng rng(51);
+  const auto chain = model_chain(arch, rng, 1);
+  const Matrix x(3, 4, 1.0f);
+  MultiModelEval engine(arch);
+  engine.bind(x);
+  std::vector<std::size_t> short_preds(2);
+  EXPECT_THROW(predict_one(engine, chain[0], short_preds),
+               std::invalid_argument);
+  std::vector<std::size_t> preds(3);
+  std::vector<float> short_margins(2);
+  const MultiEvalModel with_margins{chain[0], preds, short_margins};
+  EXPECT_THROW(engine.predict_many({&with_margins, 1}), std::invalid_argument);
 }
 
 TEST(MultiModelEvalParallelParity, Fp32BytesEqualSerialAndSequential) {
@@ -271,7 +277,7 @@ TEST(MultiModelEvalParallelParity, Fp32BytesEqualSerialAndSequential) {
                                              v * x.rows()),
                   serial.preds.begin() + static_cast<std::ptrdiff_t>(
                                              (v + 1) * x.rows())),
-              sequential_preds(arch, chain[v], x));
+              oracle_predict(arch, chain[v], x));
   }
 }
 

@@ -153,20 +153,6 @@ TEST(Gemm, LargeMultipliesMatchNaive) {
   expect_matrix_near(out3, naive_ab(a, b2t), 5e-3f);
 }
 
-TEST(Gemm, ViewRowRangeMultipliesChunk) {
-  Rng rng(8);
-  const Matrix a = random_matrix(10, 6, rng);
-  const Matrix b = random_matrix(6, 4, rng);
-  const Matrix full = naive_ab(a, b);
-  Matrix out(4, 4);
-  gemm_ab(ConstMatrixView(a).row_range(3, 4), b, out);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_NEAR(out.at(i, j), full.at(i + 3, j), 1e-4f);
-    }
-  }
-}
-
 /// Replaces a few entries with −0, ±Inf and NaN. The −0s matter where
 /// k == 1: a fold that started from the first product instead of +0
 /// would leave −0 in the output.
@@ -283,13 +269,38 @@ TEST(Gemm, ScalarArmMatchesTextbookFoldBitForBit) {
   }
 }
 
+/// The evaluation engine's argmax (`t.argmax_margin_panel`) over the
+/// rows of `m`, m.rows() <= kPanelCols: row r is laid out as column r
+/// of one packed panel, whose column argmax is then each row's first
+/// maximum.
+std::vector<std::size_t> panel_argmax_rows(const kernels::KernelTable& t,
+                                           const Matrix& m) {
+  AlignedFloatVec panel(m.cols() * kernels::kPanelCols, 0.0f);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      panel[c * kernels::kPanelCols + r] = m.at(r, c);
+    }
+  }
+  std::vector<std::size_t> out(m.rows(), 99);
+  t.argmax_margin_panel({panel.data(), m.cols(), m.rows(), out.data(),
+                         /*margins=*/nullptr});
+  return out;
+}
+
+/// The scalar arm, and the vector arm where this CPU runs it.
+std::vector<const kernels::KernelTable*> kernel_arms() {
+  std::vector<const kernels::KernelTable*> arms{&kernels::scalar_table()};
+  if (const kernels::KernelTable* vec = kernels::vector_table()) {
+    arms.push_back(vec);
+  }
+  return arms;
+}
+
 TEST(RowOps, ArgmaxRowsInto) {
   const Matrix m = Matrix::from_rows(3, 3, {1, 5, 2, 9, 0, 1, 2, 2, 7});
-  std::vector<std::size_t> out(3);
-  argmax_rows_into(m, out);
-  EXPECT_EQ(out, (std::vector<std::size_t>{1, 0, 2}));
-  std::vector<std::size_t> wrong_size(2);
-  EXPECT_THROW(argmax_rows_into(m, wrong_size), std::invalid_argument);
+  for (const kernels::KernelTable* t : kernel_arms()) {
+    EXPECT_EQ(panel_argmax_rows(*t, m), (std::vector<std::size_t>{1, 0, 2}));
+  }
 }
 
 // The row bias is gemm_ab_bias's epilogue: with B = I its output is A
@@ -323,10 +334,11 @@ TEST(RowOps, ColSum) {
 
 TEST(Argmax, PerRow) {
   const Matrix m = Matrix::from_rows(2, 3, {1, 5, 2, 7, 0, 3});
-  std::vector<std::size_t> idx(2);
-  argmax_rows_into(m, idx);
-  EXPECT_EQ(idx[0], 1u);
-  EXPECT_EQ(idx[1], 0u);
+  for (const kernels::KernelTable* t : kernel_arms()) {
+    const std::vector<std::size_t> idx = panel_argmax_rows(*t, m);
+    EXPECT_EQ(idx[0], 1u);
+    EXPECT_EQ(idx[1], 0u);
+  }
 }
 
 TEST(VectorOps, Axpy) {

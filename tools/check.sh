@@ -173,8 +173,9 @@ run_bench_smoke() {
 
 run_multieval_smoke() {
   # Exits nonzero when the batched engine's predictions are not
-  # byte-identical to sequential Mlp::predict_into, or when the
-  # pool-parallel arm is not byte-identical to the one-worker-pool arm.
+  # byte-identical to its test oracle's (tests/support/predict_oracle),
+  # or when the pool-parallel arm is not byte-identical to the
+  # one-worker-pool arm.
   # Smoke mode skips the ≥2x speed gate (timing on shared CI hosts is
   # too noisy to assert).
   cmake --build build-strict -j "$JOBS" --target multieval_bench &&
