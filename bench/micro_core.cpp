@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the computational kernels the
 // defense leans on: LOF scoring, per-class error-variation extraction,
-// secure-aggregation masking, GEMM, local training, and a full VALIDATE
-// call — the per-round client-side cost of BaFFLe.
+// secure-aggregation masking, GEMM, one SGD step, local training, and a
+// full VALIDATE call — the per-round client-side cost of BaFFLe.
 //
 // Before the google-benchmark suite runs, main() times the three GEMMs
 // and axpy on both arms (scalar vs SIMD) and writes BENCH_simd.json with
@@ -10,10 +10,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/defense.hpp"
 #include "core/validate.hpp"
@@ -174,6 +177,47 @@ void BM_LocalTraining(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalTraining);
+
+/// One train_sgd step on an experiment's model: vision ({32, 64, 10},
+/// whose output layer runs class-major) at a client update's batch of 32
+/// and pretraining's 64, and FEMNIST ({48, 96, 62}, row-major) at 32.
+/// Each iteration trains on the next of the task's batches (the index
+/// shuffle of one batch included), round-robin over its synthetic train
+/// set, so the model learns the task as pretraining does and its logits
+/// stay in the range training sees.
+void BM_TrainStep(benchmark::State& state, bool femnist, std::size_t batch) {
+  Rng rng(8);
+  const SynthTaskConfig cfg =
+      femnist ? synth_femnist62_config() : synth_vision10_config();
+  const SynthTask task = make_synth_task(cfg, rng);
+  const Matrix& features = task.train.features();
+  const std::span<const int> labels = task.train.labels();
+  std::vector<Matrix> xs(features.rows() / batch, Matrix(batch, cfg.dim));
+  std::vector<std::vector<int>> ys(xs.size());
+  for (std::size_t b = 0; b < xs.size(); ++b) {
+    for (std::size_t i = 0; i < batch; ++i) {
+      const auto row = features.row(b * batch + i);
+      std::copy(row.begin(), row.end(), xs[b].row(i).begin());
+      ys[b].push_back(labels[b * batch + i]);
+    }
+  }
+  Mlp model(MlpConfig{{cfg.dim, femnist ? 96u : 64u, cfg.num_classes}});
+  model.init(rng);
+  TrainConfig one_step;
+  one_step.epochs = 1;
+  one_step.batch_size = batch;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(train_sgd(model, xs[next], ys[next], one_step,
+                                       rng));
+    benchmark::ClobberMemory();
+    next = next + 1 == xs.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TrainStep, vision32, false, 32);
+BENCHMARK_CAPTURE(BM_TrainStep, vision64, false, 64);
+BENCHMARK_CAPTURE(BM_TrainStep, femnist32, true, 32);
 
 void BM_ValidateCall(benchmark::State& state) {
   // Full Algorithm 2 on a 21-model history with a warm cache — the

@@ -4,6 +4,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "nn/loss.hpp"
 #include "tensor/ops.hpp"
 
 namespace baffle {
@@ -26,26 +27,71 @@ void Mlp::init(Rng& rng) {
   for (auto& layer : layers_) layer.init_weights(rng);
 }
 
-const Matrix& Mlp::forward_train(const Matrix& x, TrainWorkspace& ws) const {
-  ws.acts.resize(layers_.size());
-  layers_.front().forward_eval(x, ws.acts.front());
-  for (std::size_t i = 1; i < layers_.size(); ++i) {
-    layers_[i].forward_eval(ws.acts[i - 1], ws.acts[i]);
-  }
-  return ws.acts.back();
+namespace {
+
+/// The output layer's step with its outputs on the rows of the logits
+/// (classes <= one 16-lane panel): the batch's samples fill the lanes of
+/// the forward GEMM and the softmax, the layer's inputs those of dW. Each
+/// element keeps the row-major step's fold: logitsᵀ = Wᵀ·inᵀ with the
+/// bias one add in the softmax, dWᵀ = dYᵀ·in, db the fold of dYᵀ's rows
+/// and din = dYᵀᵀ·Wᵀ, all over the same inner index in the same order.
+void output_step_class_major(Dense& layer, const Matrix& in,
+                             std::span<const int> labels, Matrix* din,
+                             TrainWorkspace& ws) {
+  transpose(in, ws.in_t);
+  ws.dlogits.resize(layer.out_dim(), in.rows());
+  gemm_atb(layer.weights(), ws.in_t, ws.dlogits);
+  softmax_xent_grad_class_major(ws.dlogits, layer.bias(), labels,
+                                layer.bias_grad());
+  ws.wt.resize(layer.out_dim(), layer.in_dim());
+  gemm_ab(ws.dlogits, in, ws.wt);
+  transpose(ws.wt, layer.weight_grad());
+  if (din == nullptr) return;
+  transpose(layer.weights(), ws.wt);
+  din->resize(in.rows(), layer.in_dim());
+  gemm_atb(ws.dlogits, ws.wt, *din);
 }
 
-void Mlp::backward_train(const Matrix& x, TrainWorkspace& ws) {
-  if (ws.acts.size() != layers_.size()) {
-    throw std::logic_error("Mlp::backward_train: run forward_train first");
+/// The output layer's step for wider layers, whose 16-lane panels the
+/// classes fill: logits = in·W + b, the row-major softmax gradient, then
+/// the layer's row-major backward.
+void output_step_row_major(Dense& layer, const Matrix& in,
+                           std::span<const int> labels, Matrix* din,
+                           TrainWorkspace& ws) {
+  layer.forward_eval(in, ws.dlogits);
+  softmax_xent_grad(ws.dlogits, labels);
+  // A linear layer's backward never reads its output, which the
+  // gradient has overwritten.
+  layer.backward_at(in, ws.dlogits, ws.dlogits, din);
+}
+
+}  // namespace
+
+void Mlp::compute_gradients(const Matrix& x, std::span<const int> labels,
+                            TrainWorkspace& ws) {
+  const std::size_t hidden = layers_.size() - 1;
+  ws.acts.resize(hidden);
+  const Matrix* in = &x;
+  for (std::size_t i = 0; i < hidden; ++i) {
+    layers_[i].forward_eval(*in, ws.acts[i]);
+    in = &ws.acts[i];
   }
-  Matrix* dout = &ws.dlogits;
-  Matrix* dx = &ws.dx;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  Dense& output = layers_.back();
+  Matrix* din = hidden > 0 ? &ws.dx : nullptr;
+  if (output.out_dim() <= kClassMajorMaxClasses) {
+    output_step_class_major(output, *in, labels, din, ws);
+  } else {
+    output_step_row_major(output, *in, labels, din, ws);
+  }
+  // The hidden layers, last to first; dlogits is free again and takes
+  // turns with dx.
+  Matrix* dout = &ws.dx;
+  Matrix* dx = &ws.dlogits;
+  for (std::size_t i = hidden; i-- > 0;) {
     const bool first = (i == 0);
     const Matrix& input = first ? x : ws.acts[i - 1];
     layers_[i].backward_at(input, ws.acts[i], *dout, first ? nullptr : dx);
-    if (!first) std::swap(dout, dx);
+    std::swap(dout, dx);
   }
 }
 

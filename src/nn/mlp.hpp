@@ -26,18 +26,23 @@ struct MlpConfig {
 };
 
 /// Scratch buffers for the training path. One SGD step gathers a batch
-/// and runs forward, loss and backward entirely inside these buffers
-/// (the step then updates the layers in place). train_sgd leases one
-/// per thread and nesting depth and reuses it across steps, clients and
-/// rounds, so the steady-state training loop is allocation-free after
-/// warm-up — the per-round client-side cost BaFFLe argues must stay
-/// cheap.
+/// and runs forward, loss gradient and backward entirely inside these
+/// buffers (the step then updates the layers in place). train_sgd
+/// leases one per thread and nesting depth and reuses it across steps,
+/// clients and rounds, so the steady-state training loop is
+/// allocation-free after warm-up — the per-round client-side cost
+/// BaFFLe argues must stay cheap.
 struct TrainWorkspace {
   Matrix batch;                    // gathered minibatch (rows = samples)
   std::vector<int> batch_labels;
-  std::vector<Matrix> acts;        // per-layer outputs; back() = logits
-  Matrix dlogits;                  // loss gradient w.r.t. logits
+  std::vector<Matrix> acts;        // hidden layers' outputs
+  Matrix dlogits;                  // logits, then dL/dlogits: batch x
+                                   // classes, or classes x batch when
+                                   // the output layer runs class-major
   Matrix dx;                       // backward ping-pong buffer
+  Matrix in_t;                     // class-major: the output layer's
+                                   // input, transposed
+  Matrix wt;                       // class-major: dWᵀ, then Wᵀ
   std::vector<std::size_t> order;  // epoch shuffle order
 };
 
@@ -48,15 +53,17 @@ class Mlp {
   /// Re-randomize all parameters.
   void init(Rng& rng);
 
-  /// Training forward pass through workspace buffers: ws.acts[i] holds
-  /// layer i's activated output, so nothing is allocated once the
-  /// workspace is warm. Returns the logits (= ws.acts.back()).
-  const Matrix& forward_train(const Matrix& x, TrainWorkspace& ws) const;
-
-  /// Backward pass from ws.dlogits using the activations left in `ws` by
-  /// forward_train on the same `x`. OVERWRITES the layers' gradient
-  /// buffers (exactly one backward per step).
-  void backward_train(const Matrix& x, TrainWorkspace& ws);
+  /// One SGD step's gradients for the batch `x` (one sample per row)
+  /// and its `labels`: forward, the softmax cross-entropy gradient of
+  /// the batch's mean loss, and backward, entirely in `ws`, so nothing
+  /// is allocated once the workspace is warm. OVERWRITES the layers'
+  /// gradient buffers (exactly one backward per step). An output layer
+  /// no wider than one 16-lane GEMM panel runs class-major, the batch on
+  /// the lanes (DESIGN.md §10); every gradient byte equals the
+  /// row-major step's. Throws std::invalid_argument on a label count
+  /// that is not the batch or a label outside [0, output_dim()).
+  void compute_gradients(const Matrix& x, std::span<const int> labels,
+                         TrainWorkspace& ws);
 
   std::size_t num_params() const { return num_params_; }
   std::size_t input_dim() const { return config_.layer_dims.front(); }
@@ -72,7 +79,7 @@ class Mlp {
   void set_parameters(const F32View& flat);
 
   /// Copies `from`'s weights and biases, leaving the gradient buffers as
-  /// they are (the next backward_train overwrites them): what a local
+  /// they are (the next compute_gradients overwrites them): what a local
   /// model needs of the global one. `from` must have the same layer dims.
   void copy_parameters_from(const Mlp& from);
 

@@ -11,7 +11,7 @@ struct SgdConfig {
 };
 
 /// One step, w += round(−lr·g), from the gradients that the last
-/// backward_train left in the layers; it only reads them. Each layer's
+/// compute_gradients left in the layers; it only reads them. Each layer's
 /// weights and bias are updated where they live (tensor/primitives.hpp
 /// sgd_update), so the step allocates nothing.
 void sgd_step(Mlp& model, float learning_rate);

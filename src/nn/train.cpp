@@ -34,8 +34,6 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
   TrainStats stats;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.shuffle(ws.order);
-    double epoch_loss = 0.0;
-    std::size_t epoch_batches = 0;
     for (std::size_t start = 0; start < ws.order.size();
          start += config.batch_size) {
       const std::size_t count =
@@ -49,17 +47,9 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
         std::copy(row.begin(), row.end(), dst.begin());
         ws.batch_labels[i] = labels[src];
       }
-      const Matrix& logits = model.forward_train(ws.batch, ws);
-      const double loss =
-          softmax_cross_entropy_into(logits, ws.batch_labels, ws.dlogits);
-      model.backward_train(ws.batch, ws);
+      model.compute_gradients(ws.batch, ws.batch_labels, ws);
       sgd_step(model, lr);
-      epoch_loss += loss;
-      ++epoch_batches;
       ++stats.steps;
-    }
-    if (epoch + 1 == config.epochs && epoch_batches > 0) {
-      stats.final_loss = epoch_loss / static_cast<double>(epoch_batches);
     }
   }
   return stats;

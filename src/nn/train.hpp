@@ -5,7 +5,6 @@
 
 #include <span>
 
-#include "nn/loss.hpp"
 #include "nn/sgd.hpp"
 #include "util/rng.hpp"
 
@@ -18,20 +17,19 @@ struct TrainConfig {
 };
 
 struct TrainStats {
-  double final_loss = 0.0;   // mean loss over the last epoch
   std::size_t steps = 0;
 };
 
 /// Trains `model` in place. `x` has one sample per row; `labels` are the
 /// matching integer classes. Batch order is reshuffled per epoch with
-/// `rng`. Each step is forward_train, softmax_cross_entropy_into,
-/// backward_train, then sgd_step. The batch gather, activations and
-/// loss gradient live in scratch leased per thread and nesting depth
-/// (util/scratch_lease.hpp), so a call performs zero heap allocations
-/// once its thread's slot is warm. Throws
+/// `rng`. Each step is Mlp::compute_gradients, then sgd_step. The batch
+/// gather, activations and loss gradient live in scratch leased per
+/// thread and nesting depth (util/scratch_lease.hpp), so a call performs
+/// zero heap allocations once its thread's slot is warm. Throws
 /// std::invalid_argument on a label count mismatch and, when `x` has
-/// rows, on a zero batch size or a learning rate that is not finite and
-/// positive.
+/// rows, on a zero batch size, a learning rate that is not finite and
+/// positive, or (at its batch's step) a label outside the model's
+/// classes.
 TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
                      const TrainConfig& config, Rng& rng);
 

@@ -138,8 +138,8 @@ struct KernelTable {
   /// True when gemm_panel_rows reads a row-major B in place (gemm_ab,
   /// gemm_atb); false when it reads packed panels only.
   bool gemm_reads_b_in_place;
-  /// True when exp_f32 and softmax_xent_rows run the AVX-512 copy of
-  /// libm's expf. Set only after a dispatch-time probe found the copy
+  /// True when exp_f32 and the two softmax entries run the AVX-512 copy
+  /// of libm's expf. Set only after a dispatch-time probe found the copy
   /// bit-identical to the std::exp the process runs; otherwise every
   /// exp is a std::exp call.
   bool libm_exp_copy;
@@ -148,11 +148,14 @@ struct KernelTable {
   // runs this kernel over row blocks of the output.
   void (*gemm_panel_rows)(const PanelGemmArgs&, std::size_t r0,
                           std::size_t r1);
-  // One panel of pack_bt_panels: row c < rows of the row-major rows x k
-  // block b becomes column c of the k x kPanelCols panel, and columns
-  // rows..kPanelCols-1 are +0. A copy, so every arm gives the same bytes.
-  void (*pack_bt_panel)(const float* b, std::size_t rows, std::size_t k,
-                        float* panel);
+  // dst[c * ldd + r] = src[r * lds + c] for r < rows and c < cols: the
+  // rows x cols block at src becomes the cols x rows block at dst, and
+  // nothing else at dst is written. pack_bt_panels runs it with
+  // ldd = kPanelCols, the SGD step's class-major output layer on its
+  // activations and weights. A copy, so every arm gives the same bytes,
+  // NaN payloads included.
+  void (*transpose)(const float* src, std::size_t rows, std::size_t cols,
+                    std::size_t lds, float* dst, std::size_t ldd);
 
   // Flat-vector primitives. All length arguments are element counts.
   void (*axpy)(float alpha, const float*, float*, std::size_t);
@@ -180,11 +183,21 @@ struct KernelTable {
 
   // SGD step (DESIGN.md §10). out[i] = std::exp(x[i]), bit for bit.
   void (*exp_f32)(float* out, const float* x, std::size_t n);
-  // Fused row softmax + mean cross-entropy + gradient over a row-major
-  // rows x cols block: x holds the logits on entry and dL/dlogits for
-  // the mean loss on exit; returns that loss. labels[r] is in [0, cols).
-  double (*softmax_xent_rows)(float* x, const int* labels, std::size_t rows,
-                              std::size_t cols);
+  // Fused row softmax + cross-entropy gradient over a row-major rows x
+  // cols block, one row per sample: x holds the logits on entry and
+  // dL/dlogits of the batch's mean loss on exit. labels[r] is in
+  // [0, cols).
+  void (*softmax_xent_rows)(float* x, const int* labels, std::size_t rows,
+                            std::size_t cols);
+  // The same gradient class-major, for classes <= kPanelCols: x is the
+  // classes x batch block (row stride batch), one column per sample,
+  // holding each logit without its bias. Each logit is x + bias[c], one
+  // add; then every sample runs the row loop's arithmetic, and x holds
+  // dL/dlogitsᵀ. bias_grad[c] is row c of that gradient folded in
+  // sample order from +0 (what col_sum gives the row-major gradient).
+  void (*softmax_xent_class_major)(float* x, const float* bias,
+                                   const int* labels, std::size_t classes,
+                                   std::size_t batch, float* bias_grad);
   // out[c] = sum of column c of the row-major rows x cols block m, folded
   // over the rows in order from +0. out must not overlap m.
   void (*col_sum)(const float* m, std::size_t rows, std::size_t cols,
@@ -206,11 +219,21 @@ struct KernelTable {
 /// by `max_value`: the scalar arm's entry, and the vector arm's with its
 /// own max_value (the zmm entry falls back to it for a batch holding a
 /// NaN). Per row: max, then exp and sum in column order, divide by the
-/// sum, the row's loss term, divide by the batch, subtract 1/batch at
-/// the label.
-double softmax_xent_row_loop(float* x, const int* labels, std::size_t rows,
-                             std::size_t cols,
-                             float (*max_value)(const float*, std::size_t));
+/// sum, divide by the batch, subtract 1/batch at the label.
+void softmax_xent_row_loop(float* x, const int* labels, std::size_t rows,
+                           std::size_t cols,
+                           float (*max_value)(const float*, std::size_t));
+
+/// softmax_xent_class_major for samples [i0, i1) of the batch: each
+/// sample's column plus the bias, staged as a row, runs the row loop's
+/// arithmetic, and bias_grad gains the gradients in sample order (the
+/// caller zeroes it before sample 0). With the scalar max_value, the
+/// scalar and ymm tables' entry; the zmm entry runs it on a block
+/// holding a NaN.
+void softmax_xent_class_major_loop(
+    float* x, const float* bias, const int* labels, std::size_t classes,
+    std::size_t batch, std::size_t i0, std::size_t i1, float* bias_grad,
+    float (*max_value)(const float*, std::size_t));
 
 /// Always available; no FMA anywhere, so each product rounds before its
 /// add.

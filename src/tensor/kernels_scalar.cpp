@@ -47,15 +47,12 @@ void gemm_panel_rows(const PanelGemmArgs& g, std::size_t r0,
   }
 }
 
-// Sequential reads of each b row, 16-strided writes into the panel.
-void pack_bt_panel(const float* b, std::size_t rows, std::size_t k,
-                   float* panel) {
-  for (std::size_t c = 0; c < rows; ++c) {
-    const float* src = b + c * k;
-    for (std::size_t p = 0; p < k; ++p) panel[p * kPanelCols + c] = src[p];
-  }
-  for (std::size_t c = rows; c < kPanelCols; ++c) {
-    for (std::size_t p = 0; p < k; ++p) panel[p * kPanelCols + c] = 0.0f;
+// Sequential reads of each src row, ldd-strided writes.
+void transpose(const float* src, std::size_t rows, std::size_t cols,
+               std::size_t lds, float* dst, std::size_t ldd) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = src + r * lds;
+    for (std::size_t c = 0; c < cols; ++c) dst[c * ldd + r] = row[c];
   }
 }
 
@@ -149,9 +146,31 @@ void exp_f32(float* out, const float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(x[i]);
 }
 
-double softmax_xent_rows(float* x, const int* labels, std::size_t rows,
-                         std::size_t cols) {
-  return softmax_xent_row_loop(x, labels, rows, cols, max_value);
+/// One sample's gradient in place: the row loop's arithmetic on its
+/// `cols` logits in a batch of `batch`.
+void softmax_xent_row(float* row, int label, std::size_t cols, float batch,
+                      float (*max_value)(const float*, std::size_t)) {
+  const float mx = max_value(row, cols);
+  float total = 0.0f;
+  for (std::size_t c = 0; c < cols; ++c) {
+    row[c] = std::exp(row[c] - mx);
+    total += row[c];
+  }
+  for (std::size_t c = 0; c < cols; ++c) row[c] = row[c] / total / batch;
+  row[static_cast<std::size_t>(label)] -= 1.0f / batch;
+}
+
+void softmax_xent_rows(float* x, const int* labels, std::size_t rows,
+                       std::size_t cols) {
+  softmax_xent_row_loop(x, labels, rows, cols, max_value);
+}
+
+void softmax_xent_class_major(float* x, const float* bias, const int* labels,
+                              std::size_t classes, std::size_t batch,
+                              float* bias_grad) {
+  std::fill_n(bias_grad, classes, 0.0f);
+  softmax_xent_class_major_loop(x, bias, labels, classes, batch, 0, batch,
+                                bias_grad, max_value);
 }
 
 // __restrict lets the compiler keep `out` in registers across rows;
@@ -240,7 +259,7 @@ constexpr KernelTable kTable = {
     /*gemm_reads_b_in_place=*/true,
     /*libm_exp_copy=*/false,
     gemm_panel_rows,
-    pack_bt_panel,
+    transpose,
     axpy,
     scale,
     max_value,
@@ -252,6 +271,7 @@ constexpr KernelTable kTable = {
     argmax_margin_panel,
     exp_f32,
     softmax_xent_rows,
+    softmax_xent_class_major,
     col_sum,
     sgd_update,
     mt_regenerate,
@@ -262,25 +282,32 @@ constexpr KernelTable kTable = {
 
 const KernelTable& scalar_table() { return kTable; }
 
-double softmax_xent_row_loop(float* x, const int* labels, std::size_t rows,
-                             std::size_t cols,
-                             float (*max_value)(const float*, std::size_t)) {
+void softmax_xent_row_loop(float* x, const int* labels, std::size_t rows,
+                           std::size_t cols,
+                           float (*max_value)(const float*, std::size_t)) {
   const auto batch = static_cast<float>(rows);
-  double loss = 0.0;
   for (std::size_t r = 0; r < rows; ++r, x += cols) {
-    const float mx = max_value(x, cols);
-    float total = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) {
-      x[c] = std::exp(x[c] - mx);
-      total += x[c];
-    }
-    for (std::size_t c = 0; c < cols; ++c) x[c] /= total;
-    const auto y = static_cast<std::size_t>(labels[r]);
-    loss -= std::log(std::max(x[y], 1e-12f));
-    for (std::size_t c = 0; c < cols; ++c) x[c] /= batch;
-    x[y] -= 1.0f / batch;
+    softmax_xent_row(x, labels[r], cols, batch, max_value);
   }
-  return loss / batch;
+}
+
+void softmax_xent_class_major_loop(
+    float* x, const float* bias, const int* labels, std::size_t classes,
+    std::size_t batch, std::size_t i0, std::size_t i1, float* bias_grad,
+    float (*max_value)(const float*, std::size_t)) {
+  BAFFLE_DCHECK(classes <= kPanelCols, "class-major softmax stages a panel");
+  float row[kPanelCols];
+  for (std::size_t i = i0; i < i1; ++i) {
+    for (std::size_t c = 0; c < classes; ++c) {
+      row[c] = x[c * batch + i] + bias[c];
+    }
+    softmax_xent_row(row, labels[i], classes, static_cast<float>(batch),
+                     max_value);
+    for (std::size_t c = 0; c < classes; ++c) {
+      x[c * batch + i] = row[c];
+      bias_grad[c] += row[c];
+    }
+  }
 }
 
 }  // namespace baffle::kernels

@@ -10,8 +10,9 @@
 // the scalar arm only by FMA rounding — within the parity-test
 // tolerance — while scale, max, relu_backward, the u64 adds, the mask
 // keystream and encode, Rng's twist and polar step, and the SGD step's
-// pack, softmax, column sums and update are bit-exact. The ymm and zmm
-// GEMM and eval-layer tiles are bit-identical to each other.
+// transpose, two softmaxes, column sums and update are bit-exact. The
+// ymm and zmm GEMM and eval-layer tiles are bit-identical to each
+// other.
 
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
@@ -591,9 +592,9 @@ void argmax_margin_panel(const ArgmaxMarginArgs& g) {
 /// The row loop with this arm's max_value, whose NaN handling differs
 /// from the scalar arm's std::max_element (a row holding a NaN comes
 /// out all NaN either way).
-double softmax_xent_rows(float* x, const int* labels, std::size_t rows,
-                         std::size_t cols) {
-  return softmax_xent_row_loop(x, labels, rows, cols, max_value);
+void softmax_xent_rows(float* x, const int* labels, std::size_t rows,
+                       std::size_t cols) {
+  softmax_xent_row_loop(x, labels, rows, cols, max_value);
 }
 
 #if defined(BAFFLE_HAVE_AVX512F_TARGET)
@@ -758,27 +759,26 @@ constexpr std::size_t kSoftmaxMaxCols = 256;
 /// columns are gathered once into a stack buffer, where each lane runs
 /// the row loop's arithmetic over its row's columns in the same order —
 /// max, exp and sum, divide by the sum, divide by the batch, subtract
-/// 1/batch at the label — before one scatter per column writes the
-/// gradient back. The per-row loss terms are then summed in row order.
-/// Without NaN the max does not depend on how it is folded (signed zeros
-/// leave x − max unchanged for exp), so every byte matches the row loop;
-/// a batch holding a NaN runs the row loop.
-BAFFLE_TARGET_AVX512F double softmax_xent_rows_zmm(float* x,
-                                                   const int* labels,
-                                                   std::size_t rows,
-                                                   std::size_t cols) {
+/// 1/batch at the label — before one scatter per column writes
+/// the gradient back. Without NaN the max does not depend on how it is
+/// folded (signed zeros leave x − max unchanged for exp), so every byte
+/// matches the row loop; a batch holding a NaN runs the row loop. A
+/// power-of-two batch multiplies by its reciprocal instead of dividing:
+/// both round the same real quotient once, so the bytes are the same.
+BAFFLE_TARGET_AVX512F void softmax_xent_rows_zmm(float* x, const int* labels,
+                                                 std::size_t rows,
+                                                 std::size_t cols) {
   if (cols > kSoftmaxMaxCols || any_nan(x, rows * cols)) {
-    return softmax_xent_row_loop(x, labels, rows, cols, max_value);
+    softmax_xent_row_loop(x, labels, rows, cols, max_value);
+    return;
   }
-  const auto batch = static_cast<float>(rows);
-  const __m512 batch_v = _mm512_set1_ps(batch);
-  const __m512 inv_batch = _mm512_set1_ps(1.0f / batch);
+  const __m512 batch = _mm512_set1_ps(static_cast<float>(rows));
+  const __m512 inv_batch = _mm512_set1_ps(1.0f / static_cast<float>(rows));
+  const bool pow2 = (rows & (rows - 1)) == 0;
   const __m512i row_offsets = _mm512_mullo_epi32(
       _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
       _mm512_set1_epi32(static_cast<int>(cols)));
   alignas(64) float column[kSoftmaxMaxCols][16];
-  alignas(64) float p_label[16];
-  double loss = 0.0;
   for (std::size_t r0 = 0; r0 < rows; r0 += 16) {
     const __mmask16 live = lanes_below(rows - r0);
     float* block = x + r0 * cols;
@@ -799,48 +799,166 @@ BAFFLE_TARGET_AVX512F double softmax_xent_rows_zmm(float* x,
       _mm512_store_ps(column[c], e);
     }
     const __m512i label = _mm512_maskz_loadu_epi32(live, labels + r0);
-    __m512 p_y = _mm512_setzero_ps();
     for (std::size_t c = 0; c < cols; ++c) {
-      const __m512 p = _mm512_div_ps(_mm512_load_ps(column[c]), total);
       const __mmask16 at_label = _mm512_mask_cmpeq_epi32_mask(
           live, label, _mm512_set1_epi32(static_cast<int>(c)));
-      p_y = _mm512_mask_mov_ps(p_y, at_label, p);
-      __m512 g = _mm512_div_ps(p, batch_v);
+      const __m512 p = _mm512_div_ps(_mm512_load_ps(column[c]), total);
+      __m512 g = pow2 ? _mm512_maskz_mul_ps(0xFFFF, p, inv_batch)
+                      : _mm512_div_ps(p, batch);
       g = _mm512_mask_sub_ps(g, at_label, g, inv_batch);
       _mm512_mask_i32scatter_ps(block + c, live, row_offsets, g, 4);
     }
-    _mm512_store_ps(p_label, p_y);
-    for (std::size_t l = 0; l < 16 && r0 + l < rows; ++l) {
-      loss -= std::log(std::max(p_label[l], 1e-12f));
+  }
+}
+
+#define BAFFLE_UNROLL_PANEL _Pragma("GCC unroll 16")
+
+/// Rows r[0..16) of a 16 x 16 block become its columns: afterwards r[c]
+/// holds what column c held. Four rounds of 16 shuffles that move whole
+/// 32-bit lanes (pairs within 128-bit lanes, then quads, then 128-bit
+/// lanes twice), so every float keeps its bits. The masked forms avoid
+/// GCC 12's unmasked intrinsics, as expf_lanes' do.
+BAFFLE_TARGET_AVX512F BAFFLE_ALWAYS_INLINE void transpose_16x16(
+    __m512 r[16]) {
+  __m512 t[16];
+  BAFFLE_UNROLL_PANEL for (int i = 0; i < 16; i += 2) {
+    t[i] = _mm512_maskz_unpacklo_ps(0xFFFF, r[i], r[i + 1]);
+    t[i + 1] = _mm512_maskz_unpackhi_ps(0xFFFF, r[i], r[i + 1]);
+  }
+  BAFFLE_UNROLL_PANEL for (int i = 0; i < 16; i += 4) {
+    for (int h = 0; h < 2; ++h) {
+      const __m512d a = _mm512_castps_pd(t[i + h]);
+      const __m512d b = _mm512_castps_pd(t[i + h + 2]);
+      r[i + 2 * h] = _mm512_castpd_ps(_mm512_maskz_unpacklo_pd(0xFF, a, b));
+      r[i + 2 * h + 1] =
+          _mm512_castpd_ps(_mm512_maskz_unpackhi_pd(0xFF, a, b));
     }
   }
-  return loss / batch;
+  // r[4g + m] now holds, in 128-bit lane k, rows 4g..4g+3 of column
+  // 4k + m: gather lane k of r[m], r[4 + m], r[8 + m] and r[12 + m].
+  BAFFLE_UNROLL_PANEL for (int m = 0; m < 4; ++m) {
+    const __m512 lo01 =
+        _mm512_maskz_shuffle_f32x4(0xFFFF, r[m], r[4 + m], 0x44);
+    const __m512 hi01 =
+        _mm512_maskz_shuffle_f32x4(0xFFFF, r[m], r[4 + m], 0xEE);
+    const __m512 lo23 =
+        _mm512_maskz_shuffle_f32x4(0xFFFF, r[8 + m], r[12 + m], 0x44);
+    const __m512 hi23 =
+        _mm512_maskz_shuffle_f32x4(0xFFFF, r[8 + m], r[12 + m], 0xEE);
+    t[m] = _mm512_maskz_shuffle_f32x4(0xFFFF, lo01, lo23, 0x88);
+    t[4 + m] = _mm512_maskz_shuffle_f32x4(0xFFFF, lo01, lo23, 0xDD);
+    t[8 + m] = _mm512_maskz_shuffle_f32x4(0xFFFF, hi01, hi23, 0x88);
+    t[12 + m] = _mm512_maskz_shuffle_f32x4(0xFFFF, hi01, hi23, 0xDD);
+  }
+  BAFFLE_UNROLL_PANEL for (int i = 0; i < 16; ++i) r[i] = t[i];
+}
+
+/// 16 x 16 blocks through registers: a block's rows are loaded masked to
+/// its columns (rows past the last are +0), transposed, and its columns
+/// stored masked to its rows.
+BAFFLE_TARGET_AVX512F void transpose_zmm(const float* src, std::size_t rows,
+                                         std::size_t cols, std::size_t lds,
+                                         float* dst, std::size_t ldd) {
+  for (std::size_t r0 = 0; r0 < rows; r0 += 16) {
+    const std::size_t nr = std::min<std::size_t>(16, rows - r0);
+    const __mmask16 row_lanes = lanes_below(nr);
+    for (std::size_t c0 = 0; c0 < cols; c0 += 16) {
+      const std::size_t nc = std::min<std::size_t>(16, cols - c0);
+      const __mmask16 col_lanes = lanes_below(nc);
+      const float* in = src + r0 * lds + c0;
+      __m512 v[16];
+      BAFFLE_UNROLL_PANEL for (std::size_t r = 0; r < 16; ++r) {
+        v[r] = r < nr ? _mm512_maskz_loadu_ps(col_lanes, in + r * lds)
+                      : _mm512_setzero_ps();
+      }
+      transpose_16x16(v);
+      float* out = dst + c0 * ldd + r0;
+      BAFFLE_UNROLL_PANEL for (std::size_t c = 0; c < 16; ++c) {
+        if (c < nc) _mm512_mask_storeu_ps(out + c * ldd, row_lanes, v[c]);
+      }
+    }
+  }
+}
+
+/// The class-major softmax with samples in lanes, 16 per block, every
+/// load and store contiguous: lane l of class c's vector is sample
+/// i0 + l's logit, x + bias[c]. Each lane runs the row loop's
+/// arithmetic over its sample's classes in class order (max, exp and
+/// sum, divide by the sum, divide by the batch, subtract 1/batch at the
+/// label, multiplying by the reciprocal of a power-of-two batch as
+/// softmax_xent_rows_zmm does); without NaN the max is the same however
+/// it is folded, so every byte matches the row loop. A block holding a
+/// NaN runs the scalar arm's loop, the ymm table's entry. The block's
+/// gradient, transposed in registers, then folds into bias_grad one
+/// sample at a time, as the loop adds it.
+BAFFLE_TARGET_AVX512F void softmax_xent_class_major_zmm(
+    float* x, const float* bias, const int* labels, std::size_t classes,
+    std::size_t batch, float* bias_grad) {
+  BAFFLE_DCHECK(classes <= kPanelCols, "class-major softmax stages a panel");
+  const __m512 batch_v = _mm512_set1_ps(static_cast<float>(batch));
+  const __m512 inv_batch = _mm512_set1_ps(1.0f / static_cast<float>(batch));
+  const __mmask16 class_lanes = lanes_below(classes);
+  const bool pow2 = (batch & (batch - 1)) == 0;
+  std::fill_n(bias_grad, classes, 0.0f);
+  alignas(64) float grad[kPanelCols][16];
+  for (std::size_t i0 = 0; i0 < batch; i0 += 16) {
+    const std::size_t n = std::min<std::size_t>(16, batch - i0);
+    const __mmask16 live = lanes_below(n);
+    float* block = x + i0;
+    __m512 mx = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+    __mmask16 nan = 0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      const __m512 z =
+          _mm512_add_ps(_mm512_maskz_loadu_ps(live, block + c * batch),
+                        _mm512_set1_ps(bias[c]));
+      nan |= _mm512_mask_cmp_ps_mask(live, z, z, _CMP_UNORD_Q);
+      mx = _mm512_maskz_max_ps(0xFFFF, mx, z);
+      _mm512_store_ps(grad[c], z);
+    }
+    if (nan != 0) {
+      softmax_xent_class_major_loop(x, bias, labels, classes, batch, i0,
+                                    i0 + n, bias_grad,
+                                    scalar_table().max_value);
+      continue;
+    }
+    __m512 total = _mm512_setzero_ps();
+    for (std::size_t c = 0; c < classes; ++c) {
+      const __m512 e = expf_lanes(_mm512_sub_ps(_mm512_load_ps(grad[c]), mx));
+      total = _mm512_add_ps(total, e);
+      _mm512_store_ps(grad[c], e);
+    }
+    const __m512i label = _mm512_maskz_loadu_epi32(live, labels + i0);
+    __m512 block_grad[16];
+    BAFFLE_UNROLL_PANEL for (std::size_t c = 0; c < kPanelCols; ++c) {
+      if (c >= classes) {
+        block_grad[c] = _mm512_setzero_ps();
+        continue;
+      }
+      const __mmask16 at_label = _mm512_mask_cmpeq_epi32_mask(
+          live, label, _mm512_set1_epi32(static_cast<int>(c)));
+      const __m512 p = _mm512_div_ps(_mm512_load_ps(grad[c]), total);
+      __m512 g = pow2 ? _mm512_maskz_mul_ps(0xFFFF, p, inv_batch)
+                      : _mm512_div_ps(p, batch_v);
+      g = _mm512_mask_sub_ps(g, at_label, g, inv_batch);
+      _mm512_mask_storeu_ps(block + c * batch, live, g);
+      block_grad[c] = g;
+    }
+    transpose_16x16(block_grad);  // now one vector per sample
+    __m512 sum = _mm512_maskz_loadu_ps(class_lanes, bias_grad);
+    for (std::size_t l = 0; l < n; ++l) {
+      sum = _mm512_add_ps(sum, block_grad[l]);
+    }
+    _mm512_mask_storeu_ps(bias_grad, class_lanes, sum);
+  }
 }
 
 // ---- The SGD step's glue on 16 lanes ----
 //
 // Copies, compares and one rounding per operation, each lane doing what
-// the scalar loop does to its element, so all four give the scalar
+// the scalar loop does to its element, so all three give the scalar
 // arm's bytes. The ReLU mask and the update run whole vectors unmasked,
 // then one masked tail: a loop that masks every step, as exp_f32_zmm
 // does, timed 15-35% slower on the vision model's layers.
-
-/// One gather per panel row: lane c reads row c of b at column p; the
-/// lanes from `rows` on read nothing and store +0.
-BAFFLE_TARGET_AVX512F void pack_bt_panel_zmm(const float* b, std::size_t rows,
-                                             std::size_t k, float* panel) {
-  BAFFLE_DCHECK(k <= std::numeric_limits<int>::max() / kPanelCols,
-                "a row offset of the panel must fit the gather's int32");
-  const __m512i row_offsets = _mm512_mullo_epi32(
-      _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
-      _mm512_set1_epi32(static_cast<int>(k)));
-  const __mmask16 live = lanes_below(rows);
-  for (std::size_t p = 0; p < k; ++p) {
-    _mm512_storeu_ps(panel + p * kPanelCols,
-                     _mm512_mask_i32gather_ps(_mm512_setzero_ps(), live,
-                                              row_offsets, b + p, 4));
-  }
-}
 
 /// The ReLU mask: keep the gradient where NOT (a <= 0), so a NaN
 /// activation keeps it and −0 loses it; +0 elsewhere.
@@ -1174,19 +1292,20 @@ BAFFLE_TARGET_AVX512DQ std::size_t polar_pairs_zmm(const PolarPairsArgs& g,
 #endif  // BAFFLE_HAVE_AVX512F_TARGET
 
 /// The vector table; `avx512f` swaps in the zmm fp32 kernels (the GEMM
-/// tile, the fused eval layer and the SGD step's pack, ReLU mask,
+/// tile, the fused eval layer and the SGD step's transpose, ReLU mask,
 /// column sums and update), which leave every result unchanged, and —
-/// once its probe passes — the libm-exact exp with the whole-batch
-/// softmax built on it; `avx512f` with `avx512dq` swaps in the zmm
+/// once its probe passes — the libm-exact exp with the two softmax
+/// entries built on it; `avx512f` with `avx512dq` swaps in the zmm
 /// masking entries and Rng's twist and polar step.
 KernelTable make_table(bool avx512f, bool avx512dq) {
   KernelTable t = scalar_table();
   t.name = "avx2";
   t.gemm_width = "avx2";
   t.gemm_reads_b_in_place = false;
-  // scalar-inherited unless a zmm entry replaces them: pack_bt_panel,
-  // col_sum and sgd_update, whose -O3 loops vectorize in the scalar TU,
-  // exp_f32, encode_fixed_u64, mt_regenerate and polar_pairs.
+  // scalar-inherited unless a zmm entry replaces them: transpose, col_sum
+  // and sgd_update, whose -O3 loops vectorize in the scalar TU, exp_f32,
+  // the class-major softmax (at most 16 classes a sample),
+  // encode_fixed_u64, mt_regenerate and polar_pairs.
   t.gemm_panel_rows = gemm_panel_rows;
   t.axpy = axpy;
   t.scale = scale;
@@ -1201,7 +1320,7 @@ KernelTable make_table(bool avx512f, bool avx512dq) {
     t.gemm_width = "avx512f";
     t.gemm_reads_b_in_place = true;
     t.gemm_panel_rows = gemm_panel_rows_zmm;
-    t.pack_bt_panel = pack_bt_panel_zmm;
+    t.transpose = transpose_zmm;
     t.eval_layer_f32 = eval_layer_f32_zmm;
     t.relu_backward = relu_backward_zmm;
     t.col_sum = col_sum_zmm;
@@ -1210,6 +1329,7 @@ KernelTable make_table(bool avx512f, bool avx512dq) {
       t.libm_exp_copy = true;
       t.exp_f32 = exp_f32_zmm;
       t.softmax_xent_rows = softmax_xent_rows_zmm;
+      t.softmax_xent_class_major = softmax_xent_class_major_zmm;
     }
     if (avx512dq) {
       t.pair_keystream_u64 = pair_keystream_u64_zmm;

@@ -180,7 +180,8 @@ void pack_b_panels(const Matrix& b, PackedB& out) {
 
 void pack_bt_panels(const Matrix& b, PackedB& out) {
   // Effective operand is bᵀ: panels hold columns of bᵀ, i.e. rows of b,
-  // gathered with the table's transposing copy.
+  // copied with the table's transpose; a tail panel's dead columns are
+  // +0.
   constexpr std::size_t pc = kernels::kPanelCols;
   const std::size_t k = b.cols(), n = b.rows();
   const std::size_t panels = (n + pc - 1) / pc;
@@ -188,8 +189,13 @@ void pack_bt_panels(const Matrix& b, PackedB& out) {
   const kernels::KernelTable& kt = kernels::active_table();
   const auto pack_panel = [&](std::size_t jp) {
     const std::size_t j0 = jp * pc;
-    kt.pack_bt_panel(b.flat().data() + j0 * k, std::min(pc, n - j0), k,
-                     out.data_.data() + jp * k * pc);
+    const std::size_t rows = std::min(pc, n - j0);
+    float* panel = out.data_.data() + jp * k * pc;
+    kt.transpose(b.flat().data() + j0 * k, rows, k, k, panel, pc);
+    if (rows == pc) return;
+    for (std::size_t p = 0; p < k; ++p) {
+      std::fill_n(panel + p * pc + rows, pc - rows, 0.0f);
+    }
   };
   // Validation-sized packs (MultiModelEval::bind over a whole holdout)
   // fan the panels out across the pool — each panel is a disjoint write
@@ -256,6 +262,17 @@ void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out) {
       a.flat().data(), /*a_row_stride=*/k, /*a_p_stride=*/1, out, k);
   use_panels(args, *scratch);
   run_panels(kernels::active_table(), args, m, macs);
+}
+
+void transpose(const Matrix& src, Matrix& dst) {
+  dst.resize(src.cols(), src.rows());
+  if (src.empty()) return;
+  BAFFLE_DCHECK(disjoint(dst.flat().data(), dst.size(), src.flat().data(),
+                         src.size()),
+                "transpose output must not alias its input");
+  kernels::active_table().transpose(src.flat().data(), src.rows(),
+                                    src.cols(), src.cols(),
+                                    dst.flat().data(), dst.cols());
 }
 
 void col_sum(const Matrix& m, std::span<float> out) {

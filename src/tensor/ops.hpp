@@ -70,6 +70,10 @@ void gemm_atb(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a * bᵀ. Shapes: (m,k) x (n,k) -> (m,n).
 void gemm_abt(const Matrix& a, const Matrix& b, Matrix& out);
 
+/// dst = srcᵀ (dst's storage reused via resize). A copy: the same bytes
+/// on every arm.
+void transpose(const Matrix& src, Matrix& dst);
+
 /// Column-wise sum of m into out (length = m.cols()).
 void col_sum(const Matrix& m, std::span<float> out);
 

@@ -95,12 +95,6 @@ std::size_t encode_fixed_u64(std::span<const float> x, unsigned frac_bits,
                                                   out.data(), x.size());
 }
 
-double softmax_xent_rows(Matrix& probs_grad, std::span<const int> labels) {
-  return kernels::active_table().softmax_xent_rows(
-      probs_grad.flat().data(), labels.data(), probs_grad.rows(),
-      probs_grad.cols());
-}
-
 void sgd_update(std::span<float> w, std::span<const float> g, float lr) {
   check(g.size() == w.size(), "sgd_update: length mismatch");
   kernels::active_table().sgd_update(w.data(), g.data(), lr, w.size());

@@ -3,9 +3,8 @@
 // masking and the robust-aggregation baselines.
 //
 // The ones a workload runs hot (axpy, scale, relu_backward, the u64
-// masking loops, the softmax, the SGD update) dispatch to the scalar or
-// SIMD kernel arm at runtime (see tensor/simd.hpp for the dispatch
-// rules). The
+// masking loops, the SGD update) dispatch to the scalar or SIMD kernel
+// arm at runtime (see tensor/simd.hpp for the dispatch rules). The
 // norm/distance/cosine reductions only the baselines call are one
 // plain loop each, accumulating in double in index order, so they
 // return the same bits on every arm.
@@ -13,8 +12,6 @@
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "tensor/matrix.hpp"
 
 namespace baffle {
 
@@ -52,14 +49,6 @@ void pair_keystream_u64(std::uint64_t* plus, std::uint64_t* minus,
 /// returned index are written. Bit-identical on every arm.
 std::size_t encode_fixed_u64(std::span<const float> x, unsigned frac_bits,
                              std::span<std::uint64_t> out);
-
-/// Fused row-softmax + mean cross-entropy + gradient. On entry
-/// `probs_grad` holds the logits; on exit it holds dL/dlogits for the
-/// mean loss, which is returned. Labels must be pre-validated by the
-/// caller (nn/loss.cpp keeps the error messages). Byte-identical on
-/// every arm for logits without NaN: the AVX-512 arm runs the whole
-/// batch with rows in lanes and a bit-exact copy of libm's expf.
-double softmax_xent_rows(Matrix& probs_grad, std::span<const int> labels);
 
 /// One in-place SGD step on a parameter block: w += round(−lr · g) per
 /// element. The product is never contracted into an FMA, so every arm

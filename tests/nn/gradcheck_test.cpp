@@ -1,12 +1,13 @@
 // Numerical gradient check: the single most load-bearing property of the
-// NN substrate. The gradients train_sgd steps on (forward_train,
-// softmax_cross_entropy_into, backward_train) must match central finite
-// differences of the loss for every parameter, across architectures.
+// NN substrate. The gradients train_sgd steps on (Mlp::compute_gradients,
+// on both of its output-layer paths) must match central finite
+// differences of the loss (the test helper's cross-entropy) for every
+// parameter, across architectures.
 
 #include <gtest/gtest.h>
 
-#include "nn/loss.hpp"
 #include "nn/mlp.hpp"
+#include "support/train_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace baffle {
@@ -24,22 +25,9 @@ void PrintTo(const GradCheckCase& c, std::ostream* os) { *os << c.name; }
 class GradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 double loss_at(Mlp& model, const std::vector<float>& params, const Matrix& x,
-               const std::vector<int>& labels, TrainWorkspace& ws) {
+               const std::vector<int>& labels) {
   model.set_parameters(params);
-  return softmax_cross_entropy_into(model.forward_train(x, ws), labels,
-                                    ws.dlogits);
-}
-
-/// The layers' gradient buffers in flat parameter order.
-std::vector<float> flat_gradients(const Mlp& model) {
-  std::vector<float> flat;
-  for (const Dense& layer : model.layers()) {
-    const auto g = layer.weight_grad().flat();
-    flat.insert(flat.end(), g.begin(), g.end());
-    flat.insert(flat.end(), layer.bias_grad().begin(),
-                layer.bias_grad().end());
-  }
-  return flat;
+  return cross_entropy(model, x, labels);
 }
 
 TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
@@ -57,10 +45,9 @@ TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
         0, static_cast<std::int64_t>(model.output_dim()) - 1));
   }
 
-  // Analytic gradient: one training step's backward pass.
+  // Analytic gradient: one training step's.
   TrainWorkspace ws;
-  softmax_cross_entropy_into(model.forward_train(x, ws), labels, ws.dlogits);
-  model.backward_train(x, ws);
+  model.compute_gradients(x, labels, ws);
   const std::vector<float> analytic = flat_gradients(model);
   std::vector<float> params = model.parameters();
 
@@ -72,9 +59,9 @@ TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
   for (std::size_t i = 0; i < params.size(); i += stride) {
     const float orig = params[i];
     params[i] = orig + static_cast<float>(eps);
-    const double up = loss_at(model, params, x, labels, ws);
+    const double up = loss_at(model, params, x, labels);
     params[i] = orig - static_cast<float>(eps);
-    const double down = loss_at(model, params, x, labels, ws);
+    const double down = loss_at(model, params, x, labels);
     params[i] = orig;
     const double numeric = (up - down) / (2.0 * eps);
     EXPECT_NEAR(analytic[i], numeric, 5e-3)

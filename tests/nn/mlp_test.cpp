@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "support/alloc_counter.hpp"
+#include "support/predict_oracle.hpp"
 #include "tensor/ops.hpp"
 
 namespace baffle {
@@ -59,9 +60,8 @@ TEST(Mlp, IdenticalParamsGiveIdenticalOutputs) {
   Rng data_rng(3);
   Matrix x(5, 4);
   for (float& v : x.flat()) v = static_cast<float>(data_rng.normal());
-  TrainWorkspace ws_a, ws_b;
-  const Matrix& ya = a.forward_train(x, ws_a);
-  const Matrix& yb = b.forward_train(x, ws_b);
+  const Matrix ya = oracle_logits(a, x);
+  const Matrix yb = oracle_logits(b, x);
   for (std::size_t i = 0; i < ya.size(); ++i) {
     EXPECT_EQ(ya.flat()[i], yb.flat()[i]);
   }
@@ -179,8 +179,7 @@ TEST(Mlp, DeepNetworkForwardShape) {
   Rng rng(7);
   model.init(rng);
   Matrix x(10, 8, 0.1f);
-  TrainWorkspace ws;
-  const Matrix& y = model.forward_train(x, ws);
+  const Matrix y = oracle_logits(model, x);
   EXPECT_EQ(y.rows(), 10u);
   EXPECT_EQ(y.cols(), 5u);
 }

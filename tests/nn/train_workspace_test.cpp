@@ -10,6 +10,7 @@
 
 #include "nn/train.hpp"
 #include "support/alloc_counter.hpp"
+#include "support/train_oracle.hpp"
 #include "util/scratch_lease.hpp"
 
 namespace baffle {
@@ -32,6 +33,7 @@ void make_blobs(Matrix& x, std::vector<int>& y, std::size_t n,
 struct Trained {
   std::vector<float> params;
   TrainStats stats;
+  double loss = 0.0;  // cross-entropy of the trained model on its data
 };
 
 /// Trains a {2, 4, 2} model from a fixed init on `x`/`y`: the small task
@@ -44,7 +46,7 @@ Trained train_small(const Matrix& x, const std::vector<int>& y) {
   Rng init(7), train(9);
   model.init(init);
   const TrainStats stats = train_sgd(model, x, y, cfg, train);
-  return {model.parameters(), stats};
+  return {model.parameters(), stats, cross_entropy(model, x, y)};
 }
 
 /// Every byte `ws` holds, sizes and shapes included.
@@ -67,6 +69,8 @@ std::vector<unsigned char> snapshot(const TrainWorkspace& ws) {
   for (const Matrix& a : ws.acts) put_matrix(a);
   put_matrix(ws.dlogits);
   put_matrix(ws.dx);
+  put_matrix(ws.in_t);
+  put_matrix(ws.wt);
   put_size(ws.order.size());
   put(ws.order.data(), ws.order.size() * sizeof(std::size_t));
   return out;
@@ -92,7 +96,7 @@ TEST(TrainWorkspace, ReuseAcrossShapesBitExact) {
   std::thread([&] { fresh = train_small(small_x, small_y); }).join();
 
   EXPECT_EQ(reused.stats.steps, fresh.stats.steps);
-  EXPECT_EQ(reused.stats.final_loss, fresh.stats.final_loss);
+  EXPECT_EQ(reused.loss, fresh.loss);
   EXPECT_EQ(reused.params, fresh.params);
 }
 
@@ -118,6 +122,8 @@ TEST(TrainWorkspace, NestedCallLeavesOuterLeaseUntouched) {
     for (Matrix& act : ws.acts) act = Matrix(5, 9, 123.25f);
     ws.dlogits = Matrix(5, 2, -0.125f);
     ws.dx = Matrix(5, 9, 99.0f);
+    ws.in_t = Matrix(9, 5, 0.5f);
+    ws.wt = Matrix(2, 9, -3.0f);
     ws.order.assign(17, 3);
     before = snapshot(ws);
     nested = train_small(x, y);
@@ -126,7 +132,7 @@ TEST(TrainWorkspace, NestedCallLeavesOuterLeaseUntouched) {
 
   EXPECT_EQ(before, after) << "nested train_sgd wrote the held slot";
   EXPECT_EQ(nested.stats.steps, unnested.stats.steps);
-  EXPECT_EQ(nested.stats.final_loss, unnested.stats.final_loss);
+  EXPECT_EQ(nested.loss, unnested.loss);
   EXPECT_EQ(nested.params, unnested.params);
 }
 

@@ -20,6 +20,7 @@
 #include "attack/model_replacement.hpp"
 #include "exp/experiment.hpp"
 #include "exp/scenario.hpp"
+#include "nn/loss.hpp"
 #include "nn/train.hpp"
 #include "tensor/aligned.hpp"
 #include "tensor/kernels.hpp"
@@ -318,13 +319,12 @@ TEST_F(SimdParity, SoftmaxXentRowsMatchesScalar) {
 
   Matrix ref = logits;
   ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
-  const double loss_ref = softmax_xent_rows(ref, labels);
+  softmax_xent_grad(ref, labels);
 
   Matrix got = logits;
   ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
-  const double loss_got = softmax_xent_rows(got, labels);
+  softmax_xent_grad(got, labels);
 
-  EXPECT_NEAR(loss_got, loss_ref, 1e-9);
   expect_matrices_near(ref, got, 1e-6f);
 }
 
@@ -827,6 +827,23 @@ TEST_F(SimdParity, ExpMatchesLibmBitForBit) {
   EXPECT_EQ(mismatches, 0u) << "of " << checked << " patterns";
 }
 
+/// True when `got` holds `ref`'s floats bit for bit, NaN payloads too:
+/// what a kernel that only copies or zeroes must leave.
+::testing::AssertionResult identical_bytes(std::span<const float> ref,
+                                           std::span<const float> got) {
+  if (ref.size() != got.size()) {
+    return ::testing::AssertionFailure() << "lengths differ";
+  }
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (float_bits(ref[i]) != float_bits(got[i])) {
+      return ::testing::AssertionFailure()
+             << "first differing float at index " << i << ": " << got[i]
+             << " vs " << ref[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Logits of one softmax test batch; `kind` picks what rides along.
 enum class LogitRows { kPlain, kWideSpread, kInfinite, kNan };
 
@@ -879,16 +896,14 @@ TEST_F(SimdParity, SoftmaxXentRowsWidthsAgreeBitForBit) {
               rng.uniform_int(0, static_cast<std::int64_t>(cols) - 1));
         }
         Matrix ref;
-        double ref_loss = 0.0;
         Matrix ymm;
         for (const kernels::KernelTable* t : tables) {
           SCOPED_TRACE(t->gemm_width);
           kernels::pin_table_for_testing(*t);
           Matrix got = logits;
-          const double loss = softmax_xent_rows(got, labels);
+          softmax_xent_grad(got, labels);
           if (t == &kernels::scalar_table()) {
             ref = got;
-            ref_loss = loss;
             continue;
           }
           expect_same_bytes(ref.flat(), got.flat());
@@ -901,14 +916,76 @@ TEST_F(SimdParity, SoftmaxXentRowsWidthsAgreeBitForBit) {
                                   got.flat().size_bytes()),
                       0);
           }
-          if (!(std::isnan(ref_loss) && std::isnan(loss))) {
-            EXPECT_EQ(std::memcmp(&loss, &ref_loss, sizeof(loss)), 0)
-                << loss << " vs " << ref_loss;
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        const bool any_nan = std::any_of(ref.flat().begin(), ref.flat().end(),
+                                         [](float g) { return std::isnan(g); });
+        EXPECT_EQ(any_nan, kind == LogitRows::kInfinite ||
+                               kind == LogitRows::kNan);
+      }
+    }
+  }
+}
+
+TEST_F(SimdParity, SoftmaxXentClassMajorMatchesRowLoopOnEveryWidth) {
+  // The class-major entry on every width against the scalar arm's row
+  // loop on the same logits laid out one row per sample with the bias
+  // added: its gradient transposed back, and its bias gradient against
+  // the axpy chain col_sum replaced. Up to one 16-lane panel of classes.
+  const std::vector<const kernels::KernelTable*> tables = every_width();
+  Rng rng(57);
+  for (std::size_t batch : {1, 15, 16, 17, 20, 33, 64}) {
+    for (std::size_t classes : {1, 2, 10, 15, 16}) {
+      for (LogitRows kind : {LogitRows::kPlain, LogitRows::kWideSpread,
+                             LogitRows::kInfinite, LogitRows::kNan}) {
+        SCOPED_TRACE(::testing::Message() << "batch=" << batch << " classes="
+                                          << classes << " kind="
+                                          << static_cast<int>(kind));
+        const Matrix logits = softmax_logits(batch, classes, kind, rng);
+        std::vector<float> bias(classes);
+        for (float& b : bias) b = static_cast<float>(rng.normal(0.0, 0.5));
+        std::vector<int> labels(batch);
+        for (auto& y : labels) {
+          y = static_cast<int>(
+              rng.uniform_int(0, static_cast<std::int64_t>(classes) - 1));
+        }
+        Matrix ref = logits;
+        for (std::size_t r = 0; r < batch; ++r) {
+          for (std::size_t c = 0; c < classes; ++c) ref.at(r, c) += bias[c];
+        }
+        kernels::scalar_table().softmax_xent_rows(
+            ref.flat().data(), labels.data(), batch, classes);
+        std::vector<float> ref_bias_grad(classes, 0.0f);
+        for (std::size_t r = 0; r < batch; ++r) {
+          kernels::scalar_table().axpy(1.0f, ref.row(r).data(),
+                                       ref_bias_grad.data(), classes);
+        }
+        Matrix ymm;
+        std::vector<float> ymm_bias_grad;
+        for (const kernels::KernelTable* t : tables) {
+          SCOPED_TRACE(t->gemm_width);
+          kernels::pin_table_for_testing(*t);
+          Matrix logits_t;
+          transpose(logits, logits_t);
+          std::vector<float> bias_grad(classes, 7.0f);  // overwritten
+          t->softmax_xent_class_major(logits_t.flat().data(), bias.data(),
+                                      labels.data(), classes, batch,
+                                      bias_grad.data());
+          Matrix got;
+          transpose(logits_t, got);
+          expect_same_bytes(ref.flat(), got.flat());
+          expect_same_bytes(ref_bias_grad, bias_grad);
+          if (t == tables[1]) {
+            ymm = got;
+            ymm_bias_grad = bias_grad;
+          } else if (t != tables[0] && kind == LogitRows::kNan) {
+            // A block holding a NaN runs the ymm width's loop on the zmm
+            // width too, so even the NaN payloads agree.
+            EXPECT_TRUE(identical_bytes(ymm.flat(), got.flat()));
+            EXPECT_TRUE(identical_bytes(ymm_bias_grad, bias_grad));
           }
           if (::testing::Test::HasFatalFailure()) return;
         }
-        EXPECT_EQ(std::isnan(ref_loss), kind == LogitRows::kInfinite ||
-                                            kind == LogitRows::kNan);
       }
     }
   }
@@ -937,23 +1014,6 @@ TEST_F(SimdParity, ColSumMatchesPerRowAxpyOnEveryWidth) {
       }
     }
   }
-}
-
-/// True when `got` holds `ref`'s floats bit for bit, NaN payloads too:
-/// what a kernel that only copies or zeroes must leave.
-::testing::AssertionResult identical_bytes(std::span<const float> ref,
-                                           std::span<const float> got) {
-  if (ref.size() != got.size()) {
-    return ::testing::AssertionFailure() << "lengths differ";
-  }
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (float_bits(ref[i]) != float_bits(got[i])) {
-      return ::testing::AssertionFailure()
-             << "first differing float at index " << i << ": " << got[i]
-             << " vs " << ref[i];
-    }
-  }
-  return ::testing::AssertionSuccess();
 }
 
 TEST_F(SimdParity, SgdUpdateMatchesScalarOnEveryWidth) {
@@ -1017,6 +1077,40 @@ TEST_F(SimdParity, PackBtPanelsMatchesScalarOnEveryWidth) {
         ASSERT_EQ(packed.n(), n);
         ASSERT_TRUE(identical_bytes(
             want, std::span<const float>(packed.data(), want.size())));
+      }
+    }
+  }
+}
+
+TEST_F(SimdParity, TransposeMatchesScalarOnEveryWidth) {
+  // A copy: dst[c·ldd + r] = src[r·lds + c] bit for bit, NaN payloads
+  // (quiet and signalling) included, on every width, for every tail of
+  // the zmm arm's 16 x 16 blocks and strides wider than the block; the
+  // rest of dst keeps its bytes.
+  Rng rng(58);
+  const float untouched = bits_float(0x7fa5a5a5u);
+  for (std::size_t rows : {1, 2, 10, 15, 16, 17, 33, 64, 65}) {
+    for (std::size_t cols : {1, 10, 15, 16, 17, 32, 62, 64, 65}) {
+      for (std::size_t pad : {0, 3}) {
+        SCOPED_TRACE(::testing::Message() << "rows=" << rows << " cols="
+                                          << cols << " pad=" << pad);
+        const std::size_t lds = cols + pad, ldd = rows + pad;
+        std::vector<float> src = random_vec(rows * lds, rng);
+        add_specials(src, rng);
+        src[rows * lds / 2] = bits_float(0x7f800001u);
+        src.back() = bits_float(0xffc00123u);
+        std::vector<float> want(cols * ldd, untouched);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < cols; ++c) {
+            want[c * ldd + r] = src[r * lds + c];
+          }
+        }
+        for (const kernels::KernelTable* t : every_width()) {
+          SCOPED_TRACE(t->gemm_width);
+          std::vector<float> got(cols * ldd, untouched);
+          t->transpose(src.data(), rows, cols, lds, got.data(), ldd);
+          ASSERT_TRUE(identical_bytes(want, got));
+        }
       }
     }
   }

@@ -36,8 +36,10 @@
 #                             # CSV byte difference
 #   tools/check.sh --e2e-build
 #                             # also build the end-to-end benchmark
-#                             # binary (e2ebench/, into .bench_build)
-#                             # and run its harness tests
+#                             # binary (e2ebench/, into .bench_build),
+#                             # run its harness tests and its --smoke
+#                             # run, which fails unless the benchmark's
+#                             # own correctness checks hold
 #   tools/check.sh --paper    # also rerun the twelve paper drivers at
 #                             # BAFFLE_THREADS=4 and fail on any CSV
 #                             # byte that differs from the committed
@@ -217,11 +219,12 @@ run_e2e_build() {
   # suite above passes. Same steps as CI's e2ebench-build job.
   cmake -S e2ebench -B .bench_build -DCMAKE_BUILD_TYPE=Release &&
     cmake --build .bench_build --target baffle_e2e -j "$JOBS" &&
-    python3 -m unittest discover -s e2ebench -p 'test_*.py'
+    python3 -m unittest discover -s e2ebench -p 'test_*.py' &&
+    python3 e2ebench/run.py --smoke
 }
 
 if [[ "$RUN_E2E_BUILD" -eq 1 ]]; then
-  stage "e2ebench build + harness tests" run_e2e_build
+  stage "e2ebench build + harness tests + smoke" run_e2e_build
 fi
 
 if [[ "$RUN_PAPER" -eq 1 ]]; then
